@@ -144,7 +144,7 @@ def read_panel(
 
     groups: dict[tuple[str, int], list] = {}
     group_end: dict[tuple[str, int], float] = {}
-    subject_order: list[str] = []
+    subject_order: dict[str, None] = {}  # insertion-ordered set, first appearance
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
@@ -168,8 +168,7 @@ def read_panel(
             if replication < 1:
                 raise MalformedRow(line, "replication must be a positive integer")
             key = (subject, replication)
-            if subject not in subject_order:
-                subject_order.append(subject)
+            subject_order.setdefault(subject)
             groups.setdefault(key, []).append((line, attribute, onset))
             if has_end and row.get("end") not in (None, ""):
                 try:

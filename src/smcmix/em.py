@@ -6,6 +6,10 @@ closed-form or one-dimensional M-step updates: mixture weights, initial
 and transition probabilities, and per-state gamma sojourn parameters under
 the shape penalty.  Clustering is read off the final responsibilities with
 the maximum a posteriori rule.
+
+An iteration works on arrays: one subject log-likelihood matrix per model
+gives both its objective and the next responsibilities, and each M-step
+solves every component-by-state gamma shape in one array solver call.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     ComponentParams,
+    GammaParams,
     MixtureModel,
     Panel,
     PosteriorMatrix,
@@ -25,19 +29,18 @@ from .core import (
 )
 from .errors import (
     AllComponentsImpossible,
-    DegenerateSample,
     EmptyComponent,
     NonConvergence,
     NumericalError,
 )
 from .likelihood import (
     PanelStats,
-    mixture_loglik,
+    log_scores,
     penalty_term,
     penalty_weight,
     subject_loglik_matrix,
 )
-from .sojourn import _pmle_from_stats
+from .sojourn import DEGENERATE, OK, solve_shapes, status_error
 
 # Ascent slack per EM step; covers responsibility quantization.
 ASCENT_SLACK = 1e-7
@@ -120,10 +123,7 @@ def _round_responsibilities(z: np.ndarray, z_round: float) -> np.ndarray:
     return z / sums[:, None]
 
 
-def _e_step_matrix(ll: np.ndarray, weights: np.ndarray, z_round: float) -> np.ndarray:
-    scores = ll + np.log(weights)[None, :]
-    with np.errstate(invalid="ignore"):
-        norms = logsumexp(scores, axis=1)
+def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> np.ndarray:
     dead = ~np.isfinite(norms)
     if np.any(dead):
         raise AllComponentsImpossible(int(np.flatnonzero(dead)[0]))
@@ -136,8 +136,8 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     """Posterior component responsibilities of every subject (Bayes rule in
     log space), rounded to multiples of ``z_round`` and renormalized."""
     stats = PanelStats.from_panel(panel)
-    ll = subject_loglik_matrix(stats, model)
-    return PosteriorMatrix(_e_step_matrix(ll, model.weights, z_round))
+    scores, norms = log_scores(subject_loglik_matrix(stats, model), model.weights)
+    return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
 def m_step_weights(z: PosteriorMatrix) -> np.ndarray:
@@ -158,9 +158,13 @@ def _m_step_alpha_trans_stats(
     n_comp = z.shape[1]
     warnings: list[str] = []
     ng = z.sum(axis=0)
-    alpha = np.zeros((n_comp, d))
-    trans = np.zeros((n_comp, d, d))
-    flat_counts = stats.trans_counts.reshape(n, d * d)
+    alpha = z.T @ stats.first_counts
+    rows = (z.T @ stats.trans_counts.reshape(n, d * d)).reshape(n_comp, d, d)
+    totals = rows.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trans = rows / totals[:, :, None]
+        trans[:, np.arange(d), np.arange(d)] = 0.0
+        trans /= trans.sum(axis=2, keepdims=True)
     for g in range(n_comp):
         if ng[g] <= 0.0:
             warnings.append(f"component {g}: no responsibility mass; uniform fallback")
@@ -169,25 +173,18 @@ def _m_step_alpha_trans_stats(
                 live[stats.absorbing] = 0.0
             alpha[g] = live / live.sum()
         else:
-            alpha[g] = (z[:, g] @ stats.first_counts) / (stats.n_replications * ng[g])
-            alpha[g] = renormalize_vector(alpha[g])
-        rows = (z[:, g] @ flat_counts).reshape(d, d)
-        for h in range(d):
-            if stats.absorbing is not None and h == stats.absorbing:
-                trans[g, h] = 0.0
+            alpha[g] = renormalize_vector(alpha[g] / (stats.n_replications * ng[g]))
+        for h in np.flatnonzero(totals[g] <= 0.0):
+            if h == stats.absorbing:
                 continue
-            total = rows[h].sum()
-            if total <= 0.0:
-                name = labels[h] if labels is not None else str(h)
-                warnings.append(
-                    f"component {g}: state {name} never left; "
-                    "transition row set to uniform"
-                )
-                trans[g, h] = _uniform_off_diagonal(d, h)
-            else:
-                trans[g, h] = rows[h] / total
-                trans[g, h, h] = 0.0
-                trans[g, h] = trans[g, h] / trans[g, h].sum()
+            name = labels[h] if labels is not None else str(h)
+            warnings.append(
+                f"component {g}: state {name} never left; "
+                "transition row set to uniform"
+            )
+            trans[g, h] = _uniform_off_diagonal(d, h)
+    if stats.absorbing is not None:
+        trans[:, stats.absorbing] = 0.0
     return alpha, trans, warnings
 
 
@@ -220,23 +217,29 @@ def _m_step_sojourn_stats(
     sx = z.T @ stats.soj_sum
     carrying = (z > z_round).astype(np.float64)
     n_obs = carrying.T @ stats.soj_counts
+    fitted = n_obs > min_obs_mass  # never the absorbing state: it has no sojourns
+    # One solver call: the fitted cells in row-major order, then one
+    # pooled cell per component.
+    cell_sw, cell_slog, cell_sx = (
+        np.concatenate([m[fitted], m.sum(axis=1)]) for m in (sw, slog, sx)
+    )
+    shape, status = solve_shapes(cell_sw, cell_slog, cell_sx, penalty_c)
+    rate = shape * cell_sw / cell_sx
+    pooled_at = int(fitted.sum())
 
     out: list[list] = []
+    k = 0
     for g in range(n_comp):
         pooled = None
 
         def pooled_fit():
             nonlocal pooled
             if pooled is None:
-                try:
-                    pooled = _pmle_from_stats(
-                        float(sw[g].sum()),
-                        float(slog[g].sum()),
-                        float(sx[g].sum()),
-                        penalty_c,
-                    )
-                except (DegenerateSample, NonConvergence) as exc:
+                cell = pooled_at + g
+                if status[cell] != OK:
+                    exc = status_error(status[cell])
                     raise type(exc)(f"component {g} pooled sojourn fit: {exc}") from exc
+                pooled = GammaParams(shape=float(shape[cell]), rate=float(rate[cell]))
             return pooled
 
         row: list = []
@@ -245,24 +248,20 @@ def _m_step_sojourn_stats(
                 row.append(None)
                 continue
             name = labels[j] if labels is not None else str(j)
-            if n_obs[g, j] > min_obs_mass:
-                try:
-                    row.append(
-                        _pmle_from_stats(
-                            float(sw[g, j]), float(slog[g, j]), float(sx[g, j]), penalty_c
-                        )
-                    )
+            if fitted[g, j]:
+                cell, k = k, k + 1
+                if status[cell] == OK:
+                    row.append(GammaParams(shape=float(shape[cell]), rate=float(rate[cell])))
                     continue
-                except DegenerateSample:
+                if status[cell] == DEGENERATE:
                     warnings.append(
                         f"component {g}: degenerate sojourn sample in state {name}; "
                         "pooled fallback"
                     )
-                except NonConvergence as exc:
-                    if not bracket_fallback:
-                        raise NonConvergence(
-                            f"component {g}, state {name}: {exc}"
-                        ) from exc
+                elif not bracket_fallback:
+                    exc = status_error(status[cell])
+                    raise NonConvergence(f"component {g}, state {name}: {exc}") from exc
+                else:
                     warnings.append(
                         f"component {g}: sojourn fit for state {name} left the "
                         "shape bracket; pooled fallback"
@@ -335,14 +334,18 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     stats = PanelStats.from_panel(panel)
     c = penalty_weight(panel, stats) if cfg.penalized else 0.0
 
-    def objective(m: MixtureModel) -> float:
-        value = mixture_loglik(panel, m, stats)
+    def evaluate(m: MixtureModel) -> tuple[float, np.ndarray, np.ndarray]:
+        # One likelihood matrix per model serves both its objective and
+        # the E-step that follows it.
+        scores, norms = log_scores(subject_loglik_matrix(stats, m), m.weights)
+        value = float(norms.sum())
         if cfg.penalized:
             value += penalty_term(m, c)
-        return value
+        return value, scores, norms
 
     model = init
-    trace = [objective(init)]
+    value, scores, norms = evaluate(init)
+    trace = [value]
     warnings: dict[str, None] = {}
     empty_streak = np.zeros(n_components, dtype=int)
     converged = False
@@ -360,8 +363,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
         )
 
     for iterations in range(1, cfg.max_iter + 1):
-        ll = subject_loglik_matrix(stats, model)
-        z = _e_step_matrix(ll, model.weights, cfg.z_round)
+        z = _responsibilities(scores, norms, cfg.z_round)
         ng = z.sum(axis=0)
 
         empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
@@ -385,7 +387,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
             warnings[msg] = None
 
         model = _assemble_model(panel.space, pi, alpha, trans, sojourn)
-        value = objective(model)
+        value, scores, norms = evaluate(model)
         trace.append(value)
         if value < trace[-2] - ASCENT_SLACK:
             warnings[
@@ -396,11 +398,9 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
             converged = True
             break
 
-    final_ll = subject_loglik_matrix(stats, model)
-    final_z = _e_step_matrix(final_ll, model.weights, cfg.z_round)
     return FitReport(
         model=model,
-        posteriors=PosteriorMatrix(final_z),
+        posteriors=PosteriorMatrix(_responsibilities(scores, norms, cfg.z_round)),
         objective_trace=tuple(trace),
         iterations=iterations,
         converged=converged,

@@ -153,6 +153,16 @@ def subject_loglik_matrix(stats: PanelStats, model: MixtureModel) -> np.ndarray:
     )
 
 
+def log_scores(ll: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Joint log scores ``ll + log(weights)`` of an n x G likelihood matrix
+    and their per-subject log-sum-exp, whose sum is the mixture
+    log-likelihood."""
+    scores = ll + np.log(weights)[None, :]
+    with np.errstate(invalid="ignore"):
+        norms = logsumexp(scores, axis=1)
+    return scores, norms
+
+
 def mixture_loglik(panel: Panel, model: MixtureModel, stats: PanelStats | None = None) -> float:
     """Observed-data log-likelihood of the panel under the mixture.
 
@@ -161,9 +171,7 @@ def mixture_loglik(panel: Panel, model: MixtureModel, stats: PanelStats | None =
     """
     if stats is None:
         stats = PanelStats.from_panel(panel)
-    ll = subject_loglik_matrix(stats, model)
-    with np.errstate(invalid="ignore"):
-        per_subject = logsumexp(ll + np.log(model.weights)[None, :], axis=1)
+    _, per_subject = log_scores(subject_loglik_matrix(stats, model), model.weights)
     return float(per_subject.sum())
 
 

@@ -10,6 +10,11 @@ and the problem reduces to a one-dimensional search in ``a``.  Shrinking
 ``a`` prevents the unbounded spikes that weighted gamma likelihoods
 develop when a weighted sample degenerates toward equal durations.
 
+The one shape solver, :func:`solve_shapes`, works on arrays of cells: the
+EM M-step passes all its cells in one call, a single-sample fit passes
+one.  It refines the closed-form start of Minka, "Estimating a Gamma
+distribution" (2002), by safeguarded Newton steps.
+
 The sojourn family sits behind this small density/fit interface so that a
 discrete-time family (e.g. negative binomial) could be added later without
 touching the EM driver; only the gamma family ships.
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, polygamma, psi
+from scipy.special import gammaln, psi, zeta
 
 from .core import GammaParams
 from .errors import DegenerateSample, NonConvergence
@@ -97,72 +102,75 @@ def _suff_stats(sample: WeightedSample) -> tuple[float, float, float, int]:
     return sw, swlog, swx, n_pos
 
 
-def _profile_objective(a: float, sw: float, swlog: float, swx: float, c: float) -> float:
-    lam = a * sw / swx
-    value = (a - 1.0) * swlog + a * sw * math.log(lam) - a * sw - sw * float(gammaln(a))
-    if c > 0.0:
-        value -= c * (a + math.log(a))
-    return value
+def _profile_deriv(a, sw, s, c):
+    return sw * (np.log(a) - psi(a) - s) - c * (1.0 + 1.0 / a)
 
 
-def _profile_deriv(a: float, sw: float, s: float, c: float) -> float:
-    return sw * (math.log(a) - float(psi(a)) - s) - c * (1.0 + 1.0 / a)
+# Per-cell outcome of :func:`solve_shapes`.
+OK, DEGENERATE, BRACKET_EXHAUSTED, NOT_CONVERGED = range(4)
 
 
-def _profile_deriv2(a: float, sw: float, c: float) -> float:
-    return sw * (1.0 / a - float(polygamma(1, a))) + c / (a * a)
+def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize the profile objective of every cell at once.
 
+    ``sw``, ``swlog`` and ``swx`` hold each cell's total weight, weighted
+    log-sum and weighted sum.  Every cell runs safeguarded Newton on the
+    profile derivative inside its own ``[lo, hi]`` bracket (bisection when
+    a step leaves it) until ``|derivative| <= DERIV_TOL``, and leaves the
+    batch when done, so cells never affect each other.  Returns ``(shape,
+    status)``; ``shape`` is valid where ``status == OK``.
+    """
+    sw, swlog, swx = (np.asarray(v, dtype=np.float64) for v in (sw, swlog, swx))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log(swx / sw) - swlog / sw
+    status = np.where((s <= 1e-12) & (c == 0.0), DEGENERATE, OK)
+    s = np.maximum(s, 0.0)
+    lo, hi = np.full(s.shape, SHAPE_MIN), np.full(s.shape, SHAPE_MAX)
+    open_bracket = (_profile_deriv(lo, sw, s, c) > 0.0) & (_profile_deriv(hi, sw, s, c) < 0.0)
+    status[(status == OK) & ~open_bracket] = BRACKET_EXHAUSTED
 
-def _solve_shape(sw: float, swlog: float, swx: float, c: float) -> float:
-    """Root of the profile objective's derivative via safeguarded Newton."""
-    s = math.log(swx / sw) - swlog / sw
-    if s <= 1e-12:
-        if c == 0.0:
-            raise DegenerateSample(
-                "sample variance is numerically zero; the unpenalized "
-                "likelihood has no maximizer"
-            )
-        s = max(s, 0.0)
+    # Minka's closed-form start; exact for the unweighted MLE up to the
+    # log-gamma expansion it is derived from.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    a = np.clip(np.where(s > 0.0, a, SHAPE_MAX / 2.0), SHAPE_MIN * 1.0001, SHAPE_MAX * 0.9999)
 
-    lo, hi = SHAPE_MIN, SHAPE_MAX
-    f_lo = _profile_deriv(lo, sw, s, c)
-    f_hi = _profile_deriv(hi, sw, s, c)
-    if f_lo <= 0.0 or f_hi >= 0.0:
-        raise NonConvergence(
-            f"shape search bracket [{SHAPE_MIN:g}, {SHAPE_MAX:g}] exhausted"
-        )
-
-    # Classical closed-form starting point; exact for the unweighted MLE
-    # up to the log-gamma expansion it is derived from.
-    if s > 0.0:
-        a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    else:
-        a = hi / 2.0
-    a = min(max(a, lo * 1.0001), hi * 0.9999)
-
+    active = np.flatnonzero(status == OK)
+    unfinished = []  # cells whose bracket collapsed before meeting the tolerance
     for _ in range(_MAX_NEWTON_ITER):
-        f = _profile_deriv(a, sw, s, c)
-        if abs(f) <= DERIV_TOL:
-            return a
-        if f > 0.0:
-            lo = a
-        else:
-            hi = a
-        fp = _profile_deriv2(a, sw, c)
-        a_new = a - f / fp if fp < 0.0 else math.nan
-        a = a_new if (np.isfinite(a_new) and lo < a_new < hi) else 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * hi:
+        if active.size == 0:
             break
-    f = _profile_deriv(a, sw, s, c)
-    if abs(f) <= DERIV_TOL:
-        return a
-    raise NonConvergence("shape search failed to meet the derivative tolerance")
+        x, w = a[active], sw[active]
+        f = _profile_deriv(x, w, s[active], c)
+        going = np.abs(f) > DERIV_TOL
+        active, x, w, f = active[going], x[going], w[going], f[going]
+        up = f > 0.0
+        l = np.where(up, x, lo[active])
+        h = np.where(up, hi[active], x)
+        fp = w * (1.0 / x - zeta(2.0, x)) + c / (x * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fp < 0.0, x - f / fp, np.nan)
+        inside = np.isfinite(step) & (l < step) & (step < h)
+        a[active] = np.where(inside, step, 0.5 * (l + h))
+        lo[active], hi[active] = l, h
+        collapsed = h - l <= 1e-15 * h
+        unfinished.append(active[collapsed])
+        active = active[~collapsed]
+    last = np.concatenate([active, *unfinished])
+    missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
+    status[last[missed]] = NOT_CONVERGED
+    return a, status
 
 
-def _pmle_from_stats(sw: float, swlog: float, swx: float, penalty_c: float) -> GammaParams:
-    shape = _solve_shape(sw, swlog, swx, penalty_c)
-    rate = shape * sw / swx
-    return GammaParams(shape=shape, rate=rate)
+def status_error(status: int) -> Exception:
+    """The error a non-OK :func:`solve_shapes` status stands for."""
+    if status == DEGENERATE:
+        return DegenerateSample(
+            "sample variance is numerically zero; the unpenalized likelihood has no maximizer"
+        )
+    if status == BRACKET_EXHAUSTED:
+        return NonConvergence(f"shape search bracket [{SHAPE_MIN:g}, {SHAPE_MAX:g}] exhausted")
+    return NonConvergence("shape search failed to meet the derivative tolerance")
 
 
 def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
@@ -178,4 +186,8 @@ def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
     sw, swlog, swx, n_pos = _suff_stats(sample)
     if n_pos < 2:
         raise DegenerateSample("need at least two positive-weight observations")
-    return _pmle_from_stats(sw, swlog, swx, penalty_c)
+    shape, status = solve_shapes([sw], [swlog], [swx], penalty_c)
+    if status[0] != OK:
+        raise status_error(status[0])
+    a = float(shape[0])
+    return GammaParams(shape=a, rate=a * sw / swx)

@@ -338,3 +338,26 @@ class TestAtomicWrites:
             write_model(target, fixtures.one_component_model())
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+
+def test_read_panel_keeps_first_appearance_order_of_interleaved_subjects(tmp_path):
+    f = write_csv(
+        tmp_path / "p.csv",
+        "subject,replication,attribute,onset,end\n"
+        "s2,1,A,0,10\n"
+        "s1,1,A,0,11\n"
+        "s2,1,B,2,10\n"
+        "s3,1,A,0,12\n"
+        "s1,1,B,3,11\n"
+        "s2,2,B,0,10\n"
+        "s3,1,B,4,12\n"
+        "s1,2,A,0,11\n"
+        "s2,2,A,5,10\n"
+        "s3,2,B,0,12\n"
+        "s1,2,B,6,11\n"
+        "s3,2,A,7,12\n",
+    )
+    panel, report = read_panel(f)
+    assert report.subject_ids == ("s2", "s1", "s3")
+    first_sojourns = [reps[0].sojourns[0] for reps in panel.subjects]
+    assert first_sojourns == [2.0, 3.0, 4.0]

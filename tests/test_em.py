@@ -26,8 +26,8 @@ from smcmix import (
     mixture_loglik,
     subject_loglik,
 )
-from smcmix.em import _e_step_matrix
-from smcmix.likelihood import penalized_objective, penalty_weight
+from smcmix.em import _responsibilities
+from smcmix.likelihood import log_scores, penalized_objective, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
 from smcmix.sojourn import WeightedSample, fit_gamma_pmle
 
@@ -114,7 +114,7 @@ class TestEStep:
 
         ll = np.zeros((2, 5000))  # equal likelihoods: every entry is 2e-4
         with pytest.raises(NumericalError, match="too\\s+coarse"):
-            _e_step_matrix(ll, np.full(5000, 1 / 5000), z_round=0.1)
+            _responsibilities(*log_scores(ll, np.full(5000, 1 / 5000)), z_round=0.1)
 
     def test_all_components_impossible(self, tiny_panel):
         blocked = make_component(
@@ -140,7 +140,7 @@ def test_e_step_log_sum_exp_stability(ll):
     """Huge negative log-likelihoods must never overflow or produce NaN."""
     g = ll.shape[1]
     weights = np.full(g, 1.0 / g)
-    z = _e_step_matrix(ll, weights, 0.0)
+    z = _responsibilities(*log_scores(ll, weights), 0.0)
     assert np.all(np.isfinite(z))
     np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
 
@@ -409,6 +409,76 @@ class TestFit:
         assert pen_report.objective_trace[-1] == pytest.approx(
             penalized_objective(panel, pen_report.model), rel=1e-12
         )
+
+
+class TestSharedLikelihood:
+    """One likelihood matrix per model: it yields the model's objective and
+    the responsibilities that follow, so both must equal the stand-alone
+    evaluations exactly."""
+
+    @staticmethod
+    def _g3_fit(name, seed):
+        scenario = fixtures.benchmark_scenario(name, n_subjects=80, seed=seed)
+        panel, _ = simulate_panel(scenario)
+        return panel, initial_model(panel, 3, seed=seed), EmConfig()
+
+    @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
+    def test_final_posteriors_and_objective_exact(self, name, seed):
+        panel, init, cfg = self._g3_fit(name, seed)
+        report = fit(panel, 3, init, cfg)
+        expected_z = e_step(panel, report.model, cfg.z_round).z
+        assert np.array_equal(report.posteriors.z, expected_z)
+        assert report.objective_trace[-1] == penalized_objective(panel, report.model)
+
+    @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
+    def test_one_likelihood_per_model(self, name, seed, monkeypatch):
+        import smcmix.em as em_module
+
+        panel, init, cfg = self._g3_fit(name, seed)
+        calls = []
+        original = em_module.subject_loglik_matrix
+
+        def counting(stats, model):
+            calls.append(model)
+            return original(stats, model)
+
+        monkeypatch.setattr(em_module, "subject_loglik_matrix", counting)
+        report = fit(panel, 3, init, cfg)
+        assert len(calls) == report.iterations + 1
+
+
+def test_m_step_sojourn_fallbacks_fire_in_order():
+    """Crafted statistics that reach every pooled fallback of one M-step:
+    a degenerate state (A), a state whose unpenalized shape leaves the
+    bracket (B) and a starved state (C); D gets its own fit."""
+    from smcmix.em import _m_step_sojourn_stats
+    from smcmix.errors import NonConvergence
+    from smcmix.likelihood import PanelStats
+
+    space = StateSpace(labels=("A", "B", "C", "D"))
+    rng = np.random.default_rng(12)
+    subjects = []
+    for i in range(10):
+        states = [0, 1, 3] + ([2] if i < 3 else [])
+        durations = [2.0, 1.0 + 1e-3 * i, float(rng.gamma(2.0, 2.0)), 0.5 + i][: len(states)]
+        subjects.append((traj(states, durations),))
+    panel = Panel(space=space, subjects=tuple(subjects))
+    stats = PanelStats.from_panel(panel)
+    z = np.full((10, 2), 0.5)
+    params, warnings = _m_step_sojourn_stats(
+        stats, z, 0.0, 7, 1e-4, labels=space.labels, bracket_fallback=True
+    )
+    per_component = [
+        "degenerate sojourn sample in state A; pooled fallback",
+        "sojourn fit for state B left the shape bracket; pooled fallback",
+        "state C has 3 weight-carrying observations; pooled fallback",
+    ]
+    assert warnings == [f"component {g}: {w}" for g in (0, 1) for w in per_component]
+    for row in params:
+        assert row[0] is row[1] is row[2]
+        assert row[3] is not row[0]
+    with pytest.raises(NonConvergence, match=r"component 0, state B: shape search bracket"):
+        _m_step_sojourn_stats(stats, z, 0.0, 7, 1e-4, labels=space.labels)
 
 
 class TestMapCluster:

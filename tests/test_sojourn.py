@@ -17,7 +17,16 @@ from smcmix import (
     fit_gamma_pmle,
     gamma_log_density,
 )
-from smcmix.sojourn import _profile_deriv, _suff_stats
+from smcmix.sojourn import (
+    BRACKET_EXHAUSTED,
+    DEGENERATE,
+    DERIV_TOL,
+    OK,
+    _profile_deriv,
+    _suff_stats,
+    solve_shapes,
+    status_error,
+)
 
 
 def unit_sample(values):
@@ -243,3 +252,57 @@ def test_profile_identity_property(values, penalty_c):
         return
     lam = p.shape * len(values) / values.sum()
     assert p.rate == pytest.approx(lam, rel=1e-10)
+
+
+def _cells(samples):
+    stats = [_suff_stats(s)[:3] for s in samples]
+    return [np.array(col) for col in zip(*stats)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(
+        st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=8, max_size=30),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_solve_shapes_matches_single_cell_fits(batch, penalty_c):
+    samples = [unit_sample(values) for values in batch]
+    sw, swlog, swx = _cells(samples)
+    shapes, status = solve_shapes(sw, swlog, swx, penalty_c)
+    for k, sample in enumerate(samples):
+        if status[k] != OK:
+            with pytest.raises((DegenerateSample, NonConvergence)):
+                fit_gamma_pmle(sample, penalty_c=penalty_c)
+            continue
+        s = math.log(swx[k] / sw[k]) - swlog[k] / sw[k]
+        assert abs(_profile_deriv(shapes[k], sw[k], max(s, 0.0), penalty_c)) <= DERIV_TOL
+        assert shapes[k] == fit_gamma_pmle(sample, penalty_c=penalty_c).shape
+
+
+def test_solve_shapes_mixed_batch_keeps_cells_apart():
+    rng = np.random.default_rng(17)
+    degenerate = unit_sample([2.0, 2.0, 2.0, 2.0])
+    exhausted = unit_sample(1.0 + 1e-3 * np.arange(10, dtype=float))
+    normal = unit_sample(rng.gamma(2.5, 1.5, size=40))
+    batch = [degenerate, exhausted, normal]
+    shapes, status = solve_shapes(*_cells(batch), 0.0)
+    assert status.tolist() == [DEGENERATE, BRACKET_EXHAUSTED, OK]
+    assert shapes[2] == fit_gamma_pmle(normal, penalty_c=0.0).shape
+    # the same cells in reverse order, and each cell on its own, agree
+    rev_shapes, rev_status = solve_shapes(*_cells(batch[::-1]), 0.0)
+    assert rev_status.tolist() == status.tolist()[::-1]
+    assert rev_shapes[0] == shapes[2]
+    for k, sample in enumerate(batch):
+        solo_shape, solo_status = solve_shapes(*_cells([sample]), 0.0)
+        assert solo_status[0] == status[k]
+        if status[k] == OK:
+            assert solo_shape[0] == shapes[k]
+    assert isinstance(status_error(DEGENERATE), DegenerateSample)
+    assert "bracket" in str(status_error(BRACKET_EXHAUSTED))
+    with pytest.raises(DegenerateSample):
+        fit_gamma_pmle(degenerate, penalty_c=0.0)
+    with pytest.raises(NonConvergence, match="bracket"):
+        fit_gamma_pmle(exhausted, penalty_c=0.0)
