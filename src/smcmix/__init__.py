@@ -20,7 +20,7 @@ from .core import (
     pool_mixture,
     validate_h1_h2,
 )
-from .em import EmConfig, FitReport, e_step, fit, m_step_alpha_trans, m_step_sojourn, m_step_weights, map_cluster
+from .em import EmConfig, FitReport, e_step, fit, m_step_weights, map_cluster
 from .errors import (
     AllComponentsImpossible,
     DataError,

@@ -154,6 +154,13 @@ def _uniform_off_diagonal(d: int, row: int) -> np.ndarray:
 def _m_step_alpha_trans_stats(
     stats: PanelStats, z: np.ndarray, labels=None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Responsibility-weighted initial-state frequencies and transition
+    rates per component.
+
+    Returns ``(alpha, trans, warnings)`` with shapes (G, D) and (G, D, D).
+    States never left under a component get a uniform row (recorded as a
+    warning) so the next E-step cannot hit an artificial structural zero.
+    """
     n, d = stats.first_counts.shape
     n_comp = z.shape[1]
     warnings: list[str] = []
@@ -188,18 +195,6 @@ def _m_step_alpha_trans_stats(
     return alpha, trans, warnings
 
 
-def m_step_alpha_trans(panel: Panel, z: PosteriorMatrix):
-    """Responsibility-weighted initial-state frequencies and transition
-    rates per component.
-
-    Returns ``(alpha, trans, warnings)`` with shapes (G, D) and (G, D, D).
-    States never left under a component get a uniform row (recorded as a
-    warning) so the next E-step cannot hit an artificial structural zero.
-    """
-    stats = PanelStats.from_panel(panel)
-    return _m_step_alpha_trans_stats(stats, z.z, labels=panel.space.labels)
-
-
 def _m_step_sojourn_stats(
     stats: PanelStats,
     z: np.ndarray,
@@ -209,6 +204,14 @@ def _m_step_sojourn_stats(
     labels=None,
     bracket_fallback: bool = False,
 ) -> tuple[list[list], list[str]]:
+    """Per-component, per-state penalized gamma fits of the sojourn times.
+
+    A state whose number of weight-carrying observations does not exceed
+    ``min_obs_mass`` inherits the fit pooled over all of the component's
+    observations regardless of state.  Returns ``(params, warnings)`` where
+    ``params[g][j]`` is a :class:`GammaParams` (``None`` at the absorbing
+    index).
+    """
     n_comp = z.shape[1]
     d = stats.n_states
     warnings: list[str] = []
@@ -274,28 +277,6 @@ def _m_step_sojourn_stats(
             row.append(pooled_fit())
         out.append(row)
     return out, warnings
-
-
-def m_step_sojourn(
-    panel: Panel,
-    z: PosteriorMatrix,
-    penalized: bool = True,
-    min_obs_mass: int = 7,
-    z_round: float = 1e-4,
-):
-    """Per-component, per-state penalized gamma fits of the sojourn times.
-
-    A state whose number of weight-carrying observations does not exceed
-    ``min_obs_mass`` inherits the fit pooled over all of the component's
-    observations regardless of state.  Returns ``(params, warnings)`` where
-    ``params[g][j]`` is a :class:`GammaParams` (``None`` at the absorbing
-    index).
-    """
-    stats = PanelStats.from_panel(panel)
-    c = penalty_weight(panel, stats) if penalized else 0.0
-    return _m_step_sojourn_stats(
-        stats, z.z, c, min_obs_mass, z_round, labels=panel.space.labels
-    )
 
 
 def _assemble_model(space, pi, alpha, trans, sojourn) -> MixtureModel:

@@ -33,7 +33,10 @@ _SMOOTHING = 1e-6
 def mean_sojourn_features(panel: Panel) -> np.ndarray:
     """n x D matrix of each subject's mean sojourn time per state, pooled
     over replications; states the subject never visited give 0."""
-    stats = PanelStats.from_panel(panel)
+    return _mean_sojourns(PanelStats.from_panel(panel))
+
+
+def _mean_sojourns(stats: PanelStats) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         feats = np.where(stats.soj_counts > 0, stats.soj_sum / stats.soj_counts, 0.0)
     return feats
@@ -99,22 +102,6 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     return best[1]
 
 
-def _sojourns_by_state(panel: Panel, members: np.ndarray) -> list[np.ndarray]:
-    """All sojourn durations observed in each state across a set of
-    subjects (absorbing placeholders excluded)."""
-    d = panel.space.n_states
-    absorbing = panel.space.absorbing
-    per_state: list[list[float]] = [[] for _ in range(d)]
-    for i in members:
-        for traj in panel.subjects[int(i)]:
-            states, sojourns = traj.states, traj.sojourns
-            if absorbing is not None and states[-1] == absorbing:
-                states, sojourns = states[:-1], sojourns[:-1]
-            for j, x in zip(states, sojourns):
-                per_state[int(j)].append(float(x))
-    return [np.asarray(v) for v in per_state]
-
-
 def _cluster_gammas(per_state: list[np.ndarray], absorbing, min_obs_mass: int):
     pooled = None
 
@@ -161,7 +148,10 @@ def initial_model(
     stats = PanelStats.from_panel(panel)
     d = panel.space.n_states
     absorbing = panel.space.absorbing
-    labels = kmeans(mean_sojourn_features(panel), n_components, seed, restarts)
+    labels = kmeans(_mean_sojourns(stats), n_components, seed, restarts)
+    # Cluster and state of every observed sojourn, in panel order.
+    row_labels = labels[stats.soj_cells // d]
+    row_states = stats.soj_cells % d
 
     weights = np.zeros(n_components)
     comps = []
@@ -181,7 +171,8 @@ def initial_model(
         np.fill_diagonal(trans, 0.0)
         trans = renormalize_rows(trans, absorbing)
 
-        per_state = _sojourns_by_state(panel, members)
+        in_cluster = row_labels == g
+        per_state = [stats.soj_durations[in_cluster & (row_states == j)] for j in range(d)]
         gammas = _cluster_gammas(per_state, absorbing, min_obs_mass)
         comps.append(
             ComponentParams(alpha=alpha, trans=trans, sojourn=tuple(gammas), absorbing=absorbing)

@@ -5,11 +5,14 @@ formed.  A structural zero (a trajectory hitting a zero initial or
 transition probability) yields ``-inf`` rather than an error, so the
 E-step can assign zero responsibility naturally.
 
-:class:`PanelStats` caches the sufficient statistics of a panel (first-state
+:class:`PanelStats` holds the sufficient statistics of a panel (first-state
 counts, transition counts, per-state sojourn sums) so that subject
 log-likelihoods under any parameter set reduce to a few small matrix
-products.  The per-trajectory operations below are the reference
-implementations; the vectorized path must and does agree with them.
+products.  It is the one place that walks a panel's trajectories: one
+pass over their concatenated states and sojourns fills every array, and
+the flat per-sojourn rows it keeps serve the moment initializer.  The
+per-trajectory operations below are the reference implementations; the
+vectorized path must and does agree with them.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ class PanelStats:
     ``soj_*`` arrays cover only states that contribute a sojourn factor
     (the absorbing state, if any, is excluded); ``total_states`` counts
     every visited state of every trajectory, absorbing included, which is
-    the normalizer of the shape penalty.
+    the normalizer of the shape penalty.  ``soj_cells`` and
+    ``soj_durations`` keep every such sojourn as one flat row, in panel
+    order (subject, replication, position), with its cell
+    ``subject * D + state``; the per-subject sums are these rows
+    accumulated per cell.
     """
 
     first_counts: np.ndarray  # (n, D) first-state indicator counts
@@ -39,6 +46,8 @@ class PanelStats:
     soj_counts: np.ndarray  # (n, D) number of sojourns observed per state
     soj_sum: np.ndarray  # (n, D) sum of durations per state
     soj_logsum: np.ndarray  # (n, D) sum of log durations per state
+    soj_cells: np.ndarray  # (m,) cell subject * D + state of each sojourn
+    soj_durations: np.ndarray  # (m,) duration of each sojourn
     total_states: int
     n_replications: int
     absorbing: int | None
@@ -47,33 +56,42 @@ class PanelStats:
     def from_panel(cls, panel: Panel) -> "PanelStats":
         n, d = panel.n_subjects, panel.space.n_states
         absorbing = panel.space.absorbing
-        first = np.zeros((n, d))
-        trans = np.zeros((n, d, d))
-        counts = np.zeros((n, d))
-        sums = np.zeros((n, d))
-        logsums = np.zeros((n, d))
-        total = 0
-        for i, reps in enumerate(panel.subjects):
-            for traj in reps:
-                states = traj.states
-                total += len(states)
-                first[i, states[0]] += 1.0
-                np.add.at(trans[i], (states[:-1], states[1:]), 1.0)
-                soj_states = states
-                soj_values = traj.sojourns
-                if absorbing is not None and states[-1] == absorbing:
-                    soj_states = states[:-1]
-                    soj_values = soj_values[:-1]
-                np.add.at(counts[i], soj_states, 1.0)
-                np.add.at(sums[i], soj_states, soj_values)
-                np.add.at(logsums[i], soj_states, np.log(soj_values))
+        trajs = [t for reps in panel.subjects for t in reps]
+        lengths = np.fromiter((len(t) for t in trajs), dtype=np.int64, count=len(trajs))
+        states = np.concatenate([t.states for t in trajs])
+        durations = np.concatenate([t.sojourns for t in trajs])
+        subject_rows = lengths.reshape(n, panel.n_replications).sum(axis=1)
+        cells = np.repeat(np.arange(n) * d, subject_rows) + states
+        ends = np.cumsum(lengths)
+        # Every row but the last of its trajectory starts a transition.
+        moves = np.ones(states.size - 1, dtype=bool)
+        moves[ends[:-1] - 1] = False
+
+        first = np.zeros(n * d)
+        np.add.at(first, cells[ends - lengths], 1.0)
+        trans = np.zeros(n * d * d)
+        np.add.at(trans, cells[:-1][moves] * d + states[1:][moves], 1.0)
+        if absorbing is not None:
+            # the absorbing state can only end a trajectory and has no sojourn
+            live = states != absorbing
+            cells, durations = cells[live], durations[live]
+        # Unbuffered accumulation in row order: each cell sums its sojourns
+        # in panel order.
+        counts = np.zeros(n * d)
+        np.add.at(counts, cells, 1.0)
+        sums = np.zeros(n * d)
+        np.add.at(sums, cells, durations)
+        logsums = np.zeros(n * d)
+        np.add.at(logsums, cells, np.log(durations))
         return cls(
-            first_counts=first,
-            trans_counts=trans,
-            soj_counts=counts,
-            soj_sum=sums,
-            soj_logsum=logsums,
-            total_states=total,
+            first_counts=first.reshape(n, d),
+            trans_counts=trans.reshape(n, d, d),
+            soj_counts=counts.reshape(n, d),
+            soj_sum=sums.reshape(n, d),
+            soj_logsum=logsums.reshape(n, d),
+            soj_cells=cells,
+            soj_durations=durations,
+            total_states=int(states.size),
             n_replications=panel.n_replications,
             absorbing=absorbing,
         )
@@ -194,11 +212,8 @@ def penalty_term(model: MixtureModel, c: float) -> float:
     return -c * total
 
 
-def penalized_objective(
-    panel: Panel, model: MixtureModel, stats: PanelStats | None = None
-) -> float:
+def penalized_objective(panel: Panel, model: MixtureModel) -> float:
     """Mixture log-likelihood plus the shape penalty (the EM objective)."""
-    if stats is None:
-        stats = PanelStats.from_panel(panel)
+    stats = PanelStats.from_panel(panel)
     c = penalty_weight(panel, stats)
     return mixture_loglik(panel, model, stats) + penalty_term(model, c)

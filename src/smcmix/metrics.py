@@ -4,8 +4,9 @@ Mixture likelihoods are invariant under permuting component labels, so
 estimated components must be matched to the truth before any error is
 computed.  Parameter metrics align by minimizing the summed relative
 errors of transition matrices and initial probabilities; the
-classification rate aligns by maximizing raw label agreement.  Both
-searches are exhaustive over the G! permutations (G <= 8).
+classification rate aligns by maximizing raw label agreement.  Every
+alignment is one search over a G x G cost matrix, exhaustive over the G!
+permutations (G <= 8); ties go to the lexicographically first permutation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ def _check_g(g: int) -> None:
         raise ValueError(f"exhaustive alignment supports at most {_MAX_COMPONENTS} components")
 
 
+def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
+    """Permutation ``perm`` minimizing ``sum(cost[t, perm[t]])``; the first
+    minimizer in lexicographic order wins ties."""
+    g = cost.shape[0]
+    _check_g(g)
+    return min(permutations(range(g)), key=lambda perm: sum(cost[t, perm[t]] for t in range(g)))
+
+
 def align_components(truth: MixtureModel, est: MixtureModel) -> tuple[int, ...]:
     """Permutation ``perm`` such that estimated component ``perm[g]`` plays
     the role of true component ``g``, minimizing the total relative error
@@ -45,19 +54,13 @@ def align_components(truth: MixtureModel, est: MixtureModel) -> tuple[int, ...]:
     g = truth.n_components
     if est.n_components != g:
         raise ValueError("models must have the same number of components")
-    _check_g(g)
     cost = np.zeros((g, g))
     for t in range(g):
         for e in range(g):
             cost[t, e] = err_matrix(
                 truth.components[t].trans, est.components[e].trans
             ) + err_matrix(truth.components[t].alpha, est.components[e].alpha)
-    best = None
-    for perm in permutations(range(g)):
-        total = sum(cost[t, perm[t]] for t in range(g))
-        if best is None or total < best[0]:
-            best = (total, perm)
-    return best[1]
+    return _best_permutation(cost)
 
 
 def err_gamma(
@@ -118,11 +121,10 @@ def classification_rate(true_labels, est_labels) -> float:
         raise ValueError("label vectors must have the same length")
     g = int(max(true_labels.max(), est_labels.max())) + 1
     _check_g(g)
-    best = 0.0
-    for perm in permutations(range(g)):
-        mapped = np.asarray(perm)[est_labels]
-        best = max(best, float(np.mean(mapped == true_labels)))
-    return best
+    # agree[e, t]: subjects labelled e by the estimate and t by the truth
+    agree = np.bincount(est_labels * g + true_labels, minlength=g * g).reshape(g, g)
+    perm = _best_permutation(-agree)
+    return int(agree[np.arange(g), perm].sum()) / true_labels.size
 
 
 def pi_recovery(true_pi, est_pi, perm: tuple[int, ...] | None = None) -> np.ndarray:
@@ -136,14 +138,6 @@ def pi_recovery(true_pi, est_pi, perm: tuple[int, ...] | None = None) -> np.ndar
     est_pi = np.asarray(est_pi, dtype=np.float64)
     if true_pi.shape != est_pi.shape:
         raise ValueError("weight vectors must have the same length")
-    g = len(true_pi)
-    _check_g(g)
-    if perm is not None:
-        return est_pi[list(perm)]
-    best = None
-    for p in permutations(range(g)):
-        cand = est_pi[list(p)]
-        score = float(np.sum((cand - true_pi) ** 2))
-        if best is None or score < best[0]:
-            best = (score, cand)
-    return best[1]
+    if perm is None:
+        perm = _best_permutation((est_pi[None, :] - true_pi[:, None]) ** 2)
+    return est_pi[list(perm)]

@@ -9,8 +9,6 @@ own random stream, and aggregate recovery metrics.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -34,15 +32,6 @@ _MAX_SIM_STATES = 1_000_000
 # Placeholder duration stored for a final absorbing state; it never enters
 # a likelihood.
 _ABSORBING_PLACEHOLDER = 1.0
-
-
-def thread_count() -> int:
-    """Parallelism cap from the SMCMIX_THREADS environment variable."""
-    raw = os.environ.get("SMCMIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,26 +231,14 @@ def run_benchmark(
     independent datasets; optionally sweep component counts.
 
     Each replicate runs on its own named random stream spawned from the
-    scenario seed, so results are independent of the parallelism level
-    (capped by SMCMIX_THREADS).  ``metrics`` filters the reported columns.
+    scenario seed, so a replicate's results do not depend on how many
+    replicates run.  ``metrics`` filters the reported columns.
     """
-    root = np.random.SeedSequence(scenario.seed)
-    tasks = []
-    for child in root.spawn(scenario.replicate_count):
+    results = []
+    for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)
         init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
-        tasks.append((sim_ss, init_seed))
-
-    def work(task):
-        sim_ss, init_seed = task
-        return _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed)
-
-    workers = min(thread_count(), scenario.replicate_count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
+        results.append(_one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed))
 
     names: list[str] = []
     for row, _ in results:

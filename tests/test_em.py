@@ -19,15 +19,13 @@ from smcmix import (
     e_step,
     fit,
     fixtures,
-    m_step_alpha_trans,
-    m_step_sojourn,
     m_step_weights,
     map_cluster,
     mixture_loglik,
     subject_loglik,
 )
-from smcmix.em import _responsibilities
-from smcmix.likelihood import log_scores, penalized_objective, penalty_weight
+from smcmix.em import _m_step_alpha_trans_stats, _m_step_sojourn_stats, _responsibilities
+from smcmix.likelihood import PanelStats, log_scores, penalized_objective, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
 from smcmix.sojourn import WeightedSample, fit_gamma_pmle
 
@@ -166,7 +164,7 @@ class TestMStepWeights:
 class TestMStepAlphaTrans:
     def test_single_component_classical(self, tiny_panel):
         z = PosteriorMatrix(z=np.ones((3, 1)))
-        alpha, trans, warnings = m_step_alpha_trans(tiny_panel, z)
+        alpha, trans, warnings = _m_step_alpha_trans_stats(PanelStats.from_panel(tiny_panel), z.z)
         # hand counts over the six trajectories of the fixture panel
         # first states: 0,1 / 0,0 / 1,0  -> state 0: 4, state 1: 2
         np.testing.assert_allclose(alpha[0], [4 / 6, 2 / 6], rtol=1e-12)
@@ -189,7 +187,7 @@ class TestMStepAlphaTrans:
             subjects=((traj([0, 1, 0], [1.0, 1.0, 1.0]),),),
         )
         z = PosteriorMatrix(z=np.ones((1, 1)))
-        alpha, trans, warnings = m_step_alpha_trans(space3, z)
+        alpha, trans, warnings = _m_step_alpha_trans_stats(PanelStats.from_panel(space3), z.z)
         np.testing.assert_allclose(trans[0, 2], [0.5, 0.5, 0.0], rtol=1e-12)
         assert any("never left" in w for w in warnings)
 
@@ -202,7 +200,7 @@ class TestMStepAlphaTrans:
             ),
         )
         z = PosteriorMatrix(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
-        alpha, trans, _ = m_step_alpha_trans(panel, z)
+        alpha, trans, _ = _m_step_alpha_trans_stats(PanelStats.from_panel(panel), z.z)
         # component 0: alpha = (0.3*1 + 0.6*0, 0.3*0 + 0.6*1) / (0.9)
         np.testing.assert_allclose(alpha[0], [0.3 / 0.9, 0.6 / 0.9], rtol=1e-12)
         np.testing.assert_allclose(alpha[1], [0.7 / 1.1, 0.4 / 1.1], rtol=1e-12)
@@ -222,8 +220,8 @@ class TestMStepSojourn:
             all_state0.extend(durations[0::2])
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        params, warnings = m_step_sojourn(panel, z, penalized=True)
         c = penalty_weight(panel)
+        params, warnings = _m_step_sojourn_stats(PanelStats.from_panel(panel), z.z, c, 7, 1e-4)
         direct = fit_gamma_pmle(
             WeightedSample(values=np.array(all_state0), weights=np.ones(len(all_state0))),
             penalty_c=c,
@@ -244,7 +242,9 @@ class TestMStepSojourn:
             subjects.append((traj(states, durations),))
         panel = Panel(space=space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((8, 1)))
-        params, warnings = m_step_sojourn(panel, z, penalized=True, min_obs_mass=7)
+        params, warnings = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), z.z, penalty_weight(panel), 7, 1e-4
+        )
         assert any("pooled fallback" in w for w in warnings)
         # the starved state inherits the pooled fit over every observation
         pooled_values = np.concatenate(
@@ -264,8 +264,9 @@ class TestMStepSojourn:
             subjects.append((traj([0, 1], [x0, float(rng.gamma(2.0, 2.0))]),))
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        pen, _ = m_step_sojourn(panel, z, penalized=True)
-        unpen, _ = m_step_sojourn(panel, z, penalized=False)
+        stats = PanelStats.from_panel(panel)
+        pen, _ = _m_step_sojourn_stats(stats, z.z, penalty_weight(panel), 7, 1e-4)
+        unpen, _ = _m_step_sojourn_stats(stats, z.z, 0.0, 7, 1e-4)
         assert pen[0][0].shape < unpen[0][0].shape
 
     def test_nonconvergence_context(self, two_state_space):
@@ -279,7 +280,9 @@ class TestMStepSojourn:
         from smcmix.errors import NonConvergence
 
         with pytest.raises(NonConvergence, match="state A"):
-            m_step_sojourn(panel, z, penalized=False, min_obs_mass=7)
+            _m_step_sojourn_stats(
+                PanelStats.from_panel(panel), z.z, 0.0, 7, 1e-4, labels=panel.space.labels
+            )
 
 
 class TestFit:
@@ -451,9 +454,7 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     """Crafted statistics that reach every pooled fallback of one M-step:
     a degenerate state (A), a state whose unpenalized shape leaves the
     bracket (B) and a starved state (C); D gets its own fit."""
-    from smcmix.em import _m_step_sojourn_stats
     from smcmix.errors import NonConvergence
-    from smcmix.likelihood import PanelStats
 
     space = StateSpace(labels=("A", "B", "C", "D"))
     rng = np.random.default_rng(12)

@@ -3,21 +3,30 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcmix import (
+    EmConfig,
     MixtureModel,
     Panel,
+    StateSpace,
     component_loglik,
+    fit,
     fixtures,
     mixture_loglik,
     penalized_objective,
     penalty_term,
+    initial_model,
     penalty_weight,
+    select_g,
     subject_loglik,
 )
 from smcmix.likelihood import PanelStats, subject_loglik_matrix
+from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component, traj
+from test_absorbing import two_group_model
 
 
 def absorbing_unit_component():
@@ -223,3 +232,147 @@ class TestPenalizedObjective:
         assert penalized_objective(tiny_panel, simple_model) <= mixture_loglik(
             tiny_panel, simple_model
         )
+
+
+def reference_stats(panel: Panel) -> dict:
+    """Sufficient statistics accumulated trajectory by trajectory: the
+    reference the one-pass :meth:`PanelStats.from_panel` must equal."""
+    n, d = panel.n_subjects, panel.space.n_states
+    absorbing = panel.space.absorbing
+    first = np.zeros((n, d))
+    trans = np.zeros((n, d, d))
+    counts = np.zeros((n, d))
+    sums = np.zeros((n, d))
+    logsums = np.zeros((n, d))
+    cells: list[int] = []
+    durations: list[float] = []
+    total = 0
+    for i, reps in enumerate(panel.subjects):
+        for t in reps:
+            states = t.states
+            total += len(states)
+            first[i, states[0]] += 1.0
+            np.add.at(trans[i], (states[:-1], states[1:]), 1.0)
+            soj_states, soj_values = states, t.sojourns
+            if absorbing is not None and states[-1] == absorbing:
+                soj_states, soj_values = states[:-1], soj_values[:-1]
+            np.add.at(counts[i], soj_states, 1.0)
+            np.add.at(sums[i], soj_states, soj_values)
+            np.add.at(logsums[i], soj_states, np.log(soj_values))
+            cells.extend(i * d + int(j) for j in soj_states)
+            durations.extend(float(x) for x in soj_values)
+    return {
+        "first_counts": first,
+        "trans_counts": trans,
+        "soj_counts": counts,
+        "soj_sum": sums,
+        "soj_logsum": logsums,
+        "soj_cells": np.asarray(cells, dtype=np.int64),
+        "soj_durations": np.asarray(durations),
+        "total_states": total,
+        "n_replications": panel.n_replications,
+        "absorbing": absorbing,
+    }
+
+
+def assert_stats_match_reference(panel: Panel) -> None:
+    stats = PanelStats.from_panel(panel)
+    for name, expected in reference_stats(panel).items():
+        assert np.array_equal(getattr(stats, name), expected), name
+    # the flat rows accumulate, cell by cell in row order, to the sums
+    size = stats.soj_counts.size
+    assert np.array_equal(np.bincount(stats.soj_cells, minlength=size), stats.soj_counts.ravel())
+    assert np.array_equal(
+        np.bincount(stats.soj_cells, weights=stats.soj_durations, minlength=size),
+        stats.soj_sum.ravel(),
+    )
+
+
+@st.composite
+def small_panels(draw):
+    """Up to four subjects over 2-4 live states, optionally with a final
+    absorbing state, trajectories of ragged lengths."""
+    n_live = draw(st.integers(2, 4))
+    absorbing = draw(st.sampled_from([None, n_live]))
+    labels = tuple(f"s{j}" for j in range(n_live))
+    if absorbing is not None:
+        labels += ("STOP",)
+    n, b = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    duration = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+    subjects = []
+    for _ in range(n):
+        reps = []
+        for _ in range(b):
+            states = [draw(st.integers(0, n_live - 1))]
+            for _ in range(draw(st.integers(1, 5))):
+                states.append((states[-1] + draw(st.integers(1, n_live - 1))) % n_live)
+            if absorbing is not None and draw(st.booleans()):
+                states.append(absorbing)
+            reps.append(traj(states, [draw(duration) for _ in states]))
+        subjects.append(tuple(reps))
+    return Panel(space=StateSpace(labels=labels, absorbing=absorbing), subjects=tuple(subjects))
+
+
+class TestPanelStatsOracle:
+    def test_tiny_panel(self, tiny_panel):
+        assert_stats_match_reference(tiny_panel)
+
+    def test_chocolate70_panel(self):
+        scenario = Scenario(
+            model=fixtures.one_component_model(),
+            n_subjects=70, n_replications=3, stop_rule=10, seed=70,
+        )
+        assert_stats_match_reference(simulate_panel(scenario)[0])
+
+    def test_absorbing_ragged_panel(self):
+        scenario = Scenario(
+            model=two_group_model(), n_subjects=60, n_replications=3,
+            stop_rule="absorbing", seed=88,
+        )
+        panel = simulate_panel(scenario)[0]
+        assert len({len(t) for t in panel.trajectories()}) > 1
+        assert_stats_match_reference(panel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_panels())
+    def test_generated_panels(self, panel):
+        assert_stats_match_reference(panel)
+
+
+class TestStatsBuilds:
+    """Each entry point builds the panel statistics once; a sweep builds
+    them once for its own likelihoods plus once per init and per fit."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = PanelStats.__dict__["from_panel"].__func__
+
+        def counting(cls, panel):
+            calls.append(panel)
+            return original(cls, panel)
+
+        monkeypatch.setattr(PanelStats, "from_panel", classmethod(counting))
+        return calls
+
+    @pytest.fixture
+    def panel(self):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31,
+        )
+        return simulate_panel(scenario)[0]
+
+    def test_initial_model(self, panel, builds):
+        initial_model(panel, 2, seed=1)
+        assert len(builds) == 1
+
+    def test_fit(self, panel, builds):
+        init = initial_model(panel, 2, seed=1)
+        builds.clear()
+        fit(panel, 2, init, EmConfig())
+        assert len(builds) == 1
+
+    def test_select_g(self, panel, builds):
+        select_g(panel, [1, 2, 3], EmConfig(seed=1))
+        assert len(builds) == 7

@@ -11,7 +11,7 @@ from smcmix import (
     fixtures,
     pi_recovery,
 )
-from smcmix.metrics import err_by_component
+from smcmix.metrics import _best_permutation, err_by_component
 
 from conftest import make_component
 
@@ -71,6 +71,19 @@ class TestAlignComponents:
     def test_single_component(self):
         model = fixtures.one_component_model()
         assert align_components(model, model) == (0,)
+
+    def test_ties_go_to_first_permutation(self):
+        truth = fixtures.well_separated_model()
+        twins = MixtureModel(
+            space=truth.space,
+            weights=truth.weights,
+            components=(truth.components[1], truth.components[1]),
+        )
+        assert align_components(truth, twins) == (0, 1)
+        # four permutations reach the minimum 1; (1, 0, 2) comes first
+        cost = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        assert _best_permutation(cost) == (1, 0, 2)
+        assert _best_permutation(np.zeros((4, 4))) == (0, 1, 2, 3)
 
     def test_matches_hungarian_oracle(self):
         truth = fixtures.well_separated_model()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from smcmix import (
 )
 from smcmix.dataio import write_panel
 from smcmix.em import EmConfig
-from smcmix.sim import Scenario, _ComponentSampler, run_benchmark, thread_count
+from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
 
 from conftest import make_component
 
@@ -162,18 +164,22 @@ class TestRunBenchmark:
             assert sd == 0.0
         assert table["class_rate"][0] >= 0.9
 
-    def test_thread_parallelism_is_deterministic(self, monkeypatch):
+    def test_thread_parallelism_is_deterministic(self):
+        """Each replicate runs on its own spawned stream: a rerun is
+        bit-identical, and a shorter run repeats the first replicates of a
+        longer one."""
         scenario = Scenario(
             model=fixtures.well_separated_model(),
             n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=4,
         )
-        monkeypatch.delenv("SMCMIX_THREADS", raising=False)
-        serial = run_benchmark(scenario, EmConfig())
-        monkeypatch.setenv("SMCMIX_THREADS", "4")
-        assert thread_count() == 4
-        threaded = run_benchmark(scenario, EmConfig())
-        for name in serial.values:
-            np.testing.assert_array_equal(serial.values[name], threaded.values[name])
+        first = run_benchmark(scenario, EmConfig())
+        again = run_benchmark(scenario, EmConfig())
+        shorter = run_benchmark(replace(scenario, replicate_count=2), EmConfig())
+        assert first.warnings == again.warnings
+        assert list(first.values) == list(again.values) == list(shorter.values)
+        for name in first.values:
+            np.testing.assert_array_equal(first.values[name], again.values[name])
+            np.testing.assert_array_equal(first.values[name][:2], shorter.values[name])
 
     def test_small_sample_rate_error_bound(self):
         """Separated components, 60 subjects, short sequences: the mean
