@@ -3,13 +3,16 @@ Markov renewal processes.
 
 Every type validates its structural invariants on construction and is
 immutable afterwards (arrays are marked read-only), so instances can be
-shared freely between threads.  Serialization lives in :mod:`smcmix.dataio`.
+shared freely between threads.  The one exception is
+:class:`MixtureArrays`, the unvalidated array form the EM iterates on,
+which checks the same invariants when asked to.  Serialization lives in
+:mod:`smcmix.dataio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +33,33 @@ def _frozen_array(values, dtype) -> np.ndarray:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidModelError(message)
+
+
+def _check_chains(alpha: np.ndarray, trans: np.ndarray, absorbing: Optional[int]) -> None:
+    """Probability invariants of stacked components, ``alpha`` (G, D) and
+    ``trans`` (G, D, D)."""
+    n_comp, d = alpha.shape
+    _check((alpha >= 0.0).all(), "initial probabilities must be nonnegative")
+    _check(
+        (np.abs(alpha.sum(axis=1) - 1.0) <= PROB_TOL).all(),
+        "initial probabilities must sum to 1",
+    )
+    diagonal = trans.reshape(n_comp, d * d)[:, :: d + 1]
+    _check((diagonal == 0.0).all(), "transition diagonal must be zero")
+    _check((trans >= 0.0).all(), "transition probabilities must be nonnegative")
+    off_sum = ~(np.abs(trans.sum(axis=2) - 1.0) <= PROB_TOL)
+    if absorbing is not None:
+        _check((alpha[:, absorbing] == 0.0).all(), "absorbing state cannot be a first state")
+        _check((trans[:, absorbing] == 0.0).all(), "absorbing row must be all zero")
+        off_sum[:, absorbing] = False
+    if off_sum.any():
+        j = int(np.argwhere(off_sum)[0, 1])
+        raise InvalidModelError(f"transition row {j} must sum to 1")
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    _check((weights > 0.0).all(), "mixture weights must be strictly positive")
+    _check(abs(float(weights.sum()) - 1.0) <= PROB_TOL, "mixture weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -213,31 +243,15 @@ class ComponentParams:
         _check(d >= 2, "at least two states required")
         _check(trans.shape == (d, d), "transition matrix shape must match alpha")
         _check(len(sojourn) == d, "one sojourn entry per state required")
-        _check_prob_vector(alpha, "initial probabilities")
-        _check(bool(np.all(np.diag(trans) == 0.0)), "transition diagonal must be zero")
-        _check(bool(np.all(trans >= 0.0)), "transition probabilities must be nonnegative")
-
         absorbing = self.absorbing
         if absorbing is not None:
             _check(0 <= absorbing < d, "absorbing index out of range")
-            _check(alpha[absorbing] == 0.0, "absorbing state cannot be a first state")
-            _check(
-                bool(np.all(trans[absorbing] == 0.0)),
-                "absorbing row must be all zero",
-            )
-            _check(sojourn[absorbing] is None, "absorbing state carries no sojourn law")
-        row_sums = trans.sum(axis=1)
+        _check_chains(alpha[None], trans[None], absorbing)
         for j in range(d):
-            if absorbing is not None and j == absorbing:
-                continue
-            _check(
-                abs(float(row_sums[j]) - 1.0) <= PROB_TOL,
-                f"transition row {j} must sum to 1",
-            )
-            _check(
-                sojourn[j] is not None,
-                f"state {j} needs a sojourn distribution",
-            )
+            if j == absorbing:
+                _check(sojourn[j] is None, "absorbing state carries no sojourn law")
+            else:
+                _check(sojourn[j] is not None, f"state {j} needs a sojourn distribution")
 
     @property
     def n_states(self) -> int:
@@ -279,8 +293,7 @@ class MixtureModel:
         object.__setattr__(self, "components", components)
         _check(len(components) >= 1, "a mixture needs at least one component")
         _check(len(weights) == len(components), "one weight per component required")
-        _check(bool(np.all(weights > 0.0)), "mixture weights must be strictly positive")
-        _check(abs(float(weights.sum()) - 1.0) <= PROB_TOL, "mixture weights must sum to 1")
+        _check_weights(weights)
         d = self.space.n_states
         for g, comp in enumerate(components):
             _check(comp.n_states == d, f"component {g} does not match the state space")
@@ -293,6 +306,18 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.components)
 
+    def arrays(self) -> "MixtureArrays":
+        """The parameters stacked into arrays."""
+        shape, rate = zip(*(comp.sojourn_arrays() for comp in self.components))
+        return MixtureArrays(
+            weights=self.weights,
+            alpha=np.stack([comp.alpha for comp in self.components]),
+            trans=np.stack([comp.trans for comp in self.components]),
+            shape=np.stack(shape),
+            rate=np.stack(rate),
+            absorbing=self.space.absorbing,
+        )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, MixtureModel):
             return NotImplemented
@@ -301,6 +326,58 @@ class MixtureModel:
             and np.array_equal(self.weights, other.weights)
             and self.components == other.components
         )
+
+
+class MixtureArrays(NamedTuple):
+    """A mixture's parameters as stacked arrays, the form the EM iterates on.
+
+    ``weights`` is (G,), ``alpha`` (G, D), ``trans`` (G, D, D), and the
+    gamma ``shape`` and ``rate`` are (G, D) with NaN in the absorbing
+    column.  Nothing is validated on construction: :meth:`check` enforces
+    the invariants of :class:`MixtureModel` and its parts, with their
+    messages, and :meth:`to_model` builds the validated objects.
+    """
+
+    weights: np.ndarray
+    alpha: np.ndarray
+    trans: np.ndarray
+    shape: np.ndarray
+    rate: np.ndarray
+    absorbing: Optional[int] = None
+
+    @property
+    def live(self) -> np.ndarray:
+        """Mask of the states that carry a sojourn law."""
+        return np.arange(self.alpha.shape[1]) != self.absorbing
+
+    def check(self) -> None:
+        """Raise :class:`InvalidModelError` unless every gamma law is
+        proper, every component a valid renewal process and the weights a
+        positive probability vector."""
+        live = self.live
+        shape, rate = self.shape[:, live], self.rate[:, live]
+        _check(((shape > 0.0) & np.isfinite(shape)).all(), "gamma shape must be positive")
+        _check(((rate > 0.0) & np.isfinite(rate)).all(), "gamma rate must be positive")
+        _check_chains(self.alpha, self.trans, self.absorbing)
+        _check_weights(self.weights)
+
+    def to_model(self, space: StateSpace) -> MixtureModel:
+        """The validated :class:`MixtureModel` holding these values."""
+        d = space.n_states
+        components = tuple(
+            ComponentParams(
+                alpha=self.alpha[g],
+                trans=self.trans[g],
+                sojourn=tuple(
+                    None if j == self.absorbing
+                    else GammaParams(shape=float(self.shape[g, j]), rate=float(self.rate[g, j]))
+                    for j in range(d)
+                ),
+                absorbing=self.absorbing,
+            )
+            for g in range(len(self.weights))
+        )
+        return MixtureModel(space=space, weights=self.weights, components=components)
 
 
 @dataclass(frozen=True, eq=False)

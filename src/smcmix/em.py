@@ -7,9 +7,14 @@ and transition probabilities, and per-state gamma sojourn parameters under
 the shape penalty.  Clustering is read off the final responsibilities with
 the maximum a posteriori rule.
 
-An iteration works on arrays: one subject log-likelihood matrix per model
-gives both its objective and the next responsibilities, and each M-step
-solves every component-by-state gamma shape in one array solver call.
+The parameters are carried between iterations as one set of arrays
+(:class:`~smcmix.core.MixtureArrays`: weights, initial and transition
+probabilities, gamma shapes and rates), checked after every M-step against
+the invariants of the model objects; the :class:`MixtureModel` is built
+once, when the fit returns or aborts.  One subject log-likelihood matrix
+per parameter set gives both its objective and the next responsibilities,
+and each M-step solves every component-by-state gamma shape in one array
+solver call.
 """
 
 from __future__ import annotations
@@ -19,12 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ComponentParams,
-    GammaParams,
+    MixtureArrays,
     MixtureModel,
     Panel,
     PosteriorMatrix,
-    renormalize_rows,
     renormalize_vector,
 )
 from .errors import (
@@ -203,14 +206,13 @@ def _m_step_sojourn_stats(
     z_round: float,
     labels=None,
     bracket_fallback: bool = False,
-) -> tuple[list[list], list[str]]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Per-component, per-state penalized gamma fits of the sojourn times.
 
     A state whose number of weight-carrying observations does not exceed
     ``min_obs_mass`` inherits the fit pooled over all of the component's
-    observations regardless of state.  Returns ``(params, warnings)`` where
-    ``params[g][j]`` is a :class:`GammaParams` (``None`` at the absorbing
-    index).
+    observations regardless of state.  Returns ``(shape, rate, warnings)``
+    with shape and rate arrays of shape (G, D), NaN in the absorbing column.
     """
     n_comp = z.shape[1]
     d = stats.n_states
@@ -226,71 +228,45 @@ def _m_step_sojourn_stats(
     cell_sw, cell_slog, cell_sx = (
         np.concatenate([m[fitted], m.sum(axis=1)]) for m in (sw, slog, sx)
     )
-    shape, status = solve_shapes(cell_sw, cell_slog, cell_sx, penalty_c)
-    rate = shape * cell_sw / cell_sx
-    pooled_at = int(fitted.sum())
+    cell_shape, status = solve_shapes(cell_sw, cell_slog, cell_sx, penalty_c)
+    cell_rate = cell_shape * cell_sw / cell_sx
+    n_fit = int(fitted.sum())
 
-    out: list[list] = []
-    k = 0
-    for g in range(n_comp):
-        pooled = None
-
-        def pooled_fit():
-            nonlocal pooled
-            if pooled is None:
-                cell = pooled_at + g
-                if status[cell] != OK:
-                    exc = status_error(status[cell])
-                    raise type(exc)(f"component {g} pooled sojourn fit: {exc}") from exc
-                pooled = GammaParams(shape=float(shape[cell]), rate=float(rate[cell]))
-            return pooled
-
-        row: list = []
-        for j in range(d):
-            if stats.absorbing is not None and j == stats.absorbing:
-                row.append(None)
-                continue
-            name = labels[j] if labels is not None else str(j)
-            if fitted[g, j]:
-                cell, k = k, k + 1
-                if status[cell] == OK:
-                    row.append(GammaParams(shape=float(shape[cell]), rate=float(rate[cell])))
-                    continue
-                if status[cell] == DEGENERATE:
-                    warnings.append(
-                        f"component {g}: degenerate sojourn sample in state {name}; "
-                        "pooled fallback"
-                    )
-                elif not bracket_fallback:
-                    exc = status_error(status[cell])
-                    raise NonConvergence(f"component {g}, state {name}: {exc}") from exc
-                else:
-                    warnings.append(
-                        f"component {g}: sojourn fit for state {name} left the "
-                        "shape bracket; pooled fallback"
-                    )
-            else:
-                warnings.append(
-                    f"component {g}: state {name} has {int(n_obs[g, j])} "
-                    "weight-carrying observations; pooled fallback"
-                )
-            row.append(pooled_fit())
-        out.append(row)
-    return out, warnings
-
-
-def _assemble_model(space, pi, alpha, trans, sojourn) -> MixtureModel:
-    comps = []
-    for g in range(len(pi)):
-        comps.append(
-            ComponentParams(
-                alpha=renormalize_vector(alpha[g]),
-                trans=renormalize_rows(trans[g], space.absorbing),
-                sojourn=tuple(sojourn[g]),
-                absorbing=space.absorbing,
+    shape = np.full((n_comp, d), np.nan)
+    rate = np.full((n_comp, d), np.nan)
+    fit_status = np.full((n_comp, d), OK)
+    shape[fitted], rate[fitted], fit_status[fitted] = (
+        cell_shape[:n_fit], cell_rate[:n_fit], status[:n_fit]
+    )
+    pooled = ~fitted | (fit_status != OK)
+    if stats.absorbing is not None:
+        pooled[:, stats.absorbing] = False
+    for g, j in zip(*np.nonzero(pooled)):
+        name = labels[j] if labels is not None else str(j)
+        if not fitted[g, j]:
+            warnings.append(
+                f"component {g}: state {name} has {int(n_obs[g, j])} "
+                "weight-carrying observations; pooled fallback"
             )
-        )
-    return MixtureModel(space=space, weights=renormalize_vector(pi), components=tuple(comps))
+        elif fit_status[g, j] == DEGENERATE:
+            warnings.append(
+                f"component {g}: degenerate sojourn sample in state {name}; "
+                "pooled fallback"
+            )
+        elif not bracket_fallback:
+            exc = status_error(fit_status[g, j])
+            raise NonConvergence(f"component {g}, state {name}: {exc}") from exc
+        else:
+            warnings.append(
+                f"component {g}: sojourn fit for state {name} left the "
+                "shape bracket; pooled fallback"
+            )
+        if status[n_fit + g] != OK:
+            exc = status_error(status[n_fit + g])
+            raise type(exc)(f"component {g} pooled sojourn fit: {exc}") from exc
+    shape = np.where(pooled, cell_shape[n_fit:, None], shape)
+    rate = np.where(pooled, cell_rate[n_fit:, None], rate)
+    return shape, rate, warnings
 
 
 def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> FitReport:
@@ -305,7 +281,9 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     pooled-fit failure propagates as :class:`NonConvergence`.  Aborts with
     :class:`EmptyComponent` (carrying the partial report) when a component
     keeps less than one subject of responsibility for three consecutive
-    iterations, or loses all mass outright.
+    iterations, or loses all mass outright.  An M-step whose parameters
+    break an invariant of the model types raises
+    :class:`~smcmix.errors.InvalidModelError` in that iteration.
     """
     if init.n_components != n_components:
         raise ValueError("init does not have the requested number of components")
@@ -314,18 +292,19 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
 
     stats = PanelStats.from_panel(panel)
     c = penalty_weight(panel, stats) if cfg.penalized else 0.0
+    absorbing = panel.space.absorbing
 
-    def evaluate(m: MixtureModel) -> tuple[float, np.ndarray, np.ndarray]:
-        # One likelihood matrix per model serves both its objective and
-        # the E-step that follows it.
-        scores, norms = log_scores(subject_loglik_matrix(stats, m), m.weights)
+    def evaluate(p: MixtureArrays) -> tuple[float, np.ndarray, np.ndarray]:
+        # One likelihood matrix per parameter set serves both its
+        # objective and the E-step that follows it.
+        scores, norms = log_scores(subject_loglik_matrix(stats, p), p.weights)
         value = float(norms.sum())
         if cfg.penalized:
-            value += penalty_term(m, c)
+            value += penalty_term(p, c)
         return value, scores, norms
 
-    model = init
-    value, scores, norms = evaluate(init)
+    params = init.arrays()
+    value, scores, norms = evaluate(params)
     trace = [value]
     warnings: dict[str, None] = {}
     empty_streak = np.zeros(n_components, dtype=int)
@@ -335,7 +314,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     def partial_report(z_arr) -> FitReport:
         # the aborting iteration never completed its M-step
         return FitReport(
-            model=model,
+            model=params.to_model(panel.space),
             posteriors=PosteriorMatrix(z_arr),
             objective_trace=tuple(trace),
             iterations=iterations - 1,
@@ -360,15 +339,29 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
 
         pi = ng / z.shape[0]
         alpha, trans, w1 = _m_step_alpha_trans_stats(stats, z, labels=panel.space.labels)
-        sojourn, w2 = _m_step_sojourn_stats(
+        shape, rate, w2 = _m_step_sojourn_stats(
             stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=panel.space.labels,
             bracket_fallback=True,
         )
         for msg in (*w1, *w2):
             warnings[msg] = None
 
-        model = _assemble_model(panel.space, pi, alpha, trans, sojourn)
-        value, scores, norms = evaluate(model)
+        # The M-steps normalize already; dividing every probability vector
+        # and live row by its sum once more fixes the rounding of the
+        # fitted values (pinned by tests/golden/em_fingerprint.json).
+        row_sums = trans.sum(axis=2, keepdims=True)
+        if absorbing is not None:
+            row_sums[:, absorbing] = 1.0  # the absorbing row stays zero
+        params = MixtureArrays(
+            weights=pi / pi.sum(),
+            alpha=alpha / alpha.sum(axis=1, keepdims=True),
+            trans=trans / row_sums,
+            shape=shape,
+            rate=rate,
+            absorbing=absorbing,
+        )
+        params.check()
+        value, scores, norms = evaluate(params)
         trace.append(value)
         if value < trace[-2] - ASCENT_SLACK:
             warnings[
@@ -380,7 +373,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
             break
 
     return FitReport(
-        model=model,
+        model=params.to_model(panel.space),
         posteriors=PosteriorMatrix(_responsibilities(scores, norms, cfg.z_round)),
         objective_trace=tuple(trace),
         iterations=iterations,

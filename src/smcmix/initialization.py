@@ -145,6 +145,14 @@ def initial_model(
     every structurally-allowed cell so the starting log-likelihood is
     finite on the training panel; the EM may drive entries back to zero.
     """
+    return _clustered_model(panel, n_components, seed, restarts, min_obs_mass)[0]
+
+
+def _clustered_model(
+    panel: Panel, n_components: int, seed: int, restarts: int, min_obs_mass: int
+) -> tuple[MixtureModel, np.ndarray]:
+    """:func:`initial_model` together with the k-means labels it was
+    estimated from."""
     stats = PanelStats.from_panel(panel)
     d = panel.space.n_states
     absorbing = panel.space.absorbing
@@ -177,4 +185,5 @@ def initial_model(
         comps.append(
             ComponentParams(alpha=alpha, trans=trans, sojourn=tuple(gammas), absorbing=absorbing)
         )
-    return MixtureModel(space=panel.space, weights=weights, components=tuple(comps))
+    model = MixtureModel(space=panel.space, weights=weights, components=tuple(comps))
+    return model, labels

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
-from .core import ComponentParams, MixtureModel, Panel, Trajectory
+from .core import ComponentParams, MixtureArrays, MixtureModel, Panel, Trajectory
 from .sojourn import gamma_log_density
 
 
@@ -136,14 +136,17 @@ def subject_loglik(trajs, comp: ComponentParams) -> float:
     return float(sum(component_loglik(t, comp) for t in trajs))
 
 
-def _component_loglik_vector(stats: PanelStats, comp: ComponentParams) -> np.ndarray:
+def _arrays(model: MixtureModel | MixtureArrays) -> MixtureArrays:
+    return model.arrays() if isinstance(model, MixtureModel) else model
+
+
+def _component_loglik_vector(
+    stats: PanelStats, alpha: np.ndarray, trans: np.ndarray, shape: np.ndarray, rate: np.ndarray
+) -> np.ndarray:
     """Per-subject log-likelihood under one component, length n."""
-    alpha, trans = comp.alpha, comp.trans
-    shape, rate = comp.sojourn_arrays()
     d = stats.n_states
-    live = np.ones(d, dtype=bool)
     if stats.absorbing is not None:
-        live[stats.absorbing] = False
+        live = np.arange(d) != stats.absorbing
         shape = np.where(live, shape, 1.0)
         rate = np.where(live, rate, 1.0)
 
@@ -164,20 +167,37 @@ def _component_loglik_vector(stats: PanelStats, comp: ComponentParams) -> np.nda
     return ll
 
 
-def subject_loglik_matrix(stats: PanelStats, model: MixtureModel) -> np.ndarray:
-    """n x G matrix of per-subject log-likelihoods under each component."""
+def subject_loglik_matrix(stats: PanelStats, model: MixtureModel | MixtureArrays) -> np.ndarray:
+    """n x G matrix of per-subject log-likelihoods under each component of
+    a model or of its array form."""
+    p = _arrays(model)
     return np.column_stack(
-        [_component_loglik_vector(stats, comp) for comp in model.components]
+        [
+            _component_loglik_vector(stats, p.alpha[g], p.trans[g], p.shape[g], p.rate[g])
+            for g in range(len(p.weights))
+        ]
     )
 
 
 def log_scores(ll: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Joint log scores ``ll + log(weights)`` of an n x G likelihood matrix
     and their per-subject log-sum-exp, whose sum is the mixture
-    log-likelihood."""
+    log-likelihood.
+
+    The reduction is scipy's ``logsumexp`` algorithm written out for rows
+    (``scipy.special.logsumexp(scores, axis=1)`` bit for bit, without its
+    array-API dispatch): the row maximum and its tie count ``m`` are taken
+    apart from the sum ``s`` of the other shifted exponentials, giving
+    ``log1p(s / m) + log(m) + max``; a row of ``-inf`` gives ``-inf``.
+    """
     scores = ll + np.log(weights)[None, :]
+    top = scores.max(axis=1, keepdims=True)
+    at_top = scores == top
+    ties = at_top.sum(axis=1, keepdims=True, dtype=np.float64)
     with np.errstate(invalid="ignore"):
-        norms = logsumexp(scores, axis=1)
+        rest = np.exp(np.where(at_top, -np.inf, scores) - top).sum(axis=1, keepdims=True)
+        norms = (np.log1p(rest / ties) + np.log(ties) + top)[:, 0]
+    norms[np.isneginf(top[:, 0])] = -np.inf
     return scores, norms
 
 
@@ -201,15 +221,12 @@ def penalty_weight(panel: Panel, stats: PanelStats | None = None) -> float:
     return 1.0 / np.sqrt(stats.total_states)
 
 
-def penalty_term(model: MixtureModel, c: float) -> float:
+def penalty_term(model: MixtureModel | MixtureArrays, c: float) -> float:
     """Shape penalty ``-c * sum over components and states of (a + ln a)``."""
-    total = 0.0
-    for comp in model.components:
-        for j, p in enumerate(comp.sojourn):
-            if p is None:
-                continue
-            total += p.shape + np.log(p.shape)
-    return -c * total
+    p = _arrays(model)
+    shape = p.shape[:, p.live]
+    # Summed one term at a time, component by component, state by state.
+    return -c * np.add.accumulate((shape + np.log(shape)).ravel())[-1]
 
 
 def penalized_objective(panel: Panel, model: MixtureModel) -> float:

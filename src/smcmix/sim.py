@@ -17,7 +17,7 @@ import numpy as np
 from .core import ComponentParams, MixtureModel, Panel, Trajectory
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import initial_model, kmeans, mean_sojourn_features
+from .initialization import _clustered_model, kmeans, mean_sojourn_features
 from .metrics import (
     align_components,
     classification_rate,
@@ -159,7 +159,9 @@ class BenchmarkResult:
         return out
 
 
-def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, panel, init_seed, restarts, cfg):
+def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, km_labels):
+    """Recovery of ``truth`` by a fit, and the classification rate of the
+    k-means labels the fit was initialized from."""
     model = report.model
     out = {}
     perm = align_components(truth, model)
@@ -171,9 +173,6 @@ def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, panel
     out["err_rate"] = err_gamma(truth, model, "rate", perm)
     out["pi_1"] = float(pi_recovery(truth.weights, model.weights, perm)[0])
     out["class_rate"] = classification_rate(true_labels, map_cluster(report.posteriors))
-    km_labels = kmeans(
-        mean_sojourn_features(panel), truth.n_components, seed=init_seed, restarts=restarts
-    )
     out["kmeans_rate"] = classification_rate(true_labels, km_labels)
     out["iterations"] = float(report.iterations)
     out["converged"] = 1.0 if report.converged else 0.0
@@ -188,9 +187,8 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
     warnings: list[str] = []
 
     if g_range is None:
-        init = initial_model(
-            panel, truth.n_components, seed=init_seed, restarts=restarts,
-            min_obs_mass=cfg.min_obs_mass,
+        init, km_labels = _clustered_model(
+            panel, truth.n_components, init_seed, restarts, cfg.min_obs_mass
         )
         try:
             report = fit(panel, truth.n_components, init, cfg)
@@ -206,7 +204,7 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             warnings.append(f"replicate failed: {exc}")
             out["aborted"] = 1.0
             return out, warnings
-        out.update(_recovery_metrics(truth, report, true_labels, panel, init_seed, restarts, cfg))
+        out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     else:
         sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
         warnings.extend(sweep.warnings)
@@ -214,9 +212,12 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             out[f"{name}_choice"] = float(choice)
         if truth.n_components in sweep.reports:
             report = sweep.reports[truth.n_components]
-            out.update(
-                _recovery_metrics(truth, report, true_labels, panel, init_seed, restarts, cfg)
+            # select_g keeps no labels: cluster again as its init did.
+            km_labels = kmeans(
+                mean_sojourn_features(panel), truth.n_components, seed=init_seed,
+                restarts=restarts,
             )
+            out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     return out, warnings
 
 

@@ -221,13 +221,15 @@ class TestMStepSojourn:
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
         c = penalty_weight(panel)
-        params, warnings = _m_step_sojourn_stats(PanelStats.from_panel(panel), z.z, c, 7, 1e-4)
+        shape, rate, warnings = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), z.z, c, 7, 1e-4
+        )
         direct = fit_gamma_pmle(
             WeightedSample(values=np.array(all_state0), weights=np.ones(len(all_state0))),
             penalty_c=c,
         )
-        assert params[0][0].shape == pytest.approx(direct.shape, rel=1e-9)
-        assert params[0][0].rate == pytest.approx(direct.rate, rel=1e-9)
+        assert shape[0, 0] == pytest.approx(direct.shape, rel=1e-9)
+        assert rate[0, 0] == pytest.approx(direct.rate, rel=1e-9)
         assert warnings == []
 
     def test_starved_state_pooled_fallback(self, two_state_space):
@@ -242,7 +244,7 @@ class TestMStepSojourn:
             subjects.append((traj(states, durations),))
         panel = Panel(space=space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((8, 1)))
-        params, warnings = _m_step_sojourn_stats(
+        shape, _, warnings = _m_step_sojourn_stats(
             PanelStats.from_panel(panel), z.z, penalty_weight(panel), 7, 1e-4
         )
         assert any("pooled fallback" in w for w in warnings)
@@ -254,7 +256,7 @@ class TestMStepSojourn:
             WeightedSample(values=pooled_values, weights=np.ones_like(pooled_values)),
             penalty_c=penalty_weight(panel),
         )
-        assert params[0][2].shape == pytest.approx(pooled.shape, rel=1e-9)
+        assert shape[0, 2] == pytest.approx(pooled.shape, rel=1e-9)
 
     def test_penalty_shrinks_near_degenerate_state(self, two_state_space):
         rng = np.random.default_rng(10)
@@ -265,9 +267,9 @@ class TestMStepSojourn:
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
         stats = PanelStats.from_panel(panel)
-        pen, _ = _m_step_sojourn_stats(stats, z.z, penalty_weight(panel), 7, 1e-4)
-        unpen, _ = _m_step_sojourn_stats(stats, z.z, 0.0, 7, 1e-4)
-        assert pen[0][0].shape < unpen[0][0].shape
+        pen, _, _ = _m_step_sojourn_stats(stats, z.z, penalty_weight(panel), 7, 1e-4)
+        unpen, _, _ = _m_step_sojourn_stats(stats, z.z, 0.0, 7, 1e-4)
+        assert pen[0, 0] < unpen[0, 0]
 
     def test_nonconvergence_context(self, two_state_space):
         # state 0 durations nearly equal (relative spread ~1e-5): the
@@ -450,6 +452,104 @@ class TestSharedLikelihood:
         assert len(calls) == report.iterations + 1
 
 
+class TestIterationInvariants:
+    """The parameters are checked after every M-step, with the messages of
+    the model constructors, before any likelihood is evaluated on them."""
+
+    @staticmethod
+    def _fit_counting_likelihoods(monkeypatch):
+        import smcmix.em as em_module
+
+        panel, _ = well_separated_panel(n=60, transitions=4, seed=21)
+        init = initial_model(panel, 2, seed=3)
+        calls = []
+        original = em_module.subject_loglik_matrix
+
+        def counting(stats, params):
+            calls.append(params)
+            return original(stats, params)
+
+        monkeypatch.setattr(em_module, "subject_loglik_matrix", counting)
+        return lambda: fit(panel, 2, init, EmConfig()), calls
+
+    @pytest.mark.parametrize("bad_shape", [math.nan, -1.0])
+    def test_bad_shape_from_solver(self, monkeypatch, bad_shape):
+        import smcmix.em as em_module
+        from smcmix import InvalidModelError
+        from smcmix.sojourn import OK
+
+        run, calls = self._fit_counting_likelihoods(monkeypatch)
+        original = em_module.solve_shapes
+        solves = []
+
+        def corrupting(*args):
+            shape, status = original(*args)
+            solves.append(None)
+            if len(solves) == 2:  # the M-step of iteration 2
+                shape[0], status[0] = bad_shape, OK
+            return shape, status
+
+        monkeypatch.setattr(em_module, "solve_shapes", corrupting)
+        with pytest.raises(InvalidModelError, match="^gamma shape must be positive$"):
+            run()
+        assert len(calls) == 2  # the start and iteration 1; not the bad set
+
+    def test_negative_transition(self, monkeypatch):
+        import smcmix.em as em_module
+        from smcmix import InvalidModelError
+
+        run, calls = self._fit_counting_likelihoods(monkeypatch)
+        original = em_module._m_step_alpha_trans_stats
+
+        def corrupting(*args, **kwargs):
+            alpha, trans, warnings = original(*args, **kwargs)
+            trans[1, 0, 1] = -trans[1, 0, 1]
+            return alpha, trans, warnings
+
+        monkeypatch.setattr(em_module, "_m_step_alpha_trans_stats", corrupting)
+        with pytest.raises(
+            InvalidModelError, match="^transition probabilities must be nonnegative$"
+        ):
+            run()
+        assert len(calls) == 1
+
+
+class TestPartialReport:
+    """The model of an aborted fit is the one after its last completed
+    iteration: what a fit stopped there returns, or the start."""
+
+    def test_abort_after_iterations(self):
+        scenario = fixtures.benchmark_scenario(
+            "chocolate70", n_subjects=30, transitions=4, seed=29
+        )
+        panel, _ = simulate_panel(scenario)
+        init = initial_model(panel, 4, seed=29)
+        with pytest.raises(EmptyComponent) as err:
+            fit(panel, 4, init, EmConfig())
+        partial = err.value.report
+        assert partial.iterations == 2
+        stopped = fit(panel, 4, init, EmConfig(max_iter=partial.iterations))
+        assert partial.model == stopped.model
+        assert partial.objective_trace == stopped.objective_trace
+        assert np.array_equal(partial.posteriors.z, stopped.posteriors.z)
+
+    def test_abort_before_any_iteration(self, tiny_panel, simple_component):
+        losing = make_component(
+            alpha=[1e-280, 1.0 - 1e-280],
+            trans=[[0.0, 1.0], [1.0, 0.0]],
+            gammas=[(1.0, 1e-3), (1.0, 1e-3)],
+        )
+        init = MixtureModel(
+            space=tiny_panel.space,
+            weights=np.array([0.5, 0.5]),
+            components=(simple_component, losing),
+        )
+        with pytest.raises(EmptyComponent) as err:
+            fit(tiny_panel, 2, init, EmConfig(min_obs_mass=2))
+        assert err.value.report.iterations == 0
+        assert err.value.report.model == init
+
+
 def test_m_step_sojourn_fallbacks_fire_in_order():
     """Crafted statistics that reach every pooled fallback of one M-step:
     a degenerate state (A), a state whose unpenalized shape leaves the
@@ -466,7 +566,7 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     panel = Panel(space=space, subjects=tuple(subjects))
     stats = PanelStats.from_panel(panel)
     z = np.full((10, 2), 0.5)
-    params, warnings = _m_step_sojourn_stats(
+    shape, rate, warnings = _m_step_sojourn_stats(
         stats, z, 0.0, 7, 1e-4, labels=space.labels, bracket_fallback=True
     )
     per_component = [
@@ -475,9 +575,10 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
         "state C has 3 weight-carrying observations; pooled fallback",
     ]
     assert warnings == [f"component {g}: {w}" for g in (0, 1) for w in per_component]
-    for row in params:
-        assert row[0] is row[1] is row[2]
-        assert row[3] is not row[0]
+    # the pooled cells hold the component's one pooled fit; D has its own
+    for params in (shape, rate):
+        assert np.all(params[:, :3] == params[:, :1])
+        assert np.all(params[:, 3] != params[:, 0])
     with pytest.raises(NonConvergence, match=r"component 0, state B: shape search bracket"):
         _m_step_sojourn_stats(stats, z, 0.0, 7, 1e-4, labels=space.labels)
 

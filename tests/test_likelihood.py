@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smcmix import (
     EmConfig,
@@ -22,7 +23,7 @@ from smcmix import (
     select_g,
     subject_loglik,
 )
-from smcmix.likelihood import PanelStats, subject_loglik_matrix
+from smcmix.likelihood import PanelStats, log_scores, subject_loglik_matrix
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component, traj
@@ -211,6 +212,56 @@ class TestMixtureLoglik:
             )
 
 
+class TestLogScores:
+    """``log_scores`` reduces rows with scipy's logsumexp algorithm written
+    in numpy; scipy stays the oracle, bit for bit."""
+
+    @staticmethod
+    def assert_scipy_equal(ll, weights):
+        from scipy.special import logsumexp
+
+        scores, norms = log_scores(np.asarray(ll, dtype=np.float64), np.asarray(weights))
+        expected = logsumexp(scores, axis=1)
+        assert norms.shape == expected.shape
+        assert norms.tobytes() == expected.tobytes(), (norms, expected)
+
+    def test_crafted_rows(self):
+        inf = math.inf
+        ll = [
+            [0.0, 0.0, 0.0],  # three-way tie
+            [1.5, 1.5, -2.0],  # tie at the top
+            [-2.0, 1.5, 1.5],
+            [-inf, 0.0, 3.0],  # a single -inf entry
+            [-inf, -inf, -7.25],
+            [-inf, -inf, -inf],  # impossible under every component
+            [-1e6, -1e6 + 1e-9, -5e5],
+            [700.0, -700.0, 0.0],
+        ]
+        self.assert_scipy_equal(ll, [1 / 3, 1 / 3, 1 / 3])
+        self.assert_scipy_equal(ll, [0.2, 0.5, 0.3])
+
+    def test_all_impossible_gives_minus_inf(self):
+        _, norms = log_scores(np.full((2, 3), -math.inf), np.full(3, 1 / 3))
+        assert np.all(norms == -math.inf)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        hnp.arrays(
+            np.float64,
+            shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+            elements=st.one_of(
+                st.floats(min_value=-1e6, max_value=1e3),
+                st.sampled_from([-math.inf, -3.0, 0.0, 2.5]),  # ties and -inf
+            ),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scipy_logsumexp(self, ll, seed):
+        weights = np.random.default_rng(seed).dirichlet(np.ones(ll.shape[1]))
+        weights = np.maximum(weights, 1e-300)
+        self.assert_scipy_equal(ll, weights)
+
+
 class TestPenalizedObjective:
     def test_normalizer(self, two_state_space):
         # 8 subjects x 5 replications x 10 states = 400 visited states
@@ -226,6 +277,21 @@ class TestPenalizedObjective:
         )
         # ln(1) = 0, so each of the G x D shapes contributes exactly 1
         assert penalty_term(model, 0.05) == pytest.approx(-0.05 * 2 * 2, rel=1e-14)
+
+    def test_penalty_sums_in_component_state_order(self):
+        model = two_group_model()
+        scenario = Scenario(
+            model=fixtures.one_component_model(), n_subjects=40, n_replications=2,
+            stop_rule=6, seed=8, replicate_count=1,
+        )
+        panel, _ = simulate_panel(scenario)
+        for m in (model, initial_model(panel, 3, seed=8)):
+            total = 0.0
+            for comp in m.components:
+                for p in comp.sojourn:
+                    if p is not None:
+                        total += p.shape + np.log(p.shape)
+            assert penalty_term(m, 0.0123) == -0.0123 * total
 
     def test_penalty_sign(self, tiny_panel, simple_model):
         # all shapes of the fixture model are >= 1
