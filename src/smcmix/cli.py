@@ -9,8 +9,6 @@ never leave partial output files behind.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -53,14 +51,15 @@ def _add_em_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=10)
 
 
-def _read_panel(args):
-    labels = None
-    if args.attributes:
+def _read_panel(args, labels=None, absorbing_label=None):
+    """Read ``--data``; ``labels`` and ``absorbing_label`` default to
+    ``--attributes`` and ``--absorbing``."""
+    if labels is None and args.attributes:
         labels = [s.strip() for s in args.attributes.split(",") if s.strip()]
     return dataio.read_panel(
         args.data,
         labels=labels,
-        absorbing_label=args.absorbing,
+        absorbing_label=args.absorbing if absorbing_label is None else absorbing_label,
         delimiter=args.delimiter,
         ends_path=args.ends,
     )
@@ -86,27 +85,6 @@ def _resolve_scenario(ref: str):
                     f"{fixtures.BUNDLED_SCENARIOS}")
 
 
-def _write_labels_csv(path, subject_ids, labels) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subject", "component"])
-    for sid, lab in zip(subject_ids, labels):
-        writer.writerow([sid, int(lab) + 1])
-    dataio.write_text(path, buf.getvalue())
-
-
-def _read_labels_csv(path) -> dict:
-    out = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                out[row["subject"].strip()] = int(row["component"])
-            except (KeyError, TypeError, ValueError, AttributeError):
-                raise DataError(f"bad labels file {path}") from None
-    return out
-
-
 def _cmd_fit(args) -> int:
     panel, report = _read_panel(args)
     cfg = _em_config(args)
@@ -130,12 +108,11 @@ def _cmd_fit(args) -> int:
     for w in result.warnings:
         print(f"  - {w}")
     if args.posteriors:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["subject"] + [f"comp_{g + 1}" for g in range(args.components)])
-        for sid, row in zip(report.subject_ids, result.posteriors.z):
-            writer.writerow([sid] + [format(v, ".17g") for v in row])
-        dataio.write_text(args.posteriors, buf.getvalue())
+        dataio.write_csv(
+            args.posteriors,
+            ["subject"] + [f"comp_{g + 1}" for g in range(args.components)],
+            ([sid, *z] for sid, z in zip(report.subject_ids, result.posteriors.z)),
+        )
     return 0
 
 
@@ -161,19 +138,12 @@ def _cmd_select(args) -> int:
     for w in sweep.warnings:
         print(f"warning: {w}")
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["G", "loglik", "q", "bic", "aic", "aicc"])
-        for row in sweep.rows:
-            writer.writerow([
-                row.n_components,
-                format(row.loglik, ".17g"),
-                row.q,
-                format(row.bic, ".17g"),
-                format(row.aic, ".17g"),
-                "" if row.aicc is None else format(row.aicc, ".17g"),
-            ])
-        dataio.write_text(args.out, buf.getvalue())
+        dataio.write_csv(
+            args.out,
+            ["G", "loglik", "q", "bic", "aic", "aicc"],
+            ([row.n_components, row.loglik, row.q, row.bic, row.aic, row.aicc]
+             for row in sweep.rows),
+        )
     return 0
 
 
@@ -184,7 +154,7 @@ def _cmd_simulate(args) -> int:
     panel, labels = simulate_panel(scenario)
     dataio.write_panel(args.out, panel)
     if args.labels:
-        _write_labels_csv(args.labels, [str(i + 1) for i in range(panel.n_subjects)], labels)
+        dataio.write_labels(args.labels, [str(i + 1) for i in range(panel.n_subjects)], labels)
     print(f"subjects: {panel.n_subjects}")
     print(f"replications: {panel.n_replications}")
     print(f"trajectories: {panel.n_subjects * panel.n_replications}")
@@ -212,15 +182,14 @@ def _cmd_bench(args) -> int:
         picks = " ".join(f"G={g}:{c}" for g, c in sorted(hist.items()))
         print(f"{crit}_picks: {picks}")
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["metric", "mean", "sd"])
-        for name, (mean, sd) in table.items():
-            writer.writerow([name, format(mean, ".17g"), format(sd, ".17g")])
-        for crit, hist in result.histograms.items():
-            for g, c in sorted(hist.items()):
-                writer.writerow([f"{crit}_picks_{g}", c, ""])
-        dataio.write_text(args.out, buf.getvalue())
+        def rows():
+            for name, (mean, sd) in table.items():
+                yield [name, mean, sd]
+            for crit, hist in result.histograms.items():
+                for g, c in sorted(hist.items()):
+                    yield [f"{crit}_picks_{g}", c, None]
+
+        dataio.write_csv(args.out, ["metric", "mean", "sd"], rows())
     return 0
 
 
@@ -230,16 +199,10 @@ def _cmd_classify(args) -> int:
     model = dataio.read_model(args.model)
     if args.attributes:
         raise DataError("--attributes conflicts with --model; the model fixes the labels")
-    absorbing_label = args.absorbing
+    absorbing_label = None
     if model.space.absorbing is not None:
         absorbing_label = model.space.labels[model.space.absorbing]
-    panel, report = dataio.read_panel(
-        args.data,
-        labels=list(model.space.labels),
-        absorbing_label=absorbing_label,
-        delimiter=args.delimiter,
-        ends_path=args.ends,
-    )
+    panel, report = _read_panel(args, list(model.space.labels), absorbing_label)
     if panel.space != model.space:
         raise DataError(
             "data and model disagree about the absorbing state "
@@ -247,7 +210,7 @@ def _cmd_classify(args) -> int:
         )
     posteriors = e_step(panel, model, z_round=args.z_round)
     labels = map_cluster(posteriors)
-    _write_labels_csv(args.out, report.subject_ids, labels)
+    dataio.write_labels(args.out, report.subject_ids, labels)
     sizes = np.bincount(labels, minlength=model.n_components)
     print("cluster_sizes:", " ".join(str(int(s)) for s in sizes))
     return 0
@@ -259,10 +222,10 @@ def _cmd_graph(args) -> int:
     if args.labels:
         if args.cluster is None:
             raise DataError("--cluster is required when --labels is given")
-        assignment = _read_labels_csv(args.labels)
+        assignment = dataio.read_labels(args.labels)
         subjects = [
             i for i, sid in enumerate(report.subject_ids)
-            if assignment.get(sid) == args.cluster
+            if assignment.get(sid) == args.cluster - 1
         ]
         if not subjects:
             raise DataError(f"no subjects in cluster {args.cluster}")

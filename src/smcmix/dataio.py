@@ -1,5 +1,5 @@
-"""File formats: panel CSV ingest/export, model and scenario JSON, and
-the dominance-graph DOT export.
+"""File formats: panel CSV ingest/export, labels CSV, model and scenario
+JSON, and the dominance-graph DOT export.
 
 Files carry onset timestamps (capture-native); the library carries
 durations (model-native).  Conversion happens here: durations are
@@ -7,6 +7,9 @@ successive onset differences and the last duration is the record end minus
 the last onset.  Consecutive repeats of the same attribute are merged with
 summed durations, since the embedded chain cannot represent
 self-transitions; the merge count is reported.
+
+Every CSV file the library or the CLI reads goes through one row reader,
+:func:`_read_rows`, and every one it writes through :func:`write_csv`.
 
 All writers are deterministic byte-for-byte (floats use 17 significant
 digits) and atomic (write to a temporary file, then rename), so a failed
@@ -16,13 +19,14 @@ run never leaves a partial output behind.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +39,7 @@ from .core import (
     Trajectory,
 )
 from .errors import DataError, MalformedRow, NonMonotoneOnset, UnknownAttribute
+from .likelihood import PanelStats
 from .sim import ABSORBING_RULE, Scenario
 
 MODEL_FORMAT_VERSION = 1
@@ -45,15 +50,64 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write_text(path, text: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """Text file handle on a temporary sibling of ``path``, renamed over
+    ``path`` when the block succeeds and deleted when it fails."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Atomic plain-text writer used by the CLI."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Atomic CSV writer with ``"\n"`` line endings, floats to 17 significant
+    digits and None as an empty field.  Each row is written as ``rows``
+    yields it, so a generator keeps a large file out of memory."""
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def _read_rows(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ","):
+    """Yield ``(line, fields)`` per data row of a delimited file: the values
+    of the ``required`` and then the ``optional`` columns, found by their
+    header names stripped of spaces.  A column the header lacks or a short
+    row does not reach reads None, so a short row fails in its caller's
+    parse, on its own line.  Blank lines are skipped, as in csv.DictReader."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "empty file")
+        position = {name.strip(): k for k, name in enumerate(header)}
+        missing = [c for c in required if c not in position]
+        if missing:
+            raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+        columns = [position.get(c) for c in (*required, *optional)]
+        for row in reader:
+            if row:
+                n = len(row)
+                yield reader.line_num, [None if k is None or k >= n else row[k] for k in columns]
+
+
+def _finite(value: float, line: int, name: str) -> float:
+    if not math.isfinite(value):
+        raise MalformedRow(line, f"{name} must be finite")
+    return value
 
 
 def _dump_json(obj, indent: int = 0) -> str:
@@ -92,9 +146,6 @@ def _dump_json(obj, indent: int = 0) -> str:
 # ---------------------------------------------------------------------------
 # Panel CSV
 
-_REQUIRED_COLUMNS = ("subject", "replication", "attribute", "onset")
-
-
 @dataclass(frozen=True)
 class IngestReport:
     """What happened while turning a file into a panel."""
@@ -108,13 +159,13 @@ class IngestReport:
 
 def _read_end_sidecar(path) -> dict:
     ends = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                ends[(row["subject"].strip(), int(row["replication"]))] = float(row["end"])
-            except (KeyError, TypeError, ValueError):
-                raise MalformedRow(reader.line_num, "bad row in record-end sidecar") from None
+    for line, (subject, replication, end) in _read_rows(path, ("subject", "replication", "end")):
+        try:
+            key = (subject.strip(), int(replication))
+            value = float(end)
+        except (TypeError, ValueError, AttributeError):
+            raise MalformedRow(line, "bad row in record-end sidecar") from None
+        ends[key] = _finite(value, line, "end")
     return ends
 
 
@@ -123,62 +174,50 @@ def read_panel(
     labels: Optional[Sequence[str]] = None,
     absorbing_label: str = DEFAULT_ABSORBING_LABEL,
     delimiter: str = ",",
-    ends: Optional[dict] = None,
     ends_path=None,
 ) -> tuple[Panel, IngestReport]:
     """Read a delimited onset-encoded file into a panel.
 
     Expected header columns: ``subject``, ``replication``, ``attribute``,
     ``onset`` and optionally ``end`` (the per-sequence record end, needed
-    to close the final sojourn; it may also come from ``ends`` /
-    ``ends_path``).  When ``labels`` is given it fixes the state order and
-    unknown attributes are errors; otherwise the observed attributes are
-    sorted, with the absorbing label (default ``"STOP"``), if seen, placed
-    last.  Sequences with fewer than two states after merging are dropped
-    with a warning, as are subjects left with fewer replications than
-    their peers.
+    to close the final sojourn; it may also come from the ``ends_path``
+    sidecar, with columns ``subject``, ``replication``, ``end``, which the
+    ``end`` column overrides).  Onsets and ends must be finite.  When
+    ``labels`` is given it fixes the state order and unknown attributes are
+    errors; otherwise the observed attributes are sorted, with the
+    absorbing label (default ``"STOP"``), if seen, placed last.  Sequences
+    with fewer than two states after merging are dropped with a warning,
+    as are subjects left with fewer replications than their peers.
     """
-    if ends_path is not None:
-        ends = {**_read_end_sidecar(ends_path), **(ends or {})}
-    ends = ends or {}
+    ends = {} if ends_path is None else _read_end_sidecar(ends_path)
 
+    # (subject, replication) -> rows, in order of first appearance
     groups: dict[tuple[str, int], list] = {}
     group_end: dict[tuple[str, int], float] = {}
-    subject_order: dict[str, None] = {}  # insertion-ordered set, first appearance
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise MalformedRow(1, "empty file")
-        header = [h.strip() for h in reader.fieldnames]
-        missing = [c for c in _REQUIRED_COLUMNS if c not in header]
-        if missing:
-            raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
-        has_end = "end" in header
-        for row in reader:
-            line = reader.line_num
+    reader = _read_rows(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter)
+    for line, (subject, replication, attribute, onset, end) in reader:
+        try:
+            subject = subject.strip()
+            replication = int(replication)
+            attribute = attribute.strip()
+            onset = float(onset)
+        except (TypeError, ValueError, AttributeError):
+            raise MalformedRow(line, "cannot parse subject/replication/attribute/onset") from None
+        if not subject or not attribute:
+            raise MalformedRow(line, "empty subject or attribute")
+        if replication < 1:
+            raise MalformedRow(line, "replication must be a positive integer")
+        _finite(onset, line, "onset")
+        key = (subject, replication)
+        groups.setdefault(key, []).append((line, attribute, onset))
+        if end not in (None, ""):
             try:
-                subject = row["subject"].strip()
-                replication = int(row["replication"])
-                attribute = row["attribute"].strip()
-                onset = float(row["onset"])
-            except (KeyError, TypeError, ValueError, AttributeError):
-                raise MalformedRow(line, "cannot parse subject/replication/attribute/onset") from None
-            if not subject or not attribute:
-                raise MalformedRow(line, "empty subject or attribute")
-            if replication < 1:
-                raise MalformedRow(line, "replication must be a positive integer")
-            key = (subject, replication)
-            subject_order.setdefault(subject)
-            groups.setdefault(key, []).append((line, attribute, onset))
-            if has_end and row.get("end") not in (None, ""):
-                try:
-                    end_value = float(row["end"])
-                except (TypeError, ValueError):
-                    raise MalformedRow(line, "cannot parse end") from None
-                prior = group_end.get(key)
-                if prior is not None and prior != end_value:
-                    raise MalformedRow(line, "conflicting record-end values in one sequence")
-                group_end[key] = end_value
+                end = float(end)
+            except ValueError:
+                raise MalformedRow(line, "cannot parse end") from None
+            _finite(end, line, "end")
+            if group_end.setdefault(key, end) != end:
+                raise MalformedRow(line, "conflicting record-end values in one sequence")
     if not groups:
         raise MalformedRow(1, "no data rows")
 
@@ -198,9 +237,11 @@ def read_panel(
     merge_count = 0
     dropped: list[tuple[str, int]] = []
     warnings: list[str] = []
-    sequences: dict[tuple[str, int], Trajectory] = {}
+    # subject -> {replication: trajectory}, subjects in order of first appearance
+    by_subject: dict[str, dict[int, Trajectory]] = {}
     for key, rows in groups.items():
         subject, replication = key
+        reps = by_subject.setdefault(subject, {})
         onsets = [onset for _, _, onset in rows]
         if any(b <= a for a, b in zip(onsets, onsets[1:])):
             raise NonMonotoneOnset(subject, replication)
@@ -239,19 +280,16 @@ def read_panel(
                 f"{absorbing_label!r} appears before the end of the sequence"
             )
         durations = np.diff(np.asarray(merged_onsets + [end], dtype=np.float64))
-        sequences[key] = Trajectory(states=np.asarray(states), sojourns=durations)
+        reps[replication] = Trajectory(states=np.asarray(states), sojourns=durations)
 
-    by_subject: dict[str, list[tuple[int, Trajectory]]] = {}
-    for (subject, replication), traj in sequences.items():
-        by_subject.setdefault(subject, []).append((replication, traj))
-    if not by_subject:
+    if not any(by_subject.values()):
         raise DataError("no usable sequences in the file")
-    n_reps = max(len(v) for v in by_subject.values())
+    # A maximum, so at least one subject is kept.
+    n_reps = max(len(reps) for reps in by_subject.values())
     subjects = []
     kept_ids = []
     dropped_subjects = []
-    for subject in subject_order:
-        reps = by_subject.get(subject, [])
+    for subject, reps in by_subject.items():
         if len(reps) < n_reps:
             dropped_subjects.append(subject)
             warnings.append(
@@ -259,11 +297,8 @@ def read_panel(
                 f"expected {n_reps}"
             )
             continue
-        reps.sort(key=lambda item: item[0])
-        subjects.append(tuple(traj for _, traj in reps))
+        subjects.append(tuple(reps[r] for r in sorted(reps)))
         kept_ids.append(subject)
-    if not subjects:
-        raise DataError("no subject has a complete set of replications")
 
     panel = Panel(space=space, subjects=tuple(subjects))
     report = IngestReport(
@@ -282,21 +317,33 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
         subject_ids = [str(i + 1) for i in range(panel.n_subjects)]
     if len(subject_ids) != panel.n_subjects:
         raise ValueError("one subject id per subject required")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["subject", "replication", "attribute", "onset", "end"])
     labels = panel.space.labels
-    for sid, reps in zip(subject_ids, panel.subjects):
-        for b, traj in enumerate(reps, start=1):
-            onset = 0.0
-            onsets = []
-            for x in traj.sojourns:
-                onsets.append(onset)
-                onset += float(x)
-            end = onset
-            for j, t in zip(traj.states, onsets):
-                writer.writerow([sid, b, labels[int(j)], _fmt(t), _fmt(end)])
-    _atomic_write_text(path, buf.getvalue())
+
+    def rows():
+        for sid, reps in zip(subject_ids, panel.subjects):
+            for b, traj in enumerate(reps, start=1):
+                onsets = list(accumulate(map(float, traj.sojourns), initial=0.0))
+                for j, t in zip(traj.states, onsets):
+                    yield sid, b, labels[int(j)], t, onsets[-1]
+
+    write_csv(path, ("subject", "replication", "attribute", "onset", "end"), rows())
+
+
+def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> None:
+    """Write one 0-based component label per subject, as 1-based ids."""
+    rows = ((sid, int(lab) + 1) for sid, lab in zip(subject_ids, labels))
+    write_csv(path, ("subject", "component"), rows)
+
+
+def read_labels(path) -> dict[str, int]:
+    """Subject id -> 0-based component label (inverse of :func:`write_labels`)."""
+    out = {}
+    for line, (subject, component) in _read_rows(path, ("subject", "component")):
+        try:
+            out[subject.strip()] = int(component) - 1
+        except (TypeError, ValueError, AttributeError):
+            raise MalformedRow(line, "bad row in labels file") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +406,8 @@ def model_from_dict(doc: dict) -> MixtureModel:
 
 
 def write_model(path, model: MixtureModel) -> None:
-    _atomic_write_text(path, _dump_json(model_to_dict(model)) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(_dump_json(model_to_dict(model)) + "\n")
 
 
 def read_model(path) -> MixtureModel:
@@ -417,7 +465,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def write_scenario(path, scenario: Scenario, meta: Optional[dict] = None) -> None:
-    _atomic_write_text(path, _dump_json(scenario_to_dict(scenario, meta)) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(_dump_json(scenario_to_dict(scenario, meta)) + "\n")
 
 
 def read_scenario(path) -> Scenario:
@@ -454,16 +503,11 @@ def export_tds_graph(
     if not subjects:
         raise ValueError("no subjects selected")
 
-    elicited = np.zeros(d)
-    counts = np.zeros((d, d))
-    for i in subjects:
-        seen: set[int] = set()
-        for traj in panel.subjects[i]:
-            seen.update(int(s) for s in traj.states)
-            np.add.at(counts, (traj.states[:-1], traj.states[1:]), 1.0)
-        for j in seen:
-            elicited[j] += 1.0
-    elicited /= len(subjects)
+    stats = PanelStats.from_panel(panel)
+    # Every visited state is a trajectory's first state or a transition's target.
+    visited = stats.first_counts + stats.trans_counts.sum(axis=1) > 0
+    elicited = visited[subjects].sum(axis=0) / len(subjects)
+    counts = stats.trans_counts[subjects].sum(axis=0)
     nodes = [j for j in range(d) if elicited[j] >= elicit_frac]
 
     row_totals = counts.sum(axis=1)
@@ -482,8 +526,3 @@ def export_tds_graph(
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_text(path, text: str) -> None:
-    """Atomic plain-text writer used by the CLI."""
-    _atomic_write_text(path, text)

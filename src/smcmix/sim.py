@@ -224,7 +224,6 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
 def run_benchmark(
     scenario: Scenario,
     cfg: EmConfig,
-    metrics: Optional[Sequence[str]] = None,
     g_range: Optional[Sequence[int]] = None,
     restarts: int = 10,
 ) -> BenchmarkResult:
@@ -233,7 +232,7 @@ def run_benchmark(
 
     Each replicate runs on its own named random stream spawned from the
     scenario seed, so a replicate's results do not depend on how many
-    replicates run.  ``metrics`` filters the reported columns.
+    replicates run.
     """
     results = []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
@@ -246,9 +245,6 @@ def run_benchmark(
         for key in row:
             if key not in names:
                 names.append(key)
-    if metrics is not None:
-        keep = set(metrics)
-        names = [m for m in names if m in keep or m.endswith("_choice")]
 
     values = {
         name: np.array([row.get(name, np.nan) for row, _ in results]) for name in names

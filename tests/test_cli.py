@@ -222,6 +222,19 @@ class TestErrorPaths:
         code, _, err = run(capsys, "graph", "--data", panel, "--labels", labels)
         assert code == 2
 
+    def test_graph_bad_labels_file_exit_2(self, tmp_path, capsys, small_scenario_file):
+        panel = tmp_path / "panel.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("subject,component\n1,1\n2,first\n")
+        code, _, err = run(
+            capsys, "graph", "--data", panel, "--labels", labels, "--cluster", 1
+        )
+        assert code == 2
+        doc = json.loads(err)
+        assert doc["error"] == "MalformedRow"
+        assert doc["message"].startswith("line 3:")
+
     def test_classify_rejects_attribute_override(self, tmp_path, capsys, small_scenario_file):
         panel = tmp_path / "panel.csv"
         run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)

@@ -13,13 +13,16 @@ from smcmix import (
     UnknownAttribute,
     fixtures,
 )
+from smcmix import dataio
 from smcmix.dataio import (
     export_tds_graph,
     model_from_dict,
     model_to_dict,
+    read_labels,
     read_model,
     read_panel,
     read_scenario,
+    write_labels,
     write_model,
     write_panel,
     write_scenario,
@@ -189,6 +192,116 @@ class TestReadPanel:
             read_panel(f)
 
 
+class TestNonFiniteValues:
+    @pytest.mark.parametrize(
+        "rows, line, column",
+        [
+            ("s1,1,A,0,10\ns1,1,B,3,inf\n", 3, "end"),
+            ("s1,1,A,-inf,10\ns1,1,B,3,10\n", 2, "onset"),
+            ("s1,1,A,0,10\ns1,1,B,nan,10\n", 3, "onset"),
+        ],
+    )
+    def test_rejected_with_their_line(self, tmp_path, rows, line, column):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset,end\n" + rows)
+        with pytest.raises(MalformedRow, match=f"line {line}: {column} must be finite") as err:
+            read_panel(f)
+        assert err.value.line == line
+
+    def test_sidecar_end_rejected(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,4\n")
+        sidecar = write_csv(tmp_path / "ends.csv", "subject,replication,end\ns1,1,Infinity\n")
+        with pytest.raises(MalformedRow, match="line 2: end must be finite"):
+            read_panel(f, ends_path=sidecar)
+
+
+class TestRowReader:
+    """The panel, the record-end sidecar and the labels file share one
+    reader: header names are stripped, blank lines skipped, and an error
+    names the physical line of its row."""
+
+    def test_header_names_with_spaces(self, tmp_path):
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject, replication , attribute,onset ,end\n"
+            "s1,1,A,0,10\n"
+            "s1,1,B,3,10\n",
+        )
+        panel, report = read_panel(f)
+        np.testing.assert_array_equal(panel.subjects[0][0].sojourns, [3.0, 7.0])
+        assert report.subject_ids == ("s1",)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject,replication,attribute,onset,end\n"
+            "\n"
+            "s1,1,A,0,10\n"
+            "\n"
+            "s1,1,B,3,10\n"
+            "s1,1,C,x,10\n",
+        )
+        with pytest.raises(MalformedRow) as err:
+            read_panel(f)
+        assert err.value.line == 6
+        write_csv(f, f.read_text().replace("s1,1,C,x,10\n", ""))
+        panel, _ = read_panel(f)
+        np.testing.assert_array_equal(panel.subjects[0][0].sojourns, [3.0, 7.0])
+
+    def test_short_row_reports_its_line(self, tmp_path):
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject,replication,attribute,onset,end\n"
+            "s1,1,A,0,10\n"
+            "s1,1,B\n"
+            "s1,1,C,5,10\n",
+        )
+        with pytest.raises(MalformedRow, match="line 3: cannot parse") as err:
+            read_panel(f)
+        assert err.value.line == 3
+
+    def test_end_column_beats_sidecar(self, tmp_path):
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject,replication,attribute,onset,end\n"
+            "s1,1,A,0,10\n"
+            "s1,1,B,4,10\n"
+            "s1,2,A,0,\n"
+            "s1,2,B,2,\n",
+        )
+        sidecar = write_csv(tmp_path / "ends.csv", "subject,replication,end\ns1,1,9\ns1,2,8\n")
+        panel, _ = read_panel(f, ends_path=sidecar)
+        np.testing.assert_array_equal(panel.subjects[0][0].sojourns, [4.0, 6.0])
+        np.testing.assert_array_equal(panel.subjects[0][1].sojourns, [2.0, 6.0])
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("subject,replication,end\ns1,1,9\ns1,one,9\n", 3),
+            ("subject,replication,end\ns1,1\n", 2),
+            ("subject,end\ns1,9\n", 1),
+        ],
+    )
+    def test_malformed_sidecar(self, tmp_path, text, line):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,4\n")
+        sidecar = write_csv(tmp_path / "ends.csv", text)
+        with pytest.raises(MalformedRow) as err:
+            read_panel(f, ends_path=sidecar)
+        assert err.value.line == line
+
+    def test_labels_round_trip(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_labels(path, ["a", "b", "c"], np.array([1, 0, 1]))
+        assert path.read_text() == "subject,component\na,2\nb,1\nc,2\n"
+        assert read_labels(path) == {"a": 1, "b": 0, "c": 1}
+
+    @pytest.mark.parametrize("component", ["two", "", "1.5"])
+    def test_labels_bad_component(self, tmp_path, component):
+        path = write_csv(tmp_path / "labels.csv", f"subject,component\na,1\n\nb,{component}\n")
+        with pytest.raises(MalformedRow) as err:
+            read_labels(path)
+        assert err.value.line == 4
+
+
 class TestPanelRoundTrip:
     def test_identity_on_dyadic_fixture(self, tiny_panel, tmp_path):
         path = tmp_path / "panel.csv"
@@ -338,6 +451,19 @@ class TestAtomicWrites:
             write_model(target, fixtures.one_component_model())
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+    def test_csv_rows_failing_midway_leave_no_file(self, tmp_path):
+        def rows():
+            yield ["a", 1]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError):
+            dataio.write_csv(tmp_path / "t.csv", ["name", "value"], rows())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_format(self, tmp_path):
+        dataio.write_csv(tmp_path / "t.csv", ["name", "value"], (r for r in [["a,b", 1], ["c", ""]]))
+        assert (tmp_path / "t.csv").read_bytes() == b'name,value\n"a,b",1\nc,\n'
 
 
 def test_read_panel_keeps_first_appearance_order_of_interleaved_subjects(tmp_path):
