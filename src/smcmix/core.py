@@ -122,9 +122,11 @@ class Trajectory:
             "states and sojourns must have equal length",
         )
         _check(len(states) >= 2, "a trajectory must visit at least two states")
-        _check(bool(np.all(states >= 0)), "state indices must be nonnegative")
-        _check(bool(np.all(states[1:] != states[:-1])), "self-transitions are not representable")
-        _check(bool(np.all(sojourns > 0.0)), "sojourn durations must be strictly positive")
+        # Array methods rather than np.all: this runs once per trajectory.
+        # min() propagates NaN, so a NaN sojourn fails the last check.
+        _check(states.min() >= 0, "state indices must be nonnegative")
+        _check((states[1:] != states[:-1]).all(), "self-transitions are not representable")
+        _check(sojourns.min() > 0.0, "sojourn durations must be strictly positive")
 
     def __len__(self) -> int:
         return len(self.states)

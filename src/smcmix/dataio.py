@@ -157,16 +157,21 @@ class IngestReport:
     warnings: tuple[str, ...]
 
 
-def _read_end_sidecar(path) -> dict:
+def _read_end_sidecar(path) -> tuple[dict, dict]:
+    """The record ends by (subject, replication), and the line each was
+    read from."""
     ends = {}
+    lines = {}
     for line, (subject, replication, end) in _read_rows(path, ("subject", "replication", "end")):
         try:
             key = (subject.strip(), int(replication))
             value = float(end)
         except (TypeError, ValueError, AttributeError):
             raise MalformedRow(line, "bad row in record-end sidecar") from None
-        ends[key] = _finite(value, line, "end")
-    return ends
+        if ends.setdefault(key, _finite(value, line, "end")) != value:
+            raise MalformedRow(line, "conflicting record-end values in one sequence")
+        lines.setdefault(key, line)
+    return ends, lines
 
 
 def read_panel(
@@ -182,14 +187,16 @@ def read_panel(
     ``onset`` and optionally ``end`` (the per-sequence record end, needed
     to close the final sojourn; it may also come from the ``ends_path``
     sidecar, with columns ``subject``, ``replication``, ``end``, which the
-    ``end`` column overrides).  Onsets and ends must be finite.  When
+    ``end`` column overrides).  Onsets and ends must be finite, and rows
+    giving one sequence two different ends are an error; a sidecar row
+    that matches no sequence of the file is reported as a warning.  When
     ``labels`` is given it fixes the state order and unknown attributes are
     errors; otherwise the observed attributes are sorted, with the
     absorbing label (default ``"STOP"``), if seen, placed last.  Sequences
     with fewer than two states after merging are dropped with a warning,
     as are subjects left with fewer replications than their peers.
     """
-    ends = {} if ends_path is None else _read_end_sidecar(ends_path)
+    ends, end_lines = ({}, {}) if ends_path is None else _read_end_sidecar(ends_path)
 
     # (subject, replication) -> rows, in order of first appearance
     groups: dict[tuple[str, int], list] = {}
@@ -281,6 +288,13 @@ def read_panel(
             )
         durations = np.diff(np.asarray(merged_onsets + [end], dtype=np.float64))
         reps[replication] = Trajectory(states=np.asarray(states), sojourns=durations)
+
+    for key, line in end_lines.items():
+        if key not in groups:
+            warnings.append(
+                f"record-end sidecar line {line}: no sequence for subject {key[0]!r} "
+                f"replication {key[1]}"
+            )
 
     if not any(by_subject.values()):
         raise DataError("no usable sequences in the file")

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .core import Panel
 from .em import EmConfig, EmptyComponent, FitReport, fit
-from .initialization import initial_model
+from .initialization import _clustered_model
 from .likelihood import PanelStats, mixture_loglik
 
 CRITERIA = ("bic", "aic", "aicc")
@@ -94,6 +94,18 @@ def select_g(
     Fits aborted by a starved component are kept with their last valid
     model and flagged.  Ties pick the smallest component count.
     """
+    return _select_g(panel, g_range, cfg, sample_size, restarts)[0]
+
+
+def _select_g(
+    panel: Panel,
+    g_range: Sequence[int],
+    cfg: EmConfig,
+    sample_size: Optional[int],
+    restarts: int,
+) -> tuple[GSweepResult, dict]:
+    """:func:`select_g` together with the k-means labels each fit was
+    initialized from, by component count."""
     g_values = sorted(set(int(g) for g in g_range))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
@@ -103,10 +115,10 @@ def select_g(
 
     rows: list[SweepRow] = []
     reports: dict[int, FitReport] = {}
+    km_labels = {}
     warnings: list[str] = []
     for g in g_values:
-        init = initial_model(panel, g, seed=cfg.seed, restarts=restarts,
-                             min_obs_mass=cfg.min_obs_mass)
+        init, km_labels[g] = _clustered_model(panel, g, cfg.seed, restarts, cfg.min_obs_mass)
         aborted = False
         try:
             report = fit(panel, g, init, cfg)
@@ -143,4 +155,5 @@ def select_g(
         if not scored:
             continue
         chosen[name] = min(scored)[1]
-    return GSweepResult(rows=tuple(rows), chosen=chosen, reports=reports, warnings=tuple(warnings))
+    sweep = GSweepResult(rows=tuple(rows), chosen=chosen, reports=reports, warnings=tuple(warnings))
+    return sweep, km_labels

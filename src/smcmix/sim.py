@@ -5,10 +5,18 @@ probabilities, then alternating gamma sojourn draws and transition draws
 until the stop rule fires (a fixed transition count, or entry into the
 absorbing state).  Benchmarks run many independent replicates, each on its
 own random stream, and aggregate recovery metrics.
+
+The sequence of draws is part of the contract: the component labels from
+one ``rng.choice``, then per trajectory one ``rng.random()`` per state and
+one ``rng.gamma()`` per sojourn (more when a draw underflows to 0), in
+order.  The golden files of the test suite and the seeds of the
+acceptance tests rest on this stream, so a faster sampler must make the
+same calls in the same order; ``tests/golden/sim_panels.json`` pins it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -17,7 +25,7 @@ import numpy as np
 from .core import ComponentParams, MixtureModel, Panel, Trajectory
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import _clustered_model, kmeans, mean_sojourn_features
+from .initialization import _clustered_model
 from .metrics import (
     align_components,
     classification_rate,
@@ -25,7 +33,7 @@ from .metrics import (
     err_gamma,
     pi_recovery,
 )
-from .selection import select_g
+from .selection import _select_g
 
 ABSORBING_RULE = "absorbing"
 _MAX_SIM_STATES = 1_000_000
@@ -62,46 +70,61 @@ class Scenario:
             raise ValueError("transition count must be at least 1")
 
 
-def _draw_index(cum: np.ndarray, probs: np.ndarray, rng: np.random.Generator) -> int:
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    idx = min(idx, len(cum) - 1)
-    while probs[idx] == 0.0:  # guard against cumulative rounding at the tail
-        idx -= 1
-    return idx
-
-
 class _ComponentSampler:
-    """Cached cumulative distributions for fast sequential simulation."""
+    """One component's distributions, their cumulative sums, and its gamma
+    shapes and scales, kept as Python lists: a simulation reads them one
+    cell per scalar draw, which lists do far faster than small numpy
+    arrays.  Row ``D`` of ``rows`` and ``cums`` is the initial
+    distribution, so the first state is drawn as a transition out of a
+    start row, by the same code."""
 
     def __init__(self, comp: ComponentParams):
-        self.comp = comp
-        self.alpha_cum = np.cumsum(comp.alpha)
-        self.trans_cum = np.cumsum(comp.trans, axis=1)
-        self.shapes, self.rates = comp.sojourn_arrays()
+        self.absorbing = comp.absorbing
+        self.rows = [*comp.trans.tolist(), comp.alpha.tolist()]
+        self.cums = [*np.cumsum(comp.trans, axis=1).tolist(), np.cumsum(comp.alpha).tolist()]
+        shapes, rates = comp.sojourn_arrays()
+        self.shapes = shapes.tolist()
+        self.scales = (1.0 / rates).tolist()
 
-    def _sojourn(self, state: int, rng: np.random.Generator) -> float:
-        x = rng.gamma(self.shapes[state], 1.0 / self.rates[state])
-        while x <= 0.0:  # underflow safety for tiny shapes
-            x = rng.gamma(self.shapes[state], 1.0 / self.rates[state])
-        return x
+    def draw_into(self, stop_rule, rng: np.random.Generator, states: list, sojourns: list) -> None:
+        """Draw one trajectory under the stop rule and append its states
+        and sojourns to ``states`` and ``sojourns``."""
+        random, gamma = rng.random, rng.gamma
+        absorbing = self.absorbing
+        rows, cums = self.rows, self.cums
+        shapes, scales = self.shapes, self.scales
+        last = len(shapes) - 1
+        stop = None if stop_rule == ABSORBING_RULE else int(stop_rule) + 1
+        j = last + 1  # the start row
+        n = 0
+        while True:
+            # bisect_right picks the cell np.searchsorted(side="right") picks.
+            # A row whose sums round to just below 1 can leave u past them:
+            # clamp to the last cell and walk back past zero cells.
+            probs = rows[j]
+            j = bisect_right(cums[j], random())
+            if j > last:
+                j = last
+            while probs[j] == 0.0:
+                j -= 1
+            states.append(j)
+            n += 1
+            if j == absorbing:
+                sojourns.append(_ABSORBING_PLACEHOLDER)
+                return
+            x = gamma(shapes[j], scales[j])
+            while x <= 0.0:  # underflow safety for tiny shapes
+                x = gamma(shapes[j], scales[j])
+            sojourns.append(x)
+            if n == stop:
+                return
+            if n >= _MAX_SIM_STATES:
+                raise NumericalError("simulation did not reach the absorbing state")
 
     def draw(self, stop_rule, rng: np.random.Generator) -> Trajectory:
-        comp = self.comp
-        absorbing = comp.absorbing
-        states = [_draw_index(self.alpha_cum, comp.alpha, rng)]
-        sojourns = []
-        max_transitions = None if stop_rule == ABSORBING_RULE else int(stop_rule)
-        while True:
-            j = states[-1]
-            if absorbing is not None and j == absorbing:
-                sojourns.append(_ABSORBING_PLACEHOLDER)
-                break
-            sojourns.append(self._sojourn(j, rng))
-            if max_transitions is not None and len(states) == max_transitions + 1:
-                break
-            if len(states) >= _MAX_SIM_STATES:
-                raise NumericalError("simulation did not reach the absorbing state")
-            states.append(_draw_index(self.trans_cum[j], comp.trans[j], rng))
+        states: list[int] = []
+        sojourns: list[float] = []
+        self.draw_into(stop_rule, rng, states, sojourns)
         return Trajectory(states=np.asarray(states), sojourns=np.asarray(sojourns))
 
 
@@ -120,16 +143,24 @@ def simulate_panel(
     model = scenario.model
     labels = rng.choice(model.n_components, size=scenario.n_subjects, p=model.weights)
     samplers = [_ComponentSampler(c) for c in model.components]
-    subjects = []
-    for g in labels:
-        sampler = samplers[int(g)]
-        subjects.append(
-            tuple(
-                sampler.draw(scenario.stop_rule, rng)
-                for _ in range(scenario.n_replications)
-            )
-        )
-    return Panel(space=model.space, subjects=tuple(subjects)), labels
+    b = scenario.n_replications
+    # Every trajectory is drawn into one pair of lists, converted once.
+    states: list[int] = []
+    sojourns: list[float] = []
+    ends = [0]
+    for g in labels.tolist():
+        draw_into = samplers[g].draw_into
+        for _ in range(b):
+            draw_into(scenario.stop_rule, rng, states, sojourns)
+            ends.append(len(states))
+    flat_states = np.array(states, dtype=np.int64)
+    flat_sojourns = np.array(sojourns, dtype=np.float64)
+    trajs = [
+        Trajectory(states=flat_states[a:z], sojourns=flat_sojourns[a:z])
+        for a, z in zip(ends, ends[1:])
+    ]
+    subjects = tuple(tuple(trajs[i : i + b]) for i in range(0, len(trajs), b))
+    return Panel(space=model.space, subjects=subjects), labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +237,13 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             return out, warnings
         out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     else:
-        sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
+        sweep, km_labels = _select_g(panel, g_range, replace(cfg, seed=init_seed), None, restarts)
         warnings.extend(sweep.warnings)
         for name, choice in sweep.chosen.items():
             out[f"{name}_choice"] = float(choice)
-        if truth.n_components in sweep.reports:
-            report = sweep.reports[truth.n_components]
-            # select_g keeps no labels: cluster again as its init did.
-            km_labels = kmeans(
-                mean_sojourn_features(panel), truth.n_components, seed=init_seed,
-                restarts=restarts,
-            )
-            out.update(_recovery_metrics(truth, report, true_labels, km_labels))
+        g = truth.n_components
+        if g in sweep.reports:
+            out.update(_recovery_metrics(truth, sweep.reports[g], true_labels, km_labels[g]))
     return out, warnings
 
 

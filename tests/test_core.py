@@ -40,20 +40,38 @@ class TestStateSpace:
 
 
 class TestTrajectory:
+    """Each invariant fails with its own message, in the order checked."""
+
+    def test_one_dimensional(self):
+        with pytest.raises(InvalidModelError, match="^states and sojourns must be 1-D$"):
+            traj([[0, 1], [1, 0]], [[1.0, 1.0], [1.0, 1.0]])
+
     def test_min_length(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match="^a trajectory must visit at least two states$"):
             traj([0], [1.0])
 
+    def test_nonnegative_states(self):
+        with pytest.raises(InvalidModelError, match="^state indices must be nonnegative$"):
+            traj([0, -1, 0], [1.0, 1.0, 1.0])
+
     def test_no_self_transition(self):
-        with pytest.raises(InvalidModelError):
-            traj([0, 0], [1.0, 1.0])
+        with pytest.raises(InvalidModelError, match="^self-transitions are not representable$"):
+            traj([0, 1, 1], [1.0, 1.0, 1.0])
 
     def test_positive_sojourns(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(
+            InvalidModelError, match="^sojourn durations must be strictly positive$"
+        ):
             traj([0, 1], [1.0, 0.0])
 
+    def test_nan_sojourn(self):
+        with pytest.raises(
+            InvalidModelError, match="^sojourn durations must be strictly positive$"
+        ):
+            traj([0, 1, 0], [1.0, np.nan, 2.0])
+
     def test_length_mismatch(self):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match="^states and sojourns must have equal length$"):
             traj([0, 1], [1.0])
 
     def test_immutable(self):

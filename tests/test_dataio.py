@@ -288,6 +288,32 @@ class TestRowReader:
             read_panel(f, ends_path=sidecar)
         assert err.value.line == line
 
+    def test_conflicting_sidecar_ends(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,2\n")
+        sidecar = write_csv(tmp_path / "ends.csv", "subject,replication,end\ns1,1,3\n\ns1,1,5\n")
+        with pytest.raises(
+            MalformedRow, match="^line 4: conflicting record-end values in one sequence$"
+        ) as err:
+            read_panel(f, ends_path=sidecar)
+        assert err.value.line == 4
+        # A repeated row with the same end is not a conflict.
+        write_csv(sidecar, "subject,replication,end\ns1,1,3\ns1, 1,3.0\n")
+        panel, report = read_panel(f, ends_path=sidecar)
+        np.testing.assert_array_equal(panel.subjects[0][0].sojourns, [2.0, 1.0])
+        assert report.warnings == ()
+
+    def test_unmatched_sidecar_rows_warn(self, tmp_path):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,4\n")
+        sidecar = write_csv(
+            tmp_path / "ends.csv", "subject,replication,end\ns9,1,12\ns1,1,9\ns1,0,3\n"
+        )
+        panel, report = read_panel(f, ends_path=sidecar)
+        np.testing.assert_array_equal(panel.subjects[0][0].sojourns, [4.0, 5.0])
+        assert report.warnings == (
+            "record-end sidecar line 2: no sequence for subject 's9' replication 1",
+            "record-end sidecar line 4: no sequence for subject 's1' replication 0",
+        )
+
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_labels(path, ["a", "b", "c"], np.array([1, 0, 1]))

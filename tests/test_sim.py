@@ -44,6 +44,49 @@ class TestScenario:
                  stop_rule="absorbing", seed=1)
 
 
+class _FixedStream:
+    """Returns the given uniforms in turn, and 1.0 for every gamma draw."""
+
+    def __init__(self, uniforms):
+        self.random = iter(uniforms).__next__
+
+    def gamma(self, shape, scale):
+        return 1.0
+
+
+class TestStateDraw:
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.0, 0.5, 0.5],
+            [0.25, 0.0, 0.75, 0.0],
+            [0.3, 0.7 - 4e-13, 0.0, 0.0],
+            [0.1, 0.2, 0.3, 0.4],
+        ],
+    )
+    def test_same_cell_as_searchsorted(self, probs):
+        """First states drawn from uniforms on and between the cumulative
+        sums, 0 and the top of [0, 1) land where
+        ``np.searchsorted(side="right")`` puts them, clamped to the last cell
+        and walked back past zero cells."""
+        d = len(probs)
+        comp = make_component(
+            alpha=probs,
+            trans=(np.ones((d, d)) - np.eye(d)) / (d - 1),
+            gammas=[(1.0, 1.0)] * d,
+        )
+        sampler = _ComponentSampler(comp)
+        cum = np.cumsum(probs)
+        us = np.concatenate([cum, (cum[:-1] + cum[1:]) / 2, [0.0, 1.0 - 2.0**-53]])
+        for u in us[us < 1.0]:
+            expected = min(int(np.searchsorted(cum, u, side="right")), d - 1)
+            while probs[expected] == 0.0:
+                expected -= 1
+            states, sojourns = [], []
+            sampler.draw_into(1, _FixedStream([float(u), 0.0]), states, sojourns)
+            assert states[0] == expected
+
+
 class TestSimulateTrajectory:
     def test_deterministic_chain(self):
         comp = make_component(
@@ -69,7 +112,10 @@ class TestSimulateTrajectory:
         p = comp.sojourn[crunchy]
         rng = np.random.default_rng(77)
         sampler = _ComponentSampler(comp)
-        draws = [sampler._sojourn(crunchy, rng) for _ in range(100_000)]
+        states, sojourns = [], []
+        for _ in range(100_000):
+            sampler.draw_into(1, rng, states, sojourns)
+        draws = np.array(sojourns)[np.array(states) == crunchy]
         assert np.mean(draws) == pytest.approx(p.mean, rel=0.02)
         assert p.mean == pytest.approx(6.9024, abs=1e-3)
 
