@@ -5,13 +5,16 @@ Every type validates its structural invariants on construction and is
 immutable afterwards (arrays are marked read-only), so instances can be
 shared freely between threads.  The one exception is
 :class:`MixtureArrays`, the unvalidated array form the EM iterates on,
-which checks the same invariants when asked to.  Serialization lives in
-:mod:`smcmix.dataio`.
+which checks the same invariants when asked to.  A :class:`Panel` keeps
+its trajectories back to back in flat arrays, checked in one array pass
+by the sequence check every :class:`Trajectory` runs.  Serialization
+lives in :mod:`smcmix.dataio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -33,6 +36,24 @@ def _frozen_array(values, dtype) -> np.ndarray:
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidModelError(message)
+
+
+def _check_sequences(states: np.ndarray, sojourns: np.ndarray, lengths=None) -> None:
+    """Invariants of one trajectory, or of trajectories of the given
+    ``lengths`` stored back to back (a state repeated across the boundary
+    of two of them is no self-transition)."""
+    _check(states.ndim == 1 and sojourns.ndim == 1, "states and sojourns must be 1-D")
+    _check(states.shape == sojourns.shape, "states and sojourns must have equal length")
+    shortest = len(states) if lengths is None else lengths.min()
+    _check(shortest >= 2, "a trajectory must visit at least two states")
+    # Array methods rather than np.all: every Trajectory runs this on its own.
+    # min() propagates NaN, so a NaN sojourn fails the last check.
+    _check(states.min() >= 0, "state indices must be nonnegative")
+    repeats = states[1:] == states[:-1]
+    if lengths is not None:
+        repeats[np.cumsum(lengths)[:-1] - 1] = False
+    _check(not repeats.any(), "self-transitions are not representable")
+    _check(sojourns.min() > 0.0, "sojourn durations must be strictly positive")
 
 
 def _check_chains(alpha: np.ndarray, trans: np.ndarray, absorbing: Optional[int]) -> None:
@@ -116,17 +137,7 @@ class Trajectory:
         sojourns = _frozen_array(self.sojourns, np.float64)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "sojourns", sojourns)
-        _check(states.ndim == 1 and sojourns.ndim == 1, "states and sojourns must be 1-D")
-        _check(
-            states.shape == sojourns.shape,
-            "states and sojourns must have equal length",
-        )
-        _check(len(states) >= 2, "a trajectory must visit at least two states")
-        # Array methods rather than np.all: this runs once per trajectory.
-        # min() propagates NaN, so a NaN sojourn fails the last check.
-        _check(states.min() >= 0, "state indices must be nonnegative")
-        _check((states[1:] != states[:-1]).all(), "self-transitions are not representable")
-        _check(sojourns.min() > 0.0, "sojourn durations must be strictly positive")
+        _check_sequences(states, sojourns)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -143,54 +154,102 @@ class Trajectory:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Panel:
-    """n subjects, each with B replicated trajectories over a shared space."""
+    """n subjects, each with B replicated trajectories over a shared space.
+
+    The trajectories are stored back to back: ``states`` and ``sojourns``
+    in (subject, replication, position) order, and ``lengths`` (n, B).
+    :attr:`subjects` and :meth:`trajectories` are views built on demand.
+    """
 
     space: StateSpace
-    subjects: tuple[tuple[Trajectory, ...], ...]
+    states: np.ndarray
+    sojourns: np.ndarray
+    lengths: np.ndarray
 
-    def __post_init__(self):
-        subjects = tuple(tuple(reps) for reps in self.subjects)
-        object.__setattr__(self, "subjects", subjects)
-        _check(len(subjects) >= 1, "a panel needs at least one subject")
-        b = len(subjects[0])
+    def __init__(self, space: StateSpace, subjects):
+        subjects = [tuple(reps) for reps in subjects]
+        b = len(subjects[0]) if subjects else 0
+        # A subject-by-subject walk reaches the first subject with another
+        # replication count only when every subject before it passes.
+        ragged = [i for i, reps in enumerate(subjects) if len(reps) != b]
+        head = subjects[: ragged[0]] if ragged else subjects
+        trajs = [t for reps in head for t in reps]
+        self._store(
+            space,
+            np.concatenate([t.states for t in trajs] or [[]]),
+            np.concatenate([t.sojourns for t in trajs] or [[]]),
+            np.reshape([len(t) for t in trajs], (len(head), b)),
+        )
+        if ragged:
+            i = ragged[0]
+            raise InvalidModelError(f"subject {i} has {len(subjects[i])} replications, expected {b}")
+
+    @classmethod
+    def from_arrays(cls, space: StateSpace, states, sojourns, lengths) -> "Panel":
+        """The panel whose trajectories are stored back to back in ``states``
+        and ``sojourns``, with lengths ``lengths`` (n, B)."""
+        panel = cls.__new__(cls)
+        panel._store(space, states, sojourns, lengths)
+        return panel
+
+    def _store(self, space, states, sojourns, lengths) -> None:
+        """Check the trajectories in one array pass and keep them; the first
+        trajectory that fails names its subject."""
+        lengths = _frozen_array(lengths, np.int64)
+        _check(
+            lengths.ndim == 2 and lengths.sum() == len(states),
+            "trajectory lengths must form an n x B matrix that covers the states",
+        )
+        n, b = lengths.shape
+        _check(n >= 1, "a panel needs at least one subject")
         _check(b >= 1, "every subject needs at least one replication")
-        d = self.space.n_states
-        absorbing = self.space.absorbing
-        for i, reps in enumerate(subjects):
-            _check(
-                len(reps) == b,
-                f"subject {i} has {len(reps)} replications, expected {b}",
-            )
-            for traj in reps:
-                _check(
-                    int(traj.states.max()) < d,
-                    f"subject {i} references a state outside the space",
-                )
-                if absorbing is not None:
-                    hits = np.flatnonzero(traj.states == absorbing)
-                    _check(
-                        hits.size == 0 or (hits.size == 1 and hits[0] == len(traj) - 1),
-                        f"subject {i}: absorbing state may only appear as the final state",
-                    )
+        states = _frozen_array(states, np.int64)
+        sojourns = _frozen_array(sojourns, np.float64)
+        _check_sequences(states, sojourns, lengths.ravel())
+        ends = np.cumsum(lengths)
+        starts = ends - lengths.ravel()
+        outside = np.maximum.reduceat(states, starts) >= space.n_states
+        early = np.zeros_like(outside)  # an absorbing state before the end
+        if space.absorbing is not None:
+            hits = states == space.absorbing
+            hits[ends - 1] = False
+            early = np.logical_or.reduceat(hits, starts)
+        bad = np.flatnonzero(outside | early)
+        if bad.size:
+            i = bad[0] // b
+            _check(not outside[bad[0]], f"subject {i} references a state outside the space")
+            raise InvalidModelError(f"subject {i}: absorbing state may only appear as the final state")
+        self.__dict__.update(space=space, states=states, sojourns=sojourns, lengths=lengths)
 
     @property
     def n_subjects(self) -> int:
-        return len(self.subjects)
+        return self.lengths.shape[0]
 
     @property
     def n_replications(self) -> int:
-        return len(self.subjects[0])
+        return self.lengths.shape[1]
+
+    @property
+    def subjects(self) -> tuple[tuple[Trajectory, ...], ...]:
+        trajs, b = list(self.trajectories()), self.n_replications
+        return tuple(tuple(trajs[i : i + b]) for i in range(0, len(trajs), b))
 
     def trajectories(self) -> Iterator[Trajectory]:
-        for reps in self.subjects:
-            yield from reps
+        ends = np.cumsum(self.lengths).tolist()
+        for a, z in zip([0, *ends], ends):
+            traj = object.__new__(Trajectory)  # read-only slices, checked by the panel
+            traj.__dict__.update(states=self.states[a:z], sojourns=self.sojourns[a:z])
+            yield traj
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Panel):
             return NotImplemented
-        return self.space == other.space and self.subjects == other.subjects
+        return self.space == other.space and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("lengths", "states", "sojourns")
+        )
 
 
 @dataclass(frozen=True)
@@ -211,11 +270,6 @@ class GammaParams:
     @property
     def variance(self) -> float:
         return self.shape / (self.rate * self.rate)
-
-
-def _check_prob_vector(v: np.ndarray, what: str) -> None:
-    _check(bool(np.all(v >= 0.0)), f"{what} must be nonnegative")
-    _check(abs(float(v.sum()) - 1.0) <= PROB_TOL, f"{what} must sum to 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -439,34 +493,21 @@ def validate_h1_h2(model: MixtureModel, strict_eps: float) -> list[Violation]:
     """
     if strict_eps <= 0:
         raise ValueError("strict_eps must be positive")
-    absorbing = model.space.absorbing
-    d = model.space.n_states
-    live = [j for j in range(d) if j != absorbing]
+    p = model.arrays()
+    live = p.live
+    pairs = live[:, None] & live[None, :] & ~np.eye(len(live), dtype=bool)
     out: list[Violation] = []
-    for g, comp in enumerate(model.components):
-        for j in live:
-            if comp.alpha[j] <= strict_eps:
-                out.append(Violation("h1-alpha", g, state=j))
-        for h in live:
-            for j in live:
-                if j == h:
-                    continue
-                if comp.trans[h, j] <= strict_eps:
-                    out.append(Violation("h1-trans", g, state=h, target=j))
     for g in range(model.n_components):
-        for g2 in range(g + 1, model.n_components):
-            a, b = model.components[g], model.components[g2]
-            distinct = False
-            for j in live:
-                pa, pb = a.sojourn[j], b.sojourn[j]
-                if (
-                    abs(pa.shape - pb.shape) > strict_eps
-                    or abs(pa.rate - pb.rate) > strict_eps
-                ):
-                    distinct = True
-                    break
-            if not distinct:
-                out.append(Violation("h2", g, other_component=g2))
+        low_alpha = np.flatnonzero(live & (p.alpha[g] <= strict_eps)).tolist()
+        low_trans = np.argwhere(pairs & (p.trans[g] <= strict_eps)).tolist()
+        out += [Violation("h1-alpha", g, state=j) for j in low_alpha]
+        out += [Violation("h1-trans", g, state=h, target=j) for h, j in low_trans]
+    for g, g2 in combinations(range(model.n_components), 2):
+        close = (np.abs(p.shape[g] - p.shape[g2]) <= strict_eps) & (
+            np.abs(p.rate[g] - p.rate[g2]) <= strict_eps
+        )
+        if close[live].all():
+            out.append(Violation("h2", g, other_component=g2))
     return out
 
 
@@ -490,58 +531,18 @@ class PooledParams:
         trans = _frozen_array(self.trans, np.float64)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "trans", trans)
-        _check_prob_vector(alpha, "pooled initial probabilities")
-        _check(bool(np.all(np.diag(trans) == 0.0)), "pooled diagonal must be zero")
-        _check(bool(np.all(trans >= 0.0)), "pooled transitions must be nonnegative")
-        row_sums = trans.sum(axis=1)
-        for j in range(trans.shape[0]):
-            if self.absorbing is not None and j == self.absorbing:
-                _check(bool(np.all(trans[j] == 0.0)), "pooled absorbing row must be zero")
-                continue
-            _check(
-                abs(float(row_sums[j]) - 1.0) <= PROB_TOL,
-                f"pooled transition row {j} must sum to 1",
-            )
+        _check_chains(alpha[None], trans[None], self.absorbing)
 
 
 def pool_mixture(model: MixtureModel) -> PooledParams:
     """Collapse a mixture into the parameters of its marginal renewal process."""
-    pi = model.weights
-    alpha = np.zeros(model.space.n_states)
-    trans = np.zeros((model.space.n_states, model.space.n_states))
-    for w, comp in zip(pi, model.components):
-        alpha = alpha + w * comp.alpha
-        trans = trans + w * comp.trans
-    sojourn = []
-    for j in range(model.space.n_states):
-        if model.space.absorbing is not None and j == model.space.absorbing:
-            sojourn.append(None)
-        else:
-            sojourn.append(
-                tuple((float(w), comp.sojourn[j]) for w, comp in zip(pi, model.components))
-            )
-    return PooledParams(
-        alpha=alpha, trans=trans, sojourn=tuple(sojourn), absorbing=model.space.absorbing
+    p = model.arrays()
+    # Summed over components in order, one weighted component at a time.
+    alpha = (p.weights[:, None] * p.alpha).sum(axis=0)
+    trans = (p.weights[:, None, None] * p.trans).sum(axis=0)
+    sojourn = tuple(
+        None if j == p.absorbing
+        else tuple((float(w), comp.sojourn[j]) for w, comp in zip(p.weights, model.components))
+        for j in range(model.space.n_states)
     )
-
-
-def renormalize_rows(matrix: np.ndarray, absorbing: Optional[int] = None) -> np.ndarray:
-    """Rescale each stochastic row to sum to exactly 1 (absorbing row stays zero)."""
-    out = np.array(matrix, dtype=np.float64)
-    for j in range(out.shape[0]):
-        if absorbing is not None and j == absorbing:
-            out[j] = 0.0
-            continue
-        s = out[j].sum()
-        if s <= 0:
-            raise InvalidModelError(f"row {j} has no mass to renormalize")
-        out[j] = out[j] / s
-    return out
-
-
-def renormalize_vector(v: np.ndarray) -> np.ndarray:
-    out = np.array(v, dtype=np.float64)
-    s = out.sum()
-    if s <= 0:
-        raise InvalidModelError("vector has no mass to renormalize")
-    return out / s
+    return PooledParams(alpha=alpha, trans=trans, sojourn=sojourn, absorbing=p.absorbing)

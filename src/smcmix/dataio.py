@@ -24,20 +24,13 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    ComponentParams,
-    GammaParams,
-    MixtureModel,
-    Panel,
-    StateSpace,
-    Trajectory,
-)
+from .core import ComponentParams, GammaParams, MixtureModel, Panel, StateSpace
 from .errors import DataError, MalformedRow, NonMonotoneOnset, UnknownAttribute
 from .likelihood import PanelStats
 from .sim import ABSORBING_RULE, Scenario
@@ -244,8 +237,11 @@ def read_panel(
     merge_count = 0
     dropped: list[tuple[str, int]] = []
     warnings: list[str] = []
-    # subject -> {replication: trajectory}, subjects in order of first appearance
-    by_subject: dict[str, dict[int, Trajectory]] = {}
+    # The merged states and durations of every usable sequence, back to back.
+    flat_states: list[int] = []
+    flat_durations: list[float] = []
+    # subject -> {replication: its rows in the flat lists}, in order of appearance
+    by_subject: dict[str, dict[int, range]] = {}
     for key, rows in groups.items():
         subject, replication = key
         reps = by_subject.setdefault(subject, {})
@@ -286,8 +282,10 @@ def read_panel(
                 f"subject {subject!r} replication {replication}: absorbing attribute "
                 f"{absorbing_label!r} appears before the end of the sequence"
             )
-        durations = np.diff(np.asarray(merged_onsets + [end], dtype=np.float64))
-        reps[replication] = Trajectory(states=np.asarray(states), sojourns=durations)
+        merged_onsets.append(end)
+        reps[replication] = range(len(flat_states), len(flat_states) + len(states))
+        flat_states += states
+        flat_durations += [b - a for a, b in zip(merged_onsets, merged_onsets[1:])]
 
     for key, line in end_lines.items():
         if key not in groups:
@@ -300,7 +298,7 @@ def read_panel(
         raise DataError("no usable sequences in the file")
     # A maximum, so at least one subject is kept.
     n_reps = max(len(reps) for reps in by_subject.values())
-    subjects = []
+    sequences: list[range] = []
     kept_ids = []
     dropped_subjects = []
     for subject, reps in by_subject.items():
@@ -311,10 +309,13 @@ def read_panel(
                 f"expected {n_reps}"
             )
             continue
-        subjects.append(tuple(reps[r] for r in sorted(reps)))
+        sequences.extend(reps[r] for r in sorted(reps))
         kept_ids.append(subject)
 
-    panel = Panel(space=space, subjects=tuple(subjects))
+    order = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
+    lengths = np.reshape([len(seq) for seq in sequences], (len(kept_ids), n_reps))
+    states, durations = np.take(flat_states, order), np.take(flat_durations, order)
+    panel = Panel.from_arrays(space, states, durations, lengths)
     report = IngestReport(
         subject_ids=tuple(kept_ids),
         merge_count=merge_count,
@@ -334,11 +335,15 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
     labels = panel.space.labels
 
     def rows():
-        for sid, reps in zip(subject_ids, panel.subjects):
-            for b, traj in enumerate(reps, start=1):
-                onsets = list(accumulate(map(float, traj.sojourns), initial=0.0))
-                for j, t in zip(traj.states, onsets):
-                    yield sid, b, labels[int(j)], t, onsets[-1]
+        states = panel.states.tolist()
+        sojourns = panel.sojourns.tolist()
+        a = 0
+        for sid, lengths in zip(subject_ids, panel.lengths.tolist()):
+            for b, n in enumerate(lengths, start=1):
+                onsets = list(accumulate(sojourns[a : a + n], initial=0.0))
+                for j, t in zip(states[a : a + n], onsets):
+                    yield sid, b, labels[j], t, onsets[-1]
+                a += n
 
     write_csv(path, ("subject", "replication", "attribute", "onset", "end"), rows())
 

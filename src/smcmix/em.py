@@ -23,17 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    MixtureArrays,
-    MixtureModel,
-    Panel,
-    PosteriorMatrix,
-    renormalize_vector,
-)
+from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix
 from .errors import (
     AllComponentsImpossible,
     EmptyComponent,
-    NonConvergence,
     NumericalError,
 )
 from .likelihood import (
@@ -51,6 +44,11 @@ ASCENT_SLACK = 1e-7
 # Consecutive iterations a component may hold less than one subject of
 # responsibility before the fit aborts.
 _EMPTY_STREAK_LIMIT = 3
+
+
+def _check_z_round(z_round: float) -> None:
+    if not (z_round == 0.0 or 0.0 < z_round <= 0.1):
+        raise ValueError("z_round must be 0 or in (0, 0.1]")
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ class EmConfig:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        if not (self.z_round == 0.0 or 0.0 < self.z_round <= 0.1):
-            raise ValueError("z_round must be 0 or in (0, 0.1]")
+        _check_z_round(self.z_round)
         if self.min_obs_mass < 0:
             raise ValueError("min_obs_mass must be nonnegative")
 
@@ -138,6 +135,7 @@ def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> 
 def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> PosteriorMatrix:
     """Posterior component responsibilities of every subject (Bayes rule in
     log space), rounded to multiples of ``z_round`` and renormalized."""
+    _check_z_round(z_round)
     stats = PanelStats.from_panel(panel)
     scores, norms = log_scores(subject_loglik_matrix(stats, model), model.weights)
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
@@ -168,10 +166,11 @@ def _m_step_alpha_trans_stats(
     n_comp = z.shape[1]
     warnings: list[str] = []
     ng = z.sum(axis=0)
-    alpha = z.T @ stats.first_counts
     rows = (z.T @ stats.trans_counts.reshape(n, d * d)).reshape(n_comp, d, d)
     totals = rows.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (z.T @ stats.first_counts) / (stats.n_replications * ng)[:, None]
+        alpha /= alpha.sum(axis=1, keepdims=True)
         trans = rows / totals[:, :, None]
         trans[:, np.arange(d), np.arange(d)] = 0.0
         trans /= trans.sum(axis=2, keepdims=True)
@@ -182,8 +181,6 @@ def _m_step_alpha_trans_stats(
             if stats.absorbing is not None:
                 live[stats.absorbing] = 0.0
             alpha[g] = live / live.sum()
-        else:
-            alpha[g] = renormalize_vector(alpha[g] / (stats.n_replications * ng[g]))
         for h in np.flatnonzero(totals[g] <= 0.0):
             if h == stats.absorbing:
                 continue
@@ -205,13 +202,13 @@ def _m_step_sojourn_stats(
     min_obs_mass: int,
     z_round: float,
     labels=None,
-    bracket_fallback: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Per-component, per-state penalized gamma fits of the sojourn times.
 
     A state whose number of weight-carrying observations does not exceed
     ``min_obs_mass`` inherits the fit pooled over all of the component's
-    observations regardless of state.  Returns ``(shape, rate, warnings)``
+    observations regardless of state, as does a degenerate state or one
+    whose shape leaves the search bracket.  Returns ``(shape, rate, warnings)``
     with shape and rate arrays of shape (G, D), NaN in the absorbing column.
     """
     n_comp = z.shape[1]
@@ -253,9 +250,6 @@ def _m_step_sojourn_stats(
                 f"component {g}: degenerate sojourn sample in state {name}; "
                 "pooled fallback"
             )
-        elif not bracket_fallback:
-            exc = status_error(fit_status[g, j])
-            raise NonConvergence(f"component {g}, state {name}: {exc}") from exc
         else:
             warnings.append(
                 f"component {g}: sojourn fit for state {name} left the "
@@ -340,8 +334,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
         pi = ng / z.shape[0]
         alpha, trans, w1 = _m_step_alpha_trans_stats(stats, z, labels=panel.space.labels)
         shape, rate, w2 = _m_step_sojourn_stats(
-            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=panel.space.labels,
-            bracket_fallback=True,
+            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=panel.space.labels
         )
         for msg in (*w1, *w2):
             warnings[msg] = None

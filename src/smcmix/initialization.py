@@ -13,14 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    ComponentParams,
-    GammaParams,
-    MixtureModel,
-    Panel,
-    renormalize_rows,
-    renormalize_vector,
-)
+from .core import GammaParams, MixtureArrays, MixtureModel, Panel
 from .errors import DegenerateSample
 from .likelihood import PanelStats
 from .sojourn import WeightedSample, fit_gamma_mom
@@ -91,6 +84,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     points = np.asarray(points, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     n = points.shape[0]
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
@@ -161,29 +156,28 @@ def _clustered_model(
     row_labels = labels[stats.soj_cells // d]
     row_states = stats.soj_cells % d
 
-    weights = np.zeros(n_components)
-    comps = []
+    # Cluster membership indicators: the counts are integers, so the
+    # products below sum them exactly, as a sum over each cluster would.
+    members = (labels[:, None] == np.arange(n_components)).astype(np.float64)
+    weights = members.sum(axis=0) / panel.n_subjects
+
+    alpha = members.T @ stats.first_counts + _SMOOTHING
+    trans = (members.T @ stats.trans_counts.reshape(-1, d * d)).reshape(-1, d, d) + _SMOOTHING
+    trans[:, np.arange(d), np.arange(d)] = 0.0
+    row_sums = trans.sum(axis=2, keepdims=True)
+    if absorbing is not None:
+        alpha[:, absorbing] = 0.0
+        trans[:, absorbing] = 0.0
+        row_sums[:, absorbing] = 1.0  # the absorbing row stays zero
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    trans /= row_sums
+
+    shape, rate = np.empty((2, n_components, d))
     for g in range(n_components):
-        members = np.flatnonzero(labels == g)
-        weights[g] = members.size / panel.n_subjects
-
-        allowed = np.ones(d)
-        if absorbing is not None:
-            allowed[absorbing] = 0.0
-        alpha = stats.first_counts[members].sum(axis=0) + _SMOOTHING * allowed
-        if absorbing is not None:
-            alpha[absorbing] = 0.0
-        alpha = renormalize_vector(alpha)
-
-        trans = stats.trans_counts[members].sum(axis=0) + _SMOOTHING
-        np.fill_diagonal(trans, 0.0)
-        trans = renormalize_rows(trans, absorbing)
-
         in_cluster = row_labels == g
         per_state = [stats.soj_durations[in_cluster & (row_states == j)] for j in range(d)]
         gammas = _cluster_gammas(per_state, absorbing, min_obs_mass)
-        comps.append(
-            ComponentParams(alpha=alpha, trans=trans, sojourn=tuple(gammas), absorbing=absorbing)
-        )
-    model = MixtureModel(space=panel.space, weights=weights, components=tuple(comps))
+        shape[g] = [np.nan if p is None else p.shape for p in gammas]
+        rate[g] = [np.nan if p is None else p.rate for p in gammas]
+    model = MixtureArrays(weights, alpha, trans, shape, rate, absorbing).to_model(panel.space)
     return model, labels

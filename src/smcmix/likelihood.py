@@ -8,9 +8,9 @@ E-step can assign zero responsibility naturally.
 :class:`PanelStats` holds the sufficient statistics of a panel (first-state
 counts, transition counts, per-state sojourn sums) so that subject
 log-likelihoods under any parameter set reduce to a few small matrix
-products.  It is the one place that walks a panel's trajectories: one
-pass over their concatenated states and sojourns fills every array, and
-the flat per-sojourn rows it keeps serve the moment initializer.  The
+products.  It reads the panel's flat arrays, where the trajectories are
+stored back to back, in one pass that fills every array, and the flat
+per-sojourn rows it keeps serve the moment initializer.  The
 per-trajectory operations below are the reference implementations; the
 vectorized path must and does agree with them.
 """
@@ -56,11 +56,9 @@ class PanelStats:
     def from_panel(cls, panel: Panel) -> "PanelStats":
         n, d = panel.n_subjects, panel.space.n_states
         absorbing = panel.space.absorbing
-        trajs = [t for reps in panel.subjects for t in reps]
-        lengths = np.fromiter((len(t) for t in trajs), dtype=np.int64, count=len(trajs))
-        states = np.concatenate([t.states for t in trajs])
-        durations = np.concatenate([t.sojourns for t in trajs])
-        subject_rows = lengths.reshape(n, panel.n_replications).sum(axis=1)
+        states, durations = panel.states, panel.sojourns
+        lengths = panel.lengths.ravel()
+        subject_rows = panel.lengths.sum(axis=1)
         cells = np.repeat(np.arange(n) * d, subject_rows) + states
         ends = np.cumsum(lengths)
         # Every row but the last of its trajectory starts a transition.

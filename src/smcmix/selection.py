@@ -109,6 +109,8 @@ def _select_g(
     g_values = sorted(set(int(g) for g in g_range))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
+    if sample_size is not None and sample_size < 1:
+        raise ValueError("sample_size must be positive")
     n_obs = sample_size if sample_size is not None else panel.n_subjects * panel.n_replications
     stats = PanelStats.from_panel(panel)
     has_absorbing = panel.space.absorbing is not None

@@ -144,7 +144,7 @@ def simulate_panel(
     labels = rng.choice(model.n_components, size=scenario.n_subjects, p=model.weights)
     samplers = [_ComponentSampler(c) for c in model.components]
     b = scenario.n_replications
-    # Every trajectory is drawn into one pair of lists, converted once.
+    # Every trajectory is drawn into one pair of lists, the panel's store.
     states: list[int] = []
     sojourns: list[float] = []
     ends = [0]
@@ -153,14 +153,8 @@ def simulate_panel(
         for _ in range(b):
             draw_into(scenario.stop_rule, rng, states, sojourns)
             ends.append(len(states))
-    flat_states = np.array(states, dtype=np.int64)
-    flat_sojourns = np.array(sojourns, dtype=np.float64)
-    trajs = [
-        Trajectory(states=flat_states[a:z], sojourns=flat_sojourns[a:z])
-        for a, z in zip(ends, ends[1:])
-    ]
-    subjects = tuple(tuple(trajs[i : i + b]) for i in range(0, len(trajs), b))
-    return Panel(space=model.space, subjects=subjects), labels
+    lengths = np.diff(ends).reshape(scenario.n_subjects, b)
+    return Panel.from_arrays(model.space, states, sojourns, lengths), labels
 
 
 @dataclass(frozen=True, eq=False)

@@ -235,6 +235,55 @@ class TestErrorPaths:
         assert doc["error"] == "MalformedRow"
         assert doc["message"].startswith("line 3:")
 
+    @pytest.mark.parametrize("command", ["fit", "select", "bench"])
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_exit_2(self, tmp_path, capsys, small_scenario_file,
+                                       command, restarts):
+        if command == "bench":
+            argv = ["bench", "--scenario", small_scenario_file, "--replicates", 1]
+        else:
+            panel = tmp_path / "panel.csv"
+            run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+            argv = [command, "--data", panel, "--out", tmp_path / "out"]
+            argv += ["--components", 2] if command == "fit" else ["--g-min", 1, "--g-max", 2]
+        code, _, err = run(capsys, *argv, "--restarts", restarts)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "restarts must be at least 1"
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("z_round", ["5", "-0.3", "nan"])
+    def test_classify_bad_z_round_exit_2(self, tmp_path, capsys, simple_model, z_round):
+        model = tmp_path / "model.json"
+        write_model(model, simple_model)
+        data = tmp_path / "panel.csv"
+        data.write_text("subject,replication,attribute,onset,end\ns1,1,A,0,5\ns1,1,B,2,5\n")
+        code, _, err = run(
+            capsys, "classify", "--data", data, "--model", model,
+            "--out", tmp_path / "labels.csv", "--z-round", z_round,
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "z_round must be 0 or in (0, 0.1]"
+        }
+        assert not (tmp_path / "labels.csv").exists()
+
+    @pytest.mark.parametrize("sample_size", [0, -3])
+    def test_select_bad_sample_size_exit_2(self, tmp_path, capsys, small_scenario_file,
+                                           sample_size):
+        panel = tmp_path / "panel.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        code, _, err = run(
+            capsys, "select", "--data", panel, "--g-min", 1, "--g-max", 2,
+            "--sample-size", sample_size, "--out", tmp_path / "crit.csv",
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "sample_size must be positive"
+        }
+        assert not (tmp_path / "crit.csv").exists()
+
     def test_classify_rejects_attribute_override(self, tmp_path, capsys, small_scenario_file):
         panel = tmp_path / "panel.csv"
         run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)

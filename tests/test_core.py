@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcmix import (
     ComponentParams,
@@ -7,6 +9,7 @@ from smcmix import (
     InvalidModelError,
     MixtureModel,
     Panel,
+    PooledParams,
     PosteriorMatrix,
     StateSpace,
     Trajectory,
@@ -82,7 +85,7 @@ class TestTrajectory:
 
 class TestPanel:
     def test_uniform_replications(self, two_state_space):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(InvalidModelError, match="^subject 1 has 2 replications, expected 1$"):
             Panel(
                 space=two_state_space,
                 subjects=(
@@ -92,14 +95,163 @@ class TestPanel:
             )
 
     def test_state_in_space(self, two_state_space):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(
+            InvalidModelError, match="^subject 0 references a state outside the space$"
+        ):
             Panel(space=two_state_space, subjects=((traj([0, 2], [1, 1]),),))
 
     def test_absorbing_only_final(self, absorbing_space):
-        with pytest.raises(InvalidModelError):
+        with pytest.raises(
+            InvalidModelError,
+            match="^subject 0: absorbing state may only appear as the final state$",
+        ):
             Panel(space=absorbing_space, subjects=((traj([2, 0], [1, 1]),),))
         # final position is fine
         Panel(space=absorbing_space, subjects=((traj([0, 2], [1, 1]),),))
+
+    def test_needs_subjects_and_replications(self, two_state_space):
+        with pytest.raises(InvalidModelError, match="^a panel needs at least one subject$"):
+            Panel(space=two_state_space, subjects=())
+        with pytest.raises(
+            InvalidModelError, match="^every subject needs at least one replication$"
+        ):
+            Panel(space=two_state_space, subjects=((), (traj([0, 1], [1, 1]),)))
+
+
+def _walk_subjects(space, subjects):
+    """Reference copy of the subject-by-subject checks a panel ran while it
+    stored its trajectories per subject: the oracle of the array pass."""
+    subjects = tuple(tuple(reps) for reps in subjects)
+    if len(subjects) < 1:
+        raise InvalidModelError("a panel needs at least one subject")
+    b = len(subjects[0])
+    if b < 1:
+        raise InvalidModelError("every subject needs at least one replication")
+    d = space.n_states
+    absorbing = space.absorbing
+    for i, reps in enumerate(subjects):
+        if len(reps) != b:
+            raise InvalidModelError(f"subject {i} has {len(reps)} replications, expected {b}")
+        for t in reps:
+            if int(t.states.max()) >= d:
+                raise InvalidModelError(f"subject {i} references a state outside the space")
+            if absorbing is not None:
+                hits = np.flatnonzero(t.states == absorbing)
+                if not (hits.size == 0 or (hits.size == 1 and hits[0] == len(t) - 1)):
+                    raise InvalidModelError(
+                        f"subject {i}: absorbing state may only appear as the final state"
+                    )
+
+
+def _message(build):
+    try:
+        build()
+    except InvalidModelError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _panel_cases(draw):
+    """Small panels that often break a panel rule: a state index equal to
+    the state count (outside the space), an absorbing state anywhere, or a
+    subject with one replication more or less than the first."""
+    d = draw(st.integers(2, 4))
+    space = StateSpace(labels=tuple("ABCD"[:d]), absorbing=draw(st.sampled_from([None, d - 1])))
+    b = draw(st.integers(1, 3))
+    subjects = []
+    for _ in range(draw(st.integers(1, 6))):
+        reps = []
+        for _ in range(draw(st.sampled_from([b, b, b, b + 1, b - 1]))):
+            states = [draw(st.integers(0, d))]
+            for _ in range(draw(st.integers(1, 4))):
+                states.append(draw(st.integers(0, d).filter(lambda j, s=states[-1]: j != s)))
+            reps.append(traj(states, np.ones(len(states))))
+        subjects.append(tuple(reps))
+    return space, subjects
+
+
+class TestFlatPanel:
+    """A panel stores its trajectories back to back and checks them in one
+    array pass."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_panel_cases())
+    def test_array_pass_names_the_subject_the_walk_names(self, case):
+        space, subjects = case
+        expected = _message(lambda: _walk_subjects(space, subjects))
+        assert _message(lambda: Panel(space, subjects)) == expected
+        counts = {len(reps) for reps in subjects}
+        if len(counts) == 1:
+            trajs = [t for reps in subjects for t in reps]
+            flat = (
+                space,
+                [j for t in trajs for j in t.states],
+                [x for t in trajs for x in t.sojourns],
+                np.reshape([len(t) for t in trajs], (len(subjects), counts.pop())),
+            )
+            assert _message(lambda: Panel.from_arrays(*flat)) == expected
+
+    @pytest.mark.parametrize(
+        "states, sojourns, lengths, message",
+        [
+            ([[0, 1], [1, 0]], [[1.0, 1.0], [1.0, 1.0]], [[2]], "states and sojourns must be 1-D"),
+            ([0, 1, 0, 1], [1.0, 1.0, 1.0], [[2, 2]], "states and sojourns must have equal length"),
+            ([0, 1, 0], [1.0, 1.0, 1.0], [[2, 1]], "a trajectory must visit at least two states"),
+            ([0, -1, 0, 1], [1.0] * 4, [[2, 2]], "state indices must be nonnegative"),
+            ([0, 1, 1, 0], [1.0] * 4, [[4]], "self-transitions are not representable"),
+            ([0, 1, 1, 0], [1.0, 0.0, 1.0, 1.0], [[2, 2]],
+             "sojourn durations must be strictly positive"),
+            ([0, 1, 1, 0], [1.0, 1.0, np.nan, 1.0], [[2, 2]],
+             "sojourn durations must be strictly positive"),
+            ([0, 1, 1, 0], [1.0] * 4, [[2, 1]],
+             "trajectory lengths must form an n x B matrix that covers the states"),
+            ([0, 1, 1, 0], [1.0] * 4, [2, 2],
+             "trajectory lengths must form an n x B matrix that covers the states"),
+            ([], [], np.zeros((0, 2)), "a panel needs at least one subject"),
+            ([], [], np.zeros((2, 0)), "every subject needs at least one replication"),
+        ],
+    )
+    def test_from_arrays_messages(self, two_state_space, states, sojourns, lengths, message):
+        with pytest.raises(InvalidModelError, match=f"^{message}$"):
+            Panel.from_arrays(two_state_space, states, sojourns, lengths)
+
+    def test_repeat_across_a_trajectory_boundary_is_legal(self, two_state_space):
+        panel = Panel.from_arrays(two_state_space, [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0], [[2, 2]])
+        assert [t.states.tolist() for t in panel.trajectories()] == [[0, 1], [1, 0]]
+
+    def test_subjects_constructor_matches_from_arrays(self, tiny_panel):
+        trajs = [t for reps in tiny_panel.subjects for t in reps]
+        flat = Panel.from_arrays(
+            tiny_panel.space,
+            np.concatenate([t.states for t in trajs]),
+            np.concatenate([t.sojourns for t in trajs]),
+            [[3, 2], [2, 3], [3, 2]],
+        )
+        assert flat == tiny_panel
+        assert flat.lengths.tolist() == [[3, 2], [2, 3], [3, 2]]
+        assert (flat.n_subjects, flat.n_replications) == (3, 2)
+
+    def test_subjects_round_trip(self, tiny_panel):
+        again = Panel(tiny_panel.space, tiny_panel.subjects)
+        assert again == tiny_panel
+        assert again.subjects == tiny_panel.subjects
+        assert [[t.states.tolist() for t in reps] for reps in again.subjects] == [
+            [[0, 1, 0], [1, 0]], [[0, 1], [0, 1, 0]], [[1, 0, 1], [0, 1]],
+        ]
+
+    def test_arrays_and_views_are_read_only(self, tiny_panel):
+        for arr in (tiny_panel.states, tiny_panel.sojourns, tiny_panel.lengths):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(ValueError):
+            tiny_panel.subjects[0][0].sojourns[0] = 1.0
+
+    def test_from_arrays_copies_its_input(self, two_state_space):
+        states = np.array([0, 1, 1, 0])
+        panel = Panel.from_arrays(two_state_space, states, np.ones(4), [[2, 2]])
+        states[0] = 1
+        assert panel.states.tolist() == [0, 1, 1, 0]
 
 
 class TestGammaParams:
@@ -231,6 +383,17 @@ class TestPoolMixture:
             space=two_state_space, weights=np.array([0.5, 0.5]), components=(c1, c2)
         )
         np.testing.assert_allclose(pool_mixture(model).alpha, [0.5, 0.5], atol=1e-15)
+
+    def test_pooled_params_use_the_component_checks(self, absorbing_space):
+        trans = np.array([[0, 0.5, 0.5], [0.5, 0, 0.5], [0, 0, 0]])
+        with pytest.raises(InvalidModelError, match="^absorbing state cannot be a first state$"):
+            PooledParams(alpha=[0.5, 0.4, 0.1], trans=trans, sojourn=(), absorbing=2)
+        with pytest.raises(InvalidModelError, match="^transition row 1 must sum to 1$"):
+            PooledParams(
+                alpha=[0.5, 0.5, 0.0], trans=trans * [[1], [0.5], [1]], sojourn=(), absorbing=2
+            )
+        with pytest.raises(InvalidModelError, match="^initial probabilities must sum to 1$"):
+            PooledParams(alpha=[0.5, 0.4, 0.0], trans=trans, sojourn=(), absorbing=2)
 
     def test_pooled_rows_stochastic(self):
         model = fixtures.well_separated_model()

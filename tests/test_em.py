@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from smcmix import (
     AllComponentsImpossible,
+    DegenerateSample,
     StateSpace,
     initial_model,
     EmConfig,
@@ -113,6 +114,14 @@ class TestEStep:
         ll = np.zeros((2, 5000))  # equal likelihoods: every entry is 2e-4
         with pytest.raises(NumericalError, match="too\\s+coarse"):
             _responsibilities(*log_scores(ll, np.full(5000, 1 / 5000)), z_round=0.1)
+
+    @pytest.mark.parametrize("z_round", [5.0, -0.3, math.nan, 0.1000001])
+    def test_z_round_follows_the_config_rule(self, tiny_panel, simple_model, z_round):
+        message = r"^z_round must be 0 or in \(0, 0\.1\]$"
+        with pytest.raises(ValueError, match=message):
+            EmConfig(z_round=z_round)
+        with pytest.raises(ValueError, match=message):
+            e_step(tiny_panel, simple_model, z_round=z_round)
 
     def test_all_components_impossible(self, tiny_panel):
         blocked = make_component(
@@ -279,12 +288,23 @@ class TestMStepSojourn:
         )
         panel = Panel(space=two_state_space, subjects=subjects)
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        from smcmix.errors import NonConvergence
+        _, _, warnings = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), z.z, 0.0, 7, 1e-4, labels=panel.space.labels
+        )
+        assert warnings == [
+            "component 0: sojourn fit for state A left the shape bracket; pooled fallback"
+        ]
 
-        with pytest.raises(NonConvergence, match="state A"):
-            _m_step_sojourn_stats(
-                PanelStats.from_panel(panel), z.z, 0.0, 7, 1e-4, labels=panel.space.labels
-            )
+
+    def test_pooled_fit_failure_is_raised(self, two_state_space):
+        # every sojourn equal and no penalty: the state fits and the pooled
+        # fallback are all degenerate
+        panel = Panel(space=two_state_space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 10)
+        z = np.ones((10, 1))
+        with pytest.raises(
+            DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
+        ):
+            _m_step_sojourn_stats(PanelStats.from_panel(panel), z, 0.0, 7, 1e-4)
 
 
 class TestFit:
@@ -554,8 +574,6 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     """Crafted statistics that reach every pooled fallback of one M-step:
     a degenerate state (A), a state whose unpenalized shape leaves the
     bracket (B) and a starved state (C); D gets its own fit."""
-    from smcmix.errors import NonConvergence
-
     space = StateSpace(labels=("A", "B", "C", "D"))
     rng = np.random.default_rng(12)
     subjects = []
@@ -566,9 +584,7 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     panel = Panel(space=space, subjects=tuple(subjects))
     stats = PanelStats.from_panel(panel)
     z = np.full((10, 2), 0.5)
-    shape, rate, warnings = _m_step_sojourn_stats(
-        stats, z, 0.0, 7, 1e-4, labels=space.labels, bracket_fallback=True
-    )
+    shape, rate, warnings = _m_step_sojourn_stats(stats, z, 0.0, 7, 1e-4, labels=space.labels)
     per_component = [
         "degenerate sojourn sample in state A; pooled fallback",
         "sojourn fit for state B left the shape bracket; pooled fallback",
@@ -579,8 +595,6 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     for params in (shape, rate):
         assert np.all(params[:, :3] == params[:, :1])
         assert np.all(params[:, 3] != params[:, 0])
-    with pytest.raises(NonConvergence, match=r"component 0, state B: shape search bracket"):
-        _m_step_sojourn_stats(stats, z, 0.0, 7, 1e-4, labels=space.labels)
 
 
 class TestMapCluster:

@@ -75,6 +75,11 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3, seed=0)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        with pytest.raises(ValueError, match="^restarts must be at least 1$"):
+            kmeans(np.zeros((4, 2)), 2, seed=0, restarts=restarts)
+
     def test_matches_exhaustive_partition_search(self):
         rng = np.random.default_rng(6)
         points = np.vstack(

@@ -106,6 +106,11 @@ class TestSelectG:
         assert default.rows[0].loglik == overridden.rows[0].loglik
         assert default.rows[0].bic != overridden.rows[0].bic
 
+    @pytest.mark.parametrize("sample_size", [0, -5])
+    def test_sample_size_must_be_positive(self, small_two_component_panel, sample_size):
+        with pytest.raises(ValueError, match="^sample_size must be positive$"):
+            select_g(small_two_component_panel, [1], EmConfig(), sample_size=sample_size)
+
     def test_criteria_finite(self, small_two_component_panel):
         sweep = select_g(small_two_component_panel, [1, 2], EmConfig(seed=2))
         for row in sweep.rows:
