@@ -13,7 +13,7 @@ lives in :mod:`smcmix.dataio`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
@@ -31,6 +31,12 @@ def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _reduce_through_init(self):
+    """Pickle support: rebuild through the constructor, which freezes the
+    arrays again (pickle restores them writeable) and re-runs the checks."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _check(condition: bool, message: str) -> None:
@@ -139,6 +145,8 @@ class Trajectory:
         object.__setattr__(self, "sojourns", sojourns)
         _check_sequences(states, sojourns)
 
+    __reduce__ = _reduce_through_init
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -185,6 +193,11 @@ class Panel:
         if ragged:
             i = ragged[0]
             raise InvalidModelError(f"subject {i} has {len(subjects[i])} replications, expected {b}")
+
+    def __reduce__(self):
+        """Pickle support: rebuild through :meth:`from_arrays`, which freezes
+        the arrays again and re-runs the checks."""
+        return Panel.from_arrays, (self.space, self.states, self.sojourns, self.lengths)
 
     @classmethod
     def from_arrays(cls, space: StateSpace, states, sojourns, lengths) -> "Panel":
@@ -287,6 +300,8 @@ class ComponentParams:
     sojourn: tuple[Optional[GammaParams], ...]
     absorbing: Optional[int] = None
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self):
         alpha = _frozen_array(self.alpha, np.float64)
         trans = _frozen_array(self.trans, np.float64)
@@ -341,6 +356,8 @@ class MixtureModel:
     space: StateSpace
     weights: np.ndarray
     components: tuple[ComponentParams, ...]
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         weights = _frozen_array(self.weights, np.float64)
@@ -442,6 +459,8 @@ class PosteriorMatrix:
 
     z: np.ndarray
 
+    __reduce__ = _reduce_through_init
+
     def __post_init__(self):
         z = _frozen_array(self.z, np.float64)
         object.__setattr__(self, "z", z)
@@ -525,6 +544,8 @@ class PooledParams:
     trans: np.ndarray
     sojourn: tuple[Optional[tuple[tuple[float, GammaParams], ...]], ...]
     absorbing: Optional[int] = None
+
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         alpha = _frozen_array(self.alpha, np.float64)

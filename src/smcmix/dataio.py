@@ -8,8 +8,9 @@ the last onset.  Consecutive repeats of the same attribute are merged with
 summed durations, since the embedded chain cannot represent
 self-transitions; the merge count is reported.
 
-Every CSV file the library or the CLI reads goes through one row reader,
-:func:`_read_rows`, and every one it writes through :func:`write_csv`.
+Every CSV file the library or the CLI reads goes through one chunked
+column reader, :func:`_read_columns`, and every one it writes through
+:func:`write_csv`.
 
 All writers are deterministic byte-for-byte (floats use 17 significant
 digits) and atomic (write to a temporary file, then rename), so a failed
@@ -24,7 +25,8 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, compress, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -75,12 +77,19 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-def _read_rows(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ","):
-    """Yield ``(line, fields)`` per data row of a delimited file: the values
-    of the ``required`` and then the ``optional`` columns, found by their
-    header names stripped of spaces.  A column the header lacks or a short
-    row does not reach reads None, so a short row fails in its caller's
-    parse, on its own line.  Blank lines are skipped, as in csv.DictReader."""
+# Data rows converted at a time: a chunk's strings are freed before the next
+# chunk is read, so peak memory does not grow with the file.
+_CHUNK_ROWS = 8192
+
+
+def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ","):
+    """Yield ``(lines, columns)`` per chunk of up to ``_CHUNK_ROWS`` data rows
+    of a delimited file: the physical line number of each row, and one list
+    of the rows' values per column of ``required`` and then ``optional``,
+    found by their header names stripped of spaces.  A column the header
+    lacks or a short row does not reach reads None, so a short row fails in
+    its caller's parse, on its own line.  Blank lines are skipped, as in
+    csv.DictReader."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
@@ -91,16 +100,63 @@ def _read_rows(path, required: Sequence[str], optional: Sequence[str] = (), deli
         if missing:
             raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
         columns = [position.get(c) for c in (*required, *optional)]
-        for row in reader:
-            if row:
-                n = len(row)
-                yield reader.line_num, [None if k is None or k >= n else row[k] for k in columns]
+        taken = _CHUNK_ROWS
+        while taken == _CHUNK_ROWS:
+            rows, lines, taken = [], [], 0
+            for taken, row in enumerate(islice(reader, _CHUNK_ROWS), start=1):
+                if row:
+                    rows.append(row)
+                    lines.append(reader.line_num)
+            if rows:
+                yield lines, [_column(rows, k) for k in columns]
 
 
-def _finite(value: float, line: int, name: str) -> float:
-    if not math.isfinite(value):
-        raise MalformedRow(line, f"{name} must be finite")
-    return value
+def _column(rows: list, k: Optional[int]) -> list:
+    if k is None:
+        return [None] * len(rows)
+    try:
+        return list(map(itemgetter(k), rows))
+    except IndexError:
+        return [row[k] if k < len(row) else None for row in rows]
+
+
+def _codes(values: list, table: dict, key) -> np.ndarray:
+    """The code of ``key(value)`` in ``table`` for each value, or -1 where
+    ``key`` raises.  A new key gets the next code, so codes follow first
+    appearance; ``key`` runs once per distinct value."""
+    local = dict.fromkeys(values)
+    for value in local:
+        try:
+            local[value] = table.setdefault(key(value), len(table))
+        except (TypeError, ValueError, AttributeError):
+            local[value] = -1
+    return np.fromiter(map(local.__getitem__, values), np.int64, len(values))
+
+
+def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each value, NaN where it does not parse, and the mask of
+    the values that do not parse."""
+    bad = np.zeros(len(values), dtype=bool)
+    try:
+        return np.fromiter(map(float, values), np.float64, len(values)), bad
+    except (TypeError, ValueError):
+        out = np.full(len(values), np.nan)
+        for k, value in enumerate(values):
+            try:
+                out[k] = float(value)
+            except (TypeError, ValueError):
+                bad[k] = True
+        return out, bad
+
+
+def _first_failure(checks: Sequence[np.ndarray]) -> Optional[tuple[int, int]]:
+    """``(i, k)``: the first index ``i`` where any of the masks ``checks``
+    holds and the first check ``k`` that holds there, or None."""
+    failing = np.logical_or.reduce(checks)
+    if not failing.any():
+        return None
+    i = int(np.argmax(failing))
+    return i, next(k for k, mask in enumerate(checks) if mask[i])
 
 
 def _dump_json(obj, indent: int = 0) -> str:
@@ -155,16 +211,69 @@ def _read_end_sidecar(path) -> tuple[dict, dict]:
     read from."""
     ends = {}
     lines = {}
-    for line, (subject, replication, end) in _read_rows(path, ("subject", "replication", "end")):
-        try:
-            key = (subject.strip(), int(replication))
-            value = float(end)
-        except (TypeError, ValueError, AttributeError):
-            raise MalformedRow(line, "bad row in record-end sidecar") from None
-        if ends.setdefault(key, _finite(value, line, "end")) != value:
-            raise MalformedRow(line, "conflicting record-end values in one sequence")
-        lines.setdefault(key, line)
+    for chunk_lines, columns in _read_columns(path, ("subject", "replication", "end")):
+        for line, subject, replication, end in zip(chunk_lines, *columns):
+            try:
+                key = (subject.strip(), int(replication))
+                value = float(end)
+            except (TypeError, ValueError, AttributeError):
+                raise MalformedRow(line, "bad row in record-end sidecar") from None
+            if not math.isfinite(value):
+                raise MalformedRow(line, "end must be finite")
+            if ends.setdefault(key, value) != value:
+                raise MalformedRow(line, "conflicting record-end values in one sequence")
+            lines.setdefault(key, line)
     return ends, lines
+
+
+# The checks on one panel row, in the order a row that fails several reports them.
+_ROW_CHECKS = (
+    "cannot parse subject/replication/attribute/onset",
+    "empty subject or attribute",
+    "replication must be a positive integer",
+    "onset must be finite",
+    "cannot parse end",
+    "end must be finite",
+)
+
+
+def _parse_panel_rows(path, delimiter: str):
+    """The rows of a panel file as arrays: line, subject, replication and
+    attribute codes, onset, end (NaN where blank) and whether the row has
+    an end; the code tables of subjects (stripped), replications (as int)
+    and attributes (stripped); and the error of the first row that fails a
+    row check, the rows from it on left out."""
+    tables = subjects, replications, attributes = {}, {}, {}
+    chunks = []
+    error = None
+    reader = _read_columns(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter)
+    for lines, (subject, replication, attribute, onset, end) in reader:
+        s = _codes(subject, subjects, str.strip)
+        r = _codes(replication, replications, int)
+        a = _codes(attribute, attributes, str.strip)
+        t, bad_onset = _floats(onset)
+        has_end = np.fromiter(map(bool, end), bool, len(end))
+        e = np.full(len(end), np.nan)
+        bad_end = np.zeros(len(end), dtype=bool)
+        e[has_end], bad_end[has_end] = _floats(list(compress(end, has_end)))
+        # By replication code; the last entry serves code -1, a replication that did not parse.
+        below_one = np.array([value < 1 for value in replications] + [False])
+        failure = _first_failure([
+            (s < 0) | (r < 0) | (a < 0) | bad_onset,
+            (s == subjects.get("", -2)) | (a == attributes.get("", -2)),
+            below_one[r],
+            ~np.isfinite(t),
+            bad_end,
+            has_end & ~np.isfinite(e),
+        ])
+        n = len(lines) if failure is None else failure[0]
+        chunks.append((np.array(lines[:n], dtype=np.int64), s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
+        if failure is not None:
+            error = MalformedRow(lines[n], _ROW_CHECKS[failure[1]])
+            break
+    if not chunks:
+        raise MalformedRow(1, "no data rows")
+    return [np.concatenate(column) for column in zip(*chunks)], tables, error
 
 
 def read_panel(
@@ -188,136 +297,147 @@ def read_panel(
     absorbing label (default ``"STOP"``), if seen, placed last.  Sequences
     with fewer than two states after merging are dropped with a warning,
     as are subjects left with fewer replications than their peers.
+
+    The file is read in chunks of rows, each converted to arrays column by
+    column; the checks, the merge and the durations then run as array
+    passes over all rows.  Errors come in a fixed order: sidecar errors,
+    then row errors in file order, then sequence errors in order of first
+    appearance.
     """
     ends, end_lines = ({}, {}) if ends_path is None else _read_end_sidecar(ends_path)
+    columns, tables, error = _parse_panel_rows(path, delimiter)
+    line, subject, replication, attribute, onset, end, has_end = columns
+    subjects, replications, attributes = tables
+    subject_names, rep_values, attribute_names = (list(table) for table in tables)
 
-    # (subject, replication) -> rows, in order of first appearance
-    groups: dict[tuple[str, int], list] = {}
-    group_end: dict[tuple[str, int], float] = {}
-    reader = _read_rows(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter)
-    for line, (subject, replication, attribute, onset, end) in reader:
-        try:
-            subject = subject.strip()
-            replication = int(replication)
-            attribute = attribute.strip()
-            onset = float(onset)
-        except (TypeError, ValueError, AttributeError):
-            raise MalformedRow(line, "cannot parse subject/replication/attribute/onset") from None
-        if not subject or not attribute:
-            raise MalformedRow(line, "empty subject or attribute")
-        if replication < 1:
-            raise MalformedRow(line, "replication must be a positive integer")
-        _finite(onset, line, "onset")
-        key = (subject, replication)
-        groups.setdefault(key, []).append((line, attribute, onset))
-        if end not in (None, ""):
-            try:
-                end = float(end)
-            except ValueError:
-                raise MalformedRow(line, "cannot parse end") from None
-            _finite(end, line, "end")
-            if group_end.setdefault(key, end) != end:
-                raise MalformedRow(line, "conflicting record-end values in one sequence")
-    if not groups:
-        raise MalformedRow(1, "no data rows")
+    # Sequences (subject, replication), numbered in order of first
+    # appearance; ``rows`` lists the rows sequence by sequence, each
+    # sequence's rows in file order.
+    unique, first, inverse = np.unique(
+        subject * len(rep_values) + replication, return_index=True, return_inverse=True
+    )
+    n_groups = len(unique)
+    number = np.empty(n_groups, dtype=np.int64)
+    number[np.argsort(first)] = np.arange(n_groups)
+    group = number[inverse]
+    rows = np.argsort(group, kind="stable")
+
+    # The record end of the end column: the first one given per sequence.
+    with_end = rows[has_end[rows]]
+    leads = with_end[np.diff(group[with_end], prepend=-1) != 0]
+    group_end = np.full(n_groups, np.nan)
+    group_end[group[leads]] = end[leads]
+    conflicts = np.flatnonzero(has_end & (end != group_end[group]))
+    if conflicts.size:
+        raise MalformedRow(int(line[conflicts[0]]), "conflicting record-end values in one sequence")
+    if error is not None:
+        raise error
 
     # State space
     if labels is not None:
         label_list = [str(x) for x in labels]
     else:
-        observed = sorted({attr for rows in groups.values() for _, attr, _ in rows})
-        if absorbing_label in observed:
-            observed.remove(absorbing_label)
-            observed.append(absorbing_label)
-        label_list = observed
+        label_list = sorted(attribute_names)
+        if absorbing_label in label_list:
+            label_list.remove(absorbing_label)
+            label_list.append(absorbing_label)
     absorbing = label_list.index(absorbing_label) if absorbing_label in label_list else None
     space = StateSpace(labels=tuple(label_list), absorbing=absorbing)
     index = {lab: k for k, lab in enumerate(label_list)}
 
-    merge_count = 0
-    dropped: list[tuple[str, int]] = []
-    warnings: list[str] = []
-    # The merged states and durations of every usable sequence, back to back.
-    flat_states: list[int] = []
-    flat_durations: list[float] = []
-    # subject -> {replication: its rows in the flat lists}, in order of appearance
-    by_subject: dict[str, dict[int, range]] = {}
-    for key, rows in groups.items():
-        subject, replication = key
-        reps = by_subject.setdefault(subject, {})
-        onsets = [onset for _, _, onset in rows]
-        if any(b <= a for a, b in zip(onsets, onsets[1:])):
-            raise NonMonotoneOnset(subject, replication)
-        states: list[int] = []
-        merged_onsets: list[float] = []
-        for line, attribute, onset in rows:
-            if labels is not None and attribute not in index:
-                raise UnknownAttribute(attribute, line)
-            j = index[attribute]
-            if states and states[-1] == j:
-                merge_count += 1
-                continue
-            states.append(j)
-            merged_onsets.append(onset)
-        end = group_end.get(key, ends.get(key))
-        if end is None:
-            raise DataError(
-                f"no record end for subject {subject!r} replication {replication} "
-                "(add an 'end' column or a sidecar)"
-            )
-        if end <= merged_onsets[-1]:
-            raise DataError(
-                f"record end precedes the last onset for subject {subject!r} "
-                f"replication {replication}"
-            )
-        if len(states) < 2:
-            dropped.append(key)
-            warnings.append(
-                f"dropped subject {subject!r} replication {replication}: "
-                "fewer than two states"
-            )
-            continue
-        if absorbing is not None and absorbing in states[:-1]:
-            raise DataError(
-                f"subject {subject!r} replication {replication}: absorbing attribute "
-                f"{absorbing_label!r} appears before the end of the sequence"
-            )
-        merged_onsets.append(end)
-        reps[replication] = range(len(flat_states), len(flat_states) + len(states))
-        flat_states += states
-        flat_durations += [b - a for a, b in zip(merged_onsets, merged_onsets[1:])]
+    g = group[rows]
+    states = np.array([index.get(name, -1) for name in attribute_names], dtype=np.int64)[attribute[rows]]
+    onsets = onset[rows]
+    new = np.r_[True, g[1:] != g[:-1]]
+    g_subject, g_replication = subject[rows[new]], replication[rows[new]]
+    last_onset = onsets[np.r_[new[1:], True]]
 
-    for key, line in end_lines.items():
-        if key not in groups:
-            warnings.append(
-                f"record-end sidecar line {line}: no sequence for subject {key[0]!r} "
+    def per_group(mask):
+        return np.bincount(g[mask], minlength=n_groups) > 0
+
+    group_of = dict(zip(zip(g_subject.tolist(), g_replication.tolist()), range(n_groups)))
+    unmatched = []
+    for key, value in ends.items():
+        i = group_of.get((subjects.get(key[0]), replications.get(key[1])))
+        if i is None:
+            unmatched.append(
+                f"record-end sidecar line {end_lines[key]}: no sequence for subject {key[0]!r} "
                 f"replication {key[1]}"
             )
+        elif np.isnan(group_end[i]):
+            group_end[i] = value
 
-    if not any(by_subject.values()):
+    # Consecutive repeats of one state merge into the first row.
+    kept = np.flatnonzero(new | (states != np.r_[-1, states[:-1]]))
+    merge_count = len(rows) - len(kept)
+    k_group, k_states = g[kept], states[kept]
+    k_last = np.r_[k_group[1:] != k_group[:-1], True]
+    n_states = np.bincount(k_group, minlength=n_groups)
+    early = np.zeros(n_groups, dtype=bool)
+    if absorbing is not None:
+        early[k_group[(k_states == absorbing) & ~k_last]] = True
+
+    unknown = states < 0
+    failure = _first_failure([
+        per_group(np.r_[False, ~new[1:] & (onsets[1:] <= onsets[:-1])]),
+        per_group(unknown),
+        np.isnan(group_end),
+        group_end <= last_onset,
+        early,
+    ])
+    if failure is not None:
+        i, check = failure
+        name, rep = subject_names[g_subject[i]], rep_values[g_replication[i]]
+        if check == 0:
+            raise NonMonotoneOnset(name, rep)
+        if check == 1:
+            r = rows[(g == i) & unknown][0]
+            raise UnknownAttribute(attribute_names[attribute[r]], int(line[r]))
+        raise DataError((
+            f"no record end for subject {name!r} replication {rep} "
+            "(add an 'end' column or a sidecar)",
+            f"record end precedes the last onset for subject {name!r} replication {rep}",
+            f"subject {name!r} replication {rep}: absorbing attribute "
+            f"{absorbing_label!r} appears before the end of the sequence",
+        )[check - 2])
+
+    # Each sojourn runs to the next merged onset, the last to the record end.
+    # A difference of huge values overflows to inf without a warning, as in
+    # Python float arithmetic.
+    k_onsets = onsets[kept]
+    with np.errstate(over="ignore"):
+        durations = np.where(k_last, group_end[k_group], np.r_[k_onsets[1:], 0.0]) - k_onsets
+
+    usable = n_states >= 2
+    dropped = [
+        (subject_names[g_subject[i]], rep_values[g_replication[i]]) for i in np.flatnonzero(~usable)
+    ]
+    warnings = [f"dropped subject {s!r} replication {r}: fewer than two states" for s, r in dropped]
+    warnings += unmatched
+    if not usable.any():
         raise DataError("no usable sequences in the file")
     # A maximum, so at least one subject is kept.
-    n_reps = max(len(reps) for reps in by_subject.values())
-    sequences: list[range] = []
-    kept_ids = []
+    reps_kept = np.bincount(g_subject[usable], minlength=len(subject_names))
+    n_reps = int(reps_kept.max())
     dropped_subjects = []
-    for subject, reps in by_subject.items():
-        if len(reps) < n_reps:
-            dropped_subjects.append(subject)
-            warnings.append(
-                f"dropped subject {subject!r}: {len(reps)} usable replications, "
-                f"expected {n_reps}"
-            )
-            continue
-        sequences.extend(reps[r] for r in sorted(reps))
-        kept_ids.append(subject)
+    for code in np.flatnonzero(reps_kept < n_reps):
+        dropped_subjects.append(subject_names[code])
+        warnings.append(
+            f"dropped subject {subject_names[code]!r}: {reps_kept[code]} usable replications, "
+            f"expected {n_reps}"
+        )
 
-    order = np.fromiter(chain.from_iterable(sequences), dtype=np.int64)
-    lengths = np.reshape([len(seq) for seq in sequences], (len(kept_ids), n_reps))
-    states, durations = np.take(flat_states, order), np.take(flat_durations, order)
-    panel = Panel.from_arrays(space, states, durations, lengths)
+    # The kept sequences by subject, each subject's in replication order.
+    rep_rank = np.empty(len(rep_values), dtype=np.int64)
+    rep_rank[sorted(range(len(rep_values)), key=rep_values.__getitem__)] = np.arange(len(rep_values))
+    chosen = np.flatnonzero(usable & (reps_kept == n_reps)[g_subject])
+    chosen = chosen[np.lexsort((rep_rank[g_replication[chosen]], g_subject[chosen]))]
+    lengths = n_states[chosen]
+    starts = np.cumsum(n_states) - n_states
+    take = np.repeat(starts[chosen] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    panel = Panel.from_arrays(space, k_states[take], durations[take], lengths.reshape(-1, n_reps))
     report = IngestReport(
-        subject_ids=tuple(kept_ids),
+        subject_ids=tuple(subject_names[code] for code in np.flatnonzero(reps_kept == n_reps)),
         merge_count=merge_count,
         dropped_sequences=tuple(dropped),
         dropped_subjects=tuple(dropped_subjects),
@@ -357,11 +477,12 @@ def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> Non
 def read_labels(path) -> dict[str, int]:
     """Subject id -> 0-based component label (inverse of :func:`write_labels`)."""
     out = {}
-    for line, (subject, component) in _read_rows(path, ("subject", "component")):
-        try:
-            out[subject.strip()] = int(component) - 1
-        except (TypeError, ValueError, AttributeError):
-            raise MalformedRow(line, "bad row in labels file") from None
+    for lines, columns in _read_columns(path, ("subject", "component")):
+        for line, subject, component in zip(lines, *columns):
+            try:
+                out[subject.strip()] = int(component) - 1
+            except (TypeError, ValueError, AttributeError):
+                raise MalformedRow(line, "bad row in labels file") from None
     return out
 
 

@@ -272,7 +272,10 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     trace includes the starting model.  A per-state gamma fit whose shape
     leaves the search bracket is replaced by the component-pooled fit with
     a warning (the same fallback used for starved states), so only a
-    pooled-fit failure propagates as :class:`NonConvergence`.  Aborts with
+    failure of the pooled fit itself propagates, its message naming the
+    component: as :class:`~smcmix.errors.DegenerateSample` when the pooled
+    sample has numerically zero variance and no penalty applies, and as
+    :class:`NonConvergence` when the pooled shape search fails.  Aborts with
     :class:`EmptyComponent` (carrying the partial report) when a component
     keeps less than one subject of responsibility for three consecutive
     iterations, or loses all mass outright.  An M-step whose parameters

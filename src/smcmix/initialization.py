@@ -54,10 +54,13 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, sse_trace
     for _ in range(300):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
-        # Re-seed empty clusters from the point farthest from its center.
+        # Re-seed empty clusters from the point farthest from its center,
+        # among points whose cluster keeps another member: moving a lone
+        # point would empty its cluster, whose mean would then be NaN.
         for c in range(k):
             if not np.any(new_labels == c):
-                far = int(np.argmax(d2[np.arange(n), new_labels]))
+                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, d2[np.arange(n), new_labels], -1.0)))
                 centers[c] = points[far]
                 new_labels[far] = c
         if np.array_equal(new_labels, labels):

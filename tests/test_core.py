@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +255,44 @@ class TestFlatPanel:
         panel = Panel.from_arrays(two_state_space, states, np.ones(4), [[2, 2]])
         states[0] = 1
         assert panel.states.tolist() == [0, 1, 1, 0]
+
+
+def _arrays(obj):
+    """Every array an object holds, its nested model objects' included."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _arrays(item)
+
+
+class TestPickle:
+    def test_round_trip_keeps_values_and_read_only_arrays(self, tiny_panel, simple_model):
+        objects = [
+            traj([0, 1, 0], [1.0, 2.0, 0.5]),
+            next(tiny_panel.trajectories()),  # a view into the panel
+            tiny_panel,
+            simple_model.components[0],
+            simple_model,
+            PosteriorMatrix(z=np.array([[0.25, 0.75], [1.0, 0.0]])),
+            pool_mixture(simple_model),
+        ]
+        for obj in objects:
+            back = pickle.loads(pickle.dumps(obj))
+            assert type(back) is type(obj)
+            if isinstance(obj, PooledParams):  # no __eq__
+                assert (back.sojourn, back.absorbing) == (obj.sojourn, obj.absorbing)
+            else:
+                assert back == obj
+            pairs = list(zip(_arrays(obj), _arrays(back), strict=True))
+            assert pairs
+            for a, b in pairs:
+                np.testing.assert_array_equal(b, a)
+                assert b.dtype == a.dtype
+                assert not b.flags.writeable, type(obj).__name__
 
 
 class TestGammaParams:

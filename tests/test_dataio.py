@@ -158,6 +158,20 @@ class TestReadPanel:
         with pytest.raises(DataError):
             read_panel(f)
 
+    def test_repeat_after_record_end_rejected(self, tmp_path):
+        # B is merged into one sojourn, but its second row lies past the end.
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject,replication,attribute,onset,end\n"
+            "s1,1,A,0,5\n"
+            "s1,1,B,3,5\n"
+            "s1,1,B,8,5\n",
+        )
+        with pytest.raises(
+            DataError, match="^record end precedes the last onset for subject 's1' replication 1$"
+        ):
+            read_panel(f)
+
     def test_absorbing_label_sorted_last(self, tmp_path):
         f = write_csv(
             tmp_path / "p.csv",

@@ -308,6 +308,14 @@ class TestMStepSojourn:
 
 
 class TestFit:
+    def test_pooled_fit_failure_propagates(self, two_state_space):
+        panel = Panel(space=two_state_space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 10)
+        init = initial_model(panel, 1, seed=0)
+        with pytest.raises(
+            DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
+        ):
+            fit(panel, 1, init, EmConfig(penalized=False))
+
     def test_single_component_fixed_point(self, tiny_panel):
         init = initial_model(tiny_panel, 1, seed=0)
         cfg = EmConfig(min_obs_mass=2)

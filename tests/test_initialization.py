@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -79,6 +80,16 @@ class TestKmeans:
     def test_needs_a_restart(self, restarts):
         with pytest.raises(ValueError, match="^restarts must be at least 1$"):
             kmeans(np.zeros((4, 2)), 2, seed=0, restarts=restarts)
+
+    def test_reseeding_keeps_every_cluster(self):
+        # Three distinct points for five clusters: an empty cluster must not
+        # be re-seeded with the lone member of another one.
+        points = [[0.0]] * 10 + [[1.0]] * 10 + [[2.0]] * 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(5):
+                labels = kmeans(points, 5, seed=seed)
+                assert set(labels) == set(range(5))
 
     def test_matches_exhaustive_partition_search(self):
         rng = np.random.default_rng(6)
