@@ -338,6 +338,9 @@ def read_panel(
         label_list = [str(x) for x in labels]
     else:
         label_list = sorted(attribute_names)
+        if len(label_list) < 2:
+            raise DataError(f"{path}: every row has the attribute {label_list[0]!r}; "
+                            "a state space needs at least two")
         if absorbing_label in label_list:
             label_list.remove(absorbing_label)
             label_list.append(absorbing_label)
@@ -475,14 +478,22 @@ def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> Non
 
 
 def read_labels(path) -> dict[str, int]:
-    """Subject id -> 0-based component label (inverse of :func:`write_labels`)."""
+    """Subject id -> 0-based component label (inverse of :func:`write_labels`).
+
+    Components are numbered from 1; a subject listed twice must be given
+    the same component both times."""
     out = {}
     for lines, columns in _read_columns(path, ("subject", "component")):
         for line, subject, component in zip(lines, *columns):
             try:
-                out[subject.strip()] = int(component) - 1
+                label = int(component) - 1
+                subject = subject.strip()
             except (TypeError, ValueError, AttributeError):
                 raise MalformedRow(line, "bad row in labels file") from None
+            if label < 0:
+                raise MalformedRow(line, "component must be at least 1")
+            if out.setdefault(subject, label) != label:
+                raise MalformedRow(line, "conflicting components for one subject")
     return out
 
 

@@ -1,25 +1,27 @@
 """Penalized EM driver for mixtures of semi-Markov chains.
 
-One iteration alternates the responsibility update (E-step, computed in
-log space, rounded to a configurable quantum and renormalized) with three
+One EM map alternates the responsibility update (E-step, computed in log
+space, rounded to a configurable quantum and renormalized) with three
 closed-form or one-dimensional M-step updates: mixture weights, initial
 and transition probabilities, and per-state gamma sojourn parameters under
-the shape penalty.  Clustering is read off the final responsibilities with
-the maximum a posteriori rule.
+the shape penalty; :func:`fit` accelerates the maps with SQUAREM.
+Clustering is read off the final responsibilities with the maximum a
+posteriori rule.
 
-The parameters are carried between iterations as one set of arrays
+The parameters are carried between maps as one set of arrays
 (:class:`~smcmix.core.MixtureArrays`: weights, initial and transition
 probabilities, gamma shapes and rates), checked after every M-step against
 the invariants of the model objects; the :class:`MixtureModel` is built
 once, when the fit returns or aborts.  One subject log-likelihood matrix
-per parameter set gives both its objective and the next responsibilities,
-and each M-step solves every component-by-state gamma shape in one array
-solver call.
+per parameter set, extrapolated ones included, gives both its objective
+and the next responsibilities, and each M-step solves every
+component-by-state gamma shape in one array solver call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix
 from .errors import (
     AllComponentsImpossible,
     EmptyComponent,
+    InvalidModelError,
     NumericalError,
 )
 from .likelihood import (
@@ -55,9 +58,9 @@ def _check_z_round(z_round: float) -> None:
 class EmConfig:
     """Tuning knobs of the EM driver.
 
-    ``max_iter`` defaults to 100; complex fits (all transitions possible)
-    may need 400.  ``z_round`` quantizes responsibilities so that near-zero
-    weights drop out of the gamma fits; ``min_obs_mass`` is the number of
+    ``max_iter`` bounds the EM maps of a fit, extrapolated ones included.
+    ``z_round`` quantizes responsibilities so that near-zero weights drop
+    out of the gamma fits; ``min_obs_mass`` is the number of
     weight-carrying observations a state needs before it gets its own
     gamma fit instead of the component-pooled one.
     """
@@ -84,11 +87,14 @@ class FitReport:
     """Outcome of one EM run.
 
     ``objective_trace[0]`` is the objective of the starting model and each
-    further entry follows one EM iteration.  The trace is non-decreasing up
-    to a 1e-7 slack per step whenever the two small-sample safeguards
-    (responsibility rounding and the pooled gamma fallback) stay inactive;
-    when a safeguard does force a dip it is recorded in ``warnings``,
-    never silently.
+    further entry follows one kept step: a plain EM map or a kept
+    extrapolation.  The trace is non-decreasing up to a 1e-7 slack per step
+    whenever the two small-sample safeguards (responsibility rounding and
+    the pooled gamma fallback) stay inactive; when a safeguard does force a
+    dip it is recorded in ``warnings``, never silently.  ``iterations``
+    counts EM maps; ``extrapolations_tried`` counts the extrapolated
+    parameter sets evaluated (not those dropped for breaking an
+    invariant), ``extrapolations_kept`` those whose map was kept.
     """
 
     model: MixtureModel
@@ -97,6 +103,8 @@ class FitReport:
     iterations: int
     converged: bool
     warnings: tuple[str, ...] = field(default_factory=tuple)
+    extrapolations_tried: int = 0
+    extrapolations_kept: int = 0
 
     def __post_init__(self):
         trace = tuple(float(v) for v in self.objective_trace)
@@ -263,9 +271,60 @@ def _m_step_sojourn_stats(
     return shape, rate, warnings
 
 
+def _project(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """``x`` shaped as ``ref``, zero where ``ref`` is, clipped positive elsewhere
+    and renormalised along the last axis (an all-zero row stays zero)."""
+    x = np.where(ref > 0.0, np.maximum(x.reshape(ref.shape), np.finfo(float).tiny), 0.0)
+    sums = x.sum(axis=-1, keepdims=True)
+    return x / np.where(sums > 0.0, sums, 1.0)
+
+
+def _extrapolate(p0: MixtureArrays, p1: MixtureArrays, p2: MixtureArrays) -> MixtureArrays:
+    """The S3 SQUAREM point of two successive EM maps ``p0 -> p1 -> p2``
+    (Varadhan & Roland, Scand. J. Stat. 2008), projected onto the zero
+    pattern of ``p2``.  Unchecked: an extreme step leaves NaN or infinite
+    values for :meth:`MixtureArrays.check` to reject."""
+    live = p2.live
+
+    def coords(p: MixtureArrays) -> np.ndarray:
+        # probabilities raw, live gamma parameters in log coordinates
+        return np.concatenate([p.weights, p.alpha.ravel(), p.trans.ravel(),
+                               np.log(np.where(live, p.shape, 1.0)).ravel(),
+                               np.log(np.where(live, p.rate, 1.0)).ravel()])
+
+    c0, c1, c2 = map(coords, (p0, p1, p2))
+    r, v = c1 - c0, c2 - 2.0 * c1 + c0
+    v_norm = float(np.linalg.norm(v))
+    step = min(-float(np.linalg.norm(r)) / v_norm, -1.0) if v_norm > 0.0 else -1.0
+    n_comp, d = p2.alpha.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c0 - 2.0 * step * r + step * step * v
+        weights, alpha, trans, shape, rate = np.split(
+            c, np.cumsum([n_comp, n_comp * d, n_comp * d * d, n_comp * d])
+        )
+        shape, rate = (np.where(live, np.exp(x.reshape(n_comp, d)), np.nan) for x in (shape, rate))
+        return MixtureArrays(_project(weights, p2.weights), _project(alpha, p2.alpha),
+                             _project(trans, p2.trans), shape, rate, p2.absorbing)
+
+
+class _Point(NamedTuple):  # a parameter set with its objective and log scores
+    params: MixtureArrays
+    value: float
+    scores: np.ndarray
+    norms: np.ndarray
+
+
 def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> FitReport:
-    """Run the penalized EM from ``init`` until the relative objective
-    change falls below ``cfg.rel_tol`` or ``cfg.max_iter`` is reached.
+    """Run the SQUAREM-accelerated penalized EM from ``init`` until the
+    relative objective change of an EM map falls below ``cfg.rel_tol`` or
+    ``cfg.max_iter`` EM maps have run.
+
+    Each cycle maps ``p0 -> p1 -> p2``, extrapolates ``p'`` from the three
+    and keeps ``p''``, the map of ``p'``, when its objective is at least
+    that of ``p2``; it keeps ``p2`` otherwise, or when ``p'`` breaks an
+    invariant, has a non-finite objective or leaves a component less than
+    one subject.  The maps ``p0 -> p1``, ``p1 -> p2`` and a kept
+    ``p' -> p''`` are tested against ``cfg.rel_tol``.
 
     The reported objective is the penalized log-likelihood when
     ``cfg.penalized`` and the plain mixture log-likelihood otherwise; its
@@ -278,9 +337,9 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     :class:`NonConvergence` when the pooled shape search fails.  Aborts with
     :class:`EmptyComponent` (carrying the partial report) when a component
     keeps less than one subject of responsibility for three consecutive
-    iterations, or loses all mass outright.  An M-step whose parameters
-    break an invariant of the model types raises
-    :class:`~smcmix.errors.InvalidModelError` in that iteration.
+    maps of the kept path, or loses all mass outright.  An M-step whose
+    parameters break an invariant of the model types raises
+    :class:`~smcmix.errors.InvalidModelError` in that map.
     """
     if init.n_components != n_components:
         raise ValueError("init does not have the requested number of components")
@@ -289,93 +348,102 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
 
     stats = PanelStats.from_panel(panel)
     c = penalty_weight(panel, stats) if cfg.penalized else 0.0
-    absorbing = panel.space.absorbing
+    labels = panel.space.labels
 
-    def evaluate(p: MixtureArrays) -> tuple[float, np.ndarray, np.ndarray]:
+    def evaluate(p: MixtureArrays) -> _Point:
         # One likelihood matrix per parameter set serves both its
         # objective and the E-step that follows it.
         scores, norms = log_scores(subject_loglik_matrix(stats, p), p.weights)
         value = float(norms.sum())
         if cfg.penalized:
             value += penalty_term(p, c)
-        return value, scores, norms
+        return _Point(p, value, scores, norms)
 
-    params = init.arrays()
-    value, scores, norms = evaluate(params)
-    trace = [value]
+    def m_step(z: np.ndarray) -> tuple[_Point, list[str]]:
+        alpha, trans, w1 = _m_step_alpha_trans_stats(stats, z, labels=labels)
+        shape, rate, w2 = _m_step_sojourn_stats(
+            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=labels
+        )
+        params = MixtureArrays(z.sum(axis=0) / z.shape[0], alpha, trans, shape, rate,
+                               panel.space.absorbing)
+        params.check()
+        return evaluate(params), w1 + w2
+
+    def small_change(new: float, old: float) -> bool:
+        return abs(new - old) / (abs(new) + 1.0) < cfg.rel_tol
+
     warnings: dict[str, None] = {}
     empty_streak = np.zeros(n_components, dtype=int)
-    converged = False
-    iterations = 0
+    iterations = tried = kept = 0
+    path = [evaluate(init.arrays())]  # the kept points since the last extrapolation
+    trace = [path[0].value]
 
-    def partial_report(z_arr) -> FitReport:
-        # the aborting iteration never completed its M-step
-        return FitReport(
-            model=params.to_model(panel.space),
-            posteriors=PosteriorMatrix(z_arr),
-            objective_trace=tuple(trace),
-            iterations=iterations - 1,
-            converged=False,
-            warnings=tuple(warnings),
-        )
+    def report(point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
+        return FitReport(point.params.to_model(panel.space), PosteriorMatrix(z), tuple(trace),
+                         n_maps, converged, tuple(warnings), tried, kept)
 
-    for iterations in range(1, cfg.max_iter + 1):
-        z = _responsibilities(scores, norms, cfg.z_round)
+    def plain_map(point: _Point) -> tuple[_Point, bool]:
+        nonlocal iterations, empty_streak
+        iterations += 1
+        z = _responsibilities(point.scores, point.norms, cfg.z_round)
         ng = z.sum(axis=0)
-
         empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
-        starved = int(np.argmin(ng))
+        # the aborting map never completed its M-step
         if np.any(ng == 0.0):
+            starved = int(np.argmin(ng))
             warnings[f"aborted: component {starved} has no subjects"] = None
-            raise EmptyComponent(starved, report=partial_report(z))
+            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
         if np.any(empty_streak >= _EMPTY_STREAK_LIMIT):
             starved = int(np.argmax(empty_streak))
             warnings[f"aborted: component {starved} starved for "
                      f"{_EMPTY_STREAK_LIMIT} iterations"] = None
-            raise EmptyComponent(starved, report=partial_report(z))
-
-        pi = ng / z.shape[0]
-        alpha, trans, w1 = _m_step_alpha_trans_stats(stats, z, labels=panel.space.labels)
-        shape, rate, w2 = _m_step_sojourn_stats(
-            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=panel.space.labels
-        )
-        for msg in (*w1, *w2):
-            warnings[msg] = None
-
-        # The M-steps normalize already; dividing every probability vector
-        # and live row by its sum once more fixes the rounding of the
-        # fitted values (pinned by tests/golden/em_fingerprint.json).
-        row_sums = trans.sum(axis=2, keepdims=True)
-        if absorbing is not None:
-            row_sums[:, absorbing] = 1.0  # the absorbing row stays zero
-        params = MixtureArrays(
-            weights=pi / pi.sum(),
-            alpha=alpha / alpha.sum(axis=1, keepdims=True),
-            trans=trans / row_sums,
-            shape=shape,
-            rate=rate,
-            absorbing=absorbing,
-        )
-        params.check()
-        value, scores, norms = evaluate(params)
-        trace.append(value)
-        if value < trace[-2] - ASCENT_SLACK:
+            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
+        new, msgs = m_step(z)
+        warnings.update(dict.fromkeys(msgs))
+        trace.append(new.value)
+        if new.value < point.value - ASCENT_SLACK:
             warnings[
-                f"objective decreased by {trace[-2] - value:.3e} at iteration "
+                f"objective decreased by {point.value - new.value:.3e} at iteration "
                 f"{iterations} (small-sample safeguard side effect)"
             ] = None
-        if abs(value - trace[-2]) / (abs(value) + 1.0) < cfg.rel_tol:
-            converged = True
-            break
+        return new, small_change(new.value, point.value)
 
-    return FitReport(
-        model=params.to_model(panel.space),
-        posteriors=PosteriorMatrix(_responsibilities(scores, norms, cfg.z_round)),
-        objective_trace=tuple(trace),
-        iterations=iterations,
-        converged=converged,
-        warnings=tuple(warnings),
-    )
+    def accelerated(p0: _Point, p1: _Point, p2: _Point) -> tuple[_Point, bool]:
+        nonlocal iterations, tried, kept
+        jump = _extrapolate(p0.params, p1.params, p2.params)
+        try:
+            jump.check()
+        except InvalidModelError:
+            return p2, False
+        with np.errstate(all="ignore"):  # extreme shapes may overflow the gamma terms
+            at_jump = evaluate(jump)
+        tried += 1
+        if not np.isfinite(at_jump.value):
+            return p2, False
+        z = _responsibilities(at_jump.scores, at_jump.norms, cfg.z_round)
+        if z.sum(axis=0).min() < 1.0:
+            return p2, False
+        iterations += 1
+        landed, msgs = m_step(z)
+        if not landed.value >= p2.value:
+            return p2, False
+        kept += 1
+        empty_streak[:] = 0  # every component held a subject at p'
+        warnings.update(dict.fromkeys(msgs))
+        trace.append(landed.value)
+        return landed, small_change(landed.value, at_jump.value)
+
+    converged = False
+    while not converged and iterations < cfg.max_iter:
+        if len(path) < 3:
+            point, converged = plain_map(path[-1])
+            path.append(point)
+        else:
+            point, converged = accelerated(*path)
+            path = [point]
+    point = path[-1]
+    return report(point, _responsibilities(point.scores, point.norms, cfg.z_round),
+                  iterations, converged)
 
 
 def map_cluster(z: PosteriorMatrix) -> np.ndarray:

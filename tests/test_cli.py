@@ -214,6 +214,18 @@ class TestErrorPaths:
         assert code == 2
         assert json.loads(err)["error"] == "DataError"
 
+    def test_fit_single_attribute_panel_is_a_data_error(self, tmp_path, capsys):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("subject,replication,attribute,onset,end\ns1,1,A,0,5\ns2,1,A,1,5\n")
+        code, _, err = run(
+            capsys, "fit", "--data", panel, "--components", 1, "--out", tmp_path / "m.json"
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataError",
+            "message": f"{panel}: every row has the attribute 'A'; a state space needs at least two",
+        }
+
     def test_graph_labels_without_cluster(self, tmp_path, capsys, small_scenario_file):
         panel = tmp_path / "panel.csv"
         run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)

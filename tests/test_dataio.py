@@ -75,6 +75,20 @@ class TestReadPanel:
         with pytest.raises(NonMonotoneOnset):
             read_panel(f)
 
+    def test_single_attribute_is_a_data_error(self, tmp_path):
+        f = write_csv(
+            tmp_path / "p.csv",
+            "subject,replication,attribute,onset,end\n"
+            "s1,1,A,0,10\n"
+            "s2,1, A,3,10\n",
+        )
+        with pytest.raises(DataError) as err:
+            read_panel(f)
+        assert type(err.value) is DataError
+        assert str(err.value) == (
+            f"{f}: every row has the attribute 'A'; a state space needs at least two"
+        )
+
     def test_unknown_attribute_with_fixed_labels(self, tmp_path):
         f = write_csv(
             tmp_path / "p.csv",
@@ -340,6 +354,19 @@ class TestRowReader:
         with pytest.raises(MalformedRow) as err:
             read_labels(path)
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("component", ["0", "-3"])
+    def test_labels_component_below_one(self, tmp_path, component):
+        path = write_csv(tmp_path / "labels.csv", f"subject,component\na,1\nb,{component}\n")
+        with pytest.raises(MalformedRow, match="^line 3: component must be at least 1$"):
+            read_labels(path)
+
+    def test_labels_conflicting_components(self, tmp_path):
+        path = write_csv(tmp_path / "labels.csv", "subject,component\na,1\nb,2\n a ,1\na,2\n")
+        with pytest.raises(
+            MalformedRow, match="^line 5: conflicting components for one subject$"
+        ):
+            read_labels(path)
 
 
 class TestPanelRoundTrip:

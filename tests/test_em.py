@@ -444,6 +444,21 @@ class TestFit:
         )
 
 
+def _count_likelihoods(monkeypatch) -> list:
+    """The parameter sets of the likelihood matrices ``fit`` computes from now on."""
+    import smcmix.em as em_module
+
+    calls = []
+    original = em_module.subject_loglik_matrix
+
+    def counting(stats, params):
+        calls.append(params)
+        return original(stats, params)
+
+    monkeypatch.setattr(em_module, "subject_loglik_matrix", counting)
+    return calls
+
+
 class TestSharedLikelihood:
     """One likelihood matrix per model: it yields the model's objective and
     the responsibilities that follow, so both must equal the stand-alone
@@ -465,19 +480,81 @@ class TestSharedLikelihood:
 
     @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
     def test_one_likelihood_per_model(self, name, seed, monkeypatch):
+        panel, init, cfg = self._g3_fit(name, seed)
+        calls = _count_likelihoods(monkeypatch)
+        report = fit(panel, 3, init, cfg)
+        assert report.extrapolations_tried > 0
+        assert len(calls) == report.iterations + 1 + report.extrapolations_tried
+
+
+class TestSquarem:
+    """Each cycle of two EM maps, an extrapolated point and its stabilising
+    map keeps the stabilising map only when it beats the second map, and
+    falls back to the second map whenever the extrapolated point fails."""
+
+    @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
+    def test_trace_monotone_with_kept_extrapolations(self, name, seed):
+        panel, init, cfg = TestSharedLikelihood._g3_fit(name, seed)
+        report = fit(panel, 3, init, cfg)
+        assert report.converged and report.monotone, report.warnings
+        assert 0 < report.extrapolations_kept <= report.extrapolations_tried
+        # every kept step is one trace entry: the plain maps and the kept
+        # stabilising maps, while a rejected one still counts as a map
+        assert len(report.objective_trace) <= report.iterations + 1
+
+    def test_rejected_extrapolation_keeps_the_second_map(self, monkeypatch):
         import smcmix.em as em_module
 
-        panel, init, cfg = self._g3_fit(name, seed)
-        calls = []
-        original = em_module.subject_loglik_matrix
+        panel, init, cfg = TestSharedLikelihood._g3_fit("well_separated", 41)
+        # p' = p0 maps to p1, whose objective is below p2's
+        monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: p0)
+        two = fit(panel, 3, init, EmConfig(max_iter=2))
+        three = fit(panel, 3, init, EmConfig(max_iter=3))
+        assert not two.converged and not three.converged
+        assert (three.iterations, three.extrapolations_tried, three.extrapolations_kept) == (3, 1, 0)
+        assert two.extrapolations_tried == 0
+        assert three.model == two.model
+        assert three.objective_trace == two.objective_trace
+        assert np.array_equal(three.posteriors.z, two.posteriors.z)
 
-        def counting(stats, model):
-            calls.append(model)
-            return original(stats, model)
+    @staticmethod
+    def _negative_shape(p):
+        return p._replace(shape=-p.shape)
 
-        monkeypatch.setattr(em_module, "subject_loglik_matrix", counting)
+    @staticmethod
+    def _nan_transition(p):
+        trans = p.trans.copy()
+        trans[0, 0, 1] = math.nan
+        return p._replace(trans=trans)
+
+    @staticmethod
+    def _emptying(p):
+        # three copies of component 0, two of them with no weight to speak of
+        copies = [0, 0, 0]
+        return p._replace(weights=np.array([1.0, 1e-300, 1e-300]), alpha=p.alpha[copies],
+                          trans=p.trans[copies], shape=p.shape[copies], rate=p.rate[copies])
+
+    @staticmethod
+    def _infinite_objective(p):
+        return p._replace(rate=np.full(p.rate.shape, 1e308))
+
+    @pytest.mark.parametrize("corrupt,evaluated", [
+        (_negative_shape, False), (_nan_transition, False),
+        (_emptying, True), (_infinite_objective, True),
+    ])
+    def test_failed_extrapolation_falls_back(self, monkeypatch, corrupt, evaluated):
+        import smcmix.em as em_module
+
+        panel, init, cfg = TestSharedLikelihood._g3_fit("well_separated", 41)
+        calls = _count_likelihoods(monkeypatch)
+        monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: corrupt(p2))
         report = fit(panel, 3, init, cfg)
-        assert len(calls) == report.iterations + 1
+        # every cycle falls back to p2 without a stabilising map: plain EM
+        assert report.converged and report.monotone
+        assert report.extrapolations_kept == 0
+        assert len(report.objective_trace) == report.iterations + 1
+        assert (report.extrapolations_tried > 0) == evaluated
+        assert len(calls) == report.iterations + 1 + report.extrapolations_tried
 
 
 class TestIterationInvariants:

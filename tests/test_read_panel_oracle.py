@@ -5,9 +5,12 @@ time, building a list of rows per (subject, replication) and then a merge
 per sequence.  It is kept here, with its row reader and record-end sidecar
 reader, as the oracle of the chunked column reader: on any file both must
 return the same panel and report, or raise the same exception type with
-the same message and line.  The copy carries one fix: a record end is
+the same message and line.  The copy carries two fixes: a record end is
 compared with the onset of the sequence's last row, not of its last merged
-state, so a repeat recorded after the end is an error.
+state, so a repeat recorded after the end is an error; and a file whose
+rows all have one attribute, read without labels, raises a ``DataError``
+naming the file and the attribute instead of the state space's
+``InvalidModelError``.
 
 The generated files mix valid sequences with several defects each, so the
 order in which errors are reported is tested too, and the chunk size is
@@ -114,6 +117,9 @@ def _oracle_read_panel(
         label_list = [str(x) for x in labels]
     else:
         observed = sorted({attr for rows in groups.values() for _, attr, _ in rows})
+        if len(observed) < 2:
+            raise DataError(f"{path}: every row has the attribute {observed[0]!r}; "
+                            "a state space needs at least two")
         if absorbing_label in observed:
             observed.remove(absorbing_label)
             observed.append(absorbing_label)
