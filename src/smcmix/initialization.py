@@ -6,7 +6,11 @@ k-means on those D-dimensional profiles gives hard labels from which all
 model parameters are estimated by empirical frequencies and moments.  The
 k-means here is Lloyd's algorithm with k-means++ seeding and restarts; any
 local minimizer of the within-cluster squared error serves as an
-initializer.
+initializer.  Each restart is seeded on its own random stream, one after
+another; the Lloyd iterations of all restarts then run as one array loop
+that drops each restart once its labels stop changing, and gives every
+restart the labels and error its own loop would give, bit for bit.  One
+cluster needs no search and draws nothing.
 """
 
 from __future__ import annotations
@@ -35,9 +39,13 @@ def _mean_sojourns(stats: PanelStats) -> np.ndarray:
     return feats
 
 
-def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, sse_trace=None):
+# Lloyd iterations each restart may take before its labels are final.
+_LLOYD_ITERATIONS = 300
+
+
+def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: k rows of ``points`` drawn from ``rng``."""
     n = points.shape[0]
-    # k-means++ seeding
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
     closest = np.sum((points - centers[0]) ** 2, axis=1)
@@ -49,55 +57,127 @@ def _kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator, sse_trace
             idx = int(rng.choice(n, p=closest / total))
         centers[c] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
 
-    labels = np.full(n, -1)
-    for _ in range(300):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = np.argmin(d2, axis=1)
-        # Re-seed empty clusters from the point farthest from its center,
-        # among points whose cluster keeps another member: moving a lone
-        # point would empty its cluster, whose mean would then be NaN.
-        for c in range(k):
-            if not np.any(new_labels == c):
-                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
-                far = int(np.argmax(np.where(shared, d2[np.arange(n), new_labels], -1.0)))
-                centers[c] = points[far]
-                new_labels[far] = c
-        if np.array_equal(new_labels, labels):
+
+def _sq_distances(tiled: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, A, k) squared distances from every point to every centre of A
+    restarts, each summed over the contiguous last axis; ``tiled`` holds
+    each point once per restart and cluster, (n, R, k, D) with R >= A."""
+    return ((tiled[:, : len(centers)] - centers) ** 2).sum(axis=3)
+
+
+def _cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
+    """(A, k) cluster sizes of the (n, A) labellings of A restarts."""
+    a = labels.shape[1]
+    return np.bincount((labels + k * np.arange(a)).ravel(), minlength=a * k).reshape(a, k)
+
+
+def _reseed(points: np.ndarray, centers: np.ndarray, d2: np.ndarray, labels: np.ndarray) -> None:
+    """Re-seed the empty clusters of one restart in place, each from the
+    point farthest from its centre, among points whose cluster keeps another
+    member: moving a lone point would empty its cluster, whose mean would
+    then be NaN."""
+    n, k = d2.shape
+    for c in range(k):
+        if not np.any(labels == c):
+            shared = np.bincount(labels, minlength=k)[labels] > 1
+            far = int(np.argmax(np.where(shared, d2[np.arange(n), labels], -1.0)))
+            centers[c] = points[far]
+            labels[far] = c
+
+
+def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(A, k, D) cluster means of the (n, A) labellings ``labels``, every
+    cluster non-empty.
+
+    ``spread[i, c]`` is a zero (k, D) block with point i in row c; gathered
+    by label and summed over the point axis, it adds each cluster's members
+    in point order, as ``.mean(axis=0)`` over the members does when D >= 2,
+    so the two agree bit for bit (the zeros of the other points change at
+    most the sign of a zero sum).  A single column is summed pairwise by
+    ``.mean``, so it keeps that call.
+    """
+    n, k = spread.shape[:2]
+    if points.shape[1] == 1:
+        return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels.T])
+    sums = spread[np.arange(n)[:, None], labels].sum(axis=0)
+    return sums / _cluster_sizes(labels, k)[:, :, None]
+
+
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's algorithm from each of R seedings ``centers`` (R, k, D), run
+    as one loop over the restarts still active; returns every restart's
+    (R, n) labels and (R,) within-cluster squared error.
+
+    A restart leaves the active set on the first iteration that leaves its
+    labels unchanged, or after ``_LLOYD_ITERATIONS``.  The arrays are point
+    major, (n, A, ...), so that each elementwise pass runs over long
+    contiguous rows.
+    """
+    r, k, d = centers.shape
+    n = points.shape[0]
+    tiled = np.broadcast_to(points[:, None, None, :], (n, r, k, d)).copy()
+    spread = np.zeros((n, k, k, d))
+    spread[:, np.arange(k), np.arange(k)] = points[:, None, :]
+    centers = centers.copy()
+    final_centers = np.empty_like(centers)
+    final_labels = np.empty((r, n), dtype=np.intp)
+    active = np.arange(r)
+    labels = np.full((n, r), -1, dtype=np.intp)
+    for _ in range(_LLOYD_ITERATIONS):
+        d2 = _sq_distances(tiled, centers)
+        new = d2.argmin(axis=2)
+        for i in np.flatnonzero((_cluster_sizes(new, k) == 0).any(axis=1)):
+            _reseed(points, centers[i], d2[:, i], new[:, i])
+        done = (new == labels).all(axis=0)
+        final_centers[active[done]] = centers[done]
+        final_labels[active[done]] = new[:, done].T
+        keep = ~done
+        active, labels = active[keep], new[:, keep]
+        if not active.size:
             break
-        labels = new_labels
-        if sse_trace is not None:
-            sse_trace.append(float(d2[np.arange(n), labels].sum()))
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    sse = float(d2[np.arange(n), labels].sum())
-    if sse_trace is not None:
-        sse_trace.append(sse)
-    return labels, sse
+        centers = _means(points, spread, labels)
+    else:
+        final_centers[active] = centers
+        final_labels[active] = labels.T
+    d2 = _sq_distances(tiled, final_centers)
+    # (R, n) rows, each summed as the 1-D errors of one restart would be.
+    sse = d2[np.arange(n), np.arange(r)[:, None], final_labels].sum(axis=1)
+    return final_labels, sse
 
 
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     """Cluster rows of ``points`` into ``k`` non-empty groups, minimizing
     within-cluster squared Euclidean distance over the restarts performed.
 
-    Deterministic given ``seed``; the winner among restarts is the lowest
-    (SSE, restart index) pair.
+    Each restart is seeded by k-means++ on its own stream spawned from
+    ``seed``, drawn in sequence; the Lloyd iterations of all restarts then
+    run together.  Deterministic given ``seed``; the winner among restarts
+    is the lowest (SSE, restart index) pair.  A single cluster needs no
+    search: every point gets label 0.  Raises ``ValueError`` unless
+    ``points`` is a finite 2-D array with at least ``k`` rows.
     """
     points = np.asarray(points, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if points.ndim != 2:
+        raise ValueError(f"points must be a 2-D array, got {points.ndim} dimension(s)")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
     n = points.shape[0]
     if n < k:
         raise ValueError(f"cannot form {k} clusters from {n} points")
-    best = None
-    for ss in np.random.SeedSequence(seed).spawn(restarts):
-        labels, sse = _kmeans_once(points, k, np.random.Generator(np.random.PCG64(ss)))
-        if best is None or sse < best[0]:
-            best = (sse, labels)
-    return best[1]
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)
+    seeds = np.random.SeedSequence(seed).spawn(restarts)
+    centers = np.array(
+        [_seed_centers(points, k, np.random.Generator(np.random.PCG64(ss))) for ss in seeds]
+    )
+    labels, sse = _lloyd(points, centers)
+    return labels[int(np.argmin(sse))]
 
 
 def _cluster_gammas(per_state: list[np.ndarray], absorbing, min_obs_mass: int):
@@ -147,11 +227,18 @@ def initial_model(
 
 
 def _clustered_model(
-    panel: Panel, n_components: int, seed: int, restarts: int, min_obs_mass: int
+    panel: Panel,
+    n_components: int,
+    seed: int,
+    restarts: int,
+    min_obs_mass: int,
+    stats: PanelStats | None = None,
 ) -> tuple[MixtureModel, np.ndarray]:
     """:func:`initial_model` together with the k-means labels it was
-    estimated from."""
-    stats = PanelStats.from_panel(panel)
+    estimated from; ``stats`` are the panel's statistics when the caller
+    has them already."""
+    if stats is None:
+        stats = PanelStats.from_panel(panel)
     d = panel.space.n_states
     absorbing = panel.space.absorbing
     labels = kmeans(_mean_sojourns(stats), n_components, seed, restarts)

@@ -10,7 +10,9 @@ counts, transition counts, per-state sojourn sums) so that subject
 log-likelihoods under any parameter set reduce to a few small matrix
 products.  It reads the panel's flat arrays, where the trajectories are
 stored back to back, in one pass that fills every array, and the flat
-per-sojourn rows it keeps serve the moment initializer.  The
+per-sojourn rows it keeps serve the moment initializer.
+:func:`subject_loglik_matrix` transforms the parameters of all components
+at once, then takes five such products per component.  The
 per-trajectory operations below are the reference implementations; the
 vectorized path must and does agree with them.
 """
@@ -138,43 +140,50 @@ def _arrays(model: MixtureModel | MixtureArrays) -> MixtureArrays:
     return model.arrays() if isinstance(model, MixtureModel) else model
 
 
-def _component_loglik_vector(
-    stats: PanelStats, alpha: np.ndarray, trans: np.ndarray, shape: np.ndarray, rate: np.ndarray
-) -> np.ndarray:
-    """Per-subject log-likelihood under one component, length n."""
-    d = stats.n_states
-    if stats.absorbing is not None:
-        live = np.arange(d) != stats.absorbing
-        shape = np.where(live, shape, 1.0)
-        rate = np.where(live, rate, 1.0)
-
-    log_alpha = np.where(alpha > 0.0, np.log(np.where(alpha > 0.0, alpha, 1.0)), 0.0)
-    log_trans = np.where(trans > 0.0, np.log(np.where(trans > 0.0, trans, 1.0)), 0.0)
-    tcounts = stats.trans_counts.reshape(stats.n_subjects, d * d)
-
-    ll = stats.first_counts @ log_alpha
-    ll += tcounts @ log_trans.reshape(d * d)
-    # Gamma terms via per-state sufficient statistics.
-    ll += stats.soj_logsum @ (shape - 1.0)
-    ll += stats.soj_counts @ (shape * np.log(rate) - gammaln(shape))
-    ll -= stats.soj_sum @ rate
-
-    impossible = (stats.first_counts @ (alpha == 0.0)) > 0
-    impossible |= (tcounts @ (trans == 0.0).reshape(d * d)) > 0
-    ll[impossible] = -np.inf
-    return ll
+def _safe_log(p: np.ndarray) -> np.ndarray:
+    """Elementwise log with 0 in place of the -inf of zero cells."""
+    return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
 
 
 def subject_loglik_matrix(stats: PanelStats, model: MixtureModel | MixtureArrays) -> np.ndarray:
     """n x G matrix of per-subject log-likelihoods under each component of
-    a model or of its array form."""
+    a model or of its array form.
+
+    The parameter transforms are taken once over all components; each
+    column is then five ``(n, .) @ (.,)`` products, the same per component,
+    and a subject that meets a zero initial or transition cell of a
+    component gets ``-inf`` there.
+    """
     p = _arrays(model)
-    return np.column_stack(
-        [
-            _component_loglik_vector(stats, p.alpha[g], p.trans[g], p.shape[g], p.rate[g])
-            for g in range(len(p.weights))
-        ]
-    )
+    n, d = stats.n_subjects, stats.n_states
+    g = len(p.weights)
+    shape, rate = p.shape, p.rate
+    if stats.absorbing is not None:
+        live = np.arange(d) != stats.absorbing
+        shape = np.where(live, shape, 1.0)
+        rate = np.where(live, rate, 1.0)
+    trans = p.trans.reshape(g, d * d)
+    tcounts = stats.trans_counts.reshape(n, d * d)
+
+    log_alpha = _safe_log(p.alpha)
+    log_trans = _safe_log(trans)
+    # Gamma terms via per-state sufficient statistics.
+    shape_m1 = shape - 1.0
+    norm = shape * np.log(rate) - gammaln(shape)
+    ll = np.empty((n, g))
+    for j in range(g):
+        col = stats.first_counts @ log_alpha[j]
+        col += tcounts @ log_trans[j]
+        col += stats.soj_logsum @ shape_m1[j]
+        col += stats.soj_counts @ norm[j]
+        col -= stats.soj_sum @ rate[j]
+        ll[:, j] = col
+
+    # The counts are integers, so these products sum them exactly.
+    impossible = (stats.first_counts @ (p.alpha == 0.0).T) > 0
+    impossible |= (tcounts @ (trans == 0.0).T) > 0
+    ll[impossible] = -np.inf
+    return ll
 
 
 def log_scores(ll: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -120,7 +120,9 @@ def _select_g(
     km_labels = {}
     warnings: list[str] = []
     for g in g_values:
-        init, km_labels[g] = _clustered_model(panel, g, cfg.seed, restarts, cfg.min_obs_mass)
+        init, km_labels[g] = _clustered_model(
+            panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
+        )
         aborted = False
         try:
             report = fit(panel, g, init, cfg)

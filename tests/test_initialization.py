@@ -3,6 +3,9 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from smcmix import (
     EmConfig,
@@ -10,14 +13,84 @@ from smcmix import (
     fit,
     fixtures,
     initial_model,
+    initialization,
     kmeans,
     mean_sojourn_features,
     mixture_loglik,
+    select_g,
 )
+from smcmix.initialization import _lloyd, _seed_centers
 from smcmix.metrics import classification_rate
-from smcmix.sim import Scenario, simulate_panel
+from smcmix.sim import Scenario, run_benchmark, simulate_panel
 
 from conftest import traj
+
+
+def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
+    """One restart on its own: k-means++ seeding, then Lloyd's loop with
+    the empty-cluster re-seed.  The reference the batched loop of
+    :func:`smcmix.initialization.kmeans` must equal bit for bit."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=closest / total))
+        centers[c] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
+
+    labels = np.full(n, -1)
+    for _ in range(300):
+        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
+                far = int(np.argmax(np.where(shared, d2[np.arange(n), new_labels], -1.0)))
+                centers[c] = points[far]
+                new_labels[far] = c
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return labels, float(d2[np.arange(n), labels].sum())
+
+
+def reference_kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
+    """The restarts run one after another; lowest (SSE, restart index) wins."""
+    points = np.asarray(points, dtype=np.float64)
+    best = None
+    for ss in np.random.SeedSequence(seed).spawn(restarts):
+        labels, sse = reference_kmeans_once(points, k, np.random.Generator(np.random.PCG64(ss)))
+        if best is None or sse < best[0]:
+            best = (sse, labels)
+    return best[1]
+
+
+@st.composite
+def kmeans_cases(draw):
+    """(points, k, restarts, seed): float, small-integer (exact distance
+    ties) and duplicate-heavy point sets (few distinct rows, so restarts
+    must re-seed empty clusters), with one to four columns."""
+    k = draw(st.integers(1, 6))
+    n, d = draw(st.integers(k, 30)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["float", "integer", "duplicates"]))
+    if kind == "float":
+        elements = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+        points = draw(hnp.arrays(np.float64, (n, d), elements=elements))
+    elif kind == "integer":
+        points = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(0, 3))).astype(np.float64)
+    else:
+        m = draw(st.integers(1, 3))
+        distinct = draw(hnp.arrays(np.float64, (m, d), elements=st.floats(-10.0, 10.0)))
+        points = distinct[draw(hnp.arrays(np.int64, n, elements=st.integers(0, m - 1)))]
+    return points, k, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestMeanSojournFeatures:
@@ -124,15 +197,98 @@ class TestKmeans:
         b = kmeans(points, 3, seed=11)
         np.testing.assert_array_equal(a, b)
 
-    def test_sse_non_increasing_within_run(self):
-        from smcmix.initialization import _kmeans_once
-
+    def test_sse_non_increasing_within_run(self, monkeypatch):
+        # Capping the batched loop at t iterations gives each restart's
+        # error after its t-th centre update; it never rises with t.
         rng = np.random.default_rng(14)
         points = rng.random((60, 3))
-        for restart in range(5):
-            trace = []
-            _kmeans_once(points, 4, np.random.default_rng(restart), sse_trace=trace)
-            assert all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
+        centers = np.array([_seed_centers(points, 4, np.random.default_rng(r)) for r in range(5)])
+        trace = []
+        for cap in range(1, 40):
+            monkeypatch.setattr(initialization, "_LLOYD_ITERATIONS", cap)
+            trace.append(_lloyd(points, centers)[1])
+        trace = np.array(trace)
+        assert np.all(trace[1:] <= trace[:-1] + 1e-9)
+        assert np.array_equal(trace[-1], trace[-2])  # every restart has converged
+
+    @settings(max_examples=300, deadline=None)
+    @given(kmeans_cases())
+    @example((np.array([[0.0]] * 10 + [[1.0]] * 10 + [[2.0]] * 5), 5, 10, 3))
+    def test_matches_one_restart_at_a_time(self, case):
+        points, k, restarts, seed = case
+        got = kmeans(points, k, seed, restarts)
+        expected = reference_kmeans(points, k, seed, restarts)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        if k == 1:
+            return
+        # every restart's labels and error, not only the winner's
+        seeds = np.random.SeedSequence(seed).spawn(restarts)
+        rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in seeds]
+        labels, sse = _lloyd(points, np.array([_seed_centers(points, k, r) for r in rngs]))
+        for i, ss in enumerate(seeds):
+            ref_labels, ref_sse = reference_kmeans_once(
+                points, k, np.random.Generator(np.random.PCG64(ss))
+            )
+            assert np.array_equal(labels[i], ref_labels)
+            assert sse[i] == ref_sse
+
+    def test_single_cluster_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(initialization, "_seed_centers", None)
+        monkeypatch.setattr(initialization, "_lloyd", None)
+        labels = kmeans(np.random.default_rng(3).random((7, 2)), 1, seed=0)
+        assert labels.dtype == np.intp
+        assert np.array_equal(labels, np.zeros(7, dtype=np.intp))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rejects_nan_point(self, k):
+        points = np.random.default_rng(4).random((6, 2))
+        points[3, 1] = np.nan
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            kmeans(points, k, seed=0)
+
+    def test_rejects_infinite_point(self):
+        points = np.random.default_rng(5).random((6, 2))
+        points[0, 0] = np.inf
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            kmeans(points, 2, seed=0)
+
+    def test_rejects_one_dimensional_points(self):
+        with pytest.raises(ValueError, match="^points must be a 2-D array, got 1 dimension"):
+            kmeans(np.arange(6.0), 2, seed=0)
+
+
+class TestTracedBindings:
+    """perfbench counts k-means calls by wrapping the ``kmeans`` name bound
+    in :mod:`smcmix.initialization`; the entry points must go through it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        original = initialization.kmeans
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(initialization, "kmeans", counting)
+        return calls
+
+    def test_select_g_once_per_component_count(self, calls):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31,
+        )
+        select_g(simulate_panel(scenario)[0], [1, 2, 3], EmConfig(seed=1))
+        assert calls == [1, 2, 3]
+
+    def test_run_benchmark_once_per_replicate(self, calls):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31, replicate_count=3,
+        )
+        run_benchmark(scenario, EmConfig())
+        assert calls == [2, 2, 2]
 
 
 class TestInitialModel:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 
 from smcmix import (
     EmConfig,
@@ -13,6 +14,7 @@ from smcmix import (
     Panel,
     StateSpace,
     component_loglik,
+    em,
     fit,
     fixtures,
     mixture_loglik,
@@ -23,6 +25,7 @@ from smcmix import (
     select_g,
     subject_loglik,
 )
+from smcmix.core import MixtureArrays
 from smcmix.likelihood import PanelStats, log_scores, subject_loglik_matrix
 from smcmix.sim import Scenario, simulate_panel
 
@@ -407,7 +410,7 @@ class TestPanelStatsOracle:
 
 class TestStatsBuilds:
     """Each entry point builds the panel statistics once; a sweep builds
-    them once for its own likelihoods plus once per init and per fit."""
+    them once for its own likelihoods and every init, plus once per fit."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -441,4 +444,96 @@ class TestStatsBuilds:
 
     def test_select_g(self, panel, builds):
         select_g(panel, [1, 2, 3], EmConfig(seed=1))
-        assert len(builds) == 7
+        assert len(builds) == 4
+
+
+def reference_component_column(
+    stats: PanelStats, alpha: np.ndarray, trans: np.ndarray, shape: np.ndarray, rate: np.ndarray
+) -> np.ndarray:
+    """Per-subject log-likelihood under one component, every transform
+    taken on that component's own parameters: the reference each column of
+    :func:`subject_loglik_matrix` must equal bit for bit."""
+    d = stats.n_states
+    if stats.absorbing is not None:
+        live = np.arange(d) != stats.absorbing
+        shape = np.where(live, shape, 1.0)
+        rate = np.where(live, rate, 1.0)
+
+    log_alpha = np.where(alpha > 0.0, np.log(np.where(alpha > 0.0, alpha, 1.0)), 0.0)
+    log_trans = np.where(trans > 0.0, np.log(np.where(trans > 0.0, trans, 1.0)), 0.0)
+    tcounts = stats.trans_counts.reshape(stats.n_subjects, d * d)
+
+    ll = stats.first_counts @ log_alpha
+    ll += tcounts @ log_trans.reshape(d * d)
+    ll += stats.soj_logsum @ (shape - 1.0)
+    ll += stats.soj_counts @ (shape * np.log(rate) - gammaln(shape))
+    ll -= stats.soj_sum @ rate
+
+    impossible = (stats.first_counts @ (alpha == 0.0)) > 0
+    impossible |= (tcounts @ (trans == 0.0).reshape(d * d)) > 0
+    ll[impossible] = -np.inf
+    return ll
+
+
+@st.composite
+def panels_and_models(draw):
+    """A generated panel and G = 1-3 components on its state space; some
+    components zero initial and transition cells that subjects use."""
+    panel = draw(small_panels())
+    d, absorbing = panel.space.n_states, panel.space.absorbing
+    g = draw(st.integers(1, 3))
+    cell = st.floats(min_value=1e-3, max_value=1.0)
+    alpha = draw(hnp.arrays(np.float64, (g, d), elements=cell))
+    trans = draw(hnp.arrays(np.float64, (g, d, d), elements=cell))
+    for j in range(g):
+        if draw(st.booleans()):
+            alpha[j][draw(hnp.arrays(bool, d))] = 0.0
+            trans[j][draw(hnp.arrays(bool, (d, d)))] = 0.0
+    trans[:, np.arange(d), np.arange(d)] = 0.0
+    if absorbing is not None:
+        alpha[:, absorbing] = 0.0
+        trans[:, absorbing] = 0.0
+    alpha[:, 0] += alpha.sum(axis=1) == 0.0  # keep every row a distribution
+    alpha /= alpha.sum(axis=1, keepdims=True)
+    sums = trans.sum(axis=2, keepdims=True)
+    trans /= np.where(sums > 0.0, sums, 1.0)
+    positive = st.floats(min_value=1e-2, max_value=50.0)
+    shape = draw(hnp.arrays(np.float64, (g, d), elements=positive))
+    rate = draw(hnp.arrays(np.float64, (g, d), elements=positive))
+    if absorbing is not None:
+        shape[:, absorbing] = rate[:, absorbing] = np.nan
+    return panel, MixtureArrays(np.full(g, 1.0 / g), alpha, trans, shape, rate, absorbing)
+
+
+class TestLoglikMatrixOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(panels_and_models())
+    def test_generated_panels_bit_for_bit(self, case):
+        panel, p = case
+        stats = PanelStats.from_panel(panel)
+        matrix = subject_loglik_matrix(stats, p)
+        expected = np.column_stack([
+            reference_component_column(stats, p.alpha[g], p.trans[g], p.shape[g], p.rate[g])
+            for g in range(len(p.weights))
+        ])
+        assert matrix.shape == expected.shape
+        assert matrix.tobytes() == expected.tobytes()
+
+    def test_fit_goes_through_the_em_binding(self, monkeypatch):
+        # perfbench counts likelihood matrices by wrapping the name bound in
+        # smcmix.em: one matrix per parameter set the fit evaluates.
+        calls = []
+
+        def counting(stats, model):
+            calls.append(len(model.weights))
+            return subject_loglik_matrix(stats, model)
+
+        monkeypatch.setattr(em, "subject_loglik_matrix", counting)
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31,
+        )
+        panel = simulate_panel(scenario)[0]
+        report = fit(panel, 2, initial_model(panel, 2, seed=1), EmConfig())
+        assert report.iterations > 0
+        assert calls == [2] * (1 + report.iterations + report.extrapolations_tried)
