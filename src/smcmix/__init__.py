@@ -10,6 +10,7 @@ benchmarking.
 from .core import (
     ComponentParams,
     GammaParams,
+    MixtureArrays,
     MixtureModel,
     Panel,
     PooledParams,

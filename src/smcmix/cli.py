@@ -88,13 +88,13 @@ def _resolve_scenario(ref: str):
 def _cmd_fit(args) -> int:
     panel, report = _read_panel(args)
     cfg = _em_config(args)
-    init = initial_model(panel, args.components, seed=args.seed,
+    init = initial_model(panel, args.n_components, seed=args.seed,
                          restarts=args.restarts, min_obs_mass=args.min_obs)
-    result = fit(panel, args.components, init, cfg)
+    result = fit(panel, args.n_components, init, cfg)
     dataio.write_model(args.out, result.model)
 
     labels = map_cluster(result.posteriors)
-    sizes = np.bincount(labels, minlength=args.components)
+    sizes = np.bincount(labels, minlength=args.n_components)
     print(f"subjects: {panel.n_subjects}")
     print(f"replications: {panel.n_replications}")
     print(f"states: {panel.space.n_states}")
@@ -110,7 +110,7 @@ def _cmd_fit(args) -> int:
     if args.posteriors:
         dataio.write_csv(
             args.posteriors,
-            ["subject"] + [f"comp_{g + 1}" for g in range(args.components)],
+            ["subject"] + [f"comp_{g + 1}" for g in range(args.n_components)],
             ([sid, *z] for sid, z in zip(report.subject_ids, result.posteriors.z)),
         )
     return 0
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a mixture with the penalized EM")
     _add_data_options(p)
     _add_em_options(p)
-    p.add_argument("--components", "-G", type=int, required=True)
+    p.add_argument("--components", "-G", type=int, required=True, dest="n_components",
+                   metavar="COMPONENTS")
     p.add_argument("--out", required=True, help="output model JSON")
     p.add_argument("--posteriors", help="optional responsibilities CSV")
     p.set_defaults(func=_cmd_fit)

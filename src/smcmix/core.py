@@ -3,12 +3,14 @@ Markov renewal processes.
 
 Every type validates its structural invariants on construction and is
 immutable afterwards (arrays are marked read-only), so instances can be
-shared freely between threads.  The one exception is
-:class:`MixtureArrays`, the unvalidated array form the EM iterates on,
-which checks the same invariants when asked to.  A :class:`Panel` keeps
-its trajectories back to back in flat arrays, checked in one array pass
-by the sequence check every :class:`Trajectory` runs.  Serialization
-lives in :mod:`smcmix.dataio`.
+shared freely between threads.  A :class:`Panel` keeps its trajectories
+back to back in flat arrays, checked in one array pass by the sequence
+check every :class:`Trajectory` runs.  A :class:`MixtureModel` keeps its
+parameters as one :class:`MixtureArrays`, stacked over the components and
+checked by :meth:`MixtureArrays.check`; that NamedTuple is also the
+unchecked form the EM iterates on.  Both build their object views, the
+subjects of a panel and the components of a model, on demand.
+Serialization lives in :mod:`smcmix.dataio`.
 """
 
 from __future__ import annotations
@@ -349,66 +351,15 @@ class ComponentParams:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureModel:
-    """Mixture weights plus one :class:`ComponentParams` per subpopulation."""
-
-    space: StateSpace
-    weights: np.ndarray
-    components: tuple[ComponentParams, ...]
-
-    __reduce__ = _reduce_through_init
-
-    def __post_init__(self):
-        weights = _frozen_array(self.weights, np.float64)
-        components = tuple(self.components)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "components", components)
-        _check(len(components) >= 1, "a mixture needs at least one component")
-        _check(len(weights) == len(components), "one weight per component required")
-        _check_weights(weights)
-        d = self.space.n_states
-        for g, comp in enumerate(components):
-            _check(comp.n_states == d, f"component {g} does not match the state space")
-            _check(
-                comp.absorbing == self.space.absorbing,
-                f"component {g} disagrees with the space about the absorbing state",
-            )
-
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    def arrays(self) -> "MixtureArrays":
-        """The parameters stacked into arrays."""
-        shape, rate = zip(*(comp.sojourn_arrays() for comp in self.components))
-        return MixtureArrays(
-            weights=self.weights,
-            alpha=np.stack([comp.alpha for comp in self.components]),
-            trans=np.stack([comp.trans for comp in self.components]),
-            shape=np.stack(shape),
-            rate=np.stack(rate),
-            absorbing=self.space.absorbing,
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MixtureModel):
-            return NotImplemented
-        return (
-            self.space == other.space
-            and np.array_equal(self.weights, other.weights)
-            and self.components == other.components
-        )
-
-
 class MixtureArrays(NamedTuple):
-    """A mixture's parameters as stacked arrays, the form the EM iterates on.
+    """A mixture's parameters as stacked arrays: the form the EM iterates
+    on and :class:`MixtureModel` stores.
 
     ``weights`` is (G,), ``alpha`` (G, D), ``trans`` (G, D, D), and the
     gamma ``shape`` and ``rate`` are (G, D) with NaN in the absorbing
     column.  Nothing is validated on construction: :meth:`check` enforces
     the invariants of :class:`MixtureModel` and its parts, with their
-    messages, and :meth:`to_model` builds the validated objects.
+    messages, and :meth:`MixtureModel.from_arrays` runs it.
     """
 
     weights: np.ndarray
@@ -434,23 +385,89 @@ class MixtureArrays(NamedTuple):
         _check_chains(self.alpha, self.trans, self.absorbing)
         _check_weights(self.weights)
 
-    def to_model(self, space: StateSpace) -> MixtureModel:
-        """The validated :class:`MixtureModel` holding these values."""
-        d = space.n_states
-        components = tuple(
-            ComponentParams(
-                alpha=self.alpha[g],
-                trans=self.trans[g],
-                sojourn=tuple(
-                    None if j == self.absorbing
-                    else GammaParams(shape=float(self.shape[g, j]), rate=float(self.rate[g, j]))
-                    for j in range(d)
-                ),
-                absorbing=self.absorbing,
+
+@dataclass(frozen=True, eq=False, init=False)
+class MixtureModel:
+    """Mixture weights plus one renewal process per subpopulation, stored
+    as one read-only :class:`MixtureArrays`, :attr:`params`.
+
+    :attr:`components` is a view built on demand.
+    """
+
+    space: StateSpace
+    params: MixtureArrays
+
+    def __init__(self, space: StateSpace, weights, components):
+        components = tuple(components)
+        _check(len(components) >= 1, "a mixture needs at least one component")
+        _check(len(weights) == len(components), "one weight per component required")
+        for g, comp in enumerate(components):
+            _check(comp.n_states == space.n_states, f"component {g} does not match the state space")
+            _check(
+                comp.absorbing == space.absorbing,
+                f"component {g} disagrees with the space about the absorbing state",
             )
-            for g in range(len(self.weights))
+        shape, rate = zip(*(comp.sojourn_arrays() for comp in components))
+        alpha = [comp.alpha for comp in components]
+        trans = [comp.trans for comp in components]
+        self._store(space, MixtureArrays(weights, alpha, trans, shape, rate, space.absorbing))
+
+    def __reduce__(self):
+        """Pickle support: rebuild through :meth:`from_arrays`."""
+        return MixtureModel.from_arrays, (self.space, self.params)
+
+    @classmethod
+    def from_arrays(cls, space: StateSpace, params: MixtureArrays) -> "MixtureModel":
+        """The model holding a copy of ``params``, shaped for ``space``, with
+        NaN in the absorbing column of ``shape`` and ``rate``."""
+        model = cls.__new__(cls)
+        model._store(space, params)
+        return model
+
+    def _store(self, space: StateSpace, params) -> None:
+        """Copy (or stack) the arrays of ``params``, check them and freeze them."""
+        weights, alpha, trans, shape, rate = (np.array(a, dtype=np.float64) for a in params[:5])
+        g, d = weights.size, space.n_states
+        _check(g >= 1, "a mixture needs at least one component")
+        _check(
+            weights.shape == (g,) and alpha.shape == shape.shape == rate.shape == (g, d)
+            and trans.shape == (g, d, d),
+            "parameter arrays must be shaped (G,), (G, D), (G, D, D), (G, D), (G, D) for D states",
         )
-        return MixtureModel(space=space, weights=self.weights, components=components)
+        _check(params.absorbing == space.absorbing,
+               "parameters disagree with the space about the absorbing state")
+        if space.absorbing is not None:
+            shape[:, space.absorbing] = rate[:, space.absorbing] = np.nan
+        params = MixtureArrays(weights, alpha, trans, shape, rate, space.absorbing)
+        params.check()
+        for arr in params[:5]:
+            arr.setflags(write=False)
+        self.__dict__.update(space=space, params=params)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.params.weights
+
+    @property
+    def n_components(self) -> int:
+        return len(self.params.weights)
+
+    @property
+    def components(self) -> tuple[ComponentParams, ...]:
+        p = self.params
+        return tuple(
+            ComponentParams(alpha, trans, tuple(
+                GammaParams(a, b) if ok else None for a, b, ok in zip(shape, rate, p.live.tolist())
+            ), p.absorbing)
+            for alpha, trans, shape, rate in zip(p.alpha, p.trans, p.shape.tolist(), p.rate.tolist())
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MixtureModel):
+            return NotImplemented
+        return self.space == other.space and all(
+            np.array_equal(a, b, equal_nan=True) for a, b in zip(self.params[:5], other.params[:5])
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,7 +529,7 @@ def validate_h1_h2(model: MixtureModel, strict_eps: float) -> list[Violation]:
     """
     if strict_eps <= 0:
         raise ValueError("strict_eps must be positive")
-    p = model.arrays()
+    p = model.params
     live = p.live
     pairs = live[:, None] & live[None, :] & ~np.eye(len(live), dtype=bool)
     out: list[Violation] = []
@@ -557,13 +574,13 @@ class PooledParams:
 
 def pool_mixture(model: MixtureModel) -> PooledParams:
     """Collapse a mixture into the parameters of its marginal renewal process."""
-    p = model.arrays()
+    p = model.params
     # Summed over components in order, one weighted component at a time.
     alpha = (p.weights[:, None] * p.alpha).sum(axis=0)
     trans = (p.weights[:, None, None] * p.trans).sum(axis=0)
+    weights = p.weights.tolist()
     sojourn = tuple(
-        None if j == p.absorbing
-        else tuple((float(w), comp.sojourn[j]) for w, comp in zip(p.weights, model.components))
-        for j in range(model.space.n_states)
+        tuple((w, GammaParams(a, b)) for w, a, b in zip(weights, shape, rate)) if ok else None
+        for shape, rate, ok in zip(p.shape.T.tolist(), p.rate.T.tolist(), p.live.tolist())
     )
     return PooledParams(alpha=alpha, trans=trans, sojourn=sojourn, absorbing=p.absorbing)

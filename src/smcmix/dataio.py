@@ -32,8 +32,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import ComponentParams, GammaParams, MixtureModel, Panel, StateSpace
-from .errors import DataError, MalformedRow, NonMonotoneOnset, UnknownAttribute
+from .core import MixtureArrays, MixtureModel, Panel, StateSpace
+from .errors import DataError, InvalidModelError, MalformedRow, NonMonotoneOnset, UnknownAttribute
 from .likelihood import PanelStats
 from .sim import ABSORBING_RULE, Scenario
 
@@ -502,23 +502,17 @@ def read_labels(path) -> dict[str, int]:
 
 
 def model_to_dict(model: MixtureModel) -> dict:
+    p = model.params
+    components = [
+        {"alpha": alpha, "trans": trans, "sojourn": [
+            {"shape": a, "rate": b} if ok else None for a, b, ok in zip(shape, rate, p.live.tolist())
+        ]}
+        for alpha, trans, shape, rate in zip(*(a.tolist() for a in p[1:5]))
+    ]
     return {
-        "space": {
-            "labels": list(model.space.labels),
-            "absorbing": model.space.absorbing,
-        },
-        "weights": [float(w) for w in model.weights],
-        "components": [
-            {
-                "alpha": [float(a) for a in comp.alpha],
-                "trans": [[float(p) for p in row] for row in comp.trans],
-                "sojourn": [
-                    None if p is None else {"shape": float(p.shape), "rate": float(p.rate)}
-                    for p in comp.sojourn
-                ],
-            }
-            for comp in model.components
-        ],
+        "space": {"labels": list(model.space.labels), "absorbing": model.space.absorbing},
+        "weights": p.weights.tolist(),
+        "components": components,
         "meta": {"format_version": MODEL_FORMAT_VERSION},
     }
 
@@ -529,29 +523,27 @@ def model_from_dict(doc: dict) -> MixtureModel:
         version = meta.get("format_version")
         if version != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format_version {version!r}")
-        space = StateSpace(
-            labels=tuple(doc["space"]["labels"]),
-            absorbing=doc["space"].get("absorbing"),
-        )
-        comps = []
-        for c in doc["components"]:
-            sojourn = tuple(
-                None if p is None else GammaParams(shape=float(p["shape"]), rate=float(p["rate"]))
-                for p in c["sojourn"]
-            )
-            comps.append(
-                ComponentParams(
-                    alpha=np.asarray(c["alpha"], dtype=np.float64),
-                    trans=np.asarray(c["trans"], dtype=np.float64),
-                    sojourn=sojourn,
-                    absorbing=space.absorbing,
-                )
-            )
-        return MixtureModel(
-            space=space,
-            weights=np.asarray(doc["weights"], dtype=np.float64),
-            components=tuple(comps),
-        )
+        labels, absorbing = doc["space"]["labels"], doc["space"].get("absorbing")
+        if isinstance(labels, str):
+            raise DataError("malformed model document: space.labels must be a list")
+        if isinstance(absorbing, bool):
+            raise DataError("malformed model document: space.absorbing must be a state index or null")
+        space = StateSpace(labels=tuple(labels), absorbing=absorbing)
+        comps = doc["components"]
+        laws = [c["sojourn"] for c in comps]
+        for law in laws:
+            for j, p in enumerate(law):
+                if (p is None) != (j == absorbing):
+                    raise InvalidModelError(f"state {j} needs a sojourn distribution" if p is None
+                                            else "absorbing state carries no sojourn law")
+        values = [doc["weights"], *([c[key] for c in comps] for key in ("alpha", "trans")),
+                  *([[np.nan if p is None else p[key] for p in law] for law in laws]
+                    for key in ("shape", "rate"))]
+        try:  # non-numeric or ragged
+            arrays = [np.array(v, dtype=np.float64) for v in values]
+        except ValueError as exc:
+            raise DataError(f"malformed model document: {exc}") from exc
+        return MixtureModel.from_arrays(space, MixtureArrays(*arrays, absorbing))
     except (KeyError, TypeError, IndexError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
 

@@ -10,12 +10,13 @@ posteriori rule.
 
 The parameters are carried between maps as one set of arrays
 (:class:`~smcmix.core.MixtureArrays`: weights, initial and transition
-probabilities, gamma shapes and rates), checked after every M-step against
-the invariants of the model objects; the :class:`MixtureModel` is built
-once, when the fit returns or aborts.  One subject log-likelihood matrix
-per parameter set, extrapolated ones included, gives both its objective
-and the next responsibilities, and each M-step solves every
-component-by-state gamma shape in one array solver call.
+probabilities, gamma shapes and rates), the form a :class:`MixtureModel`
+stores: a fit starts from its initial model's arrays, checks each M-step's
+against the model invariants and returns the last through
+:meth:`MixtureModel.from_arrays`.  One subject log-likelihood matrix per
+parameter set, extrapolated ones included, gives both its objective and
+the next responsibilities, and each M-step solves every component-by-state
+gamma shape in one array solver call.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     log space), rounded to multiples of ``z_round`` and renormalized."""
     _check_z_round(z_round)
     stats = PanelStats.from_panel(panel)
-    scores, norms = log_scores(subject_loglik_matrix(stats, model), model.weights)
+    scores, norms = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
@@ -375,12 +376,12 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     warnings: dict[str, None] = {}
     empty_streak = np.zeros(n_components, dtype=int)
     iterations = tried = kept = 0
-    path = [evaluate(init.arrays())]  # the kept points since the last extrapolation
+    path = [evaluate(init.params)]  # the kept points since the last extrapolation
     trace = [path[0].value]
 
     def report(point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
-        return FitReport(point.params.to_model(panel.space), PosteriorMatrix(z), tuple(trace),
-                         n_maps, converged, tuple(warnings), tried, kept)
+        return FitReport(MixtureModel.from_arrays(panel.space, point.params), PosteriorMatrix(z),
+                         tuple(trace), n_maps, converged, tuple(warnings), tried, kept)
 
     def plain_map(point: _Point) -> tuple[_Point, bool]:
         nonlocal iterations, empty_streak

@@ -15,6 +15,8 @@ cluster needs no search and draws nothing.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .core import GammaParams, MixtureArrays, MixtureModel, Panel
@@ -156,7 +158,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     run together.  Deterministic given ``seed``; the winner among restarts
     is the lowest (SSE, restart index) pair.  A single cluster needs no
     search: every point gets label 0.  Raises ``ValueError`` unless
-    ``points`` is a finite 2-D array with at least ``k`` rows.
+    ``points`` is a finite 2-D array with at least ``k`` rows and, for
+    ``k >= 2``, sums of n squared distances between them are finite.
     """
     points = np.asarray(points, dtype=np.float64)
     if k < 1:
@@ -172,6 +175,9 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
         raise ValueError(f"cannot form {k} clusters from {n} points")
     if k == 1:
         return np.zeros(n, dtype=np.intp)
+    with np.errstate(over="ignore"):  # n times a bound on every squared distance
+        if not np.isfinite(n * (np.ptp(points, axis=0) ** 2).sum()):
+            raise ValueError("points spread too widely: their squared distances overflow")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
     centers = np.array(
         [_seed_centers(points, k, np.random.Generator(np.random.PCG64(ss))) for ss in seeds]
@@ -181,32 +187,26 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
 
 
 def _cluster_gammas(per_state: list[np.ndarray], absorbing, min_obs_mass: int):
-    pooled = None
+    """One cluster's gamma shape and rate rows, NaN at the absorbing state."""
 
+    def moment_fit(values: np.ndarray) -> GammaParams | None:
+        try:
+            return fit_gamma_mom(WeightedSample(values, np.ones_like(values)))
+        except DegenerateSample:
+            return None
+
+    @cache
     def pooled_fit() -> GammaParams:
-        nonlocal pooled
-        if pooled is None:
-            values = np.concatenate([v for v in per_state if v.size])
-            try:
-                pooled = fit_gamma_mom(WeightedSample(values, np.ones_like(values)))
-            except DegenerateSample:
-                # No spread at all: exponential with the observed mean.
-                pooled = GammaParams(shape=1.0, rate=1.0 / float(values.mean()))
-        return pooled
+        values = np.concatenate([v for v in per_state if v.size])
+        # No spread at all: exponential with the observed mean.
+        return moment_fit(values) or GammaParams(shape=1.0, rate=1.0 / float(values.mean()))
 
-    out = []
+    shape, rate = np.full((2, len(per_state)), np.nan)
     for j, values in enumerate(per_state):
-        if absorbing is not None and j == absorbing:
-            out.append(None)
-            continue
-        if values.size > min_obs_mass:
-            try:
-                out.append(fit_gamma_mom(WeightedSample(values, np.ones_like(values))))
-                continue
-            except DegenerateSample:
-                pass
-        out.append(pooled_fit())
-    return out
+        if j != absorbing:
+            law = (values.size > min_obs_mass and moment_fit(values)) or pooled_fit()
+            shape[j], rate[j] = law.shape, law.rate
+    return shape, rate
 
 
 def initial_model(
@@ -266,8 +266,6 @@ def _clustered_model(
     for g in range(n_components):
         in_cluster = row_labels == g
         per_state = [stats.soj_durations[in_cluster & (row_states == j)] for j in range(d)]
-        gammas = _cluster_gammas(per_state, absorbing, min_obs_mass)
-        shape[g] = [np.nan if p is None else p.shape for p in gammas]
-        rate[g] = [np.nan if p is None else p.rate for p in gammas]
-    model = MixtureArrays(weights, alpha, trans, shape, rate, absorbing).to_model(panel.space)
-    return model, labels
+        shape[g], rate[g] = _cluster_gammas(per_state, absorbing, min_obs_mass)
+    params = MixtureArrays(weights, alpha, trans, shape, rate, absorbing)
+    return MixtureModel.from_arrays(panel.space, params), labels

@@ -136,25 +136,20 @@ def subject_loglik(trajs, comp: ComponentParams) -> float:
     return float(sum(component_loglik(t, comp) for t in trajs))
 
 
-def _arrays(model: MixtureModel | MixtureArrays) -> MixtureArrays:
-    return model.arrays() if isinstance(model, MixtureModel) else model
-
-
 def _safe_log(p: np.ndarray) -> np.ndarray:
     """Elementwise log with 0 in place of the -inf of zero cells."""
     return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
 
 
-def subject_loglik_matrix(stats: PanelStats, model: MixtureModel | MixtureArrays) -> np.ndarray:
+def subject_loglik_matrix(stats: PanelStats, p: MixtureArrays) -> np.ndarray:
     """n x G matrix of per-subject log-likelihoods under each component of
-    a model or of its array form.
+    the mixture parameters ``p``.
 
     The parameter transforms are taken once over all components; each
     column is then five ``(n, .) @ (.,)`` products, the same per component,
     and a subject that meets a zero initial or transition cell of a
     component gets ``-inf`` there.
     """
-    p = _arrays(model)
     n, d = stats.n_subjects, stats.n_states
     g = len(p.weights)
     shape, rate = p.shape, p.rate
@@ -216,7 +211,7 @@ def mixture_loglik(panel: Panel, model: MixtureModel, stats: PanelStats | None =
     """
     if stats is None:
         stats = PanelStats.from_panel(panel)
-    _, per_subject = log_scores(subject_loglik_matrix(stats, model), model.weights)
+    _, per_subject = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
     return float(per_subject.sum())
 
 
@@ -228,9 +223,8 @@ def penalty_weight(panel: Panel, stats: PanelStats | None = None) -> float:
     return 1.0 / np.sqrt(stats.total_states)
 
 
-def penalty_term(model: MixtureModel | MixtureArrays, c: float) -> float:
-    """Shape penalty ``-c * sum over components and states of (a + ln a)``."""
-    p = _arrays(model)
+def penalty_term(p: MixtureArrays, c: float) -> float:
+    """Shape penalty ``-c * sum over components and states of (a + ln a)`` of ``p``."""
     shape = p.shape[:, p.live]
     # Summed one term at a time, component by component, state by state.
     return -c * np.add.accumulate((shape + np.log(shape)).ravel())[-1]
@@ -240,4 +234,4 @@ def penalized_objective(panel: Panel, model: MixtureModel) -> float:
     """Mixture log-likelihood plus the shape penalty (the EM objective)."""
     stats = PanelStats.from_panel(panel)
     c = penalty_weight(panel, stats)
-    return mixture_loglik(panel, model, stats) + penalty_term(model, c)
+    return mixture_loglik(panel, model, stats) + penalty_term(model.params, c)

@@ -54,12 +54,11 @@ def align_components(truth: MixtureModel, est: MixtureModel) -> tuple[int, ...]:
     g = truth.n_components
     if est.n_components != g:
         raise ValueError("models must have the same number of components")
+    pt, pe = truth.params, est.params
     cost = np.zeros((g, g))
     for t in range(g):
         for e in range(g):
-            cost[t, e] = err_matrix(
-                truth.components[t].trans, est.components[e].trans
-            ) + err_matrix(truth.components[t].alpha, est.components[e].alpha)
+            cost[t, e] = err_matrix(pt.trans[t], pe.trans[e]) + err_matrix(pt.alpha[t], pe.alpha[e])
     return _best_permutation(cost)
 
 
@@ -76,21 +75,17 @@ def err_gamma(
         raise ValueError("which must be 'shape' or 'rate'")
     if perm is None:
         perm = align_components(truth, est)
-    num = 0.0
-    denom = 0.0
-    for t in range(truth.n_components):
-        comp_t = truth.components[t]
-        comp_e = est.components[perm[t]]
-        for pt, pe in zip(comp_t.sojourn, comp_e.sojourn):
-            if pt is None:
-                continue
-            a = getattr(pt, which)
-            b = getattr(pe, which)
-            num += (a - b) ** 2
-            denom += a * a
+    live = truth.params.live
+    a = getattr(truth.params, which)[:, live]
+    b = getattr(est.params, which)[list(perm)][:, live]
+    # Summed one term at a time, component by component, state by state.
+    # float_power squares with libm pow, as a Python float's ** 2 does; the
+    # x * x of ** 2 on an array can differ from it in the last bit.
+    num = np.add.accumulate(np.float_power(a - b, 2.0).ravel())[-1]
+    denom = np.add.accumulate((a * a).ravel())[-1]
     if denom <= 0.0:
         raise ValueError("reference parameters have zero norm")
-    return num / denom
+    return float(num / denom)
 
 
 def err_by_component(
@@ -105,12 +100,8 @@ def err_by_component(
         raise ValueError("which must be 'alpha' or 'trans'")
     if perm is None:
         perm = align_components(truth, est)
-    out = []
-    for t in range(truth.n_components):
-        a = getattr(truth.components[t], which)
-        b = getattr(est.components[perm[t]], which)
-        out.append(err_matrix(a, b))
-    return out
+    a, b = getattr(truth.params, which), getattr(est.params, which)
+    return [err_matrix(a[t], b[e]) for t, e in enumerate(perm)]
 
 
 def classification_rate(true_labels, est_labels) -> float:

@@ -78,13 +78,12 @@ class _ComponentSampler:
     distribution, so the first state is drawn as a transition out of a
     start row, by the same code."""
 
-    def __init__(self, comp: ComponentParams):
-        self.absorbing = comp.absorbing
-        self.rows = [*comp.trans.tolist(), comp.alpha.tolist()]
-        self.cums = [*np.cumsum(comp.trans, axis=1).tolist(), np.cumsum(comp.alpha).tolist()]
-        shapes, rates = comp.sojourn_arrays()
-        self.shapes = shapes.tolist()
-        self.scales = (1.0 / rates).tolist()
+    def __init__(self, alpha, trans, shape, rate, absorbing):
+        self.absorbing = absorbing
+        self.rows = [*trans.tolist(), alpha.tolist()]
+        self.cums = [*np.cumsum(trans, axis=1).tolist(), np.cumsum(alpha).tolist()]
+        self.shapes = shape.tolist()
+        self.scales = (1.0 / rate).tolist()
 
     def draw_into(self, stop_rule, rng: np.random.Generator, states: list, sojourns: list) -> None:
         """Draw one trajectory under the stop rule and append its states
@@ -130,7 +129,8 @@ class _ComponentSampler:
 
 def simulate_trajectory(comp: ComponentParams, stop_rule, rng: np.random.Generator) -> Trajectory:
     """Draw one trajectory from one renewal process under the stop rule."""
-    return _ComponentSampler(comp).draw(stop_rule, rng)
+    sampler = _ComponentSampler(comp.alpha, comp.trans, *comp.sojourn_arrays(), comp.absorbing)
+    return sampler.draw(stop_rule, rng)
 
 
 def simulate_panel(
@@ -140,9 +140,9 @@ def simulate_panel(
     subject's mixture component.  Returns the panel and the true labels."""
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
-    model = scenario.model
-    labels = rng.choice(model.n_components, size=scenario.n_subjects, p=model.weights)
-    samplers = [_ComponentSampler(c) for c in model.components]
+    model, p = scenario.model, scenario.model.params
+    labels = rng.choice(model.n_components, size=scenario.n_subjects, p=p.weights)
+    samplers = [_ComponentSampler(*rows, p.absorbing) for rows in zip(*p[1:5])]
     b = scenario.n_replications
     # Every trajectory is drawn into one pair of lists, the panel's store.
     states: list[int] = []

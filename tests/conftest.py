@@ -69,3 +69,30 @@ def tiny_panel(two_state_space):
         (traj([1, 0, 1], [0.5, 0.5, 4.0]), traj([0, 1], [1.25, 2.0])),
     )
     return Panel(space=two_state_space, subjects=subjects)
+
+
+@pytest.fixture(scope="session")
+def benchmark_fits():
+    """(truth, fitted model) of every fit that small Monte-Carlo runs of a
+    well separated design and of a design with an absorbing state return."""
+    from smcmix import EmConfig, fixtures, sim
+    from test_absorbing import two_group_model
+
+    scenarios = [
+        fixtures.benchmark_scenario("well_separated", n_subjects=60, seed=11, replicate_count=3),
+        sim.Scenario(model=two_group_model(), n_subjects=60, n_replications=2,
+                     stop_rule="absorbing", seed=12, replicate_count=3),
+    ]
+    fits = []
+    with pytest.MonkeyPatch.context() as mp:
+        def recording(*args):
+            report = original(*args)
+            fits.append((scenario.model, report.model))
+            return report
+
+        original = sim.fit
+        mp.setattr(sim, "fit", recording)
+        for scenario in scenarios:
+            sim.run_benchmark(scenario, EmConfig(), restarts=3)
+    assert len(fits) == 6
+    return fits

@@ -1,5 +1,6 @@
 import dataclasses
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from smcmix import (
     ComponentParams,
     GammaParams,
     InvalidModelError,
+    MixtureArrays,
     MixtureModel,
     Panel,
     PooledParams,
@@ -277,6 +279,7 @@ class TestPickle:
             tiny_panel,
             simple_model.components[0],
             simple_model,
+            _absorbing_mixture(),
             PosteriorMatrix(z=np.array([[0.25, 0.75], [1.0, 0.0]])),
             pool_mixture(simple_model),
         ]
@@ -360,6 +363,111 @@ class TestMixtureModel:
         space3 = StateSpace(labels=("A", "B", "C"))
         with pytest.raises(InvalidModelError):
             MixtureModel(space=space3, weights=np.array([1.0]), components=(simple_component,))
+
+
+def _absorbing_mixture():
+    space = StateSpace(labels=("A", "B", "STOP"), absorbing=2)
+    comps = (
+        make_component([0.7, 0.3, 0.0], [[0, 0.6, 0.4], [0.5, 0, 0.5], [0, 0, 0]],
+                       [(2.0, 1.0), (1.5, 0.7), None], absorbing=2),
+        make_component([0.2, 0.8, 0.0], [[0, 0.9, 0.1], [0.3, 0, 0.7], [0, 0, 0]],
+                       [(1.0, 0.5), (3.0, 2.0), None], absorbing=2),
+    )
+    return MixtureModel(space, np.array([0.4, 0.6]), comps)
+
+
+def _fixture_models():
+    return [
+        _absorbing_mixture(),
+        fixtures.one_component_model(),
+        fixtures.well_separated_model(),
+        fixtures.not_well_separated_model(),
+    ]
+
+
+def _set(p: MixtureArrays, field: str, index, value) -> MixtureArrays:
+    """``p`` with one cell (or row) of ``field`` replaced, in a copy."""
+    arr = np.array(getattr(p, field))
+    arr[index] = value
+    return p._replace(**{field: arr})
+
+
+_SHAPES = re.escape(
+    "parameter arrays must be shaped (G,), (G, D), (G, D, D), (G, D), (G, D) for D states"
+)
+
+
+class TestMixtureModelArrays:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: _set(p, "shape", (0, 0), -1.0), "gamma shape must be positive"),
+            (lambda p: _set(p, "shape", (1, 1), np.inf), "gamma shape must be positive"),
+            (lambda p: _set(p, "rate", (1, 0), 0.0), "gamma rate must be positive"),
+            (lambda p: _set(p, "alpha", 0, [-0.5, 1.5, 0.0]),
+             "initial probabilities must be nonnegative"),
+            (lambda p: _set(p, "alpha", 1, [0.5, 0.6, 0.0]), "initial probabilities must sum to 1"),
+            (lambda p: _set(p, "trans", (0, 0), [0.5, 0.0, 0.5]), "transition diagonal must be zero"),
+            (lambda p: _set(p, "trans", (0, 1), [1.5, 0.0, -0.5]),
+             "transition probabilities must be nonnegative"),
+            (lambda p: _set(p, "alpha", 0, [0.5, 0.25, 0.25]),
+             "absorbing state cannot be a first state"),
+            (lambda p: _set(p, "trans", (1, 2), [0.5, 0.5, 0.0]), "absorbing row must be all zero"),
+            (lambda p: _set(p, "trans", (1, 1), [0.5, 0.0, 0.4]), "transition row 1 must sum to 1"),
+            (lambda p: _set(p, "weights", 1, 0.0), "mixture weights must be strictly positive"),
+            (lambda p: _set(p, "weights", 1, 0.7), "mixture weights must sum to 1"),
+            (lambda p: p._replace(alpha=p.alpha[:, :2]), _SHAPES),
+            (lambda p: p._replace(weights=p.weights[:1]), _SHAPES),
+            (lambda p: p._replace(trans=p.trans[:, :, :, None]), _SHAPES),
+            (lambda p: p._replace(absorbing=None),
+             "parameters disagree with the space about the absorbing state"),
+            (lambda p: MixtureArrays(*(a[:0] for a in p[:5]), p.absorbing),
+             "a mixture needs at least one component"),
+        ],
+    )
+    def test_from_arrays_messages(self, edit, message):
+        model = _absorbing_mixture()
+        with pytest.raises(InvalidModelError, match=f"^{message}$"):
+            MixtureModel.from_arrays(model.space, edit(model.params))
+
+    def test_from_arrays_copies_its_input_and_freezes_its_arrays(self):
+        model = _absorbing_mixture()
+        params = MixtureArrays(*(np.array(a) for a in model.params[:5]), 2)
+        built = MixtureModel.from_arrays(model.space, params)
+        params.alpha[0] = [0.5, 0.5, 0.0]
+        assert built == model
+        for arr in built.params[:5]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
+    def test_from_arrays_sets_the_absorbing_column_to_nan(self):
+        model = _absorbing_mixture()
+        params = model.params._replace(shape=np.full((2, 3), 2.0), rate=np.full((2, 3), 3.0))
+        built = MixtureModel.from_arrays(model.space, params)
+        assert np.isnan(built.params.shape[:, 2]).all() and np.isnan(built.params.rate[:, 2]).all()
+        assert (built.params.shape[:, :2] == 2.0).all() and (built.params.rate[:, :2] == 3.0).all()
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_both_constructors_build_the_same_model(self, index):
+        model = _fixture_models()[index]
+        again = MixtureModel.from_arrays(model.space, model.params)
+        assert again == model
+        assert MixtureModel(model.space, model.weights, model.components) == model
+        assert again.components == model.components
+
+    def test_components_view(self):
+        model = _absorbing_mixture()
+        comp = model.components[1]
+        assert comp.sojourn == (GammaParams(1.0, 0.5), GammaParams(3.0, 2.0), None)
+        assert comp.absorbing == 2
+        np.testing.assert_array_equal(comp.trans, [[0, 0.9, 0.1], [0.3, 0, 0.7], [0, 0, 0]])
+
+    def test_equality_reads_the_gamma_arrays(self):
+        model = _absorbing_mixture()
+        for field in ("shape", "rate"):
+            other = MixtureModel.from_arrays(model.space, _set(model.params, field, (0, 1), 1.25))
+            assert other != model
 
 
 class TestPosteriorMatrix:

@@ -397,7 +397,47 @@ class TestPanelRoundTrip:
             write_panel(tmp_path / "a.csv", tiny_panel, subject_ids=["only-one"])
 
 
+def reference_model_to_dict(model):
+    """The component-by-component walk that wrote model documents, kept as
+    an oracle for the array version."""
+    return {
+        "space": {
+            "labels": list(model.space.labels),
+            "absorbing": model.space.absorbing,
+        },
+        "weights": [float(w) for w in model.weights],
+        "components": [
+            {
+                "alpha": [float(a) for a in comp.alpha],
+                "trans": [[float(p) for p in row] for row in comp.trans],
+                "sojourn": [
+                    None if p is None else {"shape": float(p.shape), "rate": float(p.rate)}
+                    for p in comp.sojourn
+                ],
+            }
+            for comp in model.components
+        ],
+        "meta": {"format_version": dataio.MODEL_FORMAT_VERSION},
+    }
+
+
+def assert_model_bytes_match_the_walk(model):
+    got = dataio._dump_json(model_to_dict(model))
+    assert got == dataio._dump_json(reference_model_to_dict(model))
+    assert model_from_dict(json.loads(got)) == model
+
+
 class TestModelJson:
+    def test_array_writer_matches_the_component_walk(self):
+        from test_core import _fixture_models
+
+        for model in _fixture_models():
+            assert_model_bytes_match_the_walk(model)
+
+    def test_array_writer_matches_the_component_walk_on_fits(self, benchmark_fits):
+        for _, model in benchmark_fits:
+            assert_model_bytes_match_the_walk(model)
+
     def test_round_trip_reference_model(self, tmp_path):
         model = fixtures.well_separated_model()
         path = tmp_path / "model.json"
@@ -418,6 +458,29 @@ class TestModelJson:
         doc = model_to_dict(fixtures.one_component_model())
         doc["components"][0]["sojourn"][0]["shape"] = -1.0
         with pytest.raises(InvalidModelError):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(weights=[0.5, "half"]), "could not convert string to float"),
+            (lambda d: d.update(weights=[0.5, [0.5]]), "setting an array element with a sequence"),
+            (lambda d: d["components"][0].update(alpha=["x"] * 10), "could not convert"),
+            (lambda d: d["components"][1]["alpha"].pop(), "setting an array element"),
+            (lambda d: d["components"][0]["trans"][3].__setitem__(2, "none"), "could not convert"),
+            (lambda d: d["components"][0]["trans"][3].pop(), "setting an array element"),
+            (lambda d: d["components"][0]["sojourn"][2].update(shape="two"), "could not convert"),
+            (lambda d: d["components"][1]["sojourn"][4].update(rate=[1.0, 2.0]),
+             "setting an array element"),
+            (lambda d: d["space"].update(labels="ABCDEFGHIJ"), "space.labels must be a list"),
+            (lambda d: d["space"].update(absorbing=True),
+             "space.absorbing must be a state index or null"),
+        ],
+    )
+    def test_rejects_malformed_document(self, edit, message):
+        doc = model_to_dict(fixtures.well_separated_model())
+        edit(doc)
+        with pytest.raises(DataError, match=f"^malformed model document: {message}"):
             model_from_dict(doc)
 
     def test_rejects_unknown_version(self, tmp_path):

@@ -253,6 +253,13 @@ class TestKmeans:
         with pytest.raises(ValueError, match="^points must be finite$"):
             kmeans(points, 2, seed=0)
 
+    def test_rejects_points_whose_squared_distances_overflow(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="^points spread too widely"):
+                kmeans([[1e200, 0], [0, 0], [1, 1]], 2, 0)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_rejects_one_dimensional_points(self):
         with pytest.raises(ValueError, match="^points must be a 2-D array, got 1 dimension"):
             kmeans(np.arange(6.0), 2, seed=0)

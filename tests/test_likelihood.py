@@ -191,7 +191,7 @@ class TestMixtureLoglik:
 
     def test_vectorized_matches_reference(self, tiny_panel, simple_model):
         stats = PanelStats.from_panel(tiny_panel)
-        matrix = subject_loglik_matrix(stats, simple_model)
+        matrix = subject_loglik_matrix(stats, simple_model.params)
         for i, reps in enumerate(tiny_panel.subjects):
             for g, comp in enumerate(simple_model.components):
                 assert matrix[i, g] == pytest.approx(subject_loglik(reps, comp), rel=1e-12)
@@ -208,7 +208,7 @@ class TestMixtureLoglik:
             space=tiny_panel.space, weights=np.array([0.5, 0.5]), components=(comp, blocked)
         )
         stats = PanelStats.from_panel(tiny_panel)
-        matrix = subject_loglik_matrix(stats, model)
+        matrix = subject_loglik_matrix(stats, model.params)
         for i, reps in enumerate(tiny_panel.subjects):
             assert (matrix[i, 1] == -math.inf) == (
                 subject_loglik(reps, blocked) == -math.inf
@@ -279,7 +279,7 @@ class TestPenalizedObjective:
             space=two_state_space, weights=np.array([0.5, 0.5]), components=(comp, comp)
         )
         # ln(1) = 0, so each of the G x D shapes contributes exactly 1
-        assert penalty_term(model, 0.05) == pytest.approx(-0.05 * 2 * 2, rel=1e-14)
+        assert penalty_term(model.params, 0.05) == pytest.approx(-0.05 * 2 * 2, rel=1e-14)
 
     def test_penalty_sums_in_component_state_order(self):
         model = two_group_model()
@@ -294,7 +294,7 @@ class TestPenalizedObjective:
                 for p in comp.sojourn:
                     if p is not None:
                         total += p.shape + np.log(p.shape)
-            assert penalty_term(m, 0.0123) == -0.0123 * total
+            assert penalty_term(m.params, 0.0123) == -0.0123 * total
 
     def test_penalty_sign(self, tiny_panel, simple_model):
         # all shapes of the fixture model are >= 1

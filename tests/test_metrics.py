@@ -4,6 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 from smcmix import (
     MixtureModel,
+    StateSpace,
     align_components,
     classification_rate,
     err_gamma,
@@ -34,6 +35,103 @@ def perturbed_model(seed=0, scale=0.05):
             make_component(alpha, trans, [(p.shape, p.rate) for p in sojourn])
         )
     return MixtureModel(space=base.space, weights=base.weights, components=tuple(comps))
+
+
+# The component-by-component loops the metrics ran on model objects, kept
+# as oracles: the array versions must give the same floats, bit for bit.
+
+
+def reference_align_components(truth, est):
+    g = truth.n_components
+    cost = np.zeros((g, g))
+    for t in range(g):
+        for e in range(g):
+            cost[t, e] = err_matrix(
+                truth.components[t].trans, est.components[e].trans
+            ) + err_matrix(truth.components[t].alpha, est.components[e].alpha)
+    return _best_permutation(cost)
+
+
+def reference_err_gamma(truth, est, which, perm):
+    num = 0.0
+    denom = 0.0
+    for t in range(truth.n_components):
+        comp_t = truth.components[t]
+        comp_e = est.components[perm[t]]
+        for pt, pe in zip(comp_t.sojourn, comp_e.sojourn):
+            if pt is None:
+                continue
+            a = getattr(pt, which)
+            b = getattr(pe, which)
+            num += (a - b) ** 2
+            denom += a * a
+    return num / denom
+
+
+def reference_err_by_component(truth, est, which, perm):
+    out = []
+    for t in range(truth.n_components):
+        a = getattr(truth.components[t], which)
+        b = getattr(est.components[perm[t]], which)
+        out.append(err_matrix(a, b))
+    return out
+
+
+def _model_pairs():
+    """(truth, estimate) pairs of the fixture models, every estimate both
+    in its own component order and reversed."""
+    from test_core import _absorbing_mixture
+
+    def swap(model):
+        return MixtureModel(model.space, model.weights[::-1].copy(), model.components[::-1])
+
+    absorbing = _absorbing_mixture()
+    shifted = MixtureModel(absorbing.space, [0.5, 0.5], [
+        make_component(c.alpha, c.trans, [(1.1 * p.shape, 0.9 * p.rate) for p in c.sojourn[:2]]
+                       + [None], absorbing=2)
+        for c in absorbing.components
+    ])
+    truths = [fixtures.well_separated_model(), fixtures.not_well_separated_model(), absorbing]
+    ests = [perturbed_model(seed=5), fixtures.well_separated_model(), shifted]
+    pairs = [(fixtures.one_component_model(), fixtures.one_component_model())]
+    for truth, est in zip(truths, ests):
+        pairs += [(truth, est), (truth, swap(est)), (est, truth)]
+    return pairs
+
+
+def assert_metrics_match_the_loops(truth, est):
+    perm = align_components(truth, est)
+    assert perm == reference_align_components(truth, est)
+    for which in ("shape", "rate"):
+        got, expected = err_gamma(truth, est, which, perm), reference_err_gamma(truth, est, which, perm)
+        assert type(got) is float and got == expected, (which, got, expected)
+    for which in ("alpha", "trans"):
+        assert err_by_component(truth, est, which, perm) == reference_err_by_component(
+            truth, est, which, perm
+        )
+
+
+class TestArrayMetricsMatchTheLoops:
+    def test_fixture_models(self):
+        for truth, est in _model_pairs():
+            assert_metrics_match_the_loops(truth, est)
+
+    def test_squares_as_python_floats_do(self):
+        """For this x, x ** 2 on a Python float (libm pow) and x * x differ
+        in the last bit."""
+        x = float.fromhex("0x1.f4560daa73c7dp+0")
+        assert x**2 != x * x
+        space = StateSpace(labels=("A", "B"))
+
+        def model(shape):
+            comp = make_component([0.5, 0.5], [[0, 1], [1, 0]], [(shape, 1.0), (1.0, 1.0)])
+            return MixtureModel(space, [1.0], [comp])
+
+        assert_metrics_match_the_loops(model(2 * x), model(x))
+
+    def test_benchmark_fits(self, benchmark_fits):
+        for truth, est in benchmark_fits:
+            assert_metrics_match_the_loops(truth, est)
 
 
 class TestErrMatrix:

@@ -28,6 +28,10 @@ def absorbing_model():
     return MixtureModel(space=space, weights=np.array([1.0]), components=(comp,))
 
 
+def _sampler(comp):
+    return _ComponentSampler(comp.alpha, comp.trans, *comp.sojourn_arrays(), comp.absorbing)
+
+
 class TestScenario:
     def test_validation(self):
         model = fixtures.one_component_model()
@@ -75,7 +79,7 @@ class TestStateDraw:
             trans=(np.ones((d, d)) - np.eye(d)) / (d - 1),
             gammas=[(1.0, 1.0)] * d,
         )
-        sampler = _ComponentSampler(comp)
+        sampler = _sampler(comp)
         cum = np.cumsum(probs)
         us = np.concatenate([cum, (cum[:-1] + cum[1:]) / 2, [0.0, 1.0 - 2.0**-53]])
         for u in us[us < 1.0]:
@@ -102,7 +106,7 @@ class TestSimulateTrajectory:
         comp = fixtures.chocolate_70()
         crunchy = fixtures.CHOCOLATE_LABELS.index("Crunchy")
         rng = np.random.default_rng(123)
-        sampler = _ComponentSampler(comp)
+        sampler = _sampler(comp)
         hits = sum(sampler.draw(1, rng).states[0] == crunchy for _ in range(100_000))
         assert 0.80 <= hits / 100_000 <= 0.82
 
@@ -111,7 +115,7 @@ class TestSimulateTrajectory:
         crunchy = fixtures.CHOCOLATE_LABELS.index("Crunchy")
         p = comp.sojourn[crunchy]
         rng = np.random.default_rng(77)
-        sampler = _ComponentSampler(comp)
+        sampler = _sampler(comp)
         states, sojourns = [], []
         for _ in range(100_000):
             sampler.draw_into(1, rng, states, sojourns)
