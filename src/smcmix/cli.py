@@ -20,7 +20,6 @@ from . import dataio, fixtures
 from .em import EmConfig, e_step, fit, map_cluster
 from .errors import DataError, NumericalError, SmcmixError
 from .initialization import initial_model
-from .likelihood import mixture_loglik
 from .selection import select_g
 from .sim import run_benchmark, simulate_panel
 
@@ -101,7 +100,7 @@ def _cmd_fit(args) -> int:
     print(f"merged_rows: {report.merge_count}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {'yes' if result.converged else 'no'}")
-    print(f"loglik: {_F(mixture_loglik(panel, result.model))}")
+    print(f"loglik: {_F(result.loglik)}")
     print(f"objective: {_F(result.objective_trace[-1])}")
     print("cluster_sizes:", " ".join(str(int(s)) for s in sizes))
     print(f"warnings: {len(result.warnings)}")

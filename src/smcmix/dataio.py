@@ -192,6 +192,20 @@ def _dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` atomically as :func:`_dump_json` text."""
+    with _atomic_open(path) as fh:
+        fh.write(_dump_json(doc) + "\n")
+
+
+def _read_json(path) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid JSON: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Panel CSV
 
@@ -473,6 +487,8 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
 
 def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> None:
     """Write one 0-based component label per subject, as 1-based ids."""
+    if len(labels) != len(subject_ids):
+        raise ValueError("one label per subject id required")
     rows = ((sid, int(lab) + 1) for sid, lab in zip(subject_ids, labels))
     write_csv(path, ("subject", "component"), rows)
 
@@ -499,6 +515,11 @@ def read_labels(path) -> dict[str, int]:
 
 # ---------------------------------------------------------------------------
 # Model JSON
+
+
+def _leaves(value) -> list:
+    """The leaves of a nested list, depth first."""
+    return [x for item in value for x in _leaves(item)] if isinstance(value, list) else [value]
 
 
 def model_to_dict(model: MixtureModel) -> dict:
@@ -543,23 +564,23 @@ def model_from_dict(doc: dict) -> MixtureModel:
             arrays = [np.array(v, dtype=np.float64) for v in values]
         except ValueError as exc:
             raise DataError(f"malformed model document: {exc}") from exc
+        # numpy also converts numeric strings, booleans and null (to NaN)
+        for name, v in zip(("weights", "alpha", "trans", "shape", "rate"), values):
+            bad = [x for x in _leaves(v) if isinstance(x, bool) or not isinstance(x, (int, float))]
+            if bad:
+                raise DataError(f"malformed model document: {name} holds "
+                                f"{json.dumps(bad[0])}, not a number")
         return MixtureModel.from_arrays(space, MixtureArrays(*arrays, absorbing))
     except (KeyError, TypeError, IndexError) as exc:
         raise DataError(f"malformed model document: {exc}") from exc
 
 
 def write_model(path, model: MixtureModel) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(_dump_json(model_to_dict(model)) + "\n")
+    _write_json(path, model_to_dict(model))
 
 
 def read_model(path) -> MixtureModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    return model_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -585,22 +606,29 @@ def scenario_to_dict(scenario: Scenario, meta: Optional[dict] = None) -> dict:
     return doc
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"malformed scenario document: {name} must be an integer, "
+                        f"not {json.dumps(value)}")
+    return value
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     try:
         stop = doc["stop_rule"]
         if stop["type"] == "absorbing":
             stop_rule: int | str = ABSORBING_RULE
         elif stop["type"] == "transitions":
-            stop_rule = int(stop["count"])
+            stop_rule = _integer(stop["count"], "stop_rule.count")
         else:
             raise DataError(f"unknown stop rule type {stop['type']!r}")
         return Scenario(
             model=model_from_dict(doc["model"]),
-            n_subjects=int(doc["n_subjects"]),
-            n_replications=int(doc["n_replications"]),
+            n_subjects=_integer(doc["n_subjects"], "n_subjects"),
+            n_replications=_integer(doc["n_replications"], "n_replications"),
             stop_rule=stop_rule,
-            seed=int(doc["seed"]),
-            replicate_count=int(doc.get("replicate_count", 50)),
+            seed=_integer(doc["seed"], "seed"),
+            replicate_count=_integer(doc.get("replicate_count", 50), "replicate_count"),
             name=doc.get("name"),
         )
     except (KeyError, TypeError) as exc:
@@ -608,17 +636,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
 
 def write_scenario(path, scenario: Scenario, meta: Optional[dict] = None) -> None:
-    with _atomic_open(path) as fh:
-        fh.write(_dump_json(scenario_to_dict(scenario, meta)) + "\n")
+    _write_json(path, scenario_to_dict(scenario, meta))
 
 
 def read_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON: {exc}") from exc
-    return scenario_from_dict(doc)
+    return scenario_from_dict(_read_json(path))
 
 
 # ---------------------------------------------------------------------------

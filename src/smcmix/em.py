@@ -96,6 +96,9 @@ class FitReport:
     counts EM maps; ``extrapolations_tried`` counts the extrapolated
     parameter sets evaluated (not those dropped for breaking an
     invariant), ``extrapolations_kept`` those whose map was kept.
+    ``loglik`` is the plain (unpenalized) mixture log-likelihood of
+    ``model``, the value the information criteria read; it equals
+    :func:`~smcmix.likelihood.mixture_loglik` of the panel under ``model``.
     """
 
     model: MixtureModel
@@ -103,6 +106,7 @@ class FitReport:
     objective_trace: tuple[float, ...]
     iterations: int
     converged: bool
+    loglik: float
     warnings: tuple[str, ...] = field(default_factory=tuple)
     extrapolations_tried: int = 0
     extrapolations_kept: int = 0
@@ -348,7 +352,7 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
         raise ValueError("init is defined on a different state space")
 
     stats = PanelStats.from_panel(panel)
-    c = penalty_weight(panel, stats) if cfg.penalized else 0.0
+    c = penalty_weight(panel) if cfg.penalized else 0.0
     labels = panel.space.labels
 
     def evaluate(p: MixtureArrays) -> _Point:
@@ -381,7 +385,8 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
 
     def report(point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
         return FitReport(MixtureModel.from_arrays(panel.space, point.params), PosteriorMatrix(z),
-                         tuple(trace), n_maps, converged, tuple(warnings), tried, kept)
+                         tuple(trace), n_maps, converged, float(point.norms.sum()),
+                         tuple(warnings), tried, kept)
 
     def plain_map(point: _Point) -> tuple[_Point, bool]:
         nonlocal iterations, empty_streak

@@ -183,7 +183,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
         [_seed_centers(points, k, np.random.Generator(np.random.PCG64(ss))) for ss in seeds]
     )
     labels, sse = _lloyd(points, centers)
-    return labels[int(np.argmin(sse))]
+    # a copy: a row view would keep every restart's labels alive
+    return labels[int(np.argmin(sse))].copy()
 
 
 def _cluster_gammas(per_state: list[np.ndarray], absorbing, min_obs_mass: int):

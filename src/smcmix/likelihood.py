@@ -34,9 +34,7 @@ class PanelStats:
     replications.
 
     ``soj_*`` arrays cover only states that contribute a sojourn factor
-    (the absorbing state, if any, is excluded); ``total_states`` counts
-    every visited state of every trajectory, absorbing included, which is
-    the normalizer of the shape penalty.  ``soj_cells`` and
+    (the absorbing state, if any, is excluded).  ``soj_cells`` and
     ``soj_durations`` keep every such sojourn as one flat row, in panel
     order (subject, replication, position), with its cell
     ``subject * D + state``; the per-subject sums are these rows
@@ -50,7 +48,6 @@ class PanelStats:
     soj_logsum: np.ndarray  # (n, D) sum of log durations per state
     soj_cells: np.ndarray  # (m,) cell subject * D + state of each sojourn
     soj_durations: np.ndarray  # (m,) duration of each sojourn
-    total_states: int
     n_replications: int
     absorbing: int | None
 
@@ -91,7 +88,6 @@ class PanelStats:
             soj_logsum=logsums.reshape(n, d),
             soj_cells=cells,
             soj_durations=durations,
-            total_states=int(states.size),
             n_replications=panel.n_replications,
             absorbing=absorbing,
         )
@@ -203,24 +199,21 @@ def log_scores(ll: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     return scores, norms
 
 
-def mixture_loglik(panel: Panel, model: MixtureModel, stats: PanelStats | None = None) -> float:
+def mixture_loglik(panel: Panel, model: MixtureModel) -> float:
     """Observed-data log-likelihood of the panel under the mixture.
 
     Computed with a log-sum-exp reduction per subject; ``-inf`` only when
     some subject is impossible under every component.
     """
-    if stats is None:
-        stats = PanelStats.from_panel(panel)
+    stats = PanelStats.from_panel(panel)
     _, per_subject = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
     return float(per_subject.sum())
 
 
-def penalty_weight(panel: Panel, stats: PanelStats | None = None) -> float:
+def penalty_weight(panel: Panel) -> float:
     """Penalty normalizer: one over the square root of the total number of
-    visited states across all trajectories."""
-    if stats is None:
-        stats = PanelStats.from_panel(panel)
-    return 1.0 / np.sqrt(stats.total_states)
+    visited states across all trajectories, absorbing states included."""
+    return 1.0 / np.sqrt(panel.states.size)
 
 
 def penalty_term(p: MixtureArrays, c: float) -> float:
@@ -232,6 +225,4 @@ def penalty_term(p: MixtureArrays, c: float) -> float:
 
 def penalized_objective(panel: Panel, model: MixtureModel) -> float:
     """Mixture log-likelihood plus the shape penalty (the EM objective)."""
-    stats = PanelStats.from_panel(panel)
-    c = penalty_weight(panel, stats)
-    return mixture_loglik(panel, model, stats) + penalty_term(model.params, c)
+    return mixture_loglik(panel, model) + penalty_term(model.params, penalty_weight(panel))

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .core import Panel
 from .em import EmConfig, EmptyComponent, FitReport, fit
 from .initialization import _clustered_model
-from .likelihood import PanelStats, mixture_loglik
+from .likelihood import PanelStats
 
 CRITERIA = ("bic", "aic", "aicc")
 
@@ -69,9 +69,13 @@ class SweepRow:
 
 @dataclass(frozen=True, eq=False)
 class GSweepResult:
+    """Outcome of :func:`select_g`; ``init_labels`` holds, per component
+    count, the k-means labels (one per subject) its fit started from."""
+
     rows: tuple[SweepRow, ...]
     chosen: dict  # criterion name -> chosen component count
     reports: dict  # component count -> FitReport
+    init_labels: dict  # component count -> k-means labels
     warnings: tuple[str, ...]
 
     def best_report(self, criterion: str = "bic") -> FitReport:
@@ -91,21 +95,11 @@ def select_g(
     ``sample_size`` is the observation count entering the criteria; it
     defaults to subjects times replications.  What the right effective
     sample size is for temporal data is debatable, hence the override.
-    Fits aborted by a starved component are kept with their last valid
-    model and flagged.  Ties pick the smallest component count.
+    The criteria read each fit's :attr:`FitReport.loglik`.  Fits aborted
+    by a starved component are kept with their last valid model and
+    flagged.  Ties pick the smallest component count.  The k-means labels
+    each fit started from are kept in :attr:`GSweepResult.init_labels`.
     """
-    return _select_g(panel, g_range, cfg, sample_size, restarts)[0]
-
-
-def _select_g(
-    panel: Panel,
-    g_range: Sequence[int],
-    cfg: EmConfig,
-    sample_size: Optional[int],
-    restarts: int,
-) -> tuple[GSweepResult, dict]:
-    """:func:`select_g` together with the k-means labels each fit was
-    initialized from, by component count."""
     g_values = sorted(set(int(g) for g in g_range))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
@@ -117,10 +111,10 @@ def _select_g(
 
     rows: list[SweepRow] = []
     reports: dict[int, FitReport] = {}
-    km_labels = {}
+    init_labels = {}
     warnings: list[str] = []
     for g in g_values:
-        init, km_labels[g] = _clustered_model(
+        init, init_labels[g] = _clustered_model(
             panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
         )
         aborted = False
@@ -133,7 +127,7 @@ def _select_g(
             aborted = True
             warnings.append(f"G={g}: {exc}")
         reports[g] = report
-        ll = mixture_loglik(panel, report.model, stats)
+        ll = report.loglik
         q = param_count(g, panel.space.n_states, d=2, has_absorbing=has_absorbing)
         try:
             corrected = aicc(ll, q, n_obs)
@@ -159,5 +153,5 @@ def _select_g(
         if not scored:
             continue
         chosen[name] = min(scored)[1]
-    sweep = GSweepResult(rows=tuple(rows), chosen=chosen, reports=reports, warnings=tuple(warnings))
-    return sweep, km_labels
+    return GSweepResult(rows=tuple(rows), chosen=chosen, reports=reports,
+                        init_labels=init_labels, warnings=tuple(warnings))

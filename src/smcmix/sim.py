@@ -17,6 +17,7 @@ same calls in the same order; ``tests/golden/sim_panels.json`` pins it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -33,7 +34,7 @@ from .metrics import (
     err_gamma,
     pi_recovery,
 )
-from .selection import _select_g
+from .selection import select_g
 
 ABSORBING_RULE = "absorbing"
 _MAX_SIM_STATES = 1_000_000
@@ -231,13 +232,14 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             return out, warnings
         out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     else:
-        sweep, km_labels = _select_g(panel, g_range, replace(cfg, seed=init_seed), None, restarts)
+        sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
         warnings.extend(sweep.warnings)
         for name, choice in sweep.chosen.items():
             out[f"{name}_choice"] = float(choice)
         g = truth.n_components
         if g in sweep.reports:
-            out.update(_recovery_metrics(truth, sweep.reports[g], true_labels, km_labels[g]))
+            out.update(_recovery_metrics(truth, sweep.reports[g], true_labels,
+                                         sweep.init_labels[g]))
     return out, warnings
 
 
@@ -260,25 +262,14 @@ def run_benchmark(
         init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
         results.append(_one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed))
 
-    names: list[str] = []
-    for row, _ in results:
-        for key in row:
-            if key not in names:
-                names.append(key)
-
+    names = dict.fromkeys(key for row, _ in results for key in row)
     values = {
         name: np.array([row.get(name, np.nan) for row, _ in results]) for name in names
     }
-    histograms: dict[str, dict[int, int]] = {}
-    for name in names:
-        if not name.endswith("_choice"):
-            continue
-        counts: dict[int, int] = {}
-        for v in values[name]:
-            if np.isnan(v):
-                continue
-            counts[int(v)] = counts.get(int(v), 0) + 1
-        histograms[name.removesuffix("_choice")] = counts
+    histograms = {
+        name.removesuffix("_choice"): dict(Counter(int(v) for v in values[name] if not np.isnan(v)))
+        for name in names if name.endswith("_choice")
+    }
 
     all_warnings: list[str] = []
     for i, (_, warns) in enumerate(results):

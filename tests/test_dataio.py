@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -348,6 +349,12 @@ class TestRowReader:
         assert path.read_text() == "subject,component\na,2\nb,1\nc,2\n"
         assert read_labels(path) == {"a": 1, "b": 0, "c": 1}
 
+    def test_labels_need_one_label_per_subject(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError, match="^one label per subject id required$"):
+            write_labels(path, ["a", "b", "c"], [0])
+        assert not path.exists()
+
     @pytest.mark.parametrize("component", ["two", "", "1.5"])
     def test_labels_bad_component(self, tmp_path, component):
         path = write_csv(tmp_path / "labels.csv", f"subject,component\na,1\n\nb,{component}\n")
@@ -475,6 +482,17 @@ class TestModelJson:
             (lambda d: d["space"].update(labels="ABCDEFGHIJ"), "space.labels must be a list"),
             (lambda d: d["space"].update(absorbing=True),
              "space.absorbing must be a state index or null"),
+            (lambda d: d.update(weights=[0.5, "0.5"]), 'weights holds "0.5", not a number'),
+            (lambda d: d.update(weights=[True, 0.5]), "weights holds true, not a number"),
+            (lambda d: d.update(weights=[0.5, None]), "weights holds null, not a number"),
+            (lambda d: d["components"][1]["alpha"].__setitem__(0, False),
+             "alpha holds false, not a number"),
+            (lambda d: d["components"][0]["trans"][3].__setitem__(2, "0.1"),
+             'trans holds "0.1", not a number'),
+            (lambda d: d["components"][0]["sojourn"][2].update(shape=None),
+             "shape holds null, not a number"),
+            (lambda d: d["components"][1]["sojourn"][4].update(rate="2"),
+             'rate holds "2", not a number'),
         ],
     )
     def test_rejects_malformed_document(self, edit, message):
@@ -517,6 +535,20 @@ class TestScenarioJson:
         )
         write_scenario(tmp_path / "s.json", scenario)
         assert read_scenario(tmp_path / "s.json").stop_rule == "absorbing"
+
+    @pytest.mark.parametrize("value", [200.7, True, "12", "abc", None])
+    @pytest.mark.parametrize(
+        "field", ["n_subjects", "n_replications", "seed", "replicate_count", "stop_rule.count"]
+    )
+    def test_rejects_non_integer_field(self, field, value):
+        doc = dataio.scenario_to_dict(fixtures.benchmark_scenario("well_separated", seed=5))
+        if field == "stop_rule.count":
+            doc["stop_rule"]["count"] = value
+        else:
+            doc[field] = value
+        message = f"{field} must be an integer, not {json.dumps(value)}"
+        with pytest.raises(DataError, match=f"^malformed scenario document: {re.escape(message)}$"):
+            dataio.scenario_from_dict(doc)
 
     def test_bundled_scenarios_parse(self):
         for name in fixtures.BUNDLED_SCENARIOS:

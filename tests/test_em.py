@@ -655,6 +655,55 @@ class TestPartialReport:
         assert err.value.report.model == init
 
 
+def _converged_fit():
+    panel, _ = well_separated_panel(n=60, transitions=6, seed=12)
+    report = fit(panel, 2, initial_model(panel, 2, seed=12), EmConfig())
+    assert report.converged
+    return panel, report
+
+
+def _fit_stopped_at_max_iter():
+    panel, init, _ = TestSharedLikelihood._g3_fit("chocolate70", 42)
+    report = fit(panel, 3, init, EmConfig(max_iter=5))
+    assert not report.converged and report.iterations == 5
+    return panel, report
+
+
+def _aborted_fit():
+    scenario = fixtures.benchmark_scenario("chocolate70", n_subjects=30, transitions=4, seed=29)
+    panel, _ = simulate_panel(scenario)
+    with pytest.raises(EmptyComponent) as err:
+        fit(panel, 4, initial_model(panel, 4, seed=29), EmConfig())
+    return panel, err.value.report
+
+
+def _unpenalized_fit():
+    panel, _ = well_separated_panel(n=40, transitions=6, seed=35)
+    return panel, fit(panel, 2, initial_model(panel, 2, seed=1), EmConfig(penalized=False))
+
+
+def _absorbing_fit():
+    from test_absorbing import two_group_model
+
+    scenario = Scenario(
+        model=two_group_model(), n_subjects=60, n_replications=3,
+        stop_rule="absorbing", seed=88, replicate_count=1,
+    )
+    panel, _ = simulate_panel(scenario)
+    return panel, fit(panel, 2, initial_model(panel, 2, seed=88), EmConfig())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_converged_fit, _fit_stopped_at_max_iter, _aborted_fit, _unpenalized_fit, _absorbing_fit],
+)
+def test_reported_loglik_is_the_mixture_loglik_exactly(make):
+    """``FitReport.loglik`` is the plain mixture log-likelihood of the
+    returned model, bit for bit, however the fit ended."""
+    panel, report = make()
+    assert report.loglik == mixture_loglik(panel, report.model)
+
+
 def test_m_step_sojourn_fallbacks_fire_in_order():
     """Crafted statistics that reach every pooled fallback of one M-step:
     a degenerate state (A), a state whose unpenalized shape leaves the

@@ -145,6 +145,11 @@ class TestKmeans:
         assert len(set(labels[15:])) == 1
         assert labels[0] != labels[-1]
 
+    def test_labels_own_their_data(self):
+        """The winning labels keep no other restart's labels alive."""
+        labels = kmeans(np.random.default_rng(2).random((30, 2)), 3, seed=0, restarts=10)
+        assert labels.base is None and labels.nbytes == 30 * labels.itemsize
+
     def test_needs_enough_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 2)), 3, seed=0)

@@ -315,11 +315,9 @@ def reference_stats(panel: Panel) -> dict:
     logsums = np.zeros((n, d))
     cells: list[int] = []
     durations: list[float] = []
-    total = 0
     for i, reps in enumerate(panel.subjects):
         for t in reps:
             states = t.states
-            total += len(states)
             first[i, states[0]] += 1.0
             np.add.at(trans[i], (states[:-1], states[1:]), 1.0)
             soj_states, soj_values = states, t.sojourns
@@ -338,7 +336,6 @@ def reference_stats(panel: Panel) -> dict:
         "soj_logsum": logsums,
         "soj_cells": np.asarray(cells, dtype=np.int64),
         "soj_durations": np.asarray(durations),
-        "total_states": total,
         "n_replications": panel.n_replications,
         "absorbing": absorbing,
     }
@@ -410,7 +407,7 @@ class TestPanelStatsOracle:
 
 class TestStatsBuilds:
     """Each entry point builds the panel statistics once; a sweep builds
-    them once for its own likelihoods and every init, plus once per fit."""
+    them once for all its inits, plus once per fit."""
 
     @pytest.fixture
     def builds(self, monkeypatch):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from smcmix import EmConfig, aic, aicc, bic, fixtures, param_count, select_g
+from smcmix import em, likelihood
+from smcmix.initialization import _clustered_model
 from smcmix.sim import Scenario, simulate_panel
 
 
@@ -65,6 +67,19 @@ class TestCriteria:
         assert aicc(loglik, q, 665) - aic(loglik, q) == pytest.approx(216.54, abs=0.02)
 
 
+def _count_calls(monkeypatch, module, name) -> list:
+    """The arguments of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def small_two_component_panel():
     scenario = Scenario(
@@ -115,3 +130,29 @@ class TestSelectG:
         sweep = select_g(small_two_component_panel, [1, 2], EmConfig(seed=2))
         for row in sweep.rows:
             assert np.isfinite(row.loglik) and np.isfinite(row.bic) and np.isfinite(row.aic)
+
+    def test_criteria_read_the_reported_loglik(self, small_two_component_panel, monkeypatch):
+        """A sweep evaluates one likelihood matrix per parameter set its
+        fits visit, all inside ``fit``, and no mixture log-likelihood of
+        its own (``mixture_loglik`` reaches the matrix through the
+        binding in ``likelihood``)."""
+        in_fits = _count_calls(monkeypatch, em, "subject_loglik_matrix")
+        elsewhere = _count_calls(monkeypatch, likelihood, "subject_loglik_matrix")
+        sweep = select_g(small_two_component_panel, [1, 2, 3], EmConfig(seed=4))
+        reports = sweep.reports.values()
+        assert len(in_fits) == sum(1 + r.iterations + r.extrapolations_tried for r in reports)
+        assert elsewhere == []
+        for row in sweep.rows:
+            assert row.loglik == sweep.reports[row.n_components].loglik
+
+    def test_init_labels_are_the_clustering_each_fit_started_from(
+        self, small_two_component_panel
+    ):
+        cfg = EmConfig(seed=6)
+        sweep = select_g(small_two_component_panel, [1, 2, 3], cfg, restarts=4)
+        assert sorted(sweep.init_labels) == [1, 2, 3]
+        for g, labels in sweep.init_labels.items():
+            _, expected = _clustered_model(
+                small_two_component_panel, g, cfg.seed, 4, cfg.min_obs_mass
+            )
+            assert np.array_equal(labels, expected)
