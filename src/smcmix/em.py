@@ -15,8 +15,11 @@ stores: a fit starts from its initial model's arrays, checks each M-step's
 against the model invariants and returns the last through
 :meth:`MixtureModel.from_arrays`.  One subject log-likelihood matrix per
 parameter set, extrapolated ones included, gives both its objective and
-the next responsibilities, and each M-step solves every component-by-state
-gamma shape in one array solver call.
+the next responsibilities; both stay component-major (Fortran order), so
+per-subject reductions over components read contiguous memory.  Each
+M-step takes its totals from one product of the responsibilities with a
+block of the statistics table, and the sojourn step solves every
+component-by-state gamma shape in one array solver call.
 """
 
 from __future__ import annotations
@@ -175,14 +178,14 @@ def _m_step_alpha_trans_stats(
     States never left under a component get a uniform row (recorded as a
     warning) so the next E-step cannot hit an artificial structural zero.
     """
-    n, d = stats.first_counts.shape
+    d = stats.n_states
     n_comp = z.shape[1]
     warnings: list[str] = []
     ng = z.sum(axis=0)
-    rows = (z.T @ stats.trans_counts.reshape(n, d * d)).reshape(n_comp, d, d)
+    chain = z.T @ stats.table[:, : d + d * d]
+    alpha, rows = chain[:, :d], chain[:, d:].reshape(n_comp, d, d)
     totals = rows.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = (z.T @ stats.first_counts) / (stats.n_replications * ng)[:, None]
         alpha /= alpha.sum(axis=1, keepdims=True)
         trans = rows / totals[:, :, None]
         trans[:, np.arange(d), np.arange(d)] = 0.0
@@ -227,9 +230,7 @@ def _m_step_sojourn_stats(
     n_comp = z.shape[1]
     d = stats.n_states
     warnings: list[str] = []
-    sw = z.T @ stats.soj_counts
-    slog = z.T @ stats.soj_logsum
-    sx = z.T @ stats.soj_sum
+    slog, sw, sx = (z.T @ stats.table[:, d + d * d :]).reshape(n_comp, 3, d).transpose(1, 0, 2)
     carrying = (z > z_round).astype(np.float64)
     n_obs = carrying.T @ stats.soj_counts
     fitted = n_obs > min_obs_mass  # never the absorbing state: it has no sojourns

@@ -6,15 +6,18 @@ transition probability) yields ``-inf`` rather than an error, so the
 E-step can assign zero responsibility naturally.
 
 :class:`PanelStats` holds the sufficient statistics of a panel (first-state
-counts, transition counts, per-state sojourn sums) so that subject
-log-likelihoods under any parameter set reduce to a few small matrix
-products.  It reads the panel's flat arrays, where the trajectories are
-stored back to back, in one pass that fills every array, and the flat
-per-sojourn rows it keeps serve the moment initializer.
+counts, transition counts, per-state sojourn sums) as one table with a row
+per subject, so that subject log-likelihoods under any parameter set reduce
+to one matrix product.  It reads the panel's flat arrays, where the
+trajectories are stored back to back, in one pass that fills the table,
+and the flat per-sojourn rows it keeps serve the moment initializer.
 :func:`subject_loglik_matrix` transforms the parameters of all components
-at once, then takes five such products per component.  The
-per-trajectory operations below are the reference implementations; the
-vectorized path must and does agree with them.
+at once into one matrix and multiplies it with the table.  Its result is
+component-major, so the per-subject reductions over components that follow
+run over contiguous memory; they add the components in sequence, which for
+G >= 8 can differ in the last bit from numpy's pairwise row sums.
+The per-trajectory operations below are the reference implementations;
+the vectorized path must and does agree with them.
 """
 
 from __future__ import annotations
@@ -33,21 +36,22 @@ class PanelStats:
     """Sufficient statistics of a panel, aggregated per subject over
     replications.
 
-    ``soj_*`` arrays cover only states that contribute a sojourn factor
-    (the absorbing state, if any, is excluded).  ``soj_cells`` and
+    ``table`` holds them side by side, one read-only row per subject, in
+    the column blocks first-state counts (D), transition counts (D * D,
+    row-major), sojourn log-sums, sojourn counts and sojourn sums (D
+    each); the five named arrays are views of these blocks.  The sojourn
+    blocks cover only states that contribute a sojourn factor (the
+    absorbing state, if any, keeps zeros).  ``soj_cells`` and
     ``soj_durations`` keep every such sojourn as one flat row, in panel
     order (subject, replication, position), with its cell
     ``subject * D + state``; the per-subject sums are these rows
     accumulated per cell.
     """
 
-    first_counts: np.ndarray  # (n, D) first-state indicator counts
-    trans_counts: np.ndarray  # (n, D, D) transition counts
-    soj_counts: np.ndarray  # (n, D) number of sojourns observed per state
-    soj_sum: np.ndarray  # (n, D) sum of durations per state
-    soj_logsum: np.ndarray  # (n, D) sum of log durations per state
+    table: np.ndarray  # (n, D + D * D + 3 * D)
     soj_cells: np.ndarray  # (m,) cell subject * D + state of each sojourn
     soj_durations: np.ndarray  # (m,) duration of each sojourn
+    n_states: int
     n_replications: int
     absorbing: int | None
 
@@ -64,41 +68,47 @@ class PanelStats:
         moves = np.ones(states.size - 1, dtype=bool)
         moves[ends[:-1] - 1] = False
 
-        first = np.zeros(n * d)
-        np.add.at(first, cells[ends - lengths], 1.0)
-        trans = np.zeros(n * d * d)
-        np.add.at(trans, cells[:-1][moves] * d + states[1:][moves], 1.0)
+        # Filled in place: ``at`` is each row's state position in its subject's
+        # table row, indexing views of the flat table that start at a block.
+        table = np.zeros((n, d * d + 4 * d))
+        flat = table.reshape(-1)
+        at = np.repeat(np.arange(n) * table.shape[1], subject_rows) + states
+        np.add.at(flat, at[ends - lengths], 1.0)
+        np.add.at(flat[d:], (at[:-1] + states[:-1] * (d - 1) + states[1:])[moves], 1.0)
         if absorbing is not None:
             # the absorbing state can only end a trajectory and has no sojourn
             live = states != absorbing
-            cells, durations = cells[live], durations[live]
+            cells, durations, at = cells[live], durations[live], at[live]
         # Unbuffered accumulation in row order: each cell sums its sojourns
         # in panel order.
-        counts = np.zeros(n * d)
-        np.add.at(counts, cells, 1.0)
-        sums = np.zeros(n * d)
-        np.add.at(sums, cells, durations)
-        logsums = np.zeros(n * d)
-        np.add.at(logsums, cells, np.log(durations))
-        return cls(
-            first_counts=first.reshape(n, d),
-            trans_counts=trans.reshape(n, d, d),
-            soj_counts=counts.reshape(n, d),
-            soj_sum=sums.reshape(n, d),
-            soj_logsum=logsums.reshape(n, d),
-            soj_cells=cells,
-            soj_durations=durations,
-            n_replications=panel.n_replications,
-            absorbing=absorbing,
-        )
+        sojourns = flat[d + d * d :]
+        np.add.at(sojourns, at, np.log(durations))
+        np.add.at(sojourns[d:], at, 1.0)
+        np.add.at(sojourns[2 * d :], at, durations)
+        table.flags.writeable = False
+        return cls(table, cells, durations, d, panel.n_replications, absorbing)
 
     @property
     def n_subjects(self) -> int:
-        return self.first_counts.shape[0]
+        return self.table.shape[0]
 
     @property
-    def n_states(self) -> int:
-        return self.first_counts.shape[1]
+    def first_counts(self) -> np.ndarray:  # (n, D) first-state indicator counts
+        return self.table[:, : self.n_states]
+
+    @property
+    def trans_counts(self) -> np.ndarray:  # (n, D, D) transition counts
+        d = self.n_states
+        return self.table[:, d : d + d * d].reshape(-1, d, d)
+
+    def _sojourn_block(self, k: int) -> np.ndarray:
+        d = self.n_states
+        return self.table[:, d + d * d + k * d : d + d * d + (k + 1) * d]
+
+    # (n, D) each: sum of log durations, number of sojourns, sum of durations per state
+    soj_logsum = property(lambda self: self._sojourn_block(0))
+    soj_counts = property(lambda self: self._sojourn_block(1))
+    soj_sum = property(lambda self: self._sojourn_block(2))
 
 
 def component_loglik(traj: Trajectory, comp: ComponentParams) -> float:
@@ -139,40 +149,28 @@ def _safe_log(p: np.ndarray) -> np.ndarray:
 
 def subject_loglik_matrix(stats: PanelStats, p: MixtureArrays) -> np.ndarray:
     """n x G matrix of per-subject log-likelihoods under each component of
-    the mixture parameters ``p``.
+    the mixture parameters ``p``, stored component-major (Fortran order).
 
-    The parameter transforms are taken once over all components; each
-    column is then five ``(n, .) @ (.,)`` products, the same per component,
-    and a subject that meets a zero initial or transition cell of a
-    component gets ``-inf`` there.
+    The parameters of all components are transformed at once into one
+    G x F matrix whose rows match the blocks of ``stats.table``: log
+    initial and transition probabilities (0 at zero cells), ``a - 1``,
+    ``a ln(rate) - ln Gamma(a)`` and ``-rate``.  The matrix is then one
+    product with the table, and a subject that meets a zero initial or
+    transition cell of a component gets ``-inf`` there.
     """
-    n, d = stats.n_subjects, stats.n_states
-    g = len(p.weights)
+    g, d = len(p.weights), stats.n_states
     shape, rate = p.shape, p.rate
     if stats.absorbing is not None:
         live = np.arange(d) != stats.absorbing
         shape = np.where(live, shape, 1.0)
         rate = np.where(live, rate, 1.0)
-    trans = p.trans.reshape(g, d * d)
-    tcounts = stats.trans_counts.reshape(n, d * d)
-
-    log_alpha = _safe_log(p.alpha)
-    log_trans = _safe_log(trans)
-    # Gamma terms via per-state sufficient statistics.
-    shape_m1 = shape - 1.0
-    norm = shape * np.log(rate) - gammaln(shape)
-    ll = np.empty((n, g))
-    for j in range(g):
-        col = stats.first_counts @ log_alpha[j]
-        col += tcounts @ log_trans[j]
-        col += stats.soj_logsum @ shape_m1[j]
-        col += stats.soj_counts @ norm[j]
-        col -= stats.soj_sum @ rate[j]
-        ll[:, j] = col
-
-    # The counts are integers, so these products sum them exactly.
-    impossible = (stats.first_counts @ (p.alpha == 0.0).T) > 0
-    impossible |= (tcounts @ (trans == 0.0).T) > 0
+    chain = np.concatenate([p.alpha, p.trans.reshape(g, d * d)], axis=1)
+    theta = np.concatenate(
+        [_safe_log(chain), shape - 1.0, shape * np.log(rate) - gammaln(shape), -rate], axis=1
+    )
+    ll = (theta @ stats.table.T).T
+    # The counts are integers, so this product sums them exactly.
+    impossible = ((chain == 0.0) @ stats.table[:, : d + d * d].T).T > 0
     ll[impossible] = -np.inf
     return ll
 

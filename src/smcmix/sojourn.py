@@ -126,8 +126,8 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
     status = np.where((s <= 1e-12) & (c == 0.0), DEGENERATE, OK)
     s = np.maximum(s, 0.0)
     lo, hi = np.full(s.shape, SHAPE_MIN), np.full(s.shape, SHAPE_MAX)
-    open_bracket = (_profile_deriv(lo, sw, s, c) > 0.0) & (_profile_deriv(hi, sw, s, c) < 0.0)
-    status[(status == OK) & ~open_bracket] = BRACKET_EXHAUSTED
+    at_lo, at_hi = _profile_deriv(np.stack([lo, hi]), sw, s, c)
+    status[(status == OK) & ~((at_lo > 0.0) & (at_hi < 0.0))] = BRACKET_EXHAUSTED
 
     # Minka's closed-form start; exact for the unweighted MLE up to the
     # log-gamma expansion it is derived from.
@@ -138,12 +138,12 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
     active = np.flatnonzero(status == OK)
     unfinished = []  # cells whose bracket collapsed before meeting the tolerance
     for _ in range(_MAX_NEWTON_ITER):
-        if active.size == 0:
-            break
         x, w = a[active], sw[active]
         f = _profile_deriv(x, w, s[active], c)
         going = np.abs(f) > DERIV_TOL
         active, x, w, f = active[going], x[going], w[going], f[going]
+        if active.size == 0:
+            break
         up = f > 0.0
         l = np.where(up, x, lo[active])
         h = np.where(up, hi[active], x)

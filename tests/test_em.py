@@ -517,6 +517,31 @@ class TestSquarem:
         assert three.objective_trace == two.objective_trace
         assert np.array_equal(three.posteriors.z, two.posteriors.z)
 
+    def test_rejected_stabilising_map_does_not_stop_the_fit(self, monkeypatch):
+        import smcmix.em as em_module
+
+        panel, init, cfg = TestSharedLikelihood._g3_fit("well_separated", 41)
+        # p' is a stationary point far below the fit: three equal copies of
+        # one component, fitted to convergence.  Its map p' -> p'' meets
+        # rel_tol, but p'' lies below p2, so the cycle keeps p2 and the fit
+        # goes on.
+        one = initial_model(panel, 1, seed=41).params
+        copies = [0, 0, 0]
+        symmetric = MixtureModel.from_arrays(panel.space, one._replace(
+            weights=np.full(3, 1.0 / 3.0), alpha=one.alpha[copies], trans=one.trans[copies],
+            shape=one.shape[copies], rate=one.rate[copies]))
+        stationary = fit(panel, 3, symmetric, cfg)
+        assert stationary.converged
+        monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: self._negative_shape(p2))
+        plain = fit(panel, 3, init, cfg)
+        monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: stationary.model.params)
+        report = fit(panel, 3, init, cfg)
+        assert report.extrapolations_tried > 0 and report.extrapolations_kept == 0
+        assert report.converged and plain.converged
+        assert report.objective_trace == plain.objective_trace
+        assert report.model == plain.model
+        assert report.iterations == plain.iterations + report.extrapolations_tried
+
     @staticmethod
     def _negative_shape(p):
         return p._replace(shape=-p.shape)

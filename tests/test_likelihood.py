@@ -247,19 +247,23 @@ class TestLogScores:
         _, norms = log_scores(np.full((2, 3), -math.inf), np.full(3, 1 / 3))
         assert np.all(norms == -math.inf)
 
-    @settings(deadline=None, max_examples=200)
+    @settings(deadline=None, max_examples=300)
     @given(
         hnp.arrays(
             np.float64,
-            shape=st.tuples(st.integers(1, 12), st.integers(1, 5)),
+            shape=st.tuples(st.integers(1, 12), st.integers(1, 12)),
             elements=st.one_of(
                 st.floats(min_value=-1e6, max_value=1e3),
                 st.sampled_from([-math.inf, -3.0, 0.0, 2.5]),  # ties and -inf
             ),
         ),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_scipy_logsumexp(self, ll, seed):
+    def test_matches_scipy_logsumexp(self, ll, component_major, seed):
+        # subject_loglik_matrix hands over component-major (Fortran) arrays
+        if component_major:
+            ll = np.asfortranarray(ll)
         weights = np.random.default_rng(seed).dirichlet(np.ones(ll.shape[1]))
         weights = np.maximum(weights, 1e-300)
         self.assert_scipy_equal(ll, weights)
@@ -405,6 +409,22 @@ class TestPanelStatsOracle:
         assert_stats_match_reference(panel)
 
 
+class TestPanelStatsTable:
+    def test_named_fields_are_read_only_views_of_the_table(self, tiny_panel):
+        stats = PanelStats.from_panel(tiny_panel)
+        d = stats.n_states
+        assert stats.table.shape == (tiny_panel.n_subjects, d + d * d + 3 * d)
+        assert not stats.table.flags.writeable
+        blocks = [stats.first_counts, stats.trans_counts.reshape(-1, d * d), stats.soj_logsum,
+                  stats.soj_counts, stats.soj_sum]
+        assert np.array_equal(np.concatenate(blocks, axis=1), stats.table)
+        for block in blocks:
+            assert np.shares_memory(block, stats.table)
+            assert not block.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+
+
 class TestStatsBuilds:
     """Each entry point builds the panel statistics once; a sweep builds
     them once for all its inits, plus once per fit."""
@@ -444,12 +464,37 @@ class TestStatsBuilds:
         assert len(builds) == 4
 
 
+def reference_theta_row(
+    stats: PanelStats, alpha: np.ndarray, trans: np.ndarray, shape: np.ndarray, rate: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One component's row of the parameter matrix that
+    :func:`subject_loglik_matrix` multiplies with ``stats.table``, every
+    transform taken on that component's own parameters, and the subjects
+    that meet one of its zero initial or transition cells."""
+    d = stats.n_states
+    if stats.absorbing is not None:
+        live = np.arange(d) != stats.absorbing
+        shape = np.where(live, shape, 1.0)
+        rate = np.where(live, rate, 1.0)
+    log_alpha = np.where(alpha > 0.0, np.log(np.where(alpha > 0.0, alpha, 1.0)), 0.0)
+    log_trans = np.where(trans > 0.0, np.log(np.where(trans > 0.0, trans, 1.0)), 0.0)
+    row = np.concatenate([
+        log_alpha, log_trans.reshape(d * d), shape - 1.0,
+        shape * np.log(rate) - gammaln(shape), -rate,
+    ])
+    tcounts = stats.trans_counts.reshape(stats.n_subjects, d * d)
+    impossible = (stats.first_counts @ (alpha == 0.0)) > 0
+    impossible |= (tcounts @ (trans == 0.0).reshape(d * d)) > 0
+    return row, impossible
+
+
 def reference_component_column(
     stats: PanelStats, alpha: np.ndarray, trans: np.ndarray, shape: np.ndarray, rate: np.ndarray
 ) -> np.ndarray:
-    """Per-subject log-likelihood under one component, every transform
-    taken on that component's own parameters: the reference each column of
-    :func:`subject_loglik_matrix` must equal bit for bit."""
+    """Per-subject log-likelihood under one component as five products,
+    every transform taken on that component's own parameters: a second
+    reference, equal to each column of :func:`subject_loglik_matrix` up to
+    the rounding of the products."""
     d = stats.n_states
     if stats.absorbing is not None:
         live = np.arange(d) != stats.absorbing
@@ -503,18 +548,32 @@ def panels_and_models(draw):
 
 
 class TestLoglikMatrixOracle:
+    def test_matrix_is_component_major(self, tiny_panel, simple_model):
+        # the per-subject reductions over components read contiguous memory
+        matrix = subject_loglik_matrix(PanelStats.from_panel(tiny_panel), simple_model.params)
+        assert matrix.shape == (tiny_panel.n_subjects, simple_model.n_components)
+        assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
+
     @settings(max_examples=200, deadline=None)
     @given(panels_and_models())
     def test_generated_panels_bit_for_bit(self, case):
         panel, p = case
         stats = PanelStats.from_panel(panel)
         matrix = subject_loglik_matrix(stats, p)
-        expected = np.column_stack([
-            reference_component_column(stats, p.alpha[g], p.trans[g], p.shape[g], p.rate[g])
-            for g in range(len(p.weights))
-        ])
+        components = [(p.alpha[g], p.trans[g], p.shape[g], p.rate[g]) for g in range(len(p.weights))]
+        rows, masks = zip(*(reference_theta_row(stats, *comp) for comp in components))
+        expected = (np.stack(rows) @ stats.table.T).T
+        expected[np.column_stack(masks)] = -np.inf
         assert matrix.shape == expected.shape
         assert matrix.tobytes() == expected.tobytes()
+        # The five products per component agree up to their rounding,
+        # relative to the summed magnitude of the terms (a subject's terms
+        # may cancel).
+        columns = np.column_stack([reference_component_column(stats, *comp) for comp in components])
+        assert np.array_equal(np.isneginf(matrix), np.isneginf(columns))
+        scale = (np.abs(np.stack(rows)) @ np.abs(stats.table).T).T
+        finite = np.isfinite(columns)
+        assert np.all(np.abs(matrix[finite] - columns[finite]) <= 1e-13 * scale[finite])
 
     def test_fit_goes_through_the_em_binding(self, monkeypatch):
         # perfbench counts likelihood matrices by wrapping the name bound in

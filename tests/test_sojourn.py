@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln as scipy_gammaln
 from scipy.special import psi as scipy_psi
+from scipy.special import zeta as scipy_zeta
 
 from smcmix import (
     DegenerateSample,
@@ -17,11 +18,14 @@ from smcmix import (
     fit_gamma_pmle,
     gamma_log_density,
 )
+from smcmix import sojourn
 from smcmix.sojourn import (
     BRACKET_EXHAUSTED,
     DEGENERATE,
     DERIV_TOL,
     OK,
+    SHAPE_MAX,
+    SHAPE_MIN,
     _profile_deriv,
     _suff_stats,
     solve_shapes,
@@ -306,3 +310,47 @@ def test_solve_shapes_mixed_batch_keeps_cells_apart():
         fit_gamma_pmle(degenerate, penalty_c=0.0)
     with pytest.raises(NonConvergence, match="bracket"):
         fit_gamma_pmle(exhausted, penalty_c=0.0)
+
+
+def _newton_updates(sw, swlog, swx, c):
+    """Updates one cell of :func:`solve_shapes` makes, replayed on its own:
+    Minka's start, then safeguarded Newton steps (bisection when a step
+    leaves the bracket) until the derivative meets the tolerance."""
+    sw, swlog, swx = (np.array([v]) for v in (sw, swlog, swx))
+    s = np.maximum(np.log(swx / sw) - swlog / sw, 0.0)
+    a = np.clip((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s),
+                SHAPE_MIN * 1.0001, SHAPE_MAX * 0.9999)
+    lo, hi, updates = SHAPE_MIN, SHAPE_MAX, 0
+    while abs(f := _profile_deriv(a, sw, s, c)[0]) > DERIV_TOL:
+        lo, hi = (a[0], hi) if f > 0.0 else (lo, a[0])
+        fp = sw * (1.0 / a - scipy_zeta(2.0, a)) + c / (a * a)
+        step = a - f / fp
+        a = step if lo < step[0] < hi else np.array([0.5 * (lo + hi)])
+        updates += 1
+    return updates
+
+
+def test_solve_shapes_calls_trigamma_once_per_newton_update(monkeypatch):
+    calls = []
+
+    def counting(n, x):
+        calls.append(np.size(x))
+        return scipy_zeta(n, x)
+
+    monkeypatch.setattr(sojourn, "zeta", counting)
+    rng = np.random.default_rng(23)
+    samples = [unit_sample(rng.gamma(a, 1.0, size=30)) for a in (0.3, 1.0, 2.5, 12.0, 80.0)]
+    cells = _cells(samples)
+    for c in (0.0, 0.05):
+        updates = [_newton_updates(*cell, c) for cell in zip(*cells)]
+        assert min(updates) >= 1 and max(updates) >= 3
+        for k, cell in enumerate(zip(*cells)):
+            calls.clear()
+            shape, status = solve_shapes(*([v] for v in cell), c)
+            assert status[0] == OK
+            assert len(calls) == updates[k]
+        # a batch makes one call per pass, and no pass without an update
+        calls.clear()
+        solve_shapes(*cells, c)
+        assert len(calls) == max(updates)
+        assert min(calls) > 0
