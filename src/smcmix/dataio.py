@@ -10,7 +10,15 @@ self-transitions; the merge count is reported.
 
 Every CSV file the library or the CLI reads goes through one chunked
 column reader, :func:`_read_columns`, and every one it writes through
-:func:`write_csv`.
+:func:`write_csv`.  The reader tokenises each chunk of lines with numpy's C
+reader (``np.loadtxt``), which also parses the float columns it is given,
+such as ``onset``.  The first chunk numpy might read otherwise than
+``csv.reader`` (a quote, a blank or ragged line, an over-long line, a
+number numpy refuses) goes, with the rest of the file, to ``csv.reader``.
+Both give the same columns, so results and errors do not depend on which
+one ran.  Integer columns stay strings for Python's ``int``, because
+numpy's int64 parser accepts some non-ASCII letters (it reads ``"Ǿ"`` as
+462).
 
 All writers are deterministic byte-for-byte (floats use 17 significant
 digits) and atomic (write to a temporary file, then rename), so a failed
@@ -25,7 +33,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, compress, islice
+from itertools import accumulate, chain, compress, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -77,38 +85,104 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
-# Data rows converted at a time: a chunk's strings are freed before the next
-# chunk is read, so peak memory does not grow with the file.
+# Lines (csv records, once a file has left numpy's tokeniser) converted at a
+# time: a chunk's strings are freed before the next chunk is read, so peak
+# memory does not grow with the file.
 _CHUNK_ROWS = 8192
 
+# Characters that send a chunk to the csv reader.  numpy does not read
+# quotes as csv does, and it strips U+001C..U+001F around a number, which
+# Python's float() refuses.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
 
-def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ","):
-    """Yield ``(lines, columns)`` per chunk of up to ``_CHUNK_ROWS`` data rows
-    of a delimited file: the physical line number of each row, and one list
-    of the rows' values per column of ``required`` and then ``optional``,
-    found by their header names stripped of spaces.  A column the header
-    lacks or a short row does not reach reads None, so a short row fails in
-    its caller's parse, on its own line.  Blank lines are skipped, as in
-    csv.DictReader."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRow(1, "empty file")
-        position = {name.strip(): k for k, name in enumerate(header)}
-        missing = [c for c in required if c not in position]
-        if missing:
-            raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
-        columns = [position.get(c) for c in (*required, *optional)]
-        taken = _CHUNK_ROWS
-        while taken == _CHUNK_ROWS:
-            rows, lines, taken = [], [], 0
+
+def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ",",
+                  floats: Sequence[str] = ()):
+    """Yield ``(lines, columns)`` per chunk of data rows of a delimited file:
+    the physical line number of each row, and the rows' values per column of
+    ``required`` and then ``optional``, found by their header names stripped
+    of spaces.  A column is a list of strings, or a float64 array for a
+    column named in ``floats`` when numpy tokenised the chunk.  A column the
+    header lacks or a short row does not reach reads None, so a short row
+    fails in its caller's parse, on its own line.  Blank lines are skipped,
+    as in csv.DictReader.
+
+    Chunks of up to ``_CHUNK_ROWS`` lines go through ``np.loadtxt`` while
+    they hold no character of ``_CSV_ONLY``, no line longer than the csv
+    field size limit, and every line gives one row: a blank or ragged line
+    or a float numpy refuses fails the last check.  The first chunk that
+    fails sends it and the rest of the file through ``csv.reader``, whose
+    errors are raised as :class:`MalformedRow`."""
+    if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
+        raise ValueError(f"delimiter must be one character other than '\"', '\\r' and '\\n', "
+                         f"not {delimiter!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise MalformedRow(reader.line_num, str(exc)) from None
+            if header is None:
+                raise MalformedRow(1, "empty file")
+            position = {name.strip(): k for k, name in enumerate(header)}
+            missing = [c for c in required if c not in position]
+            if missing:
+                raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+            names = (*required, *optional)
+            columns = [position.get(c) for c in names]
+            present = [(c, k) for c, k in zip(names, columns) if k is not None]
+            dtype = np.dtype([(c, np.float64 if c in floats else object) for c, _ in present])
+            usecols = [k for _, k in present]
+            done = reader.line_num
+            while chunk := list(islice(fh, _CHUNK_ROWS)):
+                table = _tokenise(chunk, dtype, usecols, delimiter)
+                if table is None:
+                    yield from _csv_columns(chain(chunk, fh), columns, delimiter, done)
+                    return
+                # Copies: a view of ``table`` would keep all of the chunk's strings alive.
+                fields = {c: table[c].copy() if c in floats else table[c].tolist() for c, _ in present}
+                yield (range(done + 1, done + len(chunk) + 1),
+                       [[None] * len(chunk) if k is None else fields[c] for c, k in zip(names, columns)])
+                done += len(chunk)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _tokenise(chunk: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[np.ndarray]:
+    """The lines ``chunk`` as one ``dtype`` record per line, or None where
+    numpy's tokeniser may not read them as ``csv.reader`` does."""
+    text = "".join(chunk)
+    # loadtxt warns on a chunk of blank lines
+    if (text.isspace() or any(c in text for c in _CSV_ONLY)
+            or max(map(len, chunk)) > csv.field_size_limit()):
+        return None
+    try:
+        table = np.loadtxt(chunk, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None,
+                           usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    return table if len(table) == len(chunk) else None
+
+
+def _csv_columns(lines: Iterable[str], columns: list, delimiter: str, done: int):
+    """:func:`_read_columns`' chunks of the text ``lines``, read by
+    ``csv.reader``, which follow ``done`` physical lines of the file."""
+    reader = csv.reader(lines, delimiter=delimiter)
+    taken = _CHUNK_ROWS
+    while taken == _CHUNK_ROWS:
+        rows, line_nums, taken, error = [], [], 0, None
+        try:
             for taken, row in enumerate(islice(reader, _CHUNK_ROWS), start=1):
                 if row:
                     rows.append(row)
-                    lines.append(reader.line_num)
-            if rows:
-                yield lines, [_column(rows, k) for k in columns]
+                    line_nums.append(done + reader.line_num)
+        except csv.Error as exc:
+            error = MalformedRow(done + reader.line_num, str(exc))
+        if rows:
+            yield line_nums, [_column(rows, k) for k in columns]
+        if error is not None:
+            raise error
 
 
 def _column(rows: list, k: Optional[int]) -> list:
@@ -133,10 +207,12 @@ def _codes(values: list, table: dict, key) -> np.ndarray:
     return np.fromiter(map(local.__getitem__, values), np.int64, len(values))
 
 
-def _floats(values: list) -> tuple[np.ndarray, np.ndarray]:
+def _floats(values) -> tuple[np.ndarray, np.ndarray]:
     """``float`` of each value, NaN where it does not parse, and the mask of
-    the values that do not parse."""
+    the values that do not parse.  An array numpy parsed is returned as is."""
     bad = np.zeros(len(values), dtype=bool)
+    if isinstance(values, np.ndarray):
+        return values, bad
     try:
         return np.fromiter(map(float, values), np.float64, len(values)), bad
     except (TypeError, ValueError):
@@ -256,35 +332,42 @@ def _parse_panel_rows(path, delimiter: str):
     attribute codes, onset, end (NaN where blank) and whether the row has
     an end; the code tables of subjects (stripped), replications (as int)
     and attributes (stripped); and the error of the first row that fails a
-    row check, the rows from it on left out."""
+    row check or that ``csv.reader`` cannot read, the rows from it on left
+    out."""
     tables = subjects, replications, attributes = {}, {}, {}
     chunks = []
     error = None
-    reader = _read_columns(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter)
-    for lines, (subject, replication, attribute, onset, end) in reader:
-        s = _codes(subject, subjects, str.strip)
-        r = _codes(replication, replications, int)
-        a = _codes(attribute, attributes, str.strip)
-        t, bad_onset = _floats(onset)
-        has_end = np.fromiter(map(bool, end), bool, len(end))
-        e = np.full(len(end), np.nan)
-        bad_end = np.zeros(len(end), dtype=bool)
-        e[has_end], bad_end[has_end] = _floats(list(compress(end, has_end)))
-        # By replication code; the last entry serves code -1, a replication that did not parse.
-        below_one = np.array([value < 1 for value in replications] + [False])
-        failure = _first_failure([
-            (s < 0) | (r < 0) | (a < 0) | bad_onset,
-            (s == subjects.get("", -2)) | (a == attributes.get("", -2)),
-            below_one[r],
-            ~np.isfinite(t),
-            bad_end,
-            has_end & ~np.isfinite(e),
-        ])
-        n = len(lines) if failure is None else failure[0]
-        chunks.append((np.array(lines[:n], dtype=np.int64), s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
-        if failure is not None:
-            error = MalformedRow(lines[n], _ROW_CHECKS[failure[1]])
-            break
+    reader = _read_columns(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter,
+                           floats=("onset",))
+    try:
+        for lines, (subject, replication, attribute, onset, end) in reader:
+            s = _codes(subject, subjects, str.strip)
+            r = _codes(replication, replications, int)
+            a = _codes(attribute, attributes, str.strip)
+            t, bad_onset = _floats(onset)
+            has_end = np.fromiter(map(bool, end), bool, len(end))
+            e = np.full(len(end), np.nan)
+            bad_end = np.zeros(len(end), dtype=bool)
+            e[has_end], bad_end[has_end] = _floats(list(compress(end, has_end)))
+            # By replication code; the last entry serves code -1, a replication that did not parse.
+            below_one = np.array([value < 1 for value in replications] + [False])
+            failure = _first_failure([
+                (s < 0) | (r < 0) | (a < 0) | bad_onset,
+                (s == subjects.get("", -2)) | (a == attributes.get("", -2)),
+                below_one[r],
+                ~np.isfinite(t),
+                bad_end,
+                has_end & ~np.isfinite(e),
+            ])
+            n = len(lines) if failure is None else failure[0]
+            chunks.append((np.array(lines[:n], dtype=np.int64), s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
+            if failure is not None:
+                error = MalformedRow(lines[n], _ROW_CHECKS[failure[1]])
+                break
+    except MalformedRow as exc:  # a line csv cannot read, after rows that may fail first
+        if not chunks:
+            raise
+        error = exc
     if not chunks:
         raise MalformedRow(1, "no data rows")
     return [np.concatenate(column) for column in zip(*chunks)], tables, error
@@ -312,11 +395,14 @@ def read_panel(
     with fewer than two states after merging are dropped with a warning,
     as are subjects left with fewer replications than their peers.
 
-    The file is read in chunks of rows, each converted to arrays column by
-    column; the checks, the merge and the durations then run as array
-    passes over all rows.  Errors come in a fixed order: sidecar errors,
-    then row errors in file order, then sequence errors in order of first
-    appearance.
+    The file is read in chunks of lines (see :func:`_read_columns`), each
+    converted to arrays column by column; the checks, the merge and the
+    durations then run as array passes over all rows.  Errors come in a
+    fixed order: sidecar errors, then row errors (a line ``csv.reader``
+    cannot read among them) in file order, then sequence errors in order
+    of first appearance.  ``delimiter`` must be one character other than
+    ``"``, ``\\r`` and ``\\n``; a file that is not UTF-8 raises a
+    :class:`DataError` naming it.
     """
     ends, end_lines = ({}, {}) if ends_path is None else _read_end_sidecar(ends_path)
     columns, tables, error = _parse_panel_rows(path, delimiter)

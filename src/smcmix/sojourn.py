@@ -157,8 +157,9 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
         unfinished.append(active[collapsed])
         active = active[~collapsed]
     last = np.concatenate([active, *unfinished])
-    missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
-    status[last[missed]] = NOT_CONVERGED
+    if last.size:
+        missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
+        status[last[missed]] = NOT_CONVERGED
     return a, status
 
 

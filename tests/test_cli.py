@@ -307,3 +307,34 @@ class TestErrorPaths:
         )
         assert code == 2
         assert "conflicts" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("delimiter", [";;", "", '"'])
+    def test_bad_delimiter_exit_2(self, tmp_path, capsys, delimiter):
+        data = tmp_path / "panel.csv"
+        data.write_text("subject,replication,attribute,onset,end\ns1,1,A,0,5\ns1,1,B,2,5\n")
+        code, _, err = run(
+            capsys, "fit", "--data", data, "--components", 1, "--delimiter", delimiter,
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "delimiter must be one character other than '\"', '\\r' and '\\n', "
+                       f"not {delimiter!r}",
+        }
+        assert not (tmp_path / "m.json").exists()
+
+    def test_overlong_field_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        data.write_text(
+            "subject,replication,attribute,onset,end\ns1,1,A,0,5\ns1,1,B,2,5\n"
+            f"s1,1,{'C' * 200_000},3,5\n"
+        )
+        code, _, err = run(
+            capsys, "fit", "--data", data, "--components", 1, "--out", tmp_path / "m.json"
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "MalformedRow",
+            "message": "line 4: field larger than field limit (131072)",
+        }

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -342,6 +343,60 @@ class TestRowReader:
             "record-end sidecar line 2: no sequence for subject 's9' replication 1",
             "record-end sidecar line 4: no sequence for subject 's1' replication 0",
         )
+
+    @pytest.mark.parametrize("chunk_rows", [2, 8192])
+    def test_overlong_field_reports_its_line(self, tmp_path, monkeypatch, chunk_rows):
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk_rows)
+        big = "C" * (csv.field_size_limit() + 1)
+        message = r"field larger than field limit \(131072\)$"
+        head = "subject,replication,attribute,onset,end\ns1,1,A,0,10\n"
+        f = write_csv(tmp_path / "p.csv", head + f"s1,1,B,3,10\ns1,1,{big},5,10\n")
+        with pytest.raises(MalformedRow, match="^line 4: " + message) as err:
+            read_panel(f)
+        assert err.value.line == 4
+        # rows before it fail first, in file order
+        for row, error in [("s1,1,B,x,10", "cannot parse"), ("s1,1,B,3,11", "conflicting record-end")]:
+            write_csv(f, head + f"{row}\ns1,1,{big},5,10\n")
+            with pytest.raises(MalformedRow, match=f"^line 3: {error}"):
+                read_panel(f)
+        write_csv(f, f"subject,replication,attribute,onset,{big}\ns1,1,A,0,10\n")
+        with pytest.raises(MalformedRow, match="^line 1: " + message):
+            read_panel(f)
+        sidecar = write_csv(tmp_path / "ends.csv", f"subject,replication,end\ns1,1,10\ns1,2,{big}\n")
+        with pytest.raises(MalformedRow, match="^line 3: " + message):
+            read_panel(write_csv(f, head), ends_path=sidecar)
+        labels = write_csv(tmp_path / "labels.csv", f"subject,component\n{big},1\n")
+        with pytest.raises(MalformedRow, match="^line 2: " + message):
+            read_labels(labels)
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", '"', "\r", "\n", None])
+    def test_delimiter_must_be_one_character(self, tmp_path, delimiter):
+        f = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset,end\ns1,1,A,0,10\n")
+        message = "^delimiter must be one character other than"
+        with pytest.raises(ValueError, match=message) as err:
+            read_panel(f, delimiter=delimiter)
+        assert not isinstance(err.value, DataError)
+        # checked before the file is opened
+        with pytest.raises(ValueError, match=message):
+            read_panel(tmp_path / "missing.csv", delimiter=delimiter)
+
+    @pytest.mark.parametrize("which", ["panel", "sidecar", "labels"])
+    def test_non_utf8_file_is_a_data_error(self, tmp_path, which):
+        text = {
+            "panel": "subject,replication,attribute,onset,end\ns1,1,Salé,0,10\ns1,1,Sucré,3,10\n",
+            "sidecar": "subject,replication,end\nSalé,1,10\n",
+            "labels": "subject,component\nSalé,1\n",
+        }[which]
+        bad = tmp_path / f"{which}.csv"
+        bad.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            if which == "labels":
+                read_labels(bad)
+            elif which == "sidecar":
+                panel = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\n")
+                read_panel(panel, ends_path=bad)
+            else:
+                read_panel(bad)
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -15,7 +15,11 @@ naming the file and the attribute instead of the state space's
 The generated files mix valid sequences with several defects each, so the
 order in which errors are reported is tested too, and the chunk size is
 patched down to a few rows, so chunk boundaries cut through sequences and
-errors.
+errors.  They also carry what tells numpy's tokeniser from ``csv.reader``:
+quoted fields holding the delimiter, a quote or a newline, whitespace-only
+lines, CRLF and lone-CR line endings, NUL, NBSP, tab and U+001C padding, and
+numbers Python reads and numpy refuses.  So the first chunk that leaves
+numpy's tokeniser falls anywhere in a file.
 """
 
 import csv
@@ -32,9 +36,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from smcmix import DataError, MalformedRow, NonMonotoneOnset, StateSpace, UnknownAttribute
-from smcmix import dataio
+from smcmix import dataio, fixtures
 from smcmix.core import Panel
-from smcmix.dataio import DEFAULT_ABSORBING_LABEL, IngestReport, read_panel
+from smcmix.dataio import (
+    DEFAULT_ABSORBING_LABEL, IngestReport, read_labels, read_panel, write_labels, write_panel,
+)
+from smcmix.sim import simulate_panel
 
 
 def _oracle_rows(path, required, optional=(), delimiter=","):
@@ -221,23 +228,40 @@ def _oracle_read_panel(
 # Generated files
 
 COLUMNS = ("subject", "replication", "attribute", "onset", "end")
-# Values a defect writes into one field.
-BAD_VALUES = ("", " ", "x", "nan", "inf", "-inf", "1e400", "0", "-1", "1.5", " 2 ", "02")
+# Values a defect writes into one field.  The last ones need quoting, or are
+# numbers Python reads and numpy refuses (or, for "Ǿ", reads as an integer).
+BAD_VALUES = (
+    "", " ", "x", "nan", "inf", "-inf", "1e400", "0", "-1", "1.5", " 2 ", "02",
+    "A,B", "A;B", 'A"B', "A\nB", "s1\n", "1_0", "0_5", "３", "٣", "１.５", "9999999999999999999999",
+    "Ǿ",
+)
+# What a "pad" defect puts on both sides of a field.
+PADDING = (" ", "\t", "\xa0", "\u3000", "\x00", "\x0b", "\x1c")
 DEFECTS = ("field", "pad", "conflicting_end", "repeat_onset", "unknown", "absorbing", "no_end")
+# Lines a file may carry between its rows.
+FILLER_LINES = ("", " ", "\t", "\x00")
+LINE_ENDINGS = ("\n", "\r\n", "\r")
 LABEL_CHOICES = (
     None, ("A", "B", "C", "STOP"), ("C", "A", "B"), ("B", "A", "STOP"), ("A", "B", "C", "D", "STOP")
 )
 
 
-def _text(rows, delimiter=","):
+def _text(rows, delimiter=",", endings=None):
+    """CSV text of ``rows``: a list is written by ``csv.writer``, quoting
+    what needs it, and a string as it is.  ``endings`` gives each line's
+    ending (all ``"\\n"`` by default)."""
     out = io.StringIO()
-    writer = csv.writer(out, delimiter=delimiter, lineterminator="\n")
-    for row in rows:
-        if row is None:
-            out.write("\n")
+    for row, ending in zip(rows, endings or ["\n"] * len(rows)):
+        if isinstance(row, str):
+            out.write(row + ending)
         else:
-            writer.writerow(row)
+            csv.writer(out, delimiter=delimiter, lineterminator=ending).writerow(row)
     return out.getvalue()
+
+
+def _quoted(row, delimiter):
+    """``row`` as one line with every field quoted."""
+    return delimiter.join('"' + field.replace('"', '""') + '"' for field in row)
 
 
 def _rarely(draw, n: int) -> bool:
@@ -288,7 +312,8 @@ def _defect(draw, rows, k, end):
         row[draw(st.integers(0, 4))] = draw(st.sampled_from(BAD_VALUES))
     elif kind == "pad":
         c = draw(st.integers(0, 4))
-        row[c] = f" {row[c]} "
+        pad = draw(st.sampled_from(PADDING))
+        row[c] = f"{pad}{row[c]}{pad}"
     elif kind == "conflicting_end":
         row[4] = repr(end + 1.0)
     elif kind == "repeat_onset" and k > 0:
@@ -329,16 +354,20 @@ def _files(draw):
     header = [COLUMNS[c] for c in order] + ["note"]
     if draw(st.booleans()):
         header = [f" {name} " for name in header]
+    delimiter = draw(st.sampled_from([",", ";"]))
     lines = [header]
     for row in data_rows:
         out = [row[c] for c in order] + ["n"]
         if _rarely(draw, 40):
             out = out[: draw(st.integers(1, len(out) - 1))]  # a short row
-        lines.append(out)
+        lines.append(_quoted(out, delimiter) if _rarely(draw, 12) else out)
         if _rarely(draw, 8):
-            lines.append(None)  # a blank line
-    delimiter = draw(st.sampled_from([",", ";"]))
-    panel_text = _text(lines, delimiter)
+            lines.append(draw(st.sampled_from(FILLER_LINES)))  # a blank or whitespace-only line
+    if draw(st.booleans()):
+        endings = [draw(st.sampled_from(LINE_ENDINGS)) for _ in lines]
+    else:
+        endings = [draw(st.sampled_from(LINE_ENDINGS))] * len(lines)
+    panel_text = _text(lines, delimiter, endings)
 
     sidecar_text = None
     if draw(st.booleans()):
@@ -350,7 +379,7 @@ def _files(draw):
             side.append(["s9", "1", "4"])  # matches no sequence
         if _rarely(draw, 6):
             side.insert(draw(st.integers(1, len(side))), draw(st.sampled_from(
-                [["s1", "x", "3"], ["s1", "1"], ["s1", "1", "nan"], ["s1", "1", "1e9"], None]
+                [["s1", "x", "3"], ["s1", "1"], ["s1", "1", "nan"], ["s1", "1", "1e9"], ""]
             )))
         sidecar_text = _text(side)
     labels = draw(st.sampled_from(LABEL_CHOICES))
@@ -426,3 +455,71 @@ def test_the_first_failing_row_reports_its_first_failing_check(tmp_path, first, 
     expected = (MalformedRow, f"line 4: {first[2]}", 4)
     assert _outcome(read_panel, path, None, None, ",") == expected
     assert _outcome(_oracle_read_panel, path, None, None, ",") == expected
+
+
+def test_clean_files_reach_csv_reader_only_for_their_header(tmp_path, monkeypatch):
+    """numpy tokenises every data line of a file with no quote, blank line
+    or other input only ``csv.reader`` reads right; a reader that always
+    fell back would still pass the oracle tests, but not this one."""
+    rows_read = []
+    csv_reader = csv.reader
+
+    class CountingReader:
+        def __init__(self, *args, **kwargs):
+            self._reader = csv_reader(*args, **kwargs)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows_read.append(next(self._reader))
+            return rows_read[-1]
+
+        @property
+        def line_num(self):
+            return self._reader.line_num
+
+    scenario = fixtures.benchmark_scenario("well_separated", n_subjects=12, seed=5)
+    panel, labels = simulate_panel(scenario)
+    path, sidecar, label_path = tmp_path / "panel.csv", tmp_path / "ends.csv", tmp_path / "labels.csv"
+    write_panel(path, panel)
+    ids = [str(i + 1) for i in range(panel.n_subjects)]
+    write_labels(label_path, ids, labels)
+    with open(path, newline="") as fh:
+        ends = {(row["subject"], row["replication"]): row["end"] for row in csv.DictReader(fh)}
+    sidecar.write_text(  # CRLF line endings
+        "subject,replication,end\r\n" + "".join(f"{s},{r},{e}\r\n" for (s, r), e in ends.items())
+    )
+
+    expected = _oracle_read_panel(path, panel.space.labels, ends_path=sidecar)
+    assert expected[0].lengths.shape == panel.lengths.shape
+
+    monkeypatch.setattr(csv, "reader", CountingReader)
+    monkeypatch.setattr(dataio, "_CHUNK_ROWS", 7)
+    assert read_panel(path, panel.space.labels, ends_path=sidecar) == expected
+    assert read_labels(label_path) == dict(zip(ids, labels.tolist()))
+    assert rows_read == [
+        ["subject", "replication", "end"],
+        ["subject", "replication", "attribute", "onset", "end"],
+        ["subject", "component"],
+    ]
+
+
+@pytest.mark.parametrize("chunk_rows", [2, 8192])
+@pytest.mark.parametrize("column", ["replication", "onset", "end"])
+def test_numbers_numpy_and_python_read_apart_agree_with_the_oracle(tmp_path, column, chunk_rows):
+    """Every ``BAD_VALUES`` entry and every ``PADDING`` around a good
+    number, on the fourth of six rows: a value numpy reads and Python
+    refuses must not slip through numpy's tokeniser."""
+    rows = [["s1", "1", "A", "0", "9"], ["s1", "1", "B", "2", "9"], ["s1", "1", "C", "3.5", "9"],
+            ["s1", "2", "A", "0", "9"], ["s1", "2", "B", "3", "9"], ["s1", "2", "C", "4", "9"]]
+    k = COLUMNS.index(column)
+    values = [*BAD_VALUES, *(f"{pad}{rows[3][k]}{pad}" for pad in PADDING)]
+    path = tmp_path / "panel.csv"
+    for value in values:
+        changed = [list(row) for row in rows]
+        changed[3][k] = value
+        path.write_text(_text([COLUMNS, *changed]), encoding="utf-8")
+        expected = _outcome(_oracle_read_panel, path, None, None, ",")
+        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+            assert _outcome(read_panel, path, None, None, ",") == expected, value

@@ -23,6 +23,7 @@ from smcmix.sojourn import (
     BRACKET_EXHAUSTED,
     DEGENERATE,
     DERIV_TOL,
+    NOT_CONVERGED,
     OK,
     SHAPE_MAX,
     SHAPE_MIN,
@@ -354,3 +355,24 @@ def test_solve_shapes_calls_trigamma_once_per_newton_update(monkeypatch):
         solve_shapes(*cells, c)
         assert len(calls) == max(updates)
         assert min(calls) > 0
+
+
+def test_solve_shapes_never_evaluates_the_derivative_on_no_cells(monkeypatch):
+    sizes = []
+
+    def counting(a, sw, s, c):
+        sizes.append(np.size(a))
+        return _profile_deriv(a, sw, s, c)
+
+    monkeypatch.setattr(sojourn, "_profile_deriv", counting)
+    rng = np.random.default_rng(29)
+    cells = _cells([unit_sample(rng.gamma(a, 1.0, size=30)) for a in (0.3, 2.5, 80.0)])
+    shapes, status = solve_shapes(*cells, 0.0)
+    assert status.tolist() == [OK] * 3
+    assert min(sizes) > 0
+    # cells still moving when the iteration budget runs out are rechecked
+    monkeypatch.setattr(sojourn, "_MAX_NEWTON_ITER", 1)
+    sizes.clear()
+    _, status = solve_shapes(*cells, 0.0)
+    assert min(sizes) > 0
+    assert NOT_CONVERGED in status.tolist()
