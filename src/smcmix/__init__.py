@@ -21,7 +21,7 @@ from .core import (
     pool_mixture,
     validate_h1_h2,
 )
-from .em import EmConfig, FitReport, e_step, fit, m_step_weights, map_cluster
+from .em import EmConfig, FitReport, e_step, fit, map_cluster
 from .errors import (
     AllComponentsImpossible,
     DataError,
@@ -35,16 +35,8 @@ from .errors import (
     SmcmixError,
     UnknownAttribute,
 )
-from .initialization import initial_model, kmeans, mean_sojourn_features
-from .likelihood import (
-    PanelStats,
-    component_loglik,
-    mixture_loglik,
-    penalized_objective,
-    penalty_term,
-    penalty_weight,
-    subject_loglik,
-)
+from .initialization import initial_model, kmeans
+from .likelihood import PanelStats, mixture_loglik, penalty_term, penalty_weight
 from .metrics import (
     align_components,
     classification_rate,
@@ -55,6 +47,6 @@ from .metrics import (
 )
 from .selection import GSweepResult, aic, aicc, bic, param_count, select_g
 from .sim import BenchmarkResult, Scenario, run_benchmark, simulate_panel, simulate_trajectory
-from .sojourn import WeightedSample, fit_gamma_mom, fit_gamma_pmle, gamma_log_density
+from .sojourn import WeightedSample, fit_gamma_mom
 
 __version__ = "0.1.0"

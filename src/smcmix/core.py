@@ -8,14 +8,15 @@ back to back in flat arrays, checked in one array pass by the sequence
 check every :class:`Trajectory` runs.  A :class:`MixtureModel` keeps its
 parameters as one :class:`MixtureArrays`, stacked over the components and
 checked by :meth:`MixtureArrays.check`; that NamedTuple is also the
-unchecked form the EM iterates on.  Both build their object views, the
-subjects of a panel and the components of a model, on demand.
+unchecked form the EM iterates on.  A panel builds its subjects view on
+demand; a model builds its components view once, on first access.
 Serialization lives in :mod:`smcmix.dataio`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional
 
@@ -391,7 +392,7 @@ class MixtureModel:
     """Mixture weights plus one renewal process per subpopulation, stored
     as one read-only :class:`MixtureArrays`, :attr:`params`.
 
-    :attr:`components` is a view built on demand.
+    :attr:`components` is a view built once, on first access.
     """
 
     space: StateSpace
@@ -452,7 +453,7 @@ class MixtureModel:
     def n_components(self) -> int:
         return len(self.params.weights)
 
-    @property
+    @cached_property
     def components(self) -> tuple[ComponentParams, ...]:
         p = self.params
         return tuple(

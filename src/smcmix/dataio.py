@@ -745,7 +745,9 @@ def export_tds_graph(
     relevant subjects (all subjects, or the given subset, e.g. one
     cluster); directed edges are empirical transition probabilities
     strictly above ``prob_threshold``, labelled to two decimals.  Node and
-    edge order follow the state space, so output is deterministic.
+    edge order follow the state space, so output is deterministic.  Raises
+    ``ValueError`` when no subject is selected or an index lies outside
+    ``[0, n)``.
     """
     d = panel.space.n_states
     if subjects is None:
@@ -753,6 +755,9 @@ def export_tds_graph(
     subjects = [int(i) for i in subjects]
     if not subjects:
         raise ValueError("no subjects selected")
+    outside = [i for i in subjects if not 0 <= i < panel.n_subjects]
+    if outside:
+        raise ValueError(f"subject index {outside[0]} outside [0, {panel.n_subjects})")
 
     stats = PanelStats.from_panel(panel)
     # Every visited state is a trajectory's first state or a transition's target.

@@ -157,11 +157,6 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
-def m_step_weights(z: PosteriorMatrix) -> np.ndarray:
-    """Updated mixture weights: column means of the responsibilities."""
-    return z.z.sum(axis=0) / z.n_subjects
-
-
 def _uniform_off_diagonal(d: int, row: int) -> np.ndarray:
     out = np.ones(d)
     out[row] = 0.0

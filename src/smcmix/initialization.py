@@ -29,13 +29,9 @@ from .sojourn import WeightedSample, fit_gamma_mom
 _SMOOTHING = 1e-6
 
 
-def mean_sojourn_features(panel: Panel) -> np.ndarray:
+def _mean_sojourns(stats: PanelStats) -> np.ndarray:
     """n x D matrix of each subject's mean sojourn time per state, pooled
     over replications; states the subject never visited give 0."""
-    return _mean_sojourns(PanelStats.from_panel(panel))
-
-
-def _mean_sojourns(stats: PanelStats) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         feats = np.where(stats.soj_counts > 0, stats.soj_sum / stats.soj_counts, 0.0)
     return feats

@@ -1,4 +1,4 @@
-"""Log-likelihood evaluation for components, subjects and mixtures.
+"""Log-likelihoods of subjects and mixtures, and the EM's shape penalty.
 
 All computation stays in natural log; probability-space products are never
 formed.  A structural zero (a trajectory hitting a zero initial or
@@ -16,8 +16,8 @@ at once into one matrix and multiplies it with the table.  Its result is
 component-major, so the per-subject reductions over components that follow
 run over contiguous memory; they add the components in sequence, which for
 G >= 8 can differ in the last bit from numpy's pairwise row sums.
-The per-trajectory operations below are the reference implementations;
-the vectorized path must and does agree with them.
+This matrix is the package's one likelihood evaluation; the tests check
+it against a per-trajectory, factor-by-factor reference.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import ComponentParams, MixtureArrays, MixtureModel, Panel, Trajectory
-from .sojourn import gamma_log_density
+from .core import MixtureArrays, MixtureModel, Panel
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +51,6 @@ class PanelStats:
     soj_cells: np.ndarray  # (m,) cell subject * D + state of each sojourn
     soj_durations: np.ndarray  # (m,) duration of each sojourn
     n_states: int
-    n_replications: int
     absorbing: int | None
 
     @classmethod
@@ -86,7 +84,7 @@ class PanelStats:
         np.add.at(sojourns[d:], at, 1.0)
         np.add.at(sojourns[2 * d :], at, durations)
         table.flags.writeable = False
-        return cls(table, cells, durations, d, panel.n_replications, absorbing)
+        return cls(table, cells, durations, d, absorbing)
 
     @property
     def n_subjects(self) -> int:
@@ -109,37 +107,6 @@ class PanelStats:
     soj_logsum = property(lambda self: self._sojourn_block(0))
     soj_counts = property(lambda self: self._sojourn_block(1))
     soj_sum = property(lambda self: self._sojourn_block(2))
-
-
-def component_loglik(traj: Trajectory, comp: ComponentParams) -> float:
-    """Log-likelihood of one trajectory under one renewal process.
-
-    Returns ``-inf`` when the trajectory crosses a structural zero of the
-    initial or transition probabilities.
-    """
-    states = traj.states
-    if int(states.max()) >= comp.n_states:
-        raise ValueError("trajectory references a state outside the component")
-    a0 = comp.alpha[states[0]]
-    if a0 == 0.0:
-        return -np.inf
-    total = float(np.log(a0))
-    for k in range(1, len(states)):
-        p = comp.trans[states[k - 1], states[k]]
-        if p == 0.0:
-            return -np.inf
-        total += float(np.log(p))
-    for k in range(len(states)):
-        j = int(states[k])
-        if comp.absorbing is not None and j == comp.absorbing:
-            continue
-        total += gamma_log_density(float(traj.sojourns[k]), comp.sojourn[j])
-    return total
-
-
-def subject_loglik(trajs, comp: ComponentParams) -> float:
-    """Joint log-likelihood of a subject's replications (independent)."""
-    return float(sum(component_loglik(t, comp) for t in trajs))
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -219,8 +186,3 @@ def penalty_term(p: MixtureArrays, c: float) -> float:
     shape = p.shape[:, p.live]
     # Summed one term at a time, component by component, state by state.
     return -c * np.add.accumulate((shape + np.log(shape)).ravel())[-1]
-
-
-def penalized_objective(panel: Panel, model: MixtureModel) -> float:
-    """Mixture log-likelihood plus the shape penalty (the EM objective)."""
-    return mixture_loglik(panel, model) + penalty_term(model.params, penalty_weight(panel))

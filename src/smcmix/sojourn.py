@@ -1,6 +1,7 @@
-"""Gamma sojourn-time density and weighted (penalized) estimation.
+"""Weighted gamma sojourn-time estimation: the moment fit that
+initialization uses and the penalized shape solver that the EM uses.
 
-The penalized fit maximizes
+The EM's sojourn M-step maximizes, for every component and state,
 
     sum_i w_i * ln f(x_i; a, lambda)  -  c * (a + ln a)
 
@@ -10,23 +11,19 @@ and the problem reduces to a one-dimensional search in ``a``.  Shrinking
 ``a`` prevents the unbounded spikes that weighted gamma likelihoods
 develop when a weighted sample degenerates toward equal durations.
 
-The one shape solver, :func:`solve_shapes`, works on arrays of cells: the
-EM M-step passes all its cells in one call, a single-sample fit passes
-one.  It refines the closed-form start of Minka, "Estimating a Gamma
-distribution" (2002), by safeguarded Newton steps.
-
-The sojourn family sits behind this small density/fit interface so that a
-discrete-time family (e.g. negative binomial) could be added later without
-touching the EM driver; only the gamma family ships.
+The shape solver, :func:`solve_shapes`, works on arrays of cells: the EM
+M-step passes all its component-by-state cells in one call.  It refines
+the closed-form start of Minka, "Estimating a Gamma distribution" (2002),
+by safeguarded Newton steps.  The gamma log-density itself is evaluated
+only inside the likelihood matrix of :mod:`smcmix.likelihood`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, psi, zeta
+from scipy.special import psi, zeta
 
 from .core import GammaParams
 from .errors import DegenerateSample, NonConvergence
@@ -62,15 +59,6 @@ class WeightedSample:
             raise ValueError("total weight must be positive")
 
 
-def gamma_log_density(t: float, p: GammaParams) -> float:
-    """Log density of a gamma distribution with shape ``p.shape`` and rate
-    ``p.rate`` evaluated at ``t > 0``."""
-    if t <= 0.0:
-        raise ValueError("gamma log-density is only defined for t > 0")
-    a, lam = p.shape, p.rate
-    return (a - 1.0) * math.log(t) + a * math.log(lam) - lam * t - float(gammaln(a))
-
-
 def _moments(sample: WeightedSample) -> tuple[float, float]:
     w, x = sample.weights, sample.values
     sw = float(w.sum())
@@ -91,15 +79,6 @@ def fit_gamma_mom(sample: WeightedSample) -> GammaParams:
     rate = mean / var
     shape = rate * mean  # keeps shape/rate == mean to rounding
     return GammaParams(shape=shape, rate=rate)
-
-
-def _suff_stats(sample: WeightedSample) -> tuple[float, float, float, int]:
-    w, x = sample.weights, sample.values
-    sw = float(w.sum())
-    swx = float(np.dot(w, x))
-    swlog = float(np.dot(w, np.log(x)))
-    n_pos = int(np.count_nonzero(w > 0.0))
-    return sw, swlog, swx, n_pos
 
 
 def _profile_deriv(a, sw, s, c):
@@ -172,23 +151,3 @@ def status_error(status: int) -> Exception:
     if status == BRACKET_EXHAUSTED:
         return NonConvergence(f"shape search bracket [{SHAPE_MIN:g}, {SHAPE_MAX:g}] exhausted")
     return NonConvergence("shape search failed to meet the derivative tolerance")
-
-
-def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
-    """Weighted penalized maximum-likelihood gamma fit.
-
-    ``penalty_c`` is the penalty weight (zero gives the plain weighted MLE;
-    the EM driver passes ``1/sqrt(total visited-state count)``).  The
-    returned shape satisfies ``|d objective / d shape| <= 1e-8`` and the
-    rate is the exact profile maximizer given the shape.
-    """
-    if penalty_c < 0.0:
-        raise ValueError("penalty_c must be nonnegative")
-    sw, swlog, swx, n_pos = _suff_stats(sample)
-    if n_pos < 2:
-        raise DegenerateSample("need at least two positive-weight observations")
-    shape, status = solve_shapes([sw], [swlog], [swx], penalty_c)
-    if status[0] != OK:
-        raise status_error(status[0])
-    a = float(shape[0])
-    return GammaParams(shape=a, rate=a * sw / swx)

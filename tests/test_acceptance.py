@@ -34,7 +34,9 @@ from smcmix.dataio import (
     write_scenario,
 )
 from smcmix.sim import Scenario, run_benchmark, simulate_panel, simulate_trajectory
-from smcmix.sojourn import WeightedSample, fit_gamma_pmle
+from smcmix.sojourn import WeightedSample
+
+from oracles import fit_gamma_pmle
 
 SEED = 2024
 REPLICATES = 50

@@ -463,6 +463,16 @@ class TestMixtureModelArrays:
         assert comp.absorbing == 2
         np.testing.assert_array_equal(comp.trans, [[0, 0.9, 0.1], [0.3, 0, 0.7], [0, 0, 0]])
 
+    def test_components_view_is_built_once(self):
+        model = _absorbing_mixture()
+        assert model.components is model.components
+        # the cached view changes neither equality nor pickling
+        fresh = MixtureModel.from_arrays(model.space, model.params)
+        assert fresh == model and model == fresh
+        back = pickle.loads(pickle.dumps(model))
+        assert back == model and back.components == model.components
+        assert back.components is not model.components
+
     def test_equality_reads_the_gamma_arrays(self):
         model = _absorbing_mixture()
         for field in ("shape", "rate"):

@@ -659,6 +659,11 @@ class TestTdsGraph:
         assert '"A" -> "C"' in dot  # within the subset every A exit goes to C
         assert '"B"' not in dot
 
+    @pytest.mark.parametrize("index", [-1, 3])
+    def test_subject_index_outside_the_panel(self, tiny_panel, index):
+        with pytest.raises(ValueError, match=rf"subject index {index} outside \[0, 3\)"):
+            export_tds_graph(tiny_panel, subjects=[0, index])
+
 
 class TestAtomicWrites:
     def test_no_partial_output_on_failure(self, tmp_path):

@@ -20,17 +20,16 @@ from smcmix import (
     e_step,
     fit,
     fixtures,
-    m_step_weights,
     map_cluster,
     mixture_loglik,
-    subject_loglik,
 )
 from smcmix.em import _m_step_alpha_trans_stats, _m_step_sojourn_stats, _responsibilities
-from smcmix.likelihood import PanelStats, log_scores, penalized_objective, penalty_weight
+from smcmix.likelihood import PanelStats, log_scores, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
-from smcmix.sojourn import WeightedSample, fit_gamma_pmle
+from smcmix.sojourn import WeightedSample
 
 from conftest import make_component, traj
+from oracles import fit_gamma_pmle, penalized_objective, subject_loglik
 
 
 def well_separated_panel(n=120, transitions=10, seed=5):
@@ -154,20 +153,42 @@ def test_e_step_log_sum_exp_stability(ll):
 
 class TestMStepWeights:
     def test_hard_assignment(self):
-        z = PosteriorMatrix(z=np.array([[1.0, 0.0], [1.0, 0.0]]))
-        np.testing.assert_array_equal(m_step_weights(z), [1.0, 0.0])
+        # started from the truth on a well-separated panel, every subject is
+        # assigned whole, so one EM map gives each component its share of
+        # subjects
+        panel, _ = well_separated_panel(n=40, transitions=10, seed=3)
+        truth = fixtures.well_separated_model()
+        cfg = EmConfig(max_iter=1)
+        z = e_step(panel, truth, cfg.z_round).z
+        assert set(np.unique(z)) == {0.0, 1.0}
+        counts = z.sum(axis=0)
+        assert counts.min() >= 1
+        weights = fit(panel, 2, truth, cfg).model.weights
+        np.testing.assert_array_equal(weights, counts / z.shape[0])
 
     def test_uniform(self):
-        z = PosteriorMatrix(z=np.full((4, 2), 0.5))
-        np.testing.assert_array_equal(m_step_weights(z), [0.5, 0.5])
+        # two identical components share every subject equally, so one EM
+        # map keeps the weights at one half each
+        panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
+        comp = initial_model(panel, 1, seed=3).components[0]
+        init = MixtureModel(space=panel.space, weights=np.array([0.5, 0.5]),
+                            components=(comp, comp))
+        cfg = EmConfig(max_iter=1)
+        np.testing.assert_array_equal(e_step(panel, init, cfg.z_round).z,
+                                      np.full((40, 2), 0.5))
+        weights = fit(panel, 2, init, cfg).model.weights
+        np.testing.assert_array_equal(weights, [0.5, 0.5])
 
     def test_column_means_oracle(self):
-        rng = np.random.default_rng(3)
-        raw = rng.random((7, 3))
-        raw /= raw.sum(axis=1, keepdims=True)
-        z = PosteriorMatrix(z=raw)
-        expected = [sum(raw[i, g] for i in range(7)) / 7 for g in range(3)]
-        np.testing.assert_allclose(m_step_weights(z), expected, rtol=1e-12)
+        # one EM map: the weights it returns are the column means of the
+        # responsibilities of its starting model
+        panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
+        init = initial_model(panel, 3, seed=3)
+        cfg = EmConfig(max_iter=1)
+        z = e_step(panel, init, cfg.z_round).z
+        expected = [sum(z[i, g] for i in range(z.shape[0])) / z.shape[0] for g in range(3)]
+        weights = fit(panel, 3, init, cfg).model.weights
+        np.testing.assert_allclose(weights, expected, rtol=1e-12)
 
 
 class TestMStepAlphaTrans:

@@ -15,11 +15,11 @@ from smcmix import (
     initial_model,
     initialization,
     kmeans,
-    mean_sojourn_features,
     mixture_loglik,
     select_g,
 )
-from smcmix.initialization import _lloyd, _seed_centers
+from smcmix.initialization import _lloyd, _mean_sojourns, _seed_centers
+from smcmix.likelihood import PanelStats
 from smcmix.metrics import classification_rate
 from smcmix.sim import Scenario, run_benchmark, simulate_panel
 
@@ -93,6 +93,11 @@ def kmeans_cases(draw):
     return points, k, draw(st.integers(1, 12)), draw(st.integers(0, 2**32 - 1))
 
 
+def mean_sojourns(panel: Panel) -> np.ndarray:
+    """The mean sojourn profiles k-means clusters for ``panel``."""
+    return _mean_sojourns(PanelStats.from_panel(panel))
+
+
 class TestMeanSojournFeatures:
     def test_single_visited_state(self, absorbing_space):
         # one subject, two replications, only state B carries sojourns
@@ -100,14 +105,14 @@ class TestMeanSojournFeatures:
             space=absorbing_space,
             subjects=((traj([1, 2], [2.0, 1.0]), traj([1, 2], [4.0, 1.0])),),
         )
-        feats = mean_sojourn_features(panel)
+        feats = mean_sojourns(panel)
         np.testing.assert_array_equal(feats, [[0.0, 3.0, 0.0]])
 
     def test_replication_order_invariance(self, two_state_space):
         t1, t2 = traj([0, 1], [1.0, 5.0]), traj([1, 0], [2.0, 3.0])
         p1 = Panel(space=two_state_space, subjects=((t1, t2),))
         p2 = Panel(space=two_state_space, subjects=((t2, t1),))
-        np.testing.assert_array_equal(mean_sojourn_features(p1), mean_sojourn_features(p2))
+        np.testing.assert_array_equal(mean_sojourns(p1), mean_sojourns(p2))
 
     def test_hand_computed_panel(self, two_state_space):
         subjects = (
@@ -127,7 +132,7 @@ class TestMeanSojournFeatures:
                 [(1 + 1 + 1) / 3, (1 + 1) / 2],
             ]
         )
-        np.testing.assert_allclose(mean_sojourn_features(panel), expected, rtol=1e-12)
+        np.testing.assert_allclose(mean_sojourns(panel), expected, rtol=1e-12)
 
 
 class TestKmeans:
@@ -339,7 +344,7 @@ class TestInitialModel:
             replicate_count=1,
         )
         panel, truth = simulate_panel(scenario)
-        labels = kmeans(mean_sojourn_features(panel), 2, seed=23)
+        labels = kmeans(mean_sojourns(panel), 2, seed=23)
         assert classification_rate(truth, labels) >= 0.80
 
     def test_fit_never_falls_below_init(self):

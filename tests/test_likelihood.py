@@ -13,23 +13,21 @@ from smcmix import (
     MixtureModel,
     Panel,
     StateSpace,
-    component_loglik,
     em,
     fit,
     fixtures,
     mixture_loglik,
-    penalized_objective,
     penalty_term,
     initial_model,
     penalty_weight,
     select_g,
-    subject_loglik,
 )
 from smcmix.core import MixtureArrays
 from smcmix.likelihood import PanelStats, log_scores, subject_loglik_matrix
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component, traj
+from oracles import component_loglik, penalized_objective, subject_loglik
 from test_absorbing import two_group_model
 
 
@@ -340,7 +338,6 @@ def reference_stats(panel: Panel) -> dict:
         "soj_logsum": logsums,
         "soj_cells": np.asarray(cells, dtype=np.int64),
         "soj_durations": np.asarray(durations),
-        "n_replications": panel.n_replications,
         "absorbing": absorbing,
     }
 
@@ -547,6 +544,22 @@ def panels_and_models(draw):
     return panel, MixtureArrays(np.full(g, 1.0 / g), alpha, trans, shape, rate, absorbing)
 
 
+@st.composite
+def valid_panels_and_models(draw):
+    """A generated panel and a valid :class:`MixtureModel` on its space:
+    the parameters of :func:`panels_and_models`, with every transition row
+    it left empty (other than the absorbing row) made uniform off the
+    diagonal; the zero cells of the other rows stay."""
+    panel, p = draw(panels_and_models())
+    d = panel.space.n_states
+    trans = p.trans.copy()
+    empty = trans.sum(axis=2) == 0.0
+    if p.absorbing is not None:
+        empty[:, p.absorbing] = False
+    trans[empty] = (1.0 - np.eye(d))[np.nonzero(empty)[1]] / (d - 1)
+    return panel, MixtureModel.from_arrays(panel.space, p._replace(trans=trans))
+
+
 class TestLoglikMatrixOracle:
     def test_matrix_is_component_major(self, tiny_panel, simple_model):
         # the per-subject reductions over components read contiguous memory
@@ -574,6 +587,23 @@ class TestLoglikMatrixOracle:
         scale = (np.abs(np.stack(rows)) @ np.abs(stats.table).T).T
         finite = np.isfinite(columns)
         assert np.all(np.abs(matrix[finite] - columns[finite]) <= 1e-13 * scale[finite])
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_panels_and_models())
+    def test_generated_panels_match_per_trajectory_oracle(self, case):
+        panel, model = case
+        stats = PanelStats.from_panel(panel)
+        matrix = subject_loglik_matrix(stats, model.params)
+        expected = np.array([[subject_loglik(reps, comp) for comp in model.components]
+                             for reps in panel.subjects])
+        assert np.array_equal(np.isneginf(matrix), np.isneginf(expected))
+        # the bound of the five-product comparison above
+        p = model.params
+        rows = [reference_theta_row(stats, p.alpha[g], p.trans[g], p.shape[g], p.rate[g])[0]
+                for g in range(model.n_components)]
+        scale = (np.abs(np.stack(rows)) @ np.abs(stats.table).T).T
+        finite = np.isfinite(expected)
+        assert np.all(np.abs(matrix[finite] - expected[finite]) <= 1e-13 * scale[finite])
 
     def test_fit_goes_through_the_em_binding(self, monkeypatch):
         # perfbench counts likelihood matrices by wrapping the name bound in

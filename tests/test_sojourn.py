@@ -15,8 +15,6 @@ from smcmix import (
     NonConvergence,
     WeightedSample,
     fit_gamma_mom,
-    fit_gamma_pmle,
-    gamma_log_density,
 )
 from smcmix import sojourn
 from smcmix.sojourn import (
@@ -28,10 +26,11 @@ from smcmix.sojourn import (
     SHAPE_MAX,
     SHAPE_MIN,
     _profile_deriv,
-    _suff_stats,
     solve_shapes,
     status_error,
 )
+
+from oracles import _suff_stats, fit_gamma_pmle, gamma_log_density
 
 
 def unit_sample(values):
