@@ -33,7 +33,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -345,10 +345,12 @@ def _parse_panel_rows(path, delimiter: str):
             r = _codes(replication, replications, int)
             a = _codes(attribute, attributes, str.strip)
             t, bad_onset = _floats(onset)
-            has_end = np.fromiter(map(bool, end), bool, len(end))
-            e = np.full(len(end), np.nan)
-            bad_end = np.zeros(len(end), dtype=bool)
-            e[has_end], bad_end[has_end] = _floats(list(compress(end, has_end)))
+            # float() once per run of rows that repeat one end string
+            end = np.array(end, dtype=object)
+            starts = np.r_[True, end[1:] != end[:-1]]
+            e, bad_end = (column[np.cumsum(starts) - 1] for column in _floats(end[starts].tolist()))
+            has_end = end.astype(bool)
+            bad_end &= has_end
             # By replication code; the last entry serves code -1, a replication that did not parse.
             below_one = np.array([value < 1 for value in replications] + [False])
             failure = _first_failure([

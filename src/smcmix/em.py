@@ -157,12 +157,6 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
-def _uniform_off_diagonal(d: int, row: int) -> np.ndarray:
-    out = np.ones(d)
-    out[row] = 0.0
-    return out / out.sum()
-
-
 def _m_step_alpha_trans_stats(
     stats: PanelStats, z: np.ndarray, labels=None
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -172,11 +166,11 @@ def _m_step_alpha_trans_stats(
     Returns ``(alpha, trans, warnings)`` with shapes (G, D) and (G, D, D).
     States never left under a component get a uniform row (recorded as a
     warning) so the next E-step cannot hit an artificial structural zero.
+    Every column of ``z`` carries mass: :func:`fit` aborts before an M-step
+    on an empty component.
     """
     d = stats.n_states
     n_comp = z.shape[1]
-    warnings: list[str] = []
-    ng = z.sum(axis=0)
     chain = z.T @ stats.table[:, : d + d * d]
     alpha, rows = chain[:, :d], chain[:, d:].reshape(n_comp, d, d)
     totals = rows.sum(axis=2)
@@ -185,24 +179,16 @@ def _m_step_alpha_trans_stats(
         trans = rows / totals[:, :, None]
         trans[:, np.arange(d), np.arange(d)] = 0.0
         trans /= trans.sum(axis=2, keepdims=True)
-    for g in range(n_comp):
-        if ng[g] <= 0.0:
-            warnings.append(f"component {g}: no responsibility mass; uniform fallback")
-            live = np.ones(d)
-            if stats.absorbing is not None:
-                live[stats.absorbing] = 0.0
-            alpha[g] = live / live.sum()
-        for h in np.flatnonzero(totals[g] <= 0.0):
-            if h == stats.absorbing:
-                continue
-            name = labels[h] if labels is not None else str(h)
-            warnings.append(
-                f"component {g}: state {name} never left; "
-                "transition row set to uniform"
-            )
-            trans[g, h] = _uniform_off_diagonal(d, h)
+    never_left = totals <= 0.0
     if stats.absorbing is not None:
+        never_left[:, stats.absorbing] = False
         trans[:, stats.absorbing] = 0.0
+    trans = np.where(never_left[:, :, None], (1.0 - np.eye(d)) / (d - 1), trans)
+    warnings = [
+        f"component {g}: state {labels[h] if labels is not None else h} never left; "
+        "transition row set to uniform"
+        for g, h in zip(*np.nonzero(never_left))
+    ]
     return alpha, trans, warnings
 
 

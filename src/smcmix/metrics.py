@@ -5,19 +5,16 @@ estimated components must be matched to the truth before any error is
 computed.  Parameter metrics align by minimizing the summed relative
 errors of transition matrices and initial probabilities; the
 classification rate aligns by maximizing raw label agreement.  Every
-alignment is one search over a G x G cost matrix, exhaustive over the G!
-permutations (G <= 8); ties go to the lexicographically first permutation.
+alignment is one linear assignment solve over a G x G cost matrix, in
+O(G^3) time for any G.  Ties go to the solver's deterministic choice
+(see :func:`_best_permutation`), not always the lexicographically first.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 import numpy as np
 
 from .core import MixtureModel
-
-_MAX_COMPONENTS = 8
 
 
 def err_matrix(true: np.ndarray, est: np.ndarray) -> float:
@@ -34,17 +31,35 @@ def err_matrix(true: np.ndarray, est: np.ndarray) -> float:
     return float(np.sum(diff * diff)) / denom
 
 
-def _check_g(g: int) -> None:
-    if g > _MAX_COMPONENTS:
-        raise ValueError(f"exhaustive alignment supports at most {_MAX_COMPONENTS} components")
-
-
 def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
-    """Permutation ``perm`` minimizing ``sum(cost[t, perm[t]])``; the first
-    minimizer in lexicographic order wins ties."""
+    """Permutation ``perm`` minimizing ``sum(cost[t, perm[t]])`` over a
+    square ``cost``, by shortest augmenting paths with dual potentials
+    (Crouse, IEEE TAES 2016), one row at a time; of equally short paths,
+    the one to the lowest column index is taken."""
     g = cost.shape[0]
-    _check_g(g)
-    return min(permutations(range(g)), key=lambda perm: sum(cost[t, perm[t]] for t in range(g)))
+    u, v = np.zeros(g), np.zeros(g)
+    col_of, row_of = np.full(g, -1), np.full(g, -1)
+    for row in range(g):
+        # per column: shortest path cost, its last row, and whether it is final
+        dist, via, reached = np.full(g, np.inf), np.zeros(g, np.int64), np.zeros(g, bool)
+        i, low = row, 0.0
+        while i >= 0:  # from row i, the row assigned to the column reached last
+            r = low + cost[i] - u[i] - v
+            closer = ~reached & (r < dist)
+            dist[closer], via[closer] = r[closer], i
+            unreached = np.flatnonzero(~reached)
+            j = unreached[np.argmin(dist[unreached])]
+            low = dist[j]
+            reached[j] = True
+            i = row_of[j]
+        tree = reached & (row_of >= 0)
+        u[row] += low
+        u[row_of[tree]] += low - dist[tree]
+        v[reached] -= low - dist[reached]
+        while i != row:  # flip the path's assignments back from column j
+            i = via[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return tuple(col_of.tolist())
 
 
 def align_components(truth: MixtureModel, est: MixtureModel) -> tuple[int, ...]:
@@ -55,10 +70,8 @@ def align_components(truth: MixtureModel, est: MixtureModel) -> tuple[int, ...]:
     if est.n_components != g:
         raise ValueError("models must have the same number of components")
     pt, pe = truth.params, est.params
-    cost = np.zeros((g, g))
-    for t in range(g):
-        for e in range(g):
-            cost[t, e] = err_matrix(pt.trans[t], pe.trans[e]) + err_matrix(pt.alpha[t], pe.alpha[e])
+    cost = np.array([[err_matrix(pt.trans[t], pe.trans[e]) + err_matrix(pt.alpha[t], pe.alpha[e])
+                      for e in range(g)] for t in range(g)])
     return _best_permutation(cost)
 
 
@@ -111,11 +124,9 @@ def classification_rate(true_labels, est_labels) -> float:
     if true_labels.shape != est_labels.shape:
         raise ValueError("label vectors must have the same length")
     g = int(max(true_labels.max(), est_labels.max())) + 1
-    _check_g(g)
     # agree[e, t]: subjects labelled e by the estimate and t by the truth
     agree = np.bincount(est_labels * g + true_labels, minlength=g * g).reshape(g, g)
-    perm = _best_permutation(-agree)
-    return int(agree[np.arange(g), perm].sum()) / true_labels.size
+    return int(agree[np.arange(g), _best_permutation(-agree)].sum()) / true_labels.size
 
 
 def pi_recovery(true_pi, est_pi, perm: tuple[int, ...] | None = None) -> np.ndarray:
@@ -123,7 +134,7 @@ def pi_recovery(true_pi, est_pi, perm: tuple[int, ...] | None = None) -> np.ndar
 
     With ``perm`` from :func:`align_components` the parameter-space
     alignment is used; otherwise the weight permutation minimizing the
-    squared weight error is found by enumeration.
+    summed squared weight error is found by one assignment solve.
     """
     true_pi = np.asarray(true_pi, dtype=np.float64)
     est_pi = np.asarray(est_pi, dtype=np.float64)

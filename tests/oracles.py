@@ -7,12 +7,15 @@ only through the array solver (:func:`smcmix.sojourn.solve_shapes`).  The
 functions here compute the same quantities one trajectory, or one weighted
 sample, at a time: the likelihood factor by factor from its definition,
 and the penalized gamma fit as a single-cell call of the solver with the
-checks a stand-alone fit needs.
+checks a stand-alone fit needs.  The alignments of :mod:`smcmix.metrics`
+solve one assignment problem; the exhaustive search over all permutations
+here finds the same minimum.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 from scipy.special import gammaln
@@ -95,3 +98,16 @@ def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
         raise status_error(status[0])
     a = float(shape[0])
     return GammaParams(shape=a, rate=a * sw / swx)
+
+
+def exhaustive_best_permutation(cost: np.ndarray) -> tuple[int, ...]:
+    """Permutation ``perm`` minimizing ``sum(cost[t, perm[t]])``, searched
+    over all G! permutations; the first minimizer in lexicographic order
+    wins ties."""
+    g = cost.shape[0]
+    return min(permutations(range(g)), key=lambda perm: sum(cost[t, perm[t]] for t in range(g)))
+
+
+def assignment_cost(cost: np.ndarray, perm) -> float:
+    """``sum(cost[t, perm[t]])``, summed in row order."""
+    return sum(cost[t, e] for t, e in enumerate(perm))

@@ -1,5 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linear_sum_assignment
 
 from smcmix import (
@@ -15,6 +20,7 @@ from smcmix import (
 from smcmix.metrics import _best_permutation, err_by_component
 
 from conftest import make_component
+from oracles import assignment_cost, exhaustive_best_permutation
 
 
 def perturbed_model(seed=0, scale=0.05):
@@ -41,7 +47,7 @@ def perturbed_model(seed=0, scale=0.05):
 # as oracles: the array versions must give the same floats, bit for bit.
 
 
-def reference_align_components(truth, est):
+def alignment_cost(truth, est):
     g = truth.n_components
     cost = np.zeros((g, g))
     for t in range(g):
@@ -49,7 +55,11 @@ def reference_align_components(truth, est):
             cost[t, e] = err_matrix(
                 truth.components[t].trans, est.components[e].trans
             ) + err_matrix(truth.components[t].alpha, est.components[e].alpha)
-    return _best_permutation(cost)
+    return cost
+
+
+def reference_align_components(truth, est):
+    return exhaustive_best_permutation(alignment_cost(truth, est))
 
 
 def reference_err_gamma(truth, est, which, perm):
@@ -101,6 +111,7 @@ def _model_pairs():
 
 def assert_metrics_match_the_loops(truth, est):
     perm = align_components(truth, est)
+    # no two alignments of these pairs cost the same, so the permutations agree
     assert perm == reference_align_components(truth, est)
     for which in ("shape", "rate"):
         got, expected = err_gamma(truth, est, which, perm), reference_err_gamma(truth, est, which, perm)
@@ -170,7 +181,10 @@ class TestAlignComponents:
         model = fixtures.one_component_model()
         assert align_components(model, model) == (0,)
 
-    def test_ties_go_to_first_permutation(self):
+    def test_ties_go_to_the_assignment_solvers_choice(self):
+        """Equal-cost alignments resolve as the assignment solver resolves
+        them, deterministically; on the first three cases its choice is
+        also the lexicographically first minimizer."""
         truth = fixtures.well_separated_model()
         twins = MixtureModel(
             space=truth.space,
@@ -178,27 +192,107 @@ class TestAlignComponents:
             components=(truth.components[1], truth.components[1]),
         )
         assert align_components(truth, twins) == (0, 1)
-        # four permutations reach the minimum 1; (1, 0, 2) comes first
+        # four permutations reach the minimum 1
         cost = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         assert _best_permutation(cost) == (1, 0, 2)
         assert _best_permutation(np.zeros((4, 4))) == (0, 1, 2, 3)
+        # where the rules part: both permutations cost 1, row 0 takes its
+        # cheaper column first; the lexicographic rule gave (0, 1)
+        assert _best_permutation(np.array([[1.0, 0.0], [1.0, 0.0]])) == (1, 0)
 
-    def test_matches_hungarian_oracle(self):
+    def test_matches_exhaustive_oracle(self):
         truth = fixtures.well_separated_model()
         est = perturbed_model(seed=5)
         shuffled = MixtureModel(
             space=est.space, weights=est.weights[::-1].copy(), components=est.components[::-1]
         )
-        g = truth.n_components
-        cost = np.zeros((g, g))
-        for t in range(g):
-            for e in range(g):
-                cost[t, e] = err_matrix(
-                    truth.components[t].trans, shuffled.components[e].trans
-                ) + err_matrix(truth.components[t].alpha, shuffled.components[e].alpha)
-        rows, cols = linear_sum_assignment(cost)
-        expected = tuple(cols[np.argsort(rows)])
+        expected = exhaustive_best_permutation(alignment_cost(truth, shuffled))
+        assert expected == (1, 0)
         assert align_components(truth, shuffled) == expected
+
+
+# Square cost matrices of G <= 6 whose entries often repeat, so that several
+# permutations share the minimum.
+_costs = st.integers(1, 6).flatmap(lambda g: hnp.arrays(
+    np.float64, (g, g),
+    elements=st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_costs)
+def test_assignment_reaches_the_exhaustive_minimum(cost):
+    perm = _best_permutation(cost)
+    assert sorted(perm) == list(range(cost.shape[0]))
+    assert all(type(e) is int for e in perm)
+    best = assignment_cost(cost, exhaustive_best_permutation(cost))
+    assert abs(assignment_cost(cost, perm) - best) <= 1e-12 * (1.0 + abs(best))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(7, 40).flatmap(lambda g: hnp.arrays(
+    np.float64, (g, g), elements=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-1e3, 1e3)))))
+def test_assignment_reaches_scipys_minimum_past_the_exhaustive_range(cost):
+    """scipy's solver, a second implementation of the same algorithm, as
+    the oracle where G! is out of reach."""
+    perm = _best_permutation(cost)
+    assert sorted(perm) == list(range(cost.shape[0]))
+    rows, cols = linear_sum_assignment(cost)
+    best = assignment_cost(cost, cols[np.argsort(rows)])
+    assert abs(assignment_cost(cost, perm) - best) <= 1e-12 * cost.shape[0] * (1.0 + np.abs(cost).max())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda g: st.lists(
+    st.tuples(st.integers(0, g - 1), st.integers(0, g - 1)), min_size=1, max_size=40)))
+def test_classification_rate_reaches_the_exhaustive_maximum(pairs):
+    true, est = (np.array(column) for column in zip(*pairs))
+    g = int(max(true.max(), est.max())) + 1
+    best = max(
+        sum(int(perm[e] == t) for t, e in pairs) for perm in permutations(range(g))
+    )
+    assert classification_rate(true, est) == best / len(pairs)
+
+
+class TestBeyondEightComponents:
+    """Alignments of G = 10 to 12 components, past the G! search's reach."""
+
+    @pytest.mark.parametrize("g", [10, 12])
+    def test_align_components_undoes_a_permutation(self, g):
+        rng = np.random.default_rng(g)
+        d = 4
+        comps = []
+        for _ in range(g):
+            trans = rng.uniform(0.1, 1.0, size=(d, d))
+            np.fill_diagonal(trans, 0.0)
+            comps.append(make_component(rng.dirichlet(np.ones(d)), trans / trans.sum(axis=1, keepdims=True),
+                                        [(rng.uniform(1, 5), rng.uniform(0.5, 2))] * d))
+        space = StateSpace(labels=tuple("ABCD"))
+        truth = MixtureModel(space, np.full(g, 1.0 / g), tuple(comps))
+        shuffle = rng.permutation(g)  # estimated component e is true component shuffle[e]
+        est = MixtureModel(space, truth.weights[shuffle], tuple(comps[e] for e in shuffle))
+        perm = align_components(truth, est)
+        assert perm == tuple(np.argsort(shuffle).tolist())
+        assert err_by_component(truth, est, "trans", perm) == [0.0] * g
+        assert err_gamma(truth, est, "shape", perm) == 0.0
+
+    @pytest.mark.parametrize("g", [10, 12])
+    def test_classification_rate_undoes_a_relabelling(self, g):
+        rng = np.random.default_rng(g)
+        true = np.repeat(np.arange(g), 10)
+        relabel = rng.permutation(g)
+        est = relabel[true]
+        assert classification_rate(true, est) == 1.0
+        est[[0, 15, 31]] = relabel[(true[[0, 15, 31]] + 1) % g]  # three subjects misplaced
+        assert classification_rate(true, est) == (10 * g - 3) / (10 * g)
+
+    @pytest.mark.parametrize("g", [10, 12])
+    def test_pi_recovery_undoes_a_permutation(self, g):
+        rng = np.random.default_rng(g)
+        true = rng.dirichlet(np.ones(g))
+        shuffle = rng.permutation(g)
+        np.testing.assert_array_equal(pi_recovery(true, true[shuffle]), true)
 
 
 class TestErrGamma:
@@ -292,8 +386,6 @@ class TestPiRecovery:
         np.testing.assert_allclose(pi_recovery([0.7, 0.3], [0.3, 0.7]), [0.7, 0.3])
 
     def test_enumeration_oracle(self):
-        from itertools import permutations
-
         rng = np.random.default_rng(5)
         true = rng.dirichlet(np.ones(4))
         est = rng.dirichlet(np.ones(4))

@@ -32,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from smcmix import DataError, MalformedRow, NonMonotoneOnset, StateSpace, UnknownAttribute
@@ -394,8 +394,21 @@ def _outcome(reader, path, sidecar, labels, delimiter):
     return panel, report
 
 
+# The reader converts an end string once per run of rows that repeat it:
+# sequences spelling their end two ways ("-0" and "0" too), in one chunk and
+# across two, and a bad end among repeats of a good one.
+_TWO_SPELLINGS = ("subject,replication,attribute,onset,end\n"
+                  "s1,1,A,0,5\ns1,1,B,1,5.0\ns1,1,C,2,5\ns2,1,A,0,5.0\ns2,1,B,1,5\n"
+                  "s3,1,A,-2,-0\ns3,1,B,-1,0\n")
+_BAD_AMONG_GOOD = ("subject,replication,attribute,onset,end\n"
+                   "s1,1,A,0,9\ns1,1,B,1,9\ns1,1,C,2,x\ns1,1,A,3,9\ns2,1,A,0,9\n")
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_files(), st.integers(1, 5))
+@example((_TWO_SPELLINGS, None, None, ","), 5)
+@example((_TWO_SPELLINGS, None, None, ","), 2)
+@example((_BAD_AMONG_GOOD, None, None, ","), 5)
 def test_read_panel_agrees_with_the_row_by_row_oracle(case, chunk_rows):
     panel_text, sidecar_text, labels, delimiter = case
     with tempfile.TemporaryDirectory() as tmp:
