@@ -20,6 +20,17 @@ per-subject reductions over components read contiguous memory.  Each
 M-step takes its totals from one product of the responsibilities with a
 block of the statistics table, and the sojourn step solves every
 component-by-state gamma shape in one array solver call.
+
+The EM runs a stack of fits on one panel, each with its own number of
+components (:func:`fit_stack`); :func:`fit` is a stack of one.  The fits
+move in lockstep: every round each live fit takes the next step of its
+own SQUAREM cycle, and the M-steps of all of them share one shape-solver
+call and one normalisation of the stacked component arrays.  Matrix
+products, reductions over components, objectives and the keep-or-reject
+bookkeeping stay per fit, so a fit in a stack computes bit for bit what
+it computes alone.  A fit leaves the stack when it converges, runs out of
+maps, aborts on a starved component or raises; its error is kept with it
+rather than stopping the others.
 """
 
 from __future__ import annotations
@@ -157,21 +168,29 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
-def _m_step_alpha_trans_stats(
-    stats: PanelStats, z: np.ndarray, labels=None
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Responsibility-weighted initial-state frequencies and transition
-    rates per component.
+def _components(zs) -> list[tuple[int, int]]:
+    """The fit, and the component within that fit, of each row of the
+    stacked M-step arrays of the responsibility matrices ``zs``."""
+    return [(k, g) for k, z in enumerate(zs) for g in range(z.shape[1])]
 
-    Returns ``(alpha, trans, warnings)`` with shapes (G, D) and (G, D, D).
-    States never left under a component get a uniform row (recorded as a
-    warning) so the next E-step cannot hit an artificial structural zero.
-    Every column of ``z`` carries mass: :func:`fit` aborts before an M-step
-    on an empty component.
+
+def _m_step_alpha_trans_stats(
+    stats: PanelStats, zs, labels=None
+) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
+    """Responsibility-weighted initial-state frequencies and transition
+    rates per component, for the fits whose responsibilities are ``zs``.
+
+    Returns ``(alpha, trans, warnings)``: alpha (G, D) and trans (G, D, D)
+    stack the components of every fit in order, and ``warnings`` holds one
+    list per fit.  States never left under a component get a uniform row
+    (recorded as a warning) so the next E-step cannot hit an artificial
+    structural zero.  Every column of every ``z`` carries mass: a fit
+    aborts before an M-step on an empty component.
     """
     d = stats.n_states
-    n_comp = z.shape[1]
-    chain = z.T @ stats.table[:, : d + d * d]
+    # One product per fit: a stacked one could round differently.
+    chain = np.concatenate([z.T @ stats.table[:, : d + d * d] for z in zs])
+    n_comp = chain.shape[0]
     alpha, rows = chain[:, :d], chain[:, d:].reshape(n_comp, d, d)
     totals = rows.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -184,36 +203,45 @@ def _m_step_alpha_trans_stats(
         never_left[:, stats.absorbing] = False
         trans[:, stats.absorbing] = 0.0
     trans = np.where(never_left[:, :, None], (1.0 - np.eye(d)) / (d - 1), trans)
-    warnings = [
-        f"component {g}: state {labels[h] if labels is not None else h} never left; "
-        "transition row set to uniform"
-        for g, h in zip(*np.nonzero(never_left))
-    ]
+    owners = _components(zs)
+    warnings: list[list[str]] = [[] for _ in zs]
+    for r, h in zip(*np.nonzero(never_left)):
+        k, g = owners[r]
+        warnings[k].append(
+            f"component {g}: state {labels[h] if labels is not None else h} never left; "
+            "transition row set to uniform"
+        )
     return alpha, trans, warnings
 
 
 def _m_step_sojourn_stats(
     stats: PanelStats,
-    z: np.ndarray,
+    zs,
     penalty_c: float,
     min_obs_mass: int,
     z_round: float,
     labels=None,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Per-component, per-state penalized gamma fits of the sojourn times.
+) -> tuple[np.ndarray, np.ndarray, list[list[str]], list[Exception | None]]:
+    """Per-component, per-state penalized gamma fits of the sojourn times,
+    for the fits whose responsibilities are ``zs``.
 
     A state whose number of weight-carrying observations does not exceed
     ``min_obs_mass`` inherits the fit pooled over all of the component's
     observations regardless of state, as does a degenerate state or one
-    whose shape leaves the search bracket.  Returns ``(shape, rate, warnings)``
-    with shape and rate arrays of shape (G, D), NaN in the absorbing column.
+    whose shape leaves the search bracket.  Returns ``(shape, rate,
+    warnings, errors)``: shape and rate (G, D) stack the components of
+    every fit in order, NaN in the absorbing column; ``warnings`` holds one
+    list per fit, and ``errors`` per fit the failure of a pooled fit that
+    one of its states needed (its message naming the component), or None.
     """
-    n_comp = z.shape[1]
     d = stats.n_states
-    warnings: list[str] = []
-    slog, sw, sx = (z.T @ stats.table[:, d + d * d :]).reshape(n_comp, 3, d).transpose(1, 0, 2)
-    carrying = (z > z_round).astype(np.float64)
-    n_obs = carrying.T @ stats.soj_counts
+    owners = _components(zs)
+    n_comp = len(owners)
+    slog, sw, sx = (
+        np.concatenate([z.T @ stats.table[:, d + d * d :] for z in zs])
+        .reshape(n_comp, 3, d).transpose(1, 0, 2)
+    )
+    n_obs = np.concatenate([(z > z_round).astype(np.float64).T @ stats.soj_counts for z in zs])
     fitted = n_obs > min_obs_mass  # never the absorbing state: it has no sojourns
     # One solver call: the fitted cells in row-major order, then one
     # pooled cell per component.
@@ -233,29 +261,33 @@ def _m_step_sojourn_stats(
     pooled = ~fitted | (fit_status != OK)
     if stats.absorbing is not None:
         pooled[:, stats.absorbing] = False
-    for g, j in zip(*np.nonzero(pooled)):
+    warnings: list[list[str]] = [[] for _ in zs]
+    errors: list[Exception | None] = [None for _ in zs]
+    for r, j in zip(*np.nonzero(pooled)):
+        k, g = owners[r]
         name = labels[j] if labels is not None else str(j)
-        if not fitted[g, j]:
-            warnings.append(
-                f"component {g}: state {name} has {int(n_obs[g, j])} "
+        if not fitted[r, j]:
+            warnings[k].append(
+                f"component {g}: state {name} has {int(n_obs[r, j])} "
                 "weight-carrying observations; pooled fallback"
             )
-        elif fit_status[g, j] == DEGENERATE:
-            warnings.append(
+        elif fit_status[r, j] == DEGENERATE:
+            warnings[k].append(
                 f"component {g}: degenerate sojourn sample in state {name}; "
                 "pooled fallback"
             )
         else:
-            warnings.append(
+            warnings[k].append(
                 f"component {g}: sojourn fit for state {name} left the "
                 "shape bracket; pooled fallback"
             )
-        if status[n_fit + g] != OK:
-            exc = status_error(status[n_fit + g])
-            raise type(exc)(f"component {g} pooled sojourn fit: {exc}") from exc
+        if errors[k] is None and status[n_fit + r] != OK:
+            cause = status_error(status[n_fit + r])
+            errors[k] = type(cause)(f"component {g} pooled sojourn fit: {cause}")
+            errors[k].__cause__ = cause
     shape = np.where(pooled, cell_shape[n_fit:, None], shape)
     rate = np.where(pooled, cell_rate[n_fit:, None], rate)
-    return shape, rate, warnings
+    return shape, rate, warnings, errors
 
 
 def _project(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -301,10 +333,210 @@ class _Point(NamedTuple):  # a parameter set with its objective and log scores
     norms: np.ndarray
 
 
+class _Stack:
+    """What the fits of one stack share: the panel's state space and
+    statistics, the configuration and the penalty weight."""
+
+    def __init__(self, panel: Panel, stats: PanelStats, cfg: EmConfig):
+        self.space, self.stats, self.cfg = panel.space, stats, cfg
+        self.c = penalty_weight(panel) if cfg.penalized else 0.0
+
+    def evaluate(self, p: MixtureArrays) -> _Point:
+        # One likelihood matrix per parameter set serves both its
+        # objective and the E-step that follows it.
+        scores, norms = log_scores(subject_loglik_matrix(self.stats, p), p.weights)
+        value = float(norms.sum())
+        if self.cfg.penalized:
+            value += penalty_term(p, self.c)
+        return _Point(p, value, scores, norms)
+
+    def m_step(self, zs) -> list:
+        """One M-step per responsibility matrix of ``zs``: each fit's
+        checked parameters with its warnings, or the error it raised."""
+        cfg, labels = self.cfg, self.space.labels
+        alpha, trans, chain_msgs = _m_step_alpha_trans_stats(self.stats, zs, labels=labels)
+        shape, rate, soj_msgs, errors = _m_step_sojourn_stats(
+            self.stats, zs, self.c, cfg.min_obs_mass, cfg.z_round, labels=labels
+        )
+        out = []
+        stop = 0
+        for z, w1, w2, error in zip(zs, chain_msgs, soj_msgs, errors):
+            rows = slice(stop, stop + z.shape[1])
+            stop = rows.stop
+            if error is None:
+                params = MixtureArrays(z.sum(axis=0) / z.shape[0], alpha[rows], trans[rows],
+                                       shape[rows], rate[rows], self.space.absorbing)
+                try:
+                    params.check()
+                except InvalidModelError as exc:
+                    error = exc
+            out.append((params, w1 + w2) if error is None else error)
+        return out
+
+
+class _Fit:
+    """One fit of a stack: the kept points since its last extrapolation,
+    its trace, warnings and counters, and, once it leaves the stack, its
+    ``outcome`` (the report, or the error it raised)."""
+
+    def __init__(self, stack: _Stack, init: MixtureModel):
+        self.stack = stack
+        self.warnings: dict[str, None] = {}
+        self.empty_streak = np.zeros(init.n_components, dtype=int)
+        self.iterations = self.tried = self.kept = 0
+        self.converged = False
+        self.jump: _Point | None = None  # the extrapolated point being mapped
+        self.z: np.ndarray | None = None  # the responsibilities being mapped
+        self.outcome: FitReport | Exception | None = None
+        self.guard(self._start, init)
+
+    def _start(self, init: MixtureModel) -> None:
+        self.path = [self.stack.evaluate(init.params)]
+        self.trace = [self.path[0].value]
+
+    def guard(self, step, *args) -> None:
+        """Run one step of this fit; an error it raises ends the fit."""
+        try:
+            step(*args)
+        except Exception as exc:
+            self.outcome = exc
+
+    def report(self, point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
+        return FitReport(MixtureModel.from_arrays(self.stack.space, point.params),
+                         PosteriorMatrix(z), tuple(self.trace), n_maps, converged,
+                         float(point.norms.sum()), tuple(self.warnings), self.tried, self.kept)
+
+    def begin_map(self) -> None:
+        """Set the responsibilities of this fit's next EM map, or its
+        outcome when it has stopped.
+
+        The map is the plain map of the last kept point, or at the end of
+        a SQUAREM cycle the map of the extrapolated point; a cycle whose
+        extrapolated point fails falls back to its second map, whose plain
+        map comes next.
+        """
+        cfg = self.stack.cfg
+        while not self.converged and self.iterations < cfg.max_iter:
+            if len(self.path) < 3:
+                self.z = self._plain_responsibilities()
+                return
+            self.z = self._jump_responsibilities()
+            if self.z is not None:
+                return
+        point = self.path[-1]
+        self.outcome = self.report(point, _responsibilities(point.scores, point.norms, cfg.z_round),
+                                   self.iterations, self.converged)
+
+    def _plain_responsibilities(self) -> np.ndarray:
+        point = self.path[-1]
+        self.iterations += 1
+        z = _responsibilities(point.scores, point.norms, self.stack.cfg.z_round)
+        ng = z.sum(axis=0)
+        self.empty_streak = np.where(ng < 1.0, self.empty_streak + 1, 0)
+        # the aborting map never completed its M-step
+        if np.any(ng == 0.0):
+            starved = int(np.argmin(ng))
+            self.warnings[f"aborted: component {starved} has no subjects"] = None
+            raise EmptyComponent(starved, report=self.report(point, z, self.iterations - 1, False))
+        if np.any(self.empty_streak >= _EMPTY_STREAK_LIMIT):
+            starved = int(np.argmax(self.empty_streak))
+            self.warnings[f"aborted: component {starved} starved for "
+                          f"{_EMPTY_STREAK_LIMIT} iterations"] = None
+            raise EmptyComponent(starved, report=self.report(point, z, self.iterations - 1, False))
+        return z
+
+    def _jump_responsibilities(self) -> np.ndarray | None:
+        p0, p1, p2 = self.path
+        self.path = [p2]
+        jump = _extrapolate(p0.params, p1.params, p2.params)
+        try:
+            jump.check()
+        except InvalidModelError:
+            return None
+        with np.errstate(all="ignore"):  # extreme shapes may overflow the gamma terms
+            at_jump = self.stack.evaluate(jump)
+        self.tried += 1
+        if not np.isfinite(at_jump.value):
+            return None
+        z = _responsibilities(at_jump.scores, at_jump.norms, self.stack.cfg.z_round)
+        if z.sum(axis=0).min() < 1.0:
+            return None
+        self.iterations += 1
+        self.jump = at_jump
+        return z
+
+    def end_map(self, result) -> None:
+        """Take this fit's M-step result, evaluate it and keep it or not."""
+        if isinstance(result, Exception):
+            raise result
+        params, msgs = result
+        new = self.stack.evaluate(params)
+        jump, self.jump, self.z = self.jump, None, None
+        rel_tol = self.stack.cfg.rel_tol
+        if jump is None:
+            point = self.path[-1]
+            self.warnings.update(dict.fromkeys(msgs))
+            self.trace.append(new.value)
+            if new.value < point.value - ASCENT_SLACK:
+                self.warnings[
+                    f"objective decreased by {point.value - new.value:.3e} at iteration "
+                    f"{self.iterations} (small-sample safeguard side effect)"
+                ] = None
+            self.converged = _small_change(new.value, point.value, rel_tol)
+            self.path.append(new)
+        elif new.value >= self.path[-1].value:  # the map of p' beats p2
+            self.kept += 1
+            self.empty_streak[:] = 0  # every component held a subject at p'
+            self.warnings.update(dict.fromkeys(msgs))
+            self.trace.append(new.value)
+            self.path = [new]
+            self.converged = _small_change(new.value, jump.value, rel_tol)
+
+
+def _small_change(new: float, old: float, rel_tol: float) -> bool:
+    return abs(new - old) / (abs(new) + 1.0) < rel_tol
+
+
+def fit_stack(
+    panel: Panel, stats: PanelStats, inits, cfg: EmConfig
+) -> list[FitReport | Exception]:
+    """Run one EM fit from each model of ``inits`` on ``panel``, whose
+    statistics are ``stats``, in lockstep; each fit is the run
+    :func:`fit` describes.
+
+    Every round, each live fit takes the next step of its own SQUAREM
+    cycle: the fits at the end of a cycle evaluate their extrapolated
+    points, then all live fits share one M-step (one shape-solver call
+    over the cells of every fit, the normalisations on stacked arrays),
+    and each fit evaluates and keeps its result on its own.  Matrix
+    products stay per fit, so each fit computes exactly what it computes
+    alone.  A fit leaves the stack when it converges or reaches
+    ``cfg.max_iter`` maps, or when it raises; the result holds, per init,
+    its report or the error it raised (an :class:`EmptyComponent` abort
+    carries its partial report).
+    """
+    for init in inits:
+        if init.space != panel.space:
+            raise ValueError("init is defined on a different state space")
+    stack = _Stack(panel, stats, cfg)
+    fits = [_Fit(stack, init) for init in inits]
+    live = [f for f in fits if f.outcome is None]
+    while live:
+        for f in live:
+            f.guard(f.begin_map)
+        mapping = [f for f in live if f.outcome is None]
+        if mapping:
+            for f, result in zip(mapping, stack.m_step([f.z for f in mapping])):
+                f.guard(f.end_map, result)
+        live = [f for f in mapping if f.outcome is None]
+    return [f.outcome for f in fits]
+
+
 def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> FitReport:
     """Run the SQUAREM-accelerated penalized EM from ``init`` until the
     relative objective change of an EM map falls below ``cfg.rel_tol`` or
-    ``cfg.max_iter`` EM maps have run.
+    ``cfg.max_iter`` EM maps have run: a stack of one fit
+    (:func:`fit_stack`).
 
     Each cycle maps ``p0 -> p1 -> p2``, extrapolates ``p'`` from the three
     and keeps ``p''``, the map of ``p'``, when its objective is at least
@@ -330,108 +562,10 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     """
     if init.n_components != n_components:
         raise ValueError("init does not have the requested number of components")
-    if init.space != panel.space:
-        raise ValueError("init is defined on a different state space")
-
-    stats = PanelStats.from_panel(panel)
-    c = penalty_weight(panel) if cfg.penalized else 0.0
-    labels = panel.space.labels
-
-    def evaluate(p: MixtureArrays) -> _Point:
-        # One likelihood matrix per parameter set serves both its
-        # objective and the E-step that follows it.
-        scores, norms = log_scores(subject_loglik_matrix(stats, p), p.weights)
-        value = float(norms.sum())
-        if cfg.penalized:
-            value += penalty_term(p, c)
-        return _Point(p, value, scores, norms)
-
-    def m_step(z: np.ndarray) -> tuple[_Point, list[str]]:
-        alpha, trans, w1 = _m_step_alpha_trans_stats(stats, z, labels=labels)
-        shape, rate, w2 = _m_step_sojourn_stats(
-            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels=labels
-        )
-        params = MixtureArrays(z.sum(axis=0) / z.shape[0], alpha, trans, shape, rate,
-                               panel.space.absorbing)
-        params.check()
-        return evaluate(params), w1 + w2
-
-    def small_change(new: float, old: float) -> bool:
-        return abs(new - old) / (abs(new) + 1.0) < cfg.rel_tol
-
-    warnings: dict[str, None] = {}
-    empty_streak = np.zeros(n_components, dtype=int)
-    iterations = tried = kept = 0
-    path = [evaluate(init.params)]  # the kept points since the last extrapolation
-    trace = [path[0].value]
-
-    def report(point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
-        return FitReport(MixtureModel.from_arrays(panel.space, point.params), PosteriorMatrix(z),
-                         tuple(trace), n_maps, converged, float(point.norms.sum()),
-                         tuple(warnings), tried, kept)
-
-    def plain_map(point: _Point) -> tuple[_Point, bool]:
-        nonlocal iterations, empty_streak
-        iterations += 1
-        z = _responsibilities(point.scores, point.norms, cfg.z_round)
-        ng = z.sum(axis=0)
-        empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
-        # the aborting map never completed its M-step
-        if np.any(ng == 0.0):
-            starved = int(np.argmin(ng))
-            warnings[f"aborted: component {starved} has no subjects"] = None
-            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
-        if np.any(empty_streak >= _EMPTY_STREAK_LIMIT):
-            starved = int(np.argmax(empty_streak))
-            warnings[f"aborted: component {starved} starved for "
-                     f"{_EMPTY_STREAK_LIMIT} iterations"] = None
-            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
-        new, msgs = m_step(z)
-        warnings.update(dict.fromkeys(msgs))
-        trace.append(new.value)
-        if new.value < point.value - ASCENT_SLACK:
-            warnings[
-                f"objective decreased by {point.value - new.value:.3e} at iteration "
-                f"{iterations} (small-sample safeguard side effect)"
-            ] = None
-        return new, small_change(new.value, point.value)
-
-    def accelerated(p0: _Point, p1: _Point, p2: _Point) -> tuple[_Point, bool]:
-        nonlocal iterations, tried, kept
-        jump = _extrapolate(p0.params, p1.params, p2.params)
-        try:
-            jump.check()
-        except InvalidModelError:
-            return p2, False
-        with np.errstate(all="ignore"):  # extreme shapes may overflow the gamma terms
-            at_jump = evaluate(jump)
-        tried += 1
-        if not np.isfinite(at_jump.value):
-            return p2, False
-        z = _responsibilities(at_jump.scores, at_jump.norms, cfg.z_round)
-        if z.sum(axis=0).min() < 1.0:
-            return p2, False
-        iterations += 1
-        landed, msgs = m_step(z)
-        if not landed.value >= p2.value:
-            return p2, False
-        kept += 1
-        empty_streak[:] = 0  # every component held a subject at p'
-        warnings.update(dict.fromkeys(msgs))
-        trace.append(landed.value)
-        return landed, small_change(landed.value, at_jump.value)
-
-    converged = False
-    while not converged and iterations < cfg.max_iter:
-        if len(path) < 3:
-            point, converged = plain_map(path[-1])
-            path.append(point)
-        else:
-            point, converged = accelerated(*path)
-            path = [point]
-    point = path[-1]
-    return report(point, _responsibilities(point.scores, point.norms, cfg.z_round),
-                  iterations, converged)
+    (outcome,) = fit_stack(panel, PanelStats.from_panel(panel), [init], cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def map_cluster(z: PosteriorMatrix) -> np.ndarray:

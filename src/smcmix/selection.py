@@ -3,16 +3,25 @@
 The criteria are computed on the plain (unpenalized) mixture
 log-likelihood of the penalized-EM fit; folding the shape penalty into a
 complexity-penalizing criterion would count complexity twice.
+
+A sweep fits all its component counts as one lockstep stack of the EM
+(:func:`smcmix.em.fit_stack`), on statistics it builds once for the
+k-means inits and the stack together.  Each fit computes exactly what it
+computes alone, and the sweep reports them in component-count order; of
+the errors other than a starved-component abort, the one of the lowest
+component count that raised is raised, the error a sweep fitting one
+count after another would stop at.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 from .core import Panel
-from .em import EmConfig, EmptyComponent, FitReport, fit
+from .em import EmConfig, EmptyComponent, FitReport, fit_stack
 from .initialization import _clustered_model
 from .likelihood import PanelStats
 
@@ -99,8 +108,12 @@ def select_g(
     by a starved component are kept with their last valid model and
     flagged.  Ties pick the smallest component count.  The k-means labels
     each fit started from are kept in :attr:`GSweepResult.init_labels`.
+    A count that is a bool or not an integer raises :class:`ValueError`.
     """
-    g_values = sorted(set(int(g) for g in g_range))
+    counts = list(g_range)
+    if any(isinstance(g, bool) or not isinstance(g, Integral) for g in counts):
+        raise ValueError("g_range must contain integer component counts")
+    g_values = sorted(set(int(g) for g in counts))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
     if sample_size is not None and sample_size < 1:
@@ -109,23 +122,31 @@ def select_g(
     stats = PanelStats.from_panel(panel)
     has_absorbing = panel.space.absorbing is not None
 
+    inits, init_labels, init_error = [], {}, []
+    for g in g_values:
+        try:
+            init, init_labels[g] = _clustered_model(
+                panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
+            )
+        except Exception as exc:
+            # raised after the fits of the lower counts, and only if none of them raises
+            init_error = [exc]
+            break
+        inits.append(init)
+    outcomes = fit_stack(panel, stats, inits, cfg) + init_error
+
     rows: list[SweepRow] = []
     reports: dict[int, FitReport] = {}
-    init_labels = {}
     warnings: list[str] = []
-    for g in g_values:
-        init, init_labels[g] = _clustered_model(
-            panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
-        )
-        aborted = False
-        try:
-            report = fit(panel, g, init, cfg)
-        except EmptyComponent as exc:
-            if exc.report is None:
-                raise
-            report = exc.report
-            aborted = True
-            warnings.append(f"G={g}: {exc}")
+    for g, outcome in zip(g_values, outcomes):
+        aborted = isinstance(outcome, EmptyComponent) and outcome.report is not None
+        if aborted:
+            warnings.append(f"G={g}: {outcome}")
+            report = outcome.report
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            report = outcome
         reports[g] = report
         ll = report.loglik
         q = param_count(g, panel.space.n_states, d=2, has_absorbing=has_absorbing)

@@ -9,7 +9,12 @@ sample, at a time: the likelihood factor by factor from its definition,
 and the penalized gamma fit as a single-cell call of the solver with the
 checks a stand-alone fit needs.  The alignments of :mod:`smcmix.metrics`
 solve one assignment problem; the exhaustive search over all permutations
-here finds the same minimum.
+here finds the same minimum.  The EM of :mod:`smcmix.em` runs its fits
+as one lockstep stack; :func:`sequential_fit` is the one-fit-at-a-time
+loop with a per-fit M-step that it replaced, and
+:func:`sequential_select_g` the sweep that ran it once per component
+count.  Both reach the package's helpers through the :mod:`smcmix.em`
+module, so a fault injected there reaches the oracle too.
 """
 
 from __future__ import annotations
@@ -20,10 +25,21 @@ from itertools import permutations
 import numpy as np
 from scipy.special import gammaln
 
-from smcmix.core import ComponentParams, GammaParams, MixtureModel, Panel, Trajectory
-from smcmix.errors import DegenerateSample
-from smcmix.likelihood import mixture_loglik, penalty_term, penalty_weight
-from smcmix.sojourn import OK, WeightedSample, solve_shapes, status_error
+from smcmix import em
+from smcmix.core import (
+    ComponentParams,
+    GammaParams,
+    MixtureArrays,
+    MixtureModel,
+    Panel,
+    PosteriorMatrix,
+    Trajectory,
+)
+from smcmix.errors import DegenerateSample, EmptyComponent, InvalidModelError
+from smcmix.initialization import _clustered_model
+from smcmix.likelihood import PanelStats, log_scores, mixture_loglik, penalty_term, penalty_weight
+from smcmix.selection import CRITERIA, GSweepResult, SweepRow, aic, aicc, bic, param_count
+from smcmix.sojourn import DEGENERATE, OK, WeightedSample, solve_shapes, status_error
 
 
 def gamma_log_density(t: float, p: GammaParams) -> float:
@@ -111,3 +127,216 @@ def exhaustive_best_permutation(cost: np.ndarray) -> tuple[int, ...]:
 def assignment_cost(cost: np.ndarray, perm) -> float:
     """``sum(cost[t, perm[t]])``, summed in row order."""
     return sum(cost[t, e] for t, e in enumerate(perm))
+
+
+def _sequential_m_step_alpha_trans(stats: PanelStats, z: np.ndarray, labels):
+    d = stats.n_states
+    n_comp = z.shape[1]
+    chain = z.T @ stats.table[:, : d + d * d]
+    alpha, rows = chain[:, :d], chain[:, d:].reshape(n_comp, d, d)
+    totals = rows.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha /= alpha.sum(axis=1, keepdims=True)
+        trans = rows / totals[:, :, None]
+        trans[:, np.arange(d), np.arange(d)] = 0.0
+        trans /= trans.sum(axis=2, keepdims=True)
+    never_left = totals <= 0.0
+    if stats.absorbing is not None:
+        never_left[:, stats.absorbing] = False
+        trans[:, stats.absorbing] = 0.0
+    trans = np.where(never_left[:, :, None], (1.0 - np.eye(d)) / (d - 1), trans)
+    warnings = [
+        f"component {g}: state {labels[h]} never left; transition row set to uniform"
+        for g, h in zip(*np.nonzero(never_left))
+    ]
+    return alpha, trans, warnings
+
+
+def _sequential_m_step_sojourn(stats: PanelStats, z: np.ndarray, penalty_c, min_obs_mass,
+                               z_round, labels):
+    n_comp = z.shape[1]
+    d = stats.n_states
+    warnings = []
+    slog, sw, sx = (z.T @ stats.table[:, d + d * d :]).reshape(n_comp, 3, d).transpose(1, 0, 2)
+    carrying = (z > z_round).astype(np.float64)
+    n_obs = carrying.T @ stats.soj_counts
+    fitted = n_obs > min_obs_mass
+    cell_sw, cell_slog, cell_sx = (
+        np.concatenate([m[fitted], m.sum(axis=1)]) for m in (sw, slog, sx)
+    )
+    cell_shape, status = em.solve_shapes(cell_sw, cell_slog, cell_sx, penalty_c)
+    cell_rate = cell_shape * cell_sw / cell_sx
+    n_fit = int(fitted.sum())
+    shape = np.full((n_comp, d), np.nan)
+    rate = np.full((n_comp, d), np.nan)
+    fit_status = np.full((n_comp, d), OK)
+    shape[fitted], rate[fitted], fit_status[fitted] = (
+        cell_shape[:n_fit], cell_rate[:n_fit], status[:n_fit]
+    )
+    pooled = ~fitted | (fit_status != OK)
+    if stats.absorbing is not None:
+        pooled[:, stats.absorbing] = False
+    for g, j in zip(*np.nonzero(pooled)):
+        name = labels[j]
+        if not fitted[g, j]:
+            warnings.append(
+                f"component {g}: state {name} has {int(n_obs[g, j])} "
+                "weight-carrying observations; pooled fallback"
+            )
+        elif fit_status[g, j] == DEGENERATE:
+            warnings.append(
+                f"component {g}: degenerate sojourn sample in state {name}; pooled fallback"
+            )
+        else:
+            warnings.append(
+                f"component {g}: sojourn fit for state {name} left the "
+                "shape bracket; pooled fallback"
+            )
+        if status[n_fit + g] != OK:
+            exc = status_error(status[n_fit + g])
+            raise type(exc)(f"component {g} pooled sojourn fit: {exc}") from exc
+    shape = np.where(pooled, cell_shape[n_fit:, None], shape)
+    rate = np.where(pooled, cell_rate[n_fit:, None], rate)
+    return shape, rate, warnings
+
+
+def sequential_fit(panel: Panel, n_components: int, init: MixtureModel, cfg) -> em.FitReport:
+    """The SQUAREM-accelerated penalized EM of :func:`smcmix.em.fit`, one
+    fit on its own with its own M-step, as a plain loop over its cycles."""
+    if init.n_components != n_components:
+        raise ValueError("init does not have the requested number of components")
+    if init.space != panel.space:
+        raise ValueError("init is defined on a different state space")
+
+    stats = PanelStats.from_panel(panel)
+    c = penalty_weight(panel) if cfg.penalized else 0.0
+    labels = panel.space.labels
+
+    def evaluate(p):
+        scores, norms = log_scores(em.subject_loglik_matrix(stats, p), p.weights)
+        value = float(norms.sum())
+        if cfg.penalized:
+            value += penalty_term(p, c)
+        return (p, value, scores, norms)
+
+    def m_step(z):
+        alpha, trans, w1 = _sequential_m_step_alpha_trans(stats, z, labels)
+        shape, rate, w2 = _sequential_m_step_sojourn(
+            stats, z, c, cfg.min_obs_mass, cfg.z_round, labels
+        )
+        params = MixtureArrays(z.sum(axis=0) / z.shape[0], alpha, trans, shape, rate,
+                               panel.space.absorbing)
+        params.check()
+        return evaluate(params), w1 + w2
+
+    def small_change(new, old):
+        return abs(new - old) / (abs(new) + 1.0) < cfg.rel_tol
+
+    warnings = {}
+    empty_streak = np.zeros(n_components, dtype=int)
+    iterations = tried = kept = 0
+    path = [evaluate(init.params)]
+    trace = [path[0][1]]
+
+    def report(point, z, n_maps, converged):
+        return em.FitReport(MixtureModel.from_arrays(panel.space, point[0]), PosteriorMatrix(z),
+                            tuple(trace), n_maps, converged, float(point[3].sum()),
+                            tuple(warnings), tried, kept)
+
+    def plain_map(point):
+        nonlocal iterations, empty_streak
+        iterations += 1
+        z = em._responsibilities(point[2], point[3], cfg.z_round)
+        ng = z.sum(axis=0)
+        empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
+        if np.any(ng == 0.0):
+            starved = int(np.argmin(ng))
+            warnings[f"aborted: component {starved} has no subjects"] = None
+            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
+        if np.any(empty_streak >= 3):
+            starved = int(np.argmax(empty_streak))
+            warnings[f"aborted: component {starved} starved for 3 iterations"] = None
+            raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
+        new, msgs = m_step(z)
+        warnings.update(dict.fromkeys(msgs))
+        trace.append(new[1])
+        if new[1] < point[1] - em.ASCENT_SLACK:
+            warnings[
+                f"objective decreased by {point[1] - new[1]:.3e} at iteration "
+                f"{iterations} (small-sample safeguard side effect)"
+            ] = None
+        return new, small_change(new[1], point[1])
+
+    def accelerated(p0, p1, p2):
+        nonlocal iterations, tried, kept
+        jump = em._extrapolate(p0[0], p1[0], p2[0])
+        try:
+            jump.check()
+        except InvalidModelError:
+            return p2, False
+        with np.errstate(all="ignore"):
+            at_jump = evaluate(jump)
+        tried += 1
+        if not np.isfinite(at_jump[1]):
+            return p2, False
+        z = em._responsibilities(at_jump[2], at_jump[3], cfg.z_round)
+        if z.sum(axis=0).min() < 1.0:
+            return p2, False
+        iterations += 1
+        landed, msgs = m_step(z)
+        if not landed[1] >= p2[1]:
+            return p2, False
+        kept += 1
+        empty_streak[:] = 0
+        warnings.update(dict.fromkeys(msgs))
+        trace.append(landed[1])
+        return landed, small_change(landed[1], at_jump[1])
+
+    converged = False
+    while not converged and iterations < cfg.max_iter:
+        if len(path) < 3:
+            point, converged = plain_map(path[-1])
+            path.append(point)
+        else:
+            point, converged = accelerated(*path)
+            path = [point]
+    point = path[-1]
+    return report(point, em._responsibilities(point[2], point[3], cfg.z_round),
+                  iterations, converged)
+
+
+def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
+                        restarts: int = 10) -> GSweepResult:
+    """The sweep of :func:`smcmix.selection.select_g`, initialising and
+    fitting one component count after another with :func:`sequential_fit`."""
+    g_values = sorted(set(g_range))
+    n_obs = sample_size if sample_size is not None else panel.n_subjects * panel.n_replications
+    stats = PanelStats.from_panel(panel)
+    has_absorbing = panel.space.absorbing is not None
+    rows, reports, init_labels, warnings = [], {}, {}, []
+    for g in g_values:
+        init, init_labels[g] = _clustered_model(panel, g, cfg.seed, restarts,
+                                                cfg.min_obs_mass, stats)
+        aborted = False
+        try:
+            report = sequential_fit(panel, g, init, cfg)
+        except EmptyComponent as exc:
+            report = exc.report
+            aborted = True
+            warnings.append(f"G={g}: {exc}")
+        reports[g] = report
+        ll = report.loglik
+        q = param_count(g, panel.space.n_states, d=2, has_absorbing=has_absorbing)
+        try:
+            corrected = aicc(ll, q, n_obs)
+        except ValueError:
+            corrected = None
+            warnings.append(f"G={g}: aicc undefined (q={q} too large for n_obs={n_obs})")
+        rows.append(SweepRow(g, ll, q, bic(ll, q, n_obs), aic(ll, q), corrected,
+                             report.converged, aborted))
+    chosen = {}
+    for name in CRITERIA:
+        scored = [(getattr(r, name), r.n_components) for r in rows if getattr(r, name) is not None]
+        if scored:
+            chosen[name] = min(scored)[1]
+    return GSweepResult(tuple(rows), chosen, reports, init_labels, tuple(warnings))

@@ -194,7 +194,9 @@ class TestMStepWeights:
 class TestMStepAlphaTrans:
     def test_single_component_classical(self, tiny_panel):
         z = PosteriorMatrix(z=np.ones((3, 1)))
-        alpha, trans, warnings = _m_step_alpha_trans_stats(PanelStats.from_panel(tiny_panel), z.z)
+        alpha, trans, (warnings,) = _m_step_alpha_trans_stats(
+            PanelStats.from_panel(tiny_panel), [z.z]
+        )
         # hand counts over the six trajectories of the fixture panel
         # first states: 0,1 / 0,0 / 1,0  -> state 0: 4, state 1: 2
         np.testing.assert_allclose(alpha[0], [4 / 6, 2 / 6], rtol=1e-12)
@@ -217,7 +219,7 @@ class TestMStepAlphaTrans:
             subjects=((traj([0, 1, 0], [1.0, 1.0, 1.0]),),),
         )
         z = PosteriorMatrix(z=np.ones((1, 1)))
-        alpha, trans, warnings = _m_step_alpha_trans_stats(PanelStats.from_panel(space3), z.z)
+        alpha, trans, (warnings,) = _m_step_alpha_trans_stats(PanelStats.from_panel(space3), [z.z])
         np.testing.assert_allclose(trans[0, 2], [0.5, 0.5, 0.0], rtol=1e-12)
         assert any("never left" in w for w in warnings)
 
@@ -230,7 +232,7 @@ class TestMStepAlphaTrans:
             ),
         )
         z = PosteriorMatrix(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
-        alpha, trans, _ = _m_step_alpha_trans_stats(PanelStats.from_panel(panel), z.z)
+        alpha, trans, _ = _m_step_alpha_trans_stats(PanelStats.from_panel(panel), [z.z])
         # component 0: alpha = (0.3*1 + 0.6*0, 0.3*0 + 0.6*1) / (0.9)
         np.testing.assert_allclose(alpha[0], [0.3 / 0.9, 0.6 / 0.9], rtol=1e-12)
         np.testing.assert_allclose(alpha[1], [0.7 / 1.1, 0.4 / 1.1], rtol=1e-12)
@@ -251,8 +253,8 @@ class TestMStepSojourn:
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
         c = penalty_weight(panel)
-        shape, rate, warnings = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), z.z, c, 7, 1e-4
+        shape, rate, (warnings,), _ = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), [z.z], c, 7, 1e-4
         )
         direct = fit_gamma_pmle(
             WeightedSample(values=np.array(all_state0), weights=np.ones(len(all_state0))),
@@ -274,8 +276,8 @@ class TestMStepSojourn:
             subjects.append((traj(states, durations),))
         panel = Panel(space=space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((8, 1)))
-        shape, _, warnings = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), z.z, penalty_weight(panel), 7, 1e-4
+        shape, _, (warnings,), _ = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), [z.z], penalty_weight(panel), 7, 1e-4
         )
         assert any("pooled fallback" in w for w in warnings)
         # the starved state inherits the pooled fit over every observation
@@ -297,8 +299,8 @@ class TestMStepSojourn:
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
         stats = PanelStats.from_panel(panel)
-        pen, _, _ = _m_step_sojourn_stats(stats, z.z, penalty_weight(panel), 7, 1e-4)
-        unpen, _, _ = _m_step_sojourn_stats(stats, z.z, 0.0, 7, 1e-4)
+        pen, _, _, _ = _m_step_sojourn_stats(stats, [z.z], penalty_weight(panel), 7, 1e-4)
+        unpen, _, _, _ = _m_step_sojourn_stats(stats, [z.z], 0.0, 7, 1e-4)
         assert pen[0, 0] < unpen[0, 0]
 
     def test_nonconvergence_context(self, two_state_space):
@@ -309,8 +311,8 @@ class TestMStepSojourn:
         )
         panel = Panel(space=two_state_space, subjects=subjects)
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        _, _, warnings = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), z.z, 0.0, 7, 1e-4, labels=panel.space.labels
+        _, _, (warnings,), _ = _m_step_sojourn_stats(
+            PanelStats.from_panel(panel), [z.z], 0.0, 7, 1e-4, labels=panel.space.labels
         )
         assert warnings == [
             "component 0: sojourn fit for state A left the shape bracket; pooled fallback"
@@ -320,12 +322,33 @@ class TestMStepSojourn:
     def test_pooled_fit_failure_is_raised(self, two_state_space):
         # every sojourn equal and no penalty: the state fits and the pooled
         # fallback are all degenerate
-        panel = Panel(space=two_state_space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 10)
-        z = np.ones((10, 1))
+        # for the fit that weighs only those subjects; the fit stacked with
+        # it, which weighs ten more subjects with spread sojourns, is
+        # untouched by its failure
+        spread = tuple((traj([0, 1], [1.0 + 0.3 * i, 2.0 + 0.7 * i]),) for i in range(10))
+        panel = Panel(space=two_state_space,
+                      subjects=((traj([0, 1], [2.0, 2.0]),),) * 10 + spread)
+        stats = PanelStats.from_panel(panel)
+        degenerate = np.repeat([[1.0], [0.0]], 10, axis=0)
+        everyone = np.ones((20, 1))
+        shape, rate, _, errors = _m_step_sojourn_stats(stats, [degenerate, everyone], 0.0, 7, 1e-4)
+        failure, ok = errors
+        assert ok is None
         with pytest.raises(
             DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
         ):
-            _m_step_sojourn_stats(PanelStats.from_panel(panel), z, 0.0, 7, 1e-4)
+            raise failure
+        assert isinstance(failure.__cause__, DegenerateSample)
+        alone_shape, alone_rate, _, (alone_error,) = _m_step_sojourn_stats(
+            stats, [everyone], 0.0, 7, 1e-4
+        )
+        assert alone_error is None
+        assert np.array_equal(shape[1:], alone_shape) and np.array_equal(rate[1:], alone_rate)
+        # of several failing components, a fit reports its first
+        _, _, _, (both,) = _m_step_sojourn_stats(
+            stats, [np.repeat([[0.5, 0.5], [0.0, 0.0]], 10, axis=0)], 0.0, 7, 1e-4
+        )
+        assert str(both).startswith("component 0 pooled sojourn fit: ")
 
 
 class TestFit:
@@ -764,7 +787,9 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
     panel = Panel(space=space, subjects=tuple(subjects))
     stats = PanelStats.from_panel(panel)
     z = np.full((10, 2), 0.5)
-    shape, rate, warnings = _m_step_sojourn_stats(stats, z, 0.0, 7, 1e-4, labels=space.labels)
+    shape, rate, (warnings,), _ = _m_step_sojourn_stats(
+        stats, [z], 0.0, 7, 1e-4, labels=space.labels
+    )
     per_component = [
         "degenerate sojourn sample in state A; pooled fallback",
         "sojourn fit for state B left the shape bracket; pooled fallback",

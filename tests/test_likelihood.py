@@ -424,7 +424,7 @@ class TestPanelStatsTable:
 
 class TestStatsBuilds:
     """Each entry point builds the panel statistics once; a sweep builds
-    them once for all its inits, plus once per fit."""
+    them once for all its inits and its stack of fits."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -458,7 +458,7 @@ class TestStatsBuilds:
 
     def test_select_g(self, panel, builds):
         select_g(panel, [1, 2, 3], EmConfig(seed=1))
-        assert len(builds) == 4
+        assert len(builds) == 1
 
 
 def reference_theta_row(
@@ -623,3 +623,26 @@ class TestLoglikMatrixOracle:
         report = fit(panel, 2, initial_model(panel, 2, seed=1), EmConfig())
         assert report.iterations > 0
         assert calls == [2] * (1 + report.iterations + report.extrapolations_tried)
+
+    def test_select_g_goes_through_the_em_binding(self, monkeypatch):
+        # a sweep's stack evaluates each fit's matrices through the same
+        # binding, one per parameter set, interleaved across the fits
+        calls = []
+
+        def counting(stats, model):
+            calls.append(len(model.weights))
+            return subject_loglik_matrix(stats, model)
+
+        monkeypatch.setattr(em, "subject_loglik_matrix", counting)
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31,
+        )
+        panel = simulate_panel(scenario)[0]
+        sweep = select_g(panel, [1, 2, 3], EmConfig(seed=1))
+        assert sweep.reports[3].iterations > 0
+        for g, report in sweep.reports.items():
+            assert [c for c in calls if c == g] == [g] * (
+                1 + report.iterations + report.extrapolations_tried
+            )
+        assert sorted(set(calls)) == [1, 2, 3]

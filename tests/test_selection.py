@@ -1,12 +1,20 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smcmix import EmConfig, aic, aicc, bic, fixtures, param_count, select_g
 from smcmix import em, likelihood
+from smcmix.core import MixtureArrays, Panel, StateSpace
+from smcmix.errors import DegenerateSample, InvalidModelError, NonConvergence
 from smcmix.initialization import _clustered_model
 from smcmix.sim import Scenario, simulate_panel
+
+from conftest import traj
+from oracles import sequential_select_g
 
 
 class TestParamCount:
@@ -156,3 +164,167 @@ class TestSelectG:
                 small_two_component_panel, g, cfg.seed, 4, cfg.min_obs_mass
             )
             assert np.array_equal(labels, expected)
+
+
+class TestCountValidation:
+    @pytest.mark.parametrize(
+        "g_range", [[2.7, True], [1, 2.0], [np.float64(2.0)], [np.bool_(True), 2], ["2"]]
+    )
+    def test_non_integer_counts_are_rejected(self, small_two_component_panel, g_range):
+        with pytest.raises(ValueError, match="^g_range must contain integer component counts$"):
+            select_g(small_two_component_panel, g_range, EmConfig(seed=1))
+
+    def test_numpy_integers_are_counts(self, small_two_component_panel):
+        sweep = select_g(small_two_component_panel, np.array([2, 1]), EmConfig(seed=1))
+        assert [row.n_components for row in sweep.rows] == [1, 2]
+        assert all(type(row.n_components) is int for row in sweep.rows)
+
+
+def assert_same_report(got, want):
+    assert got.objective_trace == want.objective_trace
+    assert (got.iterations, got.converged, got.loglik, got.warnings) == (
+        want.iterations, want.converged, want.loglik, want.warnings
+    )
+    assert (got.extrapolations_tried, got.extrapolations_kept) == (
+        want.extrapolations_tried, want.extrapolations_kept
+    )
+    assert np.array_equal(got.posteriors.z, want.posteriors.z)
+    for a, b in zip(got.model.params[:5], want.model.params[:5]):
+        assert np.array_equal(a, b, equal_nan=True)
+
+
+def assert_same_sweep(got, want):
+    """Two sweeps, or the errors they raised, are identical bit for bit."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert (got.rows, got.chosen, got.warnings) == (want.rows, want.chosen, want.warnings)
+    assert list(got.reports) == list(want.reports) == list(got.init_labels)
+    for g, report in want.reports.items():
+        assert_same_report(got.reports[g], report)
+        assert np.array_equal(got.init_labels[g], want.init_labels[g])
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:
+        return exc
+
+
+def _sweep_panel(name: str, n_subjects: int, seed: int, transitions: int = 6):
+    if name == "absorbing":
+        from test_absorbing import two_group_model
+
+        scenario = Scenario(model=two_group_model(), n_subjects=n_subjects, n_replications=3,
+                            stop_rule="absorbing", seed=seed)
+    else:
+        scenario = fixtures.benchmark_scenario(
+            name, n_subjects=n_subjects, transitions=transitions, seed=seed
+        )
+    return simulate_panel(scenario)[0]
+
+
+@st.composite
+def sweep_cases(draw):
+    panel = _sweep_panel(
+        draw(st.sampled_from(["chocolate70", "well_separated", "absorbing"])),
+        draw(st.integers(20, 60)), draw(st.integers(0, 2**16)), draw(st.integers(3, 10)),
+    )
+    g_range = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    cfg = EmConfig(max_iter=draw(st.integers(1, 40)), z_round=draw(st.sampled_from([0.0, 1e-4])),
+                   penalized=draw(st.booleans()), seed=draw(st.integers(0, 99)))
+    return panel, g_range, cfg, draw(st.integers(1, 4))
+
+
+class TestLockstepStack:
+    """A sweep runs its fits as one lockstep stack; every fit must come out
+    as the one-fit-at-a-time loop computes it, bit for bit, and a failing
+    sweep must raise what that loop raises."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases())
+    def test_sweep_matches_the_sequential_oracle(self, case):
+        panel, g_range, cfg, restarts = case
+        assert_same_sweep(_outcome(lambda: select_g(panel, g_range, cfg, restarts=restarts)),
+                          _outcome(lambda: sequential_select_g(panel, g_range, cfg,
+                                                               restarts=restarts)))
+
+    def test_an_aborted_fit_leaves_the_others_running(self):
+        # G = 4 starves at its third map; G = 3 goes on for 20
+        panel = _sweep_panel("chocolate70", 30, 29, transitions=4)
+        cfg = EmConfig(seed=1)
+        sweep = select_g(panel, [1, 2, 3, 4], cfg)
+        assert_same_sweep(sweep, sequential_select_g(panel, [1, 2, 3, 4], cfg))
+        assert [row.n_components for row in sweep.rows if row.aborted] == [4]
+        assert "G=4: mixture component 0 lost all its subjects" in sweep.warnings
+        assert (sweep.reports[4].iterations, sweep.reports[3].iterations) == (2, 20)
+        assert all(row.converged for row in sweep.rows if not row.aborted)
+
+
+def _fail_likelihoods(monkeypatch, at: dict):
+    """Make the ``k``-th likelihood matrix of the fit with ``g`` components
+    raise, for each ``g: k`` of ``at``; returns the per-count tallies,
+    which the caller clears between runs."""
+    tallies = collections.Counter()
+    original = em.subject_loglik_matrix
+
+    def failing(stats, params):
+        g = len(params.weights)
+        tallies[g] += 1
+        if at.get(g) == tallies[g]:
+            raise NonConvergence(f"injected at G={g}, evaluation {tallies[g]}")
+        return original(stats, params)
+
+    monkeypatch.setattr(em, "subject_loglik_matrix", failing)
+    return tallies
+
+
+class TestSweepErrors:
+    """The errors a sweep raises are those of the sequential loop: the
+    error of the lowest component count that raised."""
+
+    @pytest.mark.parametrize("at,raised", [
+        ({3: 5}, "G=3, evaluation 5"),
+        ({3: 2, 2: 6}, "G=2, evaluation 6"),
+        ({1: 2, 3: 1}, "G=1, evaluation 2"),
+    ])
+    def test_injected_likelihood_failure(self, small_two_component_panel, monkeypatch, at, raised):
+        tallies = _fail_likelihoods(monkeypatch, at)
+        cfg = EmConfig(seed=3)
+        want = _outcome(lambda: sequential_select_g(small_two_component_panel, [1, 2, 3], cfg))
+        tallies.clear()
+        got = _outcome(lambda: select_g(small_two_component_panel, [1, 2, 3], cfg))
+        assert isinstance(want, NonConvergence) and str(want) == f"injected at {raised}"
+        assert_same_sweep(got, want)
+
+    def test_injected_m_step_invariant_failure(self, small_two_component_panel, monkeypatch):
+        # every parameter check of G = 3 fails from its sixth on, so one of
+        # its M-steps breaks an invariant
+        checks = collections.Counter()
+        original = MixtureArrays.check
+
+        def failing(params):
+            checks[len(params.weights)] += 1
+            if len(params.weights) == 3 and checks[3] >= 6:
+                raise InvalidModelError("injected")
+            original(params)
+
+        monkeypatch.setattr(MixtureArrays, "check", failing)
+        cfg = EmConfig(seed=3)
+        want = _outcome(lambda: sequential_select_g(small_two_component_panel, [1, 2, 3], cfg))
+        checks.clear()
+        got = _outcome(lambda: select_g(small_two_component_panel, [1, 2, 3], cfg))
+        assert isinstance(want, InvalidModelError) and str(want) == "injected"
+        assert_same_sweep(got, want)
+
+    @pytest.mark.parametrize("penalized,raised", [(False, DegenerateSample), (True, ValueError)])
+    def test_an_init_error_waits_for_the_lower_counts(self, penalized, raised):
+        # three equal subjects: no k-means init for G = 4 exists, and
+        # without the penalty the G = 1 fit fails first
+        space = StateSpace(labels=("A", "B"))
+        panel = Panel(space=space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 3)
+        cfg = EmConfig(penalized=penalized)
+        want = _outcome(lambda: sequential_select_g(panel, [1, 4], cfg))
+        assert type(want) is raised
+        assert_same_sweep(_outcome(lambda: select_g(panel, [1, 4], cfg)), want)
