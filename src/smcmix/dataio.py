@@ -362,7 +362,10 @@ def _parse_panel_rows(path, delimiter: str):
                 has_end & ~np.isfinite(e),
             ])
             n = len(lines) if failure is None else failure[0]
-            chunks.append((np.array(lines[:n], dtype=np.int64), s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
+            kept = lines[:n]  # a range for a chunk numpy tokenised, a list for csv's
+            line_numbers = (np.arange(kept.start, kept.stop, kept.step, dtype=np.int64)
+                            if isinstance(kept, range) else np.array(kept, dtype=np.int64))
+            chunks.append((line_numbers, s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
             if failure is not None:
                 error = MalformedRow(lines[n], _ROW_CHECKS[failure[1]])
                 break

@@ -9,20 +9,28 @@ local minimizer of the within-cluster squared error serves as an
 initializer.  Each restart is seeded on its own random stream, one after
 another; the Lloyd iterations of all restarts then run as one array loop
 that drops each restart once its labels stop changing, and gives every
-restart the labels and error its own loop would give, bit for bit.  One
-cluster needs no search and draws nothing.
+restart the labels and error its own loop would give, bit for bit.  The
+distances of an iteration are one (D, restarts x k, n) array summed over
+its D slabs in the pairwise order numpy sums a short axis in, so each
+pass runs over long rows.  One cluster needs no search and draws nothing.
+
+The moment estimates sort the panel's sojourns once by (cluster, state);
+each cell's durations are then one slice, in panel order, fitted by the
+arithmetic of :func:`smcmix.sojourn.fit_gamma_mom` without re-checking a
+sample the panel has already checked.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from numbers import Integral
 
 import numpy as np
 
 from .core import GammaParams, MixtureArrays, MixtureModel, Panel
 from .errors import DegenerateSample
 from .likelihood import PanelStats
-from .sojourn import WeightedSample, fit_gamma_mom
+from .sojourn import gamma_mom
 
 # Mass added to every structurally-allowed probability cell of the initial
 # model so no subject starts at -inf under any component.
@@ -58,35 +66,65 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def _sq_distances(tiled: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, A, k) squared distances from every point to every centre of A
-    restarts, each summed over the contiguous last axis; ``tiled`` holds
-    each point once per restart and cluster, (n, R, k, D) with R >= A."""
-    return ((tiled[:, : len(centers)] - centers) ** 2).sum(axis=3)
+def _sum_slabs(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=0)`` as numpy sums a short contiguous axis, bit for
+    bit: pairwise, in eight running sums below 129 terms (numpy's
+    ``pairwise_sum``), but each term a whole slab, so one array pass adds a
+    slab to every sum at once.  ``x`` must be nonnegative (numpy starts a
+    short sum from 0.0, which only a -0.0 term would notice), and is
+    overwritten."""
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum_slabs(x[:half]) + _sum_slabs(x[half:])
+    if n < 8:
+        total = x[0]
+        for i in range(1, n):
+            total += x[i]
+        return total
+    tail = n - n % 8
+    sums = x[:8]
+    for i in range(8, tail, 8):
+        sums += x[i : i + 8]
+    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
+    total += (sums[4] + sums[5]) + (sums[6] + sums[7])
+    for i in range(tail, n):
+        total += x[i]
+    return total
+
+
+def _sq_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(A, k, n) squared distances from each of n points to every centre of
+    A restarts (A, k, D), each summed over D as ``.sum(axis=-1)`` over the
+    point's (D,) differences would sum it; ``columns`` is the (D, n)
+    transpose of the points."""
+    a, k, d = centers.shape
+    diff = columns[:, None, :] - centers.reshape(a * k, d).T[:, :, None]
+    return _sum_slabs(np.square(diff, out=diff)).reshape(a, k, -1)
 
 
 def _cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
-    """(A, k) cluster sizes of the (n, A) labellings of A restarts."""
-    a = labels.shape[1]
-    return np.bincount((labels + k * np.arange(a)).ravel(), minlength=a * k).reshape(a, k)
+    """(A, k) cluster sizes of the (A, n) labellings of A restarts."""
+    a = len(labels)
+    return np.bincount((labels + k * np.arange(a)[:, None]).ravel(), minlength=a * k).reshape(a, k)
 
 
 def _reseed(points: np.ndarray, centers: np.ndarray, d2: np.ndarray, labels: np.ndarray) -> None:
     """Re-seed the empty clusters of one restart in place, each from the
     point farthest from its centre, among points whose cluster keeps another
     member: moving a lone point would empty its cluster, whose mean would
-    then be NaN."""
-    n, k = d2.shape
+    then be NaN.  ``d2`` holds the (k, n) squared distances."""
+    k, n = d2.shape
     for c in range(k):
         if not np.any(labels == c):
             shared = np.bincount(labels, minlength=k)[labels] > 1
-            far = int(np.argmax(np.where(shared, d2[np.arange(n), labels], -1.0)))
+            far = int(np.argmax(np.where(shared, d2[labels, np.arange(n)], -1.0)))
             centers[c] = points[far]
             labels[far] = c
 
 
 def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(A, k, D) cluster means of the (n, A) labellings ``labels``, every
+    """(A, k, D) cluster means of the (A, n) labellings ``labels``, every
     cluster non-empty.
 
     ``spread[i, c]`` is a zero (k, D) block with point i in row c; gathered
@@ -98,8 +136,8 @@ def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray) -> np.nda
     """
     n, k = spread.shape[:2]
     if points.shape[1] == 1:
-        return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels.T])
-    sums = spread[np.arange(n)[:, None], labels].sum(axis=0)
+        return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels])
+    sums = spread[np.arange(n)[:, None], labels.T].sum(axis=0)
     return sums / _cluster_sizes(labels, k)[:, :, None]
 
 
@@ -109,39 +147,39 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     (R, n) labels and (R,) within-cluster squared error.
 
     A restart leaves the active set on the first iteration that leaves its
-    labels unchanged, or after ``_LLOYD_ITERATIONS``.  The arrays are point
-    major, (n, A, ...), so that each elementwise pass runs over long
-    contiguous rows.
+    labels unchanged, or after ``_LLOYD_ITERATIONS``.  The distances are
+    point inner, (A, k, n), so that each elementwise pass runs over long
+    contiguous rows, and are summed over D one (A·k, n) slab at a time.
     """
     r, k, d = centers.shape
     n = points.shape[0]
-    tiled = np.broadcast_to(points[:, None, None, :], (n, r, k, d)).copy()
+    columns = np.ascontiguousarray(points.T)
     spread = np.zeros((n, k, k, d))
     spread[:, np.arange(k), np.arange(k)] = points[:, None, :]
     centers = centers.copy()
     final_centers = np.empty_like(centers)
     final_labels = np.empty((r, n), dtype=np.intp)
     active = np.arange(r)
-    labels = np.full((n, r), -1, dtype=np.intp)
+    labels = np.full((r, n), -1, dtype=np.intp)
     for _ in range(_LLOYD_ITERATIONS):
-        d2 = _sq_distances(tiled, centers)
-        new = d2.argmin(axis=2)
+        d2 = _sq_distances(columns, centers)
+        new = d2.argmin(axis=1)
         for i in np.flatnonzero((_cluster_sizes(new, k) == 0).any(axis=1)):
-            _reseed(points, centers[i], d2[:, i], new[:, i])
-        done = (new == labels).all(axis=0)
+            _reseed(points, centers[i], d2[i], new[i])
+        done = (new == labels).all(axis=1)
         final_centers[active[done]] = centers[done]
-        final_labels[active[done]] = new[:, done].T
+        final_labels[active[done]] = new[done]
         keep = ~done
-        active, labels = active[keep], new[:, keep]
+        active, labels = active[keep], new[keep]
         if not active.size:
             break
         centers = _means(points, spread, labels)
     else:
         final_centers[active] = centers
-        final_labels[active] = labels.T
-    d2 = _sq_distances(tiled, final_centers)
+        final_labels[active] = labels
+    d2 = _sq_distances(columns, final_centers)
     # (R, n) rows, each summed as the 1-D errors of one restart would be.
-    sse = d2[np.arange(n), np.arange(r)[:, None], final_labels].sum(axis=1)
+    sse = d2[np.arange(r)[:, None], final_labels, np.arange(n)].sum(axis=1)
     return final_labels, sse
 
 
@@ -154,12 +192,15 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     run together.  Deterministic given ``seed``; the winner among restarts
     is the lowest (SSE, restart index) pair.  A single cluster needs no
     search: every point gets label 0.  Raises ``ValueError`` unless
-    ``points`` is a finite 2-D array with at least ``k`` rows and, for
-    ``k >= 2``, sums of n squared distances between them are finite.
+    ``restarts`` is a positive integer (not a bool), and ``points`` is a
+    finite 2-D array with at least ``k`` rows and, for ``k >= 2``, sums of
+    n squared distances between them are finite.
     """
     points = np.asarray(points, dtype=np.float64)
     if k < 1:
         raise ValueError("k must be at least 1")
+    if isinstance(restarts, bool) or not isinstance(restarts, Integral):
+        raise ValueError("restarts must be an integer")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
     if points.ndim != 2:
@@ -183,25 +224,28 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     return labels[int(np.argmin(sse))].copy()
 
 
-def _cluster_gammas(per_state: list[np.ndarray], absorbing, min_obs_mass: int):
-    """One cluster's gamma shape and rate rows, NaN at the absorbing state."""
+def _cluster_gammas(durations: np.ndarray, bounds: list, absorbing, min_obs_mass: int):
+    """One cluster's gamma shape and rate rows, NaN at the absorbing state;
+    ``durations[bounds[j]:bounds[j + 1]]`` are the cluster's sojourns in
+    state j, and ``durations[bounds[0]:bounds[-1]]`` all of them."""
+    ones = np.ones(bounds[-1] - bounds[0])
 
     def moment_fit(values: np.ndarray) -> GammaParams | None:
         try:
-            return fit_gamma_mom(WeightedSample(values, np.ones_like(values)))
+            return gamma_mom(values, ones[: values.size])
         except DegenerateSample:
             return None
 
     @cache
     def pooled_fit() -> GammaParams:
-        values = np.concatenate([v for v in per_state if v.size])
+        values = durations[bounds[0] : bounds[-1]]
         # No spread at all: exponential with the observed mean.
         return moment_fit(values) or GammaParams(shape=1.0, rate=1.0 / float(values.mean()))
 
-    shape, rate = np.full((2, len(per_state)), np.nan)
-    for j, values in enumerate(per_state):
+    shape, rate = np.full((2, len(bounds) - 1), np.nan)
+    for j, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         if j != absorbing:
-            law = (values.size > min_obs_mass and moment_fit(values)) or pooled_fit()
+            law = (stop - start > min_obs_mass and moment_fit(durations[start:stop])) or pooled_fit()
             shape[j], rate[j] = law.shape, law.rate
     return shape, rate
 
@@ -239,9 +283,13 @@ def _clustered_model(
     d = panel.space.n_states
     absorbing = panel.space.absorbing
     labels = kmeans(_mean_sojourns(stats), n_components, seed, restarts)
-    # Cluster and state of every observed sojourn, in panel order.
-    row_labels = labels[stats.soj_cells // d]
-    row_states = stats.soj_cells % d
+    # Every observed sojourn sorted by (cluster, state), in panel order
+    # within a cell, so that each cell's durations are one slice.  numpy
+    # sorts keys of at most 16 bits stably by radix, in linear time.
+    cells = labels[stats.soj_cells // d] * d + stats.soj_cells % d
+    keys = cells.astype(np.min_scalar_type(n_components * d))
+    durations = stats.soj_durations[np.argsort(keys, kind="stable")]
+    bounds = [0, *np.cumsum(np.bincount(cells, minlength=n_components * d)).tolist()]
 
     # Cluster membership indicators: the counts are integers, so the
     # products below sum them exactly, as a sum over each cluster would.
@@ -261,8 +309,7 @@ def _clustered_model(
 
     shape, rate = np.empty((2, n_components, d))
     for g in range(n_components):
-        in_cluster = row_labels == g
-        per_state = [stats.soj_durations[in_cluster & (row_states == j)] for j in range(d)]
-        shape[g], rate[g] = _cluster_gammas(per_state, absorbing, min_obs_mass)
+        cluster = bounds[g * d : (g + 1) * d + 1]
+        shape[g], rate[g] = _cluster_gammas(durations, cluster, absorbing, min_obs_mass)
     params = MixtureArrays(weights, alpha, trans, shape, rate, absorbing)
     return MixtureModel.from_arrays(panel.space, params), labels

@@ -108,7 +108,9 @@ def select_g(
     by a starved component are kept with their last valid model and
     flagged.  Ties pick the smallest component count.  The k-means labels
     each fit started from are kept in :attr:`GSweepResult.init_labels`.
-    A count that is a bool or not an integer raises :class:`ValueError`.
+    A count or ``sample_size`` that is a bool or not an integer raises
+    :class:`ValueError`, as does a ``restarts`` that
+    :func:`~smcmix.initialization.kmeans` rejects.
     """
     counts = list(g_range)
     if any(isinstance(g, bool) or not isinstance(g, Integral) for g in counts):
@@ -116,8 +118,11 @@ def select_g(
     g_values = sorted(set(int(g) for g in counts))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
-    if sample_size is not None and sample_size < 1:
-        raise ValueError("sample_size must be positive")
+    if sample_size is not None:
+        if isinstance(sample_size, bool) or not isinstance(sample_size, Integral):
+            raise ValueError("sample_size must be an integer")
+        if sample_size < 1:
+            raise ValueError("sample_size must be positive")
     n_obs = sample_size if sample_size is not None else panel.n_subjects * panel.n_replications
     stats = PanelStats.from_panel(panel)
     has_absorbing = panel.space.absorbing is not None

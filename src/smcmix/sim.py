@@ -16,6 +16,7 @@ same calls in the same order; ``tests/golden/sim_panels.json`` pins it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -90,25 +91,27 @@ class _ComponentSampler:
         """Draw one trajectory under the stop rule and append its states
         and sojourns to ``states`` and ``sojourns``."""
         random, gamma = rng.random, rng.gamma
-        absorbing = self.absorbing
+        absorbing = -1 if self.absorbing is None else self.absorbing
         rows, cums = self.rows, self.cums
         shapes, scales = self.shapes, self.scales
         last = len(shapes) - 1
-        stop = None if stop_rule == ABSORBING_RULE else int(stop_rule) + 1
+        # States a fixed transition count allows; absorption may end the
+        # trajectory sooner, and no trajectory passes _MAX_SIM_STATES.
+        steps = math.inf if stop_rule == ABSORBING_RULE else int(stop_rule) + 1
         j = last + 1  # the start row
-        n = 0
-        while True:
-            # bisect_right picks the cell np.searchsorted(side="right") picks.
-            # A row whose sums round to just below 1 can leave u past them:
-            # clamp to the last cell and walk back past zero cells.
-            probs = rows[j]
-            j = bisect_right(cums[j], random())
-            if j > last:
-                j = last
-            while probs[j] == 0.0:
-                j -= 1
+        for _ in range(min(steps, _MAX_SIM_STATES)):
+            # bisect_right picks the cell np.searchsorted(side="right")
+            # picks, never a zero cell: np.cumsum adds a zero exactly, so
+            # a zero cell's sum equals the one before it.  A row whose
+            # sums round to just below 1 can leave u past them: clamp to
+            # the last cell and walk back past zero cells.
+            k = bisect_right(cums[j], random())
+            if k > last:
+                probs, k = rows[j], last
+                while probs[k] == 0.0:
+                    k -= 1
+            j = k
             states.append(j)
-            n += 1
             if j == absorbing:
                 sojourns.append(_ABSORBING_PLACEHOLDER)
                 return
@@ -116,10 +119,8 @@ class _ComponentSampler:
             while x <= 0.0:  # underflow safety for tiny shapes
                 x = gamma(shapes[j], scales[j])
             sojourns.append(x)
-            if n == stop:
-                return
-            if n >= _MAX_SIM_STATES:
-                raise NumericalError("simulation did not reach the absorbing state")
+        if steps > _MAX_SIM_STATES:
+            raise NumericalError("simulation did not reach the absorbing state")
 
     def draw(self, stop_rule, rng: np.random.Generator) -> Trajectory:
         states: list[int] = []

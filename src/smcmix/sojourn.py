@@ -14,8 +14,14 @@ develop when a weighted sample degenerates toward equal durations.
 The shape solver, :func:`solve_shapes`, works on arrays of cells: the EM
 M-step passes all its component-by-state cells in one call.  It refines
 the closed-form start of Minka, "Estimating a Gamma distribution" (2002),
-by safeguarded Newton steps.  The gamma log-density itself is evaluated
-only inside the likelihood matrix of :mod:`smcmix.likelihood`.
+by safeguarded Newton steps.  The cells still moving are carried from
+pass to pass as compacted arrays, and a cell's shape is written back
+when it leaves; the derivative's cell-free terms at the bracket ends are
+constants.  The gamma log-density itself is evaluated only inside the
+likelihood matrix of :mod:`smcmix.likelihood`.
+
+:func:`gamma_mom` is the moment fit of :func:`fit_gamma_mom` on arrays,
+unchecked, for callers whose durations are already known to be valid.
 """
 
 from __future__ import annotations
@@ -35,6 +41,12 @@ SHAPE_MAX = 1e4
 DERIV_TOL = 1e-8
 
 _MAX_NEWTON_ITER = 200
+
+# The terms of the profile derivative at the bracket ends that are free of
+# the cell: ln(a) - psi(a) and 1 + 1/a.
+_BRACKET = np.array([SHAPE_MIN, SHAPE_MAX])
+_LOG_PSI_MIN, _LOG_PSI_MAX = np.log(_BRACKET) - psi(_BRACKET)
+_INV_MIN, _INV_MAX = 1.0 + 1.0 / _BRACKET
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,21 +71,21 @@ class WeightedSample:
             raise ValueError("total weight must be positive")
 
 
-def _moments(sample: WeightedSample) -> tuple[float, float]:
-    w, x = sample.weights, sample.values
-    sw = float(w.sum())
-    mean = float(np.dot(w, x)) / sw
-    var = float(np.dot(w, (x - mean) ** 2)) / sw
-    return mean, var
-
-
 def fit_gamma_mom(sample: WeightedSample) -> GammaParams:
     """Method-of-moments fit: shape = mean^2/var, rate = mean/var.
 
     Raises :class:`DegenerateSample` when the weighted variance vanishes
     (all effective durations equal); callers fall back to a pooled fit.
     """
-    mean, var = _moments(sample)
+    return gamma_mom(sample.values, sample.weights)
+
+
+def gamma_mom(x: np.ndarray, w: np.ndarray) -> GammaParams:
+    """:func:`fit_gamma_mom` of durations ``x`` with weights ``w``, arrays
+    a :class:`WeightedSample` would accept, taken unchecked."""
+    sw = float(w.sum())
+    mean = float(np.dot(w, x)) / sw
+    var = float(np.dot(w, (x - mean) ** 2)) / sw
     if var <= 1e-12 * mean * mean:
         raise DegenerateSample("weighted variance is zero; no moment fit exists")
     rate = mean / var
@@ -104,8 +116,8 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
         s = np.log(swx / sw) - swlog / sw
     status = np.where((s <= 1e-12) & (c == 0.0), DEGENERATE, OK)
     s = np.maximum(s, 0.0)
-    lo, hi = np.full(s.shape, SHAPE_MIN), np.full(s.shape, SHAPE_MAX)
-    at_lo, at_hi = _profile_deriv(np.stack([lo, hi]), sw, s, c)
+    at_lo = sw * (_LOG_PSI_MIN - s) - c * _INV_MIN
+    at_hi = sw * (_LOG_PSI_MAX - s) - c * _INV_MAX
     status[(status == OK) & ~((at_lo > 0.0) & (at_hi < 0.0))] = BRACKET_EXHAUSTED
 
     # Minka's closed-form start; exact for the unweighted MLE up to the
@@ -114,28 +126,38 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
         a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     a = np.clip(np.where(s > 0.0, a, SHAPE_MAX / 2.0), SHAPE_MIN * 1.0001, SHAPE_MAX * 0.9999)
 
-    active = np.flatnonzero(status == OK)
+    # The cells still moving, compacted: index, shape, weight, s, bracket.
+    # A cell's shape goes back to ``a`` when it leaves.
+    idx = np.flatnonzero(status == OK)
+    x, w, sk = a[idx], sw[idx], s[idx]
+    lo, hi = np.full(idx.size, SHAPE_MIN), np.full(idx.size, SHAPE_MAX)
     unfinished = []  # cells whose bracket collapsed before meeting the tolerance
-    for _ in range(_MAX_NEWTON_ITER):
-        x, w = a[active], sw[active]
-        f = _profile_deriv(x, w, s[active], c)
-        going = np.abs(f) > DERIV_TOL
-        active, x, w, f = active[going], x[going], w[going], f[going]
-        if active.size == 0:
-            break
-        up = f > 0.0
-        l = np.where(up, x, lo[active])
-        h = np.where(up, hi[active], x)
-        fp = w * (1.0 / x - zeta(2.0, x)) + c / (x * x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fp < 0.0, x - f / fp, np.nan)
-        inside = np.isfinite(step) & (l < step) & (step < h)
-        a[active] = np.where(inside, step, 0.5 * (l + h))
-        lo[active], hi[active] = l, h
-        collapsed = h - l <= 1e-15 * h
-        unfinished.append(active[collapsed])
-        active = active[~collapsed]
-    last = np.concatenate([active, *unfinished])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step may divide by fp == 0
+        for _ in range(_MAX_NEWTON_ITER):
+            if idx.size == 0:
+                break
+            f = _profile_deriv(x, w, sk, c)
+            going = np.abs(f) > DERIV_TOL
+            if not going.all():
+                a[idx[~going]] = x[~going]
+                idx, x, w, sk, lo, hi, f = (v[going] for v in (idx, x, w, sk, lo, hi, f))
+                if idx.size == 0:
+                    break
+            up = f > 0.0
+            lo = np.where(up, x, lo)
+            hi = np.where(up, hi, x)
+            fp = w * (1.0 / x - zeta(2.0, x)) + c / (x * x)
+            # Newton's step where the derivative falls, bisection otherwise
+            # and where the step leaves the bracket (a non-finite one does).
+            step = x - f / fp
+            x = np.where((fp < 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            collapsed = hi - lo <= 1e-15 * hi
+            if collapsed.any():
+                a[idx[collapsed]] = x[collapsed]
+                unfinished.append(idx[collapsed])
+                idx, x, w, sk, lo, hi = (v[~collapsed] for v in (idx, x, w, sk, lo, hi))
+    a[idx] = x
+    last = np.concatenate([idx, *unfinished])
     if last.size:
         missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
         status[last[missed]] = NOT_CONVERGED

@@ -7,9 +7,11 @@ only through the array solver (:func:`smcmix.sojourn.solve_shapes`).  The
 functions here compute the same quantities one trajectory, or one weighted
 sample, at a time: the likelihood factor by factor from its definition,
 and the penalized gamma fit as a single-cell call of the solver with the
-checks a stand-alone fit needs.  The alignments of :mod:`smcmix.metrics`
-solve one assignment problem; the exhaustive search over all permutations
-here finds the same minimum.  The EM of :mod:`smcmix.em` runs its fits
+checks a stand-alone fit needs.  :func:`reference_solve_shapes` is the
+same solver with each Newton pass gathering its cells from full arrays
+and scattering them back.  The alignments of :mod:`smcmix.metrics` solve
+one assignment problem; the exhaustive search over all permutations here
+finds the same minimum.  The EM of :mod:`smcmix.em` runs its fits
 as one lockstep stack; :func:`sequential_fit` is the one-fit-at-a-time
 loop with a per-fit M-step that it replaced, and
 :func:`sequential_select_g` the sweep that ran it once per component
@@ -23,9 +25,9 @@ import math
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, zeta
 
-from smcmix import em
+from smcmix import em, sojourn
 from smcmix.core import (
     ComponentParams,
     GammaParams,
@@ -114,6 +116,54 @@ def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
         raise status_error(status[0])
     a = float(shape[0])
     return GammaParams(shape=a, rate=a * sw / swx)
+
+
+def reference_solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`smcmix.sojourn.solve_shapes` on full arrays: every Newton
+    pass gathers the active cells and scatters their updates back, and the
+    derivative is evaluated at each cell's bracket ends.  It reads
+    ``_MAX_NEWTON_ITER`` from :mod:`smcmix.sojourn` at call time, so a
+    patched iteration budget applies to both."""
+    sw, swlog, swx = (np.asarray(v, dtype=np.float64) for v in (sw, swlog, swx))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.log(swx / sw) - swlog / sw
+    status = np.where((s <= 1e-12) & (c == 0.0), sojourn.DEGENERATE, sojourn.OK)
+    s = np.maximum(s, 0.0)
+    lo, hi = np.full(s.shape, sojourn.SHAPE_MIN), np.full(s.shape, sojourn.SHAPE_MAX)
+    at_lo, at_hi = sojourn._profile_deriv(np.stack([lo, hi]), sw, s, c)
+    status[(status == sojourn.OK) & ~((at_lo > 0.0) & (at_hi < 0.0))] = sojourn.BRACKET_EXHAUSTED
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    a = np.clip(np.where(s > 0.0, a, sojourn.SHAPE_MAX / 2.0),
+                sojourn.SHAPE_MIN * 1.0001, sojourn.SHAPE_MAX * 0.9999)
+
+    active = np.flatnonzero(status == sojourn.OK)
+    unfinished = []
+    for _ in range(sojourn._MAX_NEWTON_ITER):
+        x, w = a[active], sw[active]
+        f = sojourn._profile_deriv(x, w, s[active], c)
+        going = np.abs(f) > sojourn.DERIV_TOL
+        active, x, w, f = active[going], x[going], w[going], f[going]
+        if active.size == 0:
+            break
+        up = f > 0.0
+        l = np.where(up, x, lo[active])
+        h = np.where(up, hi[active], x)
+        fp = w * (1.0 / x - zeta(2.0, x)) + c / (x * x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(fp < 0.0, x - f / fp, np.nan)
+        inside = np.isfinite(step) & (l < step) & (step < h)
+        a[active] = np.where(inside, step, 0.5 * (l + h))
+        lo[active], hi[active] = l, h
+        collapsed = h - l <= 1e-15 * h
+        unfinished.append(active[collapsed])
+        active = active[~collapsed]
+    last = np.concatenate([active, *unfinished])
+    if last.size:
+        missed = np.abs(sojourn._profile_deriv(a[last], sw[last], s[last], c)) > sojourn.DERIV_TOL
+        status[last[missed]] = sojourn.NOT_CONVERGED
+    return a, status
 
 
 def exhaustive_best_permutation(cost: np.ndarray) -> tuple[int, ...]:

@@ -586,6 +586,39 @@ class TestSquarem:
         assert report.model == plain.model
         assert report.iterations == plain.iterations + report.extrapolations_tried
 
+    def test_kept_extrapolation_resets_the_empty_streak(self, monkeypatch):
+        """A component holds less than one subject for two maps; a kept
+        extrapolation (where every component held a subject) restarts its
+        streak, so the next starved map counts 1, not the 3 that would
+        abort the fit."""
+        import smcmix.em as em_module
+
+        panel, _ = well_separated_panel(n=10, transitions=4, seed=3)
+        init = initial_model(panel, 2, seed=3)
+        starved = np.column_stack([np.full(10, 0.95), np.full(10, 0.05)])
+        held = np.full((10, 2), 0.5)
+        # responsibilities and objective of each point evaluated, in order:
+        # p0, p1, p2, the extrapolated p' and its map p''
+        zs, values = iter([starved, starved, starved, held, starved]), iter(range(5))
+
+        class Stack:
+            space, cfg = panel.space, EmConfig()
+
+            def evaluate(self, p):
+                return em_module._Point(p, float(next(values)), next(zs), np.zeros(10))
+
+        monkeypatch.setattr(em_module, "_responsibilities", lambda scores, norms, z_round: scores)
+        f = em_module._Fit(Stack(), init)
+        streaks = []
+        for _ in range(4):
+            f.guard(f.begin_map)
+            assert f.outcome is None, f.outcome
+            streaks.append(f.empty_streak.tolist())
+            if len(streaks) < 4:
+                f.end_map((init.params, []))
+        assert (f.tried, f.kept) == (1, 1)
+        assert streaks == [[0, 1], [0, 2], [0, 2], [0, 1]]
+
     @staticmethod
     def _negative_shape(p):
         return p._replace(shape=-p.shape)

@@ -18,7 +18,7 @@ from smcmix import (
     mixture_loglik,
     select_g,
 )
-from smcmix.initialization import _lloyd, _mean_sojourns, _seed_centers
+from smcmix.initialization import _lloyd, _mean_sojourns, _seed_centers, _sum_slabs
 from smcmix.likelihood import PanelStats
 from smcmix.metrics import classification_rate
 from smcmix.sim import Scenario, run_benchmark, simulate_panel
@@ -164,6 +164,12 @@ class TestKmeans:
         with pytest.raises(ValueError, match="^restarts must be at least 1$"):
             kmeans(np.zeros((4, 2)), 2, seed=0, restarts=restarts)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("restarts", [True, 2.5, 2.0, "3"])
+    def test_restarts_must_be_an_integer(self, k, restarts):
+        with pytest.raises(ValueError, match="^restarts must be an integer$"):
+            kmeans(np.zeros((4, 2)), k, seed=0, restarts=restarts)
+
     def test_reseeding_keeps_every_cluster(self):
         # Three distinct points for five clusters: an empty cluster must not
         # be re-seeded with the lone member of another one.
@@ -242,6 +248,16 @@ class TestKmeans:
             )
             assert np.array_equal(labels[i], ref_labels)
             assert sse[i] == ref_sse
+
+    def test_slab_sum_is_numpys_sum_over_a_short_axis(self):
+        # D = 1..300 crosses the sequential sum below 8 terms, the blocks of
+        # eight from 16 on, and the halving above 128 terms.
+        rng = np.random.default_rng(8)
+        for d in range(1, 301):
+            x = 10.0 ** rng.uniform(-8.0, 8.0, size=(17, d))
+            expected = np.square(x).sum(axis=-1)
+            got = _sum_slabs(np.ascontiguousarray(np.square(x).T))
+            assert got.tobytes() == expected.tobytes(), d
 
     def test_single_cluster_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(initialization, "_seed_centers", None)

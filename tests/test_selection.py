@@ -174,6 +174,16 @@ class TestCountValidation:
         with pytest.raises(ValueError, match="^g_range must contain integer component counts$"):
             select_g(small_two_component_panel, g_range, EmConfig(seed=1))
 
+    @pytest.mark.parametrize("sample_size", [True, 2.5, 100.0])
+    def test_sample_size_must_be_an_integer(self, small_two_component_panel, sample_size):
+        with pytest.raises(ValueError, match="^sample_size must be an integer$"):
+            select_g(small_two_component_panel, [1], EmConfig(seed=1), sample_size=sample_size)
+
+    @pytest.mark.parametrize("restarts", [True, 2.5])
+    def test_restarts_must_be_an_integer(self, small_two_component_panel, restarts):
+        with pytest.raises(ValueError, match="^restarts must be an integer$"):
+            select_g(small_two_component_panel, [1, 2], EmConfig(seed=1), restarts=restarts)
+
     def test_numpy_integers_are_counts(self, small_two_component_panel):
         sweep = select_g(small_two_component_panel, np.array([2, 1]), EmConfig(seed=1))
         assert [row.n_components for row in sweep.rows] == [1, 2]

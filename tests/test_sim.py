@@ -7,11 +7,13 @@ from smcmix import (
     MixtureModel,
     StateSpace,
     fixtures,
+    sim,
     simulate_panel,
     simulate_trajectory,
 )
 from smcmix.dataio import write_panel
 from smcmix.em import EmConfig
+from smcmix.errors import NumericalError
 from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
 
 from conftest import make_component
@@ -142,6 +144,48 @@ class TestSimulateTrajectory:
                 assert t.states[-1] == 2
 
 
+class TestStateCap:
+    """No trajectory passes ``_MAX_SIM_STATES`` states: a transition count
+    that needs more raises once the cap is drawn, as does a trajectory
+    that never reaches its absorbing state."""
+
+    def _alternating(self):
+        comp = make_component(
+            alpha=[1.0, 0.0], trans=[[0.0, 1.0], [1.0, 0.0]], gammas=[(2, 1), (2, 1)]
+        )
+        return _sampler(comp)
+
+    def test_count_within_the_cap_draws_every_state(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
+        states, sojourns = [], []
+        self._alternating().draw_into(4, np.random.default_rng(1), states, sojourns)
+        assert states == [0, 1, 0, 1, 0] and len(sojourns) == 5
+
+    @pytest.mark.parametrize("count", [5, 50])
+    def test_count_above_the_cap_raises_after_the_capped_draws(self, monkeypatch, count):
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
+        rng = np.random.default_rng(1)
+        states, sojourns = [], []
+        with pytest.raises(NumericalError):
+            self._alternating().draw_into(count, rng, states, sojourns)
+        assert states == [0, 1, 0, 1, 0] and len(sojourns) == 5
+        # the same draws as a trajectory of exactly the cap
+        capped = np.random.default_rng(1)
+        self._alternating().draw_into(4, capped, [], [])
+        assert rng.random() == capped.random()
+
+    def test_absorbing_rule_raises_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 3)
+        comp = absorbing_model().components[0]
+        never = comp.trans.copy()
+        never[:2] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        sampler = _ComponentSampler(comp.alpha, never, *comp.sojourn_arrays(), comp.absorbing)
+        states = []
+        with pytest.raises(NumericalError, match="absorbing"):
+            sampler.draw_into("absorbing", np.random.default_rng(2), states, [])
+        assert len(states) == 3
+
+
 class TestSimulatePanel:
     def test_single_component_labels(self):
         scenario = Scenario(
@@ -230,6 +274,16 @@ class TestRunBenchmark:
         for name in first.values:
             np.testing.assert_array_equal(first.values[name], again.values[name])
             np.testing.assert_array_equal(first.values[name][:2], shorter.values[name])
+
+    @pytest.mark.parametrize("g_range", [None, [1, 2]])
+    @pytest.mark.parametrize("restarts", [True, 2.5])
+    def test_restarts_must_be_an_integer(self, g_range, restarts):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=20, n_replications=2, stop_rule=4, seed=57, replicate_count=1,
+        )
+        with pytest.raises(ValueError, match="^restarts must be an integer$"):
+            run_benchmark(scenario, EmConfig(), g_range=g_range, restarts=restarts)
 
     def test_small_sample_rate_error_bound(self):
         """Separated components, 60 subjects, short sequences: the mean

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from smcmix.sojourn import (
     status_error,
 )
 
-from oracles import _suff_stats, fit_gamma_pmle, gamma_log_density
+from oracles import _suff_stats, fit_gamma_pmle, gamma_log_density, reference_solve_shapes
 
 
 def unit_sample(values):
@@ -375,3 +376,55 @@ def test_solve_shapes_never_evaluates_the_derivative_on_no_cells(monkeypatch):
     _, status = solve_shapes(*cells, 0.0)
     assert min(sizes) > 0
     assert NOT_CONVERGED in status.tolist()
+
+
+def _same_solve(cells, c, budget):
+    """Shapes and statuses of :func:`solve_shapes` and of the full-array
+    reference under one Newton budget, asserted bit for bit equal."""
+    with mock.patch.object(sojourn, "_MAX_NEWTON_ITER", budget):
+        shape, status = solve_shapes(*cells, c)
+        ref_shape, ref_status = reference_solve_shapes(*cells, c)
+    assert status.tolist() == ref_status.tolist()
+    assert shape.tobytes() == ref_shape.tobytes()
+    return status
+
+
+@st.composite
+def shape_cells(draw):
+    """(sw, swlog, swx) of weighted samples: spread-out durations, equal
+    ones (degenerate without a penalty) and nearly equal ones (a shape
+    past the bracket).  Total weights up to 1e12 leave the derivative
+    tolerance out of reach, so some brackets collapse first."""
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(2, 30))
+        kind = draw(st.sampled_from(["spread", "equal", "tight"]))
+        if kind == "spread":
+            values = np.array(draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n)))
+        elif kind == "equal":
+            values = np.full(n, draw(st.floats(0.01, 100.0)))
+        else:
+            values = draw(st.floats(0.5, 5.0)) * (1.0 + 1e-4 * np.arange(n))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+        weights *= 10.0 ** draw(st.sampled_from([0, 0, 4, 8, 12]))
+        cells.append((weights.sum(), weights @ np.log(values), weights @ values))
+    return [np.array(column) for column in zip(*cells)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(shape_cells(), st.sampled_from([0.0, 1e-3, 0.05, 1.0]), st.sampled_from([1, 2, 3, 200]))
+def test_solve_shapes_matches_the_full_array_reference(cells, c, budget):
+    _same_solve(cells, c, budget)
+
+
+@pytest.mark.parametrize("c,budget,statuses", [
+    (0.0, 1, [DEGENERATE, BRACKET_EXHAUSTED, NOT_CONVERGED, NOT_CONVERGED, OK]),
+    (0.0, 200, [DEGENERATE, BRACKET_EXHAUSTED, OK, OK, OK]),
+    (0.05, 1, [NOT_CONVERGED] * 5),
+    (0.05, 200, [OK] * 5),
+])
+def test_solve_shapes_matches_the_reference_in_every_status(c, budget, statuses):
+    rng = np.random.default_rng(31)
+    samples = [unit_sample([2.0] * 4), unit_sample(1.0 + 1e-3 * np.arange(10)),
+               *(unit_sample(rng.gamma(a, 1.0, size=30)) for a in (0.3, 2.5, 80.0))]
+    assert _same_solve(_cells(samples), c, budget).tolist() == statuses
