@@ -22,20 +22,22 @@ block of the statistics table, and the sojourn step solves every
 component-by-state gamma shape in one array solver call.
 
 The EM runs a stack of fits on one panel, each with its own number of
-components (:func:`fit_stack`); :func:`fit` is a stack of one.  The fits
-move in lockstep: every round each live fit takes the next step of its
-own SQUAREM cycle, and the M-steps of all of them share one shape-solver
-call and one normalisation of the stacked component arrays.  Matrix
-products, reductions over components, objectives and the keep-or-reject
-bookkeeping stay per fit, so a fit in a stack computes bit for bit what
-it computes alone.  A fit leaves the stack when it converges, runs out of
-maps, aborts on a starved component or raises; its error is kept with it
-rather than stopping the others.
+components (:func:`fit_stack`); :func:`fit` is a stack of one.  Each fit
+is one generator loop over its SQUAREM cycles that pauses at every
+M-step, yielding its responsibilities.  The fits move in lockstep: every
+round each live fit runs on to its next map, and the M-steps of all of
+them share one shape-solver call and one normalisation of the stacked
+component arrays.  Matrix products, reductions over components,
+objectives and the keep-or-reject bookkeeping stay per fit, so a fit in a
+stack computes bit for bit what it computes alone.  A fit leaves the
+stack when it converges, runs out of maps, aborts on a starved component
+or raises; its error is kept with it rather than stopping the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +90,10 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iter", "min_obs_mass"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 < self.rel_tol < 1.0):
@@ -161,8 +167,11 @@ def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> 
 
 def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> PosteriorMatrix:
     """Posterior component responsibilities of every subject (Bayes rule in
-    log space), rounded to multiples of ``z_round`` and renormalized."""
+    log space), rounded to multiples of ``z_round`` and renormalized.
+    Raises ``ValueError`` when the model's state space is not the panel's."""
     _check_z_round(z_round)
+    if model.space != panel.space:
+        raise ValueError("model is defined on a different state space")
     stats = PanelStats.from_panel(panel)
     scores, norms = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
@@ -374,123 +383,81 @@ class _Stack:
         return out
 
 
-class _Fit:
-    """One fit of a stack: the kept points since its last extrapolation,
-    its trace, warnings and counters, and, once it leaves the stack, its
-    ``outcome`` (the report, or the error it raised)."""
+def _run(stack: _Stack, init: MixtureModel):
+    """One fit of a stack, the SQUAREM cycles of :func:`fit` as a generator:
+    it yields the responsibilities of each EM map, takes back the M-step's
+    ``(params, warnings)`` or has its error thrown in at the ``yield``, and
+    returns its :class:`FitReport`."""
+    cfg = stack.cfg
+    warnings: dict[str, None] = {}
+    empty_streak = np.zeros(init.n_components, dtype=int)
+    iterations = tried = kept = 0
+    converged = False
+    path = [stack.evaluate(init.params)]  # the kept points since the last extrapolation
+    trace = [path[0].value]
 
-    def __init__(self, stack: _Stack, init: MixtureModel):
-        self.stack = stack
-        self.warnings: dict[str, None] = {}
-        self.empty_streak = np.zeros(init.n_components, dtype=int)
-        self.iterations = self.tried = self.kept = 0
-        self.converged = False
-        self.jump: _Point | None = None  # the extrapolated point being mapped
-        self.z: np.ndarray | None = None  # the responsibilities being mapped
-        self.outcome: FitReport | Exception | None = None
-        self.guard(self._start, init)
+    def report(point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
+        return FitReport(MixtureModel.from_arrays(stack.space, point.params), PosteriorMatrix(z),
+                         tuple(trace), n_maps, converged, float(point.norms.sum()),
+                         tuple(warnings), tried, kept)
 
-    def _start(self, init: MixtureModel) -> None:
-        self.path = [self.stack.evaluate(init.params)]
-        self.trace = [self.path[0].value]
-
-    def guard(self, step, *args) -> None:
-        """Run one step of this fit; an error it raises ends the fit."""
-        try:
-            step(*args)
-        except Exception as exc:
-            self.outcome = exc
-
-    def report(self, point: _Point, z: np.ndarray, n_maps: int, converged: bool) -> FitReport:
-        return FitReport(MixtureModel.from_arrays(self.stack.space, point.params),
-                         PosteriorMatrix(z), tuple(self.trace), n_maps, converged,
-                         float(point.norms.sum()), tuple(self.warnings), self.tried, self.kept)
-
-    def begin_map(self) -> None:
-        """Set the responsibilities of this fit's next EM map, or its
-        outcome when it has stopped.
-
-        The map is the plain map of the last kept point, or at the end of
-        a SQUAREM cycle the map of the extrapolated point; a cycle whose
-        extrapolated point fails falls back to its second map, whose plain
-        map comes next.
-        """
-        cfg = self.stack.cfg
-        while not self.converged and self.iterations < cfg.max_iter:
-            if len(self.path) < 3:
-                self.z = self._plain_responsibilities()
-                return
-            self.z = self._jump_responsibilities()
-            if self.z is not None:
-                return
-        point = self.path[-1]
-        self.outcome = self.report(point, _responsibilities(point.scores, point.norms, cfg.z_round),
-                                   self.iterations, self.converged)
-
-    def _plain_responsibilities(self) -> np.ndarray:
-        point = self.path[-1]
-        self.iterations += 1
-        z = _responsibilities(point.scores, point.norms, self.stack.cfg.z_round)
-        ng = z.sum(axis=0)
-        self.empty_streak = np.where(ng < 1.0, self.empty_streak + 1, 0)
-        # the aborting map never completed its M-step
-        if np.any(ng == 0.0):
-            starved = int(np.argmin(ng))
-            self.warnings[f"aborted: component {starved} has no subjects"] = None
-            raise EmptyComponent(starved, report=self.report(point, z, self.iterations - 1, False))
-        if np.any(self.empty_streak >= _EMPTY_STREAK_LIMIT):
-            starved = int(np.argmax(self.empty_streak))
-            self.warnings[f"aborted: component {starved} starved for "
-                          f"{_EMPTY_STREAK_LIMIT} iterations"] = None
-            raise EmptyComponent(starved, report=self.report(point, z, self.iterations - 1, False))
-        return z
-
-    def _jump_responsibilities(self) -> np.ndarray | None:
-        p0, p1, p2 = self.path
-        self.path = [p2]
+    while not converged and iterations < cfg.max_iter:
+        if len(path) < 3:  # the plain map of the last kept point
+            point = path[-1]
+            iterations += 1
+            z = _responsibilities(point.scores, point.norms, cfg.z_round)
+            ng = z.sum(axis=0)
+            empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
+            # the aborting map never completed its M-step
+            if np.any(ng == 0.0):
+                starved = int(np.argmin(ng))
+                warnings[f"aborted: component {starved} has no subjects"] = None
+                raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
+            if np.any(empty_streak >= _EMPTY_STREAK_LIMIT):
+                starved = int(np.argmax(empty_streak))
+                warnings[f"aborted: component {starved} starved for "
+                         f"{_EMPTY_STREAK_LIMIT} iterations"] = None
+                raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
+            params, msgs = yield z
+            new = stack.evaluate(params)
+            warnings.update(dict.fromkeys(msgs))
+            trace.append(new.value)
+            if new.value < point.value - ASCENT_SLACK:
+                warnings[f"objective decreased by {point.value - new.value:.3e} at iteration "
+                         f"{iterations} (small-sample safeguard side effect)"] = None
+            converged = _small_change(new.value, point.value, cfg.rel_tol)
+            path.append(new)
+            continue
+        # The end of a cycle: map p' extrapolated from p0 -> p1 -> p2, or
+        # fall back to p2, whose plain map comes next.
+        p0, p1, p2 = path
+        path = [p2]
         jump = _extrapolate(p0.params, p1.params, p2.params)
         try:
             jump.check()
         except InvalidModelError:
-            return None
+            continue
         with np.errstate(all="ignore"):  # extreme shapes may overflow the gamma terms
-            at_jump = self.stack.evaluate(jump)
-        self.tried += 1
+            at_jump = stack.evaluate(jump)
+        tried += 1
         if not np.isfinite(at_jump.value):
-            return None
-        z = _responsibilities(at_jump.scores, at_jump.norms, self.stack.cfg.z_round)
+            continue
+        z = _responsibilities(at_jump.scores, at_jump.norms, cfg.z_round)
         if z.sum(axis=0).min() < 1.0:
-            return None
-        self.iterations += 1
-        self.jump = at_jump
-        return z
-
-    def end_map(self, result) -> None:
-        """Take this fit's M-step result, evaluate it and keep it or not."""
-        if isinstance(result, Exception):
-            raise result
-        params, msgs = result
-        new = self.stack.evaluate(params)
-        jump, self.jump, self.z = self.jump, None, None
-        rel_tol = self.stack.cfg.rel_tol
-        if jump is None:
-            point = self.path[-1]
-            self.warnings.update(dict.fromkeys(msgs))
-            self.trace.append(new.value)
-            if new.value < point.value - ASCENT_SLACK:
-                self.warnings[
-                    f"objective decreased by {point.value - new.value:.3e} at iteration "
-                    f"{self.iterations} (small-sample safeguard side effect)"
-                ] = None
-            self.converged = _small_change(new.value, point.value, rel_tol)
-            self.path.append(new)
-        elif new.value >= self.path[-1].value:  # the map of p' beats p2
-            self.kept += 1
-            self.empty_streak[:] = 0  # every component held a subject at p'
-            self.warnings.update(dict.fromkeys(msgs))
-            self.trace.append(new.value)
-            self.path = [new]
-            self.converged = _small_change(new.value, jump.value, rel_tol)
+            continue
+        iterations += 1
+        params, msgs = yield z
+        new = stack.evaluate(params)
+        if new.value >= p2.value:  # the map of p' beats p2
+            kept += 1
+            empty_streak[:] = 0  # every component held a subject at p'
+            warnings.update(dict.fromkeys(msgs))
+            trace.append(new.value)
+            path = [new]
+            converged = _small_change(new.value, at_jump.value, cfg.rel_tol)
+    point = path[-1]
+    return report(point, _responsibilities(point.scores, point.norms, cfg.z_round),
+                  iterations, converged)
 
 
 def _small_change(new: float, old: float, rel_tol: float) -> bool:
@@ -504,32 +471,36 @@ def fit_stack(
     statistics are ``stats``, in lockstep; each fit is the run
     :func:`fit` describes.
 
-    Every round, each live fit takes the next step of its own SQUAREM
-    cycle: the fits at the end of a cycle evaluate their extrapolated
-    points, then all live fits share one M-step (one shape-solver call
-    over the cells of every fit, the normalisations on stacked arrays),
-    and each fit evaluates and keeps its result on its own.  Matrix
-    products stay per fit, so each fit computes exactly what it computes
-    alone.  A fit leaves the stack when it converges or reaches
-    ``cfg.max_iter`` maps, or when it raises; the result holds, per init,
-    its report or the error it raised (an :class:`EmptyComponent` abort
-    carries its partial report).
+    Each fit is a generator (:func:`_run`) that pauses at every M-step.
+    Every round, each live fit is sent its M-step result (nothing at
+    first) or has its M-step error thrown in, and runs on to the
+    responsibilities of its next map; then all of them share one M-step
+    (one shape-solver call over the cells of every fit, the normalisations
+    on stacked arrays).  Matrix products stay per fit, so each fit
+    computes exactly what it computes alone.  A fit leaves the stack when
+    it returns, on convergence or after ``cfg.max_iter`` maps, or raises;
+    the result holds, per init, its report or its error (an
+    :class:`EmptyComponent` abort carries its partial report).
     """
     for init in inits:
         if init.space != panel.space:
             raise ValueError("init is defined on a different state space")
     stack = _Stack(panel, stats, cfg)
-    fits = [_Fit(stack, init) for init in inits]
-    live = [f for f in fits if f.outcome is None]
-    while live:
-        for f in live:
-            f.guard(f.begin_map)
-        mapping = [f for f in live if f.outcome is None]
-        if mapping:
-            for f, result in zip(mapping, stack.m_step([f.z for f in mapping])):
-                f.guard(f.end_map, result)
-        live = [f for f in mapping if f.outcome is None]
-    return [f.outcome for f in fits]
+    runs = [_run(stack, init) for init in inits]
+    outcomes: list = [None] * len(runs)
+    results = dict.fromkeys(range(len(runs)))  # what each live fit is sent next
+    while results:
+        zs = {}
+        for k, result in results.items():
+            step = runs[k].throw if isinstance(result, Exception) else runs[k].send
+            try:
+                zs[k] = step(result)
+            except StopIteration as done:
+                outcomes[k] = done.value
+            except Exception as exc:
+                outcomes[k] = exc
+        results = dict(zip(zs, stack.m_step(list(zs.values())))) if zs else {}
+    return outcomes
 
 
 def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> FitReport:

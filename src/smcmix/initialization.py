@@ -191,18 +191,17 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     ``seed``, drawn in sequence; the Lloyd iterations of all restarts then
     run together.  Deterministic given ``seed``; the winner among restarts
     is the lowest (SSE, restart index) pair.  A single cluster needs no
-    search: every point gets label 0.  Raises ``ValueError`` unless
-    ``restarts`` is a positive integer (not a bool), and ``points`` is a
+    search: every point gets label 0.  Raises ``ValueError`` unless ``k``
+    and ``restarts`` are positive integers (not bools), and ``points`` is a
     finite 2-D array with at least ``k`` rows and, for ``k >= 2``, sums of
     n squared distances between them are finite.
     """
     points = np.asarray(points, dtype=np.float64)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if isinstance(restarts, bool) or not isinstance(restarts, Integral):
-        raise ValueError("restarts must be an integer")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    for name, value in (("k", k), ("restarts", restarts)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{name} must be an integer")
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1")
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-D array, got {points.ndim} dimension(s)")
     if not np.isfinite(points).all():

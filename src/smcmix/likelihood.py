@@ -168,8 +168,11 @@ def mixture_loglik(panel: Panel, model: MixtureModel) -> float:
     """Observed-data log-likelihood of the panel under the mixture.
 
     Computed with a log-sum-exp reduction per subject; ``-inf`` only when
-    some subject is impossible under every component.
+    some subject is impossible under every component.  Raises
+    ``ValueError`` when the model's state space is not the panel's.
     """
+    if model.space != panel.space:
+        raise ValueError("model is defined on a different state space")
     stats = PanelStats.from_panel(panel)
     _, per_subject = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
     return float(per_subject.sum())

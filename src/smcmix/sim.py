@@ -20,6 +20,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,14 +62,19 @@ class Scenario:
     def __post_init__(self):
         if self.n_subjects < 1 or self.n_replications < 1:
             raise ValueError("need at least one subject and one replication")
-        if self.replicate_count < 1:
+        count, rule = self.replicate_count, self.stop_rule
+        if isinstance(count, bool) or not isinstance(count, Integral):
+            raise ValueError("replicate_count must be an integer")
+        if count < 1:
             raise ValueError("replicate_count must be positive")
-        if isinstance(self.stop_rule, str):
-            if self.stop_rule != ABSORBING_RULE:
-                raise ValueError(f"unknown stop rule {self.stop_rule!r}")
+        if isinstance(rule, str):
+            if rule != ABSORBING_RULE:
+                raise ValueError(f"unknown stop rule {rule!r}")
             if self.model.space.absorbing is None:
                 raise ValueError("absorbing stop rule needs an absorbing state")
-        elif int(self.stop_rule) < 1:
+        elif isinstance(rule, bool) or not isinstance(rule, Integral):
+            raise ValueError(f"stop rule must be a transition count or {ABSORBING_RULE!r}")
+        elif rule < 1:
             raise ValueError("transition count must be at least 1")
 
 
@@ -233,7 +239,11 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             return out, warnings
         out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     else:
-        sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
+        try:
+            sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
+        except NumericalError as exc:
+            warnings.append(f"replicate failed: {exc}")
+            return out, warnings
         warnings.extend(sweep.warnings)
         for name, choice in sweep.chosen.items():
             out[f"{name}_choice"] = float(choice)

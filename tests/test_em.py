@@ -44,6 +44,39 @@ def well_separated_panel(n=120, transitions=10, seed=5):
     return simulate_panel(scenario)
 
 
+def _model_on_another_space(model: MixtureModel, how: str) -> MixtureModel:
+    """``model`` moved to a state space unlike its own: relabelled, with its
+    last state made absorbing, or without its last state."""
+    p, labels = model.params, model.space.labels
+    if how == "relabelled":
+        return MixtureModel.from_arrays(StateSpace(labels=tuple("ABCDEFGHIJ"[: len(labels)])), p)
+    last = len(labels) - 1
+    if how == "absorbing":
+        alpha = np.where(np.arange(last + 1) == last, 0.0, p.alpha)
+        trans = p.trans.copy()
+        trans[:, last] = 0.0
+        shape, rate = (np.where(np.arange(last + 1) == last, np.nan, x) for x in (p.shape, p.rate))
+        return MixtureModel.from_arrays(
+            StateSpace(labels=labels, absorbing=last),
+            p._replace(alpha=alpha / alpha.sum(axis=1, keepdims=True), trans=trans,
+                       shape=shape, rate=rate, absorbing=last))
+    alpha, trans = p.alpha[:, :last], p.trans[:, :last, :last]
+    return MixtureModel.from_arrays(StateSpace(labels=labels[:last]), p._replace(
+        alpha=alpha / alpha.sum(axis=1, keepdims=True),
+        trans=trans / trans.sum(axis=2, keepdims=True), shape=p.shape[:, :last],
+        rate=p.rate[:, :last]))
+
+
+@pytest.mark.parametrize("how", ["relabelled", "absorbing", "fewer states"])
+@pytest.mark.parametrize("score", [e_step, mixture_loglik])
+def test_a_model_on_another_state_space_is_rejected(score, how):
+    panel, _ = well_separated_panel(n=30)
+    model = _model_on_another_space(fixtures.well_separated_model(), how)
+    assert model.space != panel.space
+    with pytest.raises(ValueError, match="model is defined on a different state space"):
+        score(panel, model)
+
+
 class TestEStep:
     def test_identical_components_uniform(self, tiny_panel, simple_component):
         model = MixtureModel(
@@ -598,26 +631,28 @@ class TestSquarem:
         starved = np.column_stack([np.full(10, 0.95), np.full(10, 0.05)])
         held = np.full((10, 2), 0.5)
         # responsibilities and objective of each point evaluated, in order:
-        # p0, p1, p2, the extrapolated p' and its map p''
-        zs, values = iter([starved, starved, starved, held, starved]), iter(range(5))
+        # p0, p1, p2, the extrapolated p', its map p'' and the map of p''
+        points = [starved, starved, starved, held, starved, starved]
+        zs, values = iter(points), iter(range(len(points)))
 
         class Stack:
-            space, cfg = panel.space, EmConfig()
+            space, cfg = panel.space, EmConfig(max_iter=4)
 
             def evaluate(self, p):
                 return em_module._Point(p, float(next(values)), next(zs), np.zeros(10))
 
         monkeypatch.setattr(em_module, "_responsibilities", lambda scores, norms, z_round: scores)
-        f = em_module._Fit(Stack(), init)
-        streaks = []
-        for _ in range(4):
-            f.guard(f.begin_map)
-            assert f.outcome is None, f.outcome
-            streaks.append(f.empty_streak.tolist())
-            if len(streaks) < 4:
-                f.end_map((init.params, []))
-        assert (f.tried, f.kept) == (1, 1)
-        assert streaks == [[0, 1], [0, 2], [0, 2], [0, 1]]
+        run = em_module._run(Stack(), init)
+        # maps of p0, p1, p' and p'': the last one is the third starved map
+        # in a row, which aborts the fit unless the kept p'' reset the streak
+        mapped = [run.send(None)] + [run.send((init.params, [])) for _ in range(3)]
+        assert [z is held for z in mapped] == [False, False, True, False]
+        with pytest.raises(StopIteration) as done:
+            run.send((init.params, []))
+        report = done.value.value
+        assert report.iterations == 4 and not report.converged
+        assert (report.extrapolations_tried, report.extrapolations_kept) == (1, 1)
+        assert report.objective_trace == (0.0, 1.0, 2.0, 4.0, 5.0)
 
     @staticmethod
     def _negative_shape(p):
@@ -864,3 +899,10 @@ class TestEmConfig:
         with pytest.raises(ValueError):
             EmConfig(z_round=0.5)
         EmConfig(z_round=0.0)  # rounding may be disabled
+
+    @pytest.mark.parametrize("field", ["max_iter", "min_obs_mass"])
+    @pytest.mark.parametrize("value", [2.5, 6.5, True, "7"])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            EmConfig(**{field: value})
+        assert getattr(EmConfig(**{field: np.int64(3)}), field) == 3

@@ -170,6 +170,16 @@ class TestKmeans:
         with pytest.raises(ValueError, match="^restarts must be an integer$"):
             kmeans(np.zeros((4, 2)), k, seed=0, restarts=restarts)
 
+    @pytest.mark.parametrize("k", [True, 2.5, 2.0, "2"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="^k must be an integer$"):
+            kmeans(np.zeros((4, 2)), k, seed=0)
+
+    def test_numpy_integers_are_counts(self):
+        points = np.random.default_rng(3).random((20, 2))
+        assert np.array_equal(kmeans(points, np.int64(3), seed=0, restarts=np.int32(2)),
+                              kmeans(points, 3, seed=0, restarts=2))
+
     def test_reseeding_keeps_every_cluster(self):
         # Three distinct points for five clusters: an empty cluster must not
         # be re-seeded with the lone member of another one.

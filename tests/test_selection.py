@@ -271,6 +271,29 @@ class TestLockstepStack:
         assert (sweep.reports[4].iterations, sweep.reports[3].iterations) == (2, 20)
         assert all(row.converged for row in sweep.rows if not row.aborted)
 
+    def test_an_m_step_error_ends_only_its_fit(self, monkeypatch):
+        # the third shared M-step fails for the G = 3 fit alone; the error
+        # is thrown into that fit, and the G = 2 fit runs on as it does solo
+        panel = _sweep_panel("chocolate70", 30, 29, transitions=4)
+        cfg = EmConfig(seed=1)
+        inits = [_clustered_model(panel, g, 1, 10, cfg.min_obs_mass)[0] for g in (3, 2)]
+        solo = em.fit(panel, 2, inits[1], cfg)
+        injected = NonConvergence("injected")
+        rounds = []
+        original = em._Stack.m_step
+
+        def failing(stack, zs):
+            results = original(stack, zs)
+            rounds.append([z.shape[1] for z in zs])
+            return [injected] + results[1:] if len(rounds) == 3 else results
+
+        monkeypatch.setattr(em._Stack, "m_step", failing)
+        three, two = em.fit_stack(panel, likelihood.PanelStats.from_panel(panel), inits, cfg)
+        assert three is injected
+        assert rounds[:3] == [[3, 2]] * 3 and all(r == [2] for r in rounds[3:])
+        assert two.iterations == len(rounds) > 3
+        assert_same_report(two, solo)
+
 
 def _fail_likelihoods(monkeypatch, at: dict):
     """Make the ``k``-th likelihood matrix of the fit with ``g`` components

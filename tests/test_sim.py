@@ -12,8 +12,9 @@ from smcmix import (
     simulate_trajectory,
 )
 from smcmix.dataio import write_panel
+from smcmix import em, selection
 from smcmix.em import EmConfig
-from smcmix.errors import NumericalError
+from smcmix.errors import NonConvergence, NumericalError
 from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
 
 from conftest import make_component
@@ -48,6 +49,21 @@ class TestScenario:
             Scenario(model=model, n_subjects=5, n_replications=3, stop_rule="absorbing", seed=1)
         Scenario(model=absorbing_model(), n_subjects=5, n_replications=3,
                  stop_rule="absorbing", seed=1)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("stop_rule", 2.7, "stop rule must be a transition count or 'absorbing'"),
+        ("stop_rule", True, "stop rule must be a transition count or 'absorbing'"),
+        ("stop_rule", None, "stop rule must be a transition count or 'absorbing'"),
+        ("replicate_count", 1.5, "replicate_count must be an integer"),
+        ("replicate_count", False, "replicate_count must be an integer"),
+    ])
+    def test_counts_must_be_integers(self, field, value, message):
+        args = dict(model=fixtures.one_component_model(), n_subjects=5, n_replications=3,
+                    stop_rule=4, seed=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Scenario(**{**args, field: value})
+        counts = Scenario(**{**args, field: np.int64(3)})  # numpy integers are counts
+        assert getattr(counts, field) == 3
 
 
 class _FixedStream:
@@ -284,6 +300,39 @@ class TestRunBenchmark:
         )
         with pytest.raises(ValueError, match="^restarts must be an integer$"):
             run_benchmark(scenario, EmConfig(), g_range=g_range, restarts=restarts)
+
+    @pytest.mark.parametrize("g_range", [None, [1, 2]])
+    def test_a_failed_replicate_is_a_warning(self, monkeypatch, g_range):
+        """A replicate whose fit or sweep raises a numerical error is
+        scored as nothing; the others run on as they do alone."""
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
+        )
+        clean = run_benchmark(scenario, EmConfig(), g_range=g_range)
+        calls = []
+        original = em.fit_stack
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise NonConvergence("injected")
+            return original(*args)
+
+        monkeypatch.setattr(em, "fit_stack", failing)
+        monkeypatch.setattr(selection, "fit_stack", failing)
+        result = run_benchmark(scenario, EmConfig(), g_range=g_range)
+        assert len(calls) == 3
+        assert [w for w in result.warnings if w.startswith("replicate 1:")] == [
+            "replicate 1: replicate failed: injected"
+        ]
+        assert [w for w in result.warnings if not w.startswith("replicate 1:")] == [
+            w for w in clean.warnings if not w.startswith("replicate 1:")
+        ]
+        assert list(result.values) == list(clean.values)
+        for name, column in result.values.items():
+            np.testing.assert_array_equal(column[[0, 2]], clean.values[name][[0, 2]])
+            assert (column[1] == 1.0) if name == "aborted" else np.isnan(column[1])
 
     def test_small_sample_rate_error_bound(self):
         """Separated components, 60 subjects, short sequences: the mean
