@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, fixtures
 from .em import EmConfig, e_step, fit, map_cluster
 from .errors import DataError, NumericalError, SmcmixError
-from .initialization import initial_model
+from .initialization import RESTARTS, initial_model
 from .selection import select_g
 from .sim import run_benchmark, simulate_panel
 
@@ -42,12 +42,12 @@ def _add_data_options(p: argparse.ArgumentParser) -> None:
 
 def _add_em_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalized", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--z-round", type=float, default=1e-4)
-    p.add_argument("--min-obs", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
+    p.add_argument("--max-iter", type=int, default=EmConfig.max_iter)
+    p.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol)
+    p.add_argument("--z-round", type=float, default=EmConfig.z_round)
+    p.add_argument("--min-obs", type=int, default=EmConfig.min_obs_mass)
+    p.add_argument("--seed", type=int, default=EmConfig.seed)
+    p.add_argument("--restarts", type=int, default=RESTARTS)
 
 
 def _read_panel(args, labels=None, absorbing_label=None):
@@ -287,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_options(p)
     p.add_argument("--model", required=True, help="model JSON")
     p.add_argument("--out", required=True, help="output labels CSV")
-    p.add_argument("--z-round", type=float, default=1e-4)
+    p.add_argument("--z-round", type=float, default=EmConfig.z_round)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("graph", help="export the dominance-transition graph as DOT")

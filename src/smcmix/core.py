@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import combinations
+from numbers import Integral
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -28,6 +29,11 @@ from .errors import InvalidModelError
 PROB_TOL = 1e-12
 # Tolerance for posterior (responsibility) rows.
 POSTERIOR_TOL = 1e-10
+
+
+def is_integer(value) -> bool:
+    """True for an integer (numpy's too) that is not a bool: a count or a seed."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:

@@ -19,7 +19,11 @@ the next responsibilities; both stay component-major (Fortran order), so
 per-subject reductions over components read contiguous memory.  Each
 M-step takes its totals from one product of the responsibilities with a
 block of the statistics table, and the sojourn step solves every
-component-by-state gamma shape in one array solver call.
+component-by-state gamma shape in one array solver call.  The M-step is
+arithmetic only: which fallback fired where (a uniform transition row,
+or a pooled gamma fit for a starved, degenerate or off-bracket state) is
+returned as a mask and a code per cell, and one renderer turns a fit's
+codes into its warnings and its pooled-fit error.
 
 The EM runs a stack of fits on one panel, each with its own number of
 components (:func:`fit_stack`); :func:`fit` is a stack of one.  Each fit
@@ -37,12 +41,11 @@ or raises; its error is kept with it rather than stopping the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix
+from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix, is_integer
 from .errors import (
     AllComponentsImpossible,
     EmptyComponent,
@@ -76,10 +79,15 @@ class EmConfig:
     """Tuning knobs of the EM driver.
 
     ``max_iter`` bounds the EM maps of a fit, extrapolated ones included.
-    ``z_round`` quantizes responsibilities so that near-zero weights drop
-    out of the gamma fits; ``min_obs_mass`` is the number of
-    weight-carrying observations a state needs before it gets its own
-    gamma fit instead of the component-pooled one.
+    ``rel_tol`` is the relative objective change of one map below which a
+    fit has converged.  ``z_round`` quantizes responsibilities so that
+    near-zero weights drop out of the gamma fits; ``min_obs_mass`` is the
+    number of weight-carrying observations a state must exceed to get its
+    own gamma fit instead of the component-pooled one.  ``penalized``
+    selects the shape-penalized objective over the plain likelihood.
+    ``seed`` is read only by :func:`~smcmix.selection.select_g`, which
+    seeds its k-means inits with it; :func:`fit` ignores it.  Counts and
+    the seed must be integers (not bools), the seed nonnegative.
     """
 
     max_iter: int = 100
@@ -90,17 +98,17 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "min_obs_mass"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
+        for name in ("max_iter", "min_obs_mass", "seed"):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
         _check_z_round(self.z_round)
-        if self.min_obs_mass < 0:
-            raise ValueError("min_obs_mass must be nonnegative")
+        for name in ("min_obs_mass", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +173,7 @@ def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> 
     return _round_responsibilities(z, z_round)
 
 
-def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> PosteriorMatrix:
+def e_step(panel: Panel, model: MixtureModel, z_round: float = EmConfig.z_round) -> PosteriorMatrix:
     """Posterior component responsibilities of every subject (Bayes rule in
     log space), rounded to multiples of ``z_round`` and renormalized.
     Raises ``ValueError`` when the model's state space is not the panel's."""
@@ -177,27 +185,50 @@ def e_step(panel: Panel, model: MixtureModel, z_round: float = 1e-4) -> Posterio
     return PosteriorMatrix(_responsibilities(scores, norms, z_round))
 
 
-def _components(zs) -> list[tuple[int, int]]:
-    """The fit, and the component within that fit, of each row of the
-    stacked M-step arrays of the responsibility matrices ``zs``."""
-    return [(k, g) for k, z in enumerate(zs) for g in range(z.shape[1])]
+# Why a (component, state) cell of an M-step took its component's pooled
+# gamma fit (``_MStep.pooled``): not at all, too few weight-carrying
+# observations, a degenerate sample or a shape off the search bracket.
+OWN_FIT, POOLED_FALLBACK, DEGENERATE_FIT, BRACKET_EXHAUSTED = range(4)
+# The code of a fitted cell, indexed by its own fit's solver status: every
+# status but OK and DEGENERATE means the shape search failed.
+_FITTED_CODE = np.full(4, BRACKET_EXHAUSTED)
+_FITTED_CODE[[OK, DEGENERATE]] = OWN_FIT, DEGENERATE_FIT
+
+_POOLED_MESSAGES = {
+    POOLED_FALLBACK: "state {name} has {n} weight-carrying observations; pooled fallback",
+    DEGENERATE_FIT: "degenerate sojourn sample in state {name}; pooled fallback",
+    BRACKET_EXHAUSTED: "sojourn fit for state {name} left the shape bracket; pooled fallback",
+}
 
 
-def _m_step_alpha_trans_stats(
-    stats: PanelStats, zs, labels=None
-) -> tuple[np.ndarray, np.ndarray, list[list[str]]]:
-    """Responsibility-weighted initial-state frequencies and transition
-    rates per component, for the fits whose responsibilities are ``zs``.
+class _MStep(NamedTuple):
+    """The M-step of a stack, one row per component of every fit in order:
+    the parameters (shape and rate NaN in the absorbing column), the
+    fallbacks as a mask of the rows set to uniform and a ``pooled`` code
+    per cell, each cell's weight-carrying observation count, and the
+    solver status of each component's pooled fit."""
 
-    Returns ``(alpha, trans, warnings)``: alpha (G, D) and trans (G, D, D)
-    stack the components of every fit in order, and ``warnings`` holds one
-    list per fit.  States never left under a component get a uniform row
-    (recorded as a warning) so the next E-step cannot hit an artificial
-    structural zero.  Every column of every ``z`` carries mass: a fit
-    aborts before an M-step on an empty component.
-    """
+    alpha: np.ndarray
+    trans: np.ndarray
+    shape: np.ndarray
+    rate: np.ndarray
+    never_left: np.ndarray
+    pooled: np.ndarray
+    n_obs: np.ndarray
+    pool_status: np.ndarray
+
+
+def _m_step(stats: PanelStats, zs, penalty_c: float, min_obs_mass: int, z_round: float) -> _MStep:
+    """The M-step of the fits whose responsibilities are ``zs``: weighted
+    initial-state and transition frequencies, and per-state penalized gamma
+    fits of the sojourn times.  A state never left gets a uniform row, so
+    the next E-step cannot hit an artificial structural zero.  A state with
+    at most ``min_obs_mass`` weight-carrying observations takes its
+    component's fit pooled over all states, as does a degenerate state or
+    one whose shape leaves the search bracket.  Every column of every ``z``
+    carries mass: a fit aborts before an M-step on an empty component."""
     d = stats.n_states
-    # One product per fit: a stacked one could round differently.
+    # Two products per fit, one per table block: a stacked one could round differently.
     chain = np.concatenate([z.T @ stats.table[:, : d + d * d] for z in zs])
     n_comp = chain.shape[0]
     alpha, rows = chain[:, :d], chain[:, d:].reshape(n_comp, d, d)
@@ -212,44 +243,9 @@ def _m_step_alpha_trans_stats(
         never_left[:, stats.absorbing] = False
         trans[:, stats.absorbing] = 0.0
     trans = np.where(never_left[:, :, None], (1.0 - np.eye(d)) / (d - 1), trans)
-    owners = _components(zs)
-    warnings: list[list[str]] = [[] for _ in zs]
-    for r, h in zip(*np.nonzero(never_left)):
-        k, g = owners[r]
-        warnings[k].append(
-            f"component {g}: state {labels[h] if labels is not None else h} never left; "
-            "transition row set to uniform"
-        )
-    return alpha, trans, warnings
 
-
-def _m_step_sojourn_stats(
-    stats: PanelStats,
-    zs,
-    penalty_c: float,
-    min_obs_mass: int,
-    z_round: float,
-    labels=None,
-) -> tuple[np.ndarray, np.ndarray, list[list[str]], list[Exception | None]]:
-    """Per-component, per-state penalized gamma fits of the sojourn times,
-    for the fits whose responsibilities are ``zs``.
-
-    A state whose number of weight-carrying observations does not exceed
-    ``min_obs_mass`` inherits the fit pooled over all of the component's
-    observations regardless of state, as does a degenerate state or one
-    whose shape leaves the search bracket.  Returns ``(shape, rate,
-    warnings, errors)``: shape and rate (G, D) stack the components of
-    every fit in order, NaN in the absorbing column; ``warnings`` holds one
-    list per fit, and ``errors`` per fit the failure of a pooled fit that
-    one of its states needed (its message naming the component), or None.
-    """
-    d = stats.n_states
-    owners = _components(zs)
-    n_comp = len(owners)
-    slog, sw, sx = (
-        np.concatenate([z.T @ stats.table[:, d + d * d :] for z in zs])
-        .reshape(n_comp, 3, d).transpose(1, 0, 2)
-    )
+    sojourns = np.concatenate([z.T @ stats.table[:, d + d * d :] for z in zs])
+    slog, sw, sx = sojourns.reshape(n_comp, 3, d).transpose(1, 0, 2)
     n_obs = np.concatenate([(z > z_round).astype(np.float64).T @ stats.soj_counts for z in zs])
     fitted = n_obs > min_obs_mass  # never the absorbing state: it has no sojourns
     # One solver call: the fitted cells in row-major order, then one
@@ -261,42 +257,35 @@ def _m_step_sojourn_stats(
     cell_rate = cell_shape * cell_sw / cell_sx
     n_fit = int(fitted.sum())
 
-    shape = np.full((n_comp, d), np.nan)
-    rate = np.full((n_comp, d), np.nan)
-    fit_status = np.full((n_comp, d), OK)
-    shape[fitted], rate[fitted], fit_status[fitted] = (
-        cell_shape[:n_fit], cell_rate[:n_fit], status[:n_fit]
-    )
-    pooled = ~fitted | (fit_status != OK)
+    shape, rate = np.full((2, n_comp, d), np.nan)
+    pooled = np.full((n_comp, d), POOLED_FALLBACK)
+    shape[fitted], rate[fitted] = cell_shape[:n_fit], cell_rate[:n_fit]
+    pooled[fitted] = _FITTED_CODE[status[:n_fit]]
     if stats.absorbing is not None:
-        pooled[:, stats.absorbing] = False
-    warnings: list[list[str]] = [[] for _ in zs]
-    errors: list[Exception | None] = [None for _ in zs]
-    for r, j in zip(*np.nonzero(pooled)):
-        k, g = owners[r]
-        name = labels[j] if labels is not None else str(j)
-        if not fitted[r, j]:
-            warnings[k].append(
-                f"component {g}: state {name} has {int(n_obs[r, j])} "
-                "weight-carrying observations; pooled fallback"
-            )
-        elif fit_status[r, j] == DEGENERATE:
-            warnings[k].append(
-                f"component {g}: degenerate sojourn sample in state {name}; "
-                "pooled fallback"
-            )
-        else:
-            warnings[k].append(
-                f"component {g}: sojourn fit for state {name} left the "
-                "shape bracket; pooled fallback"
-            )
-        if errors[k] is None and status[n_fit + r] != OK:
-            cause = status_error(status[n_fit + r])
-            errors[k] = type(cause)(f"component {g} pooled sojourn fit: {cause}")
-            errors[k].__cause__ = cause
-    shape = np.where(pooled, cell_shape[n_fit:, None], shape)
-    rate = np.where(pooled, cell_rate[n_fit:, None], rate)
-    return shape, rate, warnings, errors
+        pooled[:, stats.absorbing] = OWN_FIT
+    shape = np.where(pooled != OWN_FIT, cell_shape[n_fit:, None], shape)
+    rate = np.where(pooled != OWN_FIT, cell_rate[n_fit:, None], rate)
+    return _MStep(alpha, trans, shape, rate, never_left, pooled, n_obs, status[n_fit:])
+
+
+def _fallbacks(step: _MStep, rows: slice, labels) -> tuple[list[str], Exception | None]:
+    """The warnings of the fit that owns ``rows`` of ``step``, its
+    components numbered from 0 and its states named by ``labels``: the
+    uniform transition rows, then the pooled cells, each in row-major
+    order.  Also the failure of the first pooled fit one of its states
+    needed, or None."""
+    warnings = [f"component {g}: state {labels[h]} never left; transition row set to uniform"
+                for g, h in zip(*np.nonzero(step.never_left[rows]))]
+    pooled, n_obs, pool_status = step.pooled[rows], step.n_obs[rows], step.pool_status[rows]
+    error = None
+    for g, j in zip(*np.nonzero(pooled)):
+        text = _POOLED_MESSAGES[pooled[g, j]].format(name=labels[j], n=int(n_obs[g, j]))
+        warnings.append(f"component {g}: {text}")
+        if error is None and pool_status[g] != OK:
+            cause = status_error(pool_status[g])
+            error = type(cause)(f"component {g} pooled sojourn fit: {cause}")
+            error.__cause__ = cause
+    return warnings, error
 
 
 def _project(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -362,24 +351,23 @@ class _Stack:
     def m_step(self, zs) -> list:
         """One M-step per responsibility matrix of ``zs``: each fit's
         checked parameters with its warnings, or the error it raised."""
-        cfg, labels = self.cfg, self.space.labels
-        alpha, trans, chain_msgs = _m_step_alpha_trans_stats(self.stats, zs, labels=labels)
-        shape, rate, soj_msgs, errors = _m_step_sojourn_stats(
-            self.stats, zs, self.c, cfg.min_obs_mass, cfg.z_round, labels=labels
-        )
+        cfg = self.cfg
+        step = _m_step(self.stats, zs, self.c, cfg.min_obs_mass, cfg.z_round)
         out = []
         stop = 0
-        for z, w1, w2, error in zip(zs, chain_msgs, soj_msgs, errors):
+        for z in zs:
             rows = slice(stop, stop + z.shape[1])
             stop = rows.stop
+            warnings, error = _fallbacks(step, rows, self.space.labels)
             if error is None:
-                params = MixtureArrays(z.sum(axis=0) / z.shape[0], alpha[rows], trans[rows],
-                                       shape[rows], rate[rows], self.space.absorbing)
+                params = MixtureArrays(z.sum(axis=0) / z.shape[0], step.alpha[rows],
+                                       step.trans[rows], step.shape[rows], step.rate[rows],
+                                       self.space.absorbing)
                 try:
                     params.check()
                 except InvalidModelError as exc:
                     error = exc
-            out.append((params, w1 + w2) if error is None else error)
+            out.append((params, warnings) if error is None else error)
         return out
 
 

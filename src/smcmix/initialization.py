@@ -23,11 +23,11 @@ sample the panel has already checked.
 from __future__ import annotations
 
 from functools import cache
-from numbers import Integral
 
 import numpy as np
 
-from .core import GammaParams, MixtureArrays, MixtureModel, Panel
+from .core import GammaParams, MixtureArrays, MixtureModel, Panel, is_integer
+from .em import EmConfig
 from .errors import DegenerateSample
 from .likelihood import PanelStats
 from .sojourn import gamma_mom
@@ -44,6 +44,9 @@ def _mean_sojourns(stats: PanelStats) -> np.ndarray:
         feats = np.where(stats.soj_counts > 0, stats.soj_sum / stats.soj_counts, 0.0)
     return feats
 
+
+# k-means restarts of an init unless the caller asks for another number.
+RESTARTS = 10
 
 # Lloyd iterations each restart may take before its labels are final.
 _LLOYD_ITERATIONS = 300
@@ -183,7 +186,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     return final_labels, sse
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> np.ndarray:
     """Cluster rows of ``points`` into ``k`` non-empty groups, minimizing
     within-cluster squared Euclidean distance over the restarts performed.
 
@@ -198,7 +201,7 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
     """
     points = np.asarray(points, dtype=np.float64)
     for name, value in (("k", k), ("restarts", restarts)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
+        if not is_integer(value):
             raise ValueError(f"{name} must be an integer")
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
@@ -253,8 +256,8 @@ def initial_model(
     panel: Panel,
     n_components: int,
     seed: int,
-    restarts: int = 10,
-    min_obs_mass: int = 7,
+    restarts: int = RESTARTS,
+    min_obs_mass: int = EmConfig.min_obs_mass,
 ) -> MixtureModel:
     """Build an EM starting model by clustering subjects on their mean
     sojourn profiles and estimating each cluster empirically.

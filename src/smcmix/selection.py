@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Optional, Sequence
 
-from .core import Panel
+from .core import Panel, is_integer
 from .em import EmConfig, EmptyComponent, FitReport, fit_stack
-from .initialization import _clustered_model
+from .initialization import RESTARTS, _clustered_model
 from .likelihood import PanelStats
 
 CRITERIA = ("bic", "aic", "aicc")
@@ -96,7 +95,7 @@ def select_g(
     g_range: Sequence[int],
     cfg: EmConfig,
     sample_size: Optional[int] = None,
-    restarts: int = 10,
+    restarts: int = RESTARTS,
 ) -> GSweepResult:
     """Fit every component count in ``g_range`` and rank them by BIC, AIC
     and AICc.
@@ -113,13 +112,13 @@ def select_g(
     :func:`~smcmix.initialization.kmeans` rejects.
     """
     counts = list(g_range)
-    if any(isinstance(g, bool) or not isinstance(g, Integral) for g in counts):
+    if not all(is_integer(g) for g in counts):
         raise ValueError("g_range must contain integer component counts")
     g_values = sorted(set(int(g) for g in counts))
     if not g_values or g_values[0] < 1:
         raise ValueError("g_range must contain positive component counts")
     if sample_size is not None:
-        if isinstance(sample_size, bool) or not isinstance(sample_size, Integral):
+        if not is_integer(sample_size):
             raise ValueError("sample_size must be an integer")
         if sample_size < 1:
             raise ValueError("sample_size must be positive")

@@ -20,15 +20,14 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ComponentParams, MixtureModel, Panel, Trajectory
+from .core import ComponentParams, MixtureModel, Panel, Trajectory, is_integer
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import _clustered_model
+from .initialization import RESTARTS, _clustered_model
 from .metrics import (
     align_components,
     classification_rate,
@@ -49,7 +48,8 @@ _ABSORBING_PLACEHOLDER = 1.0
 class Scenario:
     """A simulation design: the generating mixture, panel dimensions, the
     stop rule (transition count or ``"absorbing"``), the master seed and
-    the number of Monte-Carlo replicates."""
+    the number of Monte-Carlo replicates.  Counts and the seed must be
+    integers (not bools), the seed nonnegative."""
 
     model: MixtureModel
     n_subjects: int
@@ -60,11 +60,14 @@ class Scenario:
     name: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("n_subjects", "n_replications", "seed", "replicate_count"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
         if self.n_subjects < 1 or self.n_replications < 1:
             raise ValueError("need at least one subject and one replication")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         count, rule = self.replicate_count, self.stop_rule
-        if isinstance(count, bool) or not isinstance(count, Integral):
-            raise ValueError("replicate_count must be an integer")
         if count < 1:
             raise ValueError("replicate_count must be positive")
         if isinstance(rule, str):
@@ -72,7 +75,7 @@ class Scenario:
                 raise ValueError(f"unknown stop rule {rule!r}")
             if self.model.space.absorbing is None:
                 raise ValueError("absorbing stop rule needs an absorbing state")
-        elif isinstance(rule, bool) or not isinstance(rule, Integral):
+        elif not is_integer(rule):
             raise ValueError(f"stop rule must be a transition count or {ABSORBING_RULE!r}")
         elif rule < 1:
             raise ValueError("transition count must be at least 1")
@@ -258,7 +261,7 @@ def run_benchmark(
     scenario: Scenario,
     cfg: EmConfig,
     g_range: Optional[Sequence[int]] = None,
-    restarts: int = 10,
+    restarts: int = RESTARTS,
 ) -> BenchmarkResult:
     """Simulate, initialize, fit and score ``scenario.replicate_count``
     independent datasets; optionally sweep component counts.

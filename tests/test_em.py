@@ -23,7 +23,16 @@ from smcmix import (
     map_cluster,
     mixture_loglik,
 )
-from smcmix.em import _m_step_alpha_trans_stats, _m_step_sojourn_stats, _responsibilities
+from smcmix.em import (
+    BRACKET_EXHAUSTED,
+    DEGENERATE_FIT,
+    OWN_FIT,
+    POOLED_FALLBACK,
+    _fallbacks,
+    _m_step,
+    _responsibilities,
+    _Stack,
+)
 from smcmix.likelihood import PanelStats, log_scores, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
 from smcmix.sojourn import WeightedSample
@@ -224,12 +233,20 @@ class TestMStepWeights:
         np.testing.assert_allclose(weights, expected, rtol=1e-12)
 
 
+def m_step(panel, zs, penalty_c=0.0, min_obs_mass=7, z_round=1e-4):
+    """The shared M-step of the fits whose responsibilities are ``zs`` on
+    ``panel``, and each fit's rendered ``(warnings, error)``."""
+    step = _m_step(PanelStats.from_panel(panel), zs, penalty_c, min_obs_mass, z_round)
+    bounds = np.cumsum([0] + [z.shape[1] for z in zs])
+    return step, [_fallbacks(step, slice(a, b), panel.space.labels)
+                  for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class TestMStepAlphaTrans:
     def test_single_component_classical(self, tiny_panel):
         z = PosteriorMatrix(z=np.ones((3, 1)))
-        alpha, trans, (warnings,) = _m_step_alpha_trans_stats(
-            PanelStats.from_panel(tiny_panel), [z.z]
-        )
+        step, [(warnings, _)] = m_step(tiny_panel, [z.z])
+        alpha, trans = step.alpha, step.trans
         # hand counts over the six trajectories of the fixture panel
         # first states: 0,1 / 0,0 / 1,0  -> state 0: 4, state 1: 2
         np.testing.assert_allclose(alpha[0], [4 / 6, 2 / 6], rtol=1e-12)
@@ -244,7 +261,8 @@ class TestMStepAlphaTrans:
                         n10 += 1
         np.testing.assert_allclose(trans[0], [[0, 1], [1, 0]], rtol=1e-12)
         assert n01 > 0 and n10 > 0
-        assert warnings == []
+        assert not step.never_left.any()
+        assert not any("never left" in w for w in warnings)
 
     def test_unvisited_state_uniform_row(self, two_state_space):
         space3 = Panel(
@@ -252,9 +270,9 @@ class TestMStepAlphaTrans:
             subjects=((traj([0, 1, 0], [1.0, 1.0, 1.0]),),),
         )
         z = PosteriorMatrix(z=np.ones((1, 1)))
-        alpha, trans, (warnings,) = _m_step_alpha_trans_stats(PanelStats.from_panel(space3), [z.z])
-        np.testing.assert_allclose(trans[0, 2], [0.5, 0.5, 0.0], rtol=1e-12)
-        assert any("never left" in w for w in warnings)
+        step, [(warnings, _)] = m_step(space3, [z.z])
+        np.testing.assert_allclose(step.trans[0, 2], [0.5, 0.5, 0.0], rtol=1e-12)
+        assert warnings[0] == "component 0: state C never left; transition row set to uniform"
 
     def test_weighted_counts_pencil_oracle(self, two_state_space):
         panel = Panel(
@@ -265,7 +283,8 @@ class TestMStepAlphaTrans:
             ),
         )
         z = PosteriorMatrix(z=np.array([[0.3, 0.7], [0.6, 0.4]]))
-        alpha, trans, _ = _m_step_alpha_trans_stats(PanelStats.from_panel(panel), [z.z])
+        step, _ = m_step(panel, [z.z])
+        alpha, trans = step.alpha, step.trans
         # component 0: alpha = (0.3*1 + 0.6*0, 0.3*0 + 0.6*1) / (0.9)
         np.testing.assert_allclose(alpha[0], [0.3 / 0.9, 0.6 / 0.9], rtol=1e-12)
         np.testing.assert_allclose(alpha[1], [0.7 / 1.1, 0.4 / 1.1], rtol=1e-12)
@@ -286,15 +305,13 @@ class TestMStepSojourn:
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
         c = penalty_weight(panel)
-        shape, rate, (warnings,), _ = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), [z.z], c, 7, 1e-4
-        )
+        step, [(warnings, _)] = m_step(panel, [z.z], c)
         direct = fit_gamma_pmle(
             WeightedSample(values=np.array(all_state0), weights=np.ones(len(all_state0))),
             penalty_c=c,
         )
-        assert shape[0, 0] == pytest.approx(direct.shape, rel=1e-9)
-        assert rate[0, 0] == pytest.approx(direct.rate, rel=1e-9)
+        assert step.shape[0, 0] == pytest.approx(direct.shape, rel=1e-9)
+        assert step.rate[0, 0] == pytest.approx(direct.rate, rel=1e-9)
         assert warnings == []
 
     def test_starved_state_pooled_fallback(self, two_state_space):
@@ -309,10 +326,8 @@ class TestMStepSojourn:
             subjects.append((traj(states, durations),))
         panel = Panel(space=space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((8, 1)))
-        shape, _, (warnings,), _ = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), [z.z], penalty_weight(panel), 7, 1e-4
-        )
-        assert any("pooled fallback" in w for w in warnings)
+        step, [(warnings, _)] = m_step(panel, [z.z], penalty_weight(panel))
+        assert "component 0: state C has 3 weight-carrying observations; pooled fallback" in warnings
         # the starved state inherits the pooled fit over every observation
         pooled_values = np.concatenate(
             [t.sojourns for reps in panel.subjects for t in reps]
@@ -321,7 +336,7 @@ class TestMStepSojourn:
             WeightedSample(values=pooled_values, weights=np.ones_like(pooled_values)),
             penalty_c=penalty_weight(panel),
         )
-        assert shape[0, 2] == pytest.approx(pooled.shape, rel=1e-9)
+        assert step.shape[0, 2] == pytest.approx(pooled.shape, rel=1e-9)
 
     def test_penalty_shrinks_near_degenerate_state(self, two_state_space):
         rng = np.random.default_rng(10)
@@ -331,10 +346,9 @@ class TestMStepSojourn:
             subjects.append((traj([0, 1], [x0, float(rng.gamma(2.0, 2.0))]),))
         panel = Panel(space=two_state_space, subjects=tuple(subjects))
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        stats = PanelStats.from_panel(panel)
-        pen, _, _, _ = _m_step_sojourn_stats(stats, [z.z], penalty_weight(panel), 7, 1e-4)
-        unpen, _, _, _ = _m_step_sojourn_stats(stats, [z.z], 0.0, 7, 1e-4)
-        assert pen[0, 0] < unpen[0, 0]
+        pen, _ = m_step(panel, [z.z], penalty_weight(panel))
+        unpen, _ = m_step(panel, [z.z], 0.0)
+        assert pen.shape[0, 0] < unpen.shape[0, 0]
 
     def test_nonconvergence_context(self, two_state_space):
         # state 0 durations nearly equal (relative spread ~1e-5): the
@@ -344,11 +358,11 @@ class TestMStepSojourn:
         )
         panel = Panel(space=two_state_space, subjects=subjects)
         z = PosteriorMatrix(z=np.ones((10, 1)))
-        _, _, (warnings,), _ = _m_step_sojourn_stats(
-            PanelStats.from_panel(panel), [z.z], 0.0, 7, 1e-4, labels=panel.space.labels
-        )
+        step, [(warnings, _)] = m_step(panel, [z.z])
+        assert step.pooled.tolist() == [[BRACKET_EXHAUSTED, OWN_FIT]]
         assert warnings == [
-            "component 0: sojourn fit for state A left the shape bracket; pooled fallback"
+            "component 0: state B never left; transition row set to uniform",
+            "component 0: sojourn fit for state A left the shape bracket; pooled fallback",
         ]
 
 
@@ -361,26 +375,21 @@ class TestMStepSojourn:
         spread = tuple((traj([0, 1], [1.0 + 0.3 * i, 2.0 + 0.7 * i]),) for i in range(10))
         panel = Panel(space=two_state_space,
                       subjects=((traj([0, 1], [2.0, 2.0]),),) * 10 + spread)
-        stats = PanelStats.from_panel(panel)
         degenerate = np.repeat([[1.0], [0.0]], 10, axis=0)
         everyone = np.ones((20, 1))
-        shape, rate, _, errors = _m_step_sojourn_stats(stats, [degenerate, everyone], 0.0, 7, 1e-4)
-        failure, ok = errors
+        step, [(_, failure), (_, ok)] = m_step(panel, [degenerate, everyone])
         assert ok is None
         with pytest.raises(
             DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
         ):
             raise failure
         assert isinstance(failure.__cause__, DegenerateSample)
-        alone_shape, alone_rate, _, (alone_error,) = _m_step_sojourn_stats(
-            stats, [everyone], 0.0, 7, 1e-4
-        )
+        alone, [(_, alone_error)] = m_step(panel, [everyone])
         assert alone_error is None
-        assert np.array_equal(shape[1:], alone_shape) and np.array_equal(rate[1:], alone_rate)
+        assert np.array_equal(step.shape[1:], alone.shape)
+        assert np.array_equal(step.rate[1:], alone.rate)
         # of several failing components, a fit reports its first
-        _, _, _, (both,) = _m_step_sojourn_stats(
-            stats, [np.repeat([[0.5, 0.5], [0.0, 0.0]], 10, axis=0)], 0.0, 7, 1e-4
-        )
+        _, [(_, both)] = m_step(panel, [np.repeat([[0.5, 0.5], [0.0, 0.0]], 10, axis=0)])
         assert str(both).startswith("component 0 pooled sojourn fit: ")
 
 
@@ -741,14 +750,14 @@ class TestIterationInvariants:
         from smcmix import InvalidModelError
 
         run, calls = self._fit_counting_likelihoods(monkeypatch)
-        original = em_module._m_step_alpha_trans_stats
+        original = em_module._m_step
 
         def corrupting(*args, **kwargs):
-            alpha, trans, warnings = original(*args, **kwargs)
-            trans[1, 0, 1] = -trans[1, 0, 1]
-            return alpha, trans, warnings
+            step = original(*args, **kwargs)
+            step.trans[1, 0, 1] = -step.trans[1, 0, 1]
+            return step
 
-        monkeypatch.setattr(em_module, "_m_step_alpha_trans_stats", corrupting)
+        monkeypatch.setattr(em_module, "_m_step", corrupting)
         with pytest.raises(
             InvalidModelError, match="^transition probabilities must be nonnegative$"
         ):
@@ -853,21 +862,61 @@ def test_m_step_sojourn_fallbacks_fire_in_order():
         durations = [2.0, 1.0 + 1e-3 * i, float(rng.gamma(2.0, 2.0)), 0.5 + i][: len(states)]
         subjects.append((traj(states, durations),))
     panel = Panel(space=space, subjects=tuple(subjects))
-    stats = PanelStats.from_panel(panel)
     z = np.full((10, 2), 0.5)
-    shape, rate, (warnings,), _ = _m_step_sojourn_stats(
-        stats, [z], 0.0, 7, 1e-4, labels=space.labels
-    )
+    step, [(warnings, _)] = m_step(panel, [z])
+    shape, rate = step.shape, step.rate
+    assert step.pooled.tolist() == [[DEGENERATE_FIT, BRACKET_EXHAUSTED, POOLED_FALLBACK,
+                                     OWN_FIT]] * 2
+    # C ends every trajectory it is in: its rows come first, set to uniform
+    uniform = [f"component {g}: state C never left; transition row set to uniform" for g in (0, 1)]
     per_component = [
         "degenerate sojourn sample in state A; pooled fallback",
         "sojourn fit for state B left the shape bracket; pooled fallback",
         "state C has 3 weight-carrying observations; pooled fallback",
     ]
-    assert warnings == [f"component {g}: {w}" for g in (0, 1) for w in per_component]
+    assert warnings == uniform + [f"component {g}: {w}" for g in (0, 1) for w in per_component]
     # the pooled cells hold the component's one pooled fit; D has its own
     for params in (shape, rate):
         assert np.all(params[:, :3] == params[:, :1])
         assert np.all(params[:, 3] != params[:, 0])
+
+
+def test_stacked_fallbacks_belong_to_their_fit():
+    """A stack of a G = 2 and a G = 3 fit whose M-step fires every fallback
+    code: each fit gets the warnings and the pooled-fit error it gets as a
+    stack of one, naming its own components 0..G-1."""
+    space = StateSpace(labels=("A", "B", "C", "D", "E"))  # E is never visited
+    rng = np.random.default_rng(12)
+    subjects = []
+    for i in range(10):
+        states = [0, 1, 3] + ([2] if i < 3 else [])
+        durations = [2.0, 1.0 + 1e-3 * i, float(rng.gamma(2.0, 2.0)), 0.5 + i][: len(states)]
+        subjects.append((traj(states, durations),))
+    subjects += [(traj([0, 1, 0, 1], [2.0] * 4),)] * 8  # every sojourn equal
+    panel = Panel(space=space, subjects=tuple(subjects))
+    # the G = 3 fit gives the flat subjects a component of their own, whose
+    # pooled fit is degenerate
+    two = np.vstack([np.full((10, 2), 0.5), np.tile([1.0, 0.0], (8, 1))])
+    three = np.vstack([np.tile([0.5, 0.5, 0.0], (10, 1)), np.tile([0.0, 0.0, 1.0], (8, 1))])
+    step, stacked = m_step(panel, [two, three])
+    assert step.never_left.any()
+    assert set(step.pooled.ravel()) == {OWN_FIT, POOLED_FALLBACK, DEGENERATE_FIT, BRACKET_EXHAUSTED}
+    for z, (warnings, error) in zip((two, three), stacked):
+        _, [(alone, alone_error)] = m_step(panel, [z])
+        assert warnings == alone
+        assert {int(w.split(":")[0].split()[1]) for w in warnings} == set(range(z.shape[1]))
+        assert type(error) is type(alone_error) and str(error) == str(alone_error)
+    assert stacked[0][1] is None
+    error = stacked[1][1]
+    assert isinstance(error, DegenerateSample) and isinstance(error.__cause__, DegenerateSample)
+    assert str(error).startswith("component 2 pooled sojourn fit: sample variance")
+    # the stack hands the G = 2 fit its checked parameters and those warnings
+    stack = _Stack(panel, PanelStats.from_panel(panel), EmConfig(penalized=False))
+    (params, warnings), raised = stack.m_step([two, three])
+    assert warnings == stacked[0][0]
+    assert type(raised) is type(error) and str(raised) == str(error)
+    [(alone_params, _)] = stack.m_step([two])
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(params[:5], alone_params[:5]))
 
 
 class TestMapCluster:
@@ -900,9 +949,14 @@ class TestEmConfig:
             EmConfig(z_round=0.5)
         EmConfig(z_round=0.0)  # rounding may be disabled
 
-    @pytest.mark.parametrize("field", ["max_iter", "min_obs_mass"])
+    @pytest.mark.parametrize("field", ["max_iter", "min_obs_mass", "seed"])
     @pytest.mark.parametrize("value", [2.5, 6.5, True, "7"])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             EmConfig(**{field: value})
         assert getattr(EmConfig(**{field: np.int64(3)}), field) == 3
+
+    def test_seed_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            EmConfig(seed=-1)
+        assert EmConfig(seed=0).seed == 0

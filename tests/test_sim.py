@@ -56,6 +56,13 @@ class TestScenario:
         ("stop_rule", None, "stop rule must be a transition count or 'absorbing'"),
         ("replicate_count", 1.5, "replicate_count must be an integer"),
         ("replicate_count", False, "replicate_count must be an integer"),
+        ("n_subjects", 2.5, "n_subjects must be an integer"),
+        ("n_subjects", True, "n_subjects must be an integer"),
+        ("n_replications", True, "n_replications must be an integer"),
+        ("n_replications", "3", "n_replications must be an integer"),
+        ("seed", 2.5, "seed must be an integer"),
+        ("seed", True, "seed must be an integer"),
+        ("seed", -1, "seed must be nonnegative"),
     ])
     def test_counts_must_be_integers(self, field, value, message):
         args = dict(model=fixtures.one_component_model(), n_subjects=5, n_replications=3,
