@@ -9,16 +9,17 @@ summed durations, since the embedded chain cannot represent
 self-transitions; the merge count is reported.
 
 Every CSV file the library or the CLI reads goes through one chunked
-column reader, :func:`_read_columns`, and every one it writes through
-:func:`write_csv`.  The reader tokenises each chunk of lines with numpy's C
-reader (``np.loadtxt``), which also parses the float columns it is given,
-such as ``onset``.  The first chunk numpy might read otherwise than
-``csv.reader`` (a quote, a blank or ragged line, an over-long line, a
-number numpy refuses) goes, with the rest of the file, to ``csv.reader``.
-Both give the same columns, so results and errors do not depend on which
-one ran.  Integer columns stay strings for Python's ``int``, because
-numpy's int64 parser accepts some non-ASCII letters (it reads ``"Ǿ"`` as
-462).
+column reader, :func:`_read_columns`.  :func:`write_panel` writes a panel
+file one trajectory at a time as rendered text, and :func:`write_csv`
+writes every other CSV file row by row.  The reader tokenises each chunk of
+lines with numpy's C reader (``np.loadtxt``), which also parses the float
+columns it is given, such as ``onset``.  The first chunk numpy might read
+otherwise than ``csv.reader`` (a quote, a blank or ragged line, an
+over-long line, a number numpy refuses) goes, with the rest of the file,
+to ``csv.reader``.  Both give the same columns, so results and errors do
+not depend on which one ran.  Integer columns stay strings for Python's
+``int``, because numpy's int64 parser accepts some non-ASCII letters (it
+reads ``"Ǿ"`` as 462).
 
 All writers are deterministic byte-for-byte (floats use 17 significant
 digits) and atomic (write to a temporary file, then rename), so a failed
@@ -28,6 +29,7 @@ run never leaves a partial output behind.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -49,8 +51,12 @@ MODEL_FORMAT_VERSION = 1
 DEFAULT_ABSORBING_LABEL = "STOP"
 
 
+# The one float format of every writer: 17 significant digits round-trip a double.
+_FLOAT = ".17g"
+
+
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT)
 
 
 @contextmanager
@@ -83,6 +89,20 @@ def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+
+
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each string as ``csv.writer`` writes it as one field of a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = []
+    for text in texts:
+        # A second field: csv quotes a row of one empty field.
+        writer.writerow((text, ""))
+        fields.append(buf.getvalue()[:-2])
+        buf.seek(0)
+        buf.truncate()
+    return fields
 
 
 # Lines (csv records, once a file has left numpy's tokeniser) converted at a
@@ -205,6 +225,14 @@ def _codes(values: list, table: dict, key) -> np.ndarray:
         except (TypeError, ValueError, AttributeError):
             local[value] = -1
     return np.fromiter(map(local.__getitem__, values), np.int64, len(values))
+
+
+def _runs(values: list) -> tuple[list, np.ndarray]:
+    """The first value of each run of equal consecutive ``values``, and the
+    run of each value."""
+    values = np.array(values, dtype=object)
+    starts = np.r_[True, values[1:] != values[:-1]]
+    return values[starts].tolist(), np.cumsum(starts) - 1
 
 
 def _floats(values) -> tuple[np.ndarray, np.ndarray]:
@@ -341,15 +369,17 @@ def _parse_panel_rows(path, delimiter: str):
                            floats=("onset",))
     try:
         for lines, (subject, replication, attribute, onset, end) in reader:
-            s = _codes(subject, subjects, str.strip)
-            r = _codes(replication, replications, int)
+            # Subject, replication and end repeat along a sequence's rows: one
+            # lookup per run of equal strings.  Attributes change on every row.
+            firsts, run = _runs(subject)
+            s = _codes(firsts, subjects, str.strip)[run]
+            firsts, run = _runs(replication)
+            r = _codes(firsts, replications, int)[run]
             a = _codes(attribute, attributes, str.strip)
             t, bad_onset = _floats(onset)
-            # float() once per run of rows that repeat one end string
-            end = np.array(end, dtype=object)
-            starts = np.r_[True, end[1:] != end[:-1]]
-            e, bad_end = (column[np.cumsum(starts) - 1] for column in _floats(end[starts].tolist()))
-            has_end = end.astype(bool)
+            firsts, run = _runs(end)
+            e, bad_end = (column[run] for column in _floats(firsts))
+            has_end = np.array(firsts, dtype=object).astype(bool)[run]
             bad_end &= has_end
             # By replication code; the last entry serves code -1, a replication that did not parse.
             below_one = np.array([value < 1 for value in replications] + [False])
@@ -555,25 +585,50 @@ def read_panel(
 
 
 def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None) -> None:
-    """Write a panel as an onset-encoded CSV (inverse of :func:`read_panel`)."""
+    """Write a panel as an onset-encoded CSV (inverse of :func:`read_panel`).
+
+    The file has the header ``subject,replication,attribute,onset,end`` and
+    one row per state of each trajectory, trajectories in (subject,
+    replication) order and replications numbered from 1.  A row's onset is
+    the running sum of the trajectory's earlier sojourns, and its end the
+    sum of all of them; both are written to 17 significant digits.  Subject
+    ids (``1..n`` by default; a float id to 17 digits, any other non-string
+    through ``str``) and state labels are quoted as ``csv.writer`` quotes
+    them.  The file is written one trajectory at a time, so it is never
+    held in memory whole.
+
+    Raises ``ValueError``, before writing, unless there is one id per
+    subject and every id is nonempty and distinct from the others once
+    stripped of surrounding whitespace, as :func:`read_panel` reads them.
+    """
     if subject_ids is None:
         subject_ids = [str(i + 1) for i in range(panel.n_subjects)]
     if len(subject_ids) != panel.n_subjects:
         raise ValueError("one subject id per subject required")
-    labels = panel.space.labels
-
-    def rows():
-        states = panel.states.tolist()
-        sojourns = panel.sojourns.tolist()
-        a = 0
-        for sid, lengths in zip(subject_ids, panel.lengths.tolist()):
+    # Each id's text as csv writes it (None as an empty field); read_panel strips it.
+    texts = ["" if sid is None else _fmt(sid) if isinstance(sid, float) else str(sid)
+             for sid in subject_ids]
+    first = {}
+    for k, text in enumerate(texts):
+        key = text.strip()
+        if not key:
+            raise ValueError(f"subject id {text!r} is empty once stripped")
+        if first.setdefault(key, k) != k:
+            raise ValueError(f"subject ids {texts[first[key]]!r} and {text!r} are equal once stripped")
+    sids = _csv_fields(texts)
+    labels = _csv_fields(panel.space.labels)
+    states = panel.states.tolist()
+    sojourns = panel.sojourns.tolist()
+    a = 0
+    with _atomic_open(path) as fh:
+        fh.write("subject,replication,attribute,onset,end\n")
+        for sid, lengths in zip(sids, panel.lengths.tolist()):
             for b, n in enumerate(lengths, start=1):
                 onsets = list(accumulate(sojourns[a : a + n], initial=0.0))
-                for j, t in zip(states[a : a + n], onsets):
-                    yield sid, b, labels[j], t, onsets[-1]
+                head, tail = f"{sid},{b},", f",{onsets[-1]:{_FLOAT}}\n"
+                fh.write("".join([f"{head}{labels[j]},{t:{_FLOAT}}{tail}"
+                                  for j, t in zip(states[a : a + n], onsets)]))
                 a += n
-
-    write_csv(path, ("subject", "replication", "attribute", "onset", "end"), rows())
 
 
 def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> None:

@@ -195,7 +195,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
     run together.  Deterministic given ``seed``; the winner among restarts
     is the lowest (SSE, restart index) pair.  A single cluster needs no
     search: every point gets label 0.  Raises ``ValueError`` unless ``k``
-    and ``restarts`` are positive integers (not bools), and ``points`` is a
+    and ``restarts`` are positive integers (not bools), ``seed`` is a
+    nonnegative integer (not a bool), and ``points`` is a
     finite 2-D array with at least ``k`` rows and, for ``k >= 2``, sums of
     n squared distances between them are finite.
     """
@@ -205,6 +206,10 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
             raise ValueError(f"{name} must be an integer")
         if value < 1:
             raise ValueError(f"{name} must be at least 1")
+    if not is_integer(seed):
+        raise ValueError("seed must be an integer")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-D array, got {points.ndim} dimension(s)")
     if not np.isfinite(points).all():

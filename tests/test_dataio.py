@@ -458,6 +458,20 @@ class TestPanelRoundTrip:
         with pytest.raises(ValueError):
             write_panel(tmp_path / "a.csv", tiny_panel, subject_ids=["only-one"])
 
+    @pytest.mark.parametrize("ids, message", [
+        (["a", "a", "b"], "subject ids 'a' and 'a' are equal once stripped"),
+        (["a", " a", "b"], "subject ids 'a' and ' a' are equal once stripped"),
+        (["b", "1", 1], "subject ids '1' and '1' are equal once stripped"),
+        (["", "x", "y"], "subject id '' is empty once stripped"),
+        (["x", " \t", "y"], "subject id ' \\t' is empty once stripped"),
+    ])
+    def test_subject_ids_must_read_back(self, tiny_panel, tmp_path, ids, message):
+        """An empty id or two ids equal once stripped would make a file
+        read_panel rejects or reads as fewer subjects; none is written."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_panel(tmp_path / "a.csv", tiny_panel, subject_ids=ids)
+        assert list(tmp_path.iterdir()) == []
+
 
 def reference_model_to_dict(model):
     """The component-by-component walk that wrote model documents, kept as

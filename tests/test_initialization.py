@@ -180,6 +180,31 @@ class TestKmeans:
         assert np.array_equal(kmeans(points, np.int64(3), seed=0, restarts=np.int32(2)),
                               kmeans(points, 3, seed=0, restarts=2))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer"),
+        (True, "seed must be an integer"),
+        ("1", "seed must be an integer"),
+        (-1, "seed must be nonnegative"),
+        (np.int64(-1), "seed must be nonnegative"),
+    ])
+    def test_seed_must_be_a_nonnegative_integer(self, k, seed, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kmeans(np.zeros((4, 2)), k, seed=seed)
+
+    def test_one_component_init_checks_its_seed(self, tiny_panel):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            initial_model(tiny_panel, 1, seed=-1)
+
+    def test_numpy_and_64_bit_seeds(self):
+        """run_benchmark draws each replicate's init seed as a uint64."""
+        points = np.random.default_rng(3).random((20, 2))
+        seed = np.random.SeedSequence(7).generate_state(1, dtype=np.uint64)[0]
+        assert np.array_equal(kmeans(points, 3, seed=seed), kmeans(points, 3, seed=int(seed)))
+        assert np.array_equal(kmeans(points, 3, seed=np.uint64(2**64 - 1)),
+                              kmeans(points, 3, seed=2**64 - 1))
+        assert np.array_equal(kmeans(points, 3, seed=np.int32(5)), kmeans(points, 3, seed=5))
+
     def test_reseeding_keeps_every_cluster(self):
         # Three distinct points for five clusters: an empty cluster must not
         # be re-seeded with the lone member of another one.
