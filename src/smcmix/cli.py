@@ -79,7 +79,7 @@ def _resolve_scenario(ref: str):
     if os.path.exists(ref):
         return dataio.read_scenario(ref)
     if ref in fixtures.BUNDLED_SCENARIOS:
-        return dataio.read_scenario(fixtures.scenario_path(ref))
+        return fixtures.benchmark_scenario(ref)
     raise DataError(f"scenario {ref!r} is neither a file nor a bundled name "
                     f"{fixtures.BUNDLED_SCENARIOS}")
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -80,29 +80,39 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
+def _csv_rows() -> Callable[[Sequence], str]:
+    """A function that renders a row as ``csv.writer`` writes it, without its
+    line end.  csv quotes a field holding a character of its line terminator,
+    so rendering with ``"\r\n"`` quotes a lone ``"\r"`` as it quotes ``"\n"``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+
+    def render(row: Sequence) -> str:
+        writer.writerow(row)
+        line = buf.getvalue()[:-2]
+        buf.seek(0)
+        buf.truncate()
+        return line
+
+    return render
+
+
 def write_csv(path, header: Sequence, rows: Iterable[Sequence]) -> None:
     """Atomic CSV writer with ``"\n"`` line endings, floats to 17 significant
     digits and None as an empty field.  Each row is written as ``rows``
     yields it, so a generator keeps a large file out of memory."""
+    render = _csv_rows()
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(f"{render(header)}\n")
         for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            fh.write(f"{render([_fmt(v) if isinstance(v, float) else v for v in row])}\n")
 
 
 def _csv_fields(texts: Iterable[str]) -> list[str]:
-    """Each string as ``csv.writer`` writes it as one field of a row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    fields = []
-    for text in texts:
-        # A second field: csv quotes a row of one empty field.
-        writer.writerow((text, ""))
-        fields.append(buf.getvalue()[:-2])
-        buf.seek(0)
-        buf.truncate()
-    return fields
+    """Each string as :func:`write_csv` writes it as one field of a row."""
+    render = _csv_rows()
+    # A second field: csv quotes a row of one empty field.
+    return [render((text, ""))[:-1] for text in texts]
 
 
 # Lines (csv records, once a file has left numpy's tokeniser) converted at a
@@ -774,7 +784,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             n_replications=_integer(doc["n_replications"], "n_replications"),
             stop_rule=stop_rule,
             seed=_integer(doc["seed"], "seed"),
-            replicate_count=_integer(doc.get("replicate_count", 50), "replicate_count"),
+            replicate_count=_integer(doc.get("replicate_count", Scenario.replicate_count),
+                                     "replicate_count"),
             name=doc.get("name"),
         )
     except (KeyError, TypeError) as exc:

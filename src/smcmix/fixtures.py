@@ -1,18 +1,21 @@
-"""Reference chocolate-tasting models used by the simulation benchmarks.
+"""Reference chocolate-tasting models and the bundled benchmark designs.
 
 Three single-component renewal processes over ten attributes, estimated on
 a chocolate tasting experiment (70% cocoa, a sweeter 70% cocoa, and 90%
-cocoa).  Published to two decimals, some probability rows do not add up to
-exactly one; they are renormalized here, which is recorded in the bundled
-scenario files' metadata.
+cocoa).  The tables below hold their published two-decimal values.  Some
+probability rows then do not add up to exactly one; every initial
+distribution and transition row is renormalized here, when a component is
+built.
 
-The canonical benchmark designs pair them up: ``well_separated`` (70 vs
-90), ``not_well_separated`` (70 vs 70 sweet), ``one_component`` (70 only).
+This module is the one definition of the bundled designs that
+``smcmix simulate`` and ``smcmix bench`` accept by name
+(:data:`BUNDLED_SCENARIOS`): ``chocolate70``, ``chocolate70sweet`` and
+``chocolate90`` (one component each), ``well_separated`` (70 vs 90) and
+``not_well_separated`` (70 vs 70 sweet), the two-component designs mixed
+in equal proportions.  :func:`benchmark_scenario` builds any of them.
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 import numpy as np
 
@@ -106,6 +109,27 @@ def _component(key: str) -> ComponentParams:
     return ComponentParams(alpha=alpha, trans=trans, sojourn=sojourn)
 
 
+# Each bundled design: the published components it mixes in equal proportions.
+_DESIGNS = {
+    "chocolate70": ("70",),
+    "chocolate70sweet": ("70s",),
+    "chocolate90": ("90",),
+    "well_separated": ("70", "90"),
+    "not_well_separated": ("70", "70s"),
+}
+
+BUNDLED_SCENARIOS = tuple(_DESIGNS)
+
+
+def _model(name: str) -> MixtureModel:
+    keys = _DESIGNS[name]
+    return MixtureModel(
+        space=chocolate_space(),
+        weights=np.full(len(keys), 1 / len(keys)),
+        components=tuple(_component(key) for key in keys),
+    )
+
+
 def chocolate_70() -> ComponentParams:
     return _component("70")
 
@@ -119,34 +143,17 @@ def chocolate_90() -> ComponentParams:
 
 
 def one_component_model() -> MixtureModel:
-    return MixtureModel(
-        space=chocolate_space(), weights=np.array([1.0]), components=(chocolate_70(),)
-    )
+    return _model("chocolate70")
 
 
 def well_separated_model() -> MixtureModel:
     """Two clearly distinct subpopulations: 70% and 90% cocoa."""
-    return MixtureModel(
-        space=chocolate_space(),
-        weights=np.array([0.5, 0.5]),
-        components=(chocolate_70(), chocolate_90()),
-    )
+    return _model("well_separated")
 
 
 def not_well_separated_model() -> MixtureModel:
     """Two similar subpopulations: the two 70% cocoa chocolates."""
-    return MixtureModel(
-        space=chocolate_space(),
-        weights=np.array([0.5, 0.5]),
-        components=(chocolate_70(), chocolate_70_sweet()),
-    )
-
-
-_MODEL_BUILDERS = {
-    "chocolate70": one_component_model,
-    "well_separated": well_separated_model,
-    "not_well_separated": not_well_separated_model,
-}
+    return _model("not_well_separated")
 
 
 def benchmark_scenario(
@@ -155,18 +162,14 @@ def benchmark_scenario(
     n_replications: int = 3,
     transitions: int = 10,
     seed: int = 2024,
-    replicate_count: int = 50,
+    replicate_count: int = Scenario.replicate_count,
 ) -> Scenario:
-    """Desk-scale benchmark design for one of the canonical names
-    (``chocolate70``, ``well_separated``, ``not_well_separated``)."""
-    try:
-        model = _MODEL_BUILDERS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {sorted(_MODEL_BUILDERS)}"
-        ) from None
+    """Desk-scale benchmark design for one of the :data:`BUNDLED_SCENARIOS`;
+    the defaults are the design ``smcmix`` runs for the bare name."""
+    if name not in _DESIGNS:
+        raise KeyError(f"unknown scenario {name!r}; available: {list(BUNDLED_SCENARIOS)}")
     return Scenario(
-        model=model,
+        model=_model(name),
         n_subjects=n_subjects,
         n_replications=n_replications,
         stop_rule=transitions,
@@ -174,19 +177,3 @@ def benchmark_scenario(
         replicate_count=replicate_count,
         name=name,
     )
-
-
-BUNDLED_SCENARIOS = (
-    "chocolate70",
-    "chocolate70sweet",
-    "chocolate90",
-    "well_separated",
-    "not_well_separated",
-)
-
-
-def scenario_path(name: str) -> str:
-    """Filesystem path of a bundled scenario JSON file."""
-    if name not in BUNDLED_SCENARIOS:
-        raise KeyError(f"unknown bundled scenario {name!r}; available: {BUNDLED_SCENARIOS}")
-    return str(resources.files("smcmix").joinpath(f"data/{name}.json"))

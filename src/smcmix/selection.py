@@ -143,7 +143,7 @@ def select_g(
     reports: dict[int, FitReport] = {}
     warnings: list[str] = []
     for g, outcome in zip(g_values, outcomes):
-        aborted = isinstance(outcome, EmptyComponent) and outcome.report is not None
+        aborted = isinstance(outcome, EmptyComponent)
         if aborted:
             warnings.append(f"G={g}: {outcome}")
             report = outcome.report

@@ -230,8 +230,6 @@ def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
             report = fit(panel, truth.n_components, init, cfg)
             out["aborted"] = 0.0
         except EmptyComponent as exc:
-            if exc.report is None:
-                raise
             report = exc.report
             warnings.append(str(exc))
             out["aborted"] = 1.0

@@ -19,12 +19,14 @@ count.  Both reach the package's helpers through the :mod:`smcmix.em`
 module, so a fault injected there reaches the oracle too.
 
 :func:`reference_write_panel` is the row-by-row panel CSV writer, one
-:func:`smcmix.dataio.write_csv` row per state, that the trajectory-at-a-time
-writer must match byte for byte.
+``csv.writer`` row per state, that the trajectory-at-a-time writer must
+match byte for byte on every id and label without a ``"\r"``.  It keeps
+that writer's quoting, which leaves a lone ``"\r"`` unquoted.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from itertools import accumulate, permutations
 
@@ -32,7 +34,6 @@ import numpy as np
 from scipy.special import gammaln, zeta
 
 from smcmix import em, sojourn
-from smcmix.dataio import write_csv
 from smcmix.core import (
     ComponentParams,
     GammaParams,
@@ -398,23 +399,25 @@ def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
 
 
 def reference_write_panel(path, panel: Panel, subject_ids=None) -> None:
-    """The panel CSV writer that formatted and wrote every row through
-    ``write_csv``, kept as an oracle for :func:`smcmix.dataio.write_panel`."""
+    """The panel CSV writer that formatted and wrote every row through one
+    ``csv.writer`` with ``"\n"`` line ends, kept as an oracle for
+    :func:`smcmix.dataio.write_panel`."""
     if subject_ids is None:
         subject_ids = [str(i + 1) for i in range(panel.n_subjects)]
     if len(subject_ids) != panel.n_subjects:
         raise ValueError("one subject id per subject required")
     labels = panel.space.labels
 
-    def rows():
-        states = panel.states.tolist()
-        sojourns = panel.sojourns.tolist()
-        a = 0
+    states = panel.states.tolist()
+    sojourns = panel.sojourns.tolist()
+    a = 0
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("subject", "replication", "attribute", "onset", "end"))
         for sid, lengths in zip(subject_ids, panel.lengths.tolist()):
             for b, n in enumerate(lengths, start=1):
                 onsets = list(accumulate(sojourns[a : a + n], initial=0.0))
                 for j, t in zip(states[a : a + n], onsets):
-                    yield sid, b, labels[j], t, onsets[-1]
+                    writer.writerow([format(v, ".17g") if isinstance(v, float) else v
+                                     for v in (sid, b, labels[j], t, onsets[-1])])
                 a += n
-
-    write_csv(path, ("subject", "replication", "attribute", "onset", "end"), rows())

@@ -1,14 +1,22 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from smcmix import fixtures
+from smcmix import MixtureModel, StateSpace, e_step, fixtures, map_cluster
 from smcmix.cli import main
-from smcmix.dataio import read_model, write_model, write_scenario
-from smcmix.sim import Scenario
+from smcmix.dataio import (
+    read_labels,
+    read_model,
+    read_scenario,
+    write_model,
+    write_panel,
+    write_scenario,
+)
+from smcmix.sim import Scenario, simulate_panel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,6 +126,61 @@ class TestPipeline:
         data_lines = [l for l in lines if l.lstrip().startswith("1 ")]
         assert len(data_lines) == 1
         assert "chosen_bic: 1" in out
+
+
+class TestOptions:
+    def test_fit_attributes_fix_the_state_order(self, tmp_path, capsys, small_scenario_file):
+        panel = tmp_path / "panel.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        order = fixtures.CHOCOLATE_LABELS[::-1]
+        model = tmp_path / "model.json"
+        code, _, _ = run(
+            capsys, "fit", "--data", panel, "--components", 1,
+            "--attributes", " , ".join(order), "--out", model,
+        )
+        assert code == 0
+        assert read_model(model).space.labels == order
+
+    def test_simulate_seed_overrides_the_scenario_seed(self, tmp_path, capsys,
+                                                        small_scenario_file):
+        reseeded = tmp_path / "reseeded.json"
+        write_scenario(reseeded, replace(read_scenario(small_scenario_file), seed=9))
+        paths = [tmp_path / f"{k}.csv" for k in range(3)]
+        assert run(capsys, "simulate", "--scenario", small_scenario_file, "--seed", 9,
+                   "--out", paths[0])[0] == 0
+        run(capsys, "simulate", "--scenario", reseeded, "--out", paths[1])
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
+    def test_classify_takes_the_absorbing_label_from_the_model(self, tmp_path, capsys):
+        """The model's absorbing state is called END, not the default STOP:
+        classify reads the data with the model's absorbing label."""
+        from test_absorbing import two_group_model
+
+        space = StateSpace(labels=("Firm", "Creamy", "Salty", "END"), absorbing=3)
+        model = MixtureModel.from_arrays(space, two_group_model().params)
+        scenario = Scenario(model=model, n_subjects=20, n_replications=2,
+                            stop_rule="absorbing", seed=5)
+        panel, _ = simulate_panel(scenario)
+        data, model_path, labels = tmp_path / "panel.csv", tmp_path / "m.json", tmp_path / "l.csv"
+        write_panel(data, panel)
+        write_model(model_path, model)
+        code, out, _ = run(
+            capsys, "classify", "--data", data, "--model", model_path, "--out", labels
+        )
+        assert code == 0
+        expected = map_cluster(e_step(panel, model))
+        assert read_labels(labels) == {str(i + 1): g for i, g in enumerate(expected)}
+        assert out == "cluster_sizes: " + " ".join(map(str, np.bincount(expected, minlength=2))) + "\n"
+
+    def test_graph_to_stdout(self, tmp_path, capsys, small_scenario_file):
+        panel, dot = tmp_path / "panel.csv", tmp_path / "g.dot"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        run(capsys, "graph", "--data", panel, "--out", dot)
+        code, out, _ = run(capsys, "graph", "--data", panel)
+        assert code == 0
+        assert out == dot.read_text()
+        assert out.startswith("digraph tds {")
 
 
 class TestGoldenSummary:
@@ -233,6 +296,55 @@ class TestErrorPaths:
         labels.write_text("subject,component\n1,1\n")
         code, _, err = run(capsys, "graph", "--data", panel, "--labels", labels)
         assert code == 2
+
+    def test_graph_empty_cluster_exit_2(self, tmp_path, capsys, small_scenario_file):
+        panel = tmp_path / "panel.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        labels = tmp_path / "labels.csv"
+        labels.write_text("subject,component\n1,1\n2,1\n")
+        code, _, err = run(
+            capsys, "graph", "--data", panel, "--labels", labels, "--cluster", 2,
+            "--out", tmp_path / "g.dot",
+        )
+        assert code == 2
+        assert json.loads(err) == {"error": "DataError", "message": "no subjects in cluster 2"}
+        assert not (tmp_path / "g.dot").exists()
+
+    def test_fit_unknown_attribute_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "panel.csv"
+        data.write_text("subject,replication,attribute,onset,end\ns1,1,A,0,5\ns1,1,B,2,5\n")
+        code, _, err = run(
+            capsys, "fit", "--data", data, "--components", 1, "--attributes", "A,C",
+            "--out", tmp_path / "m.json",
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "UnknownAttribute",
+            "message": "line 3: attribute 'B' not in the supplied label list",
+        }
+        assert not (tmp_path / "m.json").exists()
+
+    def test_classify_live_stop_state_exit_2(self, tmp_path, capsys):
+        """A model whose STOP state is live: the data, read with the default
+        absorbing label, ends in an absorbing STOP and disagrees with it."""
+        from conftest import make_component
+
+        space = StateSpace(labels=("A", "B", "STOP"))
+        comp = make_component([0.5, 0.5, 0.0], [[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]],
+                              [(1, 1), (1, 1), (1, 1)])
+        model = tmp_path / "model.json"
+        write_model(model, MixtureModel(space=space, weights=np.array([1.0]), components=(comp,)))
+        data = tmp_path / "panel.csv"
+        data.write_text("subject,replication,attribute,onset,end\ns1,1,A,0,5\ns1,1,STOP,2,5\n")
+        code, _, err = run(
+            capsys, "classify", "--data", data, "--model", model, "--out", tmp_path / "l.csv"
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "DataError",
+            "message": "data and model disagree about the absorbing state (2 vs None)",
+        }
+        assert not (tmp_path / "l.csv").exists()
 
     def test_graph_bad_labels_file_exit_2(self, tmp_path, capsys, small_scenario_file):
         panel = tmp_path / "panel.csv"

@@ -9,6 +9,7 @@ from smcmix import (
     DataError,
     InvalidModelError,
     MalformedRow,
+    MixtureModel,
     NonMonotoneOnset,
     Panel,
     StateSpace,
@@ -398,11 +399,23 @@ class TestRowReader:
             else:
                 read_panel(bad)
 
+    @pytest.mark.parametrize("read", [read_panel, read_labels])
+    def test_empty_file(self, tmp_path, read):
+        path = write_csv(tmp_path / "empty.csv", "")
+        with pytest.raises(MalformedRow, match="^line 1: empty file$"):
+            read(path)
+
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "labels.csv"
         write_labels(path, ["a", "b", "c"], np.array([1, 0, 1]))
         assert path.read_text() == "subject,component\na,2\nb,1\nc,2\n"
         assert read_labels(path) == {"a": 1, "b": 0, "c": 1}
+
+    def test_labels_round_trip_ids_holding_a_carriage_return(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_labels(path, ["c\rr", "b", "d", "e"], [0, 1, 0, 1])
+        assert path.read_bytes() == b'subject,component\n"c\rr",1\nb,2\nd,1\ne,2\n'
+        assert read_labels(path) == {"c\rr": 0, "b": 1, "d": 0, "e": 1}
 
     def test_labels_need_one_label_per_subject(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -448,6 +461,16 @@ class TestPanelRoundTrip:
         write_panel(path, panel)
         back, _ = read_panel(path)
         assert back == panel
+
+    def test_ids_and_labels_holding_a_carriage_return(self, tiny_panel, tmp_path):
+        space = StateSpace(labels=("a\rb", "B"))
+        panel = Panel.from_arrays(space, tiny_panel.states, tiny_panel.sojourns, tiny_panel.lengths)
+        path = tmp_path / "panel.csv"
+        write_panel(path, panel, subject_ids=["c\rr", "d", "\re"])
+        assert path.read_bytes().split(b"\n")[1] == b'"c\rr",1,"a\rb",0,3.5'
+        back, report = read_panel(path, labels=list(space.labels))
+        assert back == panel
+        assert report.subject_ids == ("c\rr", "d", "e")
 
     def test_writer_deterministic(self, tiny_panel, tmp_path):
         write_panel(tmp_path / "a.csv", tiny_panel)
@@ -578,12 +601,55 @@ class TestModelJson:
         with pytest.raises(DataError):
             read_model(path)
 
+    def test_rejects_invalid_json(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"space": ')
+        message = "invalid JSON: Expecting value: line 1 column 11 (char 10)"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read_model(path)
+
+    @pytest.mark.parametrize("state, law, message", [
+        (2, {"shape": 1.0, "rate": 1.0}, "absorbing state carries no sojourn law"),
+        (0, None, "state 0 needs a sojourn distribution"),
+    ])
+    def test_sojourn_laws_must_match_the_absorbing_state(self, state, law, message):
+        from test_sim import absorbing_model
+
+        doc = model_to_dict(absorbing_model())
+        doc["components"][0]["sojourn"][state] = law
+        with pytest.raises(InvalidModelError, match=f"^{message}$"):
+            model_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["space", "weights", "components"])
+    def test_rejects_a_missing_key(self, key):
+        doc = model_to_dict(fixtures.well_separated_model())
+        del doc[key]
+        with pytest.raises(DataError, match=f"^malformed model document: '{key}'$"):
+            model_from_dict(doc)
+
     def test_absorbing_model_round_trip(self, tmp_path):
         from test_sim import absorbing_model
 
         model = absorbing_model()
         write_model(tmp_path / "m.json", model)
         assert read_model(tmp_path / "m.json") == model
+
+
+# Each bundled design: the reference components it mixes in equal proportions.
+BUNDLED_COMPONENTS = {
+    "chocolate70": (fixtures.chocolate_70,),
+    "chocolate70sweet": (fixtures.chocolate_70_sweet,),
+    "chocolate90": (fixtures.chocolate_90,),
+    "well_separated": (fixtures.chocolate_70, fixtures.chocolate_90),
+    "not_well_separated": (fixtures.chocolate_70, fixtures.chocolate_70_sweet),
+}
+
+# The public builders of the bundled designs' models.
+MODEL_BUILDERS = {
+    "chocolate70": fixtures.one_component_model,
+    "well_separated": fixtures.well_separated_model,
+    "not_well_separated": fixtures.not_well_separated_model,
+}
 
 
 class TestScenarioJson:
@@ -619,19 +685,47 @@ class TestScenarioJson:
         with pytest.raises(DataError, match=f"^malformed scenario document: {re.escape(message)}$"):
             dataio.scenario_from_dict(doc)
 
-    def test_bundled_scenarios_parse(self):
-        for name in fixtures.BUNDLED_SCENARIOS:
-            scenario = read_scenario(fixtures.scenario_path(name))
-            assert scenario.replicate_count == 50
-            assert scenario.model.space.labels == fixtures.CHOCOLATE_LABELS
+    def test_rejects_an_unknown_stop_rule(self):
+        doc = dataio.scenario_to_dict(fixtures.benchmark_scenario("well_separated"))
+        doc["stop_rule"] = {"type": "forever"}
+        with pytest.raises(DataError, match="^unknown stop rule type 'forever'$"):
+            dataio.scenario_from_dict(doc)
 
-    def test_bundled_match_builders(self):
-        assert read_scenario(fixtures.scenario_path("well_separated")).model == (
-            fixtures.well_separated_model()
+    @pytest.mark.parametrize("key", ["model", "n_subjects", "n_replications", "stop_rule", "seed"])
+    def test_rejects_a_missing_key(self, key):
+        doc = dataio.scenario_to_dict(fixtures.benchmark_scenario("well_separated"))
+        del doc[key]
+        with pytest.raises(DataError, match=f"^malformed scenario document: '{key}'$"):
+            dataio.scenario_from_dict(doc)
+
+    def test_replicate_count_may_be_omitted(self):
+        doc = dataio.scenario_to_dict(fixtures.benchmark_scenario("well_separated", replicate_count=7))
+        del doc["replicate_count"]
+        assert dataio.scenario_from_dict(doc).replicate_count == Scenario.replicate_count == 50
+
+    @pytest.mark.parametrize("name", fixtures.BUNDLED_SCENARIOS)
+    def test_bundled_scenario_round_trip(self, name):
+        scenario = fixtures.benchmark_scenario(name)
+        back = dataio.scenario_from_dict(dataio.scenario_to_dict(scenario))
+        # Scenario compares by identity, so compare it field by field.
+        for field in ("n_subjects", "n_replications", "stop_rule", "seed", "replicate_count",
+                      "name"):
+            assert getattr(back, field) == getattr(scenario, field)
+        components = tuple(build() for build in BUNDLED_COMPONENTS[name])
+        assert back.model == scenario.model == MixtureModel(
+            space=fixtures.chocolate_space(),
+            weights=np.ones(len(components)) / len(components),
+            components=components,
         )
-        assert read_scenario(fixtures.scenario_path("chocolate70")).model == (
-            fixtures.one_component_model()
-        )
+        if name in MODEL_BUILDERS:
+            assert scenario.model == MODEL_BUILDERS[name]()
+        assert (scenario.n_subjects, scenario.n_replications, scenario.stop_rule,
+                scenario.seed, scenario.replicate_count) == (200, 3, 10, 2024, 50)
+
+    def test_benchmark_scenario_takes_the_bundled_names_only(self):
+        assert fixtures.BUNDLED_SCENARIOS == tuple(BUNDLED_COMPONENTS)
+        with pytest.raises(KeyError, match="unknown scenario 'chocolate100'"):
+            fixtures.benchmark_scenario("chocolate100")
 
 
 class TestTdsGraph:
@@ -672,6 +766,10 @@ class TestTdsGraph:
         dot = export_tds_graph(panel, subjects=range(16, 30), prob_threshold=0.15)
         assert '"A" -> "C"' in dot  # within the subset every A exit goes to C
         assert '"B"' not in dot
+
+    def test_no_subjects_selected(self, tiny_panel):
+        with pytest.raises(ValueError, match="^no subjects selected$"):
+            export_tds_graph(tiny_panel, subjects=[])
 
     @pytest.mark.parametrize("index", [-1, 3])
     def test_subject_index_outside_the_panel(self, tiny_panel, index):

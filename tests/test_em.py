@@ -86,6 +86,14 @@ def test_a_model_on_another_state_space_is_rejected(score, how):
         score(panel, model)
 
 
+@pytest.mark.parametrize("how", ["relabelled", "absorbing", "fewer states"])
+def test_fit_from_an_init_on_another_state_space_is_rejected(how):
+    panel, _ = well_separated_panel(n=30)
+    init = _model_on_another_space(fixtures.well_separated_model(), how)
+    with pytest.raises(ValueError, match="^init is defined on a different state space$"):
+        fit(panel, 2, init, EmConfig())
+
+
 class TestEStep:
     def test_identical_components_uniform(self, tiny_panel, simple_component):
         model = MixtureModel(

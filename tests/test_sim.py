@@ -14,7 +14,7 @@ from smcmix import (
 from smcmix.dataio import write_panel
 from smcmix import em, selection
 from smcmix.em import EmConfig
-from smcmix.errors import NonConvergence, NumericalError
+from smcmix.errors import EmptyComponent, NonConvergence, NumericalError
 from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
 
 from conftest import make_component
@@ -340,6 +340,40 @@ class TestRunBenchmark:
         for name, column in result.values.items():
             np.testing.assert_array_equal(column[[0, 2]], clean.values[name][[0, 2]])
             assert (column[1] == 1.0) if name == "aborted" else np.isnan(column[1])
+
+    def test_an_aborted_fit_is_scored_from_its_partial_report(self, monkeypatch):
+        """A replicate whose fit aborts on a starved component is scored
+        from the report the abort carries, with ``aborted`` 1.0 and the
+        abort as its warning; the others run on as they do alone."""
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
+        )
+        clean = run_benchmark(scenario, EmConfig())
+        calls = []
+        original = sim.fit
+
+        def aborting(*args):
+            report = original(*args)
+            calls.append(None)
+            if len(calls) == 2:
+                raise EmptyComponent(0, report=report)
+            return report
+
+        monkeypatch.setattr(sim, "fit", aborting)
+        result = run_benchmark(scenario, EmConfig())
+        assert len(calls) == 3
+        assert [w for w in result.warnings if w.startswith("replicate 1:")] == [
+            "replicate 1: mixture component 0 lost all its subjects"
+        ]
+        assert [w for w in result.warnings if not w.startswith("replicate 1:")] == list(
+            clean.warnings
+        )
+        assert list(result.values) == list(clean.values)
+        assert result.values["aborted"].tolist() == [0.0, 1.0, 0.0]
+        for name, column in result.values.items():
+            if name != "aborted":
+                np.testing.assert_array_equal(column, clean.values[name])
 
     def test_small_sample_rate_error_bound(self):
         """Separated components, 60 subjects, short sequences: the mean
