@@ -36,7 +36,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -610,6 +610,10 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
     Raises ``ValueError``, before writing, unless there is one id per
     subject and every id is nonempty and distinct from the others once
     stripped of surrounding whitespace, as :func:`read_panel` reads them.
+    Raises ``ValueError`` naming the subject and the replication, and
+    leaves ``path`` as it was, when a trajectory's onsets and end are not
+    strictly increasing: a sojourn below the running sum's resolution is
+    lost, and :func:`read_panel` would reject the file.
     """
     if subject_ids is None:
         subject_ids = [str(i + 1) for i in range(panel.n_subjects)]
@@ -632,9 +636,14 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
     a = 0
     with _atomic_open(path) as fh:
         fh.write("subject,replication,attribute,onset,end\n")
-        for sid, lengths in zip(sids, panel.lengths.tolist()):
+        for k, (sid, lengths) in enumerate(zip(sids, panel.lengths.tolist())):
             for b, n in enumerate(lengths, start=1):
                 onsets = list(accumulate(sojourns[a : a + n], initial=0.0))
+                if not all(map(lt, onsets, islice(onsets, 1, None))):
+                    raise ValueError(
+                        f"onsets not strictly increasing for subject {texts[k]!r} replication {b}:"
+                        " a sojourn is lost below the running sum's resolution"
+                    )
                 head, tail = f"{sid},{b},", f",{onsets[-1]:{_FLOAT}}\n"
                 fh.write("".join([f"{head}{labels[j]},{t:{_FLOAT}}{tail}"
                                   for j, t in zip(states[a : a + n], onsets)]))

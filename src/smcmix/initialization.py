@@ -186,6 +186,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     return final_labels, sse
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is a positive integer (not a bool)."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> np.ndarray:
     """Cluster rows of ``points`` into ``k`` non-empty groups, minimizing
     within-cluster squared Euclidean distance over the restarts performed.
@@ -201,11 +209,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
     n squared distances between them are finite.
     """
     points = np.asarray(points, dtype=np.float64)
-    for name, value in (("k", k), ("restarts", restarts)):
-        if not is_integer(value):
-            raise ValueError(f"{name} must be an integer")
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1")
+    _check_positive("k", k)
+    _check_positive("restarts", restarts)
     if not is_integer(seed):
         raise ValueError("seed must be an integer")
     if seed < 0:

@@ -90,6 +90,18 @@ class GSweepResult:
         return self.reports[self.chosen[criterion]]
 
 
+def _component_counts(g_range: Sequence[int]) -> list[int]:
+    """The distinct counts of ``g_range`` in increasing order; raises
+    ``ValueError`` unless there is one and all are positive integers."""
+    counts = list(g_range)
+    if not all(is_integer(g) for g in counts):
+        raise ValueError("g_range must contain integer component counts")
+    g_values = sorted(set(int(g) for g in counts))
+    if not g_values or g_values[0] < 1:
+        raise ValueError("g_range must contain positive component counts")
+    return g_values
+
+
 def select_g(
     panel: Panel,
     g_range: Sequence[int],
@@ -111,12 +123,7 @@ def select_g(
     :class:`ValueError`, as does a ``restarts`` that
     :func:`~smcmix.initialization.kmeans` rejects.
     """
-    counts = list(g_range)
-    if not all(is_integer(g) for g in counts):
-        raise ValueError("g_range must contain integer component counts")
-    g_values = sorted(set(int(g) for g in counts))
-    if not g_values or g_values[0] < 1:
-        raise ValueError("g_range must contain positive component counts")
+    g_values = _component_counts(g_range)
     if sample_size is not None:
         if not is_integer(sample_size):
             raise ValueError("sample_size must be an integer")

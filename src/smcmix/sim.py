@@ -4,7 +4,10 @@ Trajectories are simulated sequentially: first state from the initial
 probabilities, then alternating gamma sojourn draws and transition draws
 until the stop rule fires (a fixed transition count, or entry into the
 absorbing state).  Benchmarks run many independent replicates, each on its
-own random stream, and aggregate recovery metrics.
+own random stream, and aggregate recovery metrics.  While this process
+fits one replicate, a forked child process may draw the next replicate's
+panel; it makes the same calls on the same stream, so results never
+depend on where a panel was drawn.
 
 The sequence of draws is part of the contract: the component labels from
 one ``rng.choice``, then per trajectory one ``rng.random()`` per state and
@@ -16,7 +19,11 @@ same calls in the same order; ``tests/golden/sim_panels.json`` pins it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
+import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -27,7 +34,7 @@ import numpy as np
 from .core import ComponentParams, MixtureModel, Panel, Trajectory, is_integer
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import RESTARTS, _clustered_model
+from .initialization import RESTARTS, _check_positive, _clustered_model
 from .metrics import (
     align_components,
     classification_rate,
@@ -35,13 +42,16 @@ from .metrics import (
     err_gamma,
     pi_recovery,
 )
-from .selection import select_g
+from .selection import _component_counts, select_g
 
 ABSORBING_RULE = "absorbing"
 _MAX_SIM_STATES = 1_000_000
 # Placeholder duration stored for a final absorbing state; it never enters
 # a likelihood.
 _ABSORBING_PLACEHOLDER = 1.0
+# Seconds a finished benchmark waits for its panel-drawing child to exit
+# before killing it.
+_JOIN_TIMEOUT_S = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,9 +225,80 @@ def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, km_la
     return out
 
 
-def _one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed):
-    rng = np.random.Generator(np.random.PCG64(sim_ss))
-    panel, true_labels = simulate_panel(scenario, rng)
+def _generator(stream: np.random.SeedSequence) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(stream))
+
+
+def _fork_pays(n_replicates: int) -> bool:
+    """Whether drawing panels in a forked child is safe and can pay: at
+    least 2 replicates and 2 usable CPUs, no second thread (fork is unsafe
+    in a threaded process) and a platform with the ``fork`` start method."""
+    if n_replicates < 2 or threading.active_count() != 1:
+        return False
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _draw_ahead(scenario: Scenario, streams, receiver, sender) -> None:
+    """The child process: send each stream's ``(panel, labels)`` in order,
+    or the exception drawing it raised, and then stop.  The pipe's buffer
+    blocks it about one panel ahead of the parent."""
+    # A terminal's Ctrl-C reaches both processes: the parent handles it
+    # and ends this one.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    receiver.close()  # so that the parent's close breaks the pipe
+    try:
+        for stream in streams:
+            try:
+                drawn = simulate_panel(scenario, _generator(stream))
+            except Exception as exc:
+                sender.send(exc)
+                return
+            sender.send(drawn)
+    except BrokenPipeError:  # the parent stopped reading
+        pass
+
+
+def _drawn_panels(scenario: Scenario, streams):
+    """Yield ``simulate_panel(scenario, Generator(PCG64(stream)))`` for each
+    stream in order.  When :func:`_fork_pays`, a forked child draws them
+    one panel ahead while the caller works, and an exception it raises is
+    raised here at the same stream; if the child ends without a panel, the
+    rest are drawn here.  Close the generator to end the child early."""
+    if not _fork_pays(len(streams)):
+        for stream in streams:
+            yield simulate_panel(scenario, _generator(stream))
+        return
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_draw_ahead, args=(scenario, streams, receiver, sender),
+                        daemon=True)
+    child.start()
+    sender.close()
+    try:
+        for stream in streams:
+            try:
+                drawn = receiver.recv()
+            except EOFError:  # the child died: draw the panel here
+                drawn = simulate_panel(scenario, _generator(stream))
+            if isinstance(drawn, Exception):
+                raise drawn
+            yield drawn
+    finally:
+        receiver.close()
+        child.join(_JOIN_TIMEOUT_S)
+        if child.is_alive():
+            child.kill()
+            child.join()
+
+
+def _one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed):
+    panel, true_labels = drawn
     truth = scenario.model
     out: dict[str, float] = {}
     warnings: list[str] = []
@@ -266,13 +347,25 @@ def run_benchmark(
 
     Each replicate runs on its own named random stream spawned from the
     scenario seed, so a replicate's results do not depend on how many
-    replicates run.
+    replicates run.  ``restarts`` and ``g_range`` are checked before any
+    panel is drawn.  With at least 2 replicates, 2 usable CPUs, the
+    ``fork`` start method and no second thread, a forked child process
+    draws each replicate's panel while this process fits the one before;
+    it makes the same calls on the same streams, so the results never
+    depend on it.  The fits stay in this process, and the child never
+    outlives the call.
     """
-    results = []
+    if g_range is not None:
+        g_range = _component_counts(g_range)
+    _check_positive("restarts", restarts)
+    streams, init_seeds = [], []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)
-        init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
-        results.append(_one_replicate(scenario, cfg, g_range, restarts, sim_ss, init_seed))
+        streams.append(sim_ss)
+        init_seeds.append(int(init_ss.generate_state(1, dtype=np.uint64)[0]))
+    with contextlib.closing(_drawn_panels(scenario, streams)) as panels:
+        results = [_one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed)
+                   for drawn, init_seed in zip(panels, init_seeds)]
 
     names = dict.fromkeys(key for row, _ in results for key in row)
     values = {

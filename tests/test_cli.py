@@ -377,6 +377,15 @@ class TestErrorPaths:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_bench_empty_g_range_exit_2(self, tmp_path, capsys, small_scenario_file):
+        code, _, err = run(capsys, "bench", "--scenario", small_scenario_file,
+                           "--g-min", 3, "--g-max", 1, "--out", tmp_path / "out")
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "g_range must contain positive component counts"
+        }
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("z_round", ["5", "-0.3", "nan"])
     def test_classify_bad_z_round_exit_2(self, tmp_path, capsys, simple_model, z_round):
         model = tmp_path / "model.json"

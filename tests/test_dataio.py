@@ -495,6 +495,26 @@ class TestPanelRoundTrip:
             write_panel(tmp_path / "a.csv", tiny_panel, subject_ids=ids)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("sojourns", [[2.0**30, 1e-7, 1.0], [1.0, 5e-324]])
+    def test_a_sojourn_lost_in_the_onsets_is_refused(self, two_state_space, tmp_path, sojourns):
+        """A sojourn below the running sum's resolution leaves two equal
+        onsets (or an end equal to the last onset), which read_panel
+        rejects; the writer refuses the panel and leaves the file as it was."""
+        lost = traj([0, 1, 0][: len(sojourns)], sojourns)
+        panel = Panel(space=two_state_space, subjects=((traj([0, 1], [1.0, 2.0]), lost),))
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"kept")
+        message = ("onsets not strictly increasing for subject 'x' replication 2: "
+                   "a sojourn is lost below the running sum's resolution")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_panel(path, panel, subject_ids=["x"])
+        assert path.read_bytes() == b"kept"
+        assert list(tmp_path.iterdir()) == [path]
+        path.unlink()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write_panel(path, panel, subject_ids=["x"])
+        assert list(tmp_path.iterdir()) == []
+
 
 def reference_model_to_dict(model):
     """The component-by-component walk that wrote model documents, kept as

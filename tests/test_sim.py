@@ -1,4 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,3 +400,212 @@ class TestRunBenchmark:
         result = run_benchmark(scenario, EmConfig(), g_range=[1, 2])
         assert sum(result.histograms["bic"].values()) == 3
         assert "bic_choice" in result.values
+
+
+def _probes(monkeypatch, cpus: int) -> None:
+    """Make the benchmark see ``cpus`` usable CPUs and one thread."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+
+
+def _draws_here(monkeypatch) -> list:
+    """Count the ``simulate_panel`` calls made in this process; the calls
+    a forked child makes are counted in the child's copy of the list."""
+    calls = []
+    original = sim.simulate_panel
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(sim, "simulate_panel", counting)
+    return calls
+
+
+def _assert_same_results(a, b) -> None:
+    assert list(a.values) == list(b.values)
+    for name in a.values:
+        assert a.values[name].tobytes() == b.values[name].tobytes(), name
+    assert a.histograms == b.histograms
+    assert a.warnings == b.warnings
+
+
+class TestPanelsDrawnInAChild:
+    """With 2 CPUs, no second thread and at least 2 replicates, a forked
+    child draws the panels while the caller fits: every value, histogram
+    and warning equals the inline path's bit for bit, an error in either
+    process is raised as inline, and no process outlives the call."""
+
+    SCENARIO = Scenario(
+        model=fixtures.well_separated_model(),
+        n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
+    )
+
+    def _both_paths(self, monkeypatch, run):
+        """``run()`` inline and in the child; the child path drew no panel here."""
+        calls = _draws_here(monkeypatch)
+        _probes(monkeypatch, cpus=1)
+        inline = run()
+        assert len(calls) == self.SCENARIO.replicate_count
+        _probes(monkeypatch, cpus=2)
+        in_child = run()
+        assert len(calls) == self.SCENARIO.replicate_count
+        assert multiprocessing.active_children() == []
+        return inline, in_child
+
+    @pytest.mark.parametrize("g_range", [None, [1, 2, 3]])
+    def test_same_bits_as_inline(self, monkeypatch, g_range):
+        inline, in_child = self._both_paths(
+            monkeypatch, lambda: run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range)
+        )
+        _assert_same_results(inline, in_child)
+
+    def test_same_bits_as_inline_with_an_aborted_fit(self, monkeypatch):
+        original = sim.fit
+        calls = []
+
+        def aborting(*args):
+            report = original(*args)
+            calls.append(None)
+            if len(calls) % 3 == 2:  # replicate 1 of each run
+                raise EmptyComponent(0, report=report)
+            return report
+
+        monkeypatch.setattr(sim, "fit", aborting)
+        inline, in_child = self._both_paths(
+            monkeypatch, lambda: run_benchmark(self.SCENARIO, EmConfig())
+        )
+        assert inline.values["aborted"].tolist() == [0.0, 1.0, 0.0]
+        _assert_same_results(inline, in_child)
+
+    def _absorbing(self):
+        """Under a cap of 4 states, replicate 1's panel is the only one that
+        passes it."""
+        return Scenario(model=absorbing_model(), n_subjects=3, n_replications=1,
+                        stop_rule="absorbing", seed=5, replicate_count=4)
+
+    def test_an_error_in_the_child_is_raised_at_its_replicate(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
+        fits = []
+        original = sim.fit
+
+        def counting(*args):
+            fits.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(sim, "fit", counting)
+        draws = _draws_here(monkeypatch)
+        raised = []
+        for cpus in (1, 2):
+            _probes(monkeypatch, cpus)
+            with pytest.raises(NumericalError) as info:
+                run_benchmark(self._absorbing(), EmConfig())
+            raised.append((type(info.value), str(info.value), len(fits), len(draws)))
+            assert multiprocessing.active_children() == []
+        # The child sends its exception back: the caller draws no panel itself.
+        assert raised == [
+            (NumericalError, "simulation did not reach the absorbing state", 1, 2),
+            (NumericalError, "simulation did not reach the absorbing state", 2, 2),
+        ]
+
+    def test_a_child_that_dies_leaves_the_draws_to_the_caller(self, monkeypatch):
+        inline = run_benchmark(self.SCENARIO, EmConfig())
+        caller = os.getpid()
+        original = sim.simulate_panel
+
+        def dying(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return original(*args)
+
+        monkeypatch.setattr(sim, "simulate_panel", dying)
+        _probes(monkeypatch, cpus=2)
+        _assert_same_results(inline, run_benchmark(self.SCENARIO, EmConfig()))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_no_child_outlives_an_error_in_the_caller(self, monkeypatch, error):
+        """The child is mid-draw when the caller fails, and is still ended."""
+        _probes(monkeypatch, cpus=2)
+        caller = os.getpid()
+        draw = sim.simulate_panel
+
+        def slow_in_child(*args):
+            if os.getpid() != caller:
+                time.sleep(0.2)
+            return draw(*args)
+
+        monkeypatch.setattr(sim, "simulate_panel", slow_in_child)
+        calls = []
+        original = sim.fit
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise error("injected")
+            return original(*args)
+
+        monkeypatch.setattr(sim, "fit", failing)
+        draws = _draws_here(monkeypatch)
+        with pytest.raises(error, match="^injected$"):
+            run_benchmark(replace(self.SCENARIO, replicate_count=6), EmConfig())
+        assert len(calls) == 2 and draws == []
+        assert multiprocessing.active_children() == []
+
+    def test_no_child_outlives_a_return(self, monkeypatch):
+        _probes(monkeypatch, cpus=2)
+        draws = _draws_here(monkeypatch)
+        run_benchmark(self.SCENARIO, EmConfig())
+        assert draws == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("replicates,cpus", [(1, 2), (3, 1)])
+    def test_one_replicate_or_one_cpu_draws_inline(self, monkeypatch, replicates, cpus):
+        _probes(monkeypatch, cpus)
+        draws = _draws_here(monkeypatch)
+        run_benchmark(replace(self.SCENARIO, replicate_count=replicates), EmConfig())
+        assert len(draws) == replicates
+
+    def test_a_second_thread_draws_inline(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        draws = _draws_here(monkeypatch)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            run_benchmark(self.SCENARIO, EmConfig())
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(draws) == self.SCENARIO.replicate_count
+
+    @pytest.mark.parametrize("g_range,restarts,message", [
+        (range(3, 2), 5, "g_range must contain positive component counts"),
+        ([1, 2.5], 5, "g_range must contain integer component counts"),
+        (None, 0, "restarts must be at least 1"),
+        ([1, 2], 0, "restarts must be at least 1"),
+        ([0, 2], 0, "g_range must contain positive component counts"),
+    ])
+    def test_arguments_are_checked_before_any_draw(self, monkeypatch, g_range, restarts, message):
+        """As ``smcmix bench --g-min 3 --g-max 1`` or ``--restarts 0`` ask."""
+        _probes(monkeypatch, cpus=2)
+        draws = _draws_here(monkeypatch)
+
+        def no_process(method):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range, restarts=restarts)
+        assert draws == []
+
+
+def test_import_loads_no_multiprocessing():
+    """The child process is the benchmark's alone: importing smcmix does
+    not load multiprocessing."""
+    src = str(Path(sim.__file__).parents[1])
+    code = "import sys, smcmix; sys.exit('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    assert done.returncode == 0

@@ -7,18 +7,23 @@ label once and each trajectory as one string; on any panel whose ids
 an id holds a ``"\r"``.  The oracle leaves a lone ``"\r"`` unquoted, as
 ``csv.writer`` with ``"\n"`` line ends does, and such a file does not read
 back; the writer quotes it, so those panels are checked by reading the ids
-back instead.  The panels are ragged (trajectories of different lengths)
+back instead.  A panel with a sojourn lost below its trajectory's running
+onset sum has no file that reads back: the writer refuses it, and the
+oracle's file for it is checked to be one :func:`read_panel` rejects.
+The panels are ragged (trajectories of different lengths)
 or rectangular, with or without an absorbing final state; the ids hold
 csv's special characters and surrounding spaces or are ints, floats or
 numpy strings; the labels hold commas and quotes.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smcmix import StateSpace, fixtures
+from smcmix import DataError, StateSpace, fixtures
 from smcmix.core import Panel
 from smcmix.dataio import read_panel, write_panel
 from smcmix.sim import simulate_panel
@@ -82,6 +87,16 @@ def _writes_the_same(tmp_path, panel, ids):
     return new.read_bytes() == old.read_bytes()
 
 
+def _onsets_increase(panel) -> bool:
+    """Whether every trajectory's onsets and end, the running sums of its
+    sojourns, are strictly increasing, as read_panel requires."""
+    for t in panel.trajectories():
+        onsets = list(accumulate(t.sojourns.tolist(), initial=0.0))
+        if any(later <= earlier for earlier, later in zip(onsets, onsets[1:])):
+            return False
+    return True
+
+
 def _texts(ids):
     """Each id's text as the writer writes it."""
     return [("" if x is None else format(x, ".17g") if isinstance(x, float) else str(x))
@@ -98,6 +113,8 @@ def _ids_read_back(tmp_path, panel, ids):
 @given(_panels())
 def test_write_panel_matches_the_row_by_row_oracle(tmp_path, case):
     panel, ids = case
+    # Unit sojourns, so that every onset and end reads back exactly.
+    unit = Panel.from_arrays(panel.space, panel.states, np.ones(panel.sojourns.size), panel.lengths)
     if ids is not None:
         keys = [x.strip() for x in _texts(ids)]
         if not all(keys) or len(set(keys)) < len(keys):
@@ -105,11 +122,17 @@ def test_write_panel_matches_the_row_by_row_oracle(tmp_path, case):
                 write_panel(tmp_path / "new.csv", panel, ids)
             return
         if any("\r" in x for x in _texts(ids)):
-            # Unit sojourns, so that every onset and end reads back exactly.
-            unit = Panel.from_arrays(panel.space, panel.states, np.ones(panel.sojourns.size),
-                                     panel.lengths)
             assert _ids_read_back(tmp_path, unit, ids)
             return
+    if not _onsets_increase(panel):
+        with pytest.raises(ValueError, match="^onsets not strictly increasing for subject "):
+            write_panel(tmp_path / "refused.csv", panel, ids)
+        assert not (tmp_path / "refused.csv").exists()
+        reference_write_panel(tmp_path / "old.csv", panel, ids)
+        with pytest.raises(DataError, match="onset"):
+            read_panel(tmp_path / "old.csv")
+        # The ids, labels and trajectory layout are still compared.
+        panel = unit
     assert _writes_the_same(tmp_path, panel, ids)
 
 
