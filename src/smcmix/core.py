@@ -36,6 +36,25 @@ def is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too,
+    not a bool) of at least ``least``: the rule of every count and seed."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer")
+    if value < least:
+        raise ValueError(f"{name} must be " + ("nonnegative" if least == 0 else f"at least {least}"))
+
+
+def index_array(name: str, values, error: type[Exception] = ValueError) -> np.ndarray:
+    """A new read-only int64 array of ``values``; raise ``error`` unless numpy
+    reads them with an integer dtype (not bools, floats or strings): the rule
+    of every array of indices, one test whatever the length.  Empty passes."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise error(f"{name} must be integers")
+    return _frozen_array(arr, np.int64)
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -115,10 +134,8 @@ class StateSpace:
         _check(len(labels) >= 2, "a state space needs at least two states")
         _check(len(set(labels)) == len(labels), "state labels must be unique")
         if self.absorbing is not None:
-            _check(
-                0 <= self.absorbing < len(labels),
-                f"absorbing index {self.absorbing} out of range",
-            )
+            _check(is_integer(self.absorbing), "absorbing index must be an integer")
+            _check(0 <= self.absorbing < len(labels), f"absorbing index {self.absorbing} out of range")
 
     @property
     def n_states(self) -> int:
@@ -148,7 +165,7 @@ class Trajectory:
     sojourns: np.ndarray
 
     def __post_init__(self):
-        states = _frozen_array(self.states, np.int64)
+        states = index_array("state indices", self.states, InvalidModelError)
         sojourns = _frozen_array(self.sojourns, np.float64)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "sojourns", sojourns)
@@ -219,7 +236,7 @@ class Panel:
     def _store(self, space, states, sojourns, lengths) -> None:
         """Check the trajectories in one array pass and keep them; the first
         trajectory that fails names its subject."""
-        lengths = _frozen_array(lengths, np.int64)
+        lengths = index_array("trajectory lengths", lengths, InvalidModelError)
         _check(
             lengths.ndim == 2 and lengths.sum() == len(states),
             "trajectory lengths must form an n x B matrix that covers the states",
@@ -227,7 +244,7 @@ class Panel:
         n, b = lengths.shape
         _check(n >= 1, "a panel needs at least one subject")
         _check(b >= 1, "every subject needs at least one replication")
-        states = _frozen_array(states, np.int64)
+        states = index_array("state indices", states, InvalidModelError)
         sojourns = _frozen_array(sojourns, np.float64)
         _check_sequences(states, sojourns, lengths.ravel())
         ends = np.cumsum(lengths)
@@ -325,6 +342,7 @@ class ComponentParams:
         _check(len(sojourn) == d, "one sojourn entry per state required")
         absorbing = self.absorbing
         if absorbing is not None:
+            _check(is_integer(absorbing), "absorbing index must be an integer")
             _check(0 <= absorbing < d, "absorbing index out of range")
         _check_chains(alpha[None], trans[None], absorbing)
         for j in range(d):

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import MixtureArrays, MixtureModel, Panel, StateSpace
+from .core import MixtureArrays, MixtureModel, Panel, StateSpace, index_array, is_integer
 from .errors import DataError, InvalidModelError, MalformedRow, NonMonotoneOnset, UnknownAttribute
 from .likelihood import PanelStats
 from .sim import ABSORBING_RULE, Scenario
@@ -652,9 +652,12 @@ def write_panel(path, panel: Panel, subject_ids: Optional[Sequence[str]] = None)
 
 def write_labels(path, subject_ids: Sequence[str], labels: Sequence[int]) -> None:
     """Write one 0-based component label per subject, as 1-based ids."""
+    labels = index_array("labels", labels)
     if len(labels) != len(subject_ids):
         raise ValueError("one label per subject id required")
-    rows = ((sid, int(lab) + 1) for sid, lab in zip(subject_ids, labels))
+    if labels.size and labels.min() < 0:
+        raise ValueError("labels must be nonnegative")
+    rows = ((sid, lab + 1) for sid, lab in zip(subject_ids, labels.tolist()))
     write_csv(path, ("subject", "component"), rows)
 
 
@@ -712,7 +715,7 @@ def model_from_dict(doc: dict) -> MixtureModel:
         labels, absorbing = doc["space"]["labels"], doc["space"].get("absorbing")
         if isinstance(labels, str):
             raise DataError("malformed model document: space.labels must be a list")
-        if isinstance(absorbing, bool):
+        if not (absorbing is None or is_integer(absorbing)):
             raise DataError("malformed model document: space.absorbing must be a state index or null")
         space = StateSpace(labels=tuple(labels), absorbing=absorbing)
         comps = doc["components"]
@@ -752,7 +755,7 @@ def read_model(path) -> MixtureModel:
 # Scenario JSON
 
 
-def scenario_to_dict(scenario: Scenario, meta: Optional[dict] = None) -> dict:
+def scenario_to_dict(scenario: Scenario) -> dict:
     if scenario.stop_rule == ABSORBING_RULE:
         stop = {"type": "absorbing"}
     else:
@@ -764,7 +767,7 @@ def scenario_to_dict(scenario: Scenario, meta: Optional[dict] = None) -> dict:
         "stop_rule": stop,
         "seed": scenario.seed,
         "replicate_count": scenario.replicate_count,
-        "meta": {"format_version": MODEL_FORMAT_VERSION, **(meta or {})},
+        "meta": {"format_version": MODEL_FORMAT_VERSION},
     }
     if scenario.name is not None:
         doc["name"] = scenario.name
@@ -801,8 +804,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise DataError(f"malformed scenario document: {exc}") from exc
 
 
-def write_scenario(path, scenario: Scenario, meta: Optional[dict] = None) -> None:
-    _write_json(path, scenario_to_dict(scenario, meta))
+def write_scenario(path, scenario: Scenario) -> None:
+    _write_json(path, scenario_to_dict(scenario))
 
 
 def read_scenario(path) -> Scenario:
@@ -832,7 +835,7 @@ def export_tds_graph(
     d = panel.space.n_states
     if subjects is None:
         subjects = range(panel.n_subjects)
-    subjects = [int(i) for i in subjects]
+    subjects = index_array("subject indices", subjects).tolist()
     if not subjects:
         raise ValueError("no subjects selected")
     outside = [i for i in subjects if not 0 <= i < panel.n_subjects]

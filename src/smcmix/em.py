@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix, is_integer
+from .core import MixtureArrays, MixtureModel, Panel, PosteriorMatrix, check_count
 from .errors import (
     AllComponentsImpossible,
     EmptyComponent,
@@ -86,8 +86,8 @@ class EmConfig:
     own gamma fit instead of the component-pooled one.  ``penalized``
     selects the shape-penalized objective over the plain likelihood.
     ``seed`` is read only by :func:`~smcmix.selection.select_g`, which
-    seeds its k-means inits with it; :func:`fit` ignores it.  Counts and
-    the seed must be integers (not bools), the seed nonnegative.
+    seeds its k-means inits with it; :func:`fit` ignores it.  ``max_iter``,
+    ``min_obs_mass`` and ``seed`` are counts (:func:`~smcmix.core.check_count`).
     """
 
     max_iter: int = 100
@@ -98,17 +98,12 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iter", "min_obs_mass", "seed"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        check_count("max_iter", self.max_iter, 1)
+        check_count("min_obs_mass", self.min_obs_mass, 0)
+        check_count("seed", self.seed, 0)
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
         _check_z_round(self.z_round)
-        for name in ("min_obs_mass", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,7 +26,7 @@ from functools import cache
 
 import numpy as np
 
-from .core import GammaParams, MixtureArrays, MixtureModel, Panel, is_integer
+from .core import GammaParams, MixtureArrays, MixtureModel, Panel, check_count
 from .em import EmConfig
 from .errors import DegenerateSample
 from .likelihood import PanelStats
@@ -186,14 +186,6 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     return final_labels, sse
 
 
-def _check_positive(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is a positive integer (not a bool)."""
-    if not is_integer(value):
-        raise ValueError(f"{name} must be an integer")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1")
-
-
 def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> np.ndarray:
     """Cluster rows of ``points`` into ``k`` non-empty groups, minimizing
     within-cluster squared Euclidean distance over the restarts performed.
@@ -202,19 +194,15 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
     ``seed``, drawn in sequence; the Lloyd iterations of all restarts then
     run together.  Deterministic given ``seed``; the winner among restarts
     is the lowest (SSE, restart index) pair.  A single cluster needs no
-    search: every point gets label 0.  Raises ``ValueError`` unless ``k``
-    and ``restarts`` are positive integers (not bools), ``seed`` is a
-    nonnegative integer (not a bool), and ``points`` is a
-    finite 2-D array with at least ``k`` rows and, for ``k >= 2``, sums of
-    n squared distances between them are finite.
+    search: every point gets label 0.  Raises ``ValueError`` unless ``k``,
+    ``restarts`` and ``seed`` are counts (:func:`~smcmix.core.check_count`)
+    and ``points`` is a finite 2-D array with at least ``k`` rows whose n
+    squared distances sum to a finite value for ``k >= 2``.
     """
     points = np.asarray(points, dtype=np.float64)
-    _check_positive("k", k)
-    _check_positive("restarts", restarts)
-    if not is_integer(seed):
-        raise ValueError("seed must be an integer")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    check_count("k", k, 1)
+    check_count("restarts", restarts, 1)
+    check_count("seed", seed, 0)
     if points.ndim != 2:
         raise ValueError(f"points must be a 2-D array, got {points.ndim} dimension(s)")
     if not np.isfinite(points).all():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MixtureModel
+from .core import MixtureModel, index_array
 
 
 def err_matrix(true: np.ndarray, est: np.ndarray) -> float:
@@ -119,10 +119,12 @@ def err_by_component(
 
 def classification_rate(true_labels, est_labels) -> float:
     """Fraction of matching labels under the best label permutation."""
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    est_labels = np.asarray(est_labels, dtype=np.int64)
+    true_labels = index_array("true labels", true_labels)
+    est_labels = index_array("estimated labels", est_labels)
     if true_labels.shape != est_labels.shape:
         raise ValueError("label vectors must have the same length")
+    if min(true_labels.min(), est_labels.min()) < 0:
+        raise ValueError("labels must be nonnegative")
     g = int(max(true_labels.max(), est_labels.max())) + 1
     # agree[e, t]: subjects labelled e by the estimate and t by the truth
     agree = np.bincount(est_labels * g + true_labels, minlength=g * g).reshape(g, g)

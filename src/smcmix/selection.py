@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Panel, is_integer
+from .core import Panel, check_count, is_integer
 from .em import EmConfig, EmptyComponent, FitReport, fit_stack
 from .initialization import RESTARTS, _clustered_model
 from .likelihood import PanelStats
@@ -27,21 +27,20 @@ from .likelihood import PanelStats
 CRITERIA = ("bic", "aic", "aicc")
 
 
-def param_count(n_components: int, n_states: int, d: int = 2, has_absorbing: bool = False) -> int:
+def param_count(n_components: int, n_states: int, has_absorbing: bool = False) -> int:
     """Number of free parameters of a mixture of Markov renewal processes.
 
     ``n_states`` counts every state, the absorbing one included.  Each
-    sojourn law takes ``d`` parameters (2 for the gamma family).  With an
-    absorbing state, the first state can never be absorbing, the absorbing
-    row of the transition matrix is fixed, and the absorbing state carries
-    no sojourn law.
+    sojourn law is a gamma law with 2 parameters.  With an absorbing
+    state, the first state can never be absorbing, the absorbing row of
+    the transition matrix is fixed, and the absorbing state carries no
+    sojourn law: only the other, live, states take parameters.
     """
-    g, D = n_components, n_states
-    if g < 1 or D < 2 or d < 1:
-        raise ValueError("need n_components >= 1, n_states >= 2, d >= 1")
-    if has_absorbing:
-        return g - 1 + g * ((D - 2) + (D - 1) * (D - 2) + (D - 1) * d)
-    return g - 1 + g * ((D - 1) + D * (D - 2) + D * d)
+    check_count("n_components", n_components, 1)
+    check_count("n_states", n_states, 2)
+    g, live = n_components, n_states - bool(has_absorbing)
+    # per component: first-state and transition probabilities, gamma laws
+    return g - 1 + g * ((live - 1) + live * (n_states - 2) + live * 2)
 
 
 def bic(loglik: float, q: int, n_obs: int) -> float:
@@ -119,16 +118,11 @@ def select_g(
     by a starved component are kept with their last valid model and
     flagged.  Ties pick the smallest component count.  The k-means labels
     each fit started from are kept in :attr:`GSweepResult.init_labels`.
-    A count or ``sample_size`` that is a bool or not an integer raises
-    :class:`ValueError`, as does a ``restarts`` that
-    :func:`~smcmix.initialization.kmeans` rejects.
+    ``sample_size`` and ``restarts`` are counts (:func:`~smcmix.core.check_count`).
     """
     g_values = _component_counts(g_range)
     if sample_size is not None:
-        if not is_integer(sample_size):
-            raise ValueError("sample_size must be an integer")
-        if sample_size < 1:
-            raise ValueError("sample_size must be positive")
+        check_count("sample_size", sample_size, 1)
     n_obs = sample_size if sample_size is not None else panel.n_subjects * panel.n_replications
     stats = PanelStats.from_panel(panel)
     has_absorbing = panel.space.absorbing is not None
@@ -160,7 +154,7 @@ def select_g(
             report = outcome
         reports[g] = report
         ll = report.loglik
-        q = param_count(g, panel.space.n_states, d=2, has_absorbing=has_absorbing)
+        q = param_count(g, panel.space.n_states, has_absorbing=has_absorbing)
         try:
             corrected = aicc(ll, q, n_obs)
         except ValueError:

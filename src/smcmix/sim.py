@@ -31,10 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ComponentParams, MixtureModel, Panel, Trajectory, is_integer
+from .core import ComponentParams, MixtureModel, Panel, Trajectory, check_count, is_integer
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import RESTARTS, _check_positive, _clustered_model
+from .initialization import RESTARTS, _clustered_model
 from .metrics import (
     align_components,
     classification_rate,
@@ -58,8 +58,7 @@ _JOIN_TIMEOUT_S = 1.0
 class Scenario:
     """A simulation design: the generating mixture, panel dimensions, the
     stop rule (transition count or ``"absorbing"``), the master seed and
-    the number of Monte-Carlo replicates.  Counts and the seed must be
-    integers (not bools), the seed nonnegative."""
+    the number of Monte-Carlo replicates, all counts (:func:`~smcmix.core.check_count`)."""
 
     model: MixtureModel
     n_subjects: int
@@ -70,25 +69,23 @@ class Scenario:
     name: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("n_subjects", "n_replications", "seed", "replicate_count"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
-        if self.n_subjects < 1 or self.n_replications < 1:
-            raise ValueError("need at least one subject and one replication")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        count, rule = self.replicate_count, self.stop_rule
-        if count < 1:
-            raise ValueError("replicate_count must be positive")
-        if isinstance(rule, str):
-            if rule != ABSORBING_RULE:
-                raise ValueError(f"unknown stop rule {rule!r}")
-            if self.model.space.absorbing is None:
-                raise ValueError("absorbing stop rule needs an absorbing state")
-        elif not is_integer(rule):
-            raise ValueError(f"stop rule must be a transition count or {ABSORBING_RULE!r}")
-        elif rule < 1:
-            raise ValueError("transition count must be at least 1")
+        for name in ("n_subjects", "n_replications", "replicate_count"):
+            check_count(name, getattr(self, name), 1)
+        check_count("seed", self.seed, 0)
+        _check_stop_rule(self.stop_rule, self.model.space.absorbing)
+
+
+def _check_stop_rule(rule, absorbing: Optional[int]) -> None:
+    """Raise ``ValueError`` unless ``rule`` is a transition count or a usable absorbing rule."""
+    if isinstance(rule, str):
+        if rule != ABSORBING_RULE:
+            raise ValueError(f"unknown stop rule {rule!r}")
+        if absorbing is None:
+            raise ValueError("absorbing stop rule needs an absorbing state")
+    elif not is_integer(rule):
+        raise ValueError(f"stop rule must be a transition count or {ABSORBING_RULE!r}")
+    else:
+        check_count("transition count", rule, 1)
 
 
 class _ComponentSampler:
@@ -116,7 +113,7 @@ class _ComponentSampler:
         last = len(shapes) - 1
         # States a fixed transition count allows; absorption may end the
         # trajectory sooner, and no trajectory passes _MAX_SIM_STATES.
-        steps = math.inf if stop_rule == ABSORBING_RULE else int(stop_rule) + 1
+        steps = math.inf if stop_rule == ABSORBING_RULE else stop_rule + 1
         j = last + 1  # the start row
         for _ in range(min(steps, _MAX_SIM_STATES)):
             # bisect_right picks the cell np.searchsorted(side="right")
@@ -150,6 +147,7 @@ class _ComponentSampler:
 
 def simulate_trajectory(comp: ComponentParams, stop_rule, rng: np.random.Generator) -> Trajectory:
     """Draw one trajectory from one renewal process under the stop rule."""
+    _check_stop_rule(stop_rule, comp.absorbing)
     sampler = _ComponentSampler(comp.alpha, comp.trans, *comp.sojourn_arrays(), comp.absorbing)
     return sampler.draw(stop_rule, rng)
 
@@ -357,7 +355,7 @@ def run_benchmark(
     """
     if g_range is not None:
         g_range = _component_counts(g_range)
-    _check_positive("restarts", restarts)
+    check_count("restarts", restarts, 1)
     streams, init_seeds = [], []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)

@@ -382,7 +382,7 @@ def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
             warnings.append(f"G={g}: {exc}")
         reports[g] = report
         ll = report.loglik
-        q = param_count(g, panel.space.n_states, d=2, has_absorbing=has_absorbing)
+        q = param_count(g, panel.space.n_states, has_absorbing=has_absorbing)
         try:
             corrected = aicc(ll, q, n_obs)
         except ValueError:

@@ -86,7 +86,7 @@ class TestAbsorbingEndToEnd:
     def test_selection_uses_absorbing_count(self, absorbing_panel):
         panel, _ = absorbing_panel
         sweep = select_g(panel, [1, 2], EmConfig(seed=2))
-        assert sweep.rows[0].q == param_count(1, 4, 2, has_absorbing=True)
+        assert sweep.rows[0].q == param_count(1, 4, has_absorbing=True)
         assert sweep.chosen["bic"] == 2
 
     def test_panel_round_trip_and_graph(self, absorbing_panel, tmp_path):

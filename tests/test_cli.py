@@ -413,7 +413,7 @@ class TestErrorPaths:
         )
         assert code == 2
         assert json.loads(err) == {
-            "error": "ValueError", "message": "sample_size must be positive"
+            "error": "ValueError", "message": "sample_size must be at least 1"
         }
         assert not (tmp_path / "crit.csv").exists()
 

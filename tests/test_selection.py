@@ -19,26 +19,26 @@ from oracles import sequential_select_g
 
 class TestParamCount:
     def test_two_components_ten_states(self):
-        assert param_count(2, 10, d=2) == 219
+        assert param_count(2, 10) == 219
 
     def test_one_component_two_states(self):
         # by hand: 0  +  (1 alpha + 0 transition + 4 gamma) = 5
-        assert param_count(1, 2, d=2) == 5
+        assert param_count(1, 2) == 5
 
     def test_absorbing_variant(self):
         # 2-1 + 2*(8 + 72 + 18) = 197
-        assert param_count(2, 10, d=2, has_absorbing=True) == 197
+        assert param_count(2, 10, has_absorbing=True) == 197
 
     def test_closed_form_identity(self):
         for g in (1, 2, 3, 5):
             for d_states in (2, 4, 10):
-                assert param_count(g, d_states, 2) == g * d_states * (d_states + 1) - 1
+                assert param_count(g, d_states) == g * d_states * (d_states + 1) - 1
 
     def test_strictly_increasing(self):
         for absorbing in (False, True):
-            values_g = [param_count(g, 6, 2, absorbing) for g in range(1, 6)]
+            values_g = [param_count(g, 6, absorbing) for g in range(1, 6)]
             assert all(a < b for a, b in zip(values_g, values_g[1:]))
-            values_d = [param_count(2, d, 2, absorbing) for d in range(2, 12)]
+            values_d = [param_count(2, d, absorbing) for d in range(2, 12)]
             assert all(a < b for a, b in zip(values_d, values_d[1:]))
 
     def test_validation(self):
@@ -113,7 +113,7 @@ class TestSelectG:
         assert sweep.chosen["aic"] == 2
         row1, row2 = sweep.rows
         assert row2.loglik > row1.loglik
-        assert row2.q == param_count(2, 10, 2)
+        assert row2.q == param_count(2, 10)
 
     def test_deterministic(self, small_two_component_panel):
         a = select_g(small_two_component_panel, [1, 2], EmConfig(seed=9))
@@ -131,7 +131,7 @@ class TestSelectG:
 
     @pytest.mark.parametrize("sample_size", [0, -5])
     def test_sample_size_must_be_positive(self, small_two_component_panel, sample_size):
-        with pytest.raises(ValueError, match="^sample_size must be positive$"):
+        with pytest.raises(ValueError, match="^sample_size must be at least 1$"):
             select_g(small_two_component_panel, [1], EmConfig(), sample_size=sample_size)
 
     def test_criteria_finite(self, small_two_component_panel):
