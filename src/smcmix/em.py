@@ -512,8 +512,10 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     keeps less than one subject of responsibility for three consecutive
     maps of the kept path, or loses all mass outright.  An M-step whose
     parameters break an invariant of the model types raises
-    :class:`~smcmix.errors.InvalidModelError` in that map.
+    :class:`~smcmix.errors.InvalidModelError` in that map.  ``n_components``
+    is a count (:func:`~smcmix.core.check_count`) equal to ``init``'s.
     """
+    check_count("n_components", n_components, 1)
     if init.n_components != n_components:
         raise ValueError("init does not have the requested number of components")
     (outcome,) = fit_stack(panel, PanelStats.from_panel(panel), [init], cfg)

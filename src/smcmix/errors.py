@@ -1,8 +1,19 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class SmcmixError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    An error is unpickled from its message and fields, not through
+    ``__init__``, whose arguments the subclasses below format into one
+    message: a round trip, as through a process pipe, keeps the type, the
+    message and every field.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class InvalidModelError(SmcmixError, ValueError):

@@ -4,10 +4,13 @@ Trajectories are simulated sequentially: first state from the initial
 probabilities, then alternating gamma sojourn draws and transition draws
 until the stop rule fires (a fixed transition count, or entry into the
 absorbing state).  Benchmarks run many independent replicates, each on its
-own random stream, and aggregate recovery metrics.  While this process
-fits one replicate, a forked child process may draw the next replicate's
-panel; it makes the same calls on the same stream, so results never
-depend on where a panel was drawn.
+own random stream, and aggregate recovery metrics.  A forked child
+process may draw the panels ahead while this process fits them, through
+a pipe raised to 1 MB (the 64 KB default where that fails).  When the
+next panel is not in the pipe, this process draws the next panel nobody
+has taken instead of waiting, holding at most ``_HELD_CAP`` panels drawn
+ahead.  Each panel is drawn once, by one of the two processes, with the
+same calls on the same stream, so results never depend on who drew it.
 
 The sequence of draws is part of the contract: the component labels from
 one ``rng.choice``, then per trajectory one ``rng.random()`` per state and
@@ -50,8 +53,15 @@ _MAX_SIM_STATES = 1_000_000
 # a likelihood.
 _ABSORBING_PLACEHOLDER = 1.0
 # Seconds a finished benchmark waits for its panel-drawing child to exit
-# before killing it.
+# before killing it, and the child waits for the claim lock before it stops.
 _JOIN_TIMEOUT_S = 1.0
+# Buffer asked for the panel pipe, Linux's default pipe-max-size: a
+# 200-subject panel pickles to about 112 KB, more than the default 64 KB,
+# so with the default each send waits for the caller to read the panel.
+_PIPE_BYTES = 1 << 20
+# Panels the caller may hold that it drew ahead of the replicate it fits
+# (about 120 KB each at 200 subjects); at the cap it waits for the child.
+_HELD_CAP = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,18 +250,51 @@ def _fork_pays(n_replicates: int) -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _draw_ahead(scenario: Scenario, streams, receiver, sender) -> None:
-    """The child process: send each stream's ``(panel, labels)`` in order,
-    or the exception drawing it raised, and then stop.  The pipe's buffer
-    blocks it about one panel ahead of the parent."""
+def _claim(claimed, lock, n: int, timeout: float) -> Optional[int]:
+    """Take the next stream that no process has taken, counting them in
+    ``claimed``: its index, or None when all ``n`` are taken or ``lock``
+    stays held for ``timeout`` seconds."""
+    if not lock.acquire(timeout=timeout):
+        return None
+    try:
+        i = claimed.value
+        if i == n:
+            return None
+        claimed.value = i + 1
+        return i
+    finally:
+        lock.release()
+
+
+def _widen(conn) -> None:
+    """Raise the buffer of the pipe behind ``conn`` to ``_PIPE_BYTES``;
+    keep the default where ``F_SETPIPE_SZ`` fails or, as off Linux, does
+    not exist."""
+    import fcntl
+
+    try:
+        fcntl.fcntl(conn.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):
+        pass
+
+
+def _draw_ahead(scenario: Scenario, streams, claimed, lock, receiver, sender) -> None:
+    """The child process: take the next untaken stream, draw it and send
+    its ``(panel, labels)``, or the exception drawing it raised and then
+    stop; stop too when every stream is taken.  The caller takes a stream
+    only when it would otherwise wait, so the child draws most panels; the
+    1 MB pipe lets it run about 8 panels of 200 subjects ahead, where the
+    64 KB default makes each send wait for the caller to read."""
     # A terminal's Ctrl-C reaches both processes: the parent handles it
     # and ends this one.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     receiver.close()  # so that the parent's close breaks the pipe
     try:
-        for stream in streams:
+        # A lock held past the timeout means the parent is gone or stalled:
+        # stopping leaves the rest to the parent's EOF path.
+        while (i := _claim(claimed, lock, len(streams), _JOIN_TIMEOUT_S)) is not None:
             try:
-                drawn = simulate_panel(scenario, _generator(stream))
+                drawn = simulate_panel(scenario, _generator(streams[i]))
             except Exception as exc:
                 sender.send(exc)
                 return
@@ -262,10 +305,13 @@ def _draw_ahead(scenario: Scenario, streams, receiver, sender) -> None:
 
 def _drawn_panels(scenario: Scenario, streams):
     """Yield ``simulate_panel(scenario, Generator(PCG64(stream)))`` for each
-    stream in order.  When :func:`_fork_pays`, a forked child draws them
-    one panel ahead while the caller works, and an exception it raises is
-    raised here at the same stream; if the child ends without a panel, the
-    rest are drawn here.  Close the generator to end the child early."""
+    stream in order.  When :func:`_fork_pays`, a forked child and the caller
+    share the draws: both take the next untaken stream from one counter, the
+    child whenever it is free, the caller only when its next panel is not in
+    the pipe and it holds fewer than ``_HELD_CAP`` panels drawn ahead.  An
+    exception either raises in a draw is raised here at its own stream; if
+    the child ends without a panel, the rest are drawn here.  Close the
+    generator to end the child early."""
     if not _fork_pays(len(streams)):
         for stream in streams:
             yield simulate_panel(scenario, _generator(stream))
@@ -274,16 +320,33 @@ def _drawn_panels(scenario: Scenario, streams):
 
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_draw_ahead, args=(scenario, streams, receiver, sender),
-                        daemon=True)
+    _widen(receiver)
+    claimed, lock = ctx.RawValue("q", 0), ctx.Lock()
+    child = ctx.Process(target=_draw_ahead,
+                        args=(scenario, streams, claimed, lock, receiver, sender), daemon=True)
     child.start()
     sender.close()
+    held = {}  # stream index -> what this process drew for it ahead
     try:
-        for stream in streams:
-            try:
-                drawn = receiver.recv()
-            except EOFError:  # the child died: draw the panel here
-                drawn = simulate_panel(scenario, _generator(stream))
+        for i, stream in enumerate(streams):
+            # The child sends its streams in order, so while this process
+            # does not hold panel i, panel i is the next the pipe delivers.
+            # A pipe the child closed polls as ready and ends the claims.
+            while i not in held and len(held) < _HELD_CAP and not receiver.poll():
+                j = _claim(claimed, lock, len(streams), 0.0)
+                if j is None:
+                    break
+                try:
+                    held[j] = simulate_panel(scenario, _generator(streams[j]))
+                except Exception as exc:  # raised when the fits reach it
+                    held[j] = exc
+            if i in held:
+                drawn = held.pop(i)
+            else:
+                try:
+                    drawn = receiver.recv()
+                except EOFError:  # the child died: draw the panel here
+                    drawn = simulate_panel(scenario, _generator(stream))
             if isinstance(drawn, Exception):
                 raise drawn
             yield drawn
@@ -348,10 +411,11 @@ def run_benchmark(
     replicates run.  ``restarts`` and ``g_range`` are checked before any
     panel is drawn.  With at least 2 replicates, 2 usable CPUs, the
     ``fork`` start method and no second thread, a forked child process
-    draws each replicate's panel while this process fits the one before;
-    it makes the same calls on the same streams, so the results never
-    depend on it.  The fits stay in this process, and the child never
-    outlives the call.
+    draws the panels ahead while this process fits them, and this process
+    draws the next untaken panel itself whenever it would wait; each panel
+    is drawn once, with the same calls on the same stream, so the results
+    never depend on who drew it.  The fits stay in this process, and the
+    child never outlives the call.
     """
     if g_range is not None:
         g_range = _component_counts(g_range)

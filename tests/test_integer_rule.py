@@ -13,6 +13,7 @@ import pytest
 
 from smcmix import (
     EmConfig,
+    MixtureModel,
     Panel,
     StateSpace,
     Trajectory,
@@ -22,6 +23,7 @@ from smcmix import (
     select_g,
 )
 from smcmix.dataio import export_tds_graph, model_from_dict, model_to_dict, write_labels
+from smcmix.em import fit
 from smcmix.errors import DataError, InvalidModelError
 from smcmix.initialization import kmeans
 from smcmix.sim import Scenario, run_benchmark, simulate_trajectory
@@ -31,6 +33,10 @@ from conftest import make_component
 SPACE = StateSpace(labels=("A", "B"))
 PANEL = Panel.from_arrays(SPACE, [0, 1] * 4, [1.0] * 8, [[2]] * 4)
 POINTS = [[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]]
+ONE_COMPONENT = MixtureModel(
+    space=SPACE, weights=np.array([1.0]),
+    components=(make_component([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [(2.0, 1.0)] * 2),),
+)
 
 
 def _scenario(**fields):
@@ -59,6 +65,8 @@ COUNTS = [
     ("select_g.sample_size", lambda v: select_g(PANEL, [1], EmConfig(), sample_size=v),
      "sample_size", 1),
     ("select_g.restarts", lambda v: select_g(PANEL, [1], EmConfig(), restarts=v), "restarts", 1),
+    ("em.fit.n_components", lambda v: fit(PANEL, v, ONE_COMPONENT, EmConfig()),
+     "n_components", 1),
     ("run_benchmark.restarts", lambda v: run_benchmark(_scenario(), EmConfig(), restarts=v),
      "restarts", 1),
     ("param_count.n_components", lambda v: param_count(v, 3), "n_components", 1),

@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import subprocess
@@ -422,6 +423,77 @@ def _draws_here(monkeypatch) -> list:
     return calls
 
 
+def _wait_until(ready, timeout: float = 10.0) -> None:
+    """Poll ``ready()`` until it is true or ``timeout`` seconds have passed."""
+    deadline = time.monotonic() + timeout
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.002)
+
+
+class _DrawLog:
+    """Log every ``simulate_panel`` call, in this process or a forked child,
+    as a line ``pid replicate fits`` appended to ``path`` before the draw
+    runs, so that the child's calls are seen too; ``fits`` is the number of
+    ``sim.fit`` calls this process had made (-1 in the child).  With
+    ``hold``, each of the child's draws first waits until ``hold(log)``."""
+
+    def __init__(self, monkeypatch, path, hold=None):
+        self.path, self.caller, self.fits = path, os.getpid(), []
+        path.touch()
+        fit, draw = sim.fit, sim.simulate_panel
+
+        def counting_fit(*args):
+            self.fits.append(None)
+            return fit(*args)
+
+        def logged_draw(scenario, rng):
+            here = os.getpid() == self.caller
+            if not here and hold is not None:
+                _wait_until(lambda: hold(self))
+            replicate = rng.bit_generator.seed_seq.spawn_key[0]
+            with open(path, "a") as log:
+                log.write(f"{os.getpid()} {replicate} {len(self.fits) if here else -1}\n")
+            return draw(scenario, rng)
+
+        monkeypatch.setattr(sim, "fit", counting_fit)
+        monkeypatch.setattr(sim, "simulate_panel", logged_draw)
+
+    def read(self) -> list[tuple[bool, int, int]]:
+        """``(drawn here, replicate, fits made before)`` per draw, in order."""
+        rows = (map(int, line.split()) for line in self.path.read_text().splitlines())
+        return [(pid == self.caller, replicate, fits) for pid, replicate, fits in rows]
+
+    def replicates(self, here=None) -> list[int]:
+        """The replicates drawn, sorted; ``here`` picks one process."""
+        return sorted(r for h, r, _ in self.read() if here is None or h == here)
+
+    def held(self) -> list[int]:
+        """After each draw made here, the panels this process held drawn
+        ahead: those it drew for a replicate whose fit had not yet begun."""
+        mine, out = [], []
+        for here, replicate, fits in self.read():
+            if here:
+                mine.append(replicate)
+                out.append(sum(r >= fits for r in mine))
+        return out
+
+
+def _child_claims_first(monkeypatch, marker) -> None:
+    """Make this process's claims wait until the forked child has made its
+    first one, so that the child takes replicate 0."""
+    caller, claim = os.getpid(), sim._claim
+
+    def ordered(*args):
+        if os.getpid() == caller:
+            _wait_until(marker.exists)
+            return claim(*args)
+        taken = claim(*args)
+        marker.touch()
+        return taken
+
+    monkeypatch.setattr(sim, "_claim", ordered)
+
+
 def _assert_same_results(a, b) -> None:
     assert list(a.values) == list(b.values)
     for name in a.values:
@@ -432,35 +504,40 @@ def _assert_same_results(a, b) -> None:
 
 class TestPanelsDrawnInAChild:
     """With 2 CPUs, no second thread and at least 2 replicates, a forked
-    child draws the panels while the caller fits: every value, histogram
-    and warning equals the inline path's bit for bit, an error in either
-    process is raised as inline, and no process outlives the call."""
+    child draws the panels while the caller fits, and the caller draws the
+    next untaken panel whenever it would wait: each panel is drawn once, by
+    one process, every value, histogram and warning equals the inline
+    path's bit for bit, an error in either process is raised as inline, and
+    no process outlives the call."""
 
     SCENARIO = Scenario(
         model=fixtures.well_separated_model(),
         n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
     )
 
-    def _both_paths(self, monkeypatch, run):
-        """``run()`` inline and in the child; the child path drew no panel here."""
-        calls = _draws_here(monkeypatch)
+    def _both_paths(self, monkeypatch, tmp_path, run):
+        """``run()`` inline and with the child; each draws every replicate's
+        panel exactly once, the inline path all of them here."""
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
+        n = self.SCENARIO.replicate_count
         _probes(monkeypatch, cpus=1)
         inline = run()
-        assert len(calls) == self.SCENARIO.replicate_count
+        assert [(here, r) for here, r, _ in log.read()] == [(True, r) for r in range(n)]
         _probes(monkeypatch, cpus=2)
         in_child = run()
-        assert len(calls) == self.SCENARIO.replicate_count
+        assert sorted(r for _, r, _ in log.read()[n:]) == list(range(n))
         assert multiprocessing.active_children() == []
         return inline, in_child
 
     @pytest.mark.parametrize("g_range", [None, [1, 2, 3]])
-    def test_same_bits_as_inline(self, monkeypatch, g_range):
+    def test_same_bits_as_inline(self, monkeypatch, tmp_path, g_range):
         inline, in_child = self._both_paths(
-            monkeypatch, lambda: run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range)
+            monkeypatch, tmp_path,
+            lambda: run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range),
         )
         _assert_same_results(inline, in_child)
 
-    def test_same_bits_as_inline_with_an_aborted_fit(self, monkeypatch):
+    def test_same_bits_as_inline_with_an_aborted_fit(self, monkeypatch, tmp_path):
         original = sim.fit
         calls = []
 
@@ -473,10 +550,65 @@ class TestPanelsDrawnInAChild:
 
         monkeypatch.setattr(sim, "fit", aborting)
         inline, in_child = self._both_paths(
-            monkeypatch, lambda: run_benchmark(self.SCENARIO, EmConfig())
+            monkeypatch, tmp_path, lambda: run_benchmark(self.SCENARIO, EmConfig())
         )
         assert inline.values["aborted"].tolist() == [0.0, 1.0, 0.0]
         _assert_same_results(inline, in_child)
+
+    def test_both_processes_draw_and_each_panel_once(self, monkeypatch, tmp_path):
+        """The child takes replicate 0 and waits until the caller has drawn a
+        panel, so both processes draw; no panel is drawn twice or lost."""
+        scenario = replace(self.SCENARIO, replicate_count=8)
+        inline = run_benchmark(scenario, EmConfig())
+        _child_claims_first(monkeypatch, tmp_path / "claimed")
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
+                       hold=lambda log: log.replicates(here=True) != [])
+        _probes(monkeypatch, cpus=2)
+        _assert_same_results(inline, run_benchmark(scenario, EmConfig()))
+        assert multiprocessing.active_children() == []
+        assert log.replicates() == list(range(8))
+        assert 0 in log.replicates(here=False) and 1 in log.replicates(here=True)
+
+    def test_the_caller_holds_at_most_the_cap(self, monkeypatch, tmp_path):
+        """The child draws nothing until the caller holds ``_HELD_CAP`` panels
+        drawn ahead: the caller stops there and waits for the pipe."""
+        scenario = replace(self.SCENARIO, replicate_count=sim._HELD_CAP + 4)
+        inline = run_benchmark(scenario, EmConfig())
+        _child_claims_first(monkeypatch, tmp_path / "claimed")
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
+                       hold=lambda log: max(log.held(), default=0) >= sim._HELD_CAP)
+        _probes(monkeypatch, cpus=2)
+        _assert_same_results(inline, run_benchmark(scenario, EmConfig()))
+        assert multiprocessing.active_children() == []
+        assert max(log.held()) == sim._HELD_CAP
+        assert log.replicates() == list(range(scenario.replicate_count))
+
+    @pytest.mark.parametrize("failure", [None, "OSError", "no F_SETPIPE_SZ"])
+    def test_the_pipe_buffer_and_its_fallback(self, monkeypatch, failure):
+        """The pipe is asked for ``_PIPE_BYTES`` once; where the request fails
+        or the platform lacks it, the default buffer gives the same bits."""
+        fcntl = pytest.importorskip("fcntl")
+        setpipe_sz = getattr(fcntl, "F_SETPIPE_SZ", None)
+        if setpipe_sz is None:
+            pytest.skip("no F_SETPIPE_SZ on this platform")
+        calls = []
+        original = fcntl.fcntl
+
+        def recording(fd, cmd, arg=0):
+            calls.append((cmd, arg))
+            if failure == "OSError":
+                raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+            return original(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", recording)
+        if failure == "no F_SETPIPE_SZ":
+            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
+        _probes(monkeypatch, cpus=1)
+        inline = run_benchmark(self.SCENARIO, EmConfig())
+        _probes(monkeypatch, cpus=2)
+        _assert_same_results(inline, run_benchmark(self.SCENARIO, EmConfig()))
+        assert multiprocessing.active_children() == []
+        assert calls == ([] if failure == "no F_SETPIPE_SZ" else [(setpipe_sz, sim._PIPE_BYTES)])
 
     def _absorbing(self):
         """Under a cap of 4 states, replicate 1's panel is the only one that
@@ -484,29 +616,44 @@ class TestPanelsDrawnInAChild:
         return Scenario(model=absorbing_model(), n_subjects=3, n_replications=1,
                         stop_rule="absorbing", seed=5, replicate_count=4)
 
-    def test_an_error_in_the_child_is_raised_at_its_replicate(self, monkeypatch):
+    def test_an_error_in_the_child_is_raised_at_its_replicate(self, monkeypatch, tmp_path):
+        """With no panel to be held ahead, the child draws every panel: it
+        sends replicate 1's error back and stops."""
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
-        fits = []
-        original = sim.fit
-
-        def counting(*args):
-            fits.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(sim, "fit", counting)
-        draws = _draws_here(monkeypatch)
+        monkeypatch.setattr(sim, "_HELD_CAP", 0)
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
         raised = []
         for cpus in (1, 2):
             _probes(monkeypatch, cpus)
             with pytest.raises(NumericalError) as info:
                 run_benchmark(self._absorbing(), EmConfig())
-            raised.append((type(info.value), str(info.value), len(fits), len(draws)))
+            raised.append((type(info.value), str(info.value), len(log.fits)))
             assert multiprocessing.active_children() == []
-        # The child sends its exception back: the caller draws no panel itself.
         assert raised == [
-            (NumericalError, "simulation did not reach the absorbing state", 1, 2),
-            (NumericalError, "simulation did not reach the absorbing state", 2, 2),
+            (NumericalError, "simulation did not reach the absorbing state", 1),
+            (NumericalError, "simulation did not reach the absorbing state", 2),
         ]
+        assert [(here, r) for here, r, _ in log.read()] == [
+            (True, 0), (True, 1), (False, 0), (False, 1)
+        ]
+
+    def test_an_error_in_a_panel_drawn_here_is_raised_at_its_replicate(
+        self, monkeypatch, tmp_path
+    ):
+        """The child takes replicate 0 and waits until the caller has drawn
+        replicate 1, whose error the caller keeps until replicate 0 is fit."""
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
+        _child_claims_first(monkeypatch, tmp_path / "claimed")
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
+                       hold=lambda log: 1 in log.replicates(here=True))
+        _probes(monkeypatch, cpus=2)
+        with pytest.raises(NumericalError, match="^simulation did not reach the absorbing state$"):
+            run_benchmark(self._absorbing(), EmConfig())
+        assert multiprocessing.active_children() == []
+        assert len(log.fits) == 1
+        draws = log.read()
+        assert (True, 1, 0) in draws and (False, 0, -1) in draws
+        assert len(draws) == len(set(r for _, r, _ in draws))
 
     def test_a_child_that_dies_leaves_the_draws_to_the_caller(self, monkeypatch):
         inline = run_benchmark(self.SCENARIO, EmConfig())
@@ -524,7 +671,7 @@ class TestPanelsDrawnInAChild:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_no_child_outlives_an_error_in_the_caller(self, monkeypatch, error):
+    def test_no_child_outlives_an_error_in_the_caller(self, monkeypatch, tmp_path, error):
         """The child is mid-draw when the caller fails, and is still ended."""
         _probes(monkeypatch, cpus=2)
         caller = os.getpid()
@@ -546,17 +693,19 @@ class TestPanelsDrawnInAChild:
             return original(*args)
 
         monkeypatch.setattr(sim, "fit", failing)
-        draws = _draws_here(monkeypatch)
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
         with pytest.raises(error, match="^injected$"):
             run_benchmark(replace(self.SCENARIO, replicate_count=6), EmConfig())
-        assert len(calls) == 2 and draws == []
+        assert len(calls) == 2
+        drawn = [r for _, r, _ in log.read()]
+        assert {0, 1} <= set(drawn) and len(drawn) == len(set(drawn))
         assert multiprocessing.active_children() == []
 
-    def test_no_child_outlives_a_return(self, monkeypatch):
+    def test_no_child_outlives_a_return(self, monkeypatch, tmp_path):
         _probes(monkeypatch, cpus=2)
-        draws = _draws_here(monkeypatch)
+        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
         run_benchmark(self.SCENARIO, EmConfig())
-        assert draws == []
+        assert log.replicates() == list(range(self.SCENARIO.replicate_count))
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("replicates,cpus", [(1, 2), (3, 1)])
@@ -602,10 +751,13 @@ class TestPanelsDrawnInAChild:
 
 
 def test_import_loads_no_multiprocessing():
-    """The child process is the benchmark's alone: importing smcmix does
-    not load multiprocessing."""
+    """The child process and its pipe are the benchmark's alone: importing
+    smcmix loads no multiprocessing, and it imports even where fcntl is
+    blocked.  (scipy loads fcntl through subprocess where it can, so its
+    presence in ``sys.modules`` says nothing.)"""
     src = str(Path(sim.__file__).parents[1])
-    code = "import sys, smcmix; sys.exit('multiprocessing' in sys.modules)"
+    code = ("import sys; sys.modules['fcntl'] = None; import smcmix; "
+            "sys.exit('multiprocessing' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           timeout=120)
     assert done.returncode == 0
