@@ -116,8 +116,10 @@ def _csv_fields(texts: Iterable[str]) -> list[str]:
 
 
 # Lines (csv records, once a file has left numpy's tokeniser) converted at a
-# time: a chunk's strings are freed before the next chunk is read, so peak
-# memory does not grow with the file.
+# time.  A chunk's strings are freed before the next chunk is read, so they
+# add a fixed amount to peak memory; what grows with the file is the coded
+# columns, 37 bytes per row.  Traced, read_panel peaks at 5.2 MB on a
+# 66,000-row panel, and its peak grows by 38 bytes per row.
 _CHUNK_ROWS = 8192
 
 # Characters that send a chunk to the csv reader.  numpy does not read
@@ -147,7 +149,8 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
         raise ValueError(f"delimiter must be one character other than '\"', '\\r' and '\\n', "
                          f"not {delimiter!r}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # "utf-8-sig" drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
                 header = next(reader, None)
@@ -155,44 +158,52 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
                 raise MalformedRow(reader.line_num, str(exc)) from None
             if header is None:
                 raise MalformedRow(1, "empty file")
-            position = {name.strip(): k for k, name in enumerate(header)}
-            missing = [c for c in required if c not in position]
+            header = [name.strip() for name in header]
+            missing = [c for c in required if c not in header]
             if missing:
                 raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
             names = (*required, *optional)
-            columns = [position.get(c) for c in names]
+            for c in names:
+                if header.count(c) > 1:
+                    raise MalformedRow(1, f"duplicate column: {c}")
+            columns = [header.index(c) if c in header else None for c in names]
             present = [(c, k) for c, k in zip(names, columns) if k is not None]
             dtype = np.dtype([(c, np.float64 if c in floats else object) for c, _ in present])
             usecols = [k for _, k in present]
             done = reader.line_num
             while chunk := list(islice(fh, _CHUNK_ROWS)):
-                table = _tokenise(chunk, dtype, usecols, delimiter)
-                if table is None:
+                fields = _tokenise(chunk, dtype, usecols, delimiter)
+                if fields is None:
                     yield from _csv_columns(chain(chunk, fh), columns, delimiter, done)
                     return
-                # Copies: a view of ``table`` would keep all of the chunk's strings alive.
-                fields = {c: table[c].copy() if c in floats else table[c].tolist() for c, _ in present}
-                yield (range(done + 1, done + len(chunk) + 1),
-                       [[None] * len(chunk) if k is None else fields[c] for c, k in zip(names, columns)])
-                done += len(chunk)
+                n = len(chunk)
+                del chunk
+                yield (range(done + 1, done + n + 1),
+                       [[None] * n if k is None else fields.pop(c) for c, k in zip(names, columns)])
+                done += n
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _tokenise(chunk: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[np.ndarray]:
-    """The lines ``chunk`` as one ``dtype`` record per line, or None where
-    numpy's tokeniser may not read them as ``csv.reader`` does."""
+def _tokenise(chunk: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[dict]:
+    """The columns of the lines ``chunk`` by ``dtype`` field name, one value
+    per line, or None where numpy's tokeniser may not read them as
+    ``csv.reader`` does."""
     text = "".join(chunk)
     # loadtxt warns on a chunk of blank lines
     if (text.isspace() or any(c in text for c in _CSV_ONLY)
             or max(map(len, chunk)) > csv.field_size_limit()):
         return None
+    del text
     try:
         table = np.loadtxt(chunk, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None,
                            usecols=usecols, ndmin=1)
     except ValueError:
         return None
-    return table if len(table) == len(chunk) else None
+    if len(table) != len(chunk):
+        return None
+    # Copies: a view of ``table`` would keep its record array alive.
+    return {c: table[c].copy() if table[c].dtype != object else table[c].tolist() for c in dtype.names}
 
 
 def _csv_columns(lines: Iterable[str], columns: list, delimiter: str, done: int):
@@ -225,16 +236,16 @@ def _column(rows: list, k: Optional[int]) -> list:
 
 
 def _codes(values: list, table: dict, key) -> np.ndarray:
-    """The code of ``key(value)`` in ``table`` for each value, or -1 where
-    ``key`` raises.  A new key gets the next code, so codes follow first
-    appearance; ``key`` runs once per distinct value."""
+    """The int32 code of ``key(value)`` in ``table`` for each value, or -1
+    where ``key`` raises.  A new key gets the next code, so codes follow
+    first appearance; ``key`` runs once per distinct value."""
     local = dict.fromkeys(values)
     for value in local:
         try:
             local[value] = table.setdefault(key(value), len(table))
         except (TypeError, ValueError, AttributeError):
             local[value] = -1
-    return np.fromiter(map(local.__getitem__, values), np.int64, len(values))
+    return np.fromiter(map(local.__getitem__, values), np.int32, len(values))
 
 
 def _runs(values: list) -> tuple[list, np.ndarray]:
@@ -313,7 +324,7 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -365,57 +376,213 @@ _ROW_CHECKS = (
 )
 
 
+def _code_rows(columns: list, tables: tuple) -> tuple[list, Optional[tuple[int, int]]]:
+    """One chunk's subject, replication, attribute, onset and end columns
+    coded: the int32 codes of subjects, replications and attributes in
+    ``tables``, onsets, ends (NaN where blank) and whether each row has an
+    end; and ``(row, check)``, the first row that fails a check of
+    ``_ROW_CHECKS`` and its first failing check, or None."""
+    subject, replication, attribute, onset, end = columns
+    subjects, replications, attributes = tables
+    # Subject, replication and end repeat along a sequence's rows: one
+    # lookup per run of equal strings.  Attributes change on every row.
+    firsts, run = _runs(subject)
+    s = _codes(firsts, subjects, str.strip)[run]
+    firsts, run = _runs(replication)
+    r = _codes(firsts, replications, int)[run]
+    a = _codes(attribute, attributes, str.strip)
+    t, bad_onset = _floats(onset)
+    firsts, run = _runs(end)
+    e, bad_end = (column[run] for column in _floats(firsts))
+    has_end = np.array(firsts, dtype=object).astype(bool)[run]
+    bad_end &= has_end
+    # By replication code; the last entry serves code -1, a replication that did not parse.
+    below_one = np.array([value < 1 for value in replications] + [False])
+    failure = _first_failure([
+        (s < 0) | (r < 0) | (a < 0) | bad_onset,
+        (s == subjects.get("", -2)) | (a == attributes.get("", -2)),
+        below_one[r],
+        ~np.isfinite(t),
+        bad_end,
+        has_end & ~np.isfinite(e),
+    ])
+    return [s, r, a, t, e, has_end], failure
+
+
+# The columns of a panel file's rows, as _parse_panel_rows returns them.
+_ROW_COLUMNS = ("line", "subject", "replication", "attribute", "onset", "end", "has_end")
+
+
 def _parse_panel_rows(path, delimiter: str):
-    """The rows of a panel file as arrays: line, subject, replication and
-    attribute codes, onset, end (NaN where blank) and whether the row has
-    an end; the code tables of subjects (stripped), replications (as int)
-    and attributes (stripped); and the error of the first row that fails a
-    row check or that ``csv.reader`` cannot read, the rows from it on left
-    out."""
-    tables = subjects, replications, attributes = {}, {}, {}
-    chunks = []
+    """The rows of a panel file as a dict of arrays by ``_ROW_COLUMNS``
+    name: line, subject, replication and attribute codes, onset, end (NaN
+    where blank) and whether the row has an end; the code tables of
+    subjects (stripped), replications (as int) and attributes (stripped);
+    and the error of the first row that fails a row check or that
+    ``csv.reader`` cannot read, the rows from it on left out."""
+    tables = {}, {}, {}
+    pieces = [[] for _ in _ROW_COLUMNS]
     error = None
     reader = _read_columns(path, ("subject", "replication", "attribute", "onset"), ("end",), delimiter,
                            floats=("onset",))
     try:
-        for lines, (subject, replication, attribute, onset, end) in reader:
-            # Subject, replication and end repeat along a sequence's rows: one
-            # lookup per run of equal strings.  Attributes change on every row.
-            firsts, run = _runs(subject)
-            s = _codes(firsts, subjects, str.strip)[run]
-            firsts, run = _runs(replication)
-            r = _codes(firsts, replications, int)[run]
-            a = _codes(attribute, attributes, str.strip)
-            t, bad_onset = _floats(onset)
-            firsts, run = _runs(end)
-            e, bad_end = (column[run] for column in _floats(firsts))
-            has_end = np.array(firsts, dtype=object).astype(bool)[run]
-            bad_end &= has_end
-            # By replication code; the last entry serves code -1, a replication that did not parse.
-            below_one = np.array([value < 1 for value in replications] + [False])
-            failure = _first_failure([
-                (s < 0) | (r < 0) | (a < 0) | bad_onset,
-                (s == subjects.get("", -2)) | (a == attributes.get("", -2)),
-                below_one[r],
-                ~np.isfinite(t),
-                bad_end,
-                has_end & ~np.isfinite(e),
-            ])
+        for lines, columns in reader:
+            coded, failure = _code_rows(columns, tables)
+            del columns  # the chunk's strings, freed before the next chunk is read
             n = len(lines) if failure is None else failure[0]
             kept = lines[:n]  # a range for a chunk numpy tokenised, a list for csv's
             line_numbers = (np.arange(kept.start, kept.stop, kept.step, dtype=np.int64)
                             if isinstance(kept, range) else np.array(kept, dtype=np.int64))
-            chunks.append((line_numbers, s[:n], r[:n], a[:n], t[:n], e[:n], has_end[:n]))
+            for piece, column in zip(pieces, (line_numbers, *coded)):
+                piece.append(column[:n])
             if failure is not None:
                 error = MalformedRow(lines[n], _ROW_CHECKS[failure[1]])
                 break
     except MalformedRow as exc:  # a line csv cannot read, after rows that may fail first
-        if not chunks:
+        if not pieces[0]:
             raise
         error = exc
-    if not chunks:
+    if not pieces[0]:
         raise MalformedRow(1, "no data rows")
-    return [np.concatenate(column) for column in zip(*chunks)], tables, error
+    # One column at a time, each column's pieces freed once it is joined.
+    rows = {name: np.concatenate(pieces.pop(0)) for name in _ROW_COLUMNS}
+    return rows, tables, error
+
+
+# read_panel's stages.  Each takes the row columns it reads last out of the
+# dict ``rows``, so a row-sized array lives only while a stage reads it.
+
+def _group_rows(rows: dict, n_reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grouping: put ``rows`` in sequence order.  Sequences (subject,
+    replication) are numbered in order of first appearance, and each one's
+    rows keep their file order.  The subject and replication columns give
+    way to ``sequence``, each row's sequence number; returns the subject and
+    replication code of each sequence."""
+    subject, replication = rows.pop("subject"), rows.pop("replication")
+    key = subject.astype(np.int64) * n_reps + replication
+    # A stable sort puts each sequence's first row at the start of its run.
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    del key
+    first = by_key[starts]
+    number = np.argsort(first)
+    first = first[number]
+    codes = subject[first], replication[first]
+    del subject, replication
+    # Each sequence's run of ``by_key``, the runs in order of first appearance.
+    sizes = np.diff(starts, append=len(by_key))[number]
+    order = np.repeat(starts[number] - (np.cumsum(sizes) - sizes), sizes)
+    order += np.arange(len(order))
+    order = by_key[order]
+    del by_key
+    for name in rows:
+        rows[name] = rows[name][order]
+    rows["sequence"] = np.repeat(np.arange(len(sizes)), sizes)
+    return codes
+
+
+def _record_ends(rows: dict, n_sequences: int) -> np.ndarray:
+    """Record ends: the first end the end column gives each sequence, NaN
+    where it gives none.  Raises :class:`MalformedRow` on the first row, in
+    file order, that gives its sequence another end.  Takes the end
+    columns out of ``rows``."""
+    end, has_end = rows.pop("end"), rows.pop("has_end")
+    sequence = rows["sequence"]
+    with_end = np.flatnonzero(has_end)
+    leads = with_end[np.diff(sequence[with_end], prepend=-1) != 0]
+    seq_end = np.full(n_sequences, np.nan)
+    seq_end[sequence[leads]] = end[leads]
+    conflicts = has_end & (end != seq_end[sequence])
+    if conflicts.any():
+        raise MalformedRow(int(rows["line"][conflicts].min()),
+                           "conflicting record-end values in one sequence")
+    return seq_end
+
+
+def _merge_states(rows: dict, codes: np.ndarray, absorbing: Optional[int], seq_end: np.ndarray):
+    """State coding, the merge and the sequence checks.  Each row's state is
+    the code of its attribute in ``codes`` (-1 for an unknown one), and
+    consecutive repeats of one state merge into the first row, whose state
+    and onset replace the row columns of ``rows``.  Returns each sequence's
+    number of states, the number of rows merged away, and the first failing
+    sequence check or None: ``(sequence, check, row)``, ``row`` being the
+    attribute code and line of the sequence's first unknown row when the
+    check is the unknown attribute's, else None."""
+    sequence, line, attribute, onsets = (rows.pop(c) for c in ("sequence", "line", "attribute", "onset"))
+    n_sequences = len(seq_end)
+    states = codes[attribute]
+    new = np.r_[True, sequence[1:] != sequence[:-1]]
+    kept = np.flatnonzero(new | np.r_[True, states[1:] != states[:-1]])
+    k_sequence = sequence[kept]
+    k_last = np.r_[k_sequence[1:] != k_sequence[:-1], True]
+    n_states = np.bincount(k_sequence, minlength=n_sequences)
+    early = np.zeros(n_sequences, dtype=bool)
+    if absorbing is not None:
+        early[k_sequence[(states[kept] == absorbing) & ~k_last]] = True
+    del k_sequence, k_last
+
+    def per_sequence(mask):
+        return np.bincount(sequence[mask], minlength=n_sequences) > 0
+
+    unknown = states < 0
+    failure = _first_failure([
+        per_sequence(np.r_[False, ~new[1:] & (onsets[1:] <= onsets[:-1])]),
+        per_sequence(unknown),
+        np.isnan(seq_end),
+        seq_end <= onsets[np.r_[new[1:], True]],
+        early,
+    ])
+    if failure is not None:
+        i, check = failure
+        row = None
+        if check == 1:
+            r = np.flatnonzero((sequence == i) & unknown)[0]
+            row = int(attribute[r]), int(line[r])
+        return None, None, (i, check, row)
+    rows["state"], rows["onset"] = states[kept], onsets[kept]
+    return n_states, len(states) - len(kept), None
+
+
+def _select_sequences(rows: dict, n_states, seq_end, seq_subject, seq_replication, subject_names,
+                      rep_values):
+    """Durations with subject selection.  Each sojourn runs to the next
+    merged onset, the last to its sequence's record end.  A sequence with
+    fewer than two states is dropped, and so is a subject left with fewer
+    usable sequences than the most any subject has.  Returns the panel's
+    states, sojourns and lengths, its sequences by subject and each
+    subject's in replication order; the kept subjects' ids; the dropped
+    sequences as (subject, replication); and the dropped subjects with
+    their numbers of usable sequences.  Empties ``rows``."""
+    states, onsets = rows.pop("state"), rows.pop("onset")
+    ends = np.cumsum(n_states)
+    starts = ends - n_states
+    # A difference of huge values overflows to inf without a warning, as in
+    # Python float arithmetic.
+    with np.errstate(over="ignore"):
+        durations = np.r_[onsets[1:], 0.0] - onsets
+        durations[ends - 1] = seq_end - onsets[ends - 1]
+    del onsets
+    usable = n_states >= 2
+    dropped = [(subject_names[seq_subject[i]], rep_values[seq_replication[i]])
+               for i in np.flatnonzero(~usable)]
+    if not usable.any():
+        raise DataError("no usable sequences in the file")
+    # A maximum, so at least one subject is kept.
+    reps_kept = np.bincount(seq_subject[usable], minlength=len(subject_names))
+    n_reps = int(reps_kept.max())
+    rep_rank = np.empty(len(rep_values), dtype=np.int64)
+    rep_rank[sorted(range(len(rep_values)), key=rep_values.__getitem__)] = np.arange(len(rep_values))
+    chosen = np.flatnonzero(usable & (reps_kept == n_reps)[seq_subject])
+    chosen = chosen[np.lexsort((rep_rank[seq_replication[chosen]], seq_subject[chosen]))]
+    lengths = n_states[chosen]
+    take = np.repeat(starts[chosen] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+    return (
+        (states[take], durations[take], lengths.reshape(-1, n_reps)),
+        [subject_names[code] for code in np.flatnonzero(reps_kept == n_reps)],
+        dropped,
+        [(subject_names[code], reps_kept[code]) for code in np.flatnonzero(reps_kept < n_reps)],
+    )
 
 
 def read_panel(
@@ -441,40 +608,22 @@ def read_panel(
     as are subjects left with fewer replications than their peers.
 
     The file is read in chunks of lines (see :func:`_read_columns`), each
-    converted to arrays column by column; the checks, the merge and the
-    durations then run as array passes over all rows.  Errors come in a
-    fixed order: sidecar errors, then row errors (a line ``csv.reader``
-    cannot read among them) in file order, then sequence errors in order
-    of first appearance.  ``delimiter`` must be one character other than
-    ``"``, ``\\r`` and ``\\n``; a file that is not UTF-8 raises a
-    :class:`DataError` naming it.
+    converted to arrays column by column.  Four stages then run as array
+    passes over all rows: the grouping, the record ends, the merge with
+    its checks, and the durations with the subject selection.  Errors come
+    in a fixed order: sidecar errors, then row errors (a line
+    ``csv.reader`` cannot read among them) in file order, then sequence
+    errors in order of first appearance.  ``delimiter`` must be one
+    character other than ``"``, ``\\r`` and ``\\n``; a file that is not
+    UTF-8 raises a :class:`DataError` naming it.
     """
     ends, end_lines = ({}, {}) if ends_path is None else _read_end_sidecar(ends_path)
-    columns, tables, error = _parse_panel_rows(path, delimiter)
-    line, subject, replication, attribute, onset, end, has_end = columns
-    subjects, replications, attributes = tables
+    rows, tables, error = _parse_panel_rows(path, delimiter)
+    subjects, replications, _ = tables
     subject_names, rep_values, attribute_names = (list(table) for table in tables)
-
-    # Sequences (subject, replication), numbered in order of first
-    # appearance; ``rows`` lists the rows sequence by sequence, each
-    # sequence's rows in file order.
-    unique, first, inverse = np.unique(
-        subject * len(rep_values) + replication, return_index=True, return_inverse=True
-    )
-    n_groups = len(unique)
-    number = np.empty(n_groups, dtype=np.int64)
-    number[np.argsort(first)] = np.arange(n_groups)
-    group = number[inverse]
-    rows = np.argsort(group, kind="stable")
-
-    # The record end of the end column: the first one given per sequence.
-    with_end = rows[has_end[rows]]
-    leads = with_end[np.diff(group[with_end], prepend=-1) != 0]
-    group_end = np.full(n_groups, np.nan)
-    group_end[group[leads]] = end[leads]
-    conflicts = np.flatnonzero(has_end & (end != group_end[group]))
-    if conflicts.size:
-        raise MalformedRow(int(line[conflicts[0]]), "conflicting record-end values in one sequence")
+    seq_subject, seq_replication = _group_rows(rows, len(rep_values))
+    n_sequences = len(seq_subject)
+    seq_end = _record_ends(rows, n_sequences)
     if error is not None:
         raise error
 
@@ -493,54 +642,28 @@ def read_panel(
     space = StateSpace(labels=tuple(label_list), absorbing=absorbing)
     index = {lab: k for k, lab in enumerate(label_list)}
 
-    g = group[rows]
-    states = np.array([index.get(name, -1) for name in attribute_names], dtype=np.int64)[attribute[rows]]
-    onsets = onset[rows]
-    new = np.r_[True, g[1:] != g[:-1]]
-    g_subject, g_replication = subject[rows[new]], replication[rows[new]]
-    last_onset = onsets[np.r_[new[1:], True]]
-
-    def per_group(mask):
-        return np.bincount(g[mask], minlength=n_groups) > 0
-
-    group_of = dict(zip(zip(g_subject.tolist(), g_replication.tolist()), range(n_groups)))
     unmatched = []
-    for key, value in ends.items():
-        i = group_of.get((subjects.get(key[0]), replications.get(key[1])))
-        if i is None:
-            unmatched.append(
-                f"record-end sidecar line {end_lines[key]}: no sequence for subject {key[0]!r} "
-                f"replication {key[1]}"
-            )
-        elif np.isnan(group_end[i]):
-            group_end[i] = value
+    if ends:
+        number = dict(zip(zip(seq_subject.tolist(), seq_replication.tolist()), range(n_sequences)))
+        for key, value in ends.items():
+            i = number.get((subjects.get(key[0]), replications.get(key[1])))
+            if i is None:
+                unmatched.append(
+                    f"record-end sidecar line {end_lines[key]}: no sequence for subject {key[0]!r} "
+                    f"replication {key[1]}"
+                )
+            elif np.isnan(seq_end[i]):
+                seq_end[i] = value
 
-    # Consecutive repeats of one state merge into the first row.
-    kept = np.flatnonzero(new | (states != np.r_[-1, states[:-1]]))
-    merge_count = len(rows) - len(kept)
-    k_group, k_states = g[kept], states[kept]
-    k_last = np.r_[k_group[1:] != k_group[:-1], True]
-    n_states = np.bincount(k_group, minlength=n_groups)
-    early = np.zeros(n_groups, dtype=bool)
-    if absorbing is not None:
-        early[k_group[(k_states == absorbing) & ~k_last]] = True
-
-    unknown = states < 0
-    failure = _first_failure([
-        per_group(np.r_[False, ~new[1:] & (onsets[1:] <= onsets[:-1])]),
-        per_group(unknown),
-        np.isnan(group_end),
-        group_end <= last_onset,
-        early,
-    ])
+    codes = np.array([index.get(name, -1) for name in attribute_names], dtype=np.int32)
+    n_states, merge_count, failure = _merge_states(rows, codes, absorbing, seq_end)
     if failure is not None:
-        i, check = failure
-        name, rep = subject_names[g_subject[i]], rep_values[g_replication[i]]
+        i, check, row = failure
+        name, rep = subject_names[seq_subject[i]], rep_values[seq_replication[i]]
         if check == 0:
             raise NonMonotoneOnset(name, rep)
         if check == 1:
-            r = rows[(g == i) & unknown][0]
-            raise UnknownAttribute(attribute_names[attribute[r]], int(line[r]))
+            raise UnknownAttribute(attribute_names[row[0]], row[1])
         raise DataError((
             f"no record end for subject {name!r} replication {rep} "
             "(add an 'end' column or a sidecar)",
@@ -549,46 +672,20 @@ def read_panel(
             f"{absorbing_label!r} appears before the end of the sequence",
         )[check - 2])
 
-    # Each sojourn runs to the next merged onset, the last to the record end.
-    # A difference of huge values overflows to inf without a warning, as in
-    # Python float arithmetic.
-    k_onsets = onsets[kept]
-    with np.errstate(over="ignore"):
-        durations = np.where(k_last, group_end[k_group], np.r_[k_onsets[1:], 0.0]) - k_onsets
-
-    usable = n_states >= 2
-    dropped = [
-        (subject_names[g_subject[i]], rep_values[g_replication[i]]) for i in np.flatnonzero(~usable)
-    ]
+    arrays, subject_ids, dropped, dropped_subjects = _select_sequences(
+        rows, n_states, seq_end, seq_subject, seq_replication, subject_names, rep_values
+    )
+    n_reps = arrays[2].shape[1]
     warnings = [f"dropped subject {s!r} replication {r}: fewer than two states" for s, r in dropped]
     warnings += unmatched
-    if not usable.any():
-        raise DataError("no usable sequences in the file")
-    # A maximum, so at least one subject is kept.
-    reps_kept = np.bincount(g_subject[usable], minlength=len(subject_names))
-    n_reps = int(reps_kept.max())
-    dropped_subjects = []
-    for code in np.flatnonzero(reps_kept < n_reps):
-        dropped_subjects.append(subject_names[code])
-        warnings.append(
-            f"dropped subject {subject_names[code]!r}: {reps_kept[code]} usable replications, "
-            f"expected {n_reps}"
-        )
-
-    # The kept sequences by subject, each subject's in replication order.
-    rep_rank = np.empty(len(rep_values), dtype=np.int64)
-    rep_rank[sorted(range(len(rep_values)), key=rep_values.__getitem__)] = np.arange(len(rep_values))
-    chosen = np.flatnonzero(usable & (reps_kept == n_reps)[g_subject])
-    chosen = chosen[np.lexsort((rep_rank[g_replication[chosen]], g_subject[chosen]))]
-    lengths = n_states[chosen]
-    starts = np.cumsum(n_states) - n_states
-    take = np.repeat(starts[chosen] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-    panel = Panel.from_arrays(space, k_states[take], durations[take], lengths.reshape(-1, n_reps))
+    warnings += [f"dropped subject {s!r}: {count} usable replications, expected {n_reps}"
+                 for s, count in dropped_subjects]
+    panel = Panel.from_arrays(space, *arrays)
     report = IngestReport(
-        subject_ids=tuple(subject_names[code] for code in np.flatnonzero(reps_kept == n_reps)),
+        subject_ids=tuple(subject_ids),
         merge_count=merge_count,
         dropped_sequences=tuple(dropped),
-        dropped_subjects=tuple(dropped_subjects),
+        dropped_subjects=tuple(s for s, _ in dropped_subjects),
         warnings=tuple(warnings),
     )
     return panel, report

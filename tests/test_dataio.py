@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from smcmix.dataio import (
     write_panel,
     write_scenario,
 )
-from smcmix.sim import Scenario
+from smcmix.sim import Scenario, simulate_panel
 
 from conftest import traj
 
@@ -398,6 +399,50 @@ class TestRowReader:
                 read_panel(panel, ends_path=bad)
             else:
                 read_panel(bad)
+
+    @pytest.mark.parametrize("which", ["panel", "sidecar", "labels", "model"])
+    def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, which):
+        """Spreadsheet "CSV UTF-8" exports begin with U+FEFF.  Each reader
+        reads such a file as it reads the same file without the mark."""
+        panel = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,3\n")
+        path = tmp_path / "file"
+        if which == "model":
+            write_model(path, fixtures.well_separated_model())
+            text, read = path.read_text(encoding="utf-8"), read_model
+        else:
+            text, read = {
+                "panel": ("subject,replication,attribute,onset,end\ns1,1,A,0,10\ns1,1,B,3,10\n", read_panel),
+                "sidecar": ("subject,replication,end\ns1,1,10\n",
+                            lambda ends: read_panel(panel, ends_path=ends)),
+                "labels": ("subject,component\na,1\nb,2\n", read_labels),
+            }[which]
+        write_csv(path, text)
+        expected = read(path)
+        write_csv(path, "\ufeff" + text)
+        assert read(path) == expected
+
+    @pytest.mark.parametrize("which", ["panel", "panel end", "sidecar", "labels"])
+    def test_a_column_read_twice_is_an_error(self, tmp_path, which):
+        """A column the reader uses must appear once in the header, stripped
+        of spaces; an unused column may repeat."""
+        panel = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\ns1,1,B,3\n")
+        header, rows, column, read = {
+            "panel": ("subject,replication,attribute,onset, onset,end,x,x",
+                      "s1,1,A,0,1,10,0,0\ns1,1,B,3,1,10,0,0", "onset", read_panel),
+            "panel end": ("subject,replication,attribute,onset,end,x,end ,x",
+                          "s1,1,A,0,10,0,11,0\ns1,1,B,3,10,0,11,0", "end", read_panel),
+            "sidecar": ("subject,replication,end,x,x,end", "s1,1,10,0,0,11", "end",
+                        lambda ends: read_panel(panel, ends_path=ends)),
+            "labels": ("subject,component,x,subject,x", "a,1,0,b,0", "subject", read_labels),
+        }[which]
+        path = write_csv(tmp_path / "file.csv", f"{header}\n{rows}\n")
+        with pytest.raises(MalformedRow, match=f"^line 1: duplicate column: {column}$") as err:
+            read(path)
+        assert err.value.line == 1
+        # Renaming the second copy leaves the repeated unused column "x".
+        at = header.rindex(column)
+        write_csv(path, f"{header[:at]}y{header[at + len(column):]}\n{rows}\n")
+        read(path)
 
     @pytest.mark.parametrize("read", [read_panel, read_labels])
     def test_empty_file(self, tmp_path, read):
@@ -841,3 +886,30 @@ def test_read_panel_keeps_first_appearance_order_of_interleaved_subjects(tmp_pat
     assert report.subject_ids == ("s2", "s1", "s3")
     first_sojourns = [reps[0].sojourns[0] for reps in panel.subjects]
     assert first_sojourns == [2.0, 3.0, 4.0]
+
+
+def test_read_panel_peak_memory_grows_by_at_most_80_bytes_per_row(tmp_path):
+    """Traced, ``read_panel``'s peak on generated panels of 800 and 1,600
+    subjects (26,400 and 52,800 rows) grows by at most 80 bytes per added
+    row.  The coded columns take 37 bytes per row; a row-sized array that
+    outlives the stage reading it adds 4 or 8 more."""
+    peaks, rows = [], []
+    for n_subjects in (800, 1600):
+        scenario = fixtures.benchmark_scenario("well_separated", n_subjects=n_subjects, seed=1)
+        panel, _ = simulate_panel(scenario)
+        path = tmp_path / f"panel{n_subjects}.csv"
+        write_panel(path, panel)
+        with open(path) as fh:
+            rows.append(sum(1 for _ in fh) - 1)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            read_panel(path, labels=panel.space.labels)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    assert rows == [26400, 52800]
+    assert (peaks[1] - peaks[0]) / (rows[1] - rows[0]) <= 80

@@ -5,12 +5,15 @@ time, building a list of rows per (subject, replication) and then a merge
 per sequence.  It is kept here, with its row reader and record-end sidecar
 reader, as the oracle of the chunked column reader: on any file both must
 return the same panel and report, or raise the same exception type with
-the same message and line.  The copy carries two fixes: a record end is
+the same message and line.  The copy carries three fixes: a record end is
 compared with the onset of the sequence's last row, not of its last merged
-state, so a repeat recorded after the end is an error; and a file whose
-rows all have one attribute, read without labels, raises a ``DataError``
-naming the file and the attribute instead of the state space's
-``InvalidModelError``.
+state, so a repeat recorded after the end is an error; a file whose rows
+all have one attribute, read without labels, raises a ``DataError`` naming
+the file and the attribute instead of the state space's
+``InvalidModelError``; and a file's leading byte-order mark is dropped, and
+a column the reader uses that appears twice in the header, stripped of
+spaces, raises ``MalformedRow`` on line 1 instead of the last copy being
+read.
 
 The generated files mix valid sequences with several defects each, so the
 order in which errors are reported is tested too, and the chunk size is
@@ -18,7 +21,8 @@ patched down to a few rows, so chunk boundaries cut through sequences and
 errors.  They also carry what tells numpy's tokeniser from ``csv.reader``:
 quoted fields holding the delimiter, a quote or a newline, whitespace-only
 lines, CRLF and lone-CR line endings, NUL, NBSP, tab and U+001C padding, and
-numbers Python reads and numpy refuses.  So the first chunk that leaves
+numbers Python reads and numpy refuses.  A few begin with a byte-order mark
+or repeat a column name in the header.  So the first chunk that leaves
 numpy's tokeniser falls anywhere in a file.
 """
 
@@ -45,7 +49,7 @@ from smcmix.sim import simulate_panel
 
 
 def _oracle_rows(path, required, optional=(), delimiter=","):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # the fix: a byte-order mark is dropped
         reader = csv.reader(fh, delimiter=delimiter)
         header = next(reader, None)
         if header is None:
@@ -54,6 +58,9 @@ def _oracle_rows(path, required, optional=(), delimiter=","):
         missing = [c for c in required if c not in position]
         if missing:
             raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+        for c in (*required, *optional):  # the fix: no silent pick among copies of a column
+            if [name.strip() for name in header].count(c) > 1:
+                raise MalformedRow(1, f"duplicate column: {c}")
         columns = [position.get(c) for c in (*required, *optional)]
         for row in reader:
             if row:
@@ -352,6 +359,8 @@ def _files(draw):
     if _rarely(draw, 20):
         order = order[:-1]  # a column missing from the header
     header = [COLUMNS[c] for c in order] + ["note"]
+    if _rarely(draw, 20):
+        header[-1] = draw(st.sampled_from(COLUMNS))  # a second copy of a column, or a missing one
     if draw(st.booleans()):
         header = [f" {name} " for name in header]
     delimiter = draw(st.sampled_from([",", ";"]))
@@ -368,6 +377,8 @@ def _files(draw):
     else:
         endings = [draw(st.sampled_from(LINE_ENDINGS))] * len(lines)
     panel_text = _text(lines, delimiter, endings)
+    if _rarely(draw, 20):
+        panel_text = "\ufeff" + panel_text  # a byte-order mark
 
     sidecar_text = None
     if draw(st.booleans()):
@@ -382,6 +393,8 @@ def _files(draw):
                 [["s1", "x", "3"], ["s1", "1"], ["s1", "1", "nan"], ["s1", "1", "1e9"], ""]
             )))
         sidecar_text = _text(side)
+        if _rarely(draw, 10):
+            sidecar_text = "\ufeff" + sidecar_text
     labels = draw(st.sampled_from(LABEL_CHOICES))
     return panel_text, sidecar_text, labels, delimiter
 
