@@ -17,9 +17,7 @@ from .core import (
     PosteriorMatrix,
     StateSpace,
     Trajectory,
-    Violation,
     pool_mixture,
-    validate_h1_h2,
 )
 from .em import EmConfig, FitReport, e_step, fit, map_cluster
 from .errors import (
@@ -47,6 +45,5 @@ from .metrics import (
 )
 from .selection import GSweepResult, aic, aicc, bic, param_count, select_g
 from .sim import BenchmarkResult, Scenario, run_benchmark, simulate_panel, simulate_trajectory
-from .sojourn import WeightedSample, fit_gamma_mom
 
 __version__ = "0.1.0"

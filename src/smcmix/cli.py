@@ -87,9 +87,9 @@ def _resolve_scenario(ref: str):
 def _cmd_fit(args) -> int:
     panel, report = _read_panel(args)
     cfg = _em_config(args)
-    init = initial_model(panel, args.n_components, seed=args.seed,
-                         restarts=args.restarts, min_obs_mass=args.min_obs)
-    result = fit(panel, args.n_components, init, cfg)
+    init, _ = initial_model(panel, args.n_components, seed=args.seed,
+                            restarts=args.restarts, min_obs_mass=args.min_obs)
+    result = fit(panel, init, cfg)
     dataio.write_model(args.out, result.model)
 
     labels = map_cluster(result.posteriors)

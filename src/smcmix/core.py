@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import combinations
 from numbers import Integral
 from typing import Iterator, NamedTuple, Optional
 
@@ -140,12 +139,6 @@ class StateSpace:
     @property
     def n_states(self) -> int:
         return len(self.labels)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"unknown attribute {label!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,51 +518,6 @@ class PosteriorMatrix:
         if not isinstance(other, PosteriorMatrix):
             return NotImplemented
         return np.array_equal(self.z, other.z)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One failed identifiability condition.
-
-    ``kind`` is ``"h1-alpha"`` (a zero initial probability), ``"h1-trans"``
-    (a zero transition probability) or ``"h2"`` (two components share the
-    same sojourn parameters everywhere).
-    """
-
-    kind: str
-    component: int
-    state: Optional[int] = None
-    target: Optional[int] = None
-    other_component: Optional[int] = None
-
-
-def validate_h1_h2(model: MixtureModel, strict_eps: float) -> list[Violation]:
-    """Report all violations of the positivity (H1) and distinct-sojourn (H2)
-    identifiability conditions at tolerance ``strict_eps``.
-
-    An empty list means both conditions hold: every initial and transition
-    probability among non-absorbing states exceeds ``strict_eps``, and every
-    pair of components differs in at least one sojourn parameter by more
-    than ``strict_eps``.
-    """
-    if strict_eps <= 0:
-        raise ValueError("strict_eps must be positive")
-    p = model.params
-    live = p.live
-    pairs = live[:, None] & live[None, :] & ~np.eye(len(live), dtype=bool)
-    out: list[Violation] = []
-    for g in range(model.n_components):
-        low_alpha = np.flatnonzero(live & (p.alpha[g] <= strict_eps)).tolist()
-        low_trans = np.argwhere(pairs & (p.trans[g] <= strict_eps)).tolist()
-        out += [Violation("h1-alpha", g, state=j) for j in low_alpha]
-        out += [Violation("h1-trans", g, state=h, target=j) for h, j in low_trans]
-    for g, g2 in combinations(range(model.n_components), 2):
-        close = (np.abs(p.shape[g] - p.shape[g2]) <= strict_eps) & (
-            np.abs(p.rate[g] - p.rate[g2]) <= strict_eps
-        )
-        if close[live].all():
-            out.append(Violation("h2", g, other_component=g2))
-    return out
 
 
 @dataclass(frozen=True, eq=False)

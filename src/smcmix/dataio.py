@@ -324,11 +324,13 @@ def _write_json(path, doc: dict) -> None:
 
 
 def _read_json(path) -> dict:
-    with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
-        try:
+    try:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -486,7 +486,7 @@ def fit_stack(
     return outcomes
 
 
-def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> FitReport:
+def fit(panel: Panel, init: MixtureModel, cfg: EmConfig) -> FitReport:
     """Run the SQUAREM-accelerated penalized EM from ``init`` until the
     relative objective change of an EM map falls below ``cfg.rel_tol`` or
     ``cfg.max_iter`` EM maps have run: a stack of one fit
@@ -512,12 +512,9 @@ def fit(panel: Panel, n_components: int, init: MixtureModel, cfg: EmConfig) -> F
     keeps less than one subject of responsibility for three consecutive
     maps of the kept path, or loses all mass outright.  An M-step whose
     parameters break an invariant of the model types raises
-    :class:`~smcmix.errors.InvalidModelError` in that map.  ``n_components``
-    is a count (:func:`~smcmix.core.check_count`) equal to ``init``'s.
+    :class:`~smcmix.errors.InvalidModelError` in that map.  The fit has
+    ``init``'s number of components.
     """
-    check_count("n_components", n_components, 1)
-    if init.n_components != n_components:
-        raise ValueError("init does not have the requested number of components")
     (outcome,) = fit_stack(panel, PanelStats.from_panel(panel), [init], cfg)
     if isinstance(outcome, Exception):
         raise outcome

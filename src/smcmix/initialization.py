@@ -15,9 +15,9 @@ its D slabs in the pairwise order numpy sums a short axis in, so each
 pass runs over long rows.  One cluster needs no search and draws nothing.
 
 The moment estimates sort the panel's sojourns once by (cluster, state);
-each cell's durations are then one slice, in panel order, fitted by the
-arithmetic of :func:`smcmix.sojourn.fit_gamma_mom` without re-checking a
-sample the panel has already checked.
+each cell's durations are then one slice, in panel order, fitted by
+:func:`smcmix.sojourn.gamma_mom` without re-checking a sample the panel
+has already checked.
 """
 
 from __future__ import annotations
@@ -256,28 +256,19 @@ def initial_model(
     seed: int,
     restarts: int = RESTARTS,
     min_obs_mass: int = EmConfig.min_obs_mass,
-) -> MixtureModel:
+    stats: PanelStats | None = None,
+) -> tuple[MixtureModel, np.ndarray]:
     """Build an EM starting model by clustering subjects on their mean
-    sojourn profiles and estimating each cluster empirically.
+    sojourn profiles and estimating each cluster empirically; returns the
+    model and the k-means labels (one per subject) it was estimated from.
 
     Initial and transition probabilities get a small additive smoothing on
     every structurally-allowed cell so the starting log-likelihood is
     finite on the training panel; the EM may drive entries back to zero.
+    ``stats`` are the panel's statistics when the caller has them already.
+    ``n_components`` is a count (:func:`~smcmix.core.check_count`).
     """
-    return _clustered_model(panel, n_components, seed, restarts, min_obs_mass)[0]
-
-
-def _clustered_model(
-    panel: Panel,
-    n_components: int,
-    seed: int,
-    restarts: int,
-    min_obs_mass: int,
-    stats: PanelStats | None = None,
-) -> tuple[MixtureModel, np.ndarray]:
-    """:func:`initial_model` together with the k-means labels it was
-    estimated from; ``stats`` are the panel's statistics when the caller
-    has them already."""
+    check_count("n_components", n_components, 1)
     if stats is None:
         stats = PanelStats.from_panel(panel)
     d = panel.space.n_states

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core import Panel, check_count, is_integer
 from .em import EmConfig, EmptyComponent, FitReport, fit_stack
-from .initialization import RESTARTS, _clustered_model
+from .initialization import RESTARTS, initial_model
 from .likelihood import PanelStats
 
 CRITERIA = ("bic", "aic", "aicc")
@@ -130,7 +130,7 @@ def select_g(
     inits, init_labels, init_error = [], {}, []
     for g in g_values:
         try:
-            init, init_labels[g] = _clustered_model(
+            init, init_labels[g] = initial_model(
                 panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
             )
         except Exception as exc:

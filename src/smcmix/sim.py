@@ -37,7 +37,7 @@ import numpy as np
 from .core import ComponentParams, MixtureModel, Panel, Trajectory, check_count, is_integer
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import RESTARTS, _clustered_model
+from .initialization import RESTARTS, initial_model
 from .metrics import (
     align_components,
     classification_rate,
@@ -365,11 +365,11 @@ def _one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed):
     warnings: list[str] = []
 
     if g_range is None:
-        init, km_labels = _clustered_model(
+        init, km_labels = initial_model(
             panel, truth.n_components, init_seed, restarts, cfg.min_obs_mass
         )
         try:
-            report = fit(panel, truth.n_components, init, cfg)
+            report = fit(panel, init, cfg)
             out["aborted"] = 0.0
         except EmptyComponent as exc:
             report = exc.report

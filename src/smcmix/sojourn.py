@@ -19,14 +19,9 @@ pass to pass as compacted arrays, and a cell's shape is written back
 when it leaves; the derivative's cell-free terms at the bracket ends are
 constants.  The gamma log-density itself is evaluated only inside the
 likelihood matrix of :mod:`smcmix.likelihood`.
-
-:func:`gamma_mom` is the moment fit of :func:`fit_gamma_mom` on arrays,
-unchecked, for callers whose durations are already known to be valid.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import psi, zeta
@@ -49,40 +44,17 @@ _LOG_PSI_MIN, _LOG_PSI_MAX = np.log(_BRACKET) - psi(_BRACKET)
 _INV_MIN, _INV_MAX = 1.0 + 1.0 / _BRACKET
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedSample:
-    """Positive durations with nonnegative weights (responsibilities)."""
-
-    values: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
-        if values.ndim != 1 or weights.ndim != 1 or values.shape != weights.shape:
-            raise ValueError("values and weights must be 1-D and of equal length")
-        if not np.all(values > 0.0):
-            raise ValueError("durations must be strictly positive")
-        if not np.all(weights >= 0.0):
-            raise ValueError("weights must be nonnegative")
-        if float(weights.sum()) <= 0.0:
-            raise ValueError("total weight must be positive")
-
-
-def fit_gamma_mom(sample: WeightedSample) -> GammaParams:
-    """Method-of-moments fit: shape = mean^2/var, rate = mean/var.
-
-    Raises :class:`DegenerateSample` when the weighted variance vanishes
-    (all effective durations equal); callers fall back to a pooled fit.
-    """
-    return gamma_mom(sample.values, sample.weights)
-
-
 def gamma_mom(x: np.ndarray, w: np.ndarray) -> GammaParams:
-    """:func:`fit_gamma_mom` of durations ``x`` with weights ``w``, arrays
-    a :class:`WeightedSample` would accept, taken unchecked."""
+    """Method-of-moments fit of durations ``x`` with weights ``w``:
+    shape = mean^2/var, rate = mean/var.
+
+    ``x`` and ``w`` are 1-D float arrays of equal length, every duration
+    strictly positive, every weight nonnegative and their sum positive;
+    they are taken unchecked, so they come from a checked
+    :class:`~smcmix.core.Panel`.  Raises :class:`DegenerateSample` when the
+    weighted variance vanishes (all effective durations equal); callers
+    fall back to a pooled fit.
+    """
     sw = float(w.sum())
     mean = float(np.dot(w, x)) / sw
     var = float(np.dot(w, (x - mean) ** 2)) / sw

@@ -44,10 +44,10 @@ from smcmix.core import (
     Trajectory,
 )
 from smcmix.errors import DegenerateSample, EmptyComponent, InvalidModelError
-from smcmix.initialization import _clustered_model
+from smcmix.initialization import initial_model
 from smcmix.likelihood import PanelStats, log_scores, mixture_loglik, penalty_term, penalty_weight
 from smcmix.selection import CRITERIA, GSweepResult, SweepRow, aic, aicc, bic, param_count
-from smcmix.sojourn import DEGENERATE, OK, WeightedSample, solve_shapes, status_error
+from smcmix.sojourn import DEGENERATE, OK, solve_shapes, status_error
 
 
 def gamma_log_density(t: float, p: GammaParams) -> float:
@@ -95,8 +95,8 @@ def penalized_objective(panel: Panel, model: MixtureModel) -> float:
     return mixture_loglik(panel, model) + penalty_term(model.params, penalty_weight(panel))
 
 
-def _suff_stats(sample: WeightedSample) -> tuple[float, float, float, int]:
-    w, x = sample.weights, sample.values
+def _suff_stats(values, weights) -> tuple[float, float, float, int]:
+    w, x = weights, values
     sw = float(w.sum())
     swx = float(np.dot(w, x))
     swlog = float(np.dot(w, np.log(x)))
@@ -104,8 +104,9 @@ def _suff_stats(sample: WeightedSample) -> tuple[float, float, float, int]:
     return sw, swlog, swx, n_pos
 
 
-def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
-    """Weighted penalized maximum-likelihood gamma fit.
+def fit_gamma_pmle(values, weights, penalty_c: float) -> GammaParams:
+    """Weighted penalized maximum-likelihood gamma fit of durations
+    ``values`` with weights ``weights``.
 
     ``penalty_c`` is the penalty weight (zero gives the plain weighted MLE;
     :func:`smcmix.em.fit` passes ``1/sqrt(total visited-state count)``).  The
@@ -114,7 +115,7 @@ def fit_gamma_pmle(sample: WeightedSample, penalty_c: float) -> GammaParams:
     """
     if penalty_c < 0.0:
         raise ValueError("penalty_c must be nonnegative")
-    sw, swlog, swx, n_pos = _suff_stats(sample)
+    sw, swlog, swx, n_pos = _suff_stats(values, weights)
     if n_pos < 2:
         raise DegenerateSample("need at least two positive-weight observations")
     shape, status = solve_shapes([sw], [swlog], [swx], penalty_c)
@@ -256,11 +257,9 @@ def _sequential_m_step_sojourn(stats: PanelStats, z: np.ndarray, penalty_c, min_
     return shape, rate, warnings
 
 
-def sequential_fit(panel: Panel, n_components: int, init: MixtureModel, cfg) -> em.FitReport:
+def sequential_fit(panel: Panel, init: MixtureModel, cfg) -> em.FitReport:
     """The SQUAREM-accelerated penalized EM of :func:`smcmix.em.fit`, one
     fit on its own with its own M-step, as a plain loop over its cycles."""
-    if init.n_components != n_components:
-        raise ValueError("init does not have the requested number of components")
     if init.space != panel.space:
         raise ValueError("init is defined on a different state space")
 
@@ -289,7 +288,7 @@ def sequential_fit(panel: Panel, n_components: int, init: MixtureModel, cfg) -> 
         return abs(new - old) / (abs(new) + 1.0) < cfg.rel_tol
 
     warnings = {}
-    empty_streak = np.zeros(n_components, dtype=int)
+    empty_streak = np.zeros(init.n_components, dtype=int)
     iterations = tried = kept = 0
     path = [evaluate(init.params)]
     trace = [path[0][1]]
@@ -371,11 +370,11 @@ def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
     has_absorbing = panel.space.absorbing is not None
     rows, reports, init_labels, warnings = [], {}, {}, []
     for g in g_values:
-        init, init_labels[g] = _clustered_model(panel, g, cfg.seed, restarts,
-                                                cfg.min_obs_mass, stats)
+        init, init_labels[g] = initial_model(panel, g, cfg.seed, restarts,
+                                             cfg.min_obs_mass, stats)
         aborted = False
         try:
-            report = sequential_fit(panel, g, init, cfg)
+            report = sequential_fit(panel, init, cfg)
         except EmptyComponent as exc:
             report = exc.report
             aborted = True

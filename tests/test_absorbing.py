@@ -69,8 +69,8 @@ def absorbing_panel():
 class TestAbsorbingEndToEnd:
     def test_fit_recovers_structure(self, absorbing_panel):
         panel, truth = absorbing_panel
-        init = initial_model(panel, 2, seed=11)
-        report = fit(panel, 2, init, EmConfig())
+        init, _ = initial_model(panel, 2, seed=11)
+        report = fit(panel, init, EmConfig())
         model = report.model
         assert model.space.absorbing == 3
         for comp in model.components:

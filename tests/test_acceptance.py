@@ -34,7 +34,6 @@ from smcmix.dataio import (
     write_scenario,
 )
 from smcmix.sim import Scenario, run_benchmark, simulate_panel, simulate_trajectory
-from smcmix.sojourn import WeightedSample
 
 from oracles import fit_gamma_pmle
 
@@ -180,8 +179,8 @@ def canonical_fit(name, seed=SEED):
         seed=seed, replicate_count=1,
     )
     panel, _ = simulate_panel(scenario)
-    init = initial_model(panel, model.n_components, seed=seed)
-    return panel, init, fit(panel, model.n_components, init, EmConfig())
+    init, _ = initial_model(panel, model.n_components, seed=seed)
+    return panel, init, fit(panel, init, EmConfig())
 
 
 class TestCriterion6Properties:
@@ -209,7 +208,7 @@ class TestCriterion6Properties:
             space=init.space, weights=init.weights[::-1].copy(),
             components=init.components[::-1],
         )
-        other = fit(panel, 2, swapped, EmConfig())
+        other = fit(panel, swapped, EmConfig())
         ok = (
             report.objective_trace == other.objective_trace
             and report.model.components[0] == other.model.components[1]
@@ -271,8 +270,7 @@ class TestCriterion6Properties:
         for _ in range(10):
             values = rng.gamma(2.3, 1.7, size=300)
             weights = rng.random(300) + 0.01
-            sample = WeightedSample(values=values, weights=weights)
-            p = fit_gamma_pmle(sample, penalty_c=0.03)
+            p = fit_gamma_pmle(values, weights, penalty_c=0.03)
             lam = p.shape * weights.sum() / np.dot(weights, values)
             rel = abs(p.rate - lam) / lam
             worst = max(worst, rel)

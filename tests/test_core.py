@@ -19,7 +19,6 @@ from smcmix import (
     StateSpace,
     Trajectory,
     pool_mixture,
-    validate_h1_h2,
 )
 from smcmix import fixtures
 from smcmix.sim import simulate_trajectory
@@ -39,12 +38,6 @@ class TestStateSpace:
     def test_absorbing_range(self):
         with pytest.raises(InvalidModelError):
             StateSpace(labels=("A", "B"), absorbing=5)
-
-    def test_index(self):
-        s = StateSpace(labels=("A", "B"))
-        assert s.index("B") == 1
-        with pytest.raises(KeyError):
-            s.index("C")
 
 
 class TestTrajectory:
@@ -488,41 +481,6 @@ class TestPosteriorMatrix:
     def test_range(self):
         with pytest.raises(InvalidModelError):
             PosteriorMatrix(z=np.array([[1.2, -0.2]]))
-
-
-class TestValidateH1H2:
-    def test_identical_sojourns_one_h2_violation(self, two_state_space):
-        comp = make_component([0.5, 0.5], [[0, 1], [1, 0]], [(2, 1), (2, 1)])
-        model = MixtureModel(
-            space=two_state_space, weights=np.array([0.5, 0.5]), components=(comp, comp)
-        )
-        violations = validate_h1_h2(model, strict_eps=1e-6)
-        h2 = [v for v in violations if v.kind == "h2"]
-        assert len(h2) == 1
-        assert (h2[0].component, h2[0].other_component) == (0, 1)
-
-    def test_single_component_all_positive_empty(self, two_state_space):
-        comp = make_component([0.5, 0.5], [[0, 1], [1, 0]], [(2, 1), (2, 1)])
-        model = MixtureModel(space=two_state_space, weights=np.array([1.0]), components=(comp,))
-        assert validate_h1_h2(model, strict_eps=1e-6) == []
-
-    def test_two_chocolate_model(self):
-        model = fixtures.well_separated_model()
-        violations = validate_h1_h2(model, strict_eps=1e-6)
-        # Oracle: count the zero cells of the renormalized reference tables.
-        expected = 0
-        for comp in model.components:
-            expected += int(np.sum(comp.alpha <= 1e-6))
-            off_diag = comp.trans[~np.eye(10, dtype=bool)]
-            expected += int(np.sum(off_diag <= 1e-6))
-        h1 = [v for v in violations if v.kind.startswith("h1")]
-        h2 = [v for v in violations if v.kind == "h2"]
-        assert len(h1) == expected
-        assert h2 == []
-        # the tables do contain exact zeros, e.g. Astringent -> Cocoa
-        i = fixtures.CHOCOLATE_LABELS.index("Astringent")
-        j = fixtures.CHOCOLATE_LABELS.index("Cocoa")
-        assert model.components[0].trans[i, j] == 0.0
 
 
 class TestPoolMixture:

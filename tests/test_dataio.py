@@ -382,17 +382,23 @@ class TestRowReader:
         with pytest.raises(ValueError, match=message):
             read_panel(tmp_path / "missing.csv", delimiter=delimiter)
 
-    @pytest.mark.parametrize("which", ["panel", "sidecar", "labels"])
+    @pytest.mark.parametrize("which", ["panel", "sidecar", "labels", "model", "scenario"])
     def test_non_utf8_file_is_a_data_error(self, tmp_path, which):
         text = {
             "panel": "subject,replication,attribute,onset,end\ns1,1,Salé,0,10\ns1,1,Sucré,3,10\n",
             "sidecar": "subject,replication,end\nSalé,1,10\n",
             "labels": "subject,component\nSalé,1\n",
+            "model": '{"labels": ["Salé", "Sucré"]}',
+            "scenario": '{"n_subjects": 5, "model": {"labels": ["Salé"]}}',
         }[which]
         bad = tmp_path / f"{which}.csv"
         bad.write_bytes(text.encode("latin-1"))
         with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
-            if which == "labels":
+            if which == "model":
+                read_model(bad)
+            elif which == "scenario":
+                read_scenario(bad)
+            elif which == "labels":
                 read_labels(bad)
             elif which == "sidecar":
                 panel = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\n")

@@ -35,7 +35,6 @@ from smcmix.em import (
 )
 from smcmix.likelihood import PanelStats, log_scores, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
-from smcmix.sojourn import WeightedSample
 
 from conftest import make_component, traj
 from oracles import fit_gamma_pmle, penalized_objective, subject_loglik
@@ -91,7 +90,7 @@ def test_fit_from_an_init_on_another_state_space_is_rejected(how):
     panel, _ = well_separated_panel(n=30)
     init = _model_on_another_space(fixtures.well_separated_model(), how)
     with pytest.raises(ValueError, match="^init is defined on a different state space$"):
-        fit(panel, 2, init, EmConfig())
+        fit(panel, init, EmConfig())
 
 
 class TestEStep:
@@ -213,31 +212,31 @@ class TestMStepWeights:
         assert set(np.unique(z)) == {0.0, 1.0}
         counts = z.sum(axis=0)
         assert counts.min() >= 1
-        weights = fit(panel, 2, truth, cfg).model.weights
+        weights = fit(panel, truth, cfg).model.weights
         np.testing.assert_array_equal(weights, counts / z.shape[0])
 
     def test_uniform(self):
         # two identical components share every subject equally, so one EM
         # map keeps the weights at one half each
         panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
-        comp = initial_model(panel, 1, seed=3).components[0]
+        comp = initial_model(panel, 1, seed=3)[0].components[0]
         init = MixtureModel(space=panel.space, weights=np.array([0.5, 0.5]),
                             components=(comp, comp))
         cfg = EmConfig(max_iter=1)
         np.testing.assert_array_equal(e_step(panel, init, cfg.z_round).z,
                                       np.full((40, 2), 0.5))
-        weights = fit(panel, 2, init, cfg).model.weights
+        weights = fit(panel, init, cfg).model.weights
         np.testing.assert_array_equal(weights, [0.5, 0.5])
 
     def test_column_means_oracle(self):
         # one EM map: the weights it returns are the column means of the
         # responsibilities of its starting model
         panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
-        init = initial_model(panel, 3, seed=3)
+        init, _ = initial_model(panel, 3, seed=3)
         cfg = EmConfig(max_iter=1)
         z = e_step(panel, init, cfg.z_round).z
         expected = [sum(z[i, g] for i in range(z.shape[0])) / z.shape[0] for g in range(3)]
-        weights = fit(panel, 3, init, cfg).model.weights
+        weights = fit(panel, init, cfg).model.weights
         np.testing.assert_allclose(weights, expected, rtol=1e-12)
 
 
@@ -314,10 +313,7 @@ class TestMStepSojourn:
         z = PosteriorMatrix(z=np.ones((10, 1)))
         c = penalty_weight(panel)
         step, [(warnings, _)] = m_step(panel, [z.z], c)
-        direct = fit_gamma_pmle(
-            WeightedSample(values=np.array(all_state0), weights=np.ones(len(all_state0))),
-            penalty_c=c,
-        )
+        direct = fit_gamma_pmle(np.array(all_state0), np.ones(len(all_state0)), penalty_c=c)
         assert step.shape[0, 0] == pytest.approx(direct.shape, rel=1e-9)
         assert step.rate[0, 0] == pytest.approx(direct.rate, rel=1e-9)
         assert warnings == []
@@ -341,8 +337,7 @@ class TestMStepSojourn:
             [t.sojourns for reps in panel.subjects for t in reps]
         )
         pooled = fit_gamma_pmle(
-            WeightedSample(values=pooled_values, weights=np.ones_like(pooled_values)),
-            penalty_c=penalty_weight(panel),
+            pooled_values, np.ones_like(pooled_values), penalty_c=penalty_weight(panel)
         )
         assert step.shape[0, 2] == pytest.approx(pooled.shape, rel=1e-9)
 
@@ -404,21 +399,21 @@ class TestMStepSojourn:
 class TestFit:
     def test_pooled_fit_failure_propagates(self, two_state_space):
         panel = Panel(space=two_state_space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 10)
-        init = initial_model(panel, 1, seed=0)
+        init, _ = initial_model(panel, 1, seed=0)
         with pytest.raises(
             DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
         ):
-            fit(panel, 1, init, EmConfig(penalized=False))
+            fit(panel, init, EmConfig(penalized=False))
 
     def test_single_component_fixed_point(self, tiny_panel):
-        init = initial_model(tiny_panel, 1, seed=0)
+        init, _ = initial_model(tiny_panel, 1, seed=0)
         cfg = EmConfig(min_obs_mass=2)
-        report = fit(tiny_panel, 1, init, cfg)
+        report = fit(tiny_panel, init, cfg)
         assert report.converged
         assert report.iterations <= 2
         # the single-component M-step is an exact maximizer: one more pass
         # from the fitted model must not move the objective
-        again = fit(tiny_panel, 1, report.model, cfg)
+        again = fit(tiny_panel, report.model, cfg)
         assert again.iterations == 1
         assert again.objective_trace[-1] == pytest.approx(
             report.objective_trace[-1], rel=1e-12
@@ -426,10 +421,10 @@ class TestFit:
 
     def test_reproducible_bit_identical(self):
         panel, _ = well_separated_panel(n=60, transitions=4, seed=21)
-        init = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, seed=3)
         cfg = EmConfig()
-        r1 = fit(panel, 2, init, cfg)
-        r2 = fit(panel, 2, init, cfg)
+        r1 = fit(panel, init, cfg)
+        r2 = fit(panel, init, cfg)
         assert r1.objective_trace == r2.objective_trace
         assert r1.model == r2.model
         assert np.array_equal(r1.posteriors.z, r2.posteriors.z)
@@ -437,15 +432,15 @@ class TestFit:
 
     def test_label_swap_equivalence_exact(self):
         panel, _ = well_separated_panel(n=50, transitions=6, seed=33)
-        init = initial_model(panel, 2, seed=4)
+        init, _ = initial_model(panel, 2, seed=4)
         swapped_init = MixtureModel(
             space=init.space,
             weights=init.weights[::-1].copy(),
             components=init.components[::-1],
         )
         cfg = EmConfig()
-        r1 = fit(panel, 2, init, cfg)
-        r2 = fit(panel, 2, swapped_init, cfg)
+        r1 = fit(panel, init, cfg)
+        r2 = fit(panel, swapped_init, cfg)
         assert r1.objective_trace == r2.objective_trace
         assert r1.model.components[0] == r2.model.components[1]
         assert r1.model.components[1] == r2.model.components[0]
@@ -453,17 +448,17 @@ class TestFit:
 
     def test_fixed_point_restart(self):
         panel, _ = well_separated_panel(n=50, transitions=6, seed=34)
-        init = initial_model(panel, 2, seed=4)
+        init, _ = initial_model(panel, 2, seed=4)
         cfg = EmConfig()
-        report = fit(panel, 2, init, cfg)
-        restart = fit(panel, 2, report.model, cfg)
+        report = fit(panel, init, cfg)
+        restart = fit(panel, report.model, cfg)
         assert restart.converged and restart.iterations == 1
 
     def test_ascent_on_well_separated_fixture(self):
         for seed in (1, 2, 3):
             panel, _ = well_separated_panel(n=200, transitions=10, seed=seed)
-            init = initial_model(panel, 2, seed=seed)
-            report = fit(panel, 2, init, EmConfig())
+            init, _ = initial_model(panel, 2, seed=seed)
+            report = fit(panel, init, EmConfig())
             assert report.monotone, report.warnings
             assert report.objective_trace[-1] >= report.objective_trace[0]
 
@@ -479,8 +474,8 @@ class TestFit:
             replicate_count=1,
         )
         panel, _ = simulate_panel(scenario)
-        init = initial_model(panel, 2, seed=1000)
-        report = fit(panel, 2, init, EmConfig())
+        init, _ = initial_model(panel, 2, seed=1000)
+        report = fit(panel, init, EmConfig())
         if not report.monotone:
             assert any("objective decreased" in w for w in report.warnings)
 
@@ -498,16 +493,9 @@ class TestFit:
             components=(simple_component, losing),
         )
         with pytest.raises(EmptyComponent) as err:
-            fit(tiny_panel, 2, init, EmConfig(min_obs_mass=2))
+            fit(tiny_panel, init, EmConfig(min_obs_mass=2))
         assert err.value.report is not None
         assert not err.value.report.converged
-
-    def test_init_mismatch(self, tiny_panel, simple_component):
-        init = MixtureModel(
-            space=tiny_panel.space, weights=np.array([1.0]), components=(simple_component,)
-        )
-        with pytest.raises(ValueError):
-            fit(tiny_panel, 2, init, EmConfig())
 
     def test_penalty_immaterial_at_large_n(self):
         """With plenty of data both estimation flavors recover the
@@ -527,12 +515,12 @@ class TestFit:
 
     def test_unpenalized_objective_is_plain_loglik(self):
         panel, _ = well_separated_panel(n=40, transitions=6, seed=35)
-        init = initial_model(panel, 2, seed=1)
-        report = fit(panel, 2, init, EmConfig(penalized=False))
+        init, _ = initial_model(panel, 2, seed=1)
+        report = fit(panel, init, EmConfig(penalized=False))
         assert report.objective_trace[-1] == pytest.approx(
             mixture_loglik(panel, report.model), rel=1e-12
         )
-        pen_report = fit(panel, 2, init, EmConfig(penalized=True))
+        pen_report = fit(panel, init, EmConfig(penalized=True))
         assert pen_report.objective_trace[-1] == pytest.approx(
             penalized_objective(panel, pen_report.model), rel=1e-12
         )
@@ -562,12 +550,12 @@ class TestSharedLikelihood:
     def _g3_fit(name, seed):
         scenario = fixtures.benchmark_scenario(name, n_subjects=80, seed=seed)
         panel, _ = simulate_panel(scenario)
-        return panel, initial_model(panel, 3, seed=seed), EmConfig()
+        return panel, initial_model(panel, 3, seed=seed)[0], EmConfig()
 
     @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
     def test_final_posteriors_and_objective_exact(self, name, seed):
         panel, init, cfg = self._g3_fit(name, seed)
-        report = fit(panel, 3, init, cfg)
+        report = fit(panel, init, cfg)
         expected_z = e_step(panel, report.model, cfg.z_round).z
         assert np.array_equal(report.posteriors.z, expected_z)
         assert report.objective_trace[-1] == penalized_objective(panel, report.model)
@@ -576,7 +564,7 @@ class TestSharedLikelihood:
     def test_one_likelihood_per_model(self, name, seed, monkeypatch):
         panel, init, cfg = self._g3_fit(name, seed)
         calls = _count_likelihoods(monkeypatch)
-        report = fit(panel, 3, init, cfg)
+        report = fit(panel, init, cfg)
         assert report.extrapolations_tried > 0
         assert len(calls) == report.iterations + 1 + report.extrapolations_tried
 
@@ -589,7 +577,7 @@ class TestSquarem:
     @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
     def test_trace_monotone_with_kept_extrapolations(self, name, seed):
         panel, init, cfg = TestSharedLikelihood._g3_fit(name, seed)
-        report = fit(panel, 3, init, cfg)
+        report = fit(panel, init, cfg)
         assert report.converged and report.monotone, report.warnings
         assert 0 < report.extrapolations_kept <= report.extrapolations_tried
         # every kept step is one trace entry: the plain maps and the kept
@@ -602,8 +590,8 @@ class TestSquarem:
         panel, init, cfg = TestSharedLikelihood._g3_fit("well_separated", 41)
         # p' = p0 maps to p1, whose objective is below p2's
         monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: p0)
-        two = fit(panel, 3, init, EmConfig(max_iter=2))
-        three = fit(panel, 3, init, EmConfig(max_iter=3))
+        two = fit(panel, init, EmConfig(max_iter=2))
+        three = fit(panel, init, EmConfig(max_iter=3))
         assert not two.converged and not three.converged
         assert (three.iterations, three.extrapolations_tried, three.extrapolations_kept) == (3, 1, 0)
         assert two.extrapolations_tried == 0
@@ -619,17 +607,17 @@ class TestSquarem:
         # one component, fitted to convergence.  Its map p' -> p'' meets
         # rel_tol, but p'' lies below p2, so the cycle keeps p2 and the fit
         # goes on.
-        one = initial_model(panel, 1, seed=41).params
+        one = initial_model(panel, 1, seed=41)[0].params
         copies = [0, 0, 0]
         symmetric = MixtureModel.from_arrays(panel.space, one._replace(
             weights=np.full(3, 1.0 / 3.0), alpha=one.alpha[copies], trans=one.trans[copies],
             shape=one.shape[copies], rate=one.rate[copies]))
-        stationary = fit(panel, 3, symmetric, cfg)
+        stationary = fit(panel, symmetric, cfg)
         assert stationary.converged
         monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: self._negative_shape(p2))
-        plain = fit(panel, 3, init, cfg)
+        plain = fit(panel, init, cfg)
         monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: stationary.model.params)
-        report = fit(panel, 3, init, cfg)
+        report = fit(panel, init, cfg)
         assert report.extrapolations_tried > 0 and report.extrapolations_kept == 0
         assert report.converged and plain.converged
         assert report.objective_trace == plain.objective_trace
@@ -644,7 +632,7 @@ class TestSquarem:
         import smcmix.em as em_module
 
         panel, _ = well_separated_panel(n=10, transitions=4, seed=3)
-        init = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, seed=3)
         starved = np.column_stack([np.full(10, 0.95), np.full(10, 0.05)])
         held = np.full((10, 2), 0.5)
         # responsibilities and objective of each point evaluated, in order:
@@ -702,7 +690,7 @@ class TestSquarem:
         panel, init, cfg = TestSharedLikelihood._g3_fit("well_separated", 41)
         calls = _count_likelihoods(monkeypatch)
         monkeypatch.setattr(em_module, "_extrapolate", lambda p0, p1, p2: corrupt(p2))
-        report = fit(panel, 3, init, cfg)
+        report = fit(panel, init, cfg)
         # every cycle falls back to p2 without a stabilising map: plain EM
         assert report.converged and report.monotone
         assert report.extrapolations_kept == 0
@@ -720,7 +708,7 @@ class TestIterationInvariants:
         import smcmix.em as em_module
 
         panel, _ = well_separated_panel(n=60, transitions=4, seed=21)
-        init = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, seed=3)
         calls = []
         original = em_module.subject_loglik_matrix
 
@@ -729,7 +717,7 @@ class TestIterationInvariants:
             return original(stats, params)
 
         monkeypatch.setattr(em_module, "subject_loglik_matrix", counting)
-        return lambda: fit(panel, 2, init, EmConfig()), calls
+        return lambda: fit(panel, init, EmConfig()), calls
 
     @pytest.mark.parametrize("bad_shape", [math.nan, -1.0])
     def test_bad_shape_from_solver(self, monkeypatch, bad_shape):
@@ -782,12 +770,12 @@ class TestPartialReport:
             "chocolate70", n_subjects=30, transitions=4, seed=29
         )
         panel, _ = simulate_panel(scenario)
-        init = initial_model(panel, 4, seed=29)
+        init, _ = initial_model(panel, 4, seed=29)
         with pytest.raises(EmptyComponent) as err:
-            fit(panel, 4, init, EmConfig())
+            fit(panel, init, EmConfig())
         partial = err.value.report
         assert partial.iterations == 2
-        stopped = fit(panel, 4, init, EmConfig(max_iter=partial.iterations))
+        stopped = fit(panel, init, EmConfig(max_iter=partial.iterations))
         assert partial.model == stopped.model
         assert partial.objective_trace == stopped.objective_trace
         assert np.array_equal(partial.posteriors.z, stopped.posteriors.z)
@@ -804,21 +792,21 @@ class TestPartialReport:
             components=(simple_component, losing),
         )
         with pytest.raises(EmptyComponent) as err:
-            fit(tiny_panel, 2, init, EmConfig(min_obs_mass=2))
+            fit(tiny_panel, init, EmConfig(min_obs_mass=2))
         assert err.value.report.iterations == 0
         assert err.value.report.model == init
 
 
 def _converged_fit():
     panel, _ = well_separated_panel(n=60, transitions=6, seed=12)
-    report = fit(panel, 2, initial_model(panel, 2, seed=12), EmConfig())
+    report = fit(panel, initial_model(panel, 2, seed=12)[0], EmConfig())
     assert report.converged
     return panel, report
 
 
 def _fit_stopped_at_max_iter():
     panel, init, _ = TestSharedLikelihood._g3_fit("chocolate70", 42)
-    report = fit(panel, 3, init, EmConfig(max_iter=5))
+    report = fit(panel, init, EmConfig(max_iter=5))
     assert not report.converged and report.iterations == 5
     return panel, report
 
@@ -827,13 +815,13 @@ def _aborted_fit():
     scenario = fixtures.benchmark_scenario("chocolate70", n_subjects=30, transitions=4, seed=29)
     panel, _ = simulate_panel(scenario)
     with pytest.raises(EmptyComponent) as err:
-        fit(panel, 4, initial_model(panel, 4, seed=29), EmConfig())
+        fit(panel, initial_model(panel, 4, seed=29)[0], EmConfig())
     return panel, err.value.report
 
 
 def _unpenalized_fit():
     panel, _ = well_separated_panel(n=40, transitions=6, seed=35)
-    return panel, fit(panel, 2, initial_model(panel, 2, seed=1), EmConfig(penalized=False))
+    return panel, fit(panel, initial_model(panel, 2, seed=1)[0], EmConfig(penalized=False))
 
 
 def _absorbing_fit():
@@ -844,7 +832,7 @@ def _absorbing_fit():
         stop_rule="absorbing", seed=88, replicate_count=1,
     )
     panel, _ = simulate_panel(scenario)
-    return panel, fit(panel, 2, initial_model(panel, 2, seed=88), EmConfig())
+    return panel, fit(panel, initial_model(panel, 2, seed=88)[0], EmConfig())
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def test_an_aborted_fit_keeps_its_partial_report(tiny_panel, two_state_space):
         space=two_state_space, weights=np.array([1.0]),
         components=(make_component([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [(2.0, 1.0)] * 2),),
     )
-    report = fit(tiny_panel, 1, init, EmConfig())
+    report = fit(tiny_panel, init, EmConfig())
     exc = errors.EmptyComponent(0, report=report)
     back = pickle.loads(pickle.dumps(exc))
     assert str(back) == str(exc) and back.component == 0

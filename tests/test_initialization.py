@@ -17,6 +17,8 @@ from smcmix import (
     kmeans,
     mixture_loglik,
     select_g,
+    selection,
+    sim,
 )
 from smcmix.initialization import _lloyd, _mean_sojourns, _seed_centers, _sum_slabs
 from smcmix.likelihood import PanelStats
@@ -326,21 +328,35 @@ class TestKmeans:
             kmeans(np.arange(6.0), 2, seed=0)
 
 
+def _count_calls(monkeypatch, modules, name) -> list:
+    """Wrap the binding ``name`` of every module in ``modules`` in one
+    wrapper that records each call's second argument, the count it asks
+    for; returns the record."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 class TestTracedBindings:
     """perfbench counts k-means calls by wrapping the ``kmeans`` name bound
-    in :mod:`smcmix.initialization`; the entry points must go through it."""
+    in :mod:`smcmix.initialization`, and inits by wrapping the
+    ``initial_model`` names bound in :mod:`smcmix.selection` and
+    :mod:`smcmix.sim`; the entry points must go through them."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = []
-        original = initialization.kmeans
+        return _count_calls(monkeypatch, [initialization], "kmeans")
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(initialization, "kmeans", counting)
-        return calls
+    @pytest.fixture
+    def init_calls(self, monkeypatch):
+        return _count_calls(monkeypatch, [selection, sim], "initial_model")
 
     def test_select_g_once_per_component_count(self, calls):
         scenario = Scenario(
@@ -358,10 +374,26 @@ class TestTracedBindings:
         run_benchmark(scenario, EmConfig())
         assert calls == [2, 2, 2]
 
+    def test_select_g_inits_once_per_component_count(self, init_calls):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31,
+        )
+        select_g(simulate_panel(scenario)[0], [1, 2, 3], EmConfig(seed=1))
+        assert init_calls == [1, 2, 3]
+
+    def test_run_benchmark_inits_once_per_replicate(self, init_calls):
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=40, n_replications=3, stop_rule=6, seed=31, replicate_count=2,
+        )
+        run_benchmark(scenario, EmConfig())
+        assert init_calls == [2, 2]
+
 
 class TestInitialModel:
     def test_single_component_classical(self, tiny_panel):
-        model = initial_model(tiny_panel, 1, seed=0, min_obs_mass=2)
+        model, _ = initial_model(tiny_panel, 1, seed=0, min_obs_mass=2)
         # alpha: empirical first-state frequencies (4/6, 2/6) with 1e-6
         # smoothing on both cells, renormalized
         raw = np.array([4.0 + 1e-6, 2.0 + 1e-6])
@@ -380,7 +412,7 @@ class TestInitialModel:
         )
         panel, _ = simulate_panel(scenario)
         for g in (1, 2, 3):
-            model = initial_model(panel, g, seed=5)
+            model, _ = initial_model(panel, g, seed=5)
             assert np.isfinite(mixture_loglik(panel, model))
 
     def test_kmeans_classification_quality(self):
@@ -408,6 +440,6 @@ class TestInitialModel:
             replicate_count=1,
         )
         panel, _ = simulate_panel(scenario)
-        init = initial_model(panel, 2, seed=31)
-        report = fit(panel, 2, init, EmConfig())
+        init, _ = initial_model(panel, 2, seed=31)
+        report = fit(panel, init, EmConfig())
         assert report.objective_trace[-1] >= report.objective_trace[0] - 1e-7

@@ -290,7 +290,7 @@ class TestPenalizedObjective:
             stop_rule=6, seed=8, replicate_count=1,
         )
         panel, _ = simulate_panel(scenario)
-        for m in (model, initial_model(panel, 3, seed=8)):
+        for m in (model, initial_model(panel, 3, seed=8)[0]):
             total = 0.0
             for comp in m.components:
                 for p in comp.sojourn:
@@ -451,9 +451,9 @@ class TestStatsBuilds:
         assert len(builds) == 1
 
     def test_fit(self, panel, builds):
-        init = initial_model(panel, 2, seed=1)
+        init, _ = initial_model(panel, 2, seed=1)
         builds.clear()
-        fit(panel, 2, init, EmConfig())
+        fit(panel, init, EmConfig())
         assert len(builds) == 1
 
     def test_select_g(self, panel, builds):
@@ -620,7 +620,7 @@ class TestLoglikMatrixOracle:
             n_subjects=40, n_replications=3, stop_rule=6, seed=31,
         )
         panel = simulate_panel(scenario)[0]
-        report = fit(panel, 2, initial_model(panel, 2, seed=1), EmConfig())
+        report = fit(panel, initial_model(panel, 2, seed=1)[0], EmConfig())
         assert report.iterations > 0
         assert calls == [2] * (1 + report.iterations + report.extrapolations_tried)
 

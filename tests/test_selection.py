@@ -10,7 +10,7 @@ from smcmix import EmConfig, aic, aicc, bic, fixtures, param_count, select_g
 from smcmix import em, likelihood
 from smcmix.core import MixtureArrays, Panel, StateSpace
 from smcmix.errors import DegenerateSample, InvalidModelError, NonConvergence
-from smcmix.initialization import _clustered_model
+from smcmix.initialization import initial_model
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import traj
@@ -160,7 +160,7 @@ class TestSelectG:
         sweep = select_g(small_two_component_panel, [1, 2, 3], cfg, restarts=4)
         assert sorted(sweep.init_labels) == [1, 2, 3]
         for g, labels in sweep.init_labels.items():
-            _, expected = _clustered_model(
+            _, expected = initial_model(
                 small_two_component_panel, g, cfg.seed, 4, cfg.min_obs_mass
             )
             assert np.array_equal(labels, expected)
@@ -276,8 +276,8 @@ class TestLockstepStack:
         # is thrown into that fit, and the G = 2 fit runs on as it does solo
         panel = _sweep_panel("chocolate70", 30, 29, transitions=4)
         cfg = EmConfig(seed=1)
-        inits = [_clustered_model(panel, g, 1, 10, cfg.min_obs_mass)[0] for g in (3, 2)]
-        solo = em.fit(panel, 2, inits[1], cfg)
+        inits = [initial_model(panel, g, 1, 10, cfg.min_obs_mass)[0] for g in (3, 2)]
+        solo = em.fit(panel, inits[1], cfg)
         injected = NonConvergence("injected")
         rounds = []
         original = em._Stack.m_step

@@ -10,13 +10,7 @@ from scipy.special import gammaln as scipy_gammaln
 from scipy.special import psi as scipy_psi
 from scipy.special import zeta as scipy_zeta
 
-from smcmix import (
-    DegenerateSample,
-    GammaParams,
-    NonConvergence,
-    WeightedSample,
-    fit_gamma_mom,
-)
+from smcmix import DegenerateSample, GammaParams, NonConvergence
 from smcmix import sojourn
 from smcmix.sojourn import (
     BRACKET_EXHAUSTED,
@@ -27,6 +21,7 @@ from smcmix.sojourn import (
     SHAPE_MAX,
     SHAPE_MIN,
     _profile_deriv,
+    gamma_mom,
     solve_shapes,
     status_error,
 )
@@ -35,14 +30,16 @@ from oracles import _suff_stats, fit_gamma_pmle, gamma_log_density, reference_so
 
 
 def unit_sample(values):
+    """Durations ``values`` with unit weights, as a (values, weights) pair."""
     values = np.asarray(values, dtype=float)
-    return WeightedSample(values=values, weights=np.ones_like(values))
+    return values, np.ones_like(values)
 
 
-def independent_objective(sample: WeightedSample, a: float, c: float) -> float:
-    """Penalized weighted gamma log-likelihood with the rate profiled out,
-    written directly from the definition (test-local oracle)."""
-    w, x = sample.weights, sample.values
+def independent_objective(sample, a: float, c: float) -> float:
+    """Penalized weighted gamma log-likelihood of the (values, weights) pair
+    ``sample`` with the rate profiled out, written directly from the
+    definition (test-local oracle)."""
+    x, w = sample
     sw = float(w.sum())
     lam = a * sw / float(np.dot(w, x))
     ll = float(
@@ -99,52 +96,33 @@ class TestSpecialFunctionAccuracy:
             assert abs(float(scipy_gammaln(x)) - g_true) <= max(1e-12, 5e-15 * abs(g_true))
 
 
-class TestWeightedSample:
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([1.0, 0.0]), weights=np.array([1.0, 1.0]))
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([1.0, 2.0]), weights=np.array([1.0, -1.0]))
-
-    def test_rejects_zero_total_weight(self):
-        with pytest.raises(ValueError):
-            WeightedSample(values=np.array([1.0, 2.0]), weights=np.array([0.0, 0.0]))
-
-
 class TestFitGammaMom:
     def test_closed_form(self):
-        p = fit_gamma_mom(unit_sample([1.0, 2.0, 3.0]))
+        p = gamma_mom(*unit_sample([1.0, 2.0, 3.0]))
         assert p.shape == pytest.approx(6.0, rel=1e-12)
         assert p.rate == pytest.approx(3.0, rel=1e-12)
 
     def test_zero_weight_equals_dropping(self):
-        with_zero = WeightedSample(
-            values=np.array([1.0, 2.0, 3.0]), weights=np.array([1.0, 1.0, 0.0])
-        )
-        dropped = unit_sample([1.0, 2.0])
-        a = fit_gamma_mom(with_zero)
-        b = fit_gamma_mom(dropped)
+        a = gamma_mom(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 0.0]))
+        b = gamma_mom(*unit_sample([1.0, 2.0]))
         assert (a.shape, a.rate) == (b.shape, b.rate)
 
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(41)
         draws = rng.gamma(2.4, 1.0 / 0.5, size=100_000)
-        p = fit_gamma_mom(unit_sample(draws))
+        p = gamma_mom(*unit_sample(draws))
         assert 2.3 <= p.shape <= 2.5
         assert 0.47 <= p.rate <= 0.53
 
     def test_degenerate(self):
         with pytest.raises(DegenerateSample):
-            fit_gamma_mom(unit_sample([2.0, 2.0, 2.0]))
+            gamma_mom(*unit_sample([2.0, 2.0, 2.0]))
 
     def test_mean_identity(self):
         rng = np.random.default_rng(7)
         values = rng.gamma(2.0, 3.0, size=50)
         weights = rng.random(50)
-        sample = WeightedSample(values=values, weights=weights)
-        p = fit_gamma_mom(sample)
+        p = gamma_mom(values, weights)
         mean = float(np.dot(weights, values) / weights.sum())
         assert p.mean == pytest.approx(mean, rel=1e-12)
 
@@ -154,22 +132,22 @@ class TestFitGammaPmle:
         rng = np.random.default_rng(2029)
         draws = rng.gamma(2.2, 1.0 / 0.7, size=100_000)
         sample = unit_sample(draws)
-        mle = fit_gamma_pmle(sample, penalty_c=0.0)
-        mom = fit_gamma_mom(sample)
+        mle = fit_gamma_pmle(*sample, penalty_c=0.0)
+        mom = gamma_mom(*sample)
         assert mle.shape == pytest.approx(mom.shape, rel=0.05)
         assert mle.rate == pytest.approx(mom.rate, rel=0.05)
 
     def test_shape_grows_toward_degeneracy(self):
         # values squeezed toward equality: the unpenalized shape blows up
         base = np.arange(10, dtype=float)
-        a_mild = fit_gamma_pmle(unit_sample(1.0 + 1e-2 * base), penalty_c=0.0).shape
+        a_mild = fit_gamma_pmle(*unit_sample(1.0 + 1e-2 * base), penalty_c=0.0).shape
         assert a_mild > 500.0
         with pytest.raises(NonConvergence):
-            fit_gamma_pmle(unit_sample(1.0 + 1e-3 * base), penalty_c=0.0)
+            fit_gamma_pmle(*unit_sample(1.0 + 1e-3 * base), penalty_c=0.0)
 
     def test_penalty_tames_degeneracy(self):
         sample = unit_sample(1.0 + 1e-2 * np.arange(10, dtype=float))
-        fitted = fit_gamma_pmle(sample, penalty_c=0.1)
+        fitted = fit_gamma_pmle(*sample, penalty_c=0.1)
         a_hat = fitted.shape
         assert np.isfinite(a_hat) and a_hat < 1e4
         assert independent_objective(sample, a_hat, 0.1) > independent_objective(
@@ -185,8 +163,7 @@ class TestFitGammaPmle:
         for _ in range(5):
             values = rng.gamma(2.0, 2.0, size=200)
             weights = rng.random(200) + 0.01
-            sample = WeightedSample(values=values, weights=weights)
-            p = fit_gamma_pmle(sample, penalty_c=0.05)
+            p = fit_gamma_pmle(values, weights, penalty_c=0.05)
             lam_profile = p.shape * weights.sum() / np.dot(weights, values)
             assert p.rate == pytest.approx(lam_profile, rel=1e-10)
 
@@ -194,7 +171,7 @@ class TestFitGammaPmle:
         rng = np.random.default_rng(3)
         sample = unit_sample(rng.gamma(3.0, 1.5, size=60))
         shapes = [
-            fit_gamma_pmle(sample, penalty_c=c).shape for c in (0.0, 0.01, 0.1, 1.0, 10.0)
+            fit_gamma_pmle(*sample, penalty_c=c).shape for c in (0.0, 0.01, 0.1, 1.0, 10.0)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(shapes, shapes[1:]))
 
@@ -202,8 +179,8 @@ class TestFitGammaPmle:
         rng = np.random.default_rng(5)
         values = rng.gamma(2.5, 1.2, size=80)
         weights = rng.random(80) + 0.05
-        sample = WeightedSample(values=values, weights=weights)
-        sw, swlog, swx, _ = _suff_stats(sample)
+        sample = values, weights
+        sw, swlog, swx, _ = _suff_stats(*sample)
         s = math.log(swx / sw) - swlog / sw
         c = 0.07
         for a in rng.uniform(0.2, 30.0, size=20):
@@ -218,27 +195,24 @@ class TestFitGammaPmle:
     def test_returned_derivative_small(self):
         rng = np.random.default_rng(13)
         sample = unit_sample(rng.gamma(2.0, 3.0, size=500))
-        p = fit_gamma_pmle(sample, penalty_c=0.02)
-        sw, swlog, swx, _ = _suff_stats(sample)
+        p = fit_gamma_pmle(*sample, penalty_c=0.02)
+        sw, swlog, swx, _ = _suff_stats(*sample)
         s = math.log(swx / sw) - swlog / sw
         assert abs(_profile_deriv(p.shape, sw, s, 0.02)) <= 1e-8
 
     def test_degenerate_cases(self):
         with pytest.raises(DegenerateSample):
-            fit_gamma_pmle(unit_sample([2.0, 2.0, 2.0, 2.0]), penalty_c=0.0)
+            fit_gamma_pmle(*unit_sample([2.0, 2.0, 2.0, 2.0]), penalty_c=0.0)
         with pytest.raises(DegenerateSample):
-            fit_gamma_pmle(
-                WeightedSample(values=np.array([1.0, 2.0]), weights=np.array([1.0, 0.0])),
-                penalty_c=0.1,
-            )
+            fit_gamma_pmle(np.array([1.0, 2.0]), np.array([1.0, 0.0]), penalty_c=0.1)
         with pytest.raises(ValueError):
-            fit_gamma_pmle(unit_sample([1.0, 2.0]), penalty_c=-0.5)
+            fit_gamma_pmle(*unit_sample([1.0, 2.0]), penalty_c=-0.5)
 
     def test_overwhelming_penalty_exhausts_lower_bracket(self):
         # a penalty far heavier than the data pushes the maximizer below
         # the smallest admissible shape
         with pytest.raises(NonConvergence):
-            fit_gamma_pmle(unit_sample([1.0, 2.0]), penalty_c=50.0)
+            fit_gamma_pmle(*unit_sample([1.0, 2.0]), penalty_c=50.0)
 
 
 @settings(deadline=None, max_examples=30)
@@ -250,9 +224,8 @@ def test_profile_identity_property(values, penalty_c):
     values = np.asarray(values)
     if np.ptp(values) < 1e-3:
         return
-    sample = WeightedSample(values=values, weights=np.ones_like(values))
     try:
-        p = fit_gamma_pmle(sample, penalty_c=penalty_c)
+        p = fit_gamma_pmle(*unit_sample(values), penalty_c=penalty_c)
     except NonConvergence:
         return
     lam = p.shape * len(values) / values.sum()
@@ -260,7 +233,7 @@ def test_profile_identity_property(values, penalty_c):
 
 
 def _cells(samples):
-    stats = [_suff_stats(s)[:3] for s in samples]
+    stats = [_suff_stats(*s)[:3] for s in samples]
     return [np.array(col) for col in zip(*stats)]
 
 
@@ -280,11 +253,11 @@ def test_solve_shapes_matches_single_cell_fits(batch, penalty_c):
     for k, sample in enumerate(samples):
         if status[k] != OK:
             with pytest.raises((DegenerateSample, NonConvergence)):
-                fit_gamma_pmle(sample, penalty_c=penalty_c)
+                fit_gamma_pmle(*sample, penalty_c=penalty_c)
             continue
         s = math.log(swx[k] / sw[k]) - swlog[k] / sw[k]
         assert abs(_profile_deriv(shapes[k], sw[k], max(s, 0.0), penalty_c)) <= DERIV_TOL
-        assert shapes[k] == fit_gamma_pmle(sample, penalty_c=penalty_c).shape
+        assert shapes[k] == fit_gamma_pmle(*sample, penalty_c=penalty_c).shape
 
 
 def test_solve_shapes_mixed_batch_keeps_cells_apart():
@@ -295,7 +268,7 @@ def test_solve_shapes_mixed_batch_keeps_cells_apart():
     batch = [degenerate, exhausted, normal]
     shapes, status = solve_shapes(*_cells(batch), 0.0)
     assert status.tolist() == [DEGENERATE, BRACKET_EXHAUSTED, OK]
-    assert shapes[2] == fit_gamma_pmle(normal, penalty_c=0.0).shape
+    assert shapes[2] == fit_gamma_pmle(*normal, penalty_c=0.0).shape
     # the same cells in reverse order, and each cell on its own, agree
     rev_shapes, rev_status = solve_shapes(*_cells(batch[::-1]), 0.0)
     assert rev_status.tolist() == status.tolist()[::-1]
@@ -308,9 +281,9 @@ def test_solve_shapes_mixed_batch_keeps_cells_apart():
     assert isinstance(status_error(DEGENERATE), DegenerateSample)
     assert "bracket" in str(status_error(BRACKET_EXHAUSTED))
     with pytest.raises(DegenerateSample):
-        fit_gamma_pmle(degenerate, penalty_c=0.0)
+        fit_gamma_pmle(*degenerate, penalty_c=0.0)
     with pytest.raises(NonConvergence, match="bracket"):
-        fit_gamma_pmle(exhausted, penalty_c=0.0)
+        fit_gamma_pmle(*exhausted, penalty_c=0.0)
 
 
 def _newton_updates(sw, swlog, swx, c):
