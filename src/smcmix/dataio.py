@@ -330,7 +330,7 @@ def _read_json(path) -> dict:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
-        raise DataError(f"invalid JSON: {exc}") from exc
+        raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,28 @@
 """Panel simulation and the Monte-Carlo benchmark harness.
 
-Trajectories are simulated sequentially: first state from the initial
-probabilities, then alternating gamma sojourn draws and transition draws
-until the stop rule fires (a fixed transition count, or entry into the
-absorbing state).  Benchmarks run many independent replicates, each on its
-own random stream, and aggregate recovery metrics.  A forked child
-process may draw the panels ahead while this process fits them, through
-a pipe raised to 1 MB (the 64 KB default where that fails).  When the
-next panel is not in the pipe, this process draws the next panel nobody
-has taken instead of waiting, holding at most ``_HELD_CAP`` panels drawn
-ahead.  Each panel is drawn once, by one of the two processes, with the
-same calls on the same stream, so results never depend on who drew it.
+A trajectory starts in a state drawn from the initial probabilities, then
+alternates gamma sojourns and transitions until the stop rule fires (a
+fixed transition count, or entry into the absorbing state).  Benchmarks
+run many independent replicates, each on its own random stream, in this
+process, and aggregate recovery metrics.
 
-The sequence of draws is part of the contract: the component labels from
-one ``rng.choice``, then per trajectory one ``rng.random()`` per state and
-one ``rng.gamma()`` per sojourn (more when a draw underflows to 0), in
-order.  The golden files of the test suite and the seeds of the
-acceptance tests rest on this stream, so a faster sampler must make the
-same calls in the same order; ``tests/golden/sim_panels.json`` pins it.
+:func:`simulate_panel` draws a whole panel in array calls, and the order
+of those calls is its contract: the component labels from one
+``rng.choice``; then, for step 0, 1, ..., one ``rng.random(m)`` for the m
+trajectories still running, in panel order (subject by subject,
+replication by replication), each uniform turned into a state through
+its row's cumulative sums; then one ``rng.gamma`` over the sojourns of
+every visit outside the absorbing state, in panel order, and one more
+over the draws that came back 0.0, in the same order, until none does.
+:func:`simulate_trajectory` draws one trajectory with scalar calls: one
+``rng.random()`` per state and one ``rng.gamma()`` per sojourn, in order.
+The golden files of the test suite and the seeds of the acceptance tests
+rest on these streams; ``tests/golden/sim_panels.json`` pins both.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import signal
-import threading
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -52,16 +48,6 @@ _MAX_SIM_STATES = 1_000_000
 # Placeholder duration stored for a final absorbing state; it never enters
 # a likelihood.
 _ABSORBING_PLACEHOLDER = 1.0
-# Seconds a finished benchmark waits for its panel-drawing child to exit
-# before killing it, and the child waits for the claim lock before it stops.
-_JOIN_TIMEOUT_S = 1.0
-# Buffer asked for the panel pipe, Linux's default pipe-max-size: a
-# 200-subject panel pickles to about 112 KB, more than the default 64 KB,
-# so with the default each send waits for the caller to read the panel.
-_PIPE_BYTES = 1 << 20
-# Panels the caller may hold that it drew ahead of the replicate it fits
-# (about 120 KB each at 200 subjects); at the cap it waits for the child.
-_HELD_CAP = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +86,7 @@ def _check_stop_rule(rule, absorbing: Optional[int]) -> None:
 
 class _ComponentSampler:
     """One component's distributions, their cumulative sums, and its gamma
-    shapes and scales, kept as Python lists: a simulation reads them one
+    shapes and scales, kept as Python lists: a trajectory reads them one
     cell per scalar draw, which lists do far faster than small numpy
     arrays.  Row ``D`` of ``rows`` and ``cums`` is the initial
     distribution, so the first state is drawn as a transition out of a
@@ -113,14 +99,15 @@ class _ComponentSampler:
         self.shapes = shape.tolist()
         self.scales = (1.0 / rate).tolist()
 
-    def draw_into(self, stop_rule, rng: np.random.Generator, states: list, sojourns: list) -> None:
-        """Draw one trajectory under the stop rule and append its states
-        and sojourns to ``states`` and ``sojourns``."""
+    def draw(self, stop_rule, rng: np.random.Generator) -> Trajectory:
+        """Draw one trajectory under the stop rule."""
         random, gamma = rng.random, rng.gamma
         absorbing = -1 if self.absorbing is None else self.absorbing
         rows, cums = self.rows, self.cums
         shapes, scales = self.shapes, self.scales
         last = len(shapes) - 1
+        states: list[int] = []
+        sojourns: list[float] = []
         # States a fixed transition count allows; absorption may end the
         # trajectory sooner, and no trajectory passes _MAX_SIM_STATES.
         steps = math.inf if stop_rule == ABSORBING_RULE else stop_rule + 1
@@ -140,18 +127,14 @@ class _ComponentSampler:
             states.append(j)
             if j == absorbing:
                 sojourns.append(_ABSORBING_PLACEHOLDER)
-                return
+                break
             x = gamma(shapes[j], scales[j])
             while x <= 0.0:  # underflow safety for tiny shapes
                 x = gamma(shapes[j], scales[j])
             sojourns.append(x)
-        if steps > _MAX_SIM_STATES:
-            raise NumericalError("simulation did not reach the absorbing state")
-
-    def draw(self, stop_rule, rng: np.random.Generator) -> Trajectory:
-        states: list[int] = []
-        sojourns: list[float] = []
-        self.draw_into(stop_rule, rng, states, sojourns)
+        else:
+            if steps > _MAX_SIM_STATES:
+                raise NumericalError("simulation did not reach the absorbing state")
         return Trajectory(states=np.asarray(states), sojourns=np.asarray(sojourns))
 
 
@@ -166,23 +149,61 @@ def simulate_panel(
     scenario: Scenario, rng: Optional[np.random.Generator] = None
 ) -> tuple[Panel, np.ndarray]:
     """Simulate a full panel; every replication of a subject shares the
-    subject's mixture component.  Returns the panel and the true labels."""
+    subject's mixture component.  Returns the panel and the true labels.
+
+    The draws run step by step over every trajectory still running, then
+    over every sojourn at once, in the order the module docstring states."""
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     model, p = scenario.model, scenario.model.params
     labels = rng.choice(model.n_components, size=scenario.n_subjects, p=p.weights)
-    samplers = [_ComponentSampler(*rows, p.absorbing) for rows in zip(*p[1:5])]
-    b = scenario.n_replications
-    # Every trajectory is drawn into one pair of lists, the panel's store.
-    states: list[int] = []
-    sojourns: list[float] = []
-    ends = [0]
-    for g in labels.tolist():
-        draw_into = samplers[g].draw_into
-        for _ in range(b):
-            draw_into(scenario.stop_rule, rng, states, sojourns)
-            ends.append(len(states))
-    lengths = np.diff(ends).reshape(scenario.n_subjects, b)
+    d = p.alpha.shape[1]
+    # Row g * (d + 1) + j of the tables is component g's row out of state
+    # j, and row g * (d + 1) + d its initial distribution: the first state
+    # is drawn as a transition out of that start row.
+    probs = np.concatenate([p.trans, p.alpha[:, None]], axis=1).reshape(-1, d)
+    cums = np.cumsum(probs, axis=1)
+    last_cell = d - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)  # its last non-zero cell
+    comp = np.repeat(labels, scenario.n_replications)  # per trajectory
+    base = comp * (d + 1)
+    absorbing = -1 if p.absorbing is None else p.absorbing
+    steps = math.inf if scenario.stop_rule == ABSORBING_RULE else scenario.stop_rule + 1
+    running, rows = np.arange(comp.size, dtype=np.intp), base + d
+    # (trajectory, state) per visit, step by step, as raw bytes: a
+    # trajectory that runs to _MAX_SIM_STATES holds 16 bytes a visit.
+    visitors, visited, sizes = bytearray(), bytearray(), []
+    while running.size and len(sizes) < min(steps, _MAX_SIM_STATES):
+        # Counting the sums at or below u picks the cell bisect_right
+        # picks in the per-draw sampler; a u past a row's short sum is
+        # clamped to the row's last non-zero cell.
+        k = (cums[rows] <= rng.random(running.size)[:, None]).sum(axis=1, dtype=np.intp)
+        past = k == d
+        k[past] = last_cell[rows[past]]
+        visitors += running.tobytes()
+        visited += k.tobytes()
+        sizes.append(running.size)
+        on = k != absorbing
+        running, rows = running[on], base[running[on]] + k[on]
+    if running.size and steps > _MAX_SIM_STATES:
+        raise NumericalError("simulation did not reach the absorbing state")
+
+    traj = np.frombuffer(visitors, dtype=np.intp)
+    lengths = np.bincount(traj, minlength=comp.size)
+    # A visit's place in panel order: its trajectory's start plus its step.
+    place = (np.cumsum(lengths) - lengths)[traj] + np.repeat(np.arange(len(sizes)), sizes)
+    states = np.empty_like(place)
+    states[place] = np.frombuffer(visited, dtype=np.intp)
+    live = states != absorbing
+    cells = np.repeat(comp, lengths)[live], states[live]
+    shape, scale = p.shape[cells], 1.0 / p.rate[cells]
+    x = rng.gamma(shape, scale)
+    redraw = np.flatnonzero(x <= 0.0)
+    while redraw.size:  # underflow safety for tiny shapes
+        x[redraw] = rng.gamma(shape[redraw], scale[redraw])
+        redraw = redraw[x[redraw] <= 0.0]
+    sojourns = np.full(states.size, _ABSORBING_PLACEHOLDER)
+    sojourns[live] = x
+    lengths = lengths.reshape(scenario.n_subjects, scenario.n_replications)
     return Panel.from_arrays(model.space, states, sojourns, lengths), labels
 
 
@@ -231,131 +252,6 @@ def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, km_la
     out["iterations"] = float(report.iterations)
     out["converged"] = 1.0 if report.converged else 0.0
     return out
-
-
-def _generator(stream: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(stream))
-
-
-def _fork_pays(n_replicates: int) -> bool:
-    """Whether drawing panels in a forked child is safe and can pay: at
-    least 2 replicates and 2 usable CPUs, no second thread (fork is unsafe
-    in a threaded process) and a platform with the ``fork`` start method."""
-    if n_replicates < 2 or threading.active_count() != 1:
-        return False
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-        return False
-    import multiprocessing
-
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-def _claim(claimed, lock, n: int, timeout: float) -> Optional[int]:
-    """Take the next stream that no process has taken, counting them in
-    ``claimed``: its index, or None when all ``n`` are taken or ``lock``
-    stays held for ``timeout`` seconds."""
-    if not lock.acquire(timeout=timeout):
-        return None
-    try:
-        i = claimed.value
-        if i == n:
-            return None
-        claimed.value = i + 1
-        return i
-    finally:
-        lock.release()
-
-
-def _widen(conn) -> None:
-    """Raise the buffer of the pipe behind ``conn`` to ``_PIPE_BYTES``;
-    keep the default where ``F_SETPIPE_SZ`` fails or, as off Linux, does
-    not exist."""
-    import fcntl
-
-    try:
-        fcntl.fcntl(conn.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-    except (AttributeError, OSError):
-        pass
-
-
-def _draw_ahead(scenario: Scenario, streams, claimed, lock, receiver, sender) -> None:
-    """The child process: take the next untaken stream, draw it and send
-    its ``(panel, labels)``, or the exception drawing it raised and then
-    stop; stop too when every stream is taken.  The caller takes a stream
-    only when it would otherwise wait, so the child draws most panels; the
-    1 MB pipe lets it run about 8 panels of 200 subjects ahead, where the
-    64 KB default makes each send wait for the caller to read."""
-    # A terminal's Ctrl-C reaches both processes: the parent handles it
-    # and ends this one.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    receiver.close()  # so that the parent's close breaks the pipe
-    try:
-        # A lock held past the timeout means the parent is gone or stalled:
-        # stopping leaves the rest to the parent's EOF path.
-        while (i := _claim(claimed, lock, len(streams), _JOIN_TIMEOUT_S)) is not None:
-            try:
-                drawn = simulate_panel(scenario, _generator(streams[i]))
-            except Exception as exc:
-                sender.send(exc)
-                return
-            sender.send(drawn)
-    except BrokenPipeError:  # the parent stopped reading
-        pass
-
-
-def _drawn_panels(scenario: Scenario, streams):
-    """Yield ``simulate_panel(scenario, Generator(PCG64(stream)))`` for each
-    stream in order.  When :func:`_fork_pays`, a forked child and the caller
-    share the draws: both take the next untaken stream from one counter, the
-    child whenever it is free, the caller only when its next panel is not in
-    the pipe and it holds fewer than ``_HELD_CAP`` panels drawn ahead.  An
-    exception either raises in a draw is raised here at its own stream; if
-    the child ends without a panel, the rest are drawn here.  Close the
-    generator to end the child early."""
-    if not _fork_pays(len(streams)):
-        for stream in streams:
-            yield simulate_panel(scenario, _generator(stream))
-        return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    _widen(receiver)
-    claimed, lock = ctx.RawValue("q", 0), ctx.Lock()
-    child = ctx.Process(target=_draw_ahead,
-                        args=(scenario, streams, claimed, lock, receiver, sender), daemon=True)
-    child.start()
-    sender.close()
-    held = {}  # stream index -> what this process drew for it ahead
-    try:
-        for i, stream in enumerate(streams):
-            # The child sends its streams in order, so while this process
-            # does not hold panel i, panel i is the next the pipe delivers.
-            # A pipe the child closed polls as ready and ends the claims.
-            while i not in held and len(held) < _HELD_CAP and not receiver.poll():
-                j = _claim(claimed, lock, len(streams), 0.0)
-                if j is None:
-                    break
-                try:
-                    held[j] = simulate_panel(scenario, _generator(streams[j]))
-                except Exception as exc:  # raised when the fits reach it
-                    held[j] = exc
-            if i in held:
-                drawn = held.pop(i)
-            else:
-                try:
-                    drawn = receiver.recv()
-                except EOFError:  # the child died: draw the panel here
-                    drawn = simulate_panel(scenario, _generator(stream))
-            if isinstance(drawn, Exception):
-                raise drawn
-            yield drawn
-    finally:
-        receiver.close()
-        child.join(_JOIN_TIMEOUT_S)
-        if child.is_alive():
-            child.kill()
-            child.join()
 
 
 def _one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed):
@@ -409,25 +305,18 @@ def run_benchmark(
     Each replicate runs on its own named random stream spawned from the
     scenario seed, so a replicate's results do not depend on how many
     replicates run.  ``restarts`` and ``g_range`` are checked before any
-    panel is drawn.  With at least 2 replicates, 2 usable CPUs, the
-    ``fork`` start method and no second thread, a forked child process
-    draws the panels ahead while this process fits them, and this process
-    draws the next untaken panel itself whenever it would wait; each panel
-    is drawn once, with the same calls on the same stream, so the results
-    never depend on who drew it.  The fits stay in this process, and the
-    child never outlives the call.
+    panel is drawn.  Each replicate's panel is drawn by
+    :func:`simulate_panel` in this process, just before its fit.
     """
     if g_range is not None:
         g_range = _component_counts(g_range)
     check_count("restarts", restarts, 1)
-    streams, init_seeds = [], []
+    results = []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)
-        streams.append(sim_ss)
-        init_seeds.append(int(init_ss.generate_state(1, dtype=np.uint64)[0]))
-    with contextlib.closing(_drawn_panels(scenario, streams)) as panels:
-        results = [_one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed)
-                   for drawn, init_seed in zip(panels, init_seeds)]
+        drawn = simulate_panel(scenario, np.random.Generator(np.random.PCG64(sim_ss)))
+        init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
+        results.append(_one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed))
 
     names = dict.fromkeys(key for row, _ in results for key in row)
     values = {

@@ -22,6 +22,14 @@ module, so a fault injected there reaches the oracle too.
 ``csv.writer`` row per state, that the trajectory-at-a-time writer must
 match byte for byte on every id and label without a ``"\r"``.  It keeps
 that writer's quoting, which leaves a lone ``"\r"`` unquoted.
+
+:func:`reference_panel` is the panel sampler that drew one trajectory at
+a time with scalar calls: the labels from one ``rng.choice``, then one
+:func:`smcmix.sim.simulate_trajectory` per trajectory in panel order.
+The array sampler :func:`smcmix.sim.simulate_panel` draws the same law
+from another stream, so tests whose subject is not the sampler, and
+whose inputs were drawn before that sampler existed, draw their panels
+here.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from smcmix.errors import DegenerateSample, EmptyComponent, InvalidModelError
 from smcmix.initialization import initial_model
 from smcmix.likelihood import PanelStats, log_scores, mixture_loglik, penalty_term, penalty_weight
 from smcmix.selection import CRITERIA, GSweepResult, SweepRow, aic, aicc, bic, param_count
+from smcmix.sim import simulate_trajectory
 from smcmix.sojourn import DEGENERATE, OK, solve_shapes, status_error
 
 
@@ -420,3 +429,18 @@ def reference_write_panel(path, panel: Panel, subject_ids=None) -> None:
                     writer.writerow([format(v, ".17g") if isinstance(v, float) else v
                                      for v in (sid, b, labels[j], t, onsets[-1])])
                 a += n
+
+
+def reference_panel(scenario, rng=None) -> tuple[Panel, np.ndarray]:
+    """``scenario``'s panel and true labels drawn one trajectory at a time
+    on ``rng`` (by default the stream of ``scenario.seed``)."""
+    if rng is None:
+        rng = np.random.default_rng(scenario.seed)
+    model = scenario.model
+    labels = rng.choice(model.n_components, size=scenario.n_subjects, p=model.weights)
+    trajs = [simulate_trajectory(model.components[g], scenario.stop_rule, rng)
+             for g in labels.tolist() for _ in range(scenario.n_replications)]
+    lengths = np.array([len(t.states) for t in trajs]).reshape(scenario.n_subjects, -1)
+    states = np.concatenate([t.states for t in trajs])
+    sojourns = np.concatenate([t.sojourns for t in trajs])
+    return Panel.from_arrays(model.space, states, sojourns, lengths), labels

@@ -19,6 +19,7 @@ from smcmix.metrics import align_components, classification_rate, err_by_compone
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component
+from oracles import reference_panel
 
 SPACE = StateSpace(labels=("Firm", "Creamy", "Salty", "STOP"), absorbing=3)
 
@@ -57,13 +58,16 @@ def two_group_model():
     )
 
 
-@pytest.fixture(scope="module")
-def absorbing_panel():
-    scenario = Scenario(
+def absorbing_scenario():
+    return Scenario(
         model=two_group_model(), n_subjects=150, n_replications=3,
         stop_rule="absorbing", seed=88, replicate_count=1,
     )
-    return simulate_panel(scenario)
+
+
+@pytest.fixture(scope="module")
+def absorbing_panel():
+    return simulate_panel(absorbing_scenario())
 
 
 class TestAbsorbingEndToEnd:
@@ -89,8 +93,8 @@ class TestAbsorbingEndToEnd:
         assert sweep.rows[0].q == param_count(1, 4, has_absorbing=True)
         assert sweep.chosen["bic"] == 2
 
-    def test_panel_round_trip_and_graph(self, absorbing_panel, tmp_path):
-        panel, _ = absorbing_panel
+    def test_panel_round_trip_and_graph(self, tmp_path):
+        panel, _ = reference_panel(absorbing_scenario())
         write_panel(tmp_path / "p.csv", panel)
         # a supplied label list pins the state order; identity follows
         back, report = read_panel(tmp_path / "p.csv", labels=SPACE.labels)

@@ -675,7 +675,7 @@ class TestModelJson:
     def test_rejects_invalid_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text('{"space": ')
-        message = "invalid JSON: Expecting value: line 1 column 11 (char 10)"
+        message = f"{path}: invalid JSON: Expecting value: line 1 column 11 (char 10)"
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             read_model(path)
 

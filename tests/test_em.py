@@ -37,7 +37,7 @@ from smcmix.likelihood import PanelStats, log_scores, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component, traj
-from oracles import fit_gamma_pmle, penalized_objective, subject_loglik
+from oracles import fit_gamma_pmle, penalized_objective, reference_panel, subject_loglik
 
 
 def well_separated_panel(n=120, transitions=10, seed=5):
@@ -769,7 +769,7 @@ class TestPartialReport:
         scenario = fixtures.benchmark_scenario(
             "chocolate70", n_subjects=30, transitions=4, seed=29
         )
-        panel, _ = simulate_panel(scenario)
+        panel, _ = reference_panel(scenario)
         init, _ = initial_model(panel, 4, seed=29)
         with pytest.raises(EmptyComponent) as err:
             fit(panel, init, EmConfig())
@@ -813,7 +813,7 @@ def _fit_stopped_at_max_iter():
 
 def _aborted_fit():
     scenario = fixtures.benchmark_scenario("chocolate70", n_subjects=30, transitions=4, seed=29)
-    panel, _ = simulate_panel(scenario)
+    panel, _ = reference_panel(scenario)
     with pytest.raises(EmptyComponent) as err:
         fit(panel, initial_model(panel, 4, seed=29)[0], EmConfig())
     return panel, err.value.report

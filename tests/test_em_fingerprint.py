@@ -4,7 +4,10 @@
 traces and ``SweepRow.loglik`` values of two chocolate70 and one
 well_separated G = 1..3 sweep, and of every value of a 4-replicate
 ``run_benchmark``.  A refactor of the EM that claims to leave every fitted
-value unchanged must reproduce the file exactly.
+value unchanged must reproduce the file exactly.  The sweeps run on panels
+drawn one trajectory at a time (:func:`oracles.reference_panel`), so a
+change of the panel sampler leaves them alone; the ``run_benchmark``
+entry draws its panels with :func:`smcmix.sim.simulate_panel`.
 
 The file pins the results of the numpy and OpenBLAS builds it was
 generated with (recorded under ``"generated_with"``): another BLAS kernel
@@ -21,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from smcmix import EmConfig, fixtures, select_g
-from smcmix.sim import run_benchmark, simulate_panel
+from smcmix.sim import run_benchmark
+
+from oracles import reference_panel
 
 GOLDEN = Path(__file__).parent / "golden" / "em_fingerprint.json"
 
@@ -35,7 +40,7 @@ def _hex(values) -> list[str]:
 def fingerprint() -> dict:
     out = {}
     for name, seed in SWEEPS:
-        panel, _ = simulate_panel(fixtures.benchmark_scenario(name, n_subjects=100, seed=seed))
+        panel, _ = reference_panel(fixtures.benchmark_scenario(name, n_subjects=100, seed=seed))
         sweep = select_g(panel, range(1, 4), EmConfig(seed=seed))
         out[f"{name}/{seed}"] = {
             "traces": {str(g): _hex(r.objective_trace) for g, r in sweep.reports.items()},

@@ -2,7 +2,8 @@
 
 The CLI goldens hold only fixed-length trajectories without an absorbing
 state.  ``golden/panel_ragged_absorbing.csv`` is what :func:`write_panel`
-writes for a simulated panel whose trajectories have different lengths,
+writes for a panel simulated one trajectory at a time
+(:func:`oracles.reference_panel`) whose trajectories have different lengths,
 most ending in the absorbing state (whose sojourn is a placeholder) and
 some not, with explicit subject ids.  Any change to the writer or to how
 a panel stores its trajectories must reproduce it exactly.  Regenerate it
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from smcmix.dataio import read_panel, write_panel
-from smcmix.sim import Scenario, simulate_panel
+from smcmix.sim import Scenario
 
+from oracles import reference_panel
 from test_sim import absorbing_model
 
 GOLDEN = Path(__file__).parent / "golden" / "panel_ragged_absorbing.csv"
@@ -27,7 +29,7 @@ SUBJECT_IDS = [f"s{i}" for i in range(1, 9)]
 def _panel():
     scenario = Scenario(model=absorbing_model(), n_subjects=8, n_replications=2,
                         stop_rule=5, seed=32, replicate_count=1)
-    return simulate_panel(scenario)[0]
+    return reference_panel(scenario)[0]
 
 
 def test_panel_is_ragged_and_absorbing():

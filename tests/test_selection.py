@@ -14,7 +14,7 @@ from smcmix.initialization import initial_model
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import traj
-from oracles import sequential_select_g
+from oracles import reference_panel, sequential_select_g
 
 
 class TestParamCount:
@@ -88,9 +88,8 @@ def _count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
-@pytest.fixture(scope="module")
-def small_two_component_panel():
-    scenario = Scenario(
+def _two_component_scenario():
+    return Scenario(
         model=fixtures.well_separated_model(),
         n_subjects=100,
         n_replications=3,
@@ -98,7 +97,18 @@ def small_two_component_panel():
         seed=101,
         replicate_count=1,
     )
-    return simulate_panel(scenario)[0]
+
+
+@pytest.fixture(scope="module")
+def small_two_component_panel():
+    return simulate_panel(_two_component_scenario())[0]
+
+
+@pytest.fixture(scope="module")
+def reference_two_component_panel():
+    """The same design drawn one trajectory at a time, as the failures
+    injected below were counted on."""
+    return reference_panel(_two_component_scenario())[0]
 
 
 class TestSelectG:
@@ -222,17 +232,21 @@ def _outcome(run):
         return exc
 
 
-def _sweep_panel(name: str, n_subjects: int, seed: int, transitions: int = 6):
+def _sweep_scenario(name: str, n_subjects: int, seed: int, transitions: int = 6):
     if name == "absorbing":
         from test_absorbing import two_group_model
 
-        scenario = Scenario(model=two_group_model(), n_subjects=n_subjects, n_replications=3,
-                            stop_rule="absorbing", seed=seed)
+        return Scenario(model=two_group_model(), n_subjects=n_subjects, n_replications=3,
+                        stop_rule="absorbing", seed=seed)
     else:
         scenario = fixtures.benchmark_scenario(
             name, n_subjects=n_subjects, transitions=transitions, seed=seed
         )
-    return simulate_panel(scenario)[0]
+    return scenario
+
+
+def _sweep_panel(name: str, n_subjects: int, seed: int, transitions: int = 6):
+    return simulate_panel(_sweep_scenario(name, n_subjects, seed, transitions))[0]
 
 
 @st.composite
@@ -262,7 +276,7 @@ class TestLockstepStack:
 
     def test_an_aborted_fit_leaves_the_others_running(self):
         # G = 4 starves at its third map; G = 3 goes on for 20
-        panel = _sweep_panel("chocolate70", 30, 29, transitions=4)
+        panel = reference_panel(_sweep_scenario("chocolate70", 30, 29, transitions=4))[0]
         cfg = EmConfig(seed=1)
         sweep = select_g(panel, [1, 2, 3, 4], cfg)
         assert_same_sweep(sweep, sequential_select_g(panel, [1, 2, 3, 4], cfg))
@@ -322,16 +336,17 @@ class TestSweepErrors:
         ({3: 2, 2: 6}, "G=2, evaluation 6"),
         ({1: 2, 3: 1}, "G=1, evaluation 2"),
     ])
-    def test_injected_likelihood_failure(self, small_two_component_panel, monkeypatch, at, raised):
+    def test_injected_likelihood_failure(self, reference_two_component_panel, monkeypatch, at,
+                                         raised):
         tallies = _fail_likelihoods(monkeypatch, at)
         cfg = EmConfig(seed=3)
-        want = _outcome(lambda: sequential_select_g(small_two_component_panel, [1, 2, 3], cfg))
+        want = _outcome(lambda: sequential_select_g(reference_two_component_panel, [1, 2, 3], cfg))
         tallies.clear()
-        got = _outcome(lambda: select_g(small_two_component_panel, [1, 2, 3], cfg))
+        got = _outcome(lambda: select_g(reference_two_component_panel, [1, 2, 3], cfg))
         assert isinstance(want, NonConvergence) and str(want) == f"injected at {raised}"
         assert_same_sweep(got, want)
 
-    def test_injected_m_step_invariant_failure(self, small_two_component_panel, monkeypatch):
+    def test_injected_m_step_invariant_failure(self, reference_two_component_panel, monkeypatch):
         # every parameter check of G = 3 fails from its sixth on, so one of
         # its M-steps breaks an invariant
         checks = collections.Counter()
@@ -345,9 +360,9 @@ class TestSweepErrors:
 
         monkeypatch.setattr(MixtureArrays, "check", failing)
         cfg = EmConfig(seed=3)
-        want = _outcome(lambda: sequential_select_g(small_two_component_panel, [1, 2, 3], cfg))
+        want = _outcome(lambda: sequential_select_g(reference_two_component_panel, [1, 2, 3], cfg))
         checks.clear()
-        got = _outcome(lambda: select_g(small_two_component_panel, [1, 2, 3], cfg))
+        got = _outcome(lambda: select_g(reference_two_component_panel, [1, 2, 3], cfg))
         assert isinstance(want, InvalidModelError) and str(want) == "injected"
         assert_same_sweep(got, want)
 

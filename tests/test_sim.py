@@ -1,10 +1,6 @@
-import errno
-import multiprocessing
 import os
 import subprocess
 import sys
-import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +22,7 @@ from smcmix.errors import EmptyComponent, NonConvergence, NumericalError
 from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
 
 from conftest import make_component
+from oracles import reference_panel
 
 
 def absorbing_model():
@@ -82,13 +79,42 @@ class TestScenario:
 
 
 class _FixedStream:
-    """Returns the given uniforms in turn, and 1.0 for every gamma draw."""
+    """Returns the given uniforms in turn, one per state drawn, whether
+    asked for one or for an array of them; every gamma draw is 1.0 and
+    every label 0."""
 
     def __init__(self, uniforms):
-        self.random = iter(uniforms).__next__
+        self._next = iter(uniforms).__next__
+
+    def random(self, size=None):
+        return self._next() if size is None else np.array([self._next() for _ in range(size)])
 
     def gamma(self, shape, scale):
-        return 1.0
+        return np.ones(np.shape(shape)) if np.ndim(shape) else 1.0
+
+    def choice(self, n, size, p):
+        return np.zeros(size, dtype=int)
+
+
+class _CountingStream:
+    """A Generator stand-in that delegates every call and counts the calls
+    of ``random``."""
+
+    def __init__(self, seed: int):
+        self._rng = np.random.default_rng(seed)
+        self.randoms = 0
+
+    def random(self, size=None):
+        self.randoms += 1
+        return self._rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _one_component(comp) -> MixtureModel:
+    space = StateSpace(labels=tuple("ABCDEFGH"[: comp.n_states]), absorbing=comp.absorbing)
+    return MixtureModel(space=space, weights=np.array([1.0]), components=(comp,))
 
 
 class TestStateDraw:
@@ -105,7 +131,8 @@ class TestStateDraw:
         """First states drawn from uniforms on and between the cumulative
         sums, 0 and the top of [0, 1) land where
         ``np.searchsorted(side="right")`` puts them, clamped to the last cell
-        and walked back past zero cells."""
+        and walked back past zero cells, one at a time in the per-draw
+        sampler and all at once in the panel sampler."""
         d = len(probs)
         comp = make_component(
             alpha=probs,
@@ -115,13 +142,18 @@ class TestStateDraw:
         sampler = _sampler(comp)
         cum = np.cumsum(probs)
         us = np.concatenate([cum, (cum[:-1] + cum[1:]) / 2, [0.0, 1.0 - 2.0**-53]])
-        for u in us[us < 1.0]:
-            expected = min(int(np.searchsorted(cum, u, side="right")), d - 1)
-            while probs[expected] == 0.0:
-                expected -= 1
-            states, sojourns = [], []
-            sampler.draw_into(1, _FixedStream([float(u), 0.0]), states, sojourns)
-            assert states[0] == expected
+        us = us[us < 1.0].tolist()
+        expected = []
+        for u in us:
+            k = min(int(np.searchsorted(cum, u, side="right")), d - 1)
+            while probs[k] == 0.0:
+                k -= 1
+            expected.append(k)
+            assert sampler.draw(1, _FixedStream([u, 0.0])).states[0] == k
+        scenario = Scenario(model=_one_component(comp), n_subjects=len(us), n_replications=1,
+                            stop_rule=1, seed=1)
+        panel, _ = simulate_panel(scenario, _FixedStream(us + [0.0] * len(us)))
+        assert panel.states[::2].tolist() == expected
 
 
 class TestSimulateTrajectory:
@@ -149,10 +181,9 @@ class TestSimulateTrajectory:
         p = comp.sojourn[crunchy]
         rng = np.random.default_rng(77)
         sampler = _sampler(comp)
-        states, sojourns = [], []
-        for _ in range(100_000):
-            sampler.draw_into(1, rng, states, sojourns)
-        draws = np.array(sojourns)[np.array(states) == crunchy]
+        trajs = [sampler.draw(1, rng) for _ in range(100_000)]
+        states = np.concatenate([t.states for t in trajs])
+        draws = np.concatenate([t.sojourns for t in trajs])[states == crunchy]
         assert np.mean(draws) == pytest.approx(p.mean, rel=0.02)
         assert p.mean == pytest.approx(6.9024, abs=1e-3)
 
@@ -176,45 +207,55 @@ class TestSimulateTrajectory:
 
 
 class TestStateCap:
-    """No trajectory passes ``_MAX_SIM_STATES`` states: a transition count
-    that needs more raises once the cap is drawn, as does a trajectory
-    that never reaches its absorbing state."""
+    """No trajectory passes ``_MAX_SIM_STATES`` states, in either sampler:
+    a transition count that needs more raises once the cap is drawn, as
+    does a trajectory that never reaches its absorbing state."""
 
     def _alternating(self):
-        comp = make_component(
+        return make_component(
             alpha=[1.0, 0.0], trans=[[0.0, 1.0], [1.0, 0.0]], gammas=[(2, 1), (2, 1)]
         )
-        return _sampler(comp)
+
+    def _scenario(self, comp, stop_rule):
+        return Scenario(model=_one_component(comp), n_subjects=2, n_replications=1,
+                        stop_rule=stop_rule, seed=1)
 
     def test_count_within_the_cap_draws_every_state(self, monkeypatch):
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
-        states, sojourns = [], []
-        self._alternating().draw_into(4, np.random.default_rng(1), states, sojourns)
-        assert states == [0, 1, 0, 1, 0] and len(sojourns) == 5
+        t = _sampler(self._alternating()).draw(4, np.random.default_rng(1))
+        assert t.states.tolist() == [0, 1, 0, 1, 0] and len(t.sojourns) == 5
+        panel, _ = simulate_panel(self._scenario(self._alternating(), 4))
+        assert panel.states.tolist() == [0, 1, 0, 1, 0] * 2
 
     @pytest.mark.parametrize("count", [5, 50])
     def test_count_above_the_cap_raises_after_the_capped_draws(self, monkeypatch, count):
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
         rng = np.random.default_rng(1)
-        states, sojourns = [], []
         with pytest.raises(NumericalError):
-            self._alternating().draw_into(count, rng, states, sojourns)
-        assert states == [0, 1, 0, 1, 0] and len(sojourns) == 5
+            _sampler(self._alternating()).draw(count, rng)
         # the same draws as a trajectory of exactly the cap
         capped = np.random.default_rng(1)
-        self._alternating().draw_into(4, capped, [], [])
+        _sampler(self._alternating()).draw(4, capped)
         assert rng.random() == capped.random()
+        # the panel sampler raises after one step per capped state
+        stream = _CountingStream(1)
+        with pytest.raises(NumericalError):
+            simulate_panel(self._scenario(self._alternating(), count), stream)
+        assert stream.randoms == 5
 
     def test_absorbing_rule_raises_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 3)
         comp = absorbing_model().components[0]
         never = comp.trans.copy()
         never[:2] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
-        sampler = _ComponentSampler(comp.alpha, never, *comp.sojourn_arrays(), comp.absorbing)
-        states = []
-        with pytest.raises(NumericalError, match="absorbing"):
-            sampler.draw_into("absorbing", np.random.default_rng(2), states, [])
-        assert len(states) == 3
+        never = make_component(alpha=comp.alpha, trans=never,
+                               gammas=[(2.0, 1.0), (1.5, 0.7), None], absorbing=2)
+        for draw in (lambda rng: _sampler(never).draw("absorbing", rng),
+                     lambda rng: simulate_panel(self._scenario(never, "absorbing"), rng)):
+            stream = _CountingStream(2)
+            with pytest.raises(NumericalError, match="absorbing"):
+                draw(stream)
+            assert stream.randoms == 3  # one per state, or one per step
 
 
 class TestSimulatePanel:
@@ -264,6 +305,66 @@ class TestSimulatePanel:
         for t in panel.trajectories():
             assert np.all(t.sojourns > 0)
             assert np.all(t.states[1:] != t.states[:-1])
+
+
+def _law_cells(panel, d: int, max_length: int) -> np.ndarray:
+    """One panel's first-state counts, transition counts, per-state sums
+    and log-sums of the sojourns (the absorbing placeholder left out) and
+    counts of the trajectory lengths 1 .. ``max_length`` (longer ones in
+    the last cell), as one vector."""
+    lengths = panel.lengths.ravel()
+    starts = np.cumsum(lengths) - lengths
+    states, sojourns = panel.states, panel.sojourns
+    steps = np.ones(states.size, dtype=bool)
+    steps[starts] = False
+    moves = states[np.flatnonzero(steps) - 1] * d + states[steps]
+    live = states != (-1 if panel.space.absorbing is None else panel.space.absorbing)
+    return np.concatenate([
+        np.bincount(states[starts], minlength=d),
+        np.bincount(moves, minlength=d * d),
+        np.bincount(states[live], weights=sojourns[live], minlength=d),
+        np.bincount(states[live], weights=np.log(sojourns[live]), minlength=d),
+        np.bincount(np.minimum(lengths, max_length) - 1, minlength=max_length),
+    ])
+
+
+class TestPanelLaw:
+    """The panel sampler draws the law of the per-draw sampler: over 80
+    panels from each (labels from ``rng.choice`` and one
+    ``simulate_trajectory`` per trajectory on the per-draw side), every
+    cell of :func:`_law_cells` agrees in mean within 4.5 standard errors
+    of the difference, and the cells' z-scores average at most 1.6 in
+    square (about 1 for equal laws).  Cells with no variance on either
+    side must agree exactly."""
+
+    PANELS = 80
+
+    @pytest.mark.parametrize("model,stop_rule", [
+        ("chocolate70", 6),
+        ("well_separated", 4),
+        ("absorbing", "absorbing"),
+        ("absorbing", 3),
+    ])
+    def test_array_and_per_draw_samplers_agree(self, model, stop_rule):
+        mixture = {"chocolate70": fixtures.one_component_model,
+                   "well_separated": fixtures.well_separated_model,
+                   "absorbing": absorbing_model}[model]()
+        scenario = Scenario(model=mixture, n_subjects=20, n_replications=2,
+                            stop_rule=stop_rule, seed=1)
+        d = mixture.space.n_states
+        sides = []
+        for draw, seed in ((simulate_panel, 1000), (reference_panel, 2000)):
+            sides.append(np.array([
+                _law_cells(draw(scenario, np.random.default_rng(seed + i))[0], d, 12)
+                for i in range(self.PANELS)
+            ]))
+        a, b = sides
+        se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / self.PANELS)
+        diff = a.mean(axis=0) - b.mean(axis=0)
+        np.testing.assert_array_equal(diff[se == 0.0], 0.0)
+        z = diff[se > 0.0] / se[se > 0.0]
+        assert np.abs(z).max() <= 4.5
+        assert np.mean(z**2) <= 1.6
 
 
 class TestGammaSamplerMoments:
@@ -393,341 +494,42 @@ class TestRunBenchmark:
         result = run_benchmark(scenario, EmConfig())
         assert result.table()["err_rate"][0] <= 0.45
 
-    def test_selection_histogram(self):
-        scenario = Scenario(
-            model=fixtures.one_component_model(),
-            n_subjects=60, n_replications=3, stop_rule=6, seed=57, replicate_count=3,
-        )
-        result = run_benchmark(scenario, EmConfig(), g_range=[1, 2])
-        assert sum(result.histograms["bic"].values()) == 3
-        assert "bic_choice" in result.values
-
-
-def _probes(monkeypatch, cpus: int) -> None:
-    """Make the benchmark see ``cpus`` usable CPUs and one thread."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(threading, "active_count", lambda: 1)
-
-
-def _draws_here(monkeypatch) -> list:
-    """Count the ``simulate_panel`` calls made in this process; the calls
-    a forked child makes are counted in the child's copy of the list."""
-    calls = []
-    original = sim.simulate_panel
-
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(sim, "simulate_panel", counting)
-    return calls
-
-
-def _wait_until(ready, timeout: float = 10.0) -> None:
-    """Poll ``ready()`` until it is true or ``timeout`` seconds have passed."""
-    deadline = time.monotonic() + timeout
-    while not ready() and time.monotonic() < deadline:
-        time.sleep(0.002)
-
-
-class _DrawLog:
-    """Log every ``simulate_panel`` call, in this process or a forked child,
-    as a line ``pid replicate fits`` appended to ``path`` before the draw
-    runs, so that the child's calls are seen too; ``fits`` is the number of
-    ``sim.fit`` calls this process had made (-1 in the child).  With
-    ``hold``, each of the child's draws first waits until ``hold(log)``."""
-
-    def __init__(self, monkeypatch, path, hold=None):
-        self.path, self.caller, self.fits = path, os.getpid(), []
-        path.touch()
+    def test_each_replicate_is_drawn_once_before_its_fit(self, monkeypatch):
+        """Replicate i's panel is drawn through the module's
+        ``simulate_panel``, on replicate i's stream, after replicate i - 1
+        is fit."""
+        events = []
         fit, draw = sim.fit, sim.simulate_panel
 
-        def counting_fit(*args):
-            self.fits.append(None)
+        def logged_fit(*args):
+            events.append("fit")
             return fit(*args)
 
         def logged_draw(scenario, rng):
-            here = os.getpid() == self.caller
-            if not here and hold is not None:
-                _wait_until(lambda: hold(self))
-            replicate = rng.bit_generator.seed_seq.spawn_key[0]
-            with open(path, "a") as log:
-                log.write(f"{os.getpid()} {replicate} {len(self.fits) if here else -1}\n")
+            events.append(rng.bit_generator.seed_seq.spawn_key)
             return draw(scenario, rng)
 
-        monkeypatch.setattr(sim, "fit", counting_fit)
+        monkeypatch.setattr(sim, "fit", logged_fit)
         monkeypatch.setattr(sim, "simulate_panel", logged_draw)
-
-    def read(self) -> list[tuple[bool, int, int]]:
-        """``(drawn here, replicate, fits made before)`` per draw, in order."""
-        rows = (map(int, line.split()) for line in self.path.read_text().splitlines())
-        return [(pid == self.caller, replicate, fits) for pid, replicate, fits in rows]
-
-    def replicates(self, here=None) -> list[int]:
-        """The replicates drawn, sorted; ``here`` picks one process."""
-        return sorted(r for h, r, _ in self.read() if here is None or h == here)
-
-    def held(self) -> list[int]:
-        """After each draw made here, the panels this process held drawn
-        ahead: those it drew for a replicate whose fit had not yet begun."""
-        mine, out = [], []
-        for here, replicate, fits in self.read():
-            if here:
-                mine.append(replicate)
-                out.append(sum(r >= fits for r in mine))
-        return out
-
-
-def _child_claims_first(monkeypatch, marker) -> None:
-    """Make this process's claims wait until the forked child has made its
-    first one, so that the child takes replicate 0."""
-    caller, claim = os.getpid(), sim._claim
-
-    def ordered(*args):
-        if os.getpid() == caller:
-            _wait_until(marker.exists)
-            return claim(*args)
-        taken = claim(*args)
-        marker.touch()
-        return taken
-
-    monkeypatch.setattr(sim, "_claim", ordered)
-
-
-def _assert_same_results(a, b) -> None:
-    assert list(a.values) == list(b.values)
-    for name in a.values:
-        assert a.values[name].tobytes() == b.values[name].tobytes(), name
-    assert a.histograms == b.histograms
-    assert a.warnings == b.warnings
-
-
-class TestPanelsDrawnInAChild:
-    """With 2 CPUs, no second thread and at least 2 replicates, a forked
-    child draws the panels while the caller fits, and the caller draws the
-    next untaken panel whenever it would wait: each panel is drawn once, by
-    one process, every value, histogram and warning equals the inline
-    path's bit for bit, an error in either process is raised as inline, and
-    no process outlives the call."""
-
-    SCENARIO = Scenario(
-        model=fixtures.well_separated_model(),
-        n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
-    )
-
-    def _both_paths(self, monkeypatch, tmp_path, run):
-        """``run()`` inline and with the child; each draws every replicate's
-        panel exactly once, the inline path all of them here."""
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
-        n = self.SCENARIO.replicate_count
-        _probes(monkeypatch, cpus=1)
-        inline = run()
-        assert [(here, r) for here, r, _ in log.read()] == [(True, r) for r in range(n)]
-        _probes(monkeypatch, cpus=2)
-        in_child = run()
-        assert sorted(r for _, r, _ in log.read()[n:]) == list(range(n))
-        assert multiprocessing.active_children() == []
-        return inline, in_child
-
-    @pytest.mark.parametrize("g_range", [None, [1, 2, 3]])
-    def test_same_bits_as_inline(self, monkeypatch, tmp_path, g_range):
-        inline, in_child = self._both_paths(
-            monkeypatch, tmp_path,
-            lambda: run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range),
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
         )
-        _assert_same_results(inline, in_child)
+        run_benchmark(scenario, EmConfig())
+        assert events == [(0, 0), "fit", (1, 0), "fit", (2, 0), "fit"]
 
-    def test_same_bits_as_inline_with_an_aborted_fit(self, monkeypatch, tmp_path):
-        original = sim.fit
-        calls = []
-
-        def aborting(*args):
-            report = original(*args)
-            calls.append(None)
-            if len(calls) % 3 == 2:  # replicate 1 of each run
-                raise EmptyComponent(0, report=report)
-            return report
-
-        monkeypatch.setattr(sim, "fit", aborting)
-        inline, in_child = self._both_paths(
-            monkeypatch, tmp_path, lambda: run_benchmark(self.SCENARIO, EmConfig())
-        )
-        assert inline.values["aborted"].tolist() == [0.0, 1.0, 0.0]
-        _assert_same_results(inline, in_child)
-
-    def test_both_processes_draw_and_each_panel_once(self, monkeypatch, tmp_path):
-        """The child takes replicate 0 and waits until the caller has drawn a
-        panel, so both processes draw; no panel is drawn twice or lost."""
-        scenario = replace(self.SCENARIO, replicate_count=8)
-        inline = run_benchmark(scenario, EmConfig())
-        _child_claims_first(monkeypatch, tmp_path / "claimed")
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
-                       hold=lambda log: log.replicates(here=True) != [])
-        _probes(monkeypatch, cpus=2)
-        _assert_same_results(inline, run_benchmark(scenario, EmConfig()))
-        assert multiprocessing.active_children() == []
-        assert log.replicates() == list(range(8))
-        assert 0 in log.replicates(here=False) and 1 in log.replicates(here=True)
-
-    def test_the_caller_holds_at_most_the_cap(self, monkeypatch, tmp_path):
-        """The child draws nothing until the caller holds ``_HELD_CAP`` panels
-        drawn ahead: the caller stops there and waits for the pipe."""
-        scenario = replace(self.SCENARIO, replicate_count=sim._HELD_CAP + 4)
-        inline = run_benchmark(scenario, EmConfig())
-        _child_claims_first(monkeypatch, tmp_path / "claimed")
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
-                       hold=lambda log: max(log.held(), default=0) >= sim._HELD_CAP)
-        _probes(monkeypatch, cpus=2)
-        _assert_same_results(inline, run_benchmark(scenario, EmConfig()))
-        assert multiprocessing.active_children() == []
-        assert max(log.held()) == sim._HELD_CAP
-        assert log.replicates() == list(range(scenario.replicate_count))
-
-    @pytest.mark.parametrize("failure", [None, "OSError", "no F_SETPIPE_SZ"])
-    def test_the_pipe_buffer_and_its_fallback(self, monkeypatch, failure):
-        """The pipe is asked for ``_PIPE_BYTES`` once; where the request fails
-        or the platform lacks it, the default buffer gives the same bits."""
-        fcntl = pytest.importorskip("fcntl")
-        setpipe_sz = getattr(fcntl, "F_SETPIPE_SZ", None)
-        if setpipe_sz is None:
-            pytest.skip("no F_SETPIPE_SZ on this platform")
-        calls = []
-        original = fcntl.fcntl
-
-        def recording(fd, cmd, arg=0):
-            calls.append((cmd, arg))
-            if failure == "OSError":
-                raise OSError(errno.EPERM, os.strerror(errno.EPERM))
-            return original(fd, cmd, arg)
-
-        monkeypatch.setattr(fcntl, "fcntl", recording)
-        if failure == "no F_SETPIPE_SZ":
-            monkeypatch.delattr(fcntl, "F_SETPIPE_SZ")
-        _probes(monkeypatch, cpus=1)
-        inline = run_benchmark(self.SCENARIO, EmConfig())
-        _probes(monkeypatch, cpus=2)
-        _assert_same_results(inline, run_benchmark(self.SCENARIO, EmConfig()))
-        assert multiprocessing.active_children() == []
-        assert calls == ([] if failure == "no F_SETPIPE_SZ" else [(setpipe_sz, sim._PIPE_BYTES)])
-
-    def _absorbing(self):
-        """Under a cap of 4 states, replicate 1's panel is the only one that
-        passes it."""
-        return Scenario(model=absorbing_model(), n_subjects=3, n_replications=1,
-                        stop_rule="absorbing", seed=5, replicate_count=4)
-
-    def test_an_error_in_the_child_is_raised_at_its_replicate(self, monkeypatch, tmp_path):
-        """With no panel to be held ahead, the child draws every panel: it
-        sends replicate 1's error back and stops."""
+    def test_an_error_in_a_draw_is_raised_at_its_replicate(self, monkeypatch):
+        """Under a cap of 4 states, replicate 2's panel is the first that
+        passes it: its error is raised after replicates 0 and 1 are fit."""
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
-        monkeypatch.setattr(sim, "_HELD_CAP", 0)
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
-        raised = []
-        for cpus in (1, 2):
-            _probes(monkeypatch, cpus)
-            with pytest.raises(NumericalError) as info:
-                run_benchmark(self._absorbing(), EmConfig())
-            raised.append((type(info.value), str(info.value), len(log.fits)))
-            assert multiprocessing.active_children() == []
-        assert raised == [
-            (NumericalError, "simulation did not reach the absorbing state", 1),
-            (NumericalError, "simulation did not reach the absorbing state", 2),
-        ]
-        assert [(here, r) for here, r, _ in log.read()] == [
-            (True, 0), (True, 1), (False, 0), (False, 1)
-        ]
-
-    def test_an_error_in_a_panel_drawn_here_is_raised_at_its_replicate(
-        self, monkeypatch, tmp_path
-    ):
-        """The child takes replicate 0 and waits until the caller has drawn
-        replicate 1, whose error the caller keeps until replicate 0 is fit."""
-        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
-        _child_claims_first(monkeypatch, tmp_path / "claimed")
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log",
-                       hold=lambda log: 1 in log.replicates(here=True))
-        _probes(monkeypatch, cpus=2)
+        fits = []
+        fit = sim.fit
+        monkeypatch.setattr(sim, "fit", lambda *args: fits.append(None) or fit(*args))
+        scenario = Scenario(model=absorbing_model(), n_subjects=3, n_replications=1,
+                            stop_rule="absorbing", seed=1, replicate_count=4)
         with pytest.raises(NumericalError, match="^simulation did not reach the absorbing state$"):
-            run_benchmark(self._absorbing(), EmConfig())
-        assert multiprocessing.active_children() == []
-        assert len(log.fits) == 1
-        draws = log.read()
-        assert (True, 1, 0) in draws and (False, 0, -1) in draws
-        assert len(draws) == len(set(r for _, r, _ in draws))
-
-    def test_a_child_that_dies_leaves_the_draws_to_the_caller(self, monkeypatch):
-        inline = run_benchmark(self.SCENARIO, EmConfig())
-        caller = os.getpid()
-        original = sim.simulate_panel
-
-        def dying(*args):
-            if os.getpid() != caller:
-                os._exit(1)
-            return original(*args)
-
-        monkeypatch.setattr(sim, "simulate_panel", dying)
-        _probes(monkeypatch, cpus=2)
-        _assert_same_results(inline, run_benchmark(self.SCENARIO, EmConfig()))
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
-    def test_no_child_outlives_an_error_in_the_caller(self, monkeypatch, tmp_path, error):
-        """The child is mid-draw when the caller fails, and is still ended."""
-        _probes(monkeypatch, cpus=2)
-        caller = os.getpid()
-        draw = sim.simulate_panel
-
-        def slow_in_child(*args):
-            if os.getpid() != caller:
-                time.sleep(0.2)
-            return draw(*args)
-
-        monkeypatch.setattr(sim, "simulate_panel", slow_in_child)
-        calls = []
-        original = sim.fit
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise error("injected")
-            return original(*args)
-
-        monkeypatch.setattr(sim, "fit", failing)
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
-        with pytest.raises(error, match="^injected$"):
-            run_benchmark(replace(self.SCENARIO, replicate_count=6), EmConfig())
-        assert len(calls) == 2
-        drawn = [r for _, r, _ in log.read()]
-        assert {0, 1} <= set(drawn) and len(drawn) == len(set(drawn))
-        assert multiprocessing.active_children() == []
-
-    def test_no_child_outlives_a_return(self, monkeypatch, tmp_path):
-        _probes(monkeypatch, cpus=2)
-        log = _DrawLog(monkeypatch, tmp_path / "draws.log")
-        run_benchmark(self.SCENARIO, EmConfig())
-        assert log.replicates() == list(range(self.SCENARIO.replicate_count))
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.parametrize("replicates,cpus", [(1, 2), (3, 1)])
-    def test_one_replicate_or_one_cpu_draws_inline(self, monkeypatch, replicates, cpus):
-        _probes(monkeypatch, cpus)
-        draws = _draws_here(monkeypatch)
-        run_benchmark(replace(self.SCENARIO, replicate_count=replicates), EmConfig())
-        assert len(draws) == replicates
-
-    def test_a_second_thread_draws_inline(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        draws = _draws_here(monkeypatch)
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            run_benchmark(self.SCENARIO, EmConfig())
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert len(draws) == self.SCENARIO.replicate_count
+            run_benchmark(scenario, EmConfig())
+        assert len(fits) == 2
 
     @pytest.mark.parametrize("g_range,restarts,message", [
         (range(3, 2), 5, "g_range must contain positive component counts"),
@@ -738,23 +540,31 @@ class TestPanelsDrawnInAChild:
     ])
     def test_arguments_are_checked_before_any_draw(self, monkeypatch, g_range, restarts, message):
         """As ``smcmix bench --g-min 3 --g-max 1`` or ``--restarts 0`` ask."""
-        _probes(monkeypatch, cpus=2)
-        draws = _draws_here(monkeypatch)
-
-        def no_process(method):
-            raise AssertionError("a process was started")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_process)
+        draws = []
+        monkeypatch.setattr(sim, "simulate_panel", lambda *args: draws.append(None))
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
+        )
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_benchmark(self.SCENARIO, EmConfig(), g_range=g_range, restarts=restarts)
+            run_benchmark(scenario, EmConfig(), g_range=g_range, restarts=restarts)
         assert draws == []
+
+    def test_selection_histogram(self):
+        scenario = Scenario(
+            model=fixtures.one_component_model(),
+            n_subjects=60, n_replications=3, stop_rule=6, seed=57, replicate_count=3,
+        )
+        result = run_benchmark(scenario, EmConfig(), g_range=[1, 2])
+        assert sum(result.histograms["bic"].values()) == 3
+        assert "bic_choice" in result.values
 
 
 def test_import_loads_no_multiprocessing():
-    """The child process and its pipe are the benchmark's alone: importing
-    smcmix loads no multiprocessing, and it imports even where fcntl is
-    blocked.  (scipy loads fcntl through subprocess where it can, so its
-    presence in ``sys.modules`` says nothing.)"""
+    """smcmix starts no process: importing it loads no multiprocessing, and
+    it imports even where fcntl is blocked.  (scipy loads fcntl through
+    subprocess where it can, so its presence in ``sys.modules`` says
+    nothing.)"""
     src = str(Path(sim.__file__).parents[1])
     code = ("import sys; sys.modules['fcntl'] = None; import smcmix; "
             "sys.exit('multiprocessing' in sys.modules)")

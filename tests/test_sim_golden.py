@@ -5,8 +5,8 @@
 edge cases, which the EM fingerprint and the CLI goldens do not reach:
 
 * the absorbing model of ``test_sim.py`` under the ``"absorbing"`` rule
-  and under a transition count of 5, as panels and as single
-  trajectories;
+  and under a transition count of 5, as panels, and as single
+  trajectories of the per-draw sampler;
 * a component with a gamma shape of 1e-3, whose draws underflow to 0.0
   and are drawn again;
 * initial and transition rows whose cumulative sums end just below 1 and
@@ -16,14 +16,17 @@ edge cases, which the EM fingerprint and the CLI goldens do not reach:
 * a ``not_well_separated`` panel.
 
 It also holds every value of a 3-replicate ``run_benchmark`` G = 1..3
-sweep.  The sequence of ``random()`` and ``gamma()`` calls is part of
-the simulator's contract: a change to ``smcmix.sim`` that claims to keep
-the random stream must reproduce the file exactly.  Regenerate it with
-``python tests/test_sim_golden.py --write`` only for a change meant to
-alter simulated data, or after a library upgrade, and say so in CHANGES.md.
-The file records the numpy and OpenBLAS builds it was generated with:
-numpy may change a stream between releases, and the sweep's fitted values
-rest on BLAS.
+sweep.  The sequence of draws is part of the simulator's contract: for a
+panel, one ``rng.choice`` of the labels, one ``rng.random(m)`` per step
+over the m trajectories still running, then one ``rng.gamma`` over every
+sojourn and one over each round of redraws; for a single trajectory, one
+``random()`` per state and one ``gamma()`` per sojourn.  A change to
+``smcmix.sim`` that claims to keep the random streams must reproduce the
+file exactly.  Regenerate it with ``python tests/test_sim_golden.py
+--write`` only for a change meant to alter simulated data, or after a
+library upgrade, and say so in CHANGES.md.  The file records the numpy
+and OpenBLAS builds it was generated with: numpy may change a stream
+between releases, and the sweep's fitted values rest on BLAS.
 """
 
 import json
@@ -48,20 +51,24 @@ _TOP = 1.0 - 2.0**-53
 class _Stream:
     """A Generator stand-in that delegates every call, counts the gamma
     draws that come back as 0.0, and, when ``clamp`` is set, replaces
-    uniforms above 0.8 by ``_TOP``."""
+    uniforms above 0.8 by ``_TOP`` and counts them."""
 
     def __init__(self, seed: int, clamp: bool = False):
         self._rng = np.random.default_rng(seed)
         self._clamp = clamp
-        self.zero_gammas = 0
+        self.zero_gammas = self.clamped = 0
 
-    def random(self):
-        u = self._rng.random()
-        return _TOP if self._clamp and u > 0.8 else u
+    def random(self, size):
+        u = self._rng.random(size)
+        if self._clamp:
+            high = u > 0.8
+            self.clamped += int(high.sum())
+            u[high] = _TOP
+        return u
 
     def gamma(self, shape, scale):
         x = self._rng.gamma(shape, scale)
-        self.zero_gammas += x == 0.0
+        self.zero_gammas += int((x == 0.0).sum())
         return x
 
     def __getattr__(self, name):
@@ -137,7 +144,9 @@ def fingerprint() -> dict:
     out["tiny_shape"] = _panel_case(_scenario(_tiny_shape_model(), 4, 34), stream)
     assert stream.zero_gammas > 0, "the tiny-shape case no longer draws a zero"
 
-    out["clamp"] = _panel_case(_scenario(_clamp_model(), 6, 35), _Stream(35, clamp=True))
+    stream = _Stream(35, clamp=True)
+    out["clamp"] = _panel_case(_scenario(_clamp_model(), 6, 35), stream)
+    assert stream.clamped > 0, "the clamp case no longer draws past the sums"
 
     out["not_well_separated"] = _panel_case(
         fixtures.benchmark_scenario("not_well_separated", n_subjects=6, n_replications=2,
