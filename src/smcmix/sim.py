@@ -145,6 +145,23 @@ def simulate_trajectory(comp: ComponentParams, stop_rule, rng: np.random.Generat
     return sampler.draw(stop_rule, rng)
 
 
+def _cannot_absorb(probs, d: int, absorbing: int) -> np.ndarray:
+    """Per row of the stacked tables of :func:`simulate_panel`, whether its
+    state has no path of non-zero transitions to the absorbing state
+    (``absorbing`` is -1 when there is none).  Start rows read False."""
+    doomed = np.zeros((len(probs) // (d + 1), d + 1), dtype=bool)
+    if absorbing < 0:
+        doomed[:, :d] = True
+    else:
+        edges = probs.reshape(doomed.shape + (d,))[:, :d] > 0.0
+        reach = np.zeros(edges.shape[:2], dtype=bool)
+        reach[:, absorbing] = True
+        for _ in range(d - 1):  # a shortest path takes at most d - 1 steps
+            reach = reach | (edges & reach[:, None, :]).any(axis=2)
+        doomed[:, :d] = ~reach
+    return doomed.reshape(-1)
+
+
 def simulate_panel(
     scenario: Scenario, rng: Optional[np.random.Generator] = None
 ) -> tuple[Panel, np.ndarray]:
@@ -152,7 +169,11 @@ def simulate_panel(
     subject's mixture component.  Returns the panel and the true labels.
 
     The draws run step by step over every trajectory still running, then
-    over every sojourn at once, in the order the module docstring states."""
+    over every sojourn at once, in the order the module docstring states.
+    A trajectory that would pass ``_MAX_SIM_STATES`` states raises
+    :class:`NumericalError`; under a stop rule past that cap, one that
+    enters a state with no path to the absorbing state (any state, when
+    there is none) is certain to, and raises at once."""
     if rng is None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(scenario.seed)))
     model, p = scenario.model, scenario.model.params
@@ -162,28 +183,31 @@ def simulate_panel(
     # j, and row g * (d + 1) + d its initial distribution: the first state
     # is drawn as a transition out of that start row.
     probs = np.concatenate([p.trans, p.alpha[:, None]], axis=1).reshape(-1, d)
+    # Counting the sums at or below u picks the cell bisect_right picks in
+    # the per-draw sampler.  Sums from a row's last non-zero cell on read
+    # inf, so a u past a row's short sum lands in that cell, as there.
     cums = np.cumsum(probs, axis=1)
-    last_cell = d - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)  # its last non-zero cell
+    last_cell = d - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)
+    cums[np.arange(d) >= last_cell[:, None]] = np.inf
     comp = np.repeat(labels, scenario.n_replications)  # per trajectory
     base = comp * (d + 1)
     absorbing = -1 if p.absorbing is None else p.absorbing
     steps = math.inf if scenario.stop_rule == ABSORBING_RULE else scenario.stop_rule + 1
+    doomed = _cannot_absorb(probs, d, absorbing) if steps > _MAX_SIM_STATES else None
     running, rows = np.arange(comp.size, dtype=np.intp), base + d
     # (trajectory, state) per visit, step by step, as raw bytes: a
     # trajectory that runs to _MAX_SIM_STATES holds 16 bytes a visit.
     visitors, visited, sizes = bytearray(), bytearray(), []
     while running.size and len(sizes) < min(steps, _MAX_SIM_STATES):
-        # Counting the sums at or below u picks the cell bisect_right
-        # picks in the per-draw sampler; a u past a row's short sum is
-        # clamped to the row's last non-zero cell.
         k = (cums[rows] <= rng.random(running.size)[:, None]).sum(axis=1, dtype=np.intp)
-        past = k == d
-        k[past] = last_cell[rows[past]]
         visitors += running.tobytes()
         visited += k.tobytes()
         sizes.append(running.size)
         on = k != absorbing
-        running, rows = running[on], base[running[on]] + k[on]
+        running = running[on]
+        rows = base[running] + k[on]
+        if doomed is not None and doomed[rows].any():
+            raise NumericalError("simulation did not reach the absorbing state")
     if running.size and steps > _MAX_SIM_STATES:
         raise NumericalError("simulation did not reach the absorbing state")
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -98,14 +99,15 @@ class _FixedStream:
 
 class _CountingStream:
     """A Generator stand-in that delegates every call and counts the calls
-    of ``random``."""
+    of ``random``; the call past ``limit`` fails the test."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, limit: float = np.inf):
         self._rng = np.random.default_rng(seed)
-        self.randoms = 0
+        self.randoms, self._limit = 0, limit
 
     def random(self, size=None):
         self.randoms += 1
+        assert self.randoms <= self._limit, "drew past the expected calls"
         return self._rng.random(size)
 
     def __getattr__(self, name):
@@ -237,25 +239,63 @@ class TestStateCap:
         capped = np.random.default_rng(1)
         _sampler(self._alternating()).draw(4, capped)
         assert rng.random() == capped.random()
-        # the panel sampler raises after one step per capped state
+        # with no absorbing state every trajectory is certain to reach the
+        # cap: the panel sampler raises after its first step
         stream = _CountingStream(1)
         with pytest.raises(NumericalError):
             simulate_panel(self._scenario(self._alternating(), count), stream)
-        assert stream.randoms == 5
+        assert stream.randoms == 1
 
-    def test_absorbing_rule_raises_at_the_cap(self, monkeypatch):
-        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 3)
+    def _never_absorbed(self):
+        """A component whose states A and B alternate and never reach STOP."""
         comp = absorbing_model().components[0]
         never = comp.trans.copy()
         never[:2] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
-        never = make_component(alpha=comp.alpha, trans=never,
-                               gammas=[(2.0, 1.0), (1.5, 0.7), None], absorbing=2)
-        for draw in (lambda rng: _sampler(never).draw("absorbing", rng),
-                     lambda rng: simulate_panel(self._scenario(never, "absorbing"), rng)):
-            stream = _CountingStream(2)
-            with pytest.raises(NumericalError, match="absorbing"):
-                draw(stream)
-            assert stream.randoms == 3  # one per state, or one per step
+        return make_component(alpha=comp.alpha, trans=never,
+                              gammas=[(2.0, 1.0), (1.5, 0.7), None], absorbing=2)
+
+    def test_absorbing_rule_raises_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(sim, "_MAX_SIM_STATES", 3)
+        stream = _CountingStream(2)
+        with pytest.raises(NumericalError, match="absorbing"):
+            _sampler(self._never_absorbed()).draw("absorbing", stream)
+        assert stream.randoms == 3  # one per state
+        # the panel sampler raises on the first step that enters a state
+        # with no path to STOP
+        stream = _CountingStream(2)
+        with pytest.raises(NumericalError, match="absorbing"):
+            simulate_panel(self._scenario(self._never_absorbed(), "absorbing"), stream)
+        assert stream.randoms == 1
+
+    def test_a_panel_that_reaches_the_cap_raises_at_once(self):
+        """At the real cap, 600 trajectories certain to reach it raise after
+        one step, in little memory, where drawing on to the cap would hold
+        16 bytes per visit (about 9.6 GB).  Absorbed and absorbable
+        trajectories do not raise on their own."""
+        one_way = make_component(  # from A, half go to STOP, half to B and C for good
+            alpha=[1.0, 0.0, 0.0, 0.0],
+            trans=[[0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 0.0]],
+            gammas=[(2.0, 1.0), (1.5, 0.7), (3.0, 2.0), None], absorbing=3,
+        )
+        cases = [
+            (self._never_absorbed(), "absorbing", 1),
+            (self._alternating(), 2 * sim._MAX_SIM_STATES, 1),
+            (one_way, "absorbing", 2),
+            (one_way, 3 * sim._MAX_SIM_STATES, 2),
+        ]
+        for comp, rule, calls in cases:
+            scenario = replace(self._scenario(comp, rule), n_subjects=200, n_replications=3)
+            stream = _CountingStream(3, limit=calls)
+            tracemalloc.start()
+            try:
+                with pytest.raises(NumericalError):
+                    simulate_panel(scenario, stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stream.randoms == calls
+            assert peak < 2**20
 
 
 class TestSimulatePanel:
