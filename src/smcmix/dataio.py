@@ -11,10 +11,12 @@ self-transitions; the merge count is reported.
 Every CSV file the library or the CLI reads goes through one chunked
 column reader, :func:`_read_columns`.  :func:`write_panel` writes a panel
 file one trajectory at a time as rendered text, and :func:`write_csv`
-writes every other CSV file row by row.  The reader tokenises each chunk of
-lines with numpy's C reader (``np.loadtxt``), which also parses the float
-columns it is given, such as ``onset``.  The first chunk numpy might read
-otherwise than ``csv.reader`` (a quote, a blank or ragged line, an
+writes every other CSV file row by row.  The reader reads a file in blocks
+of characters, cuts each into lines with ``str.splitlines`` and tokenises
+them with numpy's C reader (``np.loadtxt``), which also parses the float
+columns it is given, such as ``onset``.  The first block numpy might read
+otherwise than ``csv.reader`` (a quote, a character ``str.splitlines``
+ends a line at and the file does not, a blank or ragged line, an
 over-long line, a number numpy refuses) goes, with the rest of the file,
 to ``csv.reader``.  Both give the same columns, so results and errors do
 not depend on which one ran.  Integer columns stay strings for Python's
@@ -115,17 +117,23 @@ def _csv_fields(texts: Iterable[str]) -> list[str]:
     return [render((text, ""))[:-1] for text in texts]
 
 
-# Lines (csv records, once a file has left numpy's tokeniser) converted at a
-# time.  A chunk's strings are freed before the next chunk is read, so they
-# add a fixed amount to peak memory; what grows with the file is the coded
-# columns, 37 bytes per row.  Traced, read_panel peaks at 5.2 MB on a
-# 66,000-row panel, and its peak grows by 38 bytes per row.
+# Characters read at a time for numpy's tokeniser, with the rest of the
+# last line: about 5,300 lines of the benchmark panel.  A block's text,
+# lines and strings are freed before the next block is read, so they add a
+# fixed amount to peak memory; what grows with the file is the coded
+# columns, 37 bytes per row.  Traced on a 66,000-row panel, reading peaks at
+# 4.2 MB, and read_panel at 4.8 MB in its record-end stage.
+_CHUNK_CHARS = 1 << 18
+
+# Records read at a time by csv.reader, once a file has left numpy's tokeniser.
 _CHUNK_ROWS = 8192
 
-# Characters that send a chunk to the csv reader.  numpy does not read
+# Characters that send a block to the csv reader.  numpy does not read
 # quotes as csv does, and it strips U+001C..U+001F around a number, which
-# Python's float() refuses.
-_CSV_ONLY = '"\x1c\x1d\x1e\x1f'
+# Python's float() refuses.  str.splitlines, which cuts a block into lines,
+# splits at \v, \f, U+001C..U+001E, U+0085, U+2028 and U+2029, which end
+# no line in the file or in csv.
+_CSV_ONLY = '"\x1c\x1d\x1e\x1f\v\f\x85\u2028\u2029'
 
 
 def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), delimiter: str = ",",
@@ -133,17 +141,20 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
     """Yield ``(lines, columns)`` per chunk of data rows of a delimited file:
     the physical line number of each row, and the rows' values per column of
     ``required`` and then ``optional``, found by their header names stripped
-    of spaces.  A column is a list of strings, or a float64 array for a
-    column named in ``floats`` when numpy tokenised the chunk.  A column the
-    header lacks or a short row does not reach reads None, so a short row
-    fails in its caller's parse, on its own line.  Blank lines are skipped,
-    as in csv.DictReader.
+    of spaces.  A column holds strings, as an object array when numpy
+    tokenised the chunk and as a list when ``csv.reader`` read it, or is a
+    float64 array for a column named in ``floats`` when numpy tokenised the
+    chunk.  A column the header lacks or a short row does not reach reads
+    None, so a short row fails in its caller's parse, on its own line.
+    Blank lines are skipped, as in csv.DictReader.
 
-    Chunks of up to ``_CHUNK_ROWS`` lines go through ``np.loadtxt`` while
-    they hold no character of ``_CSV_ONLY``, no line longer than the csv
-    field size limit, and every line gives one row: a blank or ragged line
-    or a float numpy refuses fails the last check.  The first chunk that
-    fails sends it and the rest of the file through ``csv.reader``, whose
+    The numpy path reads blocks of ``_CHUNK_CHARS`` characters, each
+    completed to the end of its last line, and sends them through
+    ``np.loadtxt`` while they hold no character of ``_CSV_ONLY``, no line
+    longer than the csv field size limit, and every line gives one row: a
+    blank or ragged line or a float numpy refuses fails the last check.
+    The first block that fails sends its lines and the rest of the file
+    through ``csv.reader``, in chunks of ``_CHUNK_ROWS`` records, whose
     errors are raised as :class:`MalformedRow`."""
     if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
         raise ValueError(f"delimiter must be one character other than '\"', '\\r' and '\\n', "
@@ -171,13 +182,21 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
             dtype = np.dtype([(c, np.float64 if c in floats else object) for c, _ in present])
             usecols = [k for _, k in present]
             done = reader.line_num
-            while chunk := list(islice(fh, _CHUNK_ROWS)):
-                fields = _tokenise(chunk, dtype, usecols, delimiter)
+            # The readline ends the block at a line end, and joins a "\r" at
+            # the end of the read to the "\n" that follows it.
+            while text := fh.read(_CHUNK_CHARS) + fh.readline():
+                # loadtxt warns on a block of blank lines
+                if text.isspace() or any(c in text for c in _CSV_ONLY):
+                    lines, fields = io.StringIO(text, newline=""), None  # the file's lines
+                else:
+                    lines = text.splitlines(keepends=True)
+                    del text
+                    fields = _tokenise(lines, dtype, usecols, delimiter)
                 if fields is None:
-                    yield from _csv_columns(chain(chunk, fh), columns, delimiter, done)
+                    yield from _csv_columns(chain(lines, fh), columns, delimiter, done)
                     return
-                n = len(chunk)
-                del chunk
+                n = len(lines)
+                del lines
                 yield (range(done + 1, done + n + 1),
                        [[None] * n if k is None else fields.pop(c) for c, k in zip(names, columns)])
                 done += n
@@ -185,25 +204,23 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def _tokenise(chunk: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[dict]:
-    """The columns of the lines ``chunk`` by ``dtype`` field name, one value
-    per line, or None where numpy's tokeniser may not read them as
-    ``csv.reader`` does."""
-    text = "".join(chunk)
-    # loadtxt warns on a chunk of blank lines
-    if (text.isspace() or any(c in text for c in _CSV_ONLY)
-            or max(map(len, chunk)) > csv.field_size_limit()):
+def _tokenise(lines: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[dict]:
+    """The columns of ``lines`` by ``dtype`` field name, one value per line,
+    or None where numpy's tokeniser may not read them as ``csv.reader``
+    does."""
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
-    del text
     try:
-        table = np.loadtxt(chunk, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None,
+        table = np.loadtxt(lines, dtype=dtype, delimiter=delimiter, comments=None, quotechar=None,
                            usecols=usecols, ndmin=1)
     except ValueError:
         return None
-    if len(table) != len(chunk):
+    if len(table) != len(lines):
         return None
-    # Copies: a view of ``table`` would keep its record array alive.
-    return {c: table[c].copy() if table[c].dtype != object else table[c].tolist() for c in dtype.names}
+    # A float column is copied, since callers keep it past the block and a
+    # view would keep the record array, with the block's strings, alive.
+    # Callers drop the string columns with the block, so they stay views.
+    return {c: table[c] if table[c].dtype == object else table[c].copy() for c in dtype.names}
 
 
 def _csv_columns(lines: Iterable[str], columns: list, delimiter: str, done: int):
@@ -235,7 +252,7 @@ def _column(rows: list, k: Optional[int]) -> list:
         return [row[k] if k < len(row) else None for row in rows]
 
 
-def _codes(values: list, table: dict, key) -> np.ndarray:
+def _codes(values: Sequence, table: dict, key) -> np.ndarray:
     """The int32 code of ``key(value)`` in ``table`` for each value, or -1
     where ``key`` raises.  A new key gets the next code, so codes follow
     first appearance; ``key`` runs once per distinct value."""
@@ -248,17 +265,18 @@ def _codes(values: list, table: dict, key) -> np.ndarray:
     return np.fromiter(map(local.__getitem__, values), np.int32, len(values))
 
 
-def _runs(values: list) -> tuple[list, np.ndarray]:
-    """The first value of each run of equal consecutive ``values``, and the
-    run of each value."""
-    values = np.array(values, dtype=object)
+def _runs(values: Sequence) -> tuple[list, np.ndarray]:
+    """The first value of each run of equal consecutive ``values`` (a list
+    or an object array), and the run of each value."""
+    values = np.asarray(values, dtype=object)
     starts = np.r_[True, values[1:] != values[:-1]]
     return values[starts].tolist(), np.cumsum(starts) - 1
 
 
 def _floats(values) -> tuple[np.ndarray, np.ndarray]:
     """``float`` of each value, NaN where it does not parse, and the mask of
-    the values that do not parse.  An array numpy parsed is returned as is."""
+    the values that do not parse.  A float64 array numpy parsed is returned
+    as is."""
     bad = np.zeros(len(values), dtype=bool)
     if isinstance(values, np.ndarray):
         return values, bad
@@ -609,7 +627,7 @@ def read_panel(
     with fewer than two states after merging are dropped with a warning,
     as are subjects left with fewer replications than their peers.
 
-    The file is read in chunks of lines (see :func:`_read_columns`), each
+    The file is read in blocks of lines (see :func:`_read_columns`), each
     converted to arrays column by column.  Four stages then run as array
     passes over all rows: the grouping, the record ends, the merge with
     its checks, and the durations with the subject selection.  Errors come

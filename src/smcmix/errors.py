@@ -8,8 +8,8 @@ class SmcmixError(Exception):
 
     An error is unpickled from its message and fields, not through
     ``__init__``, whose arguments the subclasses below format into one
-    message: a round trip, as through a process pipe, keeps the type, the
-    message and every field.
+    message: a pickle round trip, as a caller's cache or worker process
+    makes, keeps the type, the message and every field.
     """
 
     def __reduce__(self):

@@ -348,7 +348,10 @@ class TestRowReader:
 
     @pytest.mark.parametrize("chunk_rows", [2, 8192])
     def test_overlong_field_reports_its_line(self, tmp_path, monkeypatch, chunk_rows):
+        # As many characters per numpy block as records per csv chunk: 2
+        # cuts every line, 8192 cuts the over-long line.
         monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk_rows)
         big = "C" * (csv.field_size_limit() + 1)
         message = r"field larger than field limit \(131072\)$"
         head = "subject,replication,attribute,onset,end\ns1,1,A,0,10\n"

@@ -1,5 +1,6 @@
-"""Every package error survives a pickle round trip, as a draw error does
-when it crosses the pipe from the process that drew a benchmark panel."""
+"""Every package error survives a pickle round trip with its type,
+message and fields: pickling is part of the public API, for callers that
+cache results or send them between their own processes."""
 
 import inspect
 import pickle

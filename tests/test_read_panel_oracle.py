@@ -16,12 +16,16 @@ spaces, raises ``MalformedRow`` on line 1 instead of the last copy being
 read.
 
 The generated files mix valid sequences with several defects each, so the
-order in which errors are reported is tested too, and the chunk size is
-patched down to a few rows, so chunk boundaries cut through sequences and
-errors.  They also carry what tells numpy's tokeniser from ``csv.reader``:
-quoted fields holding the delimiter, a quote or a newline, whitespace-only
-lines, CRLF and lone-CR line endings, NUL, NBSP, tab and U+001C padding, and
-numbers Python reads and numpy refuses.  A few begin with a byte-order mark
+order in which errors are reported is tested too, and the chunk sizes are
+patched down to a few characters for numpy's tokeniser and a few records
+for ``csv.reader``, so chunk boundaries cut through lines, sequences and
+errors, and between a ``"\r"`` and its ``"\n"``.  The files also carry what
+tells numpy's tokeniser from ``csv.reader``: quoted fields holding the
+delimiter, a quote or a newline, whitespace-only lines, CRLF and lone-CR
+line endings, NUL, NBSP, tab and U+001C padding, the characters
+``str.splitlines`` ends a line at and the file reader does not (``\v``,
+``\f``, U+0085, U+2028, U+2029) in fields and padding, and numbers Python
+reads and numpy refuses.  A few begin with a byte-order mark
 or repeat a column name in the header.  So the first chunk that leaves
 numpy's tokeniser falls anywhere in a file.
 """
@@ -235,15 +239,16 @@ def _oracle_read_panel(
 # Generated files
 
 COLUMNS = ("subject", "replication", "attribute", "onset", "end")
-# Values a defect writes into one field.  The last ones need quoting, or are
-# numbers Python reads and numpy refuses (or, for "Ǿ", reads as an integer).
+# Values a defect writes into one field.  The later ones need quoting, are
+# numbers Python reads and numpy refuses (or, for "Ǿ", reads as an integer),
+# or hold a character str.splitlines ends a line at.
 BAD_VALUES = (
     "", " ", "x", "nan", "inf", "-inf", "1e400", "0", "-1", "1.5", " 2 ", "02",
     "A,B", "A;B", 'A"B', "A\nB", "s1\n", "1_0", "0_5", "３", "٣", "１.５", "9999999999999999999999",
-    "Ǿ",
+    "Ǿ", "A\vB", "A\fB", "A\x85B", "A\u2028B", "A\u2029B",
 )
 # What a "pad" defect puts on both sides of a field.
-PADDING = (" ", "\t", "\xa0", "\u3000", "\x00", "\x0b", "\x1c")
+PADDING = (" ", "\t", "\xa0", "\u3000", "\x00", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029")
 DEFECTS = ("field", "pad", "conflicting_end", "repeat_onset", "unknown", "absorbing", "no_end")
 # Lines a file may carry between its rows.
 FILLER_LINES = ("", " ", "\t", "\x00")
@@ -399,6 +404,12 @@ def _files(draw):
     return panel_text, sidecar_text, labels, delimiter
 
 
+def _chunks(chunk_rows: int, chunk_chars: int):
+    """Patch the csv path's chunk of records and the numpy path's block of
+    characters."""
+    return mock.patch.multiple(dataio, _CHUNK_ROWS=chunk_rows, _CHUNK_CHARS=chunk_chars)
+
+
 def _outcome(reader, path, sidecar, labels, delimiter):
     try:
         panel, report = reader(path, labels=labels, delimiter=delimiter, ends_path=sidecar)
@@ -417,12 +428,17 @@ _BAD_AMONG_GOOD = ("subject,replication,attribute,onset,end\n"
                    "s1,1,A,0,9\ns1,1,B,1,9\ns1,1,C,2,x\ns1,1,A,3,9\ns2,1,A,0,9\n")
 
 
+# Block sizes of the numpy path: blocks that end mid-line, mid-field and
+# between a "\r" and its "\n", and the default.
+CHUNK_CHARS = (1, 2, 7, 37, dataio._CHUNK_CHARS)
+
+
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_files(), st.integers(1, 5))
-@example((_TWO_SPELLINGS, None, None, ","), 5)
-@example((_TWO_SPELLINGS, None, None, ","), 2)
-@example((_BAD_AMONG_GOOD, None, None, ","), 5)
-def test_read_panel_agrees_with_the_row_by_row_oracle(case, chunk_rows):
+@given(_files(), st.integers(1, 5), st.sampled_from(CHUNK_CHARS))
+@example((_TWO_SPELLINGS, None, None, ","), 5, dataio._CHUNK_CHARS)
+@example((_TWO_SPELLINGS, None, None, ","), 2, 7)
+@example((_BAD_AMONG_GOOD, None, None, ","), 5, 2)
+def test_read_panel_agrees_with_the_row_by_row_oracle(case, chunk_rows, chunk_chars):
     panel_text, sidecar_text, labels, delimiter = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "panel.csv"
@@ -432,7 +448,7 @@ def test_read_panel_agrees_with_the_row_by_row_oracle(case, chunk_rows):
             sidecar = Path(tmp) / "ends.csv"
             sidecar.write_text(sidecar_text, encoding="utf-8")
         expected = _outcome(_oracle_read_panel, path, sidecar, labels, delimiter)
-        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
+        with _chunks(chunk_rows, chunk_chars):
             assert _outcome(read_panel, path, sidecar, labels, delimiter) == expected
 
 
@@ -441,8 +457,9 @@ def test_golden_files_agree_with_the_oracle(chunk_rows):
     golden = Path(__file__).parent / "golden" / "ingest_messy"
     for labels in (None, ["Sweet", "Bitter", "Sour", "Woody", "Cocoa", "STOP"]):
         expected = _oracle_read_panel(golden / "panel.csv", labels, ends_path=golden / "ends.csv")
-        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
-            assert read_panel(golden / "panel.csv", labels, ends_path=golden / "ends.csv") == expected
+        for chunk_chars in CHUNK_CHARS:
+            with _chunks(chunk_rows, chunk_chars):
+                assert read_panel(golden / "panel.csv", labels, ends_path=golden / "ends.csv") == expected
 
 
 # One bad value per field, in the order a row that has several reports them.
@@ -522,13 +539,37 @@ def test_clean_files_reach_csv_reader_only_for_their_header(tmp_path, monkeypatc
 
     monkeypatch.setattr(csv, "reader", CountingReader)
     monkeypatch.setattr(dataio, "_CHUNK_ROWS", 7)
-    assert read_panel(path, panel.space.labels, ends_path=sidecar) == expected
-    assert read_labels(label_path) == dict(zip(ids, labels.tolist()))
-    assert rows_read == [
-        ["subject", "replication", "end"],
-        ["subject", "replication", "attribute", "onset", "end"],
-        ["subject", "component"],
-    ]
+    for chunk_chars in CHUNK_CHARS:
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk_chars)
+        rows_read.clear()
+        assert read_panel(path, panel.space.labels, ends_path=sidecar) == expected
+        assert read_labels(label_path) == dict(zip(ids, labels.tolist()))
+        assert rows_read == [
+            ["subject", "replication", "end"],
+            ["subject", "replication", "attribute", "onset", "end"],
+            ["subject", "component"],
+        ], chunk_chars
+
+
+@pytest.mark.parametrize("chunk_chars", CHUNK_CHARS)
+def test_an_attribute_holding_a_line_separator_reads_as_the_oracle_reads_it(tmp_path, chunk_chars):
+    """U+2028 ends a line for ``str.splitlines`` but not in the file or in
+    ``csv.reader``: the attribute reads whole, and the lines after it keep
+    their numbers."""
+    rows = [["s1", "1", "Sw\u2028eet", "0", "9"], ["s1", "1", "B", "2", "9"],
+            ["s2", "1", "B", "0", "8"], ["s2", "1", "Sw\u2028eet", "1", "8"], ["s2", "1", "B", "5", "8"]]
+    path = tmp_path / "panel.csv"
+    path.write_text(_text([COLUMNS, *rows]), encoding="utf-8")
+    expected = _outcome(_oracle_read_panel, path, None, None, ",")
+    assert expected[0].space.labels == ("B", "Sw\u2028eet")
+    with _chunks(8192, chunk_chars):
+        assert _outcome(read_panel, path, None, None, ",") == expected
+    rows[4][3] = "x"
+    path.write_text(_text([COLUMNS, *rows]), encoding="utf-8")
+    expected = (MalformedRow, "line 6: cannot parse subject/replication/attribute/onset", 6)
+    assert _outcome(_oracle_read_panel, path, None, None, ",") == expected
+    with _chunks(8192, chunk_chars):
+        assert _outcome(read_panel, path, None, None, ",") == expected
 
 
 @pytest.mark.parametrize("chunk_rows", [2, 8192])
@@ -547,5 +588,6 @@ def test_numbers_numpy_and_python_read_apart_agree_with_the_oracle(tmp_path, col
         changed[3][k] = value
         path.write_text(_text([COLUMNS, *changed]), encoding="utf-8")
         expected = _outcome(_oracle_read_panel, path, None, None, ",")
-        with mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows):
-            assert _outcome(read_panel, path, None, None, ",") == expected, value
+        for chunk_chars in CHUNK_CHARS:
+            with _chunks(chunk_rows, chunk_chars):
+                assert _outcome(read_panel, path, None, None, ",") == expected, (value, chunk_chars)
