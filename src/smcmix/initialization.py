@@ -6,13 +6,14 @@ k-means on those D-dimensional profiles gives hard labels from which all
 model parameters are estimated by empirical frequencies and moments.  The
 k-means here is Lloyd's algorithm with k-means++ seeding and restarts; any
 local minimizer of the within-cluster squared error serves as an
-initializer.  Each restart is seeded on its own random stream, one after
-another; the Lloyd iterations of all restarts then run as one array loop
-that drops each restart once its labels stop changing, and gives every
-restart the labels and error its own loop would give, bit for bit.  The
-distances of an iteration are one (D, restarts x k, n) array summed over
-its D slabs in the pairwise order numpy sums a short axis in, so each
-pass runs over long rows.  One cluster needs no search and draws nothing.
+initializer.  The k-means++ seedings of all restarts run as one array
+pass, each restart drawing from its own random stream; the Lloyd
+iterations of all restarts then run as one array loop that drops each
+restart once its labels stop changing.  Each iteration labels every point
+by one matrix product, |c|² - 2c·x + |x|², and hands the few (restart,
+point) pairs the product's rounding leaves in doubt to the exact
+distances.  Every restart gets the labels and error its own loop would
+give, bit for bit.  One cluster needs no search and draws nothing.
 
 The moment estimates sort the panel's sojourns once by (cluster, state);
 each cell's durations are then one slice, in panel order, fitted by
@@ -51,59 +52,108 @@ RESTARTS = 10
 # Lloyd iterations each restart may take before its labels are final.
 _LLOYD_ITERATIONS = 300
 
+# The smallest normal double: a bound on the error gradual underflow adds.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``points`` and ``centers``,
+    broadcast against each other, each summed over D as ``.sum()`` sums the
+    (D,) squared differences of one pair: the arithmetic that defines every
+    label and error :func:`kmeans` returns."""
+    return np.square(points - centers).sum(axis=-1)
+
+
+def _seed_restarts(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """k-means++ seeding of one restart per generator in ``rngs``: (R, k, D)
+    rows of ``points``.  Each restart draws from its own generator the
+    values it would draw seeded alone; the distances to each restart's
+    closest centre are updated for all R restarts in one (R, n) pass."""
+    n = points.shape[0]
+    picks = np.empty((len(rngs), k), dtype=np.intp)
+    picks[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = _sq_distances(points, points[picks[:, 0], None])
+    for c in range(1, k):
+        for i, (rng, total) in enumerate(zip(rngs, closest.sum(axis=1))):
+            picks[i, c] = rng.integers(n) if total <= 0.0 else rng.choice(n, p=closest[i] / total)
+        if c < k - 1:  # the last centre's distances would never be read
+            np.minimum(closest, _sq_distances(points, points[picks[:, c], None]), out=closest)
+    return points[picks]
+
 
 def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: k rows of ``points`` drawn from ``rng``."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
-    for c in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
-        centers[c] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
-    return centers
+    """k-means++ seeding of one restart alone: k rows of ``points`` drawn
+    from ``rng``."""
+    return _seed_restarts(points, k, [rng])[0]
 
 
-def _sum_slabs(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=0)`` as numpy sums a short contiguous axis, bit for
-    bit: pairwise, in eight running sums below 129 terms (numpy's
-    ``pairwise_sum``), but each term a whole slab, so one array pass adds a
-    slab to every sum at once.  ``x`` must be nonnegative (numpy starts a
-    short sum from 0.0, which only a -0.0 term would notice), and is
-    overwritten."""
-    n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum_slabs(x[:half]) + _sum_slabs(x[half:])
-    if n < 8:
-        total = x[0]
-        for i in range(1, n):
-            total += x[i]
-        return total
-    tail = n - n % 8
-    sums = x[:8]
-    for i in range(8, tail, 8):
-        sums += x[i : i + 8]
-    total = (sums[0] + sums[1]) + (sums[2] + sums[3])
-    total += (sums[4] + sums[5]) + (sums[6] + sums[7])
-    for i in range(tail, n):
-        total += x[i]
-    return total
+def _nearest(
+    points: np.ndarray, columns: np.ndarray, sq_norms: np.ndarray, norms: np.ndarray, centers: np.ndarray
+) -> np.ndarray:
+    """(A, n) index of each point's nearest centre in each of A restarts'
+    (A, k, D) ``centers``, the first on a tie: the ``argmin`` over k of
+    :func:`_sq_distances`, bit for bit.  ``columns`` is the (D, n)
+    transpose of the points, ``sq_norms`` and ``norms`` their (n,) squared
+    and plain norms.
 
+    Every distance is first estimated by one product, |c|² - 2c·x + |x|².
+    A label is kept where each other centre's estimate exceeds the
+    winner's by more than a margin γ·(S + λ), with S = (|x| + max|c|)²
+    over the iteration's centres and λ the smallest normal double; the
+    other (restart, point) pairs are labelled from the exact distances.
 
-def _sq_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(A, k, n) squared distances from each of n points to every centre of
-    A restarts (A, k, D), each summed over D as ``.sum(axis=-1)`` over the
-    point's (D,) differences would sum it; ``columns`` is the (D, n)
-    transpose of the points."""
+    The margin, from the dot-product error bounds of Higham, *Accuracy and
+    Stability of Numerical Algorithms* (2nd ed.), §3.1, with u = 2⁻⁵³ and
+    γ_m = mu/(1 - mu); note d = |x - c|² <= S:
+
+    - the exact arithmetic rounds each difference, each square and D - 1
+      sums of nonnegative terms, so it lies within γ_{D+2}·d of d;
+    - |c|², |x|² and c·x are dot products, each within γ_D of its value
+      summed in absolute terms (Higham (3.5), in any summation order, fused
+      or not), which totals γ_D·(|c| + |x|)² <= γ_D·S by Cauchy–Schwarz;
+      the two additions round partial sums no larger than S(1 + γ_D), so
+      the estimate lies within γ_{D+2}·S of d;
+    - gradual underflow adds at most u·λ per product, and the estimates
+      and exact distances to the two centres hold 8D products between them.
+
+    So where est_j - est_w > 4γ_{D+2}·S + 8D·u·λ, the exact distance to
+    centre j exceeds that to the winner w, and ``argmin`` picks w.
+    γ = 16(D + 4)u covers that bound four times over, which absorbs the
+    rounding of the gap, of |x|, of max|c| and of the margin itself.
+
+    Every centre is a point or a mean of points, so its norm is at most
+    the largest point norm, up to rounding.  Below 2⁴⁹⁹ for that norm, S
+    and every term of an estimate stay far below overflow; at or above it
+    (or where a squared norm overflowed), every pair is labelled exactly.
+    """
     a, k, d = centers.shape
-    diff = columns[:, None, :] - centers.reshape(a * k, d).T[:, :, None]
-    return _sum_slabs(np.square(diff, out=diff)).reshape(a, k, -1)
+    if not norms.max() < 2.0**499:
+        return _sq_distances(points[:, None], centers[:, None]).argmin(axis=2)
+    flat = centers.reshape(a * k, d)
+    c2 = np.einsum("ij,ij->i", flat, flat)
+    est = flat @ columns
+    est *= -2.0
+    est += c2[:, None]
+    est += sq_norms
+    est = est.reshape(a, k, -1)
+    margin = norms + np.sqrt(c2.max())
+    np.square(margin, out=margin)
+    margin += _TINY
+    margin *= 16 * (d + 4) * 2.0**-53
+    # The smallest estimate over k, its index, and the next estimate above it.
+    best = np.minimum(est[:, 0], est[:, 1])
+    second = np.maximum(est[:, 0], est[:, 1])
+    labels = (est[:, 1] < est[:, 0]).astype(np.intp)
+    for j in range(2, k):
+        closer = est[:, j] < best
+        np.minimum(second, est[:, j], out=second)
+        np.copyto(second, best, where=closer)
+        np.copyto(best, est[:, j], where=closer)
+        np.copyto(labels, j, where=closer)
+    rows, cols = np.nonzero(~(second - best > margin))
+    if rows.size:
+        labels[rows, cols] = _sq_distances(points[cols, None], centers[rows]).argmin(axis=1)
+    return labels
 
 
 def _cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
@@ -112,23 +162,25 @@ def _cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
     return np.bincount((labels + k * np.arange(a)[:, None]).ravel(), minlength=a * k).reshape(a, k)
 
 
-def _reseed(points: np.ndarray, centers: np.ndarray, d2: np.ndarray, labels: np.ndarray) -> None:
+def _reseed(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> None:
     """Re-seed the empty clusters of one restart in place, each from the
     point farthest from its centre, among points whose cluster keeps another
     member: moving a lone point would empty its cluster, whose mean would
-    then be NaN.  ``d2`` holds the (k, n) squared distances."""
-    k, n = d2.shape
-    for c in range(k):
-        if not np.any(labels == c):
-            shared = np.bincount(labels, minlength=k)[labels] > 1
-            far = int(np.argmax(np.where(shared, d2[labels, np.arange(n)], -1.0)))
-            centers[c] = points[far]
-            labels[far] = c
+    then be NaN.  ``sizes`` are the (k,) cluster sizes, kept up to date.  A
+    moved point's cluster then has one member, so the distances to the
+    centres as they were on entry serve every move."""
+    own = _sq_distances(points, centers[labels])
+    for c in np.flatnonzero(sizes == 0):
+        far = int(np.argmax(np.where(sizes[labels] > 1, own, -1.0)))
+        sizes[labels[far]] -= 1
+        sizes[c] = 1
+        centers[c] = points[far]
+        labels[far] = c
 
 
-def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(A, k, D) cluster means of the (A, n) labellings ``labels``, every
-    cluster non-empty.
+def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """(A, k, D) cluster means of the (A, n) labellings ``labels``, whose
+    (A, k) cluster ``sizes`` are all positive.
 
     ``spread[i, c]`` is a zero (k, D) block with point i in row c; gathered
     by label and summed over the point axis, it adds each cluster's members
@@ -141,22 +193,26 @@ def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray) -> np.nda
     if points.shape[1] == 1:
         return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels])
     sums = spread[np.arange(n)[:, None], labels.T].sum(axis=0)
-    return sums / _cluster_sizes(labels, k)[:, :, None]
+    return sums / sizes[:, :, None]
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's algorithm from each of R seedings ``centers`` (R, k, D), run
-    as one loop over the restarts still active; returns every restart's
+    """Lloyd's algorithm from each of R seedings ``centers`` (R, k, D),
+    k >= 2, run as one loop over the restarts still active; returns every restart's
     (R, n) labels and (R,) within-cluster squared error.
 
     A restart leaves the active set on the first iteration that leaves its
-    labels unchanged, or after ``_LLOYD_ITERATIONS``.  The distances are
-    point inner, (A, k, n), so that each elementwise pass runs over long
-    contiguous rows, and are summed over D one (A·k, n) slab at a time.
+    labels unchanged, or after ``_LLOYD_ITERATIONS``.  Each iteration labels
+    the points of all active restarts by one matrix product, checked
+    against its rounding margin (:func:`_nearest`); re-seeding and the
+    final errors use the exact distances of :func:`_sq_distances`.
     """
     r, k, d = centers.shape
     n = points.shape[0]
     columns = np.ascontiguousarray(points.T)
+    with np.errstate(over="ignore"):  # an infinite norm leaves every label to the exact distances
+        sq_norms = np.einsum("ij,ij->i", points, points)
+    norms = np.sqrt(sq_norms)
     spread = np.zeros((n, k, k, d))
     spread[:, np.arange(k), np.arange(k)] = points[:, None, :]
     centers = centers.copy()
@@ -165,24 +221,24 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     active = np.arange(r)
     labels = np.full((r, n), -1, dtype=np.intp)
     for _ in range(_LLOYD_ITERATIONS):
-        d2 = _sq_distances(columns, centers)
-        new = d2.argmin(axis=1)
-        for i in np.flatnonzero((_cluster_sizes(new, k) == 0).any(axis=1)):
-            _reseed(points, centers[i], d2[i], new[i])
+        new = _nearest(points, columns, sq_norms, norms, centers)
+        sizes = _cluster_sizes(new, k)
+        for i in np.flatnonzero((sizes == 0).any(axis=1)):
+            _reseed(points, centers[i], new[i], sizes[i])
         done = (new == labels).all(axis=1)
         final_centers[active[done]] = centers[done]
         final_labels[active[done]] = new[done]
         keep = ~done
-        active, labels = active[keep], new[keep]
+        active, labels, sizes = active[keep], new[keep], sizes[keep]
         if not active.size:
             break
-        centers = _means(points, spread, labels)
+        centers = _means(points, spread, labels, sizes)
     else:
         final_centers[active] = centers
         final_labels[active] = labels
-    d2 = _sq_distances(columns, final_centers)
+    own = final_centers[np.arange(r)[:, None], final_labels]
     # (R, n) rows, each summed as the 1-D errors of one restart would be.
-    sse = d2[np.arange(r)[:, None], final_labels, np.arange(n)].sum(axis=1)
+    sse = _sq_distances(points, own).sum(axis=1)
     return final_labels, sse
 
 
@@ -191,13 +247,15 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
     within-cluster squared Euclidean distance over the restarts performed.
 
     Each restart is seeded by k-means++ on its own stream spawned from
-    ``seed``, drawn in sequence; the Lloyd iterations of all restarts then
-    run together.  Deterministic given ``seed``; the winner among restarts
-    is the lowest (SSE, restart index) pair.  A single cluster needs no
-    search: every point gets label 0.  Raises ``ValueError`` unless ``k``,
-    ``restarts`` and ``seed`` are counts (:func:`~smcmix.core.check_count`)
-    and ``points`` is a finite 2-D array with at least ``k`` rows whose n
-    squared distances sum to a finite value for ``k >= 2``.
+    ``seed``; the seedings of all restarts, then their Lloyd iterations,
+    run together, and each restart's labels and error equal those of the
+    restart run alone, bit for bit.  Deterministic given ``seed``; the
+    winner among restarts is the lowest (SSE, restart index) pair.  A
+    single cluster needs no search: every point gets label 0.  Raises
+    ``ValueError`` unless ``k``, ``restarts`` and ``seed`` are counts
+    (:func:`~smcmix.core.check_count`) and ``points`` is a finite 2-D array
+    with at least ``k`` rows whose n squared distances sum to a finite
+    value for ``k >= 2``.
     """
     points = np.asarray(points, dtype=np.float64)
     check_count("k", k, 1)
@@ -216,10 +274,8 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> n
         if not np.isfinite(n * (np.ptp(points, axis=0) ** 2).sum()):
             raise ValueError("points spread too widely: their squared distances overflow")
     seeds = np.random.SeedSequence(seed).spawn(restarts)
-    centers = np.array(
-        [_seed_centers(points, k, np.random.Generator(np.random.PCG64(ss))) for ss in seeds]
-    )
-    labels, sse = _lloyd(points, centers)
+    rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in seeds]
+    labels, sse = _lloyd(points, _seed_restarts(points, k, rngs))
     # a copy: a row view would keep every restart's labels alive
     return labels[int(np.argmin(sse))].copy()
 

@@ -20,7 +20,13 @@ from smcmix import (
     selection,
     sim,
 )
-from smcmix.initialization import _lloyd, _mean_sojourns, _seed_centers, _sum_slabs
+from smcmix.initialization import (
+    _lloyd,
+    _mean_sojourns,
+    _seed_centers,
+    _seed_restarts,
+    _sq_distances,
+)
 from smcmix.likelihood import PanelStats
 from smcmix.metrics import classification_rate
 from smcmix.sim import Scenario, run_benchmark, simulate_panel
@@ -28,10 +34,8 @@ from smcmix.sim import Scenario, run_benchmark, simulate_panel
 from conftest import traj
 
 
-def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
-    """One restart on its own: k-means++ seeding, then Lloyd's loop with
-    the empty-cluster re-seed.  The reference the batched loop of
-    :func:`smcmix.initialization.kmeans` must equal bit for bit."""
+def reference_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding of one restart on its own: k rows of ``points``."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
@@ -44,7 +48,15 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
             idx = int(rng.choice(n, p=closest / total))
         centers[c] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[c]) ** 2, axis=1))
+    return centers
 
+
+def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
+    """One restart on its own: k-means++ seeding, then Lloyd's loop with
+    the empty-cluster re-seed.  The reference the batched loop of
+    :func:`smcmix.initialization.kmeans` must equal bit for bit."""
+    n = points.shape[0]
+    centers = reference_seeding(points, k, rng)
     labels = np.full(n, -1)
     for _ in range(300):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -286,18 +298,87 @@ class TestKmeans:
             assert np.array_equal(labels[i], ref_labels)
             assert sse[i] == ref_sse
 
-    def test_slab_sum_is_numpys_sum_over_a_short_axis(self):
-        # D = 1..300 crosses the sequential sum below 8 terms, the blocks of
-        # eight from 16 on, and the halving above 128 terms.
+    def test_exact_distances_are_numpys_sum_of_one_pair(self):
+        # D = 1..300 crosses numpy's sequential sum below 8 terms, its
+        # blocks of eight from 16 on, and its halving above 128 terms.
         rng = np.random.default_rng(8)
         for d in range(1, 301):
-            x = 10.0 ** rng.uniform(-8.0, 8.0, size=(17, d))
-            expected = np.square(x).sum(axis=-1)
-            got = _sum_slabs(np.ascontiguousarray(np.square(x).T))
-            assert got.tobytes() == expected.tobytes(), d
+            points = 10.0 ** rng.uniform(-4.0, 4.0, size=(17, d))
+            centers = 10.0 ** rng.uniform(-4.0, 4.0, size=(2, 3, d))
+            got = _sq_distances(points[:, None], centers[:, None])
+            expected = [[[np.square(x - c).sum() for c in row] for x in points] for row in centers]
+            assert got.tobytes() == np.array(expected).tobytes(), d
+
+    @pytest.mark.parametrize("offset", [0.0, 1e8, 1e15, 1e160])
+    @pytest.mark.parametrize("kind", ["grid", "duplicates"])
+    def test_labels_ties_and_offsets_as_one_restart_at_a_time(self, kind, offset):
+        # An integer grid puts many points at exactly equal distances from
+        # two centres; a few distinct rows make restarts re-seed empty
+        # clusters; a large common offset leaves the product estimates no
+        # digits to tell centres apart, and at 1e160 the squared norms
+        # overflow while the points' spread passes the overflow check.
+        rng = np.random.default_rng(21)
+        grid = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+        points = (grid if kind == "grid" else np.repeat(grid[:4], 10, axis=0)) + offset
+        k = 3 if kind == "grid" else 5
+        seeds = np.random.SeedSequence(17).spawn(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels, sse = _lloyd(points, _seed_restarts(points, k, [
+                np.random.Generator(np.random.PCG64(ss)) for ss in seeds
+            ]))
+            assert np.array_equal(kmeans(points, k, 17), reference_kmeans(points, k, 17))
+        for i, ss in enumerate(seeds):
+            ref_labels, ref_sse = reference_kmeans_once(
+                points, k, np.random.Generator(np.random.PCG64(ss))
+            )
+            assert np.array_equal(labels[i], ref_labels)
+            assert sse[i] == ref_sse
+
+    def test_product_labels_clear_pairs_and_exact_distances_the_rest(self, monkeypatch):
+        nearest, sq_distances = initialization._nearest, initialization._sq_distances
+        count = {"pairs": 0, "exact": 0}
+        inside = []
+
+        def counted_nearest(points, columns, sq_norms, norms, centers):
+            count["pairs"] += centers.shape[0] * points.shape[0]
+            inside.append(True)
+            try:
+                return nearest(points, columns, sq_norms, norms, centers)
+            finally:
+                inside.pop()
+
+        def counted_sq_distances(points, centers):
+            d2 = sq_distances(points, centers)
+            if inside:  # (restart, point) pairs labelled from exact distances
+                count["exact"] += d2.size // centers.shape[-2]
+            return d2
+
+        monkeypatch.setattr(initialization, "_nearest", counted_nearest)
+        monkeypatch.setattr(initialization, "_sq_distances", counted_sq_distances)
+        grid = np.random.default_rng(21).integers(0, 4, size=(40, 3)).astype(np.float64)
+        floats = np.random.default_rng(22).random((40, 3))
+        seen = []
+        for points in (grid, floats, grid + 1e160):
+            count.update(pairs=0, exact=0)
+            kmeans(points, 3, seed=5)
+            seen.append((count["pairs"], count["exact"]))
+        (grid_pairs, grid_exact), (float_pairs, float_exact), (huge_pairs, huge_exact) = seen
+        assert 0 < grid_exact < grid_pairs  # exact ties go to the exact distances
+        assert float_pairs > 0 and float_exact == 0  # the product decides every pair
+        assert huge_exact == huge_pairs > 0  # overflowing norms: no product at all
+
+    def test_seeding_all_restarts_at_once_draws_as_one_at_a_time(self):
+        points = np.random.default_rng(9).random((50, 4))
+        points[10:20] = points[3]  # repeated rows: a centre drawn twice
+        seeds = np.random.SeedSequence(4).spawn(6)
+        for k in (2, 3, 7):
+            together = _seed_restarts(points, k, [np.random.default_rng(ss) for ss in seeds])
+            alone = [reference_seeding(points, k, np.random.default_rng(ss)) for ss in seeds]
+            assert together.tobytes() == np.array(alone).tobytes()
 
     def test_single_cluster_draws_nothing(self, monkeypatch):
-        monkeypatch.setattr(initialization, "_seed_centers", None)
+        monkeypatch.setattr(initialization, "_seed_restarts", None)
         monkeypatch.setattr(initialization, "_lloyd", None)
         labels = kmeans(np.random.default_rng(3).random((7, 2)), 1, seed=0)
         assert labels.dtype == np.intp
