@@ -35,7 +35,7 @@ import io
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import itemgetter, lt
@@ -117,6 +117,26 @@ def _csv_fields(texts: Iterable[str]) -> list[str]:
     return [render((text, ""))[:-1] for text in texts]
 
 
+@contextmanager
+def _utf8_text(path):
+    """``path`` open as UTF-8 text for reading.  A :class:`MalformedRow`
+    raised in the block, or a generator reading the file that is closed
+    early, first decodes the rest of the file, so a file that is not UTF-8
+    raises the :class:`DataError` naming it before any row error, wherever
+    the bad byte lies.  Only a file that has already failed pays for it."""
+    try:
+        # "utf-8-sig" drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            try:
+                yield fh
+            except (MalformedRow, GeneratorExit):
+                while fh.read(_CHUNK_CHARS):
+                    pass
+                raise
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 # Characters read at a time for numpy's tokeniser, with the rest of the
 # last line: about 5,300 lines of the benchmark panel.  A block's text,
 # lines and strings are freed before the next block is read, so they add a
@@ -155,53 +175,52 @@ def _read_columns(path, required: Sequence[str], optional: Sequence[str] = (), d
     blank or ragged line or a float numpy refuses fails the last check.
     The first block that fails sends its lines and the rest of the file
     through ``csv.reader``, in chunks of ``_CHUNK_ROWS`` records, whose
-    errors are raised as :class:`MalformedRow`."""
+    errors are raised as :class:`MalformedRow`.  A file that is not UTF-8
+    raises its :class:`DataError` before any :class:`MalformedRow` of the
+    file (see :func:`_utf8_text`); a caller that stops at a row error
+    closes the generator to see it."""
     if not isinstance(delimiter, str) or len(delimiter) != 1 or delimiter in '"\r\n':
         raise ValueError(f"delimiter must be one character other than '\"', '\\r' and '\\n', "
                          f"not {delimiter!r}")
-    try:
-        # "utf-8-sig" drops the byte-order mark that spreadsheet "CSV UTF-8" exports begin with.
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
-            try:
-                header = next(reader, None)
-            except csv.Error as exc:
-                raise MalformedRow(reader.line_num, str(exc)) from None
-            if header is None:
-                raise MalformedRow(1, "empty file")
-            header = [name.strip() for name in header]
-            missing = [c for c in required if c not in header]
-            if missing:
-                raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
-            names = (*required, *optional)
-            for c in names:
-                if header.count(c) > 1:
-                    raise MalformedRow(1, f"duplicate column: {c}")
-            columns = [header.index(c) if c in header else None for c in names]
-            present = [(c, k) for c, k in zip(names, columns) if k is not None]
-            dtype = np.dtype([(c, np.float64 if c in floats else object) for c, _ in present])
-            usecols = [k for _, k in present]
-            done = reader.line_num
-            # The readline ends the block at a line end, and joins a "\r" at
-            # the end of the read to the "\n" that follows it.
-            while text := fh.read(_CHUNK_CHARS) + fh.readline():
-                # loadtxt warns on a block of blank lines
-                if text.isspace() or any(c in text for c in _CSV_ONLY):
-                    lines, fields = io.StringIO(text, newline=""), None  # the file's lines
-                else:
-                    lines = text.splitlines(keepends=True)
-                    del text
-                    fields = _tokenise(lines, dtype, usecols, delimiter)
-                if fields is None:
-                    yield from _csv_columns(chain(lines, fh), columns, delimiter, done)
-                    return
-                n = len(lines)
-                del lines
-                yield (range(done + 1, done + n + 1),
-                       [[None] * n if k is None else fields.pop(c) for c, k in zip(names, columns)])
-                done += n
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    with _utf8_text(path) as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise MalformedRow(reader.line_num, str(exc)) from None
+        if header is None:
+            raise MalformedRow(1, "empty file")
+        header = [name.strip() for name in header]
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise MalformedRow(1, f"missing required columns: {', '.join(missing)}")
+        names = (*required, *optional)
+        for c in names:
+            if header.count(c) > 1:
+                raise MalformedRow(1, f"duplicate column: {c}")
+        columns = [header.index(c) if c in header else None for c in names]
+        present = [(c, k) for c, k in zip(names, columns) if k is not None]
+        dtype = np.dtype([(c, np.float64 if c in floats else object) for c, _ in present])
+        usecols = [k for _, k in present]
+        done = reader.line_num
+        # The readline ends the block at a line end, and joins a "\r" at
+        # the end of the read to the "\n" that follows it.
+        while text := fh.read(_CHUNK_CHARS) + fh.readline():
+            # loadtxt warns on a block of blank lines
+            if text.isspace() or any(c in text for c in _CSV_ONLY):
+                lines, fields = io.StringIO(text, newline=""), None  # the file's lines
+            else:
+                lines = text.splitlines(keepends=True)
+                del text
+                fields = _tokenise(lines, dtype, usecols, delimiter)
+            if fields is None:
+                yield from _csv_columns(chain(lines, fh), columns, delimiter, done)
+                return
+            n = len(lines)
+            del lines
+            yield (range(done + 1, done + n + 1),
+                   [[None] * n if k is None else fields.pop(c) for c, k in zip(names, columns)])
+            done += n
 
 
 def _tokenise(lines: list, dtype: np.dtype, usecols: list, delimiter: str) -> Optional[dict]:
@@ -370,18 +389,19 @@ def _read_end_sidecar(path) -> tuple[dict, dict]:
     read from."""
     ends = {}
     lines = {}
-    for chunk_lines, columns in _read_columns(path, ("subject", "replication", "end")):
-        for line, subject, replication, end in zip(chunk_lines, *columns):
-            try:
-                key = (subject.strip(), int(replication))
-                value = float(end)
-            except (TypeError, ValueError, AttributeError):
-                raise MalformedRow(line, "bad row in record-end sidecar") from None
-            if not math.isfinite(value):
-                raise MalformedRow(line, "end must be finite")
-            if ends.setdefault(key, value) != value:
-                raise MalformedRow(line, "conflicting record-end values in one sequence")
-            lines.setdefault(key, line)
+    with closing(_read_columns(path, ("subject", "replication", "end"))) as chunks:
+        for chunk_lines, columns in chunks:
+            for line, subject, replication, end in zip(chunk_lines, *columns):
+                try:
+                    key = (subject.strip(), int(replication))
+                    value = float(end)
+                except (TypeError, ValueError, AttributeError):
+                    raise MalformedRow(line, "bad row in record-end sidecar") from None
+                if not math.isfinite(value):
+                    raise MalformedRow(line, "end must be finite")
+                if ends.setdefault(key, value) != value:
+                    raise MalformedRow(line, "conflicting record-end values in one sequence")
+                lines.setdefault(key, line)
     return ends, lines
 
 
@@ -462,6 +482,7 @@ def _parse_panel_rows(path, delimiter: str):
         if not pieces[0]:
             raise
         error = exc
+    reader.close()  # after a row error: the rest of the file must still be UTF-8
     if not pieces[0]:
         raise MalformedRow(1, "no data rows")
     # One column at a time, each column's pieces freed once it is joined.
@@ -633,9 +654,10 @@ def read_panel(
     its checks, and the durations with the subject selection.  Errors come
     in a fixed order: sidecar errors, then row errors (a line
     ``csv.reader`` cannot read among them) in file order, then sequence
-    errors in order of first appearance.  ``delimiter`` must be one
-    character other than ``"``, ``\\r`` and ``\\n``; a file that is not
-    UTF-8 raises a :class:`DataError` naming it.
+    errors in order of first appearance.  A sidecar or panel file that is
+    not UTF-8 raises a :class:`DataError` naming it, before any row error
+    of that file, wherever the bad byte lies.  ``delimiter`` must be one
+    character other than ``"``, ``\\r`` and ``\\n``.
     """
     ends, end_lines = ({}, {}) if ends_path is None else _read_end_sidecar(ends_path)
     rows, tables, error = _parse_panel_rows(path, delimiter)
@@ -784,17 +806,18 @@ def read_labels(path) -> dict[str, int]:
     Components are numbered from 1; a subject listed twice must be given
     the same component both times."""
     out = {}
-    for lines, columns in _read_columns(path, ("subject", "component")):
-        for line, subject, component in zip(lines, *columns):
-            try:
-                label = int(component) - 1
-                subject = subject.strip()
-            except (TypeError, ValueError, AttributeError):
-                raise MalformedRow(line, "bad row in labels file") from None
-            if label < 0:
-                raise MalformedRow(line, "component must be at least 1")
-            if out.setdefault(subject, label) != label:
-                raise MalformedRow(line, "conflicting components for one subject")
+    with closing(_read_columns(path, ("subject", "component"))) as chunks:
+        for lines, columns in chunks:
+            for line, subject, component in zip(lines, *columns):
+                try:
+                    label = int(component) - 1
+                    subject = subject.strip()
+                except (TypeError, ValueError, AttributeError):
+                    raise MalformedRow(line, "bad row in labels file") from None
+                if label < 0:
+                    raise MalformedRow(line, "component must be at least 1")
+                if out.setdefault(subject, label) != label:
+                    raise MalformedRow(line, "conflicting components for one subject")
     return out
 
 
@@ -946,9 +969,15 @@ def export_tds_graph(
     cluster); directed edges are empirical transition probabilities
     strictly above ``prob_threshold``, labelled to two decimals.  Node and
     edge order follow the state space, so output is deterministic.  Raises
-    ``ValueError`` when no subject is selected or an index lies outside
-    ``[0, n)``.
+    ``ValueError`` when no subject is selected, an index lies outside
+    ``[0, n)``, ``prob_threshold`` is NaN or negative (a zero probability,
+    such as a self-transition, would pass it), or ``elicit_frac`` lies
+    outside [0, 1].
     """
+    if not prob_threshold >= 0.0:
+        raise ValueError(f"prob_threshold must be at least 0, got {prob_threshold!r}")
+    if not 0.0 <= elicit_frac <= 1.0:
+        raise ValueError(f"elicit_frac must lie in [0, 1], got {elicit_frac!r}")
     d = panel.space.n_states
     if subjects is None:
         subjects = range(panel.n_subjects)

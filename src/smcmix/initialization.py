@@ -15,10 +15,12 @@ point) pairs the product's rounding leaves in doubt to the exact
 distances.  Every restart gets the labels and error its own loop would
 give, bit for bit.  One cluster needs no search and draws nothing.
 
-The moment estimates sort the panel's sojourns once by (cluster, state);
-each cell's durations are then one slice, in panel order, fitted by
+The moment estimates read the panel's own sojourns: each is keyed by its
+subject's cluster and its state, and one stable sort by that key makes
+each cell's durations one slice, in panel order, fitted by
 :func:`smcmix.sojourn.gamma_mom` without re-checking a sample the panel
-has already checked.
+has already checked.  Frequencies and cluster means come from the
+per-subject table of :class:`~smcmix.likelihood.PanelStats`.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ def _seed_restarts(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
         if c < k - 1:  # the last centre's distances would never be read
             np.minimum(closest, _sq_distances(points, points[picks[:, c], None]), out=closest)
     return points[picks]
-
-
-def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding of one restart alone: k rows of ``points`` drawn
-    from ``rng``."""
-    return _seed_restarts(points, k, [rng])[0]
 
 
 def _nearest(
@@ -333,9 +329,13 @@ def initial_model(
     # Every observed sojourn sorted by (cluster, state), in panel order
     # within a cell, so that each cell's durations are one slice.  numpy
     # sorts keys of at most 16 bits stably by radix, in linear time.
-    cells = labels[stats.soj_cells // d] * d + stats.soj_cells % d
+    cells = np.repeat(labels, panel.lengths.sum(axis=1)) * d + panel.states
+    durations = panel.sojourns
+    if absorbing is not None:  # the absorbing state has no sojourn
+        live = panel.states != absorbing
+        cells, durations = cells[live], durations[live]
     keys = cells.astype(np.min_scalar_type(n_components * d))
-    durations = stats.soj_durations[np.argsort(keys, kind="stable")]
+    durations = durations[np.argsort(keys, kind="stable")]
     bounds = [0, *np.cumsum(np.bincount(cells, minlength=n_components * d)).tolist()]
 
     # Cluster membership indicators: the counts are integers, so the

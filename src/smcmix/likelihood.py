@@ -9,8 +9,7 @@ E-step can assign zero responsibility naturally.
 counts, transition counts, per-state sojourn sums) as one table with a row
 per subject, so that subject log-likelihoods under any parameter set reduce
 to one matrix product.  It reads the panel's flat arrays, where the
-trajectories are stored back to back, in one pass that fills the table,
-and the flat per-sojourn rows it keeps serve the moment initializer.
+trajectories are stored back to back, in one pass that fills the table.
 :func:`subject_loglik_matrix` transforms the parameters of all components
 at once into one matrix and multiplies it with the table.  Its result is
 component-major, so the per-subject reductions over components that follow
@@ -40,16 +39,11 @@ class PanelStats:
     row-major), sojourn log-sums, sojourn counts and sojourn sums (D
     each); the five named arrays are views of these blocks.  The sojourn
     blocks cover only states that contribute a sojourn factor (the
-    absorbing state, if any, keeps zeros).  ``soj_cells`` and
-    ``soj_durations`` keep every such sojourn as one flat row, in panel
-    order (subject, replication, position), with its cell
-    ``subject * D + state``; the per-subject sums are these rows
-    accumulated per cell.
+    absorbing state, if any, keeps zeros), each cell summed over its
+    sojourns in panel order (replication, then position).
     """
 
     table: np.ndarray  # (n, D + D * D + 3 * D)
-    soj_cells: np.ndarray  # (m,) cell subject * D + state of each sojourn
-    soj_durations: np.ndarray  # (m,) duration of each sojourn
     n_states: int
     absorbing: int | None
 
@@ -60,7 +54,6 @@ class PanelStats:
         states, durations = panel.states, panel.sojourns
         lengths = panel.lengths.ravel()
         subject_rows = panel.lengths.sum(axis=1)
-        cells = np.repeat(np.arange(n) * d, subject_rows) + states
         ends = np.cumsum(lengths)
         # Every row but the last of its trajectory starts a transition.
         moves = np.ones(states.size - 1, dtype=bool)
@@ -76,7 +69,7 @@ class PanelStats:
         if absorbing is not None:
             # the absorbing state can only end a trajectory and has no sojourn
             live = states != absorbing
-            cells, durations, at = cells[live], durations[live], at[live]
+            durations, at = durations[live], at[live]
         # Unbuffered accumulation in row order: each cell sums its sojourns
         # in panel order.
         sojourns = flat[d + d * d :]
@@ -84,7 +77,7 @@ class PanelStats:
         np.add.at(sojourns[d:], at, 1.0)
         np.add.at(sojourns[2 * d :], at, durations)
         table.flags.writeable = False
-        return cls(table, cells, durations, d, absorbing)
+        return cls(table, d, absorbing)
 
     @property
     def n_subjects(self) -> int:

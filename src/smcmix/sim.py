@@ -84,65 +84,50 @@ def _check_stop_rule(rule, absorbing: Optional[int]) -> None:
         check_count("transition count", rule, 1)
 
 
-class _ComponentSampler:
-    """One component's distributions, their cumulative sums, and its gamma
-    shapes and scales, kept as Python lists: a trajectory reads them one
-    cell per scalar draw, which lists do far faster than small numpy
-    arrays.  Row ``D`` of ``rows`` and ``cums`` is the initial
-    distribution, so the first state is drawn as a transition out of a
-    start row, by the same code."""
-
-    def __init__(self, alpha, trans, shape, rate, absorbing):
-        self.absorbing = absorbing
-        self.rows = [*trans.tolist(), alpha.tolist()]
-        self.cums = [*np.cumsum(trans, axis=1).tolist(), np.cumsum(alpha).tolist()]
-        self.shapes = shape.tolist()
-        self.scales = (1.0 / rate).tolist()
-
-    def draw(self, stop_rule, rng: np.random.Generator) -> Trajectory:
-        """Draw one trajectory under the stop rule."""
-        random, gamma = rng.random, rng.gamma
-        absorbing = -1 if self.absorbing is None else self.absorbing
-        rows, cums = self.rows, self.cums
-        shapes, scales = self.shapes, self.scales
-        last = len(shapes) - 1
-        states: list[int] = []
-        sojourns: list[float] = []
-        # States a fixed transition count allows; absorption may end the
-        # trajectory sooner, and no trajectory passes _MAX_SIM_STATES.
-        steps = math.inf if stop_rule == ABSORBING_RULE else stop_rule + 1
-        j = last + 1  # the start row
-        for _ in range(min(steps, _MAX_SIM_STATES)):
-            # bisect_right picks the cell np.searchsorted(side="right")
-            # picks, never a zero cell: np.cumsum adds a zero exactly, so
-            # a zero cell's sum equals the one before it.  A row whose
-            # sums round to just below 1 can leave u past them: clamp to
-            # the last cell and walk back past zero cells.
-            k = bisect_right(cums[j], random())
-            if k > last:
-                probs, k = rows[j], last
-                while probs[k] == 0.0:
-                    k -= 1
-            j = k
-            states.append(j)
-            if j == absorbing:
-                sojourns.append(_ABSORBING_PLACEHOLDER)
-                break
-            x = gamma(shapes[j], scales[j])
-            while x <= 0.0:  # underflow safety for tiny shapes
-                x = gamma(shapes[j], scales[j])
-            sojourns.append(x)
-        else:
-            if steps > _MAX_SIM_STATES:
-                raise NumericalError("simulation did not reach the absorbing state")
-        return Trajectory(states=np.asarray(states), sojourns=np.asarray(sojourns))
-
-
 def simulate_trajectory(comp: ComponentParams, stop_rule, rng: np.random.Generator) -> Trajectory:
     """Draw one trajectory from one renewal process under the stop rule."""
     _check_stop_rule(stop_rule, comp.absorbing)
-    sampler = _ComponentSampler(comp.alpha, comp.trans, *comp.sojourn_arrays(), comp.absorbing)
-    return sampler.draw(stop_rule, rng)
+    shape, rate = comp.sojourn_arrays()
+    # Python lists: the loop reads one cell per scalar draw, which lists do
+    # far faster than small numpy arrays.  Row D of ``rows`` and ``cums`` is
+    # the initial distribution, so the first state is drawn as a transition
+    # out of a start row, by the same code.
+    rows = [*comp.trans.tolist(), comp.alpha.tolist()]
+    cums = [*np.cumsum(comp.trans, axis=1).tolist(), np.cumsum(comp.alpha).tolist()]
+    shapes, scales = shape.tolist(), (1.0 / rate).tolist()
+    random, gamma = rng.random, rng.gamma
+    absorbing = -1 if comp.absorbing is None else comp.absorbing
+    last = len(shapes) - 1
+    states: list[int] = []
+    sojourns: list[float] = []
+    # States a fixed transition count allows; absorption may end the
+    # trajectory sooner, and no trajectory passes _MAX_SIM_STATES.
+    steps = math.inf if stop_rule == ABSORBING_RULE else stop_rule + 1
+    j = last + 1  # the start row
+    for _ in range(min(steps, _MAX_SIM_STATES)):
+        # bisect_right picks the cell np.searchsorted(side="right") picks,
+        # never a zero cell: np.cumsum adds a zero exactly, so a zero cell's
+        # sum equals the one before it.  A row whose sums round to just
+        # below 1 can leave u past them: clamp to the last cell and walk
+        # back past zero cells.
+        k = bisect_right(cums[j], random())
+        if k > last:
+            probs, k = rows[j], last
+            while probs[k] == 0.0:
+                k -= 1
+        j = k
+        states.append(j)
+        if j == absorbing:
+            sojourns.append(_ABSORBING_PLACEHOLDER)
+            break
+        x = gamma(shapes[j], scales[j])
+        while x <= 0.0:  # underflow safety for tiny shapes
+            x = gamma(shapes[j], scales[j])
+        sojourns.append(x)
+    else:
+        if steps > _MAX_SIM_STATES:
+            raise NumericalError("simulation did not reach the absorbing state")
+    return Trajectory(states=np.asarray(states), sojourns=np.asarray(sojourns))
 
 
 def _cannot_absorb(probs, d: int, absorbing: int) -> np.ndarray:
@@ -184,7 +169,7 @@ def simulate_panel(
     # is drawn as a transition out of that start row.
     probs = np.concatenate([p.trans, p.alpha[:, None]], axis=1).reshape(-1, d)
     # Counting the sums at or below u picks the cell bisect_right picks in
-    # the per-draw sampler.  Sums from a row's last non-zero cell on read
+    # simulate_trajectory.  Sums from a row's last non-zero cell on read
     # inf, so a u past a row's short sum lands in that cell, as there.
     cums = np.cumsum(probs, axis=1)
     last_cell = d - 1 - np.argmax(probs[:, ::-1] != 0.0, axis=1)
@@ -278,8 +263,7 @@ def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, km_la
     return out
 
 
-def _one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed):
-    panel, true_labels = drawn
+def _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_seed):
     truth = scenario.model
     out: dict[str, float] = {}
     warnings: list[str] = []
@@ -338,9 +322,11 @@ def run_benchmark(
     results = []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)
-        drawn = simulate_panel(scenario, np.random.Generator(np.random.PCG64(sim_ss)))
+        panel, true_labels = simulate_panel(scenario, np.random.Generator(np.random.PCG64(sim_ss)))
         init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
-        results.append(_one_replicate(scenario, cfg, g_range, restarts, drawn, init_seed))
+        results.append(
+            _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_seed)
+        )
 
     names = dict.fromkeys(key for row, _ in results for key in row)
     values = {

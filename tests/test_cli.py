@@ -297,6 +297,22 @@ class TestErrorPaths:
         code, _, err = run(capsys, "graph", "--data", panel, "--labels", labels)
         assert code == 2
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--prob-threshold", "-0.1", "prob_threshold must be at least 0, got -0.1"),
+        ("--prob-threshold", "nan", "prob_threshold must be at least 0, got nan"),
+        ("--elicit-frac", "nan", "elicit_frac must lie in [0, 1], got nan"),
+        ("--elicit-frac", "1.5", "elicit_frac must lie in [0, 1], got 1.5"),
+    ])
+    def test_graph_bad_threshold_exit_2(self, tmp_path, capsys, small_scenario_file, option,
+                                        value, message):
+        panel = tmp_path / "panel.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        code, out, err = run(capsys, "graph", "--data", panel, option, value,
+                             "--out", tmp_path / "g.dot")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "message": message}
+        assert not (tmp_path / "g.dot").exists()
+
     def test_graph_empty_cluster_exit_2(self, tmp_path, capsys, small_scenario_file):
         panel = tmp_path / "panel.csv"
         run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)

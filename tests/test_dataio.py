@@ -409,6 +409,40 @@ class TestRowReader:
             else:
                 read_panel(bad)
 
+    @pytest.mark.parametrize("chunk", [1, 64, 8192, 1 << 18])
+    @pytest.mark.parametrize("which", ["panel", "quoted panel", "header", "sidecar", "labels"])
+    def test_non_utf8_wins_over_row_errors_at_every_block_size(self, tmp_path, monkeypatch,
+                                                               which, chunk):
+        # A row error on line 3 (line 1 for a missing column) and a byte
+        # that is not UTF-8 some 60 KB after it, read through the numpy
+        # path or, from the quoted first row on, through csv.reader.
+        monkeypatch.setattr(dataio, "_CHUNK_CHARS", chunk)
+        monkeypatch.setattr(dataio, "_CHUNK_ROWS", chunk)
+        head, fault, row = {
+            "panel": ("subject,replication,attribute,onset,end\ns1,1,A,0,10\n",
+                      "s1,0,B,3,10\n", "s2,1,A,0,10\n"),
+            "quoted panel": ('subject,replication,attribute,onset,end\n"s1",1,A,0,10\n',
+                             "s1,0,B,3,10\n", "s2,1,A,0,10\n"),
+            "header": ("subject,replication,attribute,end\n", "s1,1,A,10\n", "s2,1,A,10\n"),
+            "sidecar": ("subject,replication,end\ns1,1,10\n", "s2,1,x\n", "s3,1,10\n"),
+            "labels": ("subject,component\ns1,1\n", "s2,0\n", "s3,1\n"),
+        }[which]
+        panel = write_csv(tmp_path / "p.csv", "subject,replication,attribute,onset\ns1,1,A,0\n")
+
+        def read(path):
+            if which == "labels":
+                return read_labels(path)
+            return read_panel(panel, ends_path=path) if which == "sidecar" else read_panel(path)
+
+        bad = tmp_path / f"{which}.csv"
+        bad.write_bytes((head + fault + row * 5000).encode() + "s4,Salé\n".encode("latin-1"))
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not UTF-8 text"):
+            read(bad)
+        # the same file without the bad byte fails on its row
+        bad.write_bytes((head + fault + row * 5000).encode())
+        with pytest.raises(MalformedRow, match="^line [13]: "):
+            read(bad)
+
     @pytest.mark.parametrize("which", ["panel", "sidecar", "labels", "model"])
     def test_a_leading_byte_order_mark_is_dropped(self, tmp_path, which):
         """Spreadsheet "CSV UTF-8" exports begin with U+FEFF.  Each reader
@@ -840,6 +874,27 @@ class TestTdsGraph:
         dot = export_tds_graph(panel, subjects=range(16, 30), prob_threshold=0.15)
         assert '"A" -> "C"' in dot  # within the subset every A exit goes to C
         assert '"B"' not in dot
+
+    def test_zero_threshold_draws_only_possible_edges(self):
+        dot = export_tds_graph(self.make_panel(), prob_threshold=0.0, elicit_frac=0.0)
+        assert dot.count("->") == 4  # A->B, A->C, B->A, C->A
+        assert all(f'"{s}" -> "{s}"' not in dot for s in "ABC")
+
+    @pytest.mark.parametrize("prob_threshold,elicit_frac,message", [
+        (-0.1, 0.5, "prob_threshold must be at least 0, got -0.1"),
+        (-np.inf, 0.5, "prob_threshold must be at least 0, got -inf"),
+        (np.nan, 0.5, "prob_threshold must be at least 0, got nan"),
+        (0.15, np.nan, r"elicit_frac must lie in \[0, 1\], got nan"),
+        (0.15, -0.1, r"elicit_frac must lie in \[0, 1\], got -0.1"),
+        (0.15, 1.01, r"elicit_frac must lie in \[0, 1\], got 1.01"),
+    ])
+    def test_rejects_thresholds_that_draw_impossible_edges(self, prob_threshold, elicit_frac,
+                                                           message):
+        # A negative threshold passes the zero probability of a
+        # self-transition; a NaN one, or a NaN fraction, passes nothing.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            export_tds_graph(self.make_panel(), prob_threshold=float(prob_threshold),
+                             elicit_frac=float(elicit_frac))
 
     def test_no_subjects_selected(self, tiny_panel):
         with pytest.raises(ValueError, match="^no subjects selected$"):

@@ -23,7 +23,6 @@ from smcmix import (
 from smcmix.initialization import (
     _lloyd,
     _mean_sojourns,
-    _seed_centers,
     _seed_restarts,
     _sq_distances,
 )
@@ -267,7 +266,7 @@ class TestKmeans:
         # error after its t-th centre update; it never rises with t.
         rng = np.random.default_rng(14)
         points = rng.random((60, 3))
-        centers = np.array([_seed_centers(points, 4, np.random.default_rng(r)) for r in range(5)])
+        centers = _seed_restarts(points, 4, [np.random.default_rng(r) for r in range(5)])
         trace = []
         for cap in range(1, 40):
             monkeypatch.setattr(initialization, "_LLOYD_ITERATIONS", cap)
@@ -281,20 +280,20 @@ class TestKmeans:
     @example((np.array([[0.0]] * 10 + [[1.0]] * 10 + [[2.0]] * 5), 5, 10, 3))
     def test_matches_one_restart_at_a_time(self, case):
         points, k, restarts, seed = case
+        seeds = np.random.SeedSequence(seed).spawn(restarts)
+        # the restarts run one after another; lowest (SSE, restart index) wins
+        refs = [reference_kmeans_once(points, k, np.random.Generator(np.random.PCG64(ss)))
+                for ss in seeds]
+        expected = refs[min(range(restarts), key=lambda i: (refs[i][1], i))][0]
         got = kmeans(points, k, seed, restarts)
-        expected = reference_kmeans(points, k, seed, restarts)
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         if k == 1:
             return
         # every restart's labels and error, not only the winner's
-        seeds = np.random.SeedSequence(seed).spawn(restarts)
         rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in seeds]
-        labels, sse = _lloyd(points, np.array([_seed_centers(points, k, r) for r in rngs]))
-        for i, ss in enumerate(seeds):
-            ref_labels, ref_sse = reference_kmeans_once(
-                points, k, np.random.Generator(np.random.PCG64(ss))
-            )
+        labels, sse = _lloyd(points, _seed_restarts(points, k, rngs))
+        for i, (ref_labels, ref_sse) in enumerate(refs):
             assert np.array_equal(labels[i], ref_labels)
             assert sse[i] == ref_sse
 

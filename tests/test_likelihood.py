@@ -315,8 +315,6 @@ def reference_stats(panel: Panel) -> dict:
     counts = np.zeros((n, d))
     sums = np.zeros((n, d))
     logsums = np.zeros((n, d))
-    cells: list[int] = []
-    durations: list[float] = []
     for i, reps in enumerate(panel.subjects):
         for t in reps:
             states = t.states
@@ -328,16 +326,12 @@ def reference_stats(panel: Panel) -> dict:
             np.add.at(counts[i], soj_states, 1.0)
             np.add.at(sums[i], soj_states, soj_values)
             np.add.at(logsums[i], soj_states, np.log(soj_values))
-            cells.extend(i * d + int(j) for j in soj_states)
-            durations.extend(float(x) for x in soj_values)
     return {
         "first_counts": first,
         "trans_counts": trans,
         "soj_counts": counts,
         "soj_sum": sums,
         "soj_logsum": logsums,
-        "soj_cells": np.asarray(cells, dtype=np.int64),
-        "soj_durations": np.asarray(durations),
         "absorbing": absorbing,
     }
 
@@ -346,13 +340,6 @@ def assert_stats_match_reference(panel: Panel) -> None:
     stats = PanelStats.from_panel(panel)
     for name, expected in reference_stats(panel).items():
         assert np.array_equal(getattr(stats, name), expected), name
-    # the flat rows accumulate, cell by cell in row order, to the sums
-    size = stats.soj_counts.size
-    assert np.array_equal(np.bincount(stats.soj_cells, minlength=size), stats.soj_counts.ravel())
-    assert np.array_equal(
-        np.bincount(stats.soj_cells, weights=stats.soj_durations, minlength=size),
-        stats.soj_sum.ravel(),
-    )
 
 
 @st.composite

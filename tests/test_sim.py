@@ -20,7 +20,7 @@ from smcmix.dataio import write_panel
 from smcmix import em, selection
 from smcmix.em import EmConfig
 from smcmix.errors import EmptyComponent, NonConvergence, NumericalError
-from smcmix.sim import Scenario, _ComponentSampler, run_benchmark
+from smcmix.sim import Scenario, run_benchmark
 
 from conftest import make_component
 from oracles import reference_panel
@@ -35,10 +35,6 @@ def absorbing_model():
         absorbing=2,
     )
     return MixtureModel(space=space, weights=np.array([1.0]), components=(comp,))
-
-
-def _sampler(comp):
-    return _ComponentSampler(comp.alpha, comp.trans, *comp.sojourn_arrays(), comp.absorbing)
 
 
 class TestScenario:
@@ -141,7 +137,6 @@ class TestStateDraw:
             trans=(np.ones((d, d)) - np.eye(d)) / (d - 1),
             gammas=[(1.0, 1.0)] * d,
         )
-        sampler = _sampler(comp)
         cum = np.cumsum(probs)
         us = np.concatenate([cum, (cum[:-1] + cum[1:]) / 2, [0.0, 1.0 - 2.0**-53]])
         us = us[us < 1.0].tolist()
@@ -151,7 +146,7 @@ class TestStateDraw:
             while probs[k] == 0.0:
                 k -= 1
             expected.append(k)
-            assert sampler.draw(1, _FixedStream([u, 0.0])).states[0] == k
+            assert simulate_trajectory(comp, 1, _FixedStream([u, 0.0])).states[0] == k
         scenario = Scenario(model=_one_component(comp), n_subjects=len(us), n_replications=1,
                             stop_rule=1, seed=1)
         panel, _ = simulate_panel(scenario, _FixedStream(us + [0.0] * len(us)))
@@ -173,8 +168,7 @@ class TestSimulateTrajectory:
         comp = fixtures.chocolate_70()
         crunchy = fixtures.CHOCOLATE_LABELS.index("Crunchy")
         rng = np.random.default_rng(123)
-        sampler = _sampler(comp)
-        hits = sum(sampler.draw(1, rng).states[0] == crunchy for _ in range(100_000))
+        hits = sum(simulate_trajectory(comp, 1, rng).states[0] == crunchy for _ in range(100_000))
         assert 0.80 <= hits / 100_000 <= 0.82
 
     def test_crunchy_mean_sojourn(self):
@@ -182,8 +176,7 @@ class TestSimulateTrajectory:
         crunchy = fixtures.CHOCOLATE_LABELS.index("Crunchy")
         p = comp.sojourn[crunchy]
         rng = np.random.default_rng(77)
-        sampler = _sampler(comp)
-        trajs = [sampler.draw(1, rng) for _ in range(100_000)]
+        trajs = [simulate_trajectory(comp, 1, rng) for _ in range(100_000)]
         states = np.concatenate([t.states for t in trajs])
         draws = np.concatenate([t.sojourns for t in trajs])[states == crunchy]
         assert np.mean(draws) == pytest.approx(p.mean, rel=0.02)
@@ -224,7 +217,7 @@ class TestStateCap:
 
     def test_count_within_the_cap_draws_every_state(self, monkeypatch):
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
-        t = _sampler(self._alternating()).draw(4, np.random.default_rng(1))
+        t = simulate_trajectory(self._alternating(), 4, np.random.default_rng(1))
         assert t.states.tolist() == [0, 1, 0, 1, 0] and len(t.sojourns) == 5
         panel, _ = simulate_panel(self._scenario(self._alternating(), 4))
         assert panel.states.tolist() == [0, 1, 0, 1, 0] * 2
@@ -234,10 +227,10 @@ class TestStateCap:
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 5)
         rng = np.random.default_rng(1)
         with pytest.raises(NumericalError):
-            _sampler(self._alternating()).draw(count, rng)
+            simulate_trajectory(self._alternating(), count, rng)
         # the same draws as a trajectory of exactly the cap
         capped = np.random.default_rng(1)
-        _sampler(self._alternating()).draw(4, capped)
+        simulate_trajectory(self._alternating(), 4, capped)
         assert rng.random() == capped.random()
         # with no absorbing state every trajectory is certain to reach the
         # cap: the panel sampler raises after its first step
@@ -258,7 +251,7 @@ class TestStateCap:
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 3)
         stream = _CountingStream(2)
         with pytest.raises(NumericalError, match="absorbing"):
-            _sampler(self._never_absorbed()).draw("absorbing", stream)
+            simulate_trajectory(self._never_absorbed(), "absorbing", stream)
         assert stream.randoms == 3  # one per state
         # the panel sampler raises on the first step that enters a state
         # with no path to STOP
