@@ -19,8 +19,8 @@ The moment estimates read the panel's own sojourns: each is keyed by its
 subject's cluster and its state, and one stable sort by that key makes
 each cell's durations one slice, in panel order, fitted by
 :func:`smcmix.sojourn.gamma_mom` without re-checking a sample the panel
-has already checked.  Frequencies and cluster means come from the
-per-subject table of :class:`~smcmix.likelihood.PanelStats`.
+has already checked.  The k-means profiles and the frequency estimates
+come from the per-subject table of :class:`~smcmix.likelihood.PanelStats`.
 """
 
 from __future__ import annotations
