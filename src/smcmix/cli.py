@@ -20,6 +20,7 @@ from . import dataio, fixtures
 from .em import EmConfig, e_step, fit, map_cluster
 from .errors import DataError, NumericalError, SmcmixError
 from .initialization import RESTARTS, initial_model
+from .likelihood import PanelStats
 from .selection import select_g
 from .sim import run_benchmark, simulate_panel
 
@@ -87,9 +88,10 @@ def _resolve_scenario(ref: str):
 def _cmd_fit(args) -> int:
     panel, report = _read_panel(args)
     cfg = _em_config(args)
+    stats = PanelStats.from_panel(panel)
     init, _ = initial_model(panel, args.n_components, seed=args.seed,
-                            restarts=args.restarts, min_obs_mass=args.min_obs)
-    result = fit(panel, init, cfg)
+                            restarts=args.restarts, min_obs_mass=args.min_obs, stats=stats)
+    result = fit(panel, init, cfg, stats=stats)
     dataio.write_model(args.out, result.model)
 
     labels = map_cluster(result.posteriors)

@@ -486,7 +486,9 @@ def fit_stack(
     return outcomes
 
 
-def fit(panel: Panel, init: MixtureModel, cfg: EmConfig) -> FitReport:
+def fit(
+    panel: Panel, init: MixtureModel, cfg: EmConfig, *, stats: PanelStats | None = None
+) -> FitReport:
     """Run the SQUAREM-accelerated penalized EM from ``init`` until the
     relative objective change of an EM map falls below ``cfg.rel_tol`` or
     ``cfg.max_iter`` EM maps have run: a stack of one fit
@@ -513,9 +515,14 @@ def fit(panel: Panel, init: MixtureModel, cfg: EmConfig) -> FitReport:
     maps of the kept path, or loses all mass outright.  An M-step whose
     parameters break an invariant of the model types raises
     :class:`~smcmix.errors.InvalidModelError` in that map.  The fit has
-    ``init``'s number of components.
+    ``init``'s number of components.  ``stats`` are the panel's statistics
+    when the caller has them already, as for
+    :func:`~smcmix.initialization.initial_model`; they are built from
+    ``panel`` otherwise.
     """
-    (outcome,) = fit_stack(panel, PanelStats.from_panel(panel), [init], cfg)
+    if stats is None:
+        stats = PanelStats.from_panel(panel)
+    (outcome,) = fit_stack(panel, stats, [init], cfg)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

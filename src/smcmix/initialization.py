@@ -7,9 +7,12 @@ model parameters are estimated by empirical frequencies and moments.  The
 k-means here is Lloyd's algorithm with k-means++ seeding and restarts; any
 local minimizer of the within-cluster squared error serves as an
 initializer.  The k-means++ seedings of all restarts run as one array
-pass, each restart drawing from its own random stream; the Lloyd
-iterations of all restarts then run as one array loop that drops each
-restart once its labels stop changing.  Each iteration labels every point
+pass, each restart drawing from its own random stream: a pick is the
+index ``Generator.choice`` would draw from the restart's distances, read
+from one ``random()`` against cumulative sums built for all restarts at
+once, so the pick and the stream after it are those of ``choice``.  The
+Lloyd iterations of all restarts then run as one array loop that drops
+each restart once its labels stop changing.  Each iteration labels every point
 by one matrix product, |c|² - 2c·x + |x|², and hands the few (restart,
 point) pairs the product's rounding leaves in doubt to the exact
 distances.  Every restart gets the labels and error its own loop would
@@ -70,27 +73,46 @@ def _seed_restarts(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """k-means++ seeding of one restart per generator in ``rngs``: (R, k, D)
     rows of ``points``.  Each restart draws from its own generator the
     values it would draw seeded alone; the distances to each restart's
-    closest centre are updated for all R restarts in one (R, n) pass."""
+    closest centre are updated for all R restarts in one (R, n) pass.
+
+    A pick is ``rng.choice(n, p=closest / total)``, bit for bit: as
+    ``Generator.choice`` does, the cumulative sum of the probabilities is
+    divided by its last entry, and the pick is the number of its entries
+    at or below one ``rng.random()`` (``searchsorted(side="right")``).
+    The (R, n) sums are built once per centre for all restarts; a restart
+    whose points all sit on its centres (``total == 0``) draws its pick
+    by ``rng.integers(n)`` instead."""
     n = points.shape[0]
     picks = np.empty((len(rngs), k), dtype=np.intp)
     picks[:, 0] = [rng.integers(n) for rng in rngs]
     closest = _sq_distances(points, points[picks[:, 0], None])
     for c in range(1, k):
-        for i, (rng, total) in enumerate(zip(rngs, closest.sum(axis=1))):
-            picks[i, c] = rng.integers(n) if total <= 0.0 else rng.choice(n, p=closest[i] / total)
+        totals = closest.sum(axis=1)
+        live = totals > 0.0
+        cdf = np.cumsum(closest[live] / totals[live, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rng.random() for rng, on in zip(rngs, live) if on])
+        picks[live, c] = (cdf <= u[:, None]).sum(axis=1)
+        for i in np.flatnonzero(~live):
+            picks[i, c] = rngs[i].integers(n)
         if c < k - 1:  # the last centre's distances would never be read
             np.minimum(closest, _sq_distances(points, points[picks[:, c], None]), out=closest)
     return points[picks]
 
 
 def _nearest(
-    points: np.ndarray, columns: np.ndarray, sq_norms: np.ndarray, norms: np.ndarray, centers: np.ndarray
+    points: np.ndarray,
+    columns: np.ndarray | None,
+    sq_norms: np.ndarray,
+    norms: np.ndarray,
+    centers: np.ndarray,
 ) -> np.ndarray:
     """(A, n) index of each point's nearest centre in each of A restarts'
     (A, k, D) ``centers``, the first on a tie: the ``argmin`` over k of
     :func:`_sq_distances`, bit for bit.  ``columns`` is the (D, n)
-    transpose of the points, ``sq_norms`` and ``norms`` their (n,) squared
-    and plain norms.
+    transpose of the points times -2, or None where the product may
+    overflow (below); ``sq_norms`` and ``norms`` are the points' (n,)
+    squared and plain norms.
 
     Every distance is first estimated by one product, |c|² - 2c·x + |x|².
     A label is kept where each other centre's estimate exceeds the
@@ -120,15 +142,17 @@ def _nearest(
     Every centre is a point or a mean of points, so its norm is at most
     the largest point norm, up to rounding.  Below 2⁴⁹⁹ for that norm, S
     and every term of an estimate stay far below overflow; at or above it
-    (or where a squared norm overflowed), every pair is labelled exactly.
+    (or where a squared norm overflowed), the caller passes no
+    ``columns`` and every pair is labelled exactly.  Scaling by -2 is
+    exact, so -2c·x is c·(-2x) bit for bit, up to gradual underflow,
+    which the margin already bounds per product.
     """
     a, k, d = centers.shape
-    if not norms.max() < 2.0**499:
+    if columns is None:
         return _sq_distances(points[:, None], centers[:, None]).argmin(axis=2)
     flat = centers.reshape(a * k, d)
     c2 = np.einsum("ij,ij->i", flat, flat)
     est = flat @ columns
-    est *= -2.0
     est += c2[:, None]
     est += sq_norms
     est = est.reshape(a, k, -1)
@@ -178,18 +202,18 @@ def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray, sizes: np
     """(A, k, D) cluster means of the (A, n) labellings ``labels``, whose
     (A, k) cluster ``sizes`` are all positive.
 
-    ``spread[i, c]`` is a zero (k, D) block with point i in row c; gathered
-    by label and summed over the point axis, it adds each cluster's members
-    in point order, as ``.mean(axis=0)`` over the members does when D >= 2,
-    so the two agree bit for bit (the zeros of the other points change at
-    most the sign of a zero sum).  A single column is summed pairwise by
-    ``.mean``, so it keeps that call.
+    ``spread[i * k + c]`` is a zero (k, D) block with point i in row c;
+    gathered by label and summed over the point axis, it adds each
+    cluster's members in point order, as ``.mean(axis=0)`` over the members
+    does when D >= 2, so the two agree bit for bit (the zeros of the other
+    points change at most the sign of a zero sum).  A single column is
+    summed pairwise by ``.mean``, so it keeps that call.
     """
-    n, k = spread.shape[:2]
+    k = spread.shape[1]
     if points.shape[1] == 1:
         return np.array([[points[row == c].mean(axis=0) for c in range(k)] for row in labels])
-    sums = spread[np.arange(n)[:, None], labels.T].sum(axis=0)
-    return sums / sizes[:, :, None]
+    rows = labels.T + np.arange(0, spread.shape[0], k)[:, None]
+    return np.take(spread, rows, axis=0).sum(axis=0) / sizes[:, :, None]
 
 
 def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -205,12 +229,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     r, k, d = centers.shape
     n = points.shape[0]
-    columns = np.ascontiguousarray(points.T)
     with np.errstate(over="ignore"):  # an infinite norm leaves every label to the exact distances
         sq_norms = np.einsum("ij,ij->i", points, points)
     norms = np.sqrt(sq_norms)
+    # Past this norm the product estimates may overflow (see _nearest).
+    columns = (-2.0 * points).T.copy() if norms.max() < 2.0**499 else None
     spread = np.zeros((n, k, k, d))
     spread[:, np.arange(k), np.arange(k)] = points[:, None, :]
+    spread = spread.reshape(n * k, k, d)
     centers = centers.copy()
     final_centers = np.empty_like(centers)
     final_labels = np.empty((r, n), dtype=np.intp)
@@ -219,15 +245,18 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     for _ in range(_LLOYD_ITERATIONS):
         new = _nearest(points, columns, sq_norms, norms, centers)
         sizes = _cluster_sizes(new, k)
-        for i in np.flatnonzero((sizes == 0).any(axis=1)):
-            _reseed(points, centers[i], new[i], sizes[i])
+        if not sizes.all():
+            for i in np.flatnonzero((sizes == 0).any(axis=1)):
+                _reseed(points, centers[i], new[i], sizes[i])
         done = (new == labels).all(axis=1)
-        final_centers[active[done]] = centers[done]
-        final_labels[active[done]] = new[done]
-        keep = ~done
-        active, labels, sizes = active[keep], new[keep], sizes[keep]
-        if not active.size:
-            break
+        if done.any():
+            final_centers[active[done]] = centers[done]
+            final_labels[active[done]] = new[done]
+            keep = ~done
+            active, new, sizes = active[keep], new[keep], sizes[keep]
+            if not active.size:
+                break
+        labels = new
         centers = _means(points, spread, labels, sizes)
     else:
         final_centers[active] = centers

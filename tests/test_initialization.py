@@ -75,17 +75,6 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     return labels, float(d2[np.arange(n), labels].sum())
 
 
-def reference_kmeans(points, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """The restarts run one after another; lowest (SSE, restart index) wins."""
-    points = np.asarray(points, dtype=np.float64)
-    best = None
-    for ss in np.random.SeedSequence(seed).spawn(restarts):
-        labels, sse = reference_kmeans_once(points, k, np.random.Generator(np.random.PCG64(ss)))
-        if best is None or sse < best[0]:
-            best = (sse, labels)
-    return best[1]
-
-
 @st.composite
 def kmeans_cases(draw):
     """(points, k, restarts, seed): float, small-integer (exact distance
@@ -326,11 +315,12 @@ class TestKmeans:
             labels, sse = _lloyd(points, _seed_restarts(points, k, [
                 np.random.Generator(np.random.PCG64(ss)) for ss in seeds
             ]))
-            assert np.array_equal(kmeans(points, k, 17), reference_kmeans(points, k, 17))
-        for i, ss in enumerate(seeds):
-            ref_labels, ref_sse = reference_kmeans_once(
-                points, k, np.random.Generator(np.random.PCG64(ss))
-            )
+            # the restarts run one after another; lowest (SSE, restart index) wins
+            refs = [reference_kmeans_once(points, k, np.random.Generator(np.random.PCG64(ss)))
+                    for ss in seeds]
+            expected = refs[min(range(len(seeds)), key=lambda i: (refs[i][1], i))][0]
+            assert np.array_equal(kmeans(points, k, 17), expected)
+        for i, (ref_labels, ref_sse) in enumerate(refs):
             assert np.array_equal(labels[i], ref_labels)
             assert sse[i] == ref_sse
 
@@ -375,6 +365,30 @@ class TestKmeans:
             together = _seed_restarts(points, k, [np.random.default_rng(ss) for ss in seeds])
             alone = [reference_seeding(points, k, np.random.default_rng(ss)) for ss in seeds]
             assert together.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("kind", ["far_points_last", "duplicates", "all_equal"])
+    def test_seeding_picks_and_streams_match_choice(self, kind):
+        # The picks of the reference's ``rng.choice`` and where each
+        # restart's stream stands after them.  Far points last: once one of
+        # them is a centre, the probabilities end in a run of zeros, so the
+        # cumulative sums end in a plateau.  Duplicates: zero steps inside
+        # the sums.  All points equal: every total is 0, so each pick comes
+        # from ``rng.integers``.
+        rng = np.random.default_rng(31)
+        if kind == "far_points_last":
+            points = np.vstack([rng.random((30, 3)), np.full((6, 3), 50.0)])
+        elif kind == "duplicates":
+            points = rng.random((4, 3))[rng.integers(0, 4, 36)]
+        else:
+            points = np.full((36, 3), 2.5)
+        seeds = np.random.SeedSequence(8).spawn(12)
+        for k in (2, 3, 5):
+            rngs = [np.random.default_rng(ss) for ss in seeds]
+            ref_rngs = [np.random.default_rng(ss) for ss in seeds]
+            together = _seed_restarts(points, k, rngs)
+            alone = [reference_seeding(points, k, rng) for rng in ref_rngs]
+            assert together.tobytes() == np.array(alone).tobytes()
+            assert [rng.random() for rng in rngs] == [rng.random() for rng in ref_rngs]
 
     def test_single_cluster_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(initialization, "_seed_restarts", None)

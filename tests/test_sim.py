@@ -20,6 +20,7 @@ from smcmix.dataio import write_panel
 from smcmix import em, selection
 from smcmix.em import EmConfig
 from smcmix.errors import EmptyComponent, NonConvergence, NumericalError
+from smcmix.likelihood import PanelStats
 from smcmix.sim import Scenario, run_benchmark
 
 from conftest import make_component
@@ -495,8 +496,8 @@ class TestRunBenchmark:
         calls = []
         original = sim.fit
 
-        def aborting(*args):
-            report = original(*args)
+        def aborting(*args, **kwargs):
+            report = original(*args, **kwargs)
             calls.append(None)
             if len(calls) == 2:
                 raise EmptyComponent(0, report=report)
@@ -534,9 +535,9 @@ class TestRunBenchmark:
         events = []
         fit, draw = sim.fit, sim.simulate_panel
 
-        def logged_fit(*args):
+        def logged_fit(*args, **kwargs):
             events.append("fit")
-            return fit(*args)
+            return fit(*args, **kwargs)
 
         def logged_draw(scenario, rng):
             events.append(rng.bit_generator.seed_seq.spawn_key)
@@ -551,13 +552,39 @@ class TestRunBenchmark:
         run_benchmark(scenario, EmConfig())
         assert events == [(0, 0), "fit", (1, 0), "fit", (2, 0), "fit"]
 
+    def test_each_replicate_builds_its_statistics_once(self, monkeypatch):
+        """At a fixed G the init and the fit share one statistics build,
+        and the fit still goes through the module's ``fit``."""
+        builds, fits = [], []
+        build, fit = PanelStats.from_panel.__func__, sim.fit
+
+        def counted_build(cls, panel):
+            builds.append(panel)
+            return build(cls, panel)
+
+        def logged_fit(panel, *args, **kwargs):
+            fits.append(panel)
+            return fit(panel, *args, **kwargs)
+
+        monkeypatch.setattr(PanelStats, "from_panel", classmethod(counted_build))
+        monkeypatch.setattr(sim, "fit", logged_fit)
+        scenario = Scenario(
+            model=fixtures.well_separated_model(),
+            n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
+        )
+        run_benchmark(scenario, EmConfig())
+        assert len(builds) == 3
+        assert [id(p) for p in builds] == [id(p) for p in fits]
+
     def test_an_error_in_a_draw_is_raised_at_its_replicate(self, monkeypatch):
         """Under a cap of 4 states, replicate 2's panel is the first that
         passes it: its error is raised after replicates 0 and 1 are fit."""
         monkeypatch.setattr(sim, "_MAX_SIM_STATES", 4)
         fits = []
         fit = sim.fit
-        monkeypatch.setattr(sim, "fit", lambda *args: fits.append(None) or fit(*args))
+        monkeypatch.setattr(
+            sim, "fit", lambda *args, **kwargs: fits.append(None) or fit(*args, **kwargs)
+        )
         scenario = Scenario(model=absorbing_model(), n_subjects=3, n_replications=1,
                             stop_rule="absorbing", seed=1, replicate_count=4)
         with pytest.raises(NumericalError, match="^simulation did not reach the absorbing state$"):
