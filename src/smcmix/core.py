@@ -358,6 +358,19 @@ class ComponentParams:
         )
         return shape, rate
 
+    @cached_property
+    def _draw_tables(self) -> tuple[list, list, list[float], list[float]]:
+        """What :func:`~smcmix.sim.simulate_trajectory` reads per draw, built
+        once: the transition rows with the initial distribution appended as
+        row D, their cumulative sums, and the gamma shapes and scales (NaN
+        at the absorbing index), all as Python lists, which a scalar loop
+        indexes far faster than small numpy arrays.  Kept on the instance,
+        so it lives exactly as long as the component."""
+        shape, rate = self.sojourn_arrays()
+        rows = [*self.trans.tolist(), self.alpha.tolist()]
+        cums = [*np.cumsum(self.trans, axis=1).tolist(), np.cumsum(self.alpha).tolist()]
+        return rows, cums, shape.tolist(), (1.0 / rate).tolist()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComponentParams):
             return NotImplemented

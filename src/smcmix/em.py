@@ -23,7 +23,11 @@ component-by-state gamma shape in one array solver call.  The M-step is
 arithmetic only: which fallback fired where (a uniform transition row,
 or a pooled gamma fit for a starved, degenerate or off-bracket state) is
 returned as a mask and a code per cell, and one renderer turns a fit's
-codes into its warnings and its pooled-fit error.
+codes into its warnings and its pooled-fit error.  The per-map code uses
+array methods, ufuncs and slices rather than numpy's Python-level helpers
+(``np.any``, ``np.split``, ``np.clip``, ``np.linalg.norm``), because a
+round makes hundreds of calls on arrays of a few dozen cells, where a
+helper's own overhead outweighs its arithmetic.
 
 The EM runs a stack of fits on one panel, each with its own number of
 components (:func:`fit_stack`); :func:`fit` is a stack of one.  Each fit
@@ -40,6 +44,7 @@ or raises; its error is kept with it rather than stopping the others.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -67,6 +72,9 @@ ASCENT_SLACK = 1e-7
 # Consecutive iterations a component may hold less than one subject of
 # responsibility before the fit aborts.
 _EMPTY_STREAK_LIMIT = 3
+
+# The floor an extrapolated probability is clipped to where its map's is positive.
+_TINY = np.finfo(float).tiny
 
 
 def _check_z_round(z_round: float) -> None:
@@ -149,9 +157,9 @@ class FitReport:
 def _round_responsibilities(z: np.ndarray, z_round: float) -> np.ndarray:
     if z_round == 0.0:
         return z
-    z = np.round(z / z_round) * z_round
+    z = np.rint(z / z_round) * z_round
     sums = z.sum(axis=1)
-    if np.any(sums <= 0.0):
+    if (sums <= 0.0).any():
         raise NumericalError(
             "a responsibility row vanished after rounding; z_round is too "
             "coarse for this many components"
@@ -161,7 +169,7 @@ def _round_responsibilities(z: np.ndarray, z_round: float) -> np.ndarray:
 
 def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> np.ndarray:
     dead = ~np.isfinite(norms)
-    if np.any(dead):
+    if dead.any():
         raise AllComponentsImpossible(int(np.flatnonzero(dead)[0]))
     with np.errstate(invalid="ignore"):
         z = np.exp(scores - norms[:, None])
@@ -230,14 +238,17 @@ def _m_step(stats: PanelStats, zs, penalty_c: float, min_obs_mass: int, z_round:
     totals = rows.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha /= alpha.sum(axis=1, keepdims=True)
+        # A panel has no self-transitions, so every diagonal count is 0 and
+        # its cell 0 wherever the row total is not; a row without one is
+        # replaced whole below.
         trans = rows / totals[:, :, None]
-        trans[:, np.arange(d), np.arange(d)] = 0.0
         trans /= trans.sum(axis=2, keepdims=True)
     never_left = totals <= 0.0
     if stats.absorbing is not None:
         never_left[:, stats.absorbing] = False
         trans[:, stats.absorbing] = 0.0
-    trans = np.where(never_left[:, :, None], (1.0 - np.eye(d)) / (d - 1), trans)
+    if never_left.any():
+        trans[never_left] = ((1.0 - np.eye(d)) / (d - 1))[never_left.nonzero()[1]]
 
     sojourns = np.concatenate([z.T @ stats.table[:, d + d * d :] for z in zs])
     slog, sw, sx = sojourns.reshape(n_comp, 3, d).transpose(1, 0, 2)
@@ -270,10 +281,10 @@ def _fallbacks(step: _MStep, rows: slice, labels) -> tuple[list[str], Exception 
     order.  Also the failure of the first pooled fit one of its states
     needed, or None."""
     warnings = [f"component {g}: state {labels[h]} never left; transition row set to uniform"
-                for g, h in zip(*np.nonzero(step.never_left[rows]))]
+                for g, h in zip(*step.never_left[rows].nonzero())]
     pooled, n_obs, pool_status = step.pooled[rows], step.n_obs[rows], step.pool_status[rows]
     error = None
-    for g, j in zip(*np.nonzero(pooled)):
+    for g, j in zip(*pooled.nonzero()):
         text = _POOLED_MESSAGES[pooled[g, j]].format(name=labels[j], n=int(n_obs[g, j]))
         warnings.append(f"component {g}: {text}")
         if error is None and pool_status[g] != OK:
@@ -286,7 +297,7 @@ def _fallbacks(step: _MStep, rows: slice, labels) -> tuple[list[str], Exception 
 def _project(x: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """``x`` shaped as ``ref``, zero where ``ref`` is, clipped positive elsewhere
     and renormalised along the last axis (an all-zero row stays zero)."""
-    x = np.where(ref > 0.0, np.maximum(x.reshape(ref.shape), np.finfo(float).tiny), 0.0)
+    x = np.where(ref > 0.0, np.maximum(x.reshape(ref.shape), _TINY), 0.0)
     sums = x.sum(axis=-1, keepdims=True)
     return x / np.where(sums > 0.0, sums, 1.0)
 
@@ -306,17 +317,16 @@ def _extrapolate(p0: MixtureArrays, p1: MixtureArrays, p2: MixtureArrays) -> Mix
 
     c0, c1, c2 = map(coords, (p0, p1, p2))
     r, v = c1 - c0, c2 - 2.0 * c1 + c0
-    v_norm = float(np.linalg.norm(v))
-    step = min(-float(np.linalg.norm(r)) / v_norm, -1.0) if v_norm > 0.0 else -1.0
+    v_norm = math.sqrt(v @ v)  # np.linalg.norm of a 1-D float vector
+    step = min(-math.sqrt(r @ r) / v_norm, -1.0) if v_norm > 0.0 else -1.0
     n_comp, d = p2.alpha.shape
+    # where the weight, initial and transition blocks of ``c`` end
+    w, a, t = n_comp, n_comp * (1 + d), n_comp * (1 + d + d * d)
     with np.errstate(over="ignore", invalid="ignore"):
         c = c0 - 2.0 * step * r + step * step * v
-        weights, alpha, trans, shape, rate = np.split(
-            c, np.cumsum([n_comp, n_comp * d, n_comp * d * d, n_comp * d])
-        )
-        shape, rate = (np.where(live, np.exp(x.reshape(n_comp, d)), np.nan) for x in (shape, rate))
-        return MixtureArrays(_project(weights, p2.weights), _project(alpha, p2.alpha),
-                             _project(trans, p2.trans), shape, rate, p2.absorbing)
+        shape, rate = np.where(live, np.exp(c[t:].reshape(2, n_comp, d)), np.nan)
+        return MixtureArrays(_project(c[:w], p2.weights), _project(c[w:a], p2.alpha),
+                             _project(c[a:t], p2.trans), shape, rate, p2.absorbing)
 
 
 class _Point(NamedTuple):  # a parameter set with its objective and log scores
@@ -392,11 +402,11 @@ def _run(stack: _Stack, init: MixtureModel):
             ng = z.sum(axis=0)
             empty_streak = np.where(ng < 1.0, empty_streak + 1, 0)
             # the aborting map never completed its M-step
-            if np.any(ng == 0.0):
+            if (ng == 0.0).any():
                 starved = int(np.argmin(ng))
                 warnings[f"aborted: component {starved} has no subjects"] = None
                 raise EmptyComponent(starved, report=report(point, z, iterations - 1, False))
-            if np.any(empty_streak >= _EMPTY_STREAK_LIMIT):
+            if (empty_streak >= _EMPTY_STREAK_LIMIT).any():
                 starved = int(np.argmax(empty_streak))
                 warnings[f"aborted: component {starved} starved for "
                          f"{_EMPTY_STREAK_LIMIT} iterations"] = None

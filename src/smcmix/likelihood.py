@@ -153,7 +153,7 @@ def log_scores(ll: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     with np.errstate(invalid="ignore"):
         rest = np.exp(np.where(at_top, -np.inf, scores) - top).sum(axis=1, keepdims=True)
         norms = (np.log1p(rest / ties) + np.log(ties) + top)[:, 0]
-    norms[np.isneginf(top[:, 0])] = -np.inf
+    norms[top[:, 0] == -np.inf] = -np.inf
     return scores, norms
 
 

@@ -88,14 +88,10 @@ def _check_stop_rule(rule, absorbing: Optional[int]) -> None:
 def simulate_trajectory(comp: ComponentParams, stop_rule, rng: np.random.Generator) -> Trajectory:
     """Draw one trajectory from one renewal process under the stop rule."""
     _check_stop_rule(stop_rule, comp.absorbing)
-    shape, rate = comp.sojourn_arrays()
-    # Python lists: the loop reads one cell per scalar draw, which lists do
-    # far faster than small numpy arrays.  Row D of ``rows`` and ``cums`` is
-    # the initial distribution, so the first state is drawn as a transition
-    # out of a start row, by the same code.
-    rows = [*comp.trans.tolist(), comp.alpha.tolist()]
-    cums = [*np.cumsum(comp.trans, axis=1).tolist(), np.cumsum(comp.alpha).tolist()]
-    shapes, scales = shape.tolist(), (1.0 / rate).tolist()
+    # Row D of ``rows`` and ``cums`` is the initial distribution, so the
+    # first state is drawn as a transition out of a start row, by the same
+    # code.
+    rows, cums, shapes, scales = comp._draw_tables
     random, gamma = rng.random, rng.gamma
     absorbing = -1 if comp.absorbing is None else comp.absorbing
     last = len(shapes) - 1

@@ -84,27 +84,27 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
     status)``; ``shape`` is valid where ``status == OK``.
     """
     sw, swlog, swx = (np.asarray(v, dtype=np.float64) for v in (sw, swlog, swx))
+    # A step may divide by fp == 0; an empty or degenerate cell by zero.
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.log(swx / sw) - swlog / sw
-    status = np.where((s <= 1e-12) & (c == 0.0), DEGENERATE, OK)
-    s = np.maximum(s, 0.0)
-    at_lo = sw * (_LOG_PSI_MIN - s) - c * _INV_MIN
-    at_hi = sw * (_LOG_PSI_MAX - s) - c * _INV_MAX
-    status[(status == OK) & ~((at_lo > 0.0) & (at_hi < 0.0))] = BRACKET_EXHAUSTED
+        status = np.where((s <= 1e-12) & (c == 0.0), DEGENERATE, OK)
+        s = np.maximum(s, 0.0)
+        at_lo = sw * (_LOG_PSI_MIN - s) - c * _INV_MIN
+        at_hi = sw * (_LOG_PSI_MAX - s) - c * _INV_MAX
+        status[(status == OK) & ~((at_lo > 0.0) & (at_hi < 0.0))] = BRACKET_EXHAUSTED
 
-    # Minka's closed-form start; exact for the unweighted MLE up to the
-    # log-gamma expansion it is derived from.
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # Minka's closed-form start; exact for the unweighted MLE up to the
+        # log-gamma expansion it is derived from.  NaN passes the clamp.
         a = (3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    a = np.clip(np.where(s > 0.0, a, SHAPE_MAX / 2.0), SHAPE_MIN * 1.0001, SHAPE_MAX * 0.9999)
+        a = np.minimum(np.maximum(np.where(s > 0.0, a, SHAPE_MAX / 2.0), SHAPE_MIN * 1.0001),
+                       SHAPE_MAX * 0.9999)
 
-    # The cells still moving, compacted: index, shape, weight, s, bracket.
-    # A cell's shape goes back to ``a`` when it leaves.
-    idx = np.flatnonzero(status == OK)
-    x, w, sk = a[idx], sw[idx], s[idx]
-    lo, hi = np.full(idx.size, SHAPE_MIN), np.full(idx.size, SHAPE_MAX)
-    unfinished = []  # cells whose bracket collapsed before meeting the tolerance
-    with np.errstate(divide="ignore", invalid="ignore"):  # a step may divide by fp == 0
+        # The cells still moving, compacted: index, shape, weight, s, bracket.
+        # A cell's shape goes back to ``a`` when it leaves.
+        idx = (status == OK).nonzero()[0]
+        x, w, sk = a[idx], sw[idx], s[idx]
+        lo, hi = np.full(idx.size, SHAPE_MIN), np.full(idx.size, SHAPE_MAX)
+        unfinished = []  # cells whose bracket collapsed before meeting the tolerance
         for _ in range(_MAX_NEWTON_ITER):
             if idx.size == 0:
                 break
@@ -128,11 +128,11 @@ def solve_shapes(sw, swlog, swx, c: float) -> tuple[np.ndarray, np.ndarray]:
                 a[idx[collapsed]] = x[collapsed]
                 unfinished.append(idx[collapsed])
                 idx, x, w, sk, lo, hi = (v[~collapsed] for v in (idx, x, w, sk, lo, hi))
-    a[idx] = x
-    last = np.concatenate([idx, *unfinished])
-    if last.size:
-        missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
-        status[last[missed]] = NOT_CONVERGED
+        a[idx] = x
+        last = np.concatenate([idx, *unfinished])
+        if last.size:
+            missed = np.abs(_profile_deriv(a[last], sw[last], s[last], c)) > DERIV_TOL
+            status[last[missed]] = NOT_CONVERGED
     return a, status
 
 

@@ -11,7 +11,9 @@ checks a stand-alone fit needs.  :func:`reference_solve_shapes` is the
 same solver with each Newton pass gathering its cells from full arrays
 and scattering them back.  The alignments of :mod:`smcmix.metrics` solve
 one assignment problem; the exhaustive search over all permutations here
-finds the same minimum.  The EM of :mod:`smcmix.em` runs its fits
+finds the same minimum.  :func:`reference_extrapolate` is the SQUAREM
+point written out with numpy's helpers (``np.linalg.norm``,
+``np.split``, ``np.clip``).  The EM of :mod:`smcmix.em` runs its fits
 as one lockstep stack; :func:`sequential_fit` is the one-fit-at-a-time
 loop with a per-fit M-step that it replaced, and
 :func:`sequential_select_g` the sweep that ran it once per component
@@ -264,6 +266,43 @@ def _sequential_m_step_sojourn(stats: PanelStats, z: np.ndarray, penalty_c, min_
     shape = np.where(pooled, cell_shape[n_fit:, None], shape)
     rate = np.where(pooled, cell_rate[n_fit:, None], rate)
     return shape, rate, warnings
+
+
+def reference_extrapolate(p0: MixtureArrays, p1: MixtureArrays, p2: MixtureArrays) -> MixtureArrays:
+    """The S3 SQUAREM point of the maps ``p0 -> p1 -> p2`` (Varadhan &
+    Roland, Scand. J. Stat. 2008).  Coordinates: the probabilities as they
+    are, the live gamma shapes and rates in logs (0 in the absorbing
+    column).  With ``r = c1 - c0`` and ``v = c2 - 2 c1 + c0`` the step is
+    ``min(-|r| / |v|, -1)``, or -1 when ``v`` vanishes, and the point is
+    ``c0 - 2 step r + step^2 v``.  Each probability block is projected onto
+    ``p2``'s zero pattern: zero where ``p2`` is, at least the smallest
+    normal float elsewhere, and renormalised along its last axis where
+    the row's sum is positive.  The gamma parameters are exponentiated back, NaN in
+    the absorbing column.  Non-finite values are left in place."""
+    g, d = p2.alpha.shape
+    live = np.arange(d) != p2.absorbing
+
+    def coords(p):
+        gamma = [np.log(np.where(live, x, 1.0)).ravel() for x in (p.shape, p.rate)]
+        return np.concatenate([p.weights, p.alpha.ravel(), p.trans.ravel(), *gamma])
+
+    c0, c1, c2 = coords(p0), coords(p1), coords(p2)
+    r = c1 - c0
+    v = c2 - 2.0 * c1 + c0
+    v_norm = np.linalg.norm(v)
+    step = -1.0 if v_norm == 0.0 else min(-np.linalg.norm(r) / v_norm, -1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = c0 - 2.0 * step * r + step * step * v
+        blocks = np.split(c, np.cumsum([g, g * d, g * d * d, g * d]))
+
+        def project(x, ref):
+            x = np.where(ref > 0.0, np.clip(x.reshape(ref.shape), np.finfo(float).tiny, None), 0.0)
+            total = x.sum(axis=-1, keepdims=True)
+            return np.divide(x, total, out=x, where=total > 0.0)
+
+        shape, rate = (np.where(live, np.exp(x.reshape(g, d)), np.nan) for x in blocks[3:])
+        return MixtureArrays(project(blocks[0], p2.weights), project(blocks[1], p2.alpha),
+                             project(blocks[2], p2.trans), shape, rate, p2.absorbing)
 
 
 def sequential_fit(panel: Panel, init: MixtureModel, cfg) -> em.FitReport:

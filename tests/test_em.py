@@ -28,16 +28,24 @@ from smcmix.em import (
     DEGENERATE_FIT,
     OWN_FIT,
     POOLED_FALLBACK,
+    _extrapolate,
     _fallbacks,
     _m_step,
     _responsibilities,
     _Stack,
 )
+from smcmix.core import MixtureArrays
 from smcmix.likelihood import PanelStats, log_scores, penalty_weight
 from smcmix.sim import Scenario, simulate_panel
 
 from conftest import make_component, traj
-from oracles import fit_gamma_pmle, penalized_objective, reference_panel, subject_loglik
+from oracles import (
+    fit_gamma_pmle,
+    penalized_objective,
+    reference_extrapolate,
+    reference_panel,
+    subject_loglik,
+)
 
 
 def well_separated_panel(n=120, transitions=10, seed=5):
@@ -569,6 +577,58 @@ class TestSharedLikelihood:
         assert len(calls) == report.iterations + 1 + report.extrapolations_tried
 
 
+def _squarem_triple(g, d, absorbing, c0, r, v, zeros, p2_zeros) -> tuple[MixtureArrays, ...]:
+    """Parameter sets ``p0, p1, p2`` at the SQUAREM coordinates ``c0``,
+    ``c0 + r`` and ``c0 + 2 r + v`` (probabilities as they are, gamma
+    parameters in logs), with zeros at the probability cells ``zeros``
+    marks, and in ``p2`` also at those ``p2_zeros`` marks; an absorbing
+    state has a zero row and NaN gamma parameters in all three."""
+    n_prob = g * (1 + d + d * d)
+
+    def params(c, zero=zeros):
+        c = c.copy()
+        c[:n_prob][zero] = 0.0
+        trans = c[g * (1 + d) : n_prob].reshape(g, d, d)
+        shape, rate = np.exp(c[n_prob:].reshape(2, g, d))
+        if absorbing is not None:
+            trans[:, absorbing] = 0.0
+            shape[:, absorbing] = rate[:, absorbing] = np.nan
+        return MixtureArrays(c[:g], c[g : g * (1 + d)].reshape(g, d), trans, shape, rate, absorbing)
+
+    return params(c0), params(c0 + r), params(c0 + 2.0 * r + v, zeros | p2_zeros)
+
+
+@st.composite
+def _squarem_triples(draw):
+    """Triples of maps with a free second difference ``v``, none (every
+    point equal, so the step is -1) or a tiny one, whose step of up to
+    about 1e12 overflows the gamma parameters."""
+    g, d = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    absorbing = draw(st.none() | st.integers(0, d - 1))
+    n = g * (1 + d + d * d + 2 * d)
+
+    def coords(lo, hi):
+        return draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
+
+    c0 = coords(0.0, 1.0)
+    kind = draw(st.sampled_from(["free", "still", "long"]))
+    r = v = np.zeros(n)
+    if kind != "still":
+        r, v = coords(-1.0, 1.0), coords(-1.0, 1.0)
+        if kind == "long":
+            v = v * 10.0 ** -draw(st.integers(2, 12))
+    zeros, p2_zeros = (draw(hnp.arrays(np.bool_, g * (1 + d + d * d))) for _ in range(2))
+    if kind == "still":
+        p2_zeros[:] = False
+    return _squarem_triple(g, d, absorbing, c0, r, v, zeros, p2_zeros)
+
+
+def _same_bits(got: MixtureArrays, expected: MixtureArrays) -> None:
+    assert got.absorbing == expected.absorbing
+    for name, x, y in zip(MixtureArrays._fields[:5], got, expected):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
 class TestSquarem:
     """Each cycle of two EM maps, an extrapolated point and its stabilising
     map keeps the stabilising map only when it beats the second map, and
@@ -583,6 +643,35 @@ class TestSquarem:
         # every kept step is one trace entry: the plain maps and the kept
         # stabilising maps, while a rejected one still counts as a map
         assert len(report.objective_trace) <= report.iterations + 1
+
+    @settings(deadline=None, max_examples=300)
+    @given(_squarem_triples())
+    def test_extrapolated_point_is_the_references_bit_for_bit(self, triple):
+        _same_bits(_extrapolate(*triple), reference_extrapolate(*triple))
+
+    @pytest.mark.parametrize("absorbing", [None, 1])
+    def test_extrapolation_edge_cases_match_the_reference(self, absorbing):
+        g, d = 2, 3
+        n = g * (1 + d + d * d + 2 * d)
+        rng = np.random.default_rng(3)
+        c0, r, v = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        cells = np.arange(g * (1 + d + d * d))
+        zeros, p2_zeros = cells % 5 == 0, cells % 7 == 3
+        # equal maps but for p2's extra zeros: v = 0 elsewhere
+        still = _squarem_triple(g, d, absorbing, c0, 0.0 * r, 0.0 * v, zeros, p2_zeros)
+        got = _extrapolate(*still)
+        _same_bits(got, reference_extrapolate(*still))
+        assert np.array_equal(got.trans == 0.0, ~(still[2].trans > 0.0))
+        # v = 0: the step is -1 and the point is p0
+        still = _squarem_triple(g, d, absorbing, c0, 0.0 * r, 0.0 * v, zeros, cells < 0)
+        got = _extrapolate(*still)
+        _same_bits(got, reference_extrapolate(*still))
+        assert np.array_equal(got.shape, still[0].shape, equal_nan=True)
+        # a step of about 1e10 overflows the gamma parameters
+        long = _squarem_triple(g, d, absorbing, c0, r, v * 1e-10, zeros, cells < 0)
+        got = _extrapolate(*long)
+        _same_bits(got, reference_extrapolate(*long))
+        assert np.isinf(got.shape).any() and np.isinf(got.rate).any()
 
     def test_rejected_extrapolation_keeps_the_second_map(self, monkeypatch):
         import smcmix.em as em_module

@@ -304,9 +304,12 @@ class TestKmeans:
         # two centres; a few distinct rows make restarts re-seed empty
         # clusters; a large common offset leaves the product estimates no
         # digits to tell centres apart, and at 1e160 the squared norms
-        # overflow while the points' spread passes the overflow check.
+        # overflow while the points' spread passes the overflow check.  The
+        # grid's unit is one spacing of the offset where that exceeds 1, so
+        # its points stay distinct there too.
         rng = np.random.default_rng(21)
-        grid = rng.integers(0, 4, size=(40, 3)).astype(np.float64)
+        unit = max(1.0, float(np.spacing(offset)))
+        grid = rng.integers(0, 4, size=(40, 3)).astype(np.float64) * unit
         points = (grid if kind == "grid" else np.repeat(grid[:4], 10, axis=0)) + offset
         k = 3 if kind == "grid" else 5
         seeds = np.random.SeedSequence(17).spawn(10)

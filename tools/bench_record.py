@@ -39,12 +39,13 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout
 
 
-def _run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """The JSON result and the environment of one perfbench run."""
+def _run(workload: str, seed: int, seconds: float, root: Path = ROOT) -> tuple[dict, dict]:
+    """The JSON result and the environment of one perfbench run in the
+    checkout at ``root``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=ROOT, check=True, capture_output=True, text=True,
+        cwd=root, check=True, capture_output=True, text=True,
     ).stdout.splitlines()
     env = next(json.loads(line[len("env "):]) for line in out if line.startswith("env "))
     return json.loads(out[-1]), env
