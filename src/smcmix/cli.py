@@ -19,7 +19,7 @@ import numpy as np
 from . import dataio, fixtures
 from .em import EmConfig, e_step, fit, map_cluster
 from .errors import DataError, NumericalError, SmcmixError
-from .initialization import RESTARTS, initial_model
+from .initialization import initial_model
 from .likelihood import PanelStats
 from .selection import select_g
 from .sim import run_benchmark, simulate_panel
@@ -47,8 +47,7 @@ def _add_em_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=EmConfig.rel_tol)
     p.add_argument("--z-round", type=float, default=EmConfig.z_round)
     p.add_argument("--min-obs", type=int, default=EmConfig.min_obs_mass)
-    p.add_argument("--seed", type=int, default=EmConfig.seed)
-    p.add_argument("--restarts", type=int, default=RESTARTS)
+    p.add_argument("--restarts", type=int, default=EmConfig.restarts)
 
 
 def _read_panel(args, labels=None, absorbing_label=None):
@@ -65,14 +64,16 @@ def _read_panel(args, labels=None, absorbing_label=None):
     )
 
 
-def _em_config(args) -> EmConfig:
+def _em_config(args, seed: int = EmConfig.seed) -> EmConfig:
+    """The one configuration of a command's fits, from its EM options."""
     return EmConfig(
         max_iter=args.max_iter,
         rel_tol=args.rel_tol,
         z_round=args.z_round,
         min_obs_mass=args.min_obs,
         penalized=args.penalized,
-        seed=args.seed,
+        seed=seed,
+        restarts=args.restarts,
     )
 
 
@@ -87,10 +88,9 @@ def _resolve_scenario(ref: str):
 
 def _cmd_fit(args) -> int:
     panel, report = _read_panel(args)
-    cfg = _em_config(args)
+    cfg = _em_config(args, args.seed)
     stats = PanelStats.from_panel(panel)
-    init, _ = initial_model(panel, args.n_components, seed=args.seed,
-                            restarts=args.restarts, min_obs_mass=args.min_obs, stats=stats)
+    init, _ = initial_model(panel, args.n_components, cfg, stats)
     result = fit(panel, init, cfg, stats=stats)
     dataio.write_model(args.out, result.model)
 
@@ -119,14 +119,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_select(args) -> int:
     panel, _ = _read_panel(args)
-    cfg = _em_config(args)
-    sweep = select_g(
-        panel,
-        range(args.g_min, args.g_max + 1),
-        cfg,
-        sample_size=args.sample_size,
-        restarts=args.restarts,
-    )
+    cfg = _em_config(args, args.seed)
+    sweep = select_g(panel, range(args.g_min, args.g_max + 1), cfg, sample_size=args.sample_size)
     header = f"{'G':>3} {'loglik':>14} {'q':>6} {'BIC':>14} {'AIC':>14} {'AICc':>14}"
     print(header)
     for row in sweep.rows:
@@ -168,13 +162,13 @@ def _cmd_bench(args) -> int:
         scenario = replace(scenario, replicate_count=args.replicates)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    cfg = _em_config(args)
+    cfg = _em_config(args)  # each replicate's seed comes from the scenario's
     g_range = None
     if args.g_min is not None or args.g_max is not None:
         lo = args.g_min if args.g_min is not None else 1
         hi = args.g_max if args.g_max is not None else lo
         g_range = range(lo, hi + 1)
-    result = run_benchmark(scenario, cfg, g_range=g_range, restarts=args.restarts)
+    result = run_benchmark(scenario, cfg, g_range=g_range)
     table = result.table()
     print(f"{'metric':<16} {'mean':>12} {'sd':>12}")
     for name, (mean, sd) in table.items():
@@ -209,7 +203,7 @@ def _cmd_classify(args) -> int:
             "data and model disagree about the absorbing state "
             f"({panel.space.absorbing} vs {model.space.absorbing})"
         )
-    posteriors = e_step(panel, model, z_round=args.z_round)
+    posteriors = e_step(panel, model, EmConfig(z_round=args.z_round))
     labels = map_cluster(posteriors)
     dataio.write_labels(args.out, report.subject_ids, labels)
     sizes = np.bincount(labels, minlength=model.n_components)
@@ -254,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a mixture with the penalized EM")
     _add_data_options(p)
     _add_em_options(p)
+    p.add_argument("--seed", type=int, default=EmConfig.seed)
     p.add_argument("--components", "-G", type=int, required=True, dest="n_components",
                    metavar="COMPONENTS")
     p.add_argument("--out", required=True, help="output model JSON")
@@ -263,6 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="sweep component counts and rank by information criteria")
     _add_data_options(p)
     _add_em_options(p)
+    p.add_argument("--seed", type=int, default=EmConfig.seed)
     p.add_argument("--g-min", type=int, required=True)
     p.add_argument("--g-max", type=int, required=True)
     p.add_argument("--sample-size", type=int, help="observation count used by the criteria (default n*B)")
@@ -279,6 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="Monte-Carlo recovery benchmark")
     p.add_argument("--scenario", required=True, help="scenario JSON path or bundled name")
     p.add_argument("--replicates", type=int, help="override the scenario replicate count")
+    p.add_argument("--seed", type=int, help="override the scenario seed")
     _add_em_options(p)
     p.add_argument("--g-min", type=int, help="sweep component counts from this value")
     p.add_argument("--g-max", type=int, help="sweep component counts up to this value")

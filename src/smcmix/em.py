@@ -77,25 +77,22 @@ _EMPTY_STREAK_LIMIT = 3
 _TINY = np.finfo(float).tiny
 
 
-def _check_z_round(z_round: float) -> None:
-    if not (z_round == 0.0 or 0.0 < z_round <= 0.1):
-        raise ValueError("z_round must be 0 or in (0, 0.1]")
-
-
 @dataclass(frozen=True)
 class EmConfig:
-    """Tuning knobs of the EM driver.
+    """The settings of a fit from a panel: its start, its EM and its
+    E-step.
 
     ``max_iter`` bounds the EM maps of a fit, extrapolated ones included.
     ``rel_tol`` is the relative objective change of one map below which a
     fit has converged.  ``z_round`` quantizes responsibilities so that
     near-zero weights drop out of the gamma fits; ``min_obs_mass`` is the
     number of weight-carrying observations a state must exceed to get its
-    own gamma fit instead of the component-pooled one.  ``penalized``
-    selects the shape-penalized objective over the plain likelihood.
-    ``seed`` is read only by :func:`~smcmix.selection.select_g`, which
-    seeds its k-means inits with it; :func:`fit` ignores it.  ``max_iter``,
-    ``min_obs_mass`` and ``seed`` are counts (:func:`~smcmix.core.check_count`).
+    own gamma fit instead of the component-pooled one, in the EM and in
+    the moment start alike.  ``penalized`` selects the shape-penalized
+    objective over the plain likelihood.  ``seed`` and ``restarts`` are
+    the k-means start's (:func:`~smcmix.initialization.initial_model`).
+    ``max_iter``, ``min_obs_mass``, ``seed`` and ``restarts`` are counts
+    (:func:`~smcmix.core.check_count`).
     """
 
     max_iter: int = 100
@@ -104,14 +101,17 @@ class EmConfig:
     min_obs_mass: int = 7
     penalized: bool = True
     seed: int = 0
+    restarts: int = 10
 
     def __post_init__(self):
         check_count("max_iter", self.max_iter, 1)
         check_count("min_obs_mass", self.min_obs_mass, 0)
         check_count("seed", self.seed, 0)
+        check_count("restarts", self.restarts, 1)
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError("rel_tol must lie in (0, 1)")
-        _check_z_round(self.z_round)
+        if not (self.z_round == 0.0 or 0.0 < self.z_round <= 0.1):
+            raise ValueError("z_round must be 0 or in (0, 0.1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +154,12 @@ class FitReport:
         return bool(deltas.size == 0 or float(deltas.min()) >= -ASCENT_SLACK)
 
 
-def _round_responsibilities(z: np.ndarray, z_round: float) -> np.ndarray:
+def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> np.ndarray:
+    dead = ~np.isfinite(norms)
+    if dead.any():
+        raise AllComponentsImpossible(int(np.flatnonzero(dead)[0]))
+    with np.errstate(invalid="ignore"):
+        z = np.exp(scores - norms[:, None])
     if z_round == 0.0:
         return z
     z = np.rint(z / z_round) * z_round
@@ -167,25 +172,15 @@ def _round_responsibilities(z: np.ndarray, z_round: float) -> np.ndarray:
     return z / sums[:, None]
 
 
-def _responsibilities(scores: np.ndarray, norms: np.ndarray, z_round: float) -> np.ndarray:
-    dead = ~np.isfinite(norms)
-    if dead.any():
-        raise AllComponentsImpossible(int(np.flatnonzero(dead)[0]))
-    with np.errstate(invalid="ignore"):
-        z = np.exp(scores - norms[:, None])
-    return _round_responsibilities(z, z_round)
-
-
-def e_step(panel: Panel, model: MixtureModel, z_round: float = EmConfig.z_round) -> PosteriorMatrix:
+def e_step(panel: Panel, model: MixtureModel, cfg: EmConfig = EmConfig()) -> PosteriorMatrix:
     """Posterior component responsibilities of every subject (Bayes rule in
-    log space), rounded to multiples of ``z_round`` and renormalized.
+    log space), rounded to multiples of ``cfg.z_round`` and renormalized.
     Raises ``ValueError`` when the model's state space is not the panel's."""
-    _check_z_round(z_round)
     if model.space != panel.space:
         raise ValueError("model is defined on a different state space")
     stats = PanelStats.from_panel(panel)
     scores, norms = log_scores(subject_loglik_matrix(stats, model.params), model.weights)
-    return PosteriorMatrix(_responsibilities(scores, norms, z_round))
+    return PosteriorMatrix(_responsibilities(scores, norms, cfg.z_round))
 
 
 # Why a (component, state) cell of an M-step took its component's pooled

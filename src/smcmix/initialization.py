@@ -12,7 +12,8 @@ index ``Generator.choice`` would draw from the restart's distances, read
 from one ``random()`` against cumulative sums built for all restarts at
 once, so the pick and the stream after it are those of ``choice``.  The
 Lloyd iterations of all restarts then run as one array loop that drops
-each restart once its labels stop changing.  Each iteration labels every point
+each restart once its labels stop changing, or once a re-seed finds the
+points of every shared cluster on its centre.  Each iteration labels every point
 by one matrix product, |c|² - 2c·x + |x|², and hands the few (restart,
 point) pairs the product's rounding leaves in doubt to the exact
 distances.  Every restart gets the labels and error its own loop would
@@ -50,9 +51,6 @@ def _mean_sojourns(stats: PanelStats) -> np.ndarray:
         feats = np.where(stats.soj_counts > 0, stats.soj_sum / stats.soj_counts, 0.0)
     return feats
 
-
-# k-means restarts of an init unless the caller asks for another number.
-RESTARTS = 10
 
 # Lloyd iterations each restart may take before its labels are final.
 _LLOYD_ITERATIONS = 300
@@ -182,20 +180,26 @@ def _cluster_sizes(labels: np.ndarray, k: int) -> np.ndarray:
     return np.bincount((labels + k * np.arange(a)[:, None]).ravel(), minlength=a * k).reshape(a, k)
 
 
-def _reseed(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> None:
+def _reseed(points: np.ndarray, centers: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> bool:
     """Re-seed the empty clusters of one restart in place, each from the
     point farthest from its centre, among points whose cluster keeps another
     member: moving a lone point would empty its cluster, whose mean would
     then be NaN.  ``sizes`` are the (k,) cluster sizes, kept up to date.  A
     moved point's cluster then has one member, so the distances to the
-    centres as they were on entry serve every move."""
+    centres as they were on entry serve every move.  Returns whether a moved
+    point sat on its centre: every shared cluster's points then do, so no
+    labelling lowers the error, and Lloyd's loop would only trade points
+    between equal centres."""
     own = _sq_distances(points, centers[labels])
+    stalled = False
     for c in np.flatnonzero(sizes == 0):
         far = int(np.argmax(np.where(sizes[labels] > 1, own, -1.0)))
+        stalled |= bool(own[far] == 0.0)
         sizes[labels[far]] -= 1
         sizes[c] = 1
         centers[c] = points[far]
         labels[far] = c
+    return stalled
 
 
 def _means(points: np.ndarray, spread: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -222,7 +226,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     (R, n) labels and (R,) within-cluster squared error.
 
     A restart leaves the active set on the first iteration that leaves its
-    labels unchanged, or after ``_LLOYD_ITERATIONS``.  Each iteration labels
+    labels unchanged or whose re-seed moved a point at distance 0 from its
+    centre (:func:`_reseed`), or after ``_LLOYD_ITERATIONS``; its error is
+    that of its last labels about their means.  Each iteration labels
     the points of all active restarts by one matrix product, checked
     against its rounding margin (:func:`_nearest`); re-seeding and the
     final errors use the exact distances of :func:`_sq_distances`.
@@ -238,19 +244,18 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     spread[:, np.arange(k), np.arange(k)] = points[:, None, :]
     spread = spread.reshape(n * k, k, d)
     centers = centers.copy()
-    final_centers = np.empty_like(centers)
     final_labels = np.empty((r, n), dtype=np.intp)
     active = np.arange(r)
     labels = np.full((r, n), -1, dtype=np.intp)
     for _ in range(_LLOYD_ITERATIONS):
         new = _nearest(points, columns, sq_norms, norms, centers)
         sizes = _cluster_sizes(new, k)
+        done = np.zeros(len(active), dtype=bool)
         if not sizes.all():
             for i in np.flatnonzero((sizes == 0).any(axis=1)):
-                _reseed(points, centers[i], new[i], sizes[i])
-        done = (new == labels).all(axis=1)
+                done[i] = _reseed(points, centers[i], new[i], sizes[i])
+        done |= (new == labels).all(axis=1)
         if done.any():
-            final_centers[active[done]] = centers[done]
             final_labels[active[done]] = new[done]
             keep = ~done
             active, new, sizes = active[keep], new[keep], sizes[keep]
@@ -259,15 +264,16 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
         labels = new
         centers = _means(points, spread, labels, sizes)
     else:
-        final_centers[active] = centers
         final_labels[active] = labels
-    own = final_centers[np.arange(r)[:, None], final_labels]
+    # Where a restart's labels repeated, these are the centres it ended with
+    # (a re-seeded one-point cluster is its own mean); else those it would take.
+    means = _means(points, spread, final_labels, _cluster_sizes(final_labels, k))
     # (R, n) rows, each summed as the 1-D errors of one restart would be.
-    sse = _sq_distances(points, own).sum(axis=1)
+    sse = _sq_distances(points, means[np.arange(r)[:, None], final_labels]).sum(axis=1)
     return final_labels, sse
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = RESTARTS) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = EmConfig.restarts) -> np.ndarray:
     """Cluster rows of ``points`` into ``k`` non-empty groups, minimizing
     within-cluster squared Euclidean distance over the restarts performed.
 
@@ -332,16 +338,14 @@ def _cluster_gammas(durations: np.ndarray, bounds: list, absorbing, min_obs_mass
 
 
 def initial_model(
-    panel: Panel,
-    n_components: int,
-    seed: int,
-    restarts: int = RESTARTS,
-    min_obs_mass: int = EmConfig.min_obs_mass,
-    stats: PanelStats | None = None,
+    panel: Panel, n_components: int, cfg: EmConfig, stats: PanelStats | None = None
 ) -> tuple[MixtureModel, np.ndarray]:
     """Build an EM starting model by clustering subjects on their mean
     sojourn profiles and estimating each cluster empirically; returns the
     model and the k-means labels (one per subject) it was estimated from.
+    The k-means runs ``cfg.restarts`` restarts from ``cfg.seed``, and a
+    cluster's state with at most ``cfg.min_obs_mass`` sojourns takes the
+    cluster's pooled moment fit.
 
     Initial and transition probabilities get a small additive smoothing on
     every structurally-allowed cell so the starting log-likelihood is
@@ -354,7 +358,7 @@ def initial_model(
         stats = PanelStats.from_panel(panel)
     d = panel.space.n_states
     absorbing = panel.space.absorbing
-    labels = kmeans(_mean_sojourns(stats), n_components, seed, restarts)
+    labels = kmeans(_mean_sojourns(stats), n_components, cfg.seed, cfg.restarts)
     # Every observed sojourn sorted by (cluster, state), in panel order
     # within a cell, so that each cell's durations are one slice.  numpy
     # sorts keys of at most 16 bits stably by radix, in linear time.
@@ -386,6 +390,6 @@ def initial_model(
     shape, rate = np.empty((2, n_components, d))
     for g in range(n_components):
         cluster = bounds[g * d : (g + 1) * d + 1]
-        shape[g], rate[g] = _cluster_gammas(durations, cluster, absorbing, min_obs_mass)
+        shape[g], rate[g] = _cluster_gammas(durations, cluster, absorbing, cfg.min_obs_mass)
     params = MixtureArrays(weights, alpha, trans, shape, rate, absorbing)
     return MixtureModel.from_arrays(panel.space, params), labels

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .core import Panel, check_count, is_integer
 from .em import EmConfig, EmptyComponent, FitReport, fit_stack
-from .initialization import RESTARTS, initial_model
+from .initialization import initial_model
 from .likelihood import PanelStats
 
 CRITERIA = ("bic", "aic", "aicc")
@@ -106,7 +106,6 @@ def select_g(
     g_range: Sequence[int],
     cfg: EmConfig,
     sample_size: Optional[int] = None,
-    restarts: int = RESTARTS,
 ) -> GSweepResult:
     """Fit every component count in ``g_range`` and rank them by BIC, AIC
     and AICc.
@@ -116,9 +115,11 @@ def select_g(
     sample size is for temporal data is debatable, hence the override.
     The criteria read each fit's :attr:`FitReport.loglik`.  Fits aborted
     by a starved component are kept with their last valid model and
-    flagged.  Ties pick the smallest component count.  The k-means labels
-    each fit started from are kept in :attr:`GSweepResult.init_labels`.
-    ``sample_size`` and ``restarts`` are counts (:func:`~smcmix.core.check_count`).
+    flagged.  Ties pick the smallest component count.  Every fit starts
+    from :func:`~smcmix.initialization.initial_model` under ``cfg``, and
+    the k-means labels it started from are kept in
+    :attr:`GSweepResult.init_labels`.  ``sample_size`` is a count
+    (:func:`~smcmix.core.check_count`).
     """
     g_values = _component_counts(g_range)
     if sample_size is not None:
@@ -130,9 +131,7 @@ def select_g(
     inits, init_labels, init_error = [], {}, []
     for g in g_values:
         try:
-            init, init_labels[g] = initial_model(
-                panel, g, cfg.seed, restarts, cfg.min_obs_mass, stats
-            )
+            init, init_labels[g] = initial_model(panel, g, cfg, stats)
         except Exception as exc:
             # raised after the fits of the lower counts, and only if none of them raises
             init_error = [exc]

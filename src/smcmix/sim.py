@@ -33,7 +33,7 @@ import numpy as np
 from .core import ComponentParams, MixtureModel, Panel, Trajectory, check_count, is_integer
 from .em import EmConfig, FitReport, fit, map_cluster
 from .errors import EmptyComponent, NumericalError
-from .initialization import RESTARTS, initial_model
+from .initialization import initial_model
 from .likelihood import PanelStats
 from .metrics import (
     align_components,
@@ -260,7 +260,7 @@ def _recovery_metrics(truth: MixtureModel, report: FitReport, true_labels, km_la
     return out
 
 
-def _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_seed):
+def _one_replicate(scenario, cfg, g_range, panel, true_labels):
     truth = scenario.model
     out: dict[str, float] = {}
     warnings: list[str] = []
@@ -270,9 +270,7 @@ def _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_se
         # this module's ``fit``, panel first: perfbench's tracer scores the
         # fits it captures there.
         stats = PanelStats.from_panel(panel)
-        init, km_labels = initial_model(
-            panel, truth.n_components, init_seed, restarts, cfg.min_obs_mass, stats
-        )
+        init, km_labels = initial_model(panel, truth.n_components, cfg, stats)
         try:
             report = fit(panel, init, cfg, stats=stats)
             out["aborted"] = 0.0
@@ -288,7 +286,7 @@ def _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_se
         out.update(_recovery_metrics(truth, report, true_labels, km_labels))
     else:
         try:
-            sweep = select_g(panel, g_range, replace(cfg, seed=init_seed), restarts=restarts)
+            sweep = select_g(panel, g_range, cfg)
         except NumericalError as exc:
             warnings.append(f"replicate failed: {exc}")
             return out, warnings
@@ -306,27 +304,28 @@ def run_benchmark(
     scenario: Scenario,
     cfg: EmConfig,
     g_range: Optional[Sequence[int]] = None,
-    restarts: int = RESTARTS,
 ) -> BenchmarkResult:
     """Simulate, initialize, fit and score ``scenario.replicate_count``
     independent datasets; optionally sweep component counts.
 
     Each replicate runs on its own named random stream spawned from the
     scenario seed, so a replicate's results do not depend on how many
-    replicates run.  ``restarts`` and ``g_range`` are checked before any
-    panel is drawn.  Each replicate's panel is drawn by
-    :func:`simulate_panel` in this process, just before its fit.
+    replicates run: its panel is drawn from one child of that stream, and
+    its fits run under ``cfg`` with a seed drawn from the other child in
+    place of ``cfg.seed``.
+    ``g_range`` is checked before any panel is drawn.  Each replicate's
+    panel is drawn by :func:`simulate_panel` in this process, just before
+    its fit.
     """
     if g_range is not None:
         g_range = _component_counts(g_range)
-    check_count("restarts", restarts, 1)
     results = []
     for child in np.random.SeedSequence(scenario.seed).spawn(scenario.replicate_count):
         sim_ss, init_ss = child.spawn(2)
         panel, true_labels = simulate_panel(scenario, np.random.Generator(np.random.PCG64(sim_ss)))
         init_seed = int(init_ss.generate_state(1, dtype=np.uint64)[0])
         results.append(
-            _one_replicate(scenario, cfg, g_range, restarts, panel, true_labels, init_seed)
+            _one_replicate(scenario, replace(cfg, seed=init_seed), g_range, panel, true_labels)
         )
 
     names = dict.fromkeys(key for row, _ in results for key in row)

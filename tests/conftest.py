@@ -93,6 +93,6 @@ def benchmark_fits():
         original = sim.fit
         mp.setattr(sim, "fit", recording)
         for scenario in scenarios:
-            sim.run_benchmark(scenario, EmConfig(), restarts=3)
+            sim.run_benchmark(scenario, EmConfig(restarts=3))
     assert len(fits) == 6
     return fits

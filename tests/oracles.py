@@ -408,8 +408,7 @@ def sequential_fit(panel: Panel, init: MixtureModel, cfg) -> em.FitReport:
                   iterations, converged)
 
 
-def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
-                        restarts: int = 10) -> GSweepResult:
+def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None) -> GSweepResult:
     """The sweep of :func:`smcmix.selection.select_g`, initialising and
     fitting one component count after another with :func:`sequential_fit`."""
     g_values = sorted(set(g_range))
@@ -418,8 +417,7 @@ def sequential_select_g(panel: Panel, g_range, cfg, sample_size=None,
     has_absorbing = panel.space.absorbing is not None
     rows, reports, init_labels, warnings = [], {}, {}, []
     for g in g_values:
-        init, init_labels[g] = initial_model(panel, g, cfg.seed, restarts,
-                                             cfg.min_obs_mass, stats)
+        init, init_labels[g] = initial_model(panel, g, cfg, stats)
         aborted = False
         try:
             report = sequential_fit(panel, init, cfg)

@@ -73,7 +73,7 @@ def absorbing_panel():
 class TestAbsorbingEndToEnd:
     def test_fit_recovers_structure(self, absorbing_panel):
         panel, truth = absorbing_panel
-        init, _ = initial_model(panel, 2, seed=11)
+        init, _ = initial_model(panel, 2, EmConfig(seed=11))
         report = fit(panel, init, EmConfig())
         model = report.model
         assert model.space.absorbing == 3

@@ -179,7 +179,7 @@ def canonical_fit(name, seed=SEED):
         seed=seed, replicate_count=1,
     )
     panel, _ = simulate_panel(scenario)
-    init, _ = initial_model(panel, model.n_components, seed=seed)
+    init, _ = initial_model(panel, model.n_components, EmConfig(seed=seed))
     return panel, init, fit(panel, init, EmConfig())
 
 

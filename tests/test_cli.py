@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smcmix import MixtureModel, StateSpace, e_step, fixtures, map_cluster
+from smcmix import EmConfig, MixtureModel, StateSpace, cli, e_step, fixtures, map_cluster
 from smcmix.cli import main
 from smcmix.dataio import (
     read_labels,
@@ -16,7 +16,7 @@ from smcmix.dataio import (
     write_panel,
     write_scenario,
 )
-from smcmix.sim import Scenario, simulate_panel
+from smcmix.sim import Scenario, run_benchmark, simulate_panel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -151,6 +151,76 @@ class TestOptions:
         run(capsys, "simulate", "--scenario", reseeded, "--out", paths[1])
         run(capsys, "simulate", "--scenario", small_scenario_file, "--out", paths[2])
         assert paths[0].read_bytes() == paths[1].read_bytes() != paths[2].read_bytes()
+
+    @pytest.mark.parametrize("source", ["bundled", "file"])
+    def test_bench_without_seed_runs_the_scenario_as_written(self, tmp_path, capsys,
+                                                             small_scenario_file, source):
+        """A bundled name runs its seed 2024 and a scenario file its own
+        seed; only ``--seed`` overrides it."""
+        if source == "bundled":
+            ref = "well_separated"
+            scenario = fixtures.benchmark_scenario(ref, replicate_count=1)
+        else:
+            ref = small_scenario_file
+            scenario = replace(read_scenario(ref), replicate_count=1)
+        table = tmp_path / "table.csv"
+        assert run(capsys, "bench", "--scenario", ref, "--replicates", 1, "--out", table)[0] == 0
+        with open(table) as fh:
+            got = {row["metric"]: (float(row["mean"]), float(row["sd"])) for row in csv.DictReader(fh)}
+        assert got == run_benchmark(scenario, EmConfig()).table()
+
+    @pytest.mark.parametrize("command", ["fit", "select", "bench"])
+    def test_each_command_builds_one_config_from_its_options(self, tmp_path, capsys, monkeypatch,
+                                                             small_scenario_file, command):
+        seen = []
+
+        def recording(name):
+            original = getattr(cli, name)
+
+            def call(*args, **kwargs):
+                seen.append(next(a for a in args if isinstance(a, EmConfig)))
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli, name, call)
+
+        options = ["--max-iter", 30, "--rel-tol", 1e-6, "--z-round", 1e-3, "--min-obs", 5,
+                   "--no-penalized", "--restarts", 2]
+        seed = EmConfig.seed
+        if command == "bench":
+            recording("run_benchmark")
+            argv = ["bench", "--scenario", small_scenario_file, "--replicates", 1]
+        else:
+            panel = tmp_path / "panel.csv"
+            run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+            seed = 4
+            argv = [command, "--data", panel, "--seed", seed]
+            if command == "fit":
+                recording("initial_model")
+                recording("fit")
+                argv += ["--components", 2, "--out", tmp_path / "model.json"]
+            else:
+                recording("select_g")
+                argv += ["--g-min", 1, "--g-max", 2]
+        assert run(capsys, *argv, *options)[0] == 0
+        expected = EmConfig(max_iter=30, rel_tol=1e-6, z_round=1e-3, min_obs_mass=5,
+                            penalized=False, seed=seed, restarts=2)
+        assert seen == [expected] * (2 if command == "fit" else 1)
+
+    def test_classify_z_round_reaches_the_e_step(self, tmp_path, capsys, monkeypatch,
+                                                 small_scenario_file):
+        panel, model, labels = tmp_path / "panel.csv", tmp_path / "m.json", tmp_path / "l.csv"
+        run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+        run(capsys, "fit", "--data", panel, "--components", 2, "--out", model)
+        seen = []
+
+        def recording(panel, model, cfg):
+            seen.append(cfg)
+            return e_step(panel, model, cfg)
+
+        monkeypatch.setattr(cli, "e_step", recording)
+        code, _, _ = run(capsys, "classify", "--data", panel, "--model", model, "--out", labels,
+                         "--z-round", 0.01)
+        assert code == 0
+        assert seen == [EmConfig(z_round=0.01)]
 
     def test_classify_takes_the_absorbing_label_from_the_model(self, tmp_path, capsys):
         """The model's absorbing state is called END, not the default STOP:
@@ -387,6 +457,25 @@ class TestErrorPaths:
             argv = [command, "--data", panel, "--out", tmp_path / "out"]
             argv += ["--components", 2] if command == "fit" else ["--g-min", 1, "--g-max", 2]
         code, _, err = run(capsys, *argv, "--restarts", restarts)
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "restarts must be at least 1"
+        }
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "select", "bench"])
+    def test_a_bad_em_option_is_reported_before_a_bad_count(self, tmp_path, capsys,
+                                                            small_scenario_file, command):
+        """The command's EmConfig is checked as it is built, before the
+        fit's own counts."""
+        if command == "bench":
+            argv = ["bench", "--scenario", small_scenario_file, "--g-min", 0, "--g-max", 1]
+        else:
+            panel = tmp_path / "panel.csv"
+            run(capsys, "simulate", "--scenario", small_scenario_file, "--out", panel)
+            argv = [command, "--data", panel]
+            argv += ["--components", 0] if command == "fit" else ["--g-min", 0, "--g-max", 1]
+        code, _, err = run(capsys, *argv, "--out", tmp_path / "out", "--restarts", 0)
         assert code == 2
         assert json.loads(err) == {
             "error": "ValueError", "message": "restarts must be at least 1"

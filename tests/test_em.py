@@ -108,7 +108,7 @@ class TestEStep:
             weights=np.array([0.5, 0.5]),
             components=(simple_component, simple_component),
         )
-        z = e_step(tiny_panel, model, z_round=1e-4)
+        z = e_step(tiny_panel, model, EmConfig(z_round=1e-4))
         np.testing.assert_array_equal(z.z, np.full((3, 2), 0.5))
 
     def test_structural_zero_gives_hard_assignment(self, tiny_panel, simple_component):
@@ -120,7 +120,7 @@ class TestEStep:
             weights=np.array([0.5, 0.5]),
             components=(simple_component, blocked),
         )
-        z = e_step(tiny_panel, model, z_round=0.0)
+        z = e_step(tiny_panel, model, EmConfig(z_round=0.0))
         # subject 0 starts a replication in state 1, impossible under `blocked`
         assert subject_loglik(tiny_panel.subjects[0], blocked) == -math.inf
         np.testing.assert_array_equal(z.z[0], [1.0, 0.0])
@@ -146,7 +146,7 @@ class TestEStep:
                 total *= value
             return total
 
-        z = e_step(tiny_panel, simple_model, z_round=0.0)
+        z = e_step(tiny_panel, simple_model, EmConfig(z_round=0.0))
         for i, reps in enumerate(tiny_panel.subjects):
             liks = [
                 mp.mpf(float(w)) * mp_subject_lik(reps, comp)
@@ -157,7 +157,7 @@ class TestEStep:
                 assert z.z[i, g] == pytest.approx(float(liks[g] / total), abs=1e-12)
 
     def test_rounding_to_quantum(self, tiny_panel, simple_model):
-        z = e_step(tiny_panel, simple_model, z_round=0.01)
+        z = e_step(tiny_panel, simple_model, EmConfig(z_round=0.01))
         scaled = z.z * 100
         # multiples of the quantum before the final renormalization stay
         # recognizable: row sums are exactly 1 and entries near multiples
@@ -176,8 +176,6 @@ class TestEStep:
         message = r"^z_round must be 0 or in \(0, 0\.1\]$"
         with pytest.raises(ValueError, match=message):
             EmConfig(z_round=z_round)
-        with pytest.raises(ValueError, match=message):
-            e_step(tiny_panel, simple_model, z_round=z_round)
 
     def test_all_components_impossible(self, tiny_panel):
         blocked = make_component(
@@ -187,7 +185,7 @@ class TestEStep:
             space=tiny_panel.space, weights=np.array([1.0]), components=(blocked,)
         )
         with pytest.raises(AllComponentsImpossible) as err:
-            e_step(tiny_panel, model, z_round=0.0)
+            e_step(tiny_panel, model, EmConfig(z_round=0.0))
         assert err.value.subject == 0
 
 
@@ -216,7 +214,7 @@ class TestMStepWeights:
         panel, _ = well_separated_panel(n=40, transitions=10, seed=3)
         truth = fixtures.well_separated_model()
         cfg = EmConfig(max_iter=1)
-        z = e_step(panel, truth, cfg.z_round).z
+        z = e_step(panel, truth, cfg).z
         assert set(np.unique(z)) == {0.0, 1.0}
         counts = z.sum(axis=0)
         assert counts.min() >= 1
@@ -227,11 +225,11 @@ class TestMStepWeights:
         # two identical components share every subject equally, so one EM
         # map keeps the weights at one half each
         panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
-        comp = initial_model(panel, 1, seed=3)[0].components[0]
+        comp = initial_model(panel, 1, EmConfig(seed=3))[0].components[0]
         init = MixtureModel(space=panel.space, weights=np.array([0.5, 0.5]),
                             components=(comp, comp))
         cfg = EmConfig(max_iter=1)
-        np.testing.assert_array_equal(e_step(panel, init, cfg.z_round).z,
+        np.testing.assert_array_equal(e_step(panel, init, cfg).z,
                                       np.full((40, 2), 0.5))
         weights = fit(panel, init, cfg).model.weights
         np.testing.assert_array_equal(weights, [0.5, 0.5])
@@ -240,9 +238,9 @@ class TestMStepWeights:
         # one EM map: the weights it returns are the column means of the
         # responsibilities of its starting model
         panel, _ = well_separated_panel(n=40, transitions=6, seed=3)
-        init, _ = initial_model(panel, 3, seed=3)
+        init, _ = initial_model(panel, 3, EmConfig(seed=3))
         cfg = EmConfig(max_iter=1)
-        z = e_step(panel, init, cfg.z_round).z
+        z = e_step(panel, init, cfg).z
         expected = [sum(z[i, g] for i in range(z.shape[0])) / z.shape[0] for g in range(3)]
         weights = fit(panel, init, cfg).model.weights
         np.testing.assert_allclose(weights, expected, rtol=1e-12)
@@ -407,14 +405,14 @@ class TestMStepSojourn:
 class TestFit:
     def test_pooled_fit_failure_propagates(self, two_state_space):
         panel = Panel(space=two_state_space, subjects=((traj([0, 1], [2.0, 2.0]),),) * 10)
-        init, _ = initial_model(panel, 1, seed=0)
+        init, _ = initial_model(panel, 1, EmConfig(seed=0))
         with pytest.raises(
             DegenerateSample, match="^component 0 pooled sojourn fit: sample variance"
         ):
             fit(panel, init, EmConfig(penalized=False))
 
     def test_single_component_fixed_point(self, tiny_panel):
-        init, _ = initial_model(tiny_panel, 1, seed=0)
+        init, _ = initial_model(tiny_panel, 1, EmConfig(seed=0))
         cfg = EmConfig(min_obs_mass=2)
         report = fit(tiny_panel, init, cfg)
         assert report.converged
@@ -429,7 +427,7 @@ class TestFit:
 
     def test_reproducible_bit_identical(self):
         panel, _ = well_separated_panel(n=60, transitions=4, seed=21)
-        init, _ = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, EmConfig(seed=3))
         cfg = EmConfig()
         r1 = fit(panel, init, cfg)
         r2 = fit(panel, init, cfg)
@@ -440,7 +438,7 @@ class TestFit:
 
     def test_label_swap_equivalence_exact(self):
         panel, _ = well_separated_panel(n=50, transitions=6, seed=33)
-        init, _ = initial_model(panel, 2, seed=4)
+        init, _ = initial_model(panel, 2, EmConfig(seed=4))
         swapped_init = MixtureModel(
             space=init.space,
             weights=init.weights[::-1].copy(),
@@ -456,7 +454,7 @@ class TestFit:
 
     def test_fixed_point_restart(self):
         panel, _ = well_separated_panel(n=50, transitions=6, seed=34)
-        init, _ = initial_model(panel, 2, seed=4)
+        init, _ = initial_model(panel, 2, EmConfig(seed=4))
         cfg = EmConfig()
         report = fit(panel, init, cfg)
         restart = fit(panel, report.model, cfg)
@@ -465,7 +463,7 @@ class TestFit:
     def test_ascent_on_well_separated_fixture(self):
         for seed in (1, 2, 3):
             panel, _ = well_separated_panel(n=200, transitions=10, seed=seed)
-            init, _ = initial_model(panel, 2, seed=seed)
+            init, _ = initial_model(panel, 2, EmConfig(seed=seed))
             report = fit(panel, init, EmConfig())
             assert report.monotone, report.warnings
             assert report.objective_trace[-1] >= report.objective_trace[0]
@@ -482,7 +480,7 @@ class TestFit:
             replicate_count=1,
         )
         panel, _ = simulate_panel(scenario)
-        init, _ = initial_model(panel, 2, seed=1000)
+        init, _ = initial_model(panel, 2, EmConfig(seed=1000))
         report = fit(panel, init, EmConfig())
         if not report.monotone:
             assert any("objective decreased" in w for w in report.warnings)
@@ -523,7 +521,7 @@ class TestFit:
 
     def test_unpenalized_objective_is_plain_loglik(self):
         panel, _ = well_separated_panel(n=40, transitions=6, seed=35)
-        init, _ = initial_model(panel, 2, seed=1)
+        init, _ = initial_model(panel, 2, EmConfig(seed=1))
         report = fit(panel, init, EmConfig(penalized=False))
         assert report.objective_trace[-1] == pytest.approx(
             mixture_loglik(panel, report.model), rel=1e-12
@@ -558,13 +556,13 @@ class TestSharedLikelihood:
     def _g3_fit(name, seed):
         scenario = fixtures.benchmark_scenario(name, n_subjects=80, seed=seed)
         panel, _ = simulate_panel(scenario)
-        return panel, initial_model(panel, 3, seed=seed)[0], EmConfig()
+        return panel, initial_model(panel, 3, EmConfig(seed=seed))[0], EmConfig()
 
     @pytest.mark.parametrize("name,seed", [("well_separated", 41), ("chocolate70", 42)])
     def test_final_posteriors_and_objective_exact(self, name, seed):
         panel, init, cfg = self._g3_fit(name, seed)
         report = fit(panel, init, cfg)
-        expected_z = e_step(panel, report.model, cfg.z_round).z
+        expected_z = e_step(panel, report.model, cfg).z
         assert np.array_equal(report.posteriors.z, expected_z)
         assert report.objective_trace[-1] == penalized_objective(panel, report.model)
 
@@ -696,7 +694,7 @@ class TestSquarem:
         # one component, fitted to convergence.  Its map p' -> p'' meets
         # rel_tol, but p'' lies below p2, so the cycle keeps p2 and the fit
         # goes on.
-        one = initial_model(panel, 1, seed=41)[0].params
+        one = initial_model(panel, 1, EmConfig(seed=41))[0].params
         copies = [0, 0, 0]
         symmetric = MixtureModel.from_arrays(panel.space, one._replace(
             weights=np.full(3, 1.0 / 3.0), alpha=one.alpha[copies], trans=one.trans[copies],
@@ -721,7 +719,7 @@ class TestSquarem:
         import smcmix.em as em_module
 
         panel, _ = well_separated_panel(n=10, transitions=4, seed=3)
-        init, _ = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, EmConfig(seed=3))
         starved = np.column_stack([np.full(10, 0.95), np.full(10, 0.05)])
         held = np.full((10, 2), 0.5)
         # responsibilities and objective of each point evaluated, in order:
@@ -797,7 +795,7 @@ class TestIterationInvariants:
         import smcmix.em as em_module
 
         panel, _ = well_separated_panel(n=60, transitions=4, seed=21)
-        init, _ = initial_model(panel, 2, seed=3)
+        init, _ = initial_model(panel, 2, EmConfig(seed=3))
         calls = []
         original = em_module.subject_loglik_matrix
 
@@ -859,7 +857,7 @@ class TestPartialReport:
             "chocolate70", n_subjects=30, transitions=4, seed=29
         )
         panel, _ = reference_panel(scenario)
-        init, _ = initial_model(panel, 4, seed=29)
+        init, _ = initial_model(panel, 4, EmConfig(seed=29))
         with pytest.raises(EmptyComponent) as err:
             fit(panel, init, EmConfig())
         partial = err.value.report
@@ -888,7 +886,7 @@ class TestPartialReport:
 
 def _converged_fit():
     panel, _ = well_separated_panel(n=60, transitions=6, seed=12)
-    report = fit(panel, initial_model(panel, 2, seed=12)[0], EmConfig())
+    report = fit(panel, initial_model(panel, 2, EmConfig(seed=12))[0], EmConfig())
     assert report.converged
     return panel, report
 
@@ -904,13 +902,13 @@ def _aborted_fit():
     scenario = fixtures.benchmark_scenario("chocolate70", n_subjects=30, transitions=4, seed=29)
     panel, _ = reference_panel(scenario)
     with pytest.raises(EmptyComponent) as err:
-        fit(panel, initial_model(panel, 4, seed=29)[0], EmConfig())
+        fit(panel, initial_model(panel, 4, EmConfig(seed=29))[0], EmConfig())
     return panel, err.value.report
 
 
 def _unpenalized_fit():
     panel, _ = well_separated_panel(n=40, transitions=6, seed=35)
-    return panel, fit(panel, initial_model(panel, 2, seed=1)[0], EmConfig(penalized=False))
+    return panel, fit(panel, initial_model(panel, 2, EmConfig(seed=1))[0], EmConfig(penalized=False))
 
 
 def _absorbing_fit():
@@ -921,7 +919,7 @@ def _absorbing_fit():
         stop_rule="absorbing", seed=88, replicate_count=1,
     )
     panel, _ = simulate_panel(scenario)
-    return panel, fit(panel, initial_model(panel, 2, seed=88)[0], EmConfig())
+    return panel, fit(panel, initial_model(panel, 2, EmConfig(seed=88))[0], EmConfig())
 
 
 @pytest.mark.parametrize(

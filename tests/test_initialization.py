@@ -52,18 +52,22 @@ def reference_seeding(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
     """One restart on its own: k-means++ seeding, then Lloyd's loop with
-    the empty-cluster re-seed.  The reference the batched loop of
-    :func:`smcmix.initialization.kmeans` must equal bit for bit."""
+    the empty-cluster re-seed, which ends after the iteration whose
+    re-seed moved a point already at distance 0 from its centre.  The
+    reference the batched loop of :func:`smcmix.initialization.kmeans`
+    must equal bit for bit."""
     n = points.shape[0]
     centers = reference_seeding(points, k, rng)
     labels = np.full(n, -1)
     for _ in range(300):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = np.argmin(d2, axis=1)
+        stalled = False
         for c in range(k):
             if not np.any(new_labels == c):
                 shared = np.bincount(new_labels, minlength=k)[new_labels] > 1
                 far = int(np.argmax(np.where(shared, d2[np.arange(n), new_labels], -1.0)))
+                stalled = stalled or d2[far, new_labels[far]] == 0.0
                 centers[c] = points[far]
                 new_labels[far] = c
         if np.array_equal(new_labels, labels):
@@ -71,6 +75,8 @@ def reference_kmeans_once(points: np.ndarray, k: int, rng: np.random.Generator):
         labels = new_labels
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
+        if stalled:
+            break
     d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     return labels, float(d2[np.arange(n), labels].sum())
 
@@ -196,7 +202,7 @@ class TestKmeans:
 
     def test_one_component_init_checks_its_seed(self, tiny_panel):
         with pytest.raises(ValueError, match="^seed must be nonnegative$"):
-            initial_model(tiny_panel, 1, seed=-1)
+            initial_model(tiny_panel, 1, EmConfig(seed=-1))
 
     def test_numpy_and_64_bit_seeds(self):
         """run_benchmark draws each replicate's init seed as a uint64."""
@@ -285,6 +291,24 @@ class TestKmeans:
         for i, (ref_labels, ref_sse) in enumerate(refs):
             assert np.array_equal(labels[i], ref_labels)
             assert sse[i] == ref_sse
+
+    def test_fewer_distinct_rows_than_clusters_end_within_a_few_iterations(self, monkeypatch):
+        # 200 points on 2 distinct rows at k = 3: every re-seed moves a
+        # point that sits on its centre, so no labelling can lower the
+        # error, and each restart ends instead of trading points between
+        # equal centres until the iteration cap.
+        rows = np.random.default_rng(3).random((2, 3))
+        points = rows[np.random.default_rng(4).integers(0, 2, 200)]
+        nearest, rounds = initialization._nearest, []
+
+        def counted(*args):
+            rounds.append(args[-1].shape[0])  # the restarts still active
+            return nearest(*args)
+
+        monkeypatch.setattr(initialization, "_nearest", counted)
+        labels = kmeans(points, 3, seed=0)
+        assert rounds == [10]
+        assert np.bincount(labels, minlength=3).all()
 
     def test_exact_distances_are_numpys_sum_of_one_pair(self):
         # D = 1..300 crosses numpy's sequential sum below 8 terms, its
@@ -490,7 +514,7 @@ class TestTracedBindings:
 
 class TestInitialModel:
     def test_single_component_classical(self, tiny_panel):
-        model, _ = initial_model(tiny_panel, 1, seed=0, min_obs_mass=2)
+        model, _ = initial_model(tiny_panel, 1, EmConfig(seed=0, min_obs_mass=2))
         # alpha: empirical first-state frequencies (4/6, 2/6) with 1e-6
         # smoothing on both cells, renormalized
         raw = np.array([4.0 + 1e-6, 2.0 + 1e-6])
@@ -509,7 +533,7 @@ class TestInitialModel:
         )
         panel, _ = simulate_panel(scenario)
         for g in (1, 2, 3):
-            model, _ = initial_model(panel, g, seed=5)
+            model, _ = initial_model(panel, g, EmConfig(seed=5))
             assert np.isfinite(mixture_loglik(panel, model))
 
     def test_kmeans_classification_quality(self):
@@ -537,6 +561,6 @@ class TestInitialModel:
             replicate_count=1,
         )
         panel, _ = simulate_panel(scenario)
-        init, _ = initial_model(panel, 2, seed=31)
+        init, _ = initial_model(panel, 2, EmConfig(seed=31))
         report = fit(panel, init, EmConfig())
         assert report.objective_trace[-1] >= report.objective_trace[0] - 1e-7

@@ -24,7 +24,7 @@ from smcmix import (
 from smcmix.dataio import export_tds_graph, model_from_dict, model_to_dict, write_labels
 from smcmix.errors import DataError, InvalidModelError
 from smcmix.initialization import initial_model, kmeans
-from smcmix.sim import Scenario, run_benchmark, simulate_trajectory
+from smcmix.sim import Scenario, simulate_trajectory
 
 from conftest import make_component
 
@@ -49,6 +49,7 @@ COUNTS = [
     ("EmConfig.max_iter", lambda v: EmConfig(max_iter=v), "max_iter", 1),
     ("EmConfig.min_obs_mass", lambda v: EmConfig(min_obs_mass=v), "min_obs_mass", 0),
     ("EmConfig.seed", lambda v: EmConfig(seed=v), "seed", 0),
+    ("EmConfig.restarts", lambda v: EmConfig(restarts=v), "restarts", 1),
     ("Scenario.n_subjects", lambda v: _scenario(n_subjects=v), "n_subjects", 1),
     ("Scenario.n_replications", lambda v: _scenario(n_replications=v), "n_replications", 1),
     ("Scenario.replicate_count", lambda v: _scenario(replicate_count=v), "replicate_count", 1),
@@ -58,10 +59,7 @@ COUNTS = [
     ("kmeans.seed", lambda v: kmeans(POINTS, 2, v), "seed", 0),
     ("select_g.sample_size", lambda v: select_g(PANEL, [1], EmConfig(), sample_size=v),
      "sample_size", 1),
-    ("select_g.restarts", lambda v: select_g(PANEL, [1], EmConfig(), restarts=v), "restarts", 1),
-    ("initial_model.n_components", lambda v: initial_model(PANEL, v, 0), "n_components", 1),
-    ("run_benchmark.restarts", lambda v: run_benchmark(_scenario(), EmConfig(), restarts=v),
-     "restarts", 1),
+    ("initial_model.n_components", lambda v: initial_model(PANEL, v, EmConfig()), "n_components", 1),
     ("param_count.n_components", lambda v: param_count(v, 3), "n_components", 1),
     ("param_count.n_states", lambda v: param_count(2, v), "n_states", 2),
 ]

@@ -1,5 +1,6 @@
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,13 +167,11 @@ class TestSelectG:
     def test_init_labels_are_the_clustering_each_fit_started_from(
         self, small_two_component_panel
     ):
-        cfg = EmConfig(seed=6)
-        sweep = select_g(small_two_component_panel, [1, 2, 3], cfg, restarts=4)
+        cfg = EmConfig(seed=6, restarts=4)
+        sweep = select_g(small_two_component_panel, [1, 2, 3], cfg)
         assert sorted(sweep.init_labels) == [1, 2, 3]
         for g, labels in sweep.init_labels.items():
-            _, expected = initial_model(
-                small_two_component_panel, g, cfg.seed, 4, cfg.min_obs_mass
-            )
+            _, expected = initial_model(small_two_component_panel, g, cfg)
             assert np.array_equal(labels, expected)
 
 
@@ -188,11 +187,6 @@ class TestCountValidation:
     def test_sample_size_must_be_an_integer(self, small_two_component_panel, sample_size):
         with pytest.raises(ValueError, match="^sample_size must be an integer$"):
             select_g(small_two_component_panel, [1], EmConfig(seed=1), sample_size=sample_size)
-
-    @pytest.mark.parametrize("restarts", [True, 2.5])
-    def test_restarts_must_be_an_integer(self, small_two_component_panel, restarts):
-        with pytest.raises(ValueError, match="^restarts must be an integer$"):
-            select_g(small_two_component_panel, [1, 2], EmConfig(seed=1), restarts=restarts)
 
     def test_numpy_integers_are_counts(self, small_two_component_panel):
         sweep = select_g(small_two_component_panel, np.array([2, 1]), EmConfig(seed=1))
@@ -258,7 +252,7 @@ def sweep_cases(draw):
     g_range = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
     cfg = EmConfig(max_iter=draw(st.integers(1, 40)), z_round=draw(st.sampled_from([0.0, 1e-4])),
                    penalized=draw(st.booleans()), seed=draw(st.integers(0, 99)))
-    return panel, g_range, cfg, draw(st.integers(1, 4))
+    return panel, g_range, replace(cfg, restarts=draw(st.integers(1, 4)))
 
 
 class TestLockstepStack:
@@ -269,10 +263,9 @@ class TestLockstepStack:
     @settings(max_examples=40, deadline=None)
     @given(sweep_cases())
     def test_sweep_matches_the_sequential_oracle(self, case):
-        panel, g_range, cfg, restarts = case
-        assert_same_sweep(_outcome(lambda: select_g(panel, g_range, cfg, restarts=restarts)),
-                          _outcome(lambda: sequential_select_g(panel, g_range, cfg,
-                                                               restarts=restarts)))
+        panel, g_range, cfg = case
+        assert_same_sweep(_outcome(lambda: select_g(panel, g_range, cfg)),
+                          _outcome(lambda: sequential_select_g(panel, g_range, cfg)))
 
     def test_an_aborted_fit_leaves_the_others_running(self):
         # G = 4 starves at its third map; G = 3 goes on for 20
@@ -290,7 +283,7 @@ class TestLockstepStack:
         # is thrown into that fit, and the G = 2 fit runs on as it does solo
         panel = _sweep_panel("chocolate70", 30, 29, transitions=4)
         cfg = EmConfig(seed=1)
-        inits = [initial_model(panel, g, 1, 10, cfg.min_obs_mass)[0] for g in (3, 2)]
+        inits = [initial_model(panel, g, cfg)[0] for g in (3, 2)]
         solo = em.fit(panel, inits[1], cfg)
         injected = NonConvergence("injected")
         rounds = []

@@ -442,14 +442,29 @@ class TestRunBenchmark:
             np.testing.assert_array_equal(first.values[name][:2], shorter.values[name])
 
     @pytest.mark.parametrize("g_range", [None, [1, 2]])
-    @pytest.mark.parametrize("restarts", [True, 2.5])
-    def test_restarts_must_be_an_integer(self, g_range, restarts):
+    def test_each_replicate_starts_under_the_config_with_its_own_seed(self, monkeypatch,
+                                                                       g_range):
+        """Both branches start every fit from ``cfg`` with the seed drawn
+        from the replicate's stream in place of ``cfg.seed``."""
         scenario = Scenario(
             model=fixtures.well_separated_model(),
-            n_subjects=20, n_replications=2, stop_rule=4, seed=57, replicate_count=1,
+            n_subjects=20, n_replications=2, stop_rule=4, seed=57, replicate_count=2,
         )
-        with pytest.raises(ValueError, match="^restarts must be an integer$"):
-            run_benchmark(scenario, EmConfig(), g_range=g_range, restarts=restarts)
+        cfg = EmConfig(max_iter=5, seed=3, restarts=2)
+        seen = []
+
+        def recording(panel, n_components, cfg, stats=None):
+            seen.append(cfg)
+            return original(panel, n_components, cfg, stats)
+
+        original = sim.initial_model
+        monkeypatch.setattr(sim, "initial_model", recording)
+        monkeypatch.setattr(selection, "initial_model", recording)
+        run_benchmark(scenario, cfg, g_range=g_range)
+        seeds = [int(child.spawn(2)[1].generate_state(1, dtype=np.uint64)[0])
+                 for child in np.random.SeedSequence(57).spawn(2)]
+        fits = 1 if g_range is None else len(g_range)
+        assert seen == [replace(cfg, seed=s) for s in seeds for _ in range(fits)]
 
     @pytest.mark.parametrize("g_range", [None, [1, 2]])
     def test_a_failed_replicate_is_a_warning(self, monkeypatch, g_range):
@@ -591,15 +606,13 @@ class TestRunBenchmark:
             run_benchmark(scenario, EmConfig())
         assert len(fits) == 2
 
-    @pytest.mark.parametrize("g_range,restarts,message", [
-        (range(3, 2), 5, "g_range must contain positive component counts"),
-        ([1, 2.5], 5, "g_range must contain integer component counts"),
-        (None, 0, "restarts must be at least 1"),
-        ([1, 2], 0, "restarts must be at least 1"),
-        ([0, 2], 0, "g_range must contain positive component counts"),
+    @pytest.mark.parametrize("g_range,message", [
+        (range(3, 2), "g_range must contain positive component counts"),
+        ([1, 2.5], "g_range must contain integer component counts"),
+        ([0, 2], "g_range must contain positive component counts"),
     ])
-    def test_arguments_are_checked_before_any_draw(self, monkeypatch, g_range, restarts, message):
-        """As ``smcmix bench --g-min 3 --g-max 1`` or ``--restarts 0`` ask."""
+    def test_arguments_are_checked_before_any_draw(self, monkeypatch, g_range, message):
+        """As ``smcmix bench --g-min 3 --g-max 1`` asks."""
         draws = []
         monkeypatch.setattr(sim, "simulate_panel", lambda *args: draws.append(None))
         scenario = Scenario(
@@ -607,7 +620,7 @@ class TestRunBenchmark:
             n_subjects=30, n_replications=3, stop_rule=6, seed=56, replicate_count=3,
         )
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_benchmark(scenario, EmConfig(), g_range=g_range, restarts=restarts)
+            run_benchmark(scenario, EmConfig(), g_range=g_range)
         assert draws == []
 
     def test_selection_histogram(self):
