@@ -7,11 +7,10 @@ Runs ``sim.run_benchmark`` with the default ``EmConfig`` on each design of
 at seed 2024 with 50 replicates: once at the design's own number of
 components, and once sweeping G over 1..3.  Writes ``BENCH_recovery.json``
 at the repository root.  Per design and mode it holds each metric's mean
-and sd over the replicates where it is defined, the number of replicates,
-the counts of replicates where a fit aborted on a starved component or the
-replicate failed, and of replicates whose fit at the design's G did not
-converge, and, for the sweep, the BIC, AIC and AICc histograms of the
-chosen G.
+and sd over the replicates where it is defined, the counts of replicates
+where a fit aborted on a starved component or the replicate failed, and
+of replicates whose fit at the design's G did not converge, and, for the
+sweep, the BIC, AIC and AICc histograms of the chosen G.
 
 The file holds no timing and no commit, so two trees that fit the same
 bits write the same bytes, and a change that moves a fitted bit shows in
@@ -40,14 +39,13 @@ SWEEP = range(1, 4)
 ABORTED, FAILED = " lost all its subjects", "replicate failed: "
 
 
-def _record(result, replicates: int) -> dict:
+def _record(result) -> dict:
     troubled = {
         int(w.split(":")[0].removeprefix("replicate "))
         for w in result.warnings if w.endswith(ABORTED) or FAILED in w
     }
     converged = np.asarray(result.values.get("converged", []), dtype=np.float64)
     return {
-        "replicates": replicates,
         "aborted": len(troubled),
         "unconverged": int((converged == 0.0).sum()),
         "metrics": {name: {"mean": mean, "sd": sd} for name, (mean, sd) in result.table().items()},
@@ -61,8 +59,8 @@ def main() -> int:
     for name in fixtures.BUNDLED_SCENARIOS:
         scenario = fixtures.benchmark_scenario(name, seed=SEED, replicate_count=REPLICATES)
         record["designs"][name] = {
-            "fixed": _record(run_benchmark(scenario, EmConfig()), REPLICATES),
-            "sweep": _record(run_benchmark(scenario, EmConfig(), g_range=SWEEP), REPLICATES),
+            "fixed": _record(run_benchmark(scenario, EmConfig())),
+            "sweep": _record(run_benchmark(scenario, EmConfig(), g_range=SWEEP)),
         }
         for mode, entry in record["designs"][name].items():
             print(f"{name} {mode}: aborted {entry['aborted']}, unconverged {entry['unconverged']}"
